@@ -12,13 +12,14 @@ language, for duals ``X_x = c_x . R`` and ``X_y = c_y . R``:
 
 Local unbiasedness for the displacement channel fixes the mode-1 entries of
 the coefficient vectors (c_x = (1, 0, a, b) and c_y = (0, 1, c, d) for two
-modes), leaving a 4-dimensional minimization.  That function is a positive
-quadratic plus a scaled absolute value of a bilinear form, so its minimizers
-are either stationary points of one of the two sign branches (a 4x4 linear
-solve each) or points on the kink manifold |.| = 0, which form a scalar
-family indexed by the kink multiplier m in [-sqrt(w_x w_y), +sqrt(w_x w_y)].
-Both candidate sets are computed exactly and the best is confirmed by a
-multi-start simplex search.
+modes), leaving a 4-dimensional minimization.  That function is a convex
+quadratic plus a scaled absolute value of a bilinear form, i.e. the maximum
+of the quadratics q + 2 m beta over the kink multiplier
+m in [-sqrt(w_x w_y), +sqrt(w_x w_y)] (the convex-program view of Albarelli
+et al., PRL 123, 200503 (2019)).  Its minimizer is the closed-form
+stationary point at an endpoint multiplier or at a root of a quartic in m;
+batch_bound evaluates every such candidate, solve() is one batch row with a
+KKT certificate, and the optimal duals give the exact tangency point.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from scipy import optimize as _opt
 
 from .gaussian import GaussianState, symplectic_form
 
@@ -43,6 +42,8 @@ __all__ = [
     "single_mode_closed",
     "solve",
     "batch_bound",
+    "certificate",
+    "tangency",
     "extract_measurement",
 ]
 
@@ -157,23 +158,22 @@ class BoundResult:
     z_imag: np.ndarray = field(repr=False)
     weights: Weights = field(repr=False)
     converged: bool = True
-    iterations: int = 0
+    iterations: int = 0  # always 0: the exact solver runs no iterative search
+
+    def _tangency(self) -> tuple[float, float]:
+        v_x, v_y = tangency(self.z_real[0, 0], self.z_real[1, 1], self.z_imag[0, 1],
+                            self.weights.w_x, self.weights.w_y)
+        return float(v_x), float(v_y)
 
     @property
     def v_x(self) -> float:
         """Tangency variance dh/dw_x at the optimum."""
-        if self.weights.w_x == 0.0:
-            return math.inf
-        ratio = math.sqrt(self.weights.w_y / self.weights.w_x)
-        return float(self.z_real[0, 0] + ratio * abs(self.z_imag[0, 1]))
+        return self._tangency()[0]
 
     @property
     def v_y(self) -> float:
         """Tangency variance dh/dw_y at the optimum."""
-        if self.weights.w_y == 0.0:
-            return math.inf
-        ratio = math.sqrt(self.weights.w_x / self.weights.w_y)
-        return float(self.z_real[1, 1] + ratio * abs(self.z_imag[0, 1]))
+        return self._tangency()[1]
 
 
 def _as_cov(cov) -> np.ndarray:
@@ -200,7 +200,7 @@ def objective(cov, weights: Weights, duals: DualCoefficients) -> float:
 
 
 def _result_from_duals(cov, weights: Weights, duals: DualCoefficients,
-                       converged: bool = True, iterations: int = 0) -> BoundResult:
+                       converged: bool = True, f_hcr: float | None = None) -> BoundResult:
     sigma = _as_cov(cov)
     omega = symplectic_form(duals.n_modes)
     z_real = np.array(
@@ -211,8 +211,9 @@ def _result_from_duals(cov, weights: Weights, duals: DualCoefficients,
     )
     im = float(duals.c_x @ omega @ duals.c_y)
     z_imag = np.array([[0.0, im], [-im, 0.0]])
-    f = weights.w_x * z_real[0, 0] + weights.w_y * z_real[1, 1] + 2.0 * weights.geometric * abs(im)
-    return BoundResult(float(f), duals, z_real, z_imag, weights, converged, iterations)
+    if f_hcr is None:
+        f_hcr = weights.w_x * z_real[0, 0] + weights.w_y * z_real[1, 1] + 2.0 * weights.geometric * abs(im)
+    return BoundResult(float(f_hcr), duals, z_real, z_imag, weights, converged)
 
 
 def single_mode_closed(cov, weights: Weights) -> BoundResult:
@@ -228,192 +229,139 @@ def single_mode_closed(cov, weights: Weights) -> BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized exact candidates for the two-mode problem
+# Exact two-mode solver
 # ---------------------------------------------------------------------------
+#
+# Split the free duals into u = (a, b), v = (c, d) and the probe covariance into
+# q_x = S_11, q_y = S_22, the mode-1/mode-2 rows g_x, g_y and the mode-2 block
+# B.  Then h = q(x) + 2 c |beta(x)| with c = sqrt(w_x w_y),
+# q = w_x (q_x + 2 g_x.u + u'Bu) + w_y (q_y + 2 g_y.v + v'Bv) and
+# beta = 1 + u'Jv, J = [[0, 1], [-1, 0]].  As 2 c |beta| is the maximum of
+# 2 m beta over |m| <= c, h is the maximum of the quadratics q + 2 m beta.
+# Their Hessian [[w_x B, m J], [-m J, w_y B]] has the Schur complement
+# (w_y - m^2 / (w_x det B)) B, which is PSD because det B >= 1 for any
+# physical mode-2 marginal.  So h is convex, and its minimum is the stationary
+# point of the quadratic at the optimal multiplier: m = +-c, or a root of
+# beta(x(m)) inside (-c, c) (the kink).
+#
+# In the scaled multiplier mu = m / c, with A = adj B, D = det B and
+# rho = sqrt(w_x / w_y), the stationary point is
+#     u(mu) = -(A g_x - (mu / rho) J g_y) / (D - mu^2),
+#     v(mu) = -(A g_y + mu rho J g_x) / (D - mu^2),
+# and beta(x(mu)) (D - mu^2)^2 is the monic quartic
+#     mu^4 + (gamma - 2 D) mu^2 - kappa mu + D (D + gamma),
+#     gamma = g_x' J g_y,  kappa = rho g_x' A g_x + g_y' A g_y / rho.
+# Every candidate is a feasible dual, so the minimum over candidates never
+# undercuts the true bound.  The only invalid candidate is mu^2 = D, and
+# mu = 0 is always valid.
 
-_KINK_FIT_DEGREE = 8
-_KINK_NODES = np.cos(np.linspace(0.0, np.pi, _KINK_FIT_DEGREE + 1))
-_KINK_VANDER_INV = np.linalg.inv(_cheb.chebvander(_KINK_NODES, _KINK_FIT_DEGREE))
-_KINK_SCAN = np.linspace(-1.0, 1.0, 161)
-_KINK_SCAN_VANDER = _cheb.chebvander(_KINK_SCAN, _KINK_FIT_DEGREE)
+# A winner is certified when its relative KKT residual is at most this.
+CERTIFICATE_TOL = 1e-9
+# |beta| below this (relative to 1 + |ad| + |bc|) counts as on the kink.
+_KINK_BETA_TOL = 1e-9
+
+
+# Explicit 2-vector arithmetic (no BLAS) keeps each row's result independent
+# of the batch it is in, so solve() equals its batch_bound row exactly.
+def _dot(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _rot(g):
+    """J g for J = [[0, 1], [-1, 0]]."""
+    return np.stack([g[..., 1], -g[..., 0]], axis=-1)
+
+
+def _matvec(m, x):
+    return np.stack([_dot(m[..., 0, :], x), _dot(m[..., 1, :], x)], axis=-1)
 
 
 def _batch_pieces(covs: np.ndarray):
-    q_x = covs[:, 0, 0]
-    q_y = covs[:, 1, 1]
-    g_x = covs[:, 0, 2:]
-    g_y = covs[:, 1, 2:]
-    b = covs[:, 2:, 2:]
-    return q_x, q_y, g_x, g_y, b
+    return covs[:, 0, 0], covs[:, 1, 1], covs[:, 0, 2:], covs[:, 1, 2:], covs[:, 2:, 2:]
 
 
-def _batch_objective(q_x, q_y, g_x, g_y, b, w_x, w_y, x) -> np.ndarray:
-    """Objective at free coefficients x (rows of (a, b, c, d))."""
-    u, v = x[:, :2], x[:, 2:]
-    v_xx = q_x + 2.0 * np.einsum("ni,ni->n", g_x, u) + np.einsum("ni,nij,nj->n", u, b, u)
-    v_yy = q_y + 2.0 * np.einsum("ni,ni->n", g_y, v) + np.einsum("ni,nij,nj->n", v, b, v)
-    beta = 1.0 + x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]
-    return w_x * v_xx + w_y * v_yy + 2.0 * np.sqrt(w_x * w_y) * np.abs(beta)
+def _moments(q_x, q_y, g_x, g_y, b, u, v):
+    """Re Z_11, Re Z_22 and Im Z_12 = beta of the duals (u, v)."""
+    z_xx = q_x + 2.0 * _dot(g_x, u) + _dot(u, _matvec(b, u))
+    z_yy = q_y + 2.0 * _dot(g_y, v) + _dot(v, _matvec(b, v))
+    return z_xx, z_yy, 1.0 + _dot(u, _rot(v))
 
 
-def _solve_multiplier_system(b, g_x, g_y, w_x, w_y, m):
-    """Stationary point of the sign-branch objective at multiplier m (batched).
+def tangency(z_xx, z_yy, beta, w_x, w_y):
+    """Tangency point (dh/dw_x, dh/dw_y) of the bound line at the optimal duals.
 
-    Solves [[w_x B, m w], [-m w, w_y B]] x = -(w_x g_x, w_y g_y) with
-    w = [[0, 1], [-1, 0]].  Returns (x, det, valid).
+    By Danskin's theorem the gradient of the bound in the weights is the
+    gradient of h at fixed optimal duals: v_x = Re Z_11 + sqrt(w_y/w_x)
+    |Im Z_12|, mirrored for v_y.  A zero weight gives an infinite component.
     """
-    n = b.shape[0]
-    mat = np.zeros((n, 4, 4))
-    mat[:, :2, :2] = w_x[:, None, None] * b
-    mat[:, 2:, 2:] = w_y[:, None, None] * b
-    mat[:, 0, 3] = m
-    mat[:, 1, 2] = -m
-    mat[:, 2, 1] = -m
-    mat[:, 3, 0] = m
-    rhs = np.concatenate([-w_x[:, None] * g_x, -w_y[:, None] * g_y], axis=1)
-    det = np.linalg.det(mat)
-    scale = np.abs(np.linalg.det(b)) * np.maximum(w_x * w_y, 1e-30)
-    valid = np.abs(det) > 1e-13 * (scale**2 + m**4 + 1.0)
-    safe = np.where(valid[:, None, None], mat, np.eye(4))
-    x = np.linalg.solve(safe, rhs[..., None])[..., 0]
-    return x, det, valid
+    w_x, w_y = np.asarray(w_x, dtype=float), np.asarray(w_y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_x = np.where(w_x > 0.0, z_xx + np.sqrt(w_y / w_x) * np.abs(beta), np.inf)
+        v_y = np.where(w_y > 0.0, z_yy + np.sqrt(w_x / w_y) * np.abs(beta), np.inf)
+    return v_x, v_y
 
 
-def _beta_of(x: np.ndarray) -> np.ndarray:
-    return 1.0 + x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]
+def _multipliers(g_x, g_y, a_x, a_y, det, rho):
+    """Candidate scaled multipliers per row: the kink quartic's roots, -1, 0, 1.
 
-
-def _kink_roots(b, g_x, g_y, w_x, w_y, c):
-    """Kink-manifold multipliers: roots of beta(x(m)) for |m| <= c (batched).
-
-    beta(x(m)) det(M(m))^2 is a polynomial of degree <= 8 in s = m/c; it is
-    reconstructed exactly from 9 Chebyshev nodes, scanned densely for sign
-    changes, and each bracket is polished with safeguarded Newton steps.
-    Returns (row_indices, multipliers).
+    The roots come from companion-matrix eigenvalues, each polished by one
+    Newton step; complex roots contribute their real part, which is still a
+    feasible (if useless) candidate.  All are clipped to [-1, 1].
     """
-    n = b.shape[0]
-    active = c > 0.0
-    if not np.any(active):
-        return np.zeros(0, dtype=int), np.zeros(0)
-    p_nodes = np.empty((n, _KINK_FIT_DEGREE + 1))
-    ok = np.ones(n, dtype=bool)
-    for k, s in enumerate(_KINK_NODES):
-        x, det, valid = _solve_multiplier_system(b, g_x, g_y, w_x, w_y, c * s)
-        ok &= valid
-        p_nodes[:, k] = _beta_of(x) * det * det
-    ok &= active
-    if not np.any(ok):
-        return np.zeros(0, dtype=int), np.zeros(0)
-    rows = np.nonzero(ok)[0]
-    coeffs = p_nodes[rows] @ _KINK_VANDER_INV.T
-    norm = np.max(np.abs(coeffs), axis=1)
-    coeffs = coeffs / np.where(norm > 0.0, norm, 1.0)[:, None]
-
-    scan = coeffs @ _KINK_SCAN_VANDER.T
-    signs = np.signbit(scan)
-    flips = signs[:, 1:] != signs[:, :-1]
-    rr, cc = np.nonzero(flips)
-    if rr.size == 0:
-        return np.zeros(0, dtype=int), np.zeros(0)
-
-    lo = _KINK_SCAN[cc].copy()
-    hi = _KINK_SCAN[cc + 1].copy()
-    f_lo = scan[rr, cc]
-    c_sel = coeffs[rr].T  # (deg+1, K)
-    dc_sel = _cheb.chebder(c_sel, axis=0)
-    s = 0.5 * (lo + hi)
-    for _ in range(60):
-        p = _cheb.chebval(s, c_sel, tensor=False)
-        neg_side = (p > 0.0) == (f_lo > 0.0)
-        lo = np.where(neg_side, s, lo)
-        hi = np.where(neg_side, hi, s)
-        dp = _cheb.chebval(s, dc_sel, tensor=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = p / dp
-        s_newton = s - step
-        inside = np.isfinite(s_newton) & (s_newton > lo) & (s_newton < hi)
-        s = np.where(inside, s_newton, 0.5 * (lo + hi))
-        if np.max(hi - lo) < 1e-15:
-            break
-    full_rows = rows[rr]
-    c_roots = c[full_rows]
-    m = c_roots * np.clip(s, -1.0, 1.0)
-    # The bound is first-order sensitive to the multiplier at a kink optimum,
-    # so polish on the exact rational function: dbeta/dm follows from
-    # dx/dm = -M^{-1} (dM/dm) x with dM/dm the constant coupling pattern.
-    dm_pattern = np.zeros((4, 4))
-    dm_pattern[0, 3] = dm_pattern[3, 0] = 1.0
-    dm_pattern[1, 2] = dm_pattern[2, 1] = -1.0
-    br, gxr, gyr = b[full_rows], g_x[full_rows], g_y[full_rows]
-    wxr, wyr = w_x[full_rows], w_y[full_rows]
-    for _ in range(3):
-        x, det, valid = _solve_multiplier_system(br, gxr, gyr, wxr, wyr, m)
-        mat = np.zeros((m.size, 4, 4))
-        mat[:, :2, :2] = wxr[:, None, None] * br
-        mat[:, 2:, 2:] = wyr[:, None, None] * br
-        mat[:, 0, 3] = m
-        mat[:, 1, 2] = -m
-        mat[:, 2, 1] = -m
-        mat[:, 3, 0] = m
-        safe = np.where(valid[:, None, None], mat, np.eye(4))
-        dx = -np.linalg.solve(safe, (dm_pattern @ x[..., None]))[..., 0]
-        grad = np.stack([x[:, 3], -x[:, 2], -x[:, 1], x[:, 0]], axis=1)
-        dbeta = np.einsum("ni,ni->n", grad, dx)
-        beta = _beta_of(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = beta / dbeta
-        step = np.where(np.isfinite(step) & valid, step, 0.0)
-        m = np.clip(m - step, -c_roots, c_roots)
-    return full_rows, m
+    n = det.size
+    gamma = _dot(g_x, _rot(g_y))
+    kappa = rho * _dot(g_x, a_x) + _dot(g_y, a_y) / rho
+    c2, c1, c0 = gamma - 2.0 * det, -kappa, det * (det + gamma)
+    companion = np.zeros((n, 4, 4))
+    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
+    companion[:, 0, 1], companion[:, 0, 2], companion[:, 0, 3] = -c2, -c1, -c0
+    # Non-finite input rows get no roots; their candidates evaluate to inf.
+    companion[~np.isfinite(companion).all(axis=(1, 2))] = 0.0
+    mu = np.linalg.eigvals(companion).real
+    c2, c1, c0 = c2[:, None], c1[:, None], c0[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = (((mu * mu + c2) * mu + c1) * mu + c0) / ((4.0 * mu * mu + 2.0 * c2) * mu + c1)
+    mu = np.where(np.isfinite(step), mu - step, mu)
+    edges = np.broadcast_to([-1.0, 0.0, 1.0], (n, 3))
+    return np.clip(np.concatenate([mu, edges], axis=1), -1.0, 1.0)
 
 
-def _candidate_frees(covs: np.ndarray, w_x: np.ndarray, w_y: np.ndarray):
-    """All exact candidate free-coefficient vectors per batch row.
+def _kkt_residual(g_x, g_y, b, w_x, w_y, u, v, beta):
+    """Relative KKT residual |grad q + 2 m grad beta| of the duals (u, v).
 
-    Yields (rows, x) pairs where x are candidate (a, b, c, d) rows aligned
-    with the batch indices in rows.
+    Off the kink m = c sign(beta); on it, the m in [-c, c] that minimizes the
+    residual.  h is convex, so a zero residual certifies the global minimum.
+    The residual is scaled by the largest term magnitude of the gradient.
     """
-    q_x, q_y, g_x, g_y, b = _batch_pieces(covs)
-    c = np.sqrt(w_x * w_y)
-    out = []
-
-    # Degenerate weights: the objective is a pure quadratic per dual; the
-    # stationary point is the Schur-complement linear solve.
-    degenerate = c == 0.0
-    if np.any(degenerate):
-        rows = np.nonzero(degenerate)[0]
-        u = -np.linalg.solve(b[rows], g_x[rows][..., None])[..., 0]
-        v = -np.linalg.solve(b[rows], g_y[rows][..., None])[..., 0]
-        out.append((rows, np.concatenate([u, v], axis=1)))
-
-    regular = ~degenerate
-    if np.any(regular):
-        rows = np.nonzero(regular)[0]
-        bq, gxq, gyq = b[rows], g_x[rows], g_y[rows]
-        wxq, wyq, cq = w_x[rows], w_y[rows], c[rows]
-        for m in (-cq, np.zeros_like(cq), cq):
-            x, _, valid = _solve_multiplier_system(bq, gxq, gyq, wxq, wyq, m)
-            vr = np.nonzero(valid)[0]
-            if vr.size:
-                out.append((rows[vr], x[vr]))
-        kr, km = _kink_roots(bq, gxq, gyq, wxq, wyq, cq)
-        if kr.size:
-            x, _, valid = _solve_multiplier_system(
-                bq[kr], gxq[kr], gyq[kr], wxq[kr], wyq[kr], km
-            )
-            vr = np.nonzero(valid)[0]
-            if vr.size:
-                out.append((rows[kr[vr]], x[vr]))
-    return out
+    c = np.sqrt(w_x * w_y)[:, None]
+    w_x, w_y = w_x[:, None], w_y[:, None]
+    grad_q = 2.0 * np.concatenate([w_x * (g_x + _matvec(b, u)), w_y * (g_y + _matvec(b, v))], axis=1)
+    grad_beta = 2.0 * np.concatenate([_rot(v), -_rot(u)], axis=1)
+    size = 2.0 * np.concatenate(
+        [w_x * (np.abs(g_x) + _matvec(np.abs(b), np.abs(u))),
+         w_y * (np.abs(g_y) + _matvec(np.abs(b), np.abs(v)))], axis=1,
+    ) + c * np.abs(grad_beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_best = np.clip(-np.sum(grad_q * grad_beta, axis=1, keepdims=True)
+                         / np.sum(grad_beta * grad_beta, axis=1, keepdims=True), -c, c)
+    m_best = np.where(np.isfinite(m_best), m_best, 0.0)
+    beta_size = 1.0 + np.abs(u[:, 0] * v[:, 1]) + np.abs(u[:, 1] * v[:, 0])
+    on_kink = (np.abs(beta) <= _KINK_BETA_TOL * beta_size)[:, None]
+    m = np.where(on_kink, m_best, c * np.sign(beta)[:, None])
+    residual = np.max(np.abs(grad_q + m * grad_beta), axis=1)
+    return residual / np.maximum(np.max(size, axis=1), np.finfo(float).tiny)
 
 
-def batch_bound(covs, w_x, w_y) -> np.ndarray:
+def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     """Bound values for a batch of (covariance, weights) rows.
 
     ``covs`` may be one 4x4 matrix (broadcast) or an (N, 4, 4) stack; ``w_x``
-    and ``w_y`` are length-N vectors.  Every candidate is a feasible dual, so
-    the returned values are exact minima wherever a candidate is valid and
-    upper bounds otherwise (rows with no valid candidate return inf).
+    and ``w_y`` are length-N vectors.  Each row is the minimum of h over the
+    closed-form candidates above, so it is exact up to rounding and never
+    below the true bound; rows with no finite candidate (unphysical input)
+    return inf.  If ``info`` is a dict it receives per-row arrays: ``free``
+    (the optimal (a, b, c, d)), ``v_x`` and ``v_y`` (the tangency point) and
+    ``residual`` (the KKT certificate, see CERTIFICATE_TOL).
     """
     w_x = np.atleast_1d(np.asarray(w_x, dtype=float))
     w_y = np.atleast_1d(np.asarray(w_y, dtype=float))
@@ -421,86 +369,77 @@ def batch_bound(covs, w_x, w_y) -> np.ndarray:
     covs = np.asarray(covs, dtype=float)
     if covs.ndim == 2:
         covs = np.broadcast_to(covs, (n, 4, 4))
-    # Normalizing to unit weight sum keeps the linear systems well scaled and
-    # makes the homogeneity f(c W) = c f(W) hold by construction.
+    # Normalizing to unit weight sum makes the homogeneity f(c W) = c f(W)
+    # hold by construction.
     total = w_x + w_y
     w_x = w_x / total
     w_y = w_y / total
     q_x, q_y, g_x, g_y, b = _batch_pieces(covs)
-    best = np.full(n, np.inf)
-    for rows, x in _candidate_frees(covs, w_x, w_y):
-        vals = _batch_objective(
-            q_x[rows], q_y[rows], g_x[rows], g_y[rows], b[rows], w_x[rows], w_y[rows], x
+    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+    adj = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=1).reshape(n, 2, 2)
+    regular = (w_x > 0.0) & (w_y > 0.0)
+    rho = np.sqrt(np.where(regular, w_x, 1.0) / np.where(regular, w_y, 1.0))
+    a_x, a_y = _matvec(adj, g_x), _matvec(adj, g_y)
+    # Degenerate weights leave a pure quadratic per dual: only mu = 0 counts.
+    mu = np.where(regular[:, None], _multipliers(g_x, g_y, a_x, a_y, det, rho), 0.0)
+
+    s = (det[:, None] - mu * mu)[..., None]
+    mu, rho = mu[..., None], rho[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = -(a_x[:, None] - (mu / rho) * _rot(g_y[:, None])) / s
+        v = -(a_y[:, None] + (mu * rho) * _rot(g_x[:, None])) / s
+        z_xx, z_yy, beta = _moments(
+            q_x[:, None], q_y[:, None], g_x[:, None], g_y[:, None], b[:, None], u, v
         )
-        vals = np.where(np.isfinite(vals), vals, np.inf)
-        np.minimum.at(best, rows, vals)
-    return best * total
+        h = w_x[:, None] * z_xx + w_y[:, None] * z_yy + 2.0 * np.sqrt(w_x * w_y)[:, None] * np.abs(beta)
+    h = np.where(np.isfinite(h), h, np.inf)
+    best = np.argmin(h, axis=1)
+    rows = np.arange(n)
+    if info is not None:
+        u, v, beta = u[rows, best], v[rows, best], beta[rows, best]
+        info["free"] = np.concatenate([u, v], axis=1)
+        info["v_x"], info["v_y"] = tangency(z_xx[rows, best], z_yy[rows, best], beta, w_x, w_y)
+        info["residual"] = _kkt_residual(g_x, g_y, b, w_x, w_y, u, v, beta)
+    return h[rows, best] * total
 
 
 # ---------------------------------------------------------------------------
 # Certified single-instance solver
 # ---------------------------------------------------------------------------
 
-_N_EXTRA_STARTS = 5
-_START_SEED = 1234
 
-
-def solve(cov, weights: Weights, starts: int = 8) -> BoundResult:
+def solve(cov, weights: Weights) -> BoundResult:
     """Minimize the weighted dual-variance objective for a probe covariance.
 
-    Single-mode covariances take the closed path.  Two-mode covariances use
-    the exact candidate set (sign-branch and kink-multiplier solutions) and a
-    multi-start Nelder-Mead search seeded from the candidates plus fixed
-    pseudo-random points; the best value over all routes is returned with its
-    duals.  A result is flagged unconverged if no simplex run terminates and
-    no exact candidate is available.
+    Single-mode covariances take the closed path.  Two-mode covariances are
+    one row of batch_bound, so the two always agree exactly; ``converged`` is
+    the KKT certificate of the winning duals, and ``iterations`` is always 0
+    because no iterative search runs.
     """
     sigma = _as_cov(cov)
     if sigma.shape[0] == 2:
         return single_mode_closed(sigma, weights)
+    info: dict = {}
+    f = batch_bound(sigma, weights.w_x, weights.w_y, info)
+    duals = DualCoefficients.from_free(info["free"][0])
+    converged = certificate(sigma, weights, duals) <= CERTIFICATE_TOL
+    return _result_from_duals(sigma, weights, duals, converged, f_hcr=float(f[0]))
 
-    total = weights.w_x + weights.w_y
-    w_x = np.array([weights.w_x / total])
-    w_y = np.array([weights.w_y / total])
-    covs = sigma[None, :, :]
-    q_x, q_y, g_x, g_y, b = _batch_pieces(covs)
 
-    def fun(x):
-        return float(
-            _batch_objective(q_x, q_y, g_x, g_y, b, w_x, w_y, np.asarray(x)[None, :])[0]
-        )
+def certificate(cov, weights: Weights, duals: DualCoefficients) -> float:
+    """Relative KKT residual of the duals; at most CERTIFICATE_TOL certifies them.
 
-    candidates = [x[0] for rows, x in _candidate_frees(covs, w_x, w_y)]
-    seeds = list(candidates)
-    seeds.append(np.zeros(4))
-    rng = np.random.default_rng(_START_SEED)
-    n_random = max(starts - len(seeds), _N_EXTRA_STARTS)
-    seeds.extend(rng.normal(scale=1.5, size=(n_random, 4)))
-
-    best_f, best_x = np.inf, np.zeros(4)
-    for x0 in candidates:
-        f0 = fun(x0)
-        if f0 < best_f:
-            best_f, best_x = f0, np.asarray(x0, dtype=float)
-
-    iterations = 0
-    nm_converged = False
-    options = {"xatol": 1e-11, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000}
-    for x0 in seeds:
-        res = _opt.minimize(fun, np.asarray(x0, dtype=float), method="Nelder-Mead", options=options)
-        iterations += int(res.nit)
-        nm_converged |= bool(res.success)
-        if np.isfinite(res.fun) and res.fun < best_f:
-            best_f, best_x = float(res.fun), res.x
-    # Re-polish from the incumbent; the kink is handled by direct evaluation.
-    res = _opt.minimize(fun, best_x, method="Nelder-Mead", options=options)
-    iterations += int(res.nit)
-    if np.isfinite(res.fun) and res.fun < best_f:
-        best_f, best_x = float(res.fun), res.x
-
-    converged = nm_converged or bool(candidates)
-    duals = DualCoefficients.from_free(best_x)
-    return _result_from_duals(sigma, weights, duals, converged, iterations)
+    h is convex, so a vanishing residual proves the duals globally optimal.
+    Single-mode duals have no freedom and always return 0.
+    """
+    sigma = _as_cov(cov)
+    if duals.n_modes == 1:
+        return 0.0
+    _, _, g_x, g_y, b = _batch_pieces(sigma[None])
+    w_x, w_y = np.array([weights.w_x]), np.array([weights.w_y])
+    free = duals.free[None]
+    beta = np.array([duals.commutator()])
+    return float(_kkt_residual(g_x, g_y, b, w_x, w_y, free[:, :2], free[:, 2:], beta)[0])
 
 
 def extract_measurement(result: BoundResult, cov):

@@ -2,10 +2,10 @@
 
 Each weight pair defines a straight-line bound in the (v_x, v_y) plane; its
 tangency point with the accessible region is the gradient of the bound with
-respect to the weights, computed here by central finite differences.  The
-lower-left boundary of a probe's region is the collection of tangency points
-over a weight grid, and the envelope over all probe configurations
-reconstructs the analytic sensitivity limit.
+respect to the weights, read off the optimal duals of one solver row (see
+holevo.tangency).  The lower-left boundary of a probe's region is the
+collection of tangency points over a weight grid, and the envelope over all
+probe configurations reconstructs the analytic sensitivity limit.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import numpy as np
 
 from . import closed_forms
 from .gaussian import ProbeConfig, build_probe
-from .holevo import batch_bound
+from .holevo import CERTIFICATE_TOL, batch_bound, tangency
 
-FD_RELATIVE_STEP = 1e-5
 ENVELOPE_BINS = 400
 
 SOURCE_NUMERIC = "numeric-solver"
@@ -59,19 +58,27 @@ def _n_threads() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _chunked_batch_bound(cov_rows: np.ndarray, w_x: np.ndarray, w_y: np.ndarray) -> np.ndarray:
-    """batch_bound split across threads; chunk layout is fixed, so the
-    concatenated result does not depend on the worker count."""
+def _chunked_batch_bound(cov_rows: np.ndarray, w_x: np.ndarray, w_y: np.ndarray):
+    """batch_bound with tangency and certificate, split across threads.
+
+    Returns (f, v_x, v_y, certified) per row.  The chunk layout is fixed, so
+    the concatenated result does not depend on the worker count.
+    """
+    def run(args):
+        info: dict = {}
+        f = batch_bound(*args, info)
+        return f, info["v_x"], info["v_y"], info["residual"] <= CERTIFICATE_TOL
+
     n = w_x.size
     threads = _n_threads()
     if threads == 1 or n < 4096:
-        return batch_bound(cov_rows, w_x, w_y)
+        return run((cov_rows, w_x, w_y))
     bounds = np.linspace(0, n, threads + 1, dtype=int)
     chunks = [(cov_rows if cov_rows.ndim == 2 else cov_rows[lo:hi], w_x[lo:hi], w_y[lo:hi])
               for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda args: batch_bound(*args), chunks))
-    return np.concatenate(parts)
+        parts = list(pool.map(run, chunks))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _ratio_weights(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,46 +88,6 @@ def _ratio_weights(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("weight ratios must be finite and positive")
     w_x = ratios / (1.0 + ratios)
     return w_x, 1.0 - w_x
-
-
-def _fd_weight_rows(w_x: np.ndarray, w_y: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stack (centre, x+, x-, y+, y-) weight rows for central differences."""
-    n = w_x.size
-    wx_rows = np.empty((n, 5))
-    wy_rows = np.empty((n, 5))
-    wx_rows[:, 0], wy_rows[:, 0] = w_x, w_y
-    wx_rows[:, 1], wy_rows[:, 1] = w_x * (1.0 + h), w_y
-    wx_rows[:, 2], wy_rows[:, 2] = w_x * (1.0 - h), w_y
-    wx_rows[:, 3], wy_rows[:, 3] = w_x, w_y * (1.0 + h)
-    wx_rows[:, 4], wy_rows[:, 4] = w_x, w_y * (1.0 - h)
-    return wx_rows.ravel(), wy_rows.ravel()
-
-
-def _tangency_points(
-    bound_fn, w_x: np.ndarray, w_y: np.ndarray, h: float = FD_RELATIVE_STEP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Tangency (v_x, v_y) = (df/dw_x, df/dw_y) per weight pair.
-
-    ``bound_fn`` maps stacked (w_x, w_y) arrays to bound values.  Returns
-    (v_x, v_y, f_centre, euler_defect); the Euler identity
-    w_x v_x + w_y v_y = f holds for the exact homogeneous bound and its
-    defect flags finite-difference or solver trouble.
-    """
-    wx_rows, wy_rows = _fd_weight_rows(w_x, w_y, h)
-    f = bound_fn(wx_rows, wy_rows).reshape(-1, 5)
-    v_x = (f[:, 1] - f[:, 2]) / (2.0 * h * w_x)
-    v_y = (f[:, 3] - f[:, 4]) / (2.0 * h * w_y)
-    euler = np.abs(w_x * v_x + w_y * v_y - f[:, 0]) / np.maximum(np.abs(f[:, 0]), 1e-300)
-    return v_x, v_y, f[:, 0], euler
-
-
-def _single_mode_bound_fn(cov: np.ndarray):
-    s11, s22 = cov[0, 0], cov[1, 1]
-
-    def fn(w_x, w_y):
-        return w_x * s11 + w_y * s22 + 2.0 * np.sqrt(w_x * w_y)
-
-    return fn
 
 
 def boundary_for_config(probe: ProbeConfig, w_ratios) -> list[RegionSample]:
@@ -136,12 +103,11 @@ def boundary_for_config(probe: ProbeConfig, w_ratios) -> list[RegionSample]:
     cov = build_probe(probe).cov
     w_x, w_y = _ratio_weights(ratios)
     if probe.n_modes == 1:
-        bound_fn = _single_mode_bound_fn(cov)
+        # No free duals: Z is the covariance itself and Im Z_12 = 1.
+        v_x, v_y = tangency(cov[0, 0], cov[1, 1], 1.0, w_x, w_y)
+        certified = np.ones(ratios.size, dtype=bool)
     else:
-        def bound_fn(wx_rows, wy_rows):
-            return _chunked_batch_bound(cov, wx_rows, wy_rows)
-
-    v_x, v_y, _, euler = _tangency_points(bound_fn, w_x, w_y)
+        _, v_x, v_y, certified = _chunked_batch_bound(cov, w_x, w_y)
     order = np.argsort(v_x)
     samples: list[RegionSample] = []
     for i in order:
@@ -152,12 +118,42 @@ def boundary_for_config(probe: ProbeConfig, w_ratios) -> list[RegionSample]:
             t=probe.t if probe.n_modes == 2 else None,
             phi1=probe.phi1,
             w_ratio=float(ratios[i]),
-            converged=bool(euler[i] < 1e-6),
+            converged=bool(certified[i]),
         )
         if samples and (sample.v_x <= samples[-1].v_x or sample.v_y >= samples[-1].v_y):
             continue
         samples.append(sample)
     return samples
+
+
+def _config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2):
+    """Solve every (configuration, weight ratio) pair of a sweep in one batch.
+
+    Configurations are (t, phi1, phi2) with phi2 = phi1 + pi/2 unless
+    ``sweep_phi2`` asks for an exhaustive phi2 grid.  Returns (configs,
+    ratios, f, v_x, v_y, certified), the arrays shaped (configs, ratios).
+    """
+    if r1 > r2:
+        raise ValueError(f"canonical ordering requires r1 <= r2, got ({r1}, {r2})")
+    t_values = np.asarray(list(t_grid), dtype=float)
+    phi_values = np.asarray(list(phi_grid), dtype=float)
+    ratios = np.asarray(list(w_grid), dtype=float)
+    if t_values.size == 0 or phi_values.size == 0 or ratios.size == 0:
+        raise ValueError("all grids must be nonempty")
+    if sweep_phi2:
+        configs = [(t, p1, p2) for t in t_values for p1 in phi_values for p2 in phi_values]
+    else:
+        configs = [(t, p1, p1 + math.pi / 2.0) for t in t_values for p1 in phi_values]
+
+    w_x, w_y = _ratio_weights(ratios)
+    covs = np.array(
+        [build_probe(ProbeConfig(r1=r1, r2=r2, phi1=p1, phi2=p2, t=t)).cov for t, p1, p2 in configs]
+    )
+    shape = (len(configs), ratios.size)
+    parts = _chunked_batch_bound(
+        np.repeat(covs, ratios.size, axis=0), np.tile(w_x, len(configs)), np.tile(w_y, len(configs))
+    )
+    return (configs, ratios) + tuple(part.reshape(shape) for part in parts)
 
 
 def envelope(
@@ -177,36 +173,9 @@ def envelope(
     the lowest v_y in each logarithmic v_x bin.  The result dominates the
     analytic envelope and approaches it as the grids refine.
     """
-    if r1 > r2:
-        raise ValueError(f"canonical ordering requires r1 <= r2, got ({r1}, {r2})")
-    t_values = np.asarray(list(t_grid), dtype=float)
-    phi_values = np.asarray(list(phi_grid), dtype=float)
-    ratios = np.asarray(list(w_grid), dtype=float)
-    if t_values.size == 0 or phi_values.size == 0 or ratios.size == 0:
-        raise ValueError("all grids must be nonempty")
-
-    if sweep_phi2:
-        configs = [
-            (t, p1, p2) for t in t_values for p1 in phi_values for p2 in phi_values
-        ]
-    else:
-        configs = [(t, p1, p1 + math.pi / 2.0) for t in t_values for p1 in phi_values]
-
-    w_x, w_y = _ratio_weights(ratios)
-    wx_rows, wy_rows = _fd_weight_rows(w_x, w_y, FD_RELATIVE_STEP)
-    n_per_config = wx_rows.size
-
-    cov_rows = np.empty((len(configs) * n_per_config, 4, 4))
-    for i, (t, p1, p2) in enumerate(configs):
-        cov = build_probe(ProbeConfig(r1=r1, r2=r2, phi1=p1, phi2=p2, t=t)).cov
-        cov_rows[i * n_per_config : (i + 1) * n_per_config] = cov
-
-    f = _chunked_batch_bound(
-        cov_rows, np.tile(wx_rows, len(configs)), np.tile(wy_rows, len(configs))
-    ).reshape(len(configs), ratios.size, 5)
-    h = FD_RELATIVE_STEP
-    v_x = (f[:, :, 1] - f[:, :, 2]) / (2.0 * h * w_x)
-    v_y = (f[:, :, 3] - f[:, :, 4]) / (2.0 * h * w_y)
+    configs, ratios, _, v_x, v_y, certified = _config_sweep(
+        r1, r2, t_grid, phi_grid, w_grid, sweep_phi2
+    )
 
     # Bin every tangency point and keep the lowest v_y per bin.
     lo = math.exp(-2.0 * r2) * 1.001
@@ -218,6 +187,7 @@ def envelope(
     idx_config = np.repeat(np.arange(len(configs)), ratios.size)[keep]
     idx_ratio = np.tile(np.arange(ratios.size), len(configs))[keep]
     flat_vx, flat_vy = flat_vx[keep], flat_vy[keep]
+    flat_certified = certified.ravel()[keep]
 
     bin_of = np.clip(np.searchsorted(edges, flat_vx, side="right") - 1, 0, bins - 1)
     best = np.full(bins, np.inf)
@@ -235,6 +205,7 @@ def envelope(
                 t=float(t),
                 phi1=float(p1),
                 w_ratio=float(ratios[idx_ratio[j]]),
+                converged=bool(flat_certified[j]),
             )
         )
     samples.sort(key=lambda s: s.v_x)
@@ -256,39 +227,17 @@ def envelope_support_points(
     support-function sampling of the accessible region (one point per bound
     line), complementary to the binned pointwise minimum of envelope().
     """
-    if r1 > r2:
-        raise ValueError(f"canonical ordering requires r1 <= r2, got ({r1}, {r2})")
-    t_values = np.asarray(list(t_grid), dtype=float)
-    phi_values = np.asarray(list(phi_grid), dtype=float)
-    ratios = np.asarray(list(w_grid), dtype=float)
-    if t_values.size == 0 or phi_values.size == 0 or ratios.size == 0:
-        raise ValueError("all grids must be nonempty")
-    if sweep_phi2:
-        configs = [(t, p1, p2) for t in t_values for p1 in phi_values for p2 in phi_values]
-    else:
-        configs = [(t, p1, p1 + math.pi / 2.0) for t in t_values for p1 in phi_values]
-
-    w_x, w_y = _ratio_weights(ratios)
-    wx_rows, wy_rows = _fd_weight_rows(w_x, w_y, FD_RELATIVE_STEP)
-    cov_rows = np.empty((len(configs) * wx_rows.size, 4, 4))
-    for i, (t, p1, p2) in enumerate(configs):
-        cov = build_probe(ProbeConfig(r1=r1, r2=r2, phi1=p1, phi2=p2, t=t)).cov
-        cov_rows[i * wx_rows.size : (i + 1) * wx_rows.size] = cov
-    f = _chunked_batch_bound(
-        cov_rows, np.tile(wx_rows, len(configs)), np.tile(wy_rows, len(configs))
-    ).reshape(len(configs), ratios.size, 5)
-
-    h = FD_RELATIVE_STEP
-    winners = np.argmin(f[:, :, 0], axis=0)
+    configs, ratios, f, v_x, v_y, certified = _config_sweep(
+        r1, r2, t_grid, phi_grid, w_grid, sweep_phi2
+    )
     samples = []
-    for j, ic in enumerate(winners):
-        v_x = (f[ic, j, 1] - f[ic, j, 2]) / (2.0 * h * w_x[j])
-        v_y = (f[ic, j, 3] - f[ic, j, 4]) / (2.0 * h * w_y[j])
+    for j, ic in enumerate(np.argmin(f, axis=0)):
         t, p1, _ = configs[ic]
         samples.append(
             RegionSample(
-                v_x=float(v_x), v_y=float(v_y), source=SOURCE_NUMERIC,
+                v_x=float(v_x[ic, j]), v_y=float(v_y[ic, j]), source=SOURCE_NUMERIC,
                 t=float(t), phi1=float(p1), w_ratio=float(ratios[j]),
+                converged=bool(certified[ic, j]),
             )
         )
     samples.sort(key=lambda s: s.v_x)

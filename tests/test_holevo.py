@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ import pytest
 from qbound import closed_forms as cf
 from qbound.gaussian import ProbeConfig, build_probe, make_squeezed, vacuum
 from qbound.holevo import (
+    CERTIFICATE_TOL,
     DualCoefficients,
     Weights,
     batch_bound,
+    certificate,
     extract_measurement,
     objective,
     single_mode_closed,
@@ -195,7 +199,51 @@ def test_batch_bound_matches_solve():
         w_y.append(10.0 ** rng.uniform(-1.5, 1.5))
     values = batch_bound(np.array(covs), np.array(w_x), np.array(w_y))
     for cov, wx, wy, val in zip(covs, w_x, w_y, values):
-        assert solve(cov, Weights(wx, wy)).f_hcr == pytest.approx(val, rel=1e-9, abs=1e-12)
+        # one solver path: solve() is a batch_bound row
+        assert solve(cov, Weights(wx, wy)).f_hcr == val
+
+
+# Near-product probes (t close to 0 or 1), where an earlier candidate search
+# lost its kink roots.  The reference values lie within 4e-12 above the
+# minimum that a 50-digit evaluation gives for the same float covariances.
+NEAR_PRODUCT_CASES = [
+    (ProbeConfig(r1=0.5, r2=2.0, phi1=0.0, phi2=1.0, t=1.0 - 1e-7), Weights(1.0, 1e-3), 0.4330733062091),
+    (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-7), Weights(1.0, 1.0), 22.12608158229),
+]
+
+
+@pytest.mark.parametrize("probe, w, attained", NEAR_PRODUCT_CASES)
+def test_near_product_probes_reach_the_attained_value(probe, w, attained):
+    cov = build_probe(probe).cov
+    res = solve(cov, w)
+    assert res.f_hcr <= attained * (1.0 + 1e-9)
+    assert res.f_hcr == batch_bound(cov, w.w_x, w.w_y)[0]
+    opt = cf.optimal_config(w.w_x, w.w_y, probe.r1, probe.r2)
+    assert res.f_hcr >= w.w_x * opt.v_x + w.w_y * opt.v_y
+    assert res.converged
+
+
+def test_certificate_accepts_optima_and_rejects_moved_duals():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        r1, r2 = np.sort(rng.uniform(0.0, 2.0, 2))
+        probe = ProbeConfig(
+            r1=r1, r2=r2, phi1=rng.uniform(0, math.pi),
+            phi2=rng.uniform(0, math.pi), t=rng.uniform(0.01, 0.99),
+        )
+        cov = build_probe(probe).cov
+        w = Weights(1.0, 10.0 ** rng.uniform(-3, 3))
+        res = solve(cov, w)
+        assert res.converged
+        assert certificate(cov, w, res.duals) <= CERTIFICATE_TOL
+        moved = DualCoefficients.from_free(res.duals.free + 1e-4 * rng.standard_normal(4))
+        assert certificate(cov, w, moved) > CERTIFICATE_TOL
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, qbound, qbound.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_extract_measurement_balanced():

@@ -7,7 +7,7 @@ import pytest
 from qbound import closed_forms as cf
 from qbound import regions
 from qbound.gaussian import ProbeConfig, build_probe
-from qbound.holevo import Weights, solve
+from qbound.holevo import batch_bound
 
 
 def test_boundary_single_mode_equal_weights():
@@ -37,17 +37,24 @@ def test_boundary_polyline_is_monotone():
 
 
 def test_boundary_tangency_matches_dual_formula():
-    # independent oracle: the tangency follows from the optimal duals as
-    # v_x = Re Z_11 + sqrt(w_y/w_x) |Im Z_12| (and mirrored for v_y)
+    # independent oracle: central differences of the bound in the weights
     probe = ProbeConfig(r1=0.35, r2=0.69, phi1=0.0, phi2=math.pi / 2, t=0.4)
-    ratio = 1.0
-    point = regions.boundary_for_config(probe, [ratio])[0]
-    res = solve(build_probe(probe).cov, Weights(0.5, 0.5))
-    assert point.v_x == pytest.approx(res.v_x, rel=1e-6)
-    assert point.v_y == pytest.approx(res.v_y, rel=1e-6)
-    # the point dominates the full-resource envelope
-    envelope_v_y = cf.two_mode_envelope(point.v_x, 0.35, 0.69).v_y
-    assert point.v_y >= envelope_v_y - 1e-9
+    cov = build_probe(probe).cov
+    ratios = np.geomspace(1e-2, 1e2, 9)
+    h = 1e-3
+    for point in regions.boundary_for_config(probe, ratios):
+        w_x = point.w_ratio / (1.0 + point.w_ratio)
+        w_y = 1.0 - w_x
+        f = batch_bound(
+            cov, np.array([w_x * (1 + h), w_x * (1 - h), w_x, w_x]),
+            np.array([w_y, w_y, w_y * (1 + h), w_y * (1 - h)]),
+        )
+        assert point.v_x == pytest.approx((f[0] - f[1]) / (2 * h * w_x), rel=1e-6)
+        assert point.v_y == pytest.approx((f[2] - f[3]) / (2 * h * w_y), rel=1e-6)
+        assert point.converged
+        # the point dominates the full-resource envelope
+        envelope_v_y = cf.two_mode_envelope(point.v_x, 0.35, 0.69).v_y
+        assert point.v_y >= envelope_v_y - 1e-9
 
 
 def test_envelope_vacuum_is_the_unit_hyperbola():
