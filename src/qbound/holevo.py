@@ -422,14 +422,15 @@ def solve(cov, weights: Weights) -> BoundResult:
     info: dict = {}
     f = batch_bound(sigma, weights.w_x, weights.w_y, info)
     duals = DualCoefficients.from_free(info["free"][0])
-    converged = certificate(sigma, weights, duals) <= CERTIFICATE_TOL
+    converged = bool(info["residual"][0] <= CERTIFICATE_TOL)
     return _result_from_duals(sigma, weights, duals, converged, f_hcr=float(f[0]))
 
 
 def certificate(cov, weights: Weights, duals: DualCoefficients) -> float:
-    """Relative KKT residual of the duals; at most CERTIFICATE_TOL certifies them.
+    """Relative KKT residual of given duals; at most CERTIFICATE_TOL certifies them.
 
-    h is convex, so a vanishing residual proves the duals globally optimal.
+    batch_bound already reports the residual of its own winners; this is for
+    duals obtained elsewhere.  h is convex, so a vanishing residual proves the duals globally optimal.
     Single-mode duals have no freedom and always return 0.
     """
     sigma = _as_cov(cov)

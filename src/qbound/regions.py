@@ -71,6 +71,8 @@ def _chunked_batch_bound(cov_rows: np.ndarray, w_x: np.ndarray, w_y: np.ndarray)
 
     n = w_x.size
     threads = _n_threads()
+    # On 2 cores two threads gain 1.3-1.5x from 4096 rows up and break even
+    # between 2048 and 3072 rows; below that the pool costs more than it saves.
     if threads == 1 or n < 4096:
         return run((cov_rows, w_x, w_y))
     bounds = np.linspace(0, n, threads + 1, dtype=int)

@@ -46,6 +46,15 @@ def test_bound_degenerate_weight_special_case(capsys):
     assert record["f_hcr"] == pytest.approx(8.0 / 17.0, rel=1e-9)
 
 
+def test_bound_exits_3_on_an_uncertified_near_product_probe(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--modes", "2", "--r1", "0.5", "--r2", "1.5", "--phi1", "0",
+        "--phi2", "0.3", "--t", "1e-10", "--wx", "1", "--wy", "1",
+    )
+    assert code == 3
+    assert out == "" and "did not converge" in err
+
+
 def test_bound_rejects_r_and_db_together(capsys):
     code, _, err = run_cli(capsys, "bound", "--modes", "1", "--r", "0.3", "--db", "3")
     assert code == 2

@@ -223,6 +223,20 @@ def test_near_product_probes_reach_the_attained_value(probe, w, attained):
     assert res.converged
 
 
+# Known limit: at min(t, 1-t) < 1e-8 the float covariance cannot resolve
+# det B - 1, and the certificate flags such rows rather than passing them.
+# A factored covariance would certify this row; the test then changes.
+FLAGGED_NEAR_PRODUCT = (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-10), Weights(1.0, 1.0))
+
+
+def test_unresolved_near_product_row_is_flagged():
+    probe, w = FLAGGED_NEAR_PRODUCT
+    cov = build_probe(probe).cov
+    res = solve(cov, w)
+    assert res.converged is False
+    assert certificate(cov, w, res.duals) > 1e-3
+
+
 def test_certificate_accepts_optima_and_rejects_moved_duals():
     rng = np.random.default_rng(29)
     for _ in range(40):
