@@ -66,7 +66,6 @@ from .simulate import (
     SimulationReport,
     build_scheme,
     compare_to_bound,
-    homodyne_joint_sample,
     run_scheme,
     scheme_from_duals,
 )

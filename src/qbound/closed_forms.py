@@ -211,60 +211,69 @@ class Example2Params:
     residual: float
 
 
-def _quartic_coefficients(ratio: float, tanh2r: float) -> np.ndarray:
-    # ratio * g^4 - ratio * tanh(2r) * g^3 + tanh(2r) * g - 1 = 0
-    return np.array([ratio, -ratio * tanh2r, 0.0, tanh2r, -1.0])
+def _quartic_roots(c3, c2, c1, c0) -> np.ndarray:
+    """Real parts of the roots of mu^4 + c3 mu^3 + c2 mu^2 + c1 mu + c0, per row.
+
+    The coefficients are length-N arrays (scalars broadcast); the result is
+    (N, 4).  The roots are companion-matrix eigenvalues, each polished by one
+    Newton step, and a complex root contributes its real part.  Rows with a
+    non-finite coefficient get no roots (four zeros).  The solver's kink
+    quartic and the gamma quartic below both go through here.
+    """
+    c3, c2, c1, c0 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (c3, c2, c1, c0)))
+    companion = np.zeros((c0.size, 4, 4))
+    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
+    companion[:, 0, 0], companion[:, 0, 1], companion[:, 0, 2], companion[:, 0, 3] = -c3, -c2, -c1, -c0
+    companion[~np.isfinite(companion).all(axis=(1, 2))] = 0.0
+    mu = np.linalg.eigvals(companion).real
+    c3, c2, c1, c0 = c3[:, None], c2[:, None], c1[:, None], c0[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = (((((mu + c3) * mu + c2) * mu + c1) * mu + c0)
+                / (((4.0 * mu + 3.0 * c3) * mu + 2.0 * c2) * mu + c1))
+    return np.where(np.isfinite(step), mu - step, mu)
+
+
+def _gamma_rows(ratio, r) -> tuple[np.ndarray, np.ndarray]:
+    """gamma and the absolute quartic residual for arrays of (ratio, r), unvalidated.
+
+    In h = 1/gamma the quartic is monic, h^4 - T h^3 + ratio T h - ratio = 0
+    with T = tanh(2r), and it covers ratio = 0 (h = T) and r = 0
+    (h = ratio^{1/4}) with no special case.  For ratio > 0 it has exactly one
+    positive root (it is negative on (0, T/2] and convex beyond), but a
+    complex pair can have a larger positive real part, so the root is the
+    positive candidate with the smallest relative residual.
+    """
+    ratio = np.asarray(ratio, dtype=float)
+    tanh2r = np.tanh(2.0 * np.asarray(r, dtype=float))
+    h = _quartic_roots(-tanh2r, 0.0, ratio * tanh2r, -ratio)
+    t, a = tanh2r[:, None], ratio[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(((h - t) * h * h + a * t) * h - a) / (((h + t) * h * h + a * t) * h + a)
+    h = h[np.arange(h.shape[0]), np.argmin(np.where(h > 0.0, rel, np.inf), axis=1)]
+    gamma = 1.0 / h
+    residual = np.abs(ratio * gamma**3 * (gamma - tanh2r) + gamma * tanh2r - 1.0)
+    return gamma, residual
 
 
 def gamma_quartic_root(ratio: float, r: float) -> Example2Params:
     """Positive root of the quartic fixing the optimal scalar dual at t = 0.5.
 
-    ``ratio`` is w_y / w_x.  The root is located from the companion matrix of
-    the quartic and polished with Newton steps; ``lambda_star`` is
-    ``-e^{-r} (1 + gamma) / sqrt(2)``.  Degenerate limits: ratio = 0 gives
-    gamma = coth(2r); r = 0 gives gamma = ratio^{-1/4}.
+    ``ratio`` is w_y / w_x and the quartic is
+    ``ratio g^4 - ratio tanh(2r) g^3 + tanh(2r) g - 1 = 0``; ``residual`` is
+    its absolute value at the root, and ``lambda_star`` is
+    ``-e^{-r} (1 + gamma) / sqrt(2)``.  This is one row of the batched root
+    path ``_gamma_rows``.  Degenerate limits: ratio = 0 gives
+    gamma = coth(2r); r = 0 gives gamma = ratio^{-1/4}; both zero raises.
     """
     _check_r(r)
     if ratio < 0.0 or not np.isfinite(ratio):
         raise ValueError(f"weight ratio must be finite and >= 0, got {ratio}")
-    if ratio == 0.0:
-        if r == 0.0:
-            raise ValueError("ratio = 0 with r = 0 is jointly degenerate (no finite root)")
-        gamma = 1.0 / math.tanh(2.0 * r)
-    elif r == 0.0:
-        gamma = ratio ** -0.25
-    else:
-        tanh2r = math.tanh(2.0 * r)
-        coeffs = _quartic_coefficients(ratio, tanh2r)
-        roots = np.roots(coeffs)
-        real = roots[np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots.real))].real
-        positive = np.sort(real[real > 0.0])
-        if positive.size == 0:
-            raise ArithmeticError(f"no positive real quartic root for ratio={ratio}, r={r}")
-        # Numerically coincident positive roots are averaged before polishing.
-        clusters = [positive[0]]
-        for g in positive[1:]:
-            if g - clusters[-1] > 1e-8 * max(1.0, g):
-                clusters.append(g)
-        gamma = float(np.mean(positive)) if len(clusters) == 1 else float(clusters[0])
-        poly = np.polynomial.Polynomial(coeffs[::-1])
-        dpoly = poly.deriv()
-        for _ in range(50):
-            val = poly(gamma)
-            der = dpoly(gamma)
-            if der == 0.0:
-                break
-            step = val / der
-            gamma -= step
-            if abs(step) <= 1e-16 * max(1.0, abs(gamma)):
-                break
+    if ratio == 0.0 and r == 0.0:
+        raise ValueError("ratio = 0 with r = 0 is jointly degenerate (no finite root)")
+    gamma, residual = _gamma_rows([ratio], [r])
+    gamma = float(gamma[0])
     lam = -math.exp(-r) * (1.0 + gamma) / math.sqrt(2.0)
-    if ratio == 0.0 or r == 0.0:
-        residual = 0.0
-    else:
-        tanh2r = math.tanh(2.0 * r)
-        residual = ratio * gamma**3 * (gamma - tanh2r) + gamma * tanh2r - 1.0
-    return Example2Params(lam, gamma, r, ratio, abs(float(residual)))
+    return Example2Params(lam, gamma, r, ratio, float(residual[0]))
 
 
 def example2_parametric(lam: float, r: float, t: float) -> tuple[float, float]:

@@ -96,13 +96,6 @@ class GaussianState:
     def n_modes(self) -> int:
         return self.mean.size // 2
 
-    def mode_marginal(self, mode: int) -> "GaussianState":
-        """Return the single-mode marginal state of ``mode`` (0-based)."""
-        if not 0 <= mode < self.n_modes:
-            raise ValueError(f"mode index {mode} out of range for {self.n_modes} modes")
-        sl = slice(2 * mode, 2 * mode + 2)
-        return GaussianState(self.mean[sl], self.cov[sl, sl])
-
 
 @dataclass(frozen=True)
 class SymplecticTransform:
@@ -123,10 +116,6 @@ class SymplecticTransform:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
-
-    def then(self, other: "SymplecticTransform") -> "SymplecticTransform":
-        """Compose transforms: ``self`` first, then ``other``."""
-        return SymplecticTransform(other.matrix @ self.matrix)
 
     def inverse(self) -> "SymplecticTransform":
         omega = symplectic_form(self.n_modes)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .closed_forms import _quartic_roots
 from .gaussian import GaussianState, symplectic_form
 
 __all__ = [
@@ -304,25 +305,14 @@ def tangency(z_xx, z_yy, beta, w_x, w_y):
 def _multipliers(g_x, g_y, a_x, a_y, det, rho):
     """Candidate scaled multipliers per row: the kink quartic's roots, -1, 0, 1.
 
-    The roots come from companion-matrix eigenvalues, each polished by one
-    Newton step; complex roots contribute their real part, which is still a
-    feasible (if useless) candidate.  All are clipped to [-1, 1].
+    Complex roots contribute their real part, which is still a feasible (if
+    useless) candidate.  All are clipped to [-1, 1].
     """
-    n = det.size
     gamma = _dot(g_x, _rot(g_y))
     kappa = rho * _dot(g_x, a_x) + _dot(g_y, a_y) / rho
-    c2, c1, c0 = gamma - 2.0 * det, -kappa, det * (det + gamma)
-    companion = np.zeros((n, 4, 4))
-    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
-    companion[:, 0, 1], companion[:, 0, 2], companion[:, 0, 3] = -c2, -c1, -c0
     # Non-finite input rows get no roots; their candidates evaluate to inf.
-    companion[~np.isfinite(companion).all(axis=(1, 2))] = 0.0
-    mu = np.linalg.eigvals(companion).real
-    c2, c1, c0 = c2[:, None], c1[:, None], c0[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = (((mu * mu + c2) * mu + c1) * mu + c0) / ((4.0 * mu * mu + 2.0 * c2) * mu + c1)
-    mu = np.where(np.isfinite(step), mu - step, mu)
-    edges = np.broadcast_to([-1.0, 0.0, 1.0], (n, 3))
+    mu = _quartic_roots(0.0, gamma - 2.0 * det, -kappa, det * (det + gamma))
+    edges = np.broadcast_to([-1.0, 0.0, 1.0], (det.size, 3))
     return np.clip(np.concatenate([mu, edges], axis=1), -1.0, 1.0)
 
 

@@ -49,13 +49,15 @@ class SqlFeasibility:
 
 
 def _n_threads() -> int:
+    """Sweep worker count: QBOUND_THREADS clamped to [1, cpu count], else min(4, cpus)."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("QBOUND_THREADS", "")
     if env.strip():
         try:
-            return max(1, int(env))
+            return min(max(1, int(env)), cpus)
         except ValueError:
             raise ValueError(f"QBOUND_THREADS must be an integer, got {env!r}") from None
-    return min(4, os.cpu_count() or 1)
+    return min(4, cpus)
 
 
 def _chunked_batch_bound(cov_rows: np.ndarray, w_x: np.ndarray, w_y: np.ndarray):

@@ -291,17 +291,6 @@ def _homodyne_moments(state: GaussianState, angles) -> tuple[np.ndarray, np.ndar
     return proj @ state.mean, proj @ state.cov @ proj.T
 
 
-def homodyne_joint_sample(state: GaussianState, angles, rng: np.random.Generator) -> np.ndarray:
-    """One joint sample of simultaneous homodynes (one quadrature per mode)."""
-    mean, cov = _homodyne_moments(state, angles)
-    try:
-        chol = np.linalg.cholesky(cov + 0.0)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("projected outcome covariance is not positive definite; "
-                         "the state is not physical") from exc
-    return mean + chol @ rng.standard_normal(mean.size)
-
-
 def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
     # Streaming (count, mean, sum of squared deviations) merge; associative,
     # so chunked accumulation is deterministic for a fixed chunk layout.

@@ -1,288 +1,72 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines, or via the CLI mirror ``qbound verify``.
+The checks themselves live in ``qbound.verify`` (criterion NN is
+``verify._ALL_CHECKS[NN - 1]``); these tests run each at full size, the same
+as ``qbound verify``.  Run ``pytest tests/test_acceptance.py -s`` to see the
+per-criterion lines.
 """
 
-import math
-
-import numpy as np
-import pytest
-
-from qbound import closed_forms as cf
-from qbound import regions
-from qbound.gaussian import (
-    ChannelParams,
-    ProbeConfig,
-    beam_splitter,
-    build_probe,
-    make_squeezed,
-    rotation,
-    symplectic_form,
-)
-from qbound.holevo import Weights, batch_bound, solve
-from qbound.simulate import build_scheme, compare_to_bound, run_scheme
-
-SEED = 20240816
+from qbound import verify
 
 
-def _report(number: int, label: str, passed: bool, detail: str) -> None:
-    status = "PASS" if passed else "FAIL"
-    print(f"[{status}] criterion {number:02d} {label}: {detail}")
-    assert passed, f"criterion {number:02d} {label}: {detail}"
+def _criterion(number: int) -> None:
+    result = verify._ALL_CHECKS[number - 1](quick=False)
+    line = f"[{'PASS' if result.passed else 'FAIL'}] criterion {number:02d} {result.name}: {result.detail}"
+    print(line)
+    assert result.passed, line
 
 
 def test_criterion_01_single_mode_solver_vs_closed_form():
-    worst = 0.0
-    for r in np.arange(0.0, 1.5001, 0.1):
-        for phi in np.arange(0.0, math.pi / 2 + 1e-12, math.pi / 12):
-            cov = make_squeezed(r, phi).cov
-            for ratio in (0.1, 1.0, 10.0):
-                w = Weights(ratio, 1.0)
-                got = solve(cov, w).f_hcr
-                want = cf.single_mode_line(w.w_x, w.w_y, r, phi)
-                worst = max(worst, abs(got - want) / want)
-    _report(1, "single-mode solver vs closed form", worst <= 1e-9, f"max rel err {worst:.2e}")
+    _criterion(1)
 
 
 def test_criterion_02_equal_squeezing_optimum():
-    worst = 0.0
-    for w_x, w_y in ((1.0, 1.0), (1.0, 4.0), (4.0, 1.0)):
-        for r in (0.2, 0.5, 0.693):
-            opt = cf.optimal_config(w_x, w_y, r, r)
-            probe = ProbeConfig(r1=r, r2=r, phi1=opt.phi1, phi2=opt.phi2, t=opt.probe_t)
-            got = solve(build_probe(probe).cov, Weights(w_x, w_y)).f_hcr
-            want = (math.sqrt(w_x) + math.sqrt(w_y)) ** 2 * math.exp(-2.0 * r)
-            worst = max(worst, abs(got - want) / want)
-    _report(2, "equal-squeezing optimum", worst <= 1e-6, f"max rel err {worst:.2e}")
+    _criterion(2)
 
 
 def test_criterion_03_degenerate_weight_special_cases():
-    worst_formula = 0.0
-    worst_solver = 0.0
-    for r in (0.3, 0.5 * math.log(4.0), 1.1):
-        want = 1.0 / math.cosh(2.0 * r)
-        lam_x, lam_y = cf.example2_lambda_endpoints(r)
-        worst_formula = max(
-            worst_formula,
-            abs(cf.example2_parametric(lam_x, r, 0.5)[0] - want) / want,
-            abs(cf.example2_parametric(lam_y, r, 0.5)[1] - want) / want,
-        )
-        cov = build_probe(ProbeConfig(r1=r, r2=r, phi1=0.0, phi2=math.pi / 2, t=0.5)).cov
-        for w in (Weights(1, 0), Weights(0, 1)):
-            worst_solver = max(worst_solver, abs(solve(cov, w).f_hcr - want) / want)
-    exact = 1.0 / math.cosh(2.0 * 0.5 * math.log(4.0))
-    assert exact == pytest.approx(8.0 / 17.0, rel=1e-15)
-    passed = worst_formula <= 1e-12 and worst_solver <= 1e-6
-    _report(
-        3, "weight special cases at t=0.5", passed,
-        f"formula rel {worst_formula:.2e}, solver rel {worst_solver:.2e}",
-    )
+    _criterion(3)
 
 
 def test_criterion_04_gamma_quartic():
-    rng = np.random.default_rng(SEED)
-    worst_unit = max(
-        abs(cf.gamma_quartic_root(1.0, r).gamma - 1.0) for r in rng.uniform(0.05, 2.0, 20)
-    )
-    worst_coth = max(
-        abs(cf.gamma_quartic_root(0.0, r).gamma - 1.0 / math.tanh(2 * r))
-        for r in rng.uniform(0.05, 2.0, 20)
-    )
-    ratios = 10.0 ** rng.uniform(-3, 3, 10_000)
-    rs = rng.uniform(0.01, 2.5, 10_000)
-    worst_resid = max(
-        cf.gamma_quartic_root(ratio, r).residual for ratio, r in zip(ratios, rs)
-    )
-    passed = worst_unit <= 1e-12 and worst_coth <= 1e-9 and worst_resid <= 1e-10
-    _report(
-        4, "gamma quartic", passed,
-        f"unit {worst_unit:.2e}, coth {worst_coth:.2e}, residual {worst_resid:.2e}",
-    )
+    _criterion(4)
 
 
 def test_criterion_05_envelope_reconstruction():
-    r1, r2 = 0.35, 0.69
-    # 50 weight ratios (log-spread, symmetric, including 1) and the 50
-    # transmissivities bracketing their optima; 25 rotation angles.
-    exps = np.unique(np.concatenate([np.linspace(-2.5, 0.0, 25), np.linspace(0.0, 2.5, 26)]))
-    w_grid = 10.0 ** exps
-    amp = math.exp(-r1) * np.sqrt(w_grid)
-    t_grid = np.unique(amp / (amp + math.exp(-r2)))
-    phi_grid = np.linspace(0.0, math.pi / 2, 25)
-    assert w_grid.size == 50 and t_grid.size == 50 and phi_grid.size == 25
-
-    points = regions.envelope_support_points(r1, r2, t_grid, phi_grid, w_grid)
-    assert len(points) == 50
-    v_x = np.array([p.v_x for p in points])
-    v_y = np.array([p.v_y for p in points])
-    reference = np.array([cf.two_mode_envelope(v, r1, r2).v_y for v in v_x])
-    gaps = (v_y - reference) / reference
-    max_gap = float(np.max(np.abs(gaps)))
-    dip = float(np.min(v_y - reference))
-
-    # the binned pointwise-minimum envelope must never dip below either
-    binned = regions.envelope(r1, r2, t_grid, phi_grid, w_grid)
-    binned_dip = min(
-        s.v_y - cf.two_mode_envelope(s.v_x, r1, r2).v_y for s in binned
-    )
-    passed = max_gap <= 1e-3 and dip >= -1e-9 and binned_dip >= -1e-9
-    _report(
-        5, "envelope reconstruction", passed,
-        f"max rel gap {max_gap:.2e}, largest dip {min(dip, binned_dip):.2e} "
-        f"({len(points)} sample points)",
-    )
+    _criterion(5)
 
 
 def test_criterion_06_reference_point_values():
-    r6 = 0.5 * math.log(4.0)
-    balanced = cf.example2_parametric(-math.sqrt(2.0) * math.exp(-r6), r6, 0.5)
-    ok_balanced = abs(balanced[0] - 0.5) < 1e-12 and abs(balanced[1] - 0.5) < 1e-12
-
-    line = cf.single_mode_line(1.0, 1.0, 0.5 * math.log(2.0), math.pi / 6)
-    ok_line = abs(line - 4.5) < 1e-12
-
-    f2 = 0.25
-    r2 = -0.5 * math.log(f2)
-    relation = cf.example1_relations(2.0 * f2, 2.0, r2, which="x-favoured")
-    ok_relation = abs(relation - 1.0) < 1e-12
-    passed = ok_balanced and ok_line and ok_relation
-    _report(
-        6, "reference point values", passed,
-        f"balanced {balanced[0]:.6f}, line {line:.6f}, relation {relation:.6f}",
-    )
-
-
-def _acceptance_runs(shots: int):
-    r6 = 0.5 * math.log(4.0)
-    theta = ChannelParams(0.3, -0.1)
-    runs = []
-    scheme = build_scheme("balanced", r=r6, t_star=0.5)
-    runs.append(("balanced", scheme, run_scheme(scheme, scheme.probe, theta, shots, SEED),
-                 Weights(1, 1), (0.5, 0.5), True))
-    scheme = build_scheme("example1", r2=math.log(2.0), t=1.0 / 3.0, phi2=0.0)
-    runs.append(("example1", scheme, run_scheme(scheme, scheme.probe, theta, shots, SEED + 1),
-                 Weights(1, 1), (0.75, 1.5), True))
-    scheme = build_scheme("balanced", r=r6, t_star=0.9)
-    runs.append(("suboptimal", scheme, run_scheme(scheme, scheme.probe, theta, shots, SEED + 2),
-                 Weights(1, 1), None, False))
-    scheme = build_scheme("balanced", r=0.0, t_star=0.5)
-    runs.append(("vacuum", scheme, run_scheme(scheme, scheme.probe, theta, shots, SEED + 3),
-                 Weights(1, 1), (2.0, 2.0), True))
-    return runs
+    _criterion(6)
 
 
 def test_criterion_07_monte_carlo_achievability():
-    shots = 1_000_000
-    failures = []
-    for label, scheme, report, _, targets, _ in _acceptance_runs(shots):
-        if targets is None:
-            continue
-        if abs(report.var_x - targets[0]) > 5.0 * report.se_var_x:
-            failures.append(f"{label} v_x={report.var_x:.5f} want {targets[0]}")
-        if abs(report.var_y - targets[1]) > 5.0 * report.se_var_y:
-            failures.append(f"{label} v_y={report.var_y:.5f} want {targets[1]}")
-    # estimator bias at two displacement values
-    scheme = build_scheme("balanced", r=0.5 * math.log(4.0), t_star=0.5)
-    for k, theta in enumerate((ChannelParams(0.0, 0.0), ChannelParams(0.5, 0.5))):
-        report = run_scheme(scheme, scheme.probe, theta, shots, SEED + 10 + k)
-        if abs(report.mean_x - theta.theta_x) > 5.0 * report.se_mean_x:
-            failures.append(f"bias x at theta {k}")
-        if abs(report.mean_y - theta.theta_y) > 5.0 * report.se_mean_y:
-            failures.append(f"bias y at theta {k}")
-    _report(
-        7, "Monte-Carlo achievability", not failures,
-        "; ".join(failures) if failures else f"all targets within 5 SE at {shots} shots",
-    )
+    _criterion(7)
 
 
 def test_criterion_08_no_bound_violation():
-    shots = 1_000_000
-    worst_margin = math.inf
-    ok = True
-    for label, scheme, report, weights, _, optimal in _acceptance_runs(shots):
-        bound = solve(build_probe(scheme.probe).cov, weights).f_hcr
-        verdict = compare_to_bound(report, bound, weights, expect_saturation=optimal)
-        margin = (verdict.weighted_sum - bound) / verdict.standard_error
-        worst_margin = min(worst_margin, margin)
-        ok &= verdict.no_violation and (verdict.saturates or not optimal)
-    _report(
-        8, "no bound violation", ok and worst_margin >= -5.0,
-        f"worst margin {worst_margin:+.2f} SE",
-    )
+    _criterion(8)
 
 
 def test_criterion_09_sql_threshold():
-    r_above = -0.5 * math.log(0.51)  # product 0.2601
-    r_below = -0.5 * math.log(0.49)  # product 0.2401
-    above = regions.sql_feasible(r_above, r_above)
-    below = regions.sql_feasible(r_below, r_below)
-    witness_ok = (
-        below.feasible and below.witness_v_x < 1.0 and below.witness_v_y < 1.0
-    )
-    corollary_flip = (
-        not cf.scalar_corollaries(r_above, r_above).sql_feasible
-        and cf.scalar_corollaries(r_below, r_below).sql_feasible
-    )
-    passed = (not above.feasible) and witness_ok and corollary_flip
-    _report(
-        9, "SQL threshold", passed,
-        f"0.2601 feasible={above.feasible}, 0.2401 feasible={below.feasible}",
-    )
+    _criterion(9)
 
 
 def test_criterion_10_structural_properties():
-    rng = np.random.default_rng(SEED)
-    n = 1000
+    _criterion(10)
 
-    omega = symplectic_form(2)
-    worst_symplectic = 0.0
-    for _ in range(n):
-        s = rotation(rng.uniform(0, 2 * math.pi), 2, 0).matrix
-        s = beam_splitter(rng.uniform(0, 1)).matrix @ s
-        s = rotation(rng.uniform(0, 2 * math.pi), 2, 1).matrix @ s
-        worst_symplectic = max(worst_symplectic, float(np.max(np.abs(s @ omega @ s.T - omega))))
 
-    worst_continuity = 0.0
-    worst_symmetry = 0.0
-    for _ in range(n):
-        r1, r2 = np.sort(rng.uniform(0.01, 2.0, 2))
-        v_c, v_d = cf.envelope_v_c(r1, r2), cf.envelope_v_d(r1, r2)
-        low_at_c = v_c * math.exp(-2 * r1) / (v_c - math.exp(-2 * r2))
-        high_at_d = v_d * math.exp(-2 * r2) / (v_d - math.exp(-2 * r1))
-        worst_continuity = max(
-            worst_continuity,
-            abs(low_at_c - cf.two_mode_envelope(v_c, r1, r2).v_y),
-            abs(high_at_d - cf.two_mode_envelope(v_d, r1, r2).v_y),
-        )
-        v_x = math.exp(-2 * r2) + 10.0 ** rng.uniform(-2, 1)
-        v_y = cf.two_mode_envelope(v_x, r1, r2).v_y
-        worst_symmetry = max(worst_symmetry, abs(cf.two_mode_envelope(v_y, r1, r2).v_y - v_x))
+def test_monte_carlo_matrix_is_simulated_once_per_run(monkeypatch):
+    calls = []
+    run_scheme = verify.run_scheme
 
-    covs = np.empty((n, 4, 4))
-    for i in range(n):
-        r1, r2 = np.sort(rng.uniform(0.0, 1.2, 2))
-        covs[i] = build_probe(
-            ProbeConfig(
-                r1=r1, r2=r2, phi1=rng.uniform(0, math.pi),
-                phi2=rng.uniform(0, math.pi), t=rng.uniform(0, 1),
-            )
-        ).cov
-    w_x = 10.0 ** rng.uniform(-1, 1, n)
-    w_y = 10.0 ** rng.uniform(-1, 1, n)
-    scale = 10.0 ** rng.uniform(-2, 2, n)
-    base = batch_bound(covs, w_x, w_y)
-    scaled = batch_bound(covs, scale * w_x, scale * w_y)
-    worst_scaling = float(np.max(np.abs(scaled - scale * base) / (scale * base)))
+    def counting_run_scheme(*args):
+        calls.append(args)
+        return run_scheme(*args)
 
-    passed = (
-        worst_symplectic <= 1e-10
-        and worst_continuity <= 1e-9
-        and worst_symmetry <= 1e-9
-        and worst_scaling <= 1e-12
-    )
-    _report(
-        10, "structural properties", passed,
-        f"symplectic {worst_symplectic:.2e}, continuity {worst_continuity:.2e}, "
-        f"symmetry {worst_symmetry:.2e}, scaling {worst_scaling:.2e}",
-    )
+    monkeypatch.setattr(verify, "run_scheme", counting_run_scheme)
+    verify._mc_reports.cache_clear()
+    verify.check_monte_carlo_achievability(quick=True, seed=1)
+    verify.check_no_bound_violation(quick=True, seed=1)
+    # four matrix schemes once, plus the two bias runs of the achievability check
+    assert len(calls) == 6

@@ -172,14 +172,19 @@ def test_gamma_quartic_degenerate_rows():
     big = cf.gamma_quartic_root(1e12, r)
     assert big.gamma == pytest.approx(math.tanh(2.0 * r), rel=1e-6)
     flat = cf.gamma_quartic_root(16.0, 0.0)
-    assert flat.gamma == pytest.approx(0.5)
+    assert flat.gamma == pytest.approx(0.5, rel=1e-15)
+    assert flat.residual <= 1e-15
+    weak = cf.gamma_quartic_root(0.0, 1e-6)
+    assert weak.gamma == pytest.approx(1.0 / math.tanh(2e-6), rel=1e-15)
     assert cf.gamma_quartic_root(1.0, R_6DB).gamma == pytest.approx(1.0, abs=1e-13)
+    with pytest.raises(ValueError):
+        cf.gamma_quartic_root(0.0, 0.0)
 
 
 def test_gamma_quartic_residuals_and_uniqueness():
     rng = np.random.default_rng(4)
-    for _ in range(500):
-        ratio, r = 10.0 ** rng.uniform(-3, 3), rng.uniform(0.01, 2.5)
+    rows = [(10.0 ** rng.uniform(-3, 3), rng.uniform(0.01, 2.5)) for _ in range(500)]
+    for ratio, r in rows:
         params = cf.gamma_quartic_root(ratio, r)
         assert params.residual <= 1e-10
         # positive real roots enumerated from the raw quartic are unique
@@ -188,6 +193,10 @@ def test_gamma_quartic_residuals_and_uniqueness():
         positive = [z.real for z in roots if abs(z.imag) < 1e-9 and z.real > 0]
         assert len(positive) == 1
         assert params.gamma == pytest.approx(positive[0], rel=1e-6)
+    # one batched call reproduces every per-row root exactly
+    gamma, residual = cf._gamma_rows(*np.array(rows).T)
+    assert gamma.tolist() == [cf.gamma_quartic_root(*row).gamma for row in rows]
+    assert residual.tolist() == [cf.gamma_quartic_root(*row).residual for row in rows]
 
 
 def test_example2_parametric_balanced_point():

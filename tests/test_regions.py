@@ -190,3 +190,8 @@ def test_single_mode_boundary_curve():
     for row in rows:
         v_a, v_b = cf.projected_variances(0.4, 0.0)
         assert (row.v_y - v_b) * (row.v_x - v_a) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_threads_env_is_clamped_to_the_cpu_count(monkeypatch):
+    monkeypatch.setenv("QBOUND_THREADS", str(10**9))
+    assert regions._n_threads() <= (os.cpu_count() or 1)

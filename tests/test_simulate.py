@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qbound.gaussian import ChannelParams, ProbeConfig, apply, build_probe, displace, vacuum
+from qbound.gaussian import ChannelParams, ProbeConfig, apply, build_probe, displace
 from qbound.holevo import DualCoefficients, Weights, solve
 from qbound.simulate import (
     _homodyne_moments,
     build_scheme,
     compare_to_bound,
-    homodyne_joint_sample,
     run_scheme,
     scheme_from_duals,
 )
@@ -37,29 +36,6 @@ def test_homodyne_moments_match_stated_measurement_statistics():
         assert cov[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert cov[1, 1] == pytest.approx(math.exp(-2 * r2), rel=1e-12)
         assert cov[0, 1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_homodyne_joint_sample_vacuum_statistics():
-    rng = np.random.default_rng(0)
-    draws = np.array([homodyne_joint_sample(vacuum(2), (0.0, 1.0), rng) for _ in range(4000)])
-    assert np.abs(draws.mean(axis=0)).max() < 0.1
-    assert np.abs(draws.var(axis=0, ddof=1) - 1.0).max() < 0.12
-
-
-def test_homodyne_joint_sample_displaced_vacuum():
-    rng = np.random.default_rng(1)
-    state = displace(vacuum(1), ChannelParams(0.3, -0.1))
-    draws = np.array([homodyne_joint_sample(state, (0.0,), rng)[0] for _ in range(4000)])
-    assert draws.mean() == pytest.approx(0.3, abs=0.08)
-    assert draws.var(ddof=1) == pytest.approx(1.0, abs=0.1)
-
-
-def test_homodyne_rejects_unphysical_state():
-    from qbound.gaussian import GaussianState
-
-    bad = GaussianState(np.zeros(2), -0.5 * np.eye(2))
-    with pytest.raises(ValueError):
-        homodyne_joint_sample(bad, (0.0,), np.random.default_rng(0))
 
 
 def test_build_scheme_example1_phi0():
