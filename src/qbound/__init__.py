@@ -11,12 +11,12 @@ from .gaussian import (
     build_probe,
     displace,
     make_squeezed,
+    probe_covariances,
     r_to_squeezing_db,
     rotation,
     squeezing_db_to_r,
     symplectic_eigenvalues,
     symplectic_form,
-    tensor,
     vacuum,
     validate,
 )

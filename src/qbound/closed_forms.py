@@ -12,20 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import MAX_SQUEEZING_R
-
-
-def _check_r(*rs: float) -> None:
-    for r in rs:
-        if not np.isfinite(r) or r < 0.0:
-            raise ValueError(f"squeezing parameter must be finite and >= 0, got {r}")
-        if r > MAX_SQUEEZING_R:
-            raise ValueError(f"r = {r} exceeds the supported maximum {MAX_SQUEEZING_R}")
+from .gaussian import _check_r
 
 
 def _canonical_pair(r1: float, r2: float) -> tuple[float, float, bool]:
     """Order (r1, r2) so that r1 <= r2, reporting whether a swap happened."""
-    _check_r(r1, r2)
+    _check_r(r1)
+    _check_r(r2)
     if r1 > r2:
         return r2, r1, True
     return r1, r2, False

@@ -58,6 +58,13 @@ def r_to_squeezing_db(r: float) -> float:
     return -10.0 * math.log10(math.exp(-2.0 * r))
 
 
+def _check_r(r, name: str = "r") -> None:
+    """Raise ValueError unless every entry of ``r`` is finite and in [0, MAX_SQUEEZING_R]."""
+    lo, hi = (np.min(r), np.max(r)) if np.ndim(r) else (r, r)
+    if not 0.0 <= lo <= hi <= MAX_SQUEEZING_R:  # also false for NaN
+        raise ValueError(f"{name} must be finite and within [0, {MAX_SQUEEZING_R}], got {r}")
+
+
 def _frozen_array(values, shape=None) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if shape is not None and arr.shape != shape:
@@ -152,11 +159,7 @@ class ProbeConfig:
         if self.n_modes not in (1, 2):
             raise ValueError(f"n_modes must be 1 or 2, got {self.n_modes}")
         for name in ("r1", "r2"):
-            r = getattr(self, name)
-            if not np.isfinite(r) or r < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {r}")
-            if r > MAX_SQUEEZING_R:
-                raise ValueError(f"{name} = {r} exceeds the supported maximum {MAX_SQUEEZING_R}")
+            _check_r(getattr(self, name), name)
         if self.n_modes == 2:
             if self.r1 > self.r2:
                 raise ValueError(f"canonical ordering requires r1 <= r2, got ({self.r1}, {self.r2})")
@@ -180,19 +183,14 @@ def vacuum(n_modes: int) -> GaussianState:
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
-def rotation_matrix(phi: float) -> np.ndarray:
-    """Counter-clockwise 2x2 phase-space rotation."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
 def rotation(phi: float, n_modes: int = 1, target_mode: int = 0) -> SymplecticTransform:
-    """Phase-space rotation by ``phi`` on ``target_mode``, identity elsewhere."""
+    """Counter-clockwise phase-space rotation by ``phi`` on ``target_mode``, identity elsewhere."""
     if not 0 <= target_mode < n_modes:
         raise ValueError(f"target_mode {target_mode} out of range for {n_modes} modes")
     mat = np.eye(2 * n_modes)
+    c, s = math.cos(phi), math.sin(phi)
     sl = slice(2 * target_mode, 2 * target_mode + 2)
-    mat[sl, sl] = rotation_matrix(phi)
+    mat[sl, sl] = [[c, -s], [s, c]]
     return SymplecticTransform(mat)
 
 
@@ -210,6 +208,15 @@ def beam_splitter(t: float) -> SymplecticTransform:
     return SymplecticTransform(mat)
 
 
+def _squeezed_marginal(r, phi) -> np.ndarray:
+    """``R(phi) diag(e^{-2r}, e^{2r}) R(phi)^T``, broadcast over r and phi: shape (..., 2, 2)."""
+    r = np.asarray(r, dtype=float)
+    e_m, e_p, c, s = np.exp(-2.0 * r), np.exp(2.0 * r), np.cos(phi), np.sin(phi)
+    xy = (e_m - e_p) * c * s
+    entries = (e_m * c * c + e_p * s * s, xy, xy, e_m * s * s + e_p * c * c)
+    return np.stack(entries, axis=-1).reshape(np.shape(xy) + (2, 2))
+
+
 def make_squeezed(r: float, phi: float = 0.0) -> GaussianState:
     """Pure single-mode squeezed state with variance ``e^{-2r}`` along angle ``phi``.
 
@@ -218,23 +225,8 @@ def make_squeezed(r: float, phi: float = 0.0) -> GaussianState:
     ``e^{-2r} cos^2(phi) + e^{2r} sin^2(phi)`` and the same with sin and cos
     swapped.
     """
-    if not np.isfinite(r) or r < 0.0:
-        raise ValueError(f"squeezing parameter must be finite and >= 0, got {r}")
-    if r > MAX_SQUEEZING_R:
-        raise ValueError(f"r = {r} exceeds the supported maximum {MAX_SQUEEZING_R}")
-    rot = rotation_matrix(phi)
-    cov = rot @ np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)]) @ rot.T
-    return GaussianState(np.zeros(2), cov)
-
-
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Tensor product: concatenated means, block-diagonal covariance."""
-    n = a.mean.size + b.mean.size
-    mean = np.concatenate([a.mean, b.mean])
-    cov = np.zeros((n, n))
-    cov[: a.mean.size, : a.mean.size] = a.cov
-    cov[a.mean.size :, a.mean.size :] = b.cov
-    return GaussianState(mean, cov)
+    _check_r(r)
+    return GaussianState(np.zeros(2), _squeezed_marginal(r, phi))
 
 
 def apply(transform: SymplecticTransform, state: GaussianState) -> GaussianState:
@@ -247,17 +239,43 @@ def apply(transform: SymplecticTransform, state: GaussianState) -> GaussianState
     return GaussianState(s @ state.mean, s @ state.cov @ s.T)
 
 
+def probe_covariances(r1, r2, phi1, phi2, t) -> np.ndarray:
+    """Covariances of two-mode probes, broadcast over the inputs: shape (..., 4, 4).
+
+    Squeezed inputs ``C_i = R(phi_i) diag(e^{-2r_i}, e^{2r_i}) R(phi_i)^T``
+    mixed on a beam splitter of transmissivity ``t`` give the 2x2 blocks
+    ``t C1 + (1-t) C2`` and ``(1-t) C1 + t C2`` on the diagonal and
+    ``sqrt(t(1-t)) (C2 - C1)`` off it.  Every block is symmetric entry for
+    entry and the off-diagonal one is written to both sides, so the result is
+    exactly symmetric.
+    """
+    _check_r(r1, "r1")
+    _check_r(r2, "r2")
+    if np.any(np.greater(r1, r2)):
+        raise ValueError(f"canonical ordering requires r1 <= r2, got r1 = {r1}, r2 = {r2}")
+    t = np.asarray(t, dtype=float)[..., None, None]
+    if not 0.0 <= t.min() <= t.max() <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {t.ravel()}")
+    c1, c2 = _squeezed_marginal(r1, phi1), _squeezed_marginal(r2, phi2)
+    cov = np.empty(np.broadcast_shapes(t.shape, c1.shape, c2.shape)[:-2] + (4, 4))
+    cov[..., :2, :2] = t * c1 + (1.0 - t) * c2
+    cov[..., 2:, 2:] = (1.0 - t) * c1 + t * c2
+    cov[..., :2, 2:] = cov[..., 2:, :2] = np.sqrt(t * (1.0 - t)) * (c2 - c1)
+    return cov
+
+
 def build_probe(config: ProbeConfig) -> GaussianState:
     """Assemble the probe state described by a ProbeConfig.
 
     For two modes: squeeze both inputs, rotate them by ``phi1`` and ``phi2``,
-    and mix them on a beam splitter of transmissivity ``t``.  Single-mode
-    configurations just return the rotated squeezed state.
+    and mix them on a beam splitter of transmissivity ``t``: one row of
+    probe_covariances.  Single-mode configurations just return the rotated
+    squeezed state.
     """
     if config.n_modes == 1:
         return make_squeezed(config.r1, config.phi1)
-    inputs = tensor(make_squeezed(config.r1, config.phi1), make_squeezed(config.r2, config.phi2))
-    return apply(beam_splitter(config.t), inputs)
+    cov = probe_covariances(config.r1, config.r2, config.phi1, config.phi2, config.t)
+    return GaussianState(np.zeros(4), cov)
 
 
 def displace(state: GaussianState, theta: ChannelParams) -> GaussianState:

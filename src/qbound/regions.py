@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import closed_forms
-from .gaussian import ProbeConfig, build_probe
+from .gaussian import ProbeConfig, build_probe, probe_covariances
 from .holevo import CERTIFICATE_TOL, batch_bound, tangency
 
 ENVELOPE_BINS = 400
@@ -39,6 +40,9 @@ class RegionSample:
     w_ratio: float | None = None
     segment: str | None = None
     converged: bool = True
+
+
+_Sweep = namedtuple("_Sweep", "t phi1 ratios f v_x v_y certified")
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,9 @@ def _n_threads() -> int:
 def _chunked_batch_bound(cov_rows: np.ndarray, w_x: np.ndarray, w_y: np.ndarray):
     """batch_bound with tangency and certificate, split across threads.
 
-    Returns (f, v_x, v_y, certified) per row.  The chunk layout is fixed, so
-    the concatenated result does not depend on the worker count.
+    Returns (f, v_x, v_y, certified) per row.  The chunk layout depends on
+    the worker count, but every row is computed independently of the others,
+    so the concatenated result does not.
     """
     def run(args):
         info: dict = {}
@@ -130,34 +135,63 @@ def boundary_for_config(probe: ProbeConfig, w_ratios) -> list[RegionSample]:
     return samples
 
 
-def _config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2):
+def _config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2) -> _Sweep:
     """Solve every (configuration, weight ratio) pair of a sweep in one batch.
 
     Configurations are (t, phi1, phi2) with phi2 = phi1 + pi/2 unless
-    ``sweep_phi2`` asks for an exhaustive phi2 grid.  Returns (configs,
-    ratios, f, v_x, v_y, certified), the arrays shaped (configs, ratios).
+    ``sweep_phi2`` asks for an exhaustive phi2 grid.  t and phi1 are given
+    per configuration, f, v_x, v_y and certified per (configuration, ratio).
+    envelope() and envelope_support_points() are two reductions of this result.
     """
-    if r1 > r2:
-        raise ValueError(f"canonical ordering requires r1 <= r2, got ({r1}, {r2})")
     t_values = np.asarray(list(t_grid), dtype=float)
     phi_values = np.asarray(list(phi_grid), dtype=float)
     ratios = np.asarray(list(w_grid), dtype=float)
     if t_values.size == 0 or phi_values.size == 0 or ratios.size == 0:
         raise ValueError("all grids must be nonempty")
     if sweep_phi2:
-        configs = [(t, p1, p2) for t in t_values for p1 in phi_values for p2 in phi_values]
+        grids = np.meshgrid(t_values, phi_values, phi_values, indexing="ij")
+        t, phi1, phi2 = (grid.ravel() for grid in grids)
     else:
-        configs = [(t, p1, p1 + math.pi / 2.0) for t in t_values for p1 in phi_values]
-
+        t, phi1 = (grid.ravel() for grid in np.meshgrid(t_values, phi_values, indexing="ij"))
+        phi2 = phi1 + math.pi / 2.0
+    covs = probe_covariances(r1, r2, phi1, phi2, t)
     w_x, w_y = _ratio_weights(ratios)
-    covs = np.array(
-        [build_probe(ProbeConfig(r1=r1, r2=r2, phi1=p1, phi2=p2, t=t)).cov for t, p1, p2 in configs]
-    )
-    shape = (len(configs), ratios.size)
     parts = _chunked_batch_bound(
-        np.repeat(covs, ratios.size, axis=0), np.tile(w_x, len(configs)), np.tile(w_y, len(configs))
+        np.repeat(covs, ratios.size, axis=0), np.tile(w_x, t.size), np.tile(w_y, t.size)
     )
-    return (configs, ratios) + tuple(part.reshape(shape) for part in parts)
+    return _Sweep(t, phi1, ratios, *(part.reshape(t.size, ratios.size) for part in parts))
+
+
+def _sample(sweep: _Sweep, ic: int, j: int) -> RegionSample:
+    """The tangency point of configuration ``ic`` at weight ratio ``j``."""
+    return RegionSample(
+        v_x=float(sweep.v_x[ic, j]), v_y=float(sweep.v_y[ic, j]), source=SOURCE_NUMERIC,
+        t=float(sweep.t[ic]), phi1=float(sweep.phi1[ic]), w_ratio=float(sweep.ratios[j]),
+        converged=bool(sweep.certified[ic, j]),
+    )
+
+
+def _binned_envelope(sweep: _Sweep, r2: float, bins: int = ENVELOPE_BINS) -> list[RegionSample]:
+    """The lowest v_y of a sweep's tangency points in each logarithmic v_x bin."""
+    lo = math.exp(-2.0 * r2) * 1.001
+    hi = 10.0 * math.exp(2.0 * r2)
+    v_x, v_y = sweep.v_x, sweep.v_y
+    ic, j = np.nonzero(np.isfinite(v_x) & np.isfinite(v_y) & (v_x >= lo) & (v_x <= hi))
+    edges = np.geomspace(lo, hi, bins + 1)
+    bin_of = np.clip(np.searchsorted(edges, v_x[ic, j], side="right") - 1, 0, bins - 1)
+    # Sort by (bin, v_y); the first entry of each bin is its lowest point.
+    order = np.lexsort((v_y[ic, j], bin_of))
+    _, first = np.unique(bin_of[order], return_index=True)
+    samples = [_sample(sweep, ic[m], j[m]) for m in order[first]]
+    samples.sort(key=lambda s: s.v_x)
+    return samples
+
+
+def _support_points(sweep: _Sweep) -> list[RegionSample]:
+    """Per weight ratio, the tangency point of the configuration with the lowest bound."""
+    samples = [_sample(sweep, ic, j) for j, ic in enumerate(np.argmin(sweep.f, axis=0))]
+    samples.sort(key=lambda s: s.v_x)
+    return samples
 
 
 def envelope(
@@ -177,43 +211,7 @@ def envelope(
     the lowest v_y in each logarithmic v_x bin.  The result dominates the
     analytic envelope and approaches it as the grids refine.
     """
-    configs, ratios, _, v_x, v_y, certified = _config_sweep(
-        r1, r2, t_grid, phi_grid, w_grid, sweep_phi2
-    )
-
-    # Bin every tangency point and keep the lowest v_y per bin.
-    lo = math.exp(-2.0 * r2) * 1.001
-    hi = 10.0 * math.exp(2.0 * r2)
-    edges = np.geomspace(lo, hi, bins + 1)
-    flat_vx = v_x.ravel()
-    flat_vy = v_y.ravel()
-    keep = np.isfinite(flat_vx) & np.isfinite(flat_vy) & (flat_vx >= lo) & (flat_vx <= hi)
-    idx_config = np.repeat(np.arange(len(configs)), ratios.size)[keep]
-    idx_ratio = np.tile(np.arange(ratios.size), len(configs))[keep]
-    flat_vx, flat_vy = flat_vx[keep], flat_vy[keep]
-    flat_certified = certified.ravel()[keep]
-
-    bin_of = np.clip(np.searchsorted(edges, flat_vx, side="right") - 1, 0, bins - 1)
-    best = np.full(bins, np.inf)
-    np.minimum.at(best, bin_of, flat_vy)
-    samples: list[RegionSample] = []
-    for b in np.nonzero(np.isfinite(best))[0]:
-        members = np.nonzero(bin_of == b)[0]
-        j = members[np.argmin(flat_vy[members])]
-        t, p1, _ = configs[idx_config[j]]
-        samples.append(
-            RegionSample(
-                v_x=float(flat_vx[j]),
-                v_y=float(flat_vy[j]),
-                source=SOURCE_NUMERIC,
-                t=float(t),
-                phi1=float(p1),
-                w_ratio=float(ratios[idx_ratio[j]]),
-                converged=bool(flat_certified[j]),
-            )
-        )
-    samples.sort(key=lambda s: s.v_x)
-    return samples
+    return _binned_envelope(_config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2), r2, bins)
 
 
 def envelope_support_points(
@@ -231,21 +229,7 @@ def envelope_support_points(
     support-function sampling of the accessible region (one point per bound
     line), complementary to the binned pointwise minimum of envelope().
     """
-    configs, ratios, f, v_x, v_y, certified = _config_sweep(
-        r1, r2, t_grid, phi_grid, w_grid, sweep_phi2
-    )
-    samples = []
-    for j, ic in enumerate(np.argmin(f, axis=0)):
-        t, p1, _ = configs[ic]
-        samples.append(
-            RegionSample(
-                v_x=float(v_x[ic, j]), v_y=float(v_y[ic, j]), source=SOURCE_NUMERIC,
-                t=float(t), phi1=float(p1), w_ratio=float(ratios[j]),
-                converged=bool(certified[ic, j]),
-            )
-        )
-    samples.sort(key=lambda s: s.v_x)
-    return samples
+    return _support_points(_config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2))
 
 
 def envelope_value(samples: list[RegionSample], v_x) -> np.ndarray:

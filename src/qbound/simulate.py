@@ -341,7 +341,7 @@ def run_scheme(
     var = acc_m2 / (count - 1)
     se_mean = np.sqrt(var / count)
     se_var = var * math.sqrt(2.0 / (count - 1))
-    pred_x, pred_y = scheme.predicted_variances(build_probe(probe).cov)
+    pred_x, pred_y = scheme.predicted_variances(state.cov)  # displacement keeps cov
     return SimulationReport(
         shots=count,
         seed=seed,

@@ -24,6 +24,7 @@ from .gaussian import (
     beam_splitter,
     build_probe,
     make_squeezed,
+    probe_covariances,
     rotation,
     symplectic_form,
 )
@@ -139,7 +140,7 @@ def check_envelope_gap(quick: bool = False, perturb: float = 0.0) -> CheckResult
 
     Support-sampled points (one per weight ratio, best configuration) must
     match the closed form within 1e-3 relative and never dip below it by more
-    than 1e-9; the binned pointwise-minimum envelope on the same grids must
+    than 1e-9; the binned pointwise-minimum envelope of the same sweep must
     not dip below it either.  ``perturb`` scales both reference curves; any
     nonzero value is a fault-injection hook that must make this check fail.
     """
@@ -157,11 +158,12 @@ def check_envelope_gap(quick: bool = False, perturb: float = 0.0) -> CheckResult
         ) * (1.0 + perturb)
         return v_y - reference, reference
 
-    points = regions.envelope_support_points(r1, r2, t_grid, phi_grid, w_grid)
+    sweep = regions._config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2=False)
+    points = regions._support_points(sweep)
     diff, reference = gaps(points)
     max_gap = float(np.max(np.abs(diff / reference)))
     dip = float(np.min(diff))
-    binned_dip = float(np.min(gaps(regions.envelope(r1, r2, t_grid, phi_grid, w_grid))[0]))
+    binned_dip = float(np.min(gaps(regions._binned_envelope(sweep, r2))[0]))
     passed = max_gap <= 1e-3 and dip >= -1e-9 and binned_dip >= -1e-9
     return CheckResult(
         "envelope-gap", passed,
@@ -334,15 +336,10 @@ def check_structural_properties(quick: bool = False, seed: int = 11) -> CheckRes
     detail["envelope_symmetry"] = worst_sym
     ok_envelope = worst_cont <= 1e-9 and worst_sym <= 1e-9
 
-    # Weight-scaling linearity of the bound.
-    covs = np.empty((n, 4, 4))
-    for i in range(n):
-        r1, r2 = np.sort(rng.uniform(0.0, 1.2, 2))
-        probe = ProbeConfig(
-            r1=r1, r2=r2, phi1=rng.uniform(0, math.pi), phi2=rng.uniform(0, math.pi),
-            t=rng.uniform(0, 1),
-        )
-        covs[i] = build_probe(probe).cov
+    # Weight-scaling linearity of the bound.  Columns: r1, r2 (sorted), phi1, phi2, t.
+    u = rng.uniform(size=(n, 5))
+    r = np.sort(1.2 * u[:, :2], axis=1)
+    covs = probe_covariances(r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
     w_x = 10.0 ** rng.uniform(-1, 1, n)
     w_y = 10.0 ** rng.uniform(-1, 1, n)
     scale = 10.0 ** rng.uniform(-2, 2, n)

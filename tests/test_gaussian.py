@@ -17,7 +17,6 @@ from qbound.gaussian import (
     squeezing_db_to_r,
     symplectic_eigenvalues,
     symplectic_form,
-    tensor,
     vacuum,
     validate,
 )
@@ -86,8 +85,8 @@ def test_beam_splitter_identity_and_vacuum():
 
 def test_beam_splitter_balanced_orthogonal_squeezers():
     r = 0.7
-    inputs = tensor(make_squeezed(r, 0.0), make_squeezed(r, math.pi / 2.0))
-    out = apply(beam_splitter(0.5), inputs)
+    e_m, e_p = math.exp(-2.0 * r), math.exp(2.0 * r)
+    out = apply(beam_splitter(0.5), GaussianState(np.zeros(4), np.diag([e_m, e_p, e_p, e_m])))
     ch = math.cosh(2.0 * r)
     assert np.allclose(out.cov[:2, :2], ch * np.eye(2), atol=1e-12)
     assert np.allclose(out.cov[2:, 2:], ch * np.eye(2), atol=1e-12)
@@ -99,18 +98,6 @@ def test_beam_splitter_range(bad):
         beam_splitter(bad)
 
 
-def test_tensor_examples():
-    assert np.allclose(tensor(vacuum(1), vacuum(1)).cov, np.eye(4))
-    block = tensor(make_squeezed(0.4, 0.0), vacuum(1)).cov
-    assert np.allclose(block[:2, :2], np.diag([math.exp(-0.8), math.exp(0.8)]))
-    assert np.allclose(block[2:, 2:], np.eye(2))
-    assert np.allclose(block[:2, 2:], 0.0)
-    joined = tensor(
-        GaussianState([1.0, 2.0], np.eye(2)), GaussianState([3.0, 4.0], np.eye(2))
-    )
-    assert np.array_equal(joined.mean, [1.0, 2.0, 3.0, 4.0])
-
-
 def test_apply_identity_and_rotation():
     state = make_squeezed(R_3DB, 0.0)
     same = apply(rotation(0.0), state)
@@ -120,31 +107,29 @@ def test_apply_identity_and_rotation():
 
 
 def test_apply_beam_splitter_matches_direct_matrix_product():
-    # Independent oracle: build the 4x4 transform and input covariance by hand
-    # and carry out the congruence entry by entry.
-    r1, r2, t = 0.35, 0.69, 0.4
-    inputs = tensor(make_squeezed(r1, 0.0), make_squeezed(r2, math.pi / 2.0))
-    got = apply(beam_splitter(t), inputs)
-
-    a, b = math.sqrt(t), math.sqrt(1.0 - t)
-    s = np.array(
-        [
-            [a, 0.0, b, 0.0],
-            [0.0, a, 0.0, b],
-            [-b, 0.0, a, 0.0],
-            [0.0, -b, 0.0, a],
-        ]
-    )
-    sigma_in = np.zeros((4, 4))
-    sigma_in[0, 0], sigma_in[1, 1] = math.exp(-2 * r1), math.exp(2 * r1)
-    sigma_in[2, 2], sigma_in[3, 3] = math.exp(2 * r2), math.exp(-2 * r2)
-    expected = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            expected[i, j] = sum(
-                s[i, k] * sigma_in[k, l] * s[j, l] for k in range(4) for l in range(4)
-            )
-    assert np.allclose(got.cov, expected, atol=1e-12)
+    # Independent oracle over the whole r <= 20 contract: build the 4x4
+    # beam-splitter matrix and the rotated squeezed inputs by hand and carry
+    # out the congruence entry by entry.
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        r1, r2 = np.sort(rng.uniform(0.0, 20.0, 2))
+        phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+        t = rng.uniform(0.0, 1.0)
+        got = build_probe(ProbeConfig(r1=r1, r2=r2, phi1=phi1, phi2=phi2, t=t)).cov
+        a, b = math.sqrt(t), math.sqrt(1.0 - t)
+        s = [[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]]
+        sigma_in = np.zeros((4, 4))
+        for k, (r, phi) in enumerate(((r1, phi1), (r2, phi2))):
+            rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+            block = rot @ np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)]) @ rot.T
+            sigma_in[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+        expected = np.array([
+            [sum(s[i][k] * sigma_in[k, l] * s[j][l] for k in range(4) for l in range(4))
+             for j in range(4)]
+            for i in range(4)
+        ])
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - expected)) <= 2e-15 * np.max(np.abs(expected))
 
 
 def test_apply_dimension_mismatch():

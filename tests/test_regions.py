@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qbound import closed_forms as cf
-from qbound import regions
+from qbound import regions, verify
 from qbound.gaussian import ProbeConfig, build_probe
 from qbound.holevo import batch_bound
 
@@ -153,14 +153,37 @@ def test_envelope_value_requires_points():
         regions.envelope_value([], [1.0])
 
 
+def _count_batch_rows(monkeypatch) -> list:
+    """Rows of every batch_bound call the sweeps make from now on."""
+    rows = []
+
+    def counting(*args):
+        rows.append(np.size(args[1]))
+        return batch_bound(*args)
+
+    monkeypatch.setattr(regions, "batch_bound", counting)
+    return rows
+
+
 def test_threads_env_does_not_change_results(monkeypatch):
-    r1, r2 = 0.2, 0.7
-    grids = (np.linspace(0.1, 0.9, 6), np.linspace(0.0, math.pi / 2, 5), np.geomspace(0.1, 10, 9))
+    # 12 x 9 x 40 = 4320 rows, above the pool cutoff; two workers on any host
+    grids = (np.linspace(0.1, 0.9, 12), np.linspace(0.0, math.pi / 2, 9), np.geomspace(0.1, 10, 40))
+    rows = _count_batch_rows(monkeypatch)
+    monkeypatch.setattr(regions.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("QBOUND_THREADS", "1")
-    one = regions.envelope(r1, r2, *grids)
-    monkeypatch.setenv("QBOUND_THREADS", "3")
-    three = regions.envelope(r1, r2, *grids)
-    assert one == three
+    one = regions.envelope(0.2, 0.7, *grids)
+    monkeypatch.setenv("QBOUND_THREADS", "2")
+    assert regions.envelope(0.2, 0.7, *grids) == one
+    assert rows == [4320, 2160, 2160]  # one serial call, then one per pool thread
+
+
+def test_envelope_gap_check_solves_each_row_once(monkeypatch):
+    rows = _count_batch_rows(monkeypatch)
+    monkeypatch.setattr(regions, "build_probe", None)  # the sweep must not build probes
+    assert verify.check_envelope_gap(quick=True).passed
+    assert sum(rows) == 21 * 21 * 9  # ratios x t values x phi1 values
+    with pytest.raises(ValueError):
+        regions.envelope(0.1, 0.2, [0.5, 1.5], [0.0], [1.0])
 
 
 def test_sql_feasible_threshold():
