@@ -4,7 +4,6 @@ from .gaussian import (
     ChannelParams,
     GaussianState,
     ProbeConfig,
-    StateDiagnostics,
     SymplecticTransform,
     apply,
     beam_splitter,
@@ -12,13 +11,9 @@ from .gaussian import (
     displace,
     make_squeezed,
     probe_covariances,
-    r_to_squeezing_db,
     rotation,
     squeezing_db_to_r,
-    symplectic_eigenvalues,
     symplectic_form,
-    vacuum,
-    validate,
 )
 from .holevo import (
     BoundResult,
@@ -27,10 +22,7 @@ from .holevo import (
     Weights,
     batch_bound,
     extract_measurement,
-    objective,
-    single_mode_closed,
     solve,
-    unbiased_constraints,
 )
 from .closed_forms import (
     EnvelopePoint,
@@ -45,7 +37,6 @@ from .closed_forms import (
     projected_variances,
     scalar_corollaries,
     single_mode_line,
-    single_mode_precision_sum,
     single_mode_tradeoff,
     two_mode_envelope,
 )

@@ -60,17 +60,6 @@ def single_mode_tradeoff(v_x: float, r: float, phi: float) -> float:
     return v_b + 1.0 / (v_x - v_a)
 
 
-def single_mode_precision_sum(v_x: float, v_y: float, r: float) -> float:
-    """Weighted precision sum e^{-2r}/v_x + e^{2r}/v_y (phi = 0 regime).
-
-    Achievable pairs give a value <= 1.
-    """
-    _check_r(r)
-    if v_x <= 0.0 or v_y <= 0.0:
-        raise ValueError("variances must be positive")
-    return math.exp(-2.0 * r) / v_x + math.exp(2.0 * r) / v_y
-
-
 # ---------------------------------------------------------------------------
 # Two-mode accessible-region envelope
 # ---------------------------------------------------------------------------

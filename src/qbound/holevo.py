@@ -12,14 +12,22 @@ language, for duals ``X_x = c_x . R`` and ``X_y = c_y . R``:
 
 Local unbiasedness for the displacement channel fixes the mode-1 entries of
 the coefficient vectors (c_x = (1, 0, a, b) and c_y = (0, 1, c, d) for two
-modes), leaving a 4-dimensional minimization.  That function is a convex
-quadratic plus a scaled absolute value of a bilinear form, i.e. the maximum
-of the quadratics q + 2 m beta over the kink multiplier
-m in [-sqrt(w_x w_y), +sqrt(w_x w_y)] (the convex-program view of Albarelli
-et al., PRL 123, 200503 (2019)).  Its minimizer is the closed-form
-stationary point at an endpoint multiplier or at a root of a quartic in m;
-batch_bound evaluates every such candidate, solve() is one batch row with a
-KKT certificate, and the optimal duals give the exact tangency point.
+modes).  As 2 c |beta| with c = sqrt(w_x w_y) is the maximum of 2 m beta over
+|m| <= c, h is the maximum of convex quadratics, and minimizing each one in
+closed form leaves a concave scalar dual in mu = m / c (the convex-program
+view of Albarelli et al., PRL 123, 200503 (2019)).  Every probe here is pure,
+so S^{-1} = Omega' S Omega and that dual depends only on the mode-1 marginal
+A through A_11, A_22 and delta - 1 = det A - 1 >= 0 (read as -det C of the
+off-diagonal block C, see _delta_minus_one):
+
+    phi(mu) = kappa(mu) (a + 2 c mu),  kappa = (1 - mu^2) / ((delta - 1) + (1 - mu^2)),
+
+with a = w_x A_11 + w_y A_22.  Every term is nonnegative, so phi keeps its
+relative precision for all squeezing up to MAX_SQUEEZING_R.  batch_bound
+maximizes phi over mu in [0, 1] (one scalar-dual kernel) and solve() is one
+batch row.  The optimal duals follow in closed form from mu*, the tangency
+point is the weight gradient of phi, and ``converged`` is the duality gap:
+the primal value h of the reported duals must match phi(mu*).
 """
 
 from __future__ import annotations
@@ -30,21 +38,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import _quartic_roots
-from .gaussian import GaussianState, symplectic_form
+from .gaussian import PURITY_TOL, GaussianState, symplectic_form
 
 __all__ = [
     "Weights",
     "DualCoefficients",
-    "DualShape",
     "BoundResult",
     "SolverConvergenceError",
-    "unbiased_constraints",
-    "objective",
-    "single_mode_closed",
+    "CERTIFICATE_TOL",
     "solve",
     "batch_bound",
-    "certificate",
-    "tangency",
     "extract_measurement",
 ]
 
@@ -73,27 +76,28 @@ class Weights:
 
 @dataclass(frozen=True)
 class DualCoefficients:
-    """Quadrature coefficients of the dual observables X_x and X_y."""
+    """Quadrature coefficients of the dual observables X_x and X_y.
+
+    Local unbiasedness pins the mode-1 entries to the unit vectors (1, 0) in
+    c_x and (0, 1) in c_y; one mode leaves no freedom, two modes leave the
+    four mode-2 entries free.
+    """
 
     c_x: np.ndarray
     c_y: np.ndarray
 
     def __post_init__(self):
-        c_x = np.asarray(self.c_x, dtype=float)
-        c_y = np.asarray(self.c_y, dtype=float)
+        c_x = np.array(self.c_x, dtype=float)
+        c_y = np.array(self.c_y, dtype=float)
         if c_x.shape != c_y.shape or c_x.ndim != 1 or c_x.size not in (2, 4):
             raise ValueError("dual coefficient vectors must both have length 2 or 4")
-        if not (np.isfinite(c_x).all() and np.isfinite(c_y).all()):
-            raise ValueError("dual coefficients must be finite")
-        shape = unbiased_constraints(c_x.size // 2)
-        fixed = [(c_x, shape.c_x_fixed), (c_y, shape.c_y_fixed)]
-        for vec, template in fixed:
-            if np.max(np.abs(vec[:2] - template[:2])) > 1e-12:
-                raise ValueError("mode-1 entries violate the local unbiasedness constraints")
-        for name in ("c_x", "c_y"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        pinned = np.array([c_x[0] - 1.0, c_x[1], c_y[0], c_y[1] - 1.0])
+        if not np.all(np.abs(pinned) <= 1e-12):
+            raise ValueError("mode-1 entries violate the local unbiasedness constraints")
+        c_x.flags.writeable = False
+        c_y.flags.writeable = False
+        object.__setattr__(self, "c_x", c_x)
+        object.__setattr__(self, "c_y", c_y)
 
     @classmethod
     def single_mode(cls) -> "DualCoefficients":
@@ -112,8 +116,6 @@ class DualCoefficients:
     @property
     def free(self) -> np.ndarray:
         """The unconstrained entries (a, b, c, d); empty for one mode."""
-        if self.n_modes == 1:
-            return np.zeros(0)
         return np.concatenate([self.c_x[2:], self.c_y[2:]])
 
     def commutator(self) -> float:
@@ -123,58 +125,23 @@ class DualCoefficients:
 
 
 @dataclass(frozen=True)
-class DualShape:
-    """Constrained shape of the dual coefficients for a given mode count."""
-
-    n_modes: int
-    n_free: int
-    c_x_fixed: np.ndarray
-    c_y_fixed: np.ndarray
-
-
-def unbiased_constraints(n_modes: int) -> DualShape:
-    """Reduce the locally unbiased conditions for linear duals.
-
-    The displacement channel shifts the mode-1 means, so for a zero-mean
-    probe the conditions pin the X1 coefficient of X_x to 1 (0 in X_y) and
-    the Y1 coefficient of X_y to 1 (0 in X_x).  One mode leaves no freedom;
-    two modes leave the four mode-2 entries free.
-    """
-    if n_modes == 1:
-        return DualShape(1, 0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    if n_modes == 2:
-        return DualShape(
-            2, 4, np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
-        )
-    raise ValueError(f"unsupported mode count {n_modes}")
-
-
-@dataclass(frozen=True)
 class BoundResult:
-    """Bound value with the optimizing duals and their second-moment matrix."""
+    """Bound value with the optimizing duals, their second moments and the tangency point.
+
+    ``v_x`` and ``v_y`` are the gradient of the bound in the weights at the
+    optimum (the tangency point of the bound line); a zero weight gives an
+    infinite component.  ``converged`` is the duality-gap certificate.
+    """
 
     f_hcr: float
     duals: DualCoefficients
     z_real: np.ndarray = field(repr=False)
     z_imag: np.ndarray = field(repr=False)
     weights: Weights = field(repr=False)
+    v_x: float
+    v_y: float
     converged: bool = True
     iterations: int = 0  # always 0: the exact solver runs no iterative search
-
-    def _tangency(self) -> tuple[float, float]:
-        v_x, v_y = tangency(self.z_real[0, 0], self.z_real[1, 1], self.z_imag[0, 1],
-                            self.weights.w_x, self.weights.w_y)
-        return float(v_x), float(v_y)
-
-    @property
-    def v_x(self) -> float:
-        """Tangency variance dh/dw_x at the optimum."""
-        return self._tangency()[0]
-
-    @property
-    def v_y(self) -> float:
-        """Tangency variance dh/dw_y at the optimum."""
-        return self._tangency()[1]
 
 
 def _as_cov(cov) -> np.ndarray:
@@ -186,251 +153,186 @@ def _as_cov(cov) -> np.ndarray:
     return cov
 
 
-def objective(cov, weights: Weights, duals: DualCoefficients) -> float:
-    """Weighted dual-variance objective h at the given coefficients."""
-    sigma = _as_cov(cov)
-    if sigma.shape[0] != duals.c_x.size:
-        raise ValueError(
-            f"covariance size {sigma.shape[0]} does not match duals of length {duals.c_x.size}"
-        )
-    v_xx = float(duals.c_x @ sigma @ duals.c_x)
-    v_yy = float(duals.c_y @ sigma @ duals.c_y)
-    return weights.w_x * v_xx + weights.w_y * v_yy + 2.0 * weights.geometric * abs(
-        duals.commutator()
-    )
-
-
-def _result_from_duals(cov, weights: Weights, duals: DualCoefficients,
-                       converged: bool = True, f_hcr: float | None = None) -> BoundResult:
-    sigma = _as_cov(cov)
-    omega = symplectic_form(duals.n_modes)
-    z_real = np.array(
-        [
-            [duals.c_x @ sigma @ duals.c_x, duals.c_x @ sigma @ duals.c_y],
-            [duals.c_x @ sigma @ duals.c_y, duals.c_y @ sigma @ duals.c_y],
-        ]
-    )
-    im = float(duals.c_x @ omega @ duals.c_y)
-    z_imag = np.array([[0.0, im], [-im, 0.0]])
-    if f_hcr is None:
-        f_hcr = weights.w_x * z_real[0, 0] + weights.w_y * z_real[1, 1] + 2.0 * weights.geometric * abs(im)
-    return BoundResult(float(f_hcr), duals, z_real, z_imag, weights, converged)
-
-
-def single_mode_closed(cov, weights: Weights) -> BoundResult:
-    """Closed single-mode bound w_x S_11 + w_y S_22 + 2 sqrt(w_x w_y).
-
-    The unbiasedness constraints leave no freedom for one mode, so this is
-    exact; solve() routes single-mode inputs here.
-    """
-    sigma = _as_cov(cov)
-    if sigma.shape[0] != 2:
-        raise ValueError("single_mode_closed expects a 2x2 covariance")
-    return _result_from_duals(sigma, weights, DualCoefficients.single_mode())
-
-
 # ---------------------------------------------------------------------------
-# Exact two-mode solver
+# Scalar-dual kernel
 # ---------------------------------------------------------------------------
 #
 # Split the free duals into u = (a, b), v = (c, d) and the probe covariance into
 # q_x = S_11, q_y = S_22, the mode-1/mode-2 rows g_x, g_y and the mode-2 block
-# B.  Then h = q(x) + 2 c |beta(x)| with c = sqrt(w_x w_y),
+# B.  Then h = q(x) + 2 c |beta(x)| with
 # q = w_x (q_x + 2 g_x.u + u'Bu) + w_y (q_y + 2 g_y.v + v'Bv) and
-# beta = 1 + u'Jv, J = [[0, 1], [-1, 0]].  As 2 c |beta| is the maximum of
-# 2 m beta over |m| <= c, h is the maximum of the quadratics q + 2 m beta.
-# Their Hessian [[w_x B, m J], [-m J, w_y B]] has the Schur complement
-# (w_y - m^2 / (w_x det B)) B, which is PSD because det B >= 1 for any
-# physical mode-2 marginal.  So h is convex, and its minimum is the stationary
-# point of the quadratic at the optimal multiplier: m = +-c, or a root of
-# beta(x(m)) inside (-c, c) (the kink).
-#
-# In the scaled multiplier mu = m / c, with A = adj B, D = det B and
-# rho = sqrt(w_x / w_y), the stationary point is
-#     u(mu) = -(A g_x - (mu / rho) J g_y) / (D - mu^2),
-#     v(mu) = -(A g_y + mu rho J g_x) / (D - mu^2),
-# and beta(x(mu)) (D - mu^2)^2 is the monic quartic
-#     mu^4 + (gamma - 2 D) mu^2 - kappa mu + D (D + gamma),
-#     gamma = g_x' J g_y,  kappa = rho g_x' A g_x + g_y' A g_y / rho.
-# Every candidate is a feasible dual, so the minimum over candidates never
-# undercuts the true bound.  The only invalid candidate is mu^2 = D, and
-# mu = 0 is always valid.
+# beta = 1 + u'Jv, J = [[0, 1], [-1, 0]].  At the scaled multiplier mu, with
+# rho = sqrt(w_x / w_y) and det B = det A = delta for a pure probe, the
+# quadratic q + 2 c mu beta is minimized by
+#     u(mu) = -(adj(B) g_x - (mu / rho) J g_y) / (delta - mu^2),
+#     v(mu) = -(adj(B) g_y + mu rho J g_x) / (delta - mu^2),
+# and its minimum is phi(mu).  phi is concave on [0, 1] and phi'(mu) has the
+# sign of the depressed quartic
+#     P(mu) = mu^4 - (3 delta - 1) mu^2 - (a / c)(delta - 1) mu + delta,
+# with P(0) = delta > 0 >= P(1), so its maximizer is mu = 1 when delta = 1
+# (one mode) and otherwise the unique root of P in (0, 1).  Weak duality makes
+# phi(mu) a lower bound for every mu and h(u, v) an upper bound for every
+# feasible dual, so h(u(mu*), v(mu*)) = phi(mu*) certifies the value.
 
-# A winner is certified when its relative KKT residual is at most this.
+# A row is certified when its relative duality gap is at most this.
 CERTIFICATE_TOL = 1e-9
-# |beta| below this (relative to 1 + |ad| + |bc|) counts as on the kink.
-_KINK_BETA_TOL = 1e-9
+
+_OMEGA = {2: symplectic_form(1), 4: symplectic_form(2)}
+_EYE = {2: np.eye(2), 4: np.eye(4)}
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_J_SIGNS = np.array([1.0, -1.0])
 
 
-# Explicit 2-vector arithmetic (no BLAS) keeps each row's result independent
-# of the batch it is in, so solve() equals its batch_bound row exactly.
-def _dot(a, b):
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+def _check_pure(covs: np.ndarray) -> None:
+    """Raise ValueError unless every covariance satisfies (S Omega)^2 = -1.
 
-
-def _rot(g):
-    """J g for J = [[0, 1], [-1, 0]]."""
-    return np.stack([g[..., 1], -g[..., 0]], axis=-1)
-
-
-def _matvec(m, x):
-    return np.stack([_dot(m[..., 0, :], x), _dot(m[..., 1, :], x)], axis=-1)
-
-
-def _batch_pieces(covs: np.ndarray):
-    return covs[:, 0, 0], covs[:, 1, 1], covs[:, 0, 2:], covs[:, 1, 2:], covs[:, 2:, 2:]
-
-
-def _moments(q_x, q_y, g_x, g_y, b, u, v):
-    """Re Z_11, Re Z_22 and Im Z_12 = beta of the duals (u, v)."""
-    z_xx = q_x + 2.0 * _dot(g_x, u) + _dot(u, _matvec(b, u))
-    z_yy = q_y + 2.0 * _dot(g_y, v) + _dot(v, _matvec(b, v))
-    return z_xx, z_yy, 1.0 + _dot(u, _rot(v))
-
-
-def tangency(z_xx, z_yy, beta, w_x, w_y):
-    """Tangency point (dh/dw_x, dh/dw_y) of the bound line at the optimal duals.
-
-    By Danskin's theorem the gradient of the bound in the weights is the
-    gradient of h at fixed optimal duals: v_x = Re Z_11 + sqrt(w_y/w_x)
-    |Im Z_12|, mirrored for v_y.  A zero weight gives an infinite component.
+    The defect is relative to max|S|^2, the size of the entries of
+    (S Omega)^2; a non-finite covariance fails too.
     """
-    w_x, w_y = np.asarray(w_x, dtype=float), np.asarray(w_y, dtype=float)
+    dim = covs.shape[-1]
+    so = covs @ _OMEGA[dim]
+    defect = np.max(np.abs(so @ so + _EYE[dim]), axis=(-2, -1))
+    if not np.all(defect <= PURITY_TOL * np.max(np.abs(covs), axis=(-2, -1)) ** 2):
+        raise ValueError("covariance is not a pure Gaussian state")
+
+
+def _delta_minus_one(covs: np.ndarray) -> np.ndarray:
+    """det A - 1 of the mode-1 marginal A per row; 0 for one mode.
+
+    A pure two-mode state has det A + det B + 2 det C = 2 and det A = det B,
+    with C the off-diagonal block, so det A - 1 = -det C >= 0.  That form
+    carries no cancellation against the 1 and is exactly 0 for a product
+    probe (t = 0 or 1), where det A - 1 from A loses ~e^{4r} ulps.
+    """
+    if covs.shape[-1] == 2:
+        return np.zeros(covs.shape[0])
+    return np.maximum(covs[:, 0, 3] * covs[:, 1, 2] - covs[:, 0, 2] * covs[:, 1, 3], 0.0)
+
+
+def _candidates(covs, w_x, w_y):
+    """Candidate multipliers mu per row and kappa(mu), phi(mu) at each: three (N, 6) arrays.
+
+    The candidates are the roots of P clipped to [0, 1] (a complex root
+    contributes its real part, a feasible if useless multiplier; none for one
+    mode), 0 and 1; rows with a zero weight keep only mu = 0.  The weights
+    are normalized.
+    """
+    n = w_x.size
+    d1 = _delta_minus_one(covs)
+    a = w_x * covs[:, 0, 0] + w_y * covs[:, 1, 1]
+    c = np.sqrt(w_x * w_y)
+    regular = c > 0.0
+    if covs.shape[-1] == 4:
+        roots = _quartic_roots(0.0, -(3.0 * d1 + 2.0), -(a / np.where(regular, c, 1.0)) * d1, d1 + 1.0)
+    else:  # delta = 1: phi increases on [0, 1], so mu = 1 wins
+        roots = np.empty((n, 0))
+    mu = np.clip(np.concatenate([roots, np.zeros((n, 1)), np.ones((n, 1))], axis=1), 0.0, 1.0)
+    # Degenerate weights leave a pure quadratic per dual: only mu = 0 counts.
+    mu = np.where(regular[:, None], mu, 0.0)
+    d1, a, c = d1[:, None], a[:, None], c[:, None]
+    s = (1.0 - mu) * (1.0 + mu)
     with np.errstate(divide="ignore", invalid="ignore"):
-        v_x = np.where(w_x > 0.0, z_xx + np.sqrt(w_y / w_x) * np.abs(beta), np.inf)
-        v_y = np.where(w_y > 0.0, z_yy + np.sqrt(w_x / w_y) * np.abs(beta), np.inf)
-    return v_x, v_y
+        kappa = np.where(d1 + s > 0.0, s / (d1 + s), 1.0)  # -> 1 as mu -> 1 at delta = 1
+    return mu, kappa, kappa * (a + 2.0 * c * mu)
 
 
-def _multipliers(g_x, g_y, a_x, a_y, det, rho):
-    """Candidate scaled multipliers per row: the kink quartic's roots, -1, 0, 1.
+def _duality_gap(covs, w_x, w_y, mu, f):
+    """Relative gap (h - f) / f of the duals at mu against a claimed bound f.
 
-    Complex roots contribute their real part, which is still a feasible (if
-    useless) candidate.  All are clipped to [-1, 1].
+    Returns (gap, free, z, beta): the duals' free entries (a, b, c, d), the
+    real second-moment matrices Z (N, 2, 2) and beta = Im Z_12.  Weak duality
+    makes h >= true bound >= phi(mu), so the gap of the exact optimum is
+    zero and any other (mu, f) leaves a positive one; a gap that only
+    rounding separates from zero certifies f.  Products summed over short
+    trailing axes (no BLAS) keep each row's result independent of the batch
+    it is in, so solve() equals its batch_bound row exactly.
     """
-    gamma = _dot(g_x, _rot(g_y))
-    kappa = rho * _dot(g_x, a_x) + _dot(g_y, a_y) / rho
-    # Non-finite input rows get no roots; their candidates evaluate to inf.
-    mu = _quartic_roots(0.0, gamma - 2.0 * det, -kappa, det * (det + gamma))
-    edges = np.broadcast_to([-1.0, 0.0, 1.0], (det.size, 3))
-    return np.clip(np.concatenate([mu, edges], axis=1), -1.0, 1.0)
+    n, dim = mu.size, covs.shape[-1]
+    free = np.zeros((n, 2, dim - 2))  # rows (a, b) and (c, d)
+    beta = np.ones(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if dim == 4:
+            g = covs[:, :2, 2:]  # rows g_x, g_y
+            adj = covs[:, 2:, 2:][:, ::-1, ::-1] * _ADJ_SIGNS  # adj B of the symmetric B
+            j_swapped = g[:, ::-1, ::-1] * _J_SIGNS  # rows J g_y, J g_x
+            rho = np.sqrt(w_x / np.where(w_y > 0.0, w_y, 1.0))
+            coef = np.stack([np.where(mu > 0.0, -mu / rho, 0.0), mu * rho], axis=1)[..., None]
+            s = (_delta_minus_one(covs) + (1.0 - mu) * (1.0 + mu))[:, None, None]  # det B - mu^2
+            numer = (adj[:, None] * g[:, :, None, :]).sum(axis=-1) + coef * j_swapped
+            # s = 0 only at mu = delta = 1, a product probe: its duals stay on mode 1.
+            free = np.where(s > 0.0, -numer / s, 0.0)
+            beta = beta + free[:, 0, 0] * free[:, 1, 1] - free[:, 0, 1] * free[:, 1, 0]
+        c = np.concatenate([np.broadcast_to(_EYE[2], (n, 2, 2)), free], axis=2)  # rows c_x, c_y
+        s_c = (c[:, :, None, :] * covs[:, None, :, :]).sum(axis=-1)
+        z = (s_c[:, :, None, :] * c[:, None, :, :]).sum(axis=-1)
+        h = w_x * z[:, 0, 0] + w_y * z[:, 1, 1] + 2.0 * np.sqrt(w_x * w_y) * np.abs(beta)
+        return (h - f) / f, free.reshape(n, -1), z, beta
 
 
-def _kkt_residual(g_x, g_y, b, w_x, w_y, u, v, beta):
-    """Relative KKT residual |grad q + 2 m grad beta| of the duals (u, v).
+def _certified(gap):
+    """The certificate: a duality gap within CERTIFICATE_TOL on either side.
 
-    Off the kink m = c sign(beta); on it, the m in [-c, c] that minimizes the
-    residual.  h is convex, so a zero residual certifies the global minimum.
-    The residual is scaled by the largest term magnitude of the gradient.
+    A gap below -CERTIFICATE_TOL means the primal value h lost its precision
+    (its terms cancel once squeezing is large), which proves nothing either
+    way.  Non-finite gaps fail.
     """
-    c = np.sqrt(w_x * w_y)[:, None]
-    w_x, w_y = w_x[:, None], w_y[:, None]
-    grad_q = 2.0 * np.concatenate([w_x * (g_x + _matvec(b, u)), w_y * (g_y + _matvec(b, v))], axis=1)
-    grad_beta = 2.0 * np.concatenate([_rot(v), -_rot(u)], axis=1)
-    size = 2.0 * np.concatenate(
-        [w_x * (np.abs(g_x) + _matvec(np.abs(b), np.abs(u))),
-         w_y * (np.abs(g_y) + _matvec(np.abs(b), np.abs(v)))], axis=1,
-    ) + c * np.abs(grad_beta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_best = np.clip(-np.sum(grad_q * grad_beta, axis=1, keepdims=True)
-                         / np.sum(grad_beta * grad_beta, axis=1, keepdims=True), -c, c)
-    m_best = np.where(np.isfinite(m_best), m_best, 0.0)
-    beta_size = 1.0 + np.abs(u[:, 0] * v[:, 1]) + np.abs(u[:, 1] * v[:, 0])
-    on_kink = (np.abs(beta) <= _KINK_BETA_TOL * beta_size)[:, None]
-    m = np.where(on_kink, m_best, c * np.sign(beta)[:, None])
-    residual = np.max(np.abs(grad_q + m * grad_beta), axis=1)
-    return residual / np.maximum(np.max(size, axis=1), np.finfo(float).tiny)
+    return np.abs(gap) <= CERTIFICATE_TOL
 
 
 def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     """Bound values for a batch of (covariance, weights) rows.
 
-    ``covs`` may be one 4x4 matrix (broadcast) or an (N, 4, 4) stack; ``w_x``
-    and ``w_y`` are length-N vectors.  Each row is the minimum of h over the
-    closed-form candidates above, so it is exact up to rounding and never
-    below the true bound; rows with no finite candidate (unphysical input)
-    return inf.  If ``info`` is a dict it receives per-row arrays: ``free``
-    (the optimal (a, b, c, d)), ``v_x`` and ``v_y`` (the tangency point) and
-    ``residual`` (the KKT certificate, see CERTIFICATE_TOL).
+    ``covs`` may be one pure 2x2 or 4x4 covariance (broadcast) or an
+    (N, 2, 2) or (N, 4, 4) stack; ``w_x`` and ``w_y`` are length-N vectors.
+    Each row is the largest phi over the candidates of _candidates; a 2x2
+    covariance is the delta = 1 row.  A non-pure or non-finite covariance
+    raises ValueError.  If ``info`` is a dict it receives per-row arrays:
+    ``v_x`` and ``v_y`` (the tangency point), ``gap`` (the relative duality
+    gap, certified by _certified), ``free`` (the optimal (a, b, c, d); empty
+    for one mode), ``z`` (Re Z, (N, 2, 2)) and ``beta`` (Im Z_12).
     """
     w_x = np.atleast_1d(np.asarray(w_x, dtype=float))
     w_y = np.atleast_1d(np.asarray(w_y, dtype=float))
     n = w_x.size
     covs = np.asarray(covs, dtype=float)
+    if covs.ndim not in (2, 3) or covs.shape[-2:] not in ((2, 2), (4, 4)):
+        raise ValueError(f"covariances must be 2x2 or 4x4, got shape {covs.shape}")
+    _check_pure(covs)
     if covs.ndim == 2:
-        covs = np.broadcast_to(covs, (n, 4, 4))
+        covs = np.broadcast_to(covs, (n,) + covs.shape)
     # Normalizing to unit weight sum makes the homogeneity f(c W) = c f(W)
     # hold by construction.
     total = w_x + w_y
     w_x = w_x / total
     w_y = w_y / total
-    q_x, q_y, g_x, g_y, b = _batch_pieces(covs)
-    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    adj = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=1).reshape(n, 2, 2)
-    regular = (w_x > 0.0) & (w_y > 0.0)
-    rho = np.sqrt(np.where(regular, w_x, 1.0) / np.where(regular, w_y, 1.0))
-    a_x, a_y = _matvec(adj, g_x), _matvec(adj, g_y)
-    # Degenerate weights leave a pure quadratic per dual: only mu = 0 counts.
-    mu = np.where(regular[:, None], _multipliers(g_x, g_y, a_x, a_y, det, rho), 0.0)
-
-    s = (det[:, None] - mu * mu)[..., None]
-    mu, rho = mu[..., None], rho[:, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = -(a_x[:, None] - (mu / rho) * _rot(g_y[:, None])) / s
-        v = -(a_y[:, None] + (mu * rho) * _rot(g_x[:, None])) / s
-        z_xx, z_yy, beta = _moments(
-            q_x[:, None], q_y[:, None], g_x[:, None], g_y[:, None], b[:, None], u, v
-        )
-        h = w_x[:, None] * z_xx + w_y[:, None] * z_yy + 2.0 * np.sqrt(w_x * w_y)[:, None] * np.abs(beta)
-    h = np.where(np.isfinite(h), h, np.inf)
-    best = np.argmin(h, axis=1)
+    mu, kappa, phi = _candidates(covs, w_x, w_y)
     rows = np.arange(n)
+    best = np.argmax(phi, axis=1)
+    f, mu, kappa = phi[rows, best], mu[rows, best], kappa[rows, best]
     if info is not None:
-        u, v, beta = u[rows, best], v[rows, best], beta[rows, best]
-        info["free"] = np.concatenate([u, v], axis=1)
-        info["v_x"], info["v_y"] = tangency(z_xx[rows, best], z_yy[rows, best], beta, w_x, w_y)
-        info["residual"] = _kkt_residual(g_x, g_y, b, w_x, w_y, u, v, beta)
-    return h[rows, best] * total
-
-
-# ---------------------------------------------------------------------------
-# Certified single-instance solver
-# ---------------------------------------------------------------------------
+        with np.errstate(divide="ignore", invalid="ignore"):
+            info["v_x"] = np.where(w_x > 0.0, kappa * (covs[:, 0, 0] + np.sqrt(w_y / w_x) * mu), np.inf)
+            info["v_y"] = np.where(w_y > 0.0, kappa * (covs[:, 1, 1] + np.sqrt(w_x / w_y) * mu), np.inf)
+        info["gap"], info["free"], info["z"], info["beta"] = _duality_gap(covs, w_x, w_y, mu, f)
+    return f * total
 
 
 def solve(cov, weights: Weights) -> BoundResult:
-    """Minimize the weighted dual-variance objective for a probe covariance.
+    """Weighted dual-variance bound of one probe covariance: one batch_bound row.
 
-    Single-mode covariances take the closed path.  Two-mode covariances are
-    one row of batch_bound, so the two always agree exactly; ``converged`` is
-    the KKT certificate of the winning duals, and ``iterations`` is always 0
-    because no iterative search runs.
+    ``converged`` is the duality-gap certificate of the reported duals, and
+    ``iterations`` is always 0 because no iterative search runs.
     """
     sigma = _as_cov(cov)
-    if sigma.shape[0] == 2:
-        return single_mode_closed(sigma, weights)
     info: dict = {}
-    f = batch_bound(sigma, weights.w_x, weights.w_y, info)
-    duals = DualCoefficients.from_free(info["free"][0])
-    converged = bool(info["residual"][0] <= CERTIFICATE_TOL)
-    return _result_from_duals(sigma, weights, duals, converged, f_hcr=float(f[0]))
-
-
-def certificate(cov, weights: Weights, duals: DualCoefficients) -> float:
-    """Relative KKT residual of given duals; at most CERTIFICATE_TOL certifies them.
-
-    batch_bound already reports the residual of its own winners; this is for
-    duals obtained elsewhere.  h is convex, so a vanishing residual proves the duals globally optimal.
-    Single-mode duals have no freedom and always return 0.
-    """
-    sigma = _as_cov(cov)
-    if duals.n_modes == 1:
-        return 0.0
-    _, _, g_x, g_y, b = _batch_pieces(sigma[None])
-    w_x, w_y = np.array([weights.w_x]), np.array([weights.w_y])
-    free = duals.free[None]
-    beta = np.array([duals.commutator()])
-    return float(_kkt_residual(g_x, g_y, b, w_x, w_y, free[:, :2], free[:, 2:], beta)[0])
+    f = float(batch_bound(sigma, weights.w_x, weights.w_y, info)[0])
+    free = info["free"][0]
+    duals = DualCoefficients.from_free(free) if free.size else DualCoefficients.single_mode()
+    beta = float(info["beta"][0])
+    return BoundResult(
+        f, duals, info["z"][0], np.array([[0.0, beta], [-beta, 0.0]]),
+        weights, float(info["v_x"][0]), float(info["v_y"][0]), bool(_certified(info["gap"][0])),
+    )
 
 
 def extract_measurement(result: BoundResult, cov):

@@ -2,8 +2,8 @@
 
 Each weight pair defines a straight-line bound in the (v_x, v_y) plane; its
 tangency point with the accessible region is the gradient of the bound with
-respect to the weights, read off the optimal duals of one solver row (see
-holevo.tangency).  The lower-left boundary of a probe's region is the
+respect to the weights, which one solver row returns with the bound (see
+holevo.batch_bound).  The lower-left boundary of a probe's region is the
 collection of tangency points over a weight grid, and the envelope over all
 probe configurations reconstructs the analytic sensitivity limit.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import closed_forms
 from .gaussian import ProbeConfig, build_probe, probe_covariances
-from .holevo import CERTIFICATE_TOL, batch_bound, tangency
+from .holevo import _certified, batch_bound
 
 ENVELOPE_BINS = 400
 
@@ -74,12 +74,14 @@ def _chunked_batch_bound(cov_rows: np.ndarray, w_x: np.ndarray, w_y: np.ndarray)
     def run(args):
         info: dict = {}
         f = batch_bound(*args, info)
-        return f, info["v_x"], info["v_y"], info["residual"] <= CERTIFICATE_TOL
+        return f, info["v_x"], info["v_y"], _certified(info["gap"])
 
     n = w_x.size
     threads = _n_threads()
-    # On 2 cores two threads gain 1.3-1.5x from 4096 rows up and break even
-    # between 2048 and 3072 rows; below that the pool costs more than it saves.
+    # On 2 cores (best of 5, three repeats) two threads gain 1.3-2.0x from 4096
+    # rows up (saving 6-12 ms there), 1.1-1.45x at 1024, and break even near
+    # 768 rows.  The pool also raises peak RSS by ~3 MB per process, so it
+    # starts at 4096 rows rather than at the break-even.
     if threads == 1 or n < 4096:
         return run((cov_rows, w_x, w_y))
     bounds = np.linspace(0, n, threads + 1, dtype=int)
@@ -109,14 +111,7 @@ def boundary_for_config(probe: ProbeConfig, w_ratios) -> list[RegionSample]:
     ratios = np.asarray(list(w_ratios), dtype=float)
     if ratios.size == 0:
         raise ValueError("w_ratios must be nonempty")
-    cov = build_probe(probe).cov
-    w_x, w_y = _ratio_weights(ratios)
-    if probe.n_modes == 1:
-        # No free duals: Z is the covariance itself and Im Z_12 = 1.
-        v_x, v_y = tangency(cov[0, 0], cov[1, 1], 1.0, w_x, w_y)
-        certified = np.ones(ratios.size, dtype=bool)
-    else:
-        _, v_x, v_y, certified = _chunked_batch_bound(cov, w_x, w_y)
+    _, v_x, v_y, certified = _chunked_batch_bound(build_probe(probe).cov, *_ratio_weights(ratios))
     order = np.argsort(v_x)
     samples: list[RegionSample] = []
     for i in order:

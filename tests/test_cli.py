@@ -49,10 +49,19 @@ def test_bound_degenerate_weight_special_case(capsys):
 def test_bound_exits_3_on_an_uncertified_near_product_probe(capsys):
     code, out, err = run_cli(
         capsys, "bound", "--modes", "2", "--r1", "0.5", "--r2", "1.5", "--phi1", "0",
-        "--phi2", "0.3", "--t", "1e-10", "--wx", "1", "--wy", "1",
+        "--phi2", "0.3", "--t", "1e-12", "--wx", "1", "--wy", "1",
     )
     assert code == 3
     assert out == "" and "did not converge" in err
+
+
+def test_bound_at_large_squeezing_is_exact_or_exits_3(capsys):
+    # At r = 10 the value is exact; the certificate may not resolve its gap,
+    # and then the command exits 3 instead of printing an unverified value.
+    code, out, _ = run_cli(capsys, "bound", "--r1", "10", "--r2", "10", "--wx", "1", "--wy", "1")
+    assert code in (0, 3)
+    if code == 0:
+        assert json.loads(out)["f_hcr"] == pytest.approx(4.0 * math.exp(-20.0), rel=1e-13)
 
 
 def test_bound_rejects_r_and_db_together(capsys):
@@ -87,7 +96,8 @@ def test_region_csv_round_trips_through_json(capsys, tmp_path):
     )
     assert code == 0
     json_rows = json.loads(out)
-    csv_rows = list(csv.DictReader(csv_path.open()))
+    with csv_path.open() as handle:
+        csv_rows = list(csv.DictReader(handle))
     assert len(json_rows) == len(csv_rows)
     for jrow, crow in zip(json_rows, csv_rows):
         assert float(crow["v_x"]) == jrow["v_x"]

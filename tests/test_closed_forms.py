@@ -53,15 +53,6 @@ def test_single_mode_tradeoff_equality_relation():
         assert (v_y - v_b) * (v_x - v_a) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_single_mode_precision_sum():
-    r = 0.37
-    assert cf.single_mode_precision_sum(
-        2 * math.exp(-2 * r), 2 * math.exp(2 * r), r
-    ) == pytest.approx(1.0)
-    assert cf.single_mode_precision_sum(math.exp(-2 * r), 1e12, r) == pytest.approx(1.0, abs=1e-10)
-    assert cf.single_mode_precision_sum(4.0, 4.0, 0.0) == pytest.approx(0.5)
-
-
 def test_two_mode_envelope_balanced_middle():
     point = cf.two_mode_envelope(2.0 * math.exp(-2.0 * R_6DB), R_6DB, R_6DB)
     assert point.v_y == pytest.approx(2.0 * math.exp(-2.0 * R_6DB), rel=1e-12)

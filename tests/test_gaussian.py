@@ -7,19 +7,18 @@ from qbound.gaussian import (
     ChannelParams,
     GaussianState,
     ProbeConfig,
+    SymplecticTransform,
     apply,
     beam_splitter,
     build_probe,
     displace,
     make_squeezed,
-    r_to_squeezing_db,
+    probe_covariances,
     rotation,
     squeezing_db_to_r,
-    symplectic_eigenvalues,
     symplectic_form,
-    vacuum,
-    validate,
 )
+from qbound.holevo import batch_bound
 
 R_3DB = 0.5 * math.log(2.0)  # e^{-2r} = 1/2
 
@@ -79,7 +78,7 @@ def test_rotation_bad_mode_index():
 
 def test_beam_splitter_identity_and_vacuum():
     assert np.allclose(beam_splitter(1.0).matrix, np.eye(4))
-    out = apply(beam_splitter(0.5), vacuum(2))
+    out = apply(beam_splitter(0.5), GaussianState(np.zeros(4), np.eye(4)))
     assert np.allclose(out.cov, np.eye(4))
 
 
@@ -134,7 +133,7 @@ def test_apply_beam_splitter_matches_direct_matrix_product():
 
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply(beam_splitter(0.5), vacuum(1))
+        apply(beam_splitter(0.5), GaussianState(np.zeros(2), np.eye(2)))
 
 
 def test_build_probe_vacuum():
@@ -175,9 +174,10 @@ def test_build_probe_is_pure():
 
 
 def test_displace_examples():
-    state = displace(vacuum(1), ChannelParams(0.0, 0.0))
+    vacuum = GaussianState(np.zeros(2), np.eye(2))
+    state = displace(vacuum, ChannelParams(0.0, 0.0))
     assert np.array_equal(state.mean, np.zeros(2))
-    state = displace(vacuum(1), ChannelParams(0.3, -0.1))
+    state = displace(vacuum, ChannelParams(0.3, -0.1))
     assert np.allclose(state.mean, [0.3, -0.1])
     assert np.allclose(state.cov, np.eye(2))
     probe = displace(build_probe(ProbeConfig(r1=0.1, r2=0.4, t=0.5)), ChannelParams(1.0, 2.0))
@@ -195,19 +195,23 @@ def test_displace_commutes_with_passive_on_other_mode():
 
 
 def test_validate_vacuum_and_unphysical():
-    good = validate(vacuum(1))
-    assert good.is_physical and good.is_pure
-    assert good.min_physicality_eig == pytest.approx(0.0, abs=1e-12)
-
-    bad = validate(GaussianState(np.zeros(2), 0.5 * np.eye(2)))
-    assert not bad.is_physical
-    assert bad.min_physicality_eig == pytest.approx(-0.5, abs=1e-12)
+    # The bound validates its input as a pure state: the vacuum passes; an
+    # unphysical, a thermal and a non-finite covariance raise ValueError.
+    for n in (2, 4):
+        assert batch_bound(np.eye(n), [1.0], [1.0])[0] == pytest.approx(4.0)
+        for bad in (0.5 * np.eye(n), 2.5 * np.eye(n), np.full((n, n), math.nan)):
+            with pytest.raises(ValueError, match="not a pure"):
+                batch_bound(bad, [1.0], [1.0])
 
 
 def test_validate_probe_outputs():
-    diag = validate(build_probe(ProbeConfig(r1=0.3, r2=1.1, phi1=0.2, phi2=1.4, t=0.25)))
-    assert diag.is_physical and diag.is_pure
-    assert diag.symmetry_defect <= 1e-12
+    # Every probe over the whole r <= 20 contract passes that purity check,
+    # whose defect is relative to the largest entry squared.
+    rng = np.random.default_rng(13)
+    u = rng.uniform(size=(2000, 5))
+    r = np.sort(20.0 * u[:, :2], axis=1)
+    covs = probe_covariances(r[:, 0], r[:, 1], 2 * math.pi * u[:, 2], 2 * math.pi * u[:, 3], u[:, 4])
+    assert np.all(np.isfinite(batch_bound(covs, np.ones(2000), np.ones(2000))))
 
 
 def test_symplectic_invariant_under_composition():
@@ -234,15 +238,30 @@ def test_probe_config_validation():
 def test_db_conversion_round_trip():
     db = 10.0 * math.log10(2.0)  # exactly e^{-2r} = 1/2
     assert squeezing_db_to_r(db) == pytest.approx(R_3DB, rel=1e-14)
-    assert r_to_squeezing_db(squeezing_db_to_r(7.3)) == pytest.approx(7.3, rel=1e-12)
-
-
-def test_symplectic_eigenvalues_thermal_like():
-    nus = symplectic_eigenvalues(2.5 * np.eye(4))
-    assert np.allclose(nus, [2.5, 2.5])
+    r = squeezing_db_to_r(7.3)
+    assert -10.0 * math.log10(math.exp(-2.0 * r)) == pytest.approx(7.3, rel=1e-12)
 
 
 def test_state_rejects_asymmetric_cov():
     cov = np.array([[1.0, 1e-6], [0.0, 1.0]])
     with pytest.raises(ValueError):
         GaussianState(np.zeros(2), cov)
+
+
+def test_structural_checks_are_relative():
+    # Rounding-level asymmetry on entries of size e^{2r} is accepted at any
+    # r <= 20, and the same relative defect of 1e-6 is rejected at any scale.
+    for r in (0.0, 7.0, 20.0):
+        cov = make_squeezed(r, 0.3).cov.copy()
+        scale = np.max(np.abs(cov))
+        cov[0, 1] += 4.0 * np.finfo(float).eps * scale
+        GaussianState(np.zeros(2), cov)
+        cov[0, 1] += 1e-6 * scale
+        with pytest.raises(ValueError):
+            GaussianState(np.zeros(2), cov)
+        squeeze = np.diag([math.exp(-r), math.exp(r)]) @ rotation(0.3).matrix
+        SymplecticTransform(squeeze)
+        broken = squeeze.copy()
+        broken[0, 0] += 1e-6 * np.max(np.abs(squeeze))  # det moves by ~1e-6 max|S|^2
+        with pytest.raises(ValueError):
+            SymplecticTransform(broken)

@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 
 from qbound import closed_forms as cf
-from qbound.gaussian import ProbeConfig, build_probe, make_squeezed, vacuum
+from qbound import holevo
+from qbound.gaussian import ProbeConfig, build_probe, make_squeezed, probe_covariances, symplectic_form
 from qbound.holevo import (
     CERTIFICATE_TOL,
     DualCoefficients,
     Weights,
     batch_bound,
-    certificate,
     extract_measurement,
-    objective,
-    single_mode_closed,
     solve,
-    unbiased_constraints,
 )
 
 R_3DB = 0.5 * math.log(2.0)
@@ -33,6 +30,13 @@ def fig2b_cov():
     return build_probe(ProbeConfig(r1=0.35, r2=0.69, phi1=0.0, phi2=math.pi / 2, t=0.4)).cov
 
 
+def primal(cov, w, duals):
+    """The objective h of given duals, straight from the covariance."""
+    omega = symplectic_form(duals.c_x.size // 2)
+    return (w.w_x * duals.c_x @ cov @ duals.c_x + w.w_y * duals.c_y @ cov @ duals.c_y
+            + 2.0 * w.geometric * abs(duals.c_x @ omega @ duals.c_y))
+
+
 def test_weights_validation():
     with pytest.raises(ValueError):
         Weights(-1.0, 1.0)
@@ -42,14 +46,18 @@ def test_weights_validation():
 
 
 def test_unbiased_constraints_shapes():
-    one = unbiased_constraints(1)
-    assert one.n_free == 0
-    assert np.array_equal(one.c_x_fixed, [1.0, 0.0])
-    assert np.array_equal(one.c_y_fixed, [0.0, 1.0])
-    two = unbiased_constraints(2)
-    assert two.n_free == 4
+    # DualCoefficients pins the mode-1 entries to the unit vectors: one mode
+    # leaves no free entry, two modes leave four, and three are unsupported.
+    one = DualCoefficients.single_mode()
+    assert one.n_modes == 1 and one.free.size == 0
+    assert np.array_equal(one.c_x, [1.0, 0.0]) and np.array_equal(one.c_y, [0.0, 1.0])
+    two = DualCoefficients.from_free([0.1, 0.2, 0.3, 0.4])
+    assert two.n_modes == 2 and np.array_equal(two.free, [0.1, 0.2, 0.3, 0.4])
     with pytest.raises(ValueError):
-        unbiased_constraints(3)
+        DualCoefficients(np.r_[1.0, np.zeros(5)], np.r_[0.0, 1.0, np.zeros(4)])
+    for c_x, c_y in (([1.0, 1e-9], [0.0, 1.0]), ([1.0, 0.0], [0.0, math.nan])):
+        with pytest.raises(ValueError):
+            DualCoefficients(np.array(c_x), np.array(c_y))
 
 
 def test_dual_coefficients():
@@ -61,35 +69,23 @@ def test_dual_coefficients():
         DualCoefficients(np.array([1.0, 0.1, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]))
 
 
-def test_objective_single_mode_matches_line():
-    for r, phi in ((0.3, 0.0), (R_3DB, math.pi / 6), (1.0, 1.1)):
-        cov = make_squeezed(r, phi).cov
-        got = objective(cov, Weights(1.0, 1.0), DualCoefficients.single_mode())
-        v_a, v_b = cf.projected_variances(r, phi)
-        assert got == pytest.approx(v_a + v_b + 2.0, rel=1e-14)
-    assert objective(vacuum(1).cov, Weights(1.0, 1.0), DualCoefficients.single_mode()) == 4.0
-
-
-def test_objective_two_mode_mode_one_duals():
-    cov = fig2b_cov()
-    w = Weights(0.7, 2.2)
-    got = objective(cov, w, DualCoefficients.from_free([0, 0, 0, 0]))
-    expected = w.w_x * cov[0, 0] + w.w_y * cov[1, 1] + 2.0 * w.geometric
-    assert got == pytest.approx(expected, rel=1e-14)
-
-
 def test_single_mode_closed_examples():
-    assert single_mode_closed(vacuum(1).cov, Weights(1, 1)).f_hcr == pytest.approx(4.0)
+    assert solve(np.eye(2), Weights(1, 1)).f_hcr == pytest.approx(4.0)
     r = 0.6
     cov = make_squeezed(r, 0.0).cov
-    assert single_mode_closed(cov, Weights(1, 0)).f_hcr == pytest.approx(math.exp(-2 * r))
-    assert single_mode_closed(cov, Weights(0, 1)).f_hcr == pytest.approx(math.exp(2 * r))
+    assert solve(cov, Weights(1, 0)).f_hcr == pytest.approx(math.exp(-2 * r))
+    assert solve(cov, Weights(0, 1)).f_hcr == pytest.approx(math.exp(2 * r))
 
 
 def test_solve_single_mode_is_closed_path():
+    # A 2x2 covariance is the delta = 1 row: mu* = 1, the only feasible duals
+    # and the single-mode line w_x S_11 + w_y S_22 + 2 sqrt(w_x w_y).
     cov = make_squeezed(0.8, 0.3).cov
     w = Weights(1.3, 0.4)
-    assert solve(cov, w).f_hcr == single_mode_closed(cov, w).f_hcr
+    res = solve(cov, w)
+    assert res.f_hcr == pytest.approx(w.w_x * cov[0, 0] + w.w_y * cov[1, 1] + 2.0 * w.geometric, rel=1e-15)
+    assert res.duals.n_modes == 1 and res.converged
+    assert res.f_hcr == pytest.approx(primal(cov, w, res.duals), rel=1e-15)
 
 
 def test_solve_single_mode_3db():
@@ -142,7 +138,7 @@ def test_solve_lower_bounds_random_duals():
         f = solve(cov, w).f_hcr
         for _ in range(100):
             duals = DualCoefficients.from_free(rng.normal(scale=2.0, size=4))
-            assert objective(cov, w, duals) >= f - 1e-10
+            assert primal(cov, w, duals) >= f - 1e-10
 
 
 def test_weight_scaling():
@@ -204,11 +200,13 @@ def test_batch_bound_matches_solve():
 
 
 # Near-product probes (t close to 0 or 1), where an earlier candidate search
-# lost its kink roots.  The reference values lie within 4e-12 above the
-# minimum that a 50-digit evaluation gives for the same float covariances.
+# lost its kink roots.  The first two reference values lie within 4e-12 above
+# the minimum that a 50-digit evaluation gives for the same float
+# covariances; the third is the 50-digit bound of the configuration itself.
 NEAR_PRODUCT_CASES = [
     (ProbeConfig(r1=0.5, r2=2.0, phi1=0.0, phi2=1.0, t=1.0 - 1e-7), Weights(1.0, 1e-3), 0.4330733062091),
     (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-7), Weights(1.0, 1.0), 22.12608158229),
+    (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-10), Weights(1.0, 1.0), 22.135031877476232),
 ]
 
 
@@ -217,16 +215,19 @@ def test_near_product_probes_reach_the_attained_value(probe, w, attained):
     cov = build_probe(probe).cov
     res = solve(cov, w)
     assert res.f_hcr <= attained * (1.0 + 1e-9)
+    assert res.f_hcr == pytest.approx(attained, rel=1e-11)
     assert res.f_hcr == batch_bound(cov, w.w_x, w.w_y)[0]
     opt = cf.optimal_config(w.w_x, w.w_y, probe.r1, probe.r2)
     assert res.f_hcr >= w.w_x * opt.v_x + w.w_y * opt.v_y
     assert res.converged
 
 
-# Known limit: at min(t, 1-t) < 1e-8 the float covariance cannot resolve
-# det B - 1, and the certificate flags such rows rather than passing them.
-# A factored covariance would certify this row; the test then changes.
-FLAGGED_NEAR_PRODUCT = (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-10), Weights(1.0, 1.0))
+# Known limit: at min(t, 1-t) < 1e-8 the bound is exact, but the primal value
+# h of the duals, evaluated from the covariance, can lose more than
+# CERTIFICATE_TOL to cancellation, and the certificate flags such rows
+# rather than passing them (this one by a gap of ~1e-7).  A factored gap
+# would certify this row; the test then changes.
+FLAGGED_NEAR_PRODUCT = (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-12), Weights(1.0, 1.0))
 
 
 def test_unresolved_near_product_row_is_flagged():
@@ -234,7 +235,7 @@ def test_unresolved_near_product_row_is_flagged():
     cov = build_probe(probe).cov
     res = solve(cov, w)
     assert res.converged is False
-    assert certificate(cov, w, res.duals) > CERTIFICATE_TOL
+    assert abs(primal(cov, w, res.duals) - res.f_hcr) > CERTIFICATE_TOL * res.f_hcr
 
 
 def test_certificate_accepts_optima_and_rejects_moved_duals():
@@ -249,9 +250,80 @@ def test_certificate_accepts_optima_and_rejects_moved_duals():
         w = Weights(1.0, 10.0 ** rng.uniform(-3, 3))
         res = solve(cov, w)
         assert res.converged
-        assert certificate(cov, w, res.duals) <= CERTIFICATE_TOL
+        assert abs(primal(cov, w, res.duals) - res.f_hcr) <= CERTIFICATE_TOL * res.f_hcr
         moved = DualCoefficients.from_free(res.duals.free + 1e-4 * rng.standard_normal(4))
-        assert certificate(cov, w, moved) > CERTIFICATE_TOL
+        assert primal(cov, w, moved) - res.f_hcr > CERTIFICATE_TOL * res.f_hcr
+
+
+def test_product_probes_certify_with_mode_one_duals():
+    # t = 0 or 1 leaves mode 1 a pure squeezed state: delta = 1, mu* = 1, the
+    # single-mode line, and duals with no mode-2 part.
+    for t, r, phi in ((1.0, 0.5, 0.3), (0.0, 1.0, 1.1)):
+        cov = build_probe(ProbeConfig(r1=0.5, r2=1.0, phi1=0.3, phi2=1.1, t=t)).cov
+        res = solve(cov, Weights(1.0, 2.0))
+        assert res.converged
+        assert np.array_equal(res.duals.free, np.zeros(4))
+        assert res.f_hcr == pytest.approx(cf.single_mode_line(1.0, 2.0, r, phi), rel=1e-15)
+
+
+def test_certificate_rejects_mutated_kernels():
+    # The certificate must pass the exact kernel's answer and fail three wrong
+    # kernels on every row: one that returns 0.0, one that takes the worst
+    # candidate multiplier, and one that scales the value by 1 - 1e-6.
+    rng = np.random.default_rng(31)
+    u = rng.uniform(size=(300, 5))
+    r = np.sort(2.0 * u[:, :2], axis=1)
+    covs = probe_covariances(r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
+    ratio = 10.0 ** rng.uniform(-4, 4, 300)
+    w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+    mu, _, phi = holevo._candidates(covs, w_x, w_y)
+    rows = np.arange(w_x.size)
+    best, worst = np.argmax(phi, axis=1), np.argmin(phi, axis=1)
+    mu_best, f_best = mu[rows, best], phi[rows, best]
+
+    def certified(mu_k, f_k):
+        return holevo._certified(holevo._duality_gap(covs, w_x, w_y, mu_k, f_k)[0])
+
+    assert certified(mu_best, f_best).all()
+    assert not certified(mu_best, np.zeros_like(f_best)).any()
+    assert not certified(mu[rows, worst], phi[rows, worst]).any()
+    assert not certified(mu_best, (1.0 - 1e-6) * f_best).any()
+
+
+def test_kernel_matches_closed_forms_for_all_squeezing():
+    # Property test over r in [0, 20], t in [0, 1], ratios 1e-4..1e4 and
+    # degenerate weights: the balanced point 4 w e^{-2r}, the degenerate
+    # weights 1/cosh 2r, the optimal configuration's weighted sum and the
+    # single-mode line at t in {0, 1} agree to 1e-13 relative, and random
+    # configurations are never below the optimum over configurations.
+    rng = np.random.default_rng(41)
+    covs, w_x, w_y, refs, exact = [], [], [], [], []
+
+    def add(cov, wx, wy, ref, is_exact):
+        covs.append(cov), w_x.append(wx), w_y.append(wy), refs.append(ref), exact.append(is_exact)
+
+    for r in np.concatenate([[0.0, 20.0], rng.uniform(0.0, 20.0, 60)]):
+        balanced = probe_covariances(r, r, 0.0, math.pi / 2.0, 0.5)
+        w = 10.0 ** rng.uniform(-2, 2)
+        add(balanced, w, w, 4.0 * w * math.exp(-2.0 * r), True)
+        add(balanced, w, 0.0, w / math.cosh(2.0 * r), True)
+        add(balanced, 0.0, w, w / math.cosh(2.0 * r), True)
+        r1, r2 = np.sort(rng.uniform(0.0, r, 2))
+        ratio = 10.0 ** rng.uniform(-4, 4)
+        opt = cf.optimal_config(ratio, 1.0, r1, r2)
+        add(probe_covariances(r1, r2, opt.phi1, opt.phi2, opt.probe_t), ratio, 1.0,
+            ratio * opt.v_x + opt.v_y, True)
+        phi1, phi2 = rng.uniform(0.0, math.pi, 2)
+        for t, (r_mode1, phi_mode1) in ((1.0, (r1, phi1)), (0.0, (r2, phi2))):
+            add(probe_covariances(r1, r2, phi1, phi2, t), ratio, 1.0,
+                cf.single_mode_line(ratio, 1.0, r_mode1, phi_mode1), True)
+        add(probe_covariances(r1, r2, phi1, phi2, rng.uniform()), ratio, 1.0,
+            ratio * opt.v_x + opt.v_y, False)
+    got = batch_bound(np.array(covs), w_x, w_y)
+    rel = (got - np.array(refs)) / np.array(refs)
+    exact = np.array(exact)
+    assert np.max(np.abs(rel[exact])) <= 1e-13
+    assert np.min(rel[~exact]) >= -1e-13
 
 
 def test_import_does_not_load_scipy():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qbound import closed_forms as cf
 from qbound.gaussian import ChannelParams, ProbeConfig, apply, build_probe, displace
 from qbound.holevo import DualCoefficients, Weights, solve
 from qbound.simulate import (
@@ -89,6 +90,22 @@ def test_run_scheme_balanced_hits_target():
     assert abs(report.var_x - 0.5) <= 5.0 * report.se_var_x
     assert abs(report.var_y - 0.5) <= 5.0 * report.se_var_y
     assert report.predicted_v_x == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [5.0, 7.0])
+def test_run_scheme_at_large_squeezing_hits_the_closed_forms(r):
+    # Entries of size e^{2r} leave rounding-level asymmetry in the measured
+    # covariance; the relative structural checks accept it.
+    theta = ChannelParams(0.3, -0.1)
+    t = 1.0 / (1.0 + math.exp(r))
+    cases = (
+        (build_scheme("balanced", r=r, t_star=0.3), (math.exp(-2 * r) / 0.7, math.exp(-2 * r) / 0.3)),
+        (build_scheme("example1", r2=r, t=t, phi2=0.0), cf.example1_variances(t, r, favour="x")),
+    )
+    for k, (scheme, (want_x, want_y)) in enumerate(cases):
+        report = run_scheme(scheme, scheme.probe, theta, 200_000, seed=31 + k)
+        assert abs(report.var_x - want_x) <= 5.0 * report.se_var_x
+        assert abs(report.var_y - want_y) <= 5.0 * report.se_var_y
 
 
 def test_run_scheme_unbiased_at_random_displacements():
