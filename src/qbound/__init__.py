@@ -5,12 +5,11 @@ from .gaussian import (
     GaussianState,
     ProbeConfig,
     SymplecticTransform,
-    apply,
     beam_splitter,
     build_probe,
-    displace,
     make_squeezed,
     probe_covariances,
+    probe_factors,
     rotation,
     squeezing_db_to_r,
     symplectic_form,

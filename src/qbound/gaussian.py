@@ -62,44 +62,42 @@ def _check_r(r, name: str = "r") -> None:
         raise ValueError(f"{name} must be finite and within [0, {MAX_SQUEEZING_R}], got {r}")
 
 
-def _frozen_array(values, shape=None) -> np.ndarray:
+def _check_finite(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
     arr.flags.writeable = False
     return arr
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """A Gaussian state given by its first two quadrature moments.
+    """A zero-mean Gaussian state; the displacement enters only the outcome means (simulate).
 
     Attributes:
-        mean: length ``2 n_modes`` vector of quadrature means, ordered
-            ``(X1, Y1, X2, Y2)``.
-        cov: symmetric ``2n x 2n`` covariance matrix (vacuum = identity).
+        cov: symmetric ``2n x 2n`` covariance matrix (vacuum = identity),
+            ordered ``(X1, Y1, X2, Y2)``.
     """
 
-    mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
-            raise ValueError(f"mean must be a vector of even length, got shape {mean.shape}")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0 or cov.size == 0:
+            raise ValueError(f"cov must be a square matrix of even size, got shape {cov.shape}")
         asymmetry = np.max(np.abs(cov - cov.T))
         if not (asymmetry <= SYMMETRY_TOL or asymmetry <= SYMMETRY_TOL * np.max(np.abs(cov))):
             raise ValueError("covariance matrix is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        object.__setattr__(self, "mean", _frozen_array(mean))
-        object.__setattr__(self, "cov", _frozen_array(cov))
+        object.__setattr__(self, "cov", _frozen_array(0.5 * (cov + cov.T)))
 
     @property
     def n_modes(self) -> int:
-        return self.mean.size // 2
+        return self.cov.shape[0] // 2
 
 
 @dataclass(frozen=True)
@@ -135,6 +133,9 @@ class ChannelParams:
     theta_x: float = 0.0
     theta_y: float = 0.0
 
+    def __post_init__(self):
+        _check_finite(self, ("theta_x", "theta_y"))
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -158,6 +159,7 @@ class ProbeConfig:
             raise ValueError(f"n_modes must be 1 or 2, got {self.n_modes}")
         for name in ("r1", "r2"):
             _check_r(getattr(self, name), name)
+        _check_finite(self, ("phi1", "phi2"))
         if self.n_modes == 2:
             if self.r1 > self.r2:
                 raise ValueError(f"canonical ordering requires r1 <= r2, got ({self.r1}, {self.r2})")
@@ -170,10 +172,14 @@ def rotation(phi: float, n_modes: int = 1, target_mode: int = 0) -> SymplecticTr
     if not 0 <= target_mode < n_modes:
         raise ValueError(f"target_mode {target_mode} out of range for {n_modes} modes")
     mat = np.eye(2 * n_modes)
-    c, s = math.cos(phi), math.sin(phi)
     sl = slice(2 * target_mode, 2 * target_mode + 2)
-    mat[sl, sl] = [[c, -s], [s, c]]
+    mat[sl, sl] = _rotation_block(phi)
     return SymplecticTransform(mat)
+
+
+def _rotation_block(phi: float) -> np.ndarray:
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s], [s, c]])
 
 
 def beam_splitter(t: float) -> SymplecticTransform:
@@ -208,17 +214,7 @@ def make_squeezed(r: float, phi: float = 0.0) -> GaussianState:
     swapped.
     """
     _check_r(r)
-    return GaussianState(np.zeros(2), _squeezed_marginal(r, phi))
-
-
-def apply(transform: SymplecticTransform, state: GaussianState) -> GaussianState:
-    """Apply a symplectic transform: mean -> S mean, cov -> S cov S^T."""
-    if transform.matrix.shape[0] != state.mean.size:
-        raise ValueError(
-            f"transform acts on {transform.n_modes} modes but state has {state.n_modes}"
-        )
-    s = transform.matrix
-    return GaussianState(s @ state.mean, s @ state.cov @ s.T)
+    return GaussianState(_squeezed_marginal(r, phi))
 
 
 def probe_covariances(r1, r2, phi1, phi2, t) -> np.ndarray:
@@ -257,14 +253,25 @@ def build_probe(config: ProbeConfig) -> GaussianState:
     if config.n_modes == 1:
         return make_squeezed(config.r1, config.phi1)
     cov = probe_covariances(config.r1, config.r2, config.phi1, config.phi2, config.t)
-    return GaussianState(np.zeros(4), cov)
+    return GaussianState(cov)
 
 
-def displace(state: GaussianState, theta: ChannelParams) -> GaussianState:
-    """Displacement channel on mode 1: shifts (X1, Y1) means by (theta_x, theta_y)."""
-    if state.n_modes < 1:
-        raise ValueError("state must have at least one mode")
-    shift = np.zeros_like(state.mean)
-    shift[0] = theta.theta_x
-    shift[1] = theta.theta_y
-    return GaussianState(state.mean + shift, state.cov)
+def probe_factors(config: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Passive optics ``O`` and input variances ``lam`` with probe covariance ``O diag(lam) O^T``.
+
+    A pure state is passive optics on squeezed vacua (Weedbrook et al., RMP 84,
+    621 (2012)): ``O`` is the beam splitter times ``R(phi1)`` and ``R(phi2)`` on
+    the diagonal (``R(phi1)`` alone for one mode), ``lam = (e^{-2r1}, e^{2r1},
+    e^{-2r2}, e^{2r2})``.  A quadrature variance ``sum_k (d O)_k^2 lam_k`` then
+    sums nonnegative terms, where ``d cov d^T`` cancels entries of size e^{2r}.
+    """
+    n = config.n_modes
+    lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2)[:n] for sign in (-1.0, 1.0)])
+    if n == 1:
+        return _rotation_block(config.phi1), lam
+    a, b = math.sqrt(config.t), math.sqrt(1.0 - config.t)
+    rot1, rot2 = _rotation_block(config.phi1), _rotation_block(config.phi2)
+    o = np.empty((4, 4))
+    o[:2, :2], o[:2, 2:] = a * rot1, b * rot2
+    o[2:, :2], o[2:, 2:] = -b * rot1, a * rot2
+    return o, lam

@@ -166,14 +166,14 @@ def _sample(sweep: _Sweep, ic: int, j: int) -> RegionSample:
     )
 
 
-def _binned_envelope(sweep: _Sweep, r2: float, bins: int = ENVELOPE_BINS) -> list[RegionSample]:
+def _binned_envelope(sweep: _Sweep, r2: float) -> list[RegionSample]:
     """The lowest v_y of a sweep's tangency points in each logarithmic v_x bin."""
     lo = math.exp(-2.0 * r2) * 1.001
     hi = 10.0 * math.exp(2.0 * r2)
     v_x, v_y = sweep.v_x, sweep.v_y
     ic, j = np.nonzero(np.isfinite(v_x) & np.isfinite(v_y) & (v_x >= lo) & (v_x <= hi))
-    edges = np.geomspace(lo, hi, bins + 1)
-    bin_of = np.clip(np.searchsorted(edges, v_x[ic, j], side="right") - 1, 0, bins - 1)
+    edges = np.geomspace(lo, hi, ENVELOPE_BINS + 1)
+    bin_of = np.clip(np.searchsorted(edges, v_x[ic, j], side="right") - 1, 0, ENVELOPE_BINS - 1)
     # Sort by (bin, v_y); the first entry of each bin is its lowest point.
     order = np.lexsort((v_y[ic, j], bin_of))
     _, first = np.unique(bin_of[order], return_index=True)
@@ -195,7 +195,6 @@ def envelope(
     t_grid,
     phi_grid,
     w_grid,
-    bins: int = ENVELOPE_BINS,
     sweep_phi2: bool = False,
 ) -> list[RegionSample]:
     """Pointwise-minimum envelope over probe configurations at binned v_x.
@@ -206,7 +205,7 @@ def envelope(
     the lowest v_y in each logarithmic v_x bin.  The result dominates the
     analytic envelope and approaches it as the grids refine.
     """
-    return _binned_envelope(_config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2), r2, bins)
+    return _binned_envelope(_config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2), r2)
 
 
 def envelope_support_points(

@@ -14,16 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gaussian import (
-    ChannelParams,
-    GaussianState,
-    ProbeConfig,
-    SymplecticTransform,
-    apply,
-    beam_splitter,
-    build_probe,
-    displace,
-)
+from .gaussian import ChannelParams, ProbeConfig, SymplecticTransform, beam_splitter, probe_factors
 from .holevo import DualCoefficients, Weights
 
 _SAMPLE_CHUNK = 1 << 16
@@ -73,14 +64,33 @@ class MeasurementScheme:
         return self.estimator @ dirs[:, :2]
 
     def check_unbiased(self, tol: float = 1e-9) -> None:
+        """Raise unless the response is the identity within ``tol * max(1, max|estimator|)``."""
         defect = np.max(np.abs(self.response_matrix() - np.eye(2)))
-        if defect > tol:
+        if not defect <= tol * max(1.0, float(np.max(np.abs(self.estimator)))):  # NaN fails
             raise ValueError(f"estimator is not locally unbiased (defect {defect:.3e})")
 
-    def predicted_variances(self, probe_cov: np.ndarray) -> tuple[float, float]:
-        """Exact estimator variances for a probe covariance matrix."""
+    def outcome_moments(
+        self, probe: ProbeConfig, theta: ChannelParams
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and covariance of the joint homodyne outcomes on the displaced probe.
+
+        The displacement shifts only the mode-1 means.  The covariance is
+        ``M diag(lam) M^T`` with ``M = dirs O`` (probe_factors), exact for all
+        r <= 20.  Products are summed elementwise: a BLAS matmul's fused
+        multiply-adds leave residue where the transform undoes the probe's
+        beam splitter, and times e^{2r} that residue swamps e^{-2r}.
+        """
+        if probe.n_modes != self.transform.n_modes:
+            raise ValueError("scheme and probe mode counts differ")
         dirs = self.measured_directions()
-        outcome_cov = dirs @ np.asarray(probe_cov, dtype=float) @ dirs.T
+        o, lam = probe_factors(probe)
+        m = (dirs[:, :, None] * o).sum(axis=1)
+        cov = (m[:, None, :] * m[None, :, :] * lam).sum(axis=2)
+        return dirs[:, :2] @ (theta.theta_x, theta.theta_y), cov
+
+    def predicted_variances(self, probe: ProbeConfig) -> tuple[float, float]:
+        """Exact estimator variances on a probe."""
+        _, outcome_cov = self.outcome_moments(probe, ChannelParams())
         est_cov = self.estimator @ outcome_cov @ self.estimator.T
         return float(est_cov[0, 0]), float(est_cov[1, 1])
 
@@ -279,18 +289,6 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
     return scheme
 
 
-def _homodyne_moments(state: GaussianState, angles) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance of the joint homodyne outcomes."""
-    n = state.n_modes
-    if len(angles) != n:
-        raise ValueError(f"need one angle per mode, got {len(angles)} for {n} modes")
-    proj = np.zeros((n, 2 * n))
-    for k, alpha in enumerate(angles):
-        proj[k, 2 * k] = math.cos(alpha)
-        proj[k, 2 * k + 1] = math.sin(alpha)
-    return proj @ state.mean, proj @ state.cov @ proj.T
-
-
 def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
     # Streaming (count, mean, sum of squared deviations) merge; associative,
     # so chunked accumulation is deterministic for a fixed chunk layout.
@@ -310,17 +308,13 @@ def run_scheme(
 ) -> SimulationReport:
     """Simulate a scheme end to end and report empirical estimator statistics.
 
-    The probe is built, displaced on mode 1, passed through the disentangling
-    transform, and sampled in fixed-size chunks whose substreams are derived
-    from (seed, chunk index); results are bit-reproducible for a given seed.
+    The homodyne outcomes of the displaced probe (outcome_moments) are
+    sampled in fixed-size chunks whose substreams are derived from
+    (seed, chunk index); results are bit-reproducible for a given seed.
     """
     if shots < 100:
         raise ValueError(f"shots must be at least 100, got {shots}")
-    state = displace(build_probe(probe), theta)
-    if state.n_modes != scheme.transform.n_modes:
-        raise ValueError("scheme and probe mode counts differ")
-    measured = apply(scheme.transform, state)
-    mean, cov = _homodyne_moments(measured, scheme.angles)
+    mean, cov = scheme.outcome_moments(probe, theta)
     chol = np.linalg.cholesky(cov)
     k_mat = scheme.estimator
 
@@ -341,7 +335,7 @@ def run_scheme(
     var = acc_m2 / (count - 1)
     se_mean = np.sqrt(var / count)
     se_var = var * math.sqrt(2.0 / (count - 1))
-    pred_x, pred_y = scheme.predicted_variances(state.cov)  # displacement keeps cov
+    pred_x, pred_y = scheme.predicted_variances(probe)
     return SimulationReport(
         shots=count,
         seed=seed,

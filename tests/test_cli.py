@@ -140,6 +140,31 @@ def test_simulate_example1(capsys):
     assert record["within_5_se"]
 
 
+def test_simulate_at_large_squeezing(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--scheme", "balanced", "--r", "10", "--shots", "200000", "--seed", "1"
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["predicted_v_x"] == pytest.approx(2.0 * math.exp(-20.0), rel=1e-13)
+    assert record["within_5_se"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--phi1", "nan"), "phi1"),
+        (("bound", "--modes", "1", "--r", "0.3", "--phi", "inf"), "phi1"),
+        (("simulate", "--scheme", "balanced", "--r", "0.3", "--theta", "nan,0"), "theta_x"),
+        (("simulate", "--scheme", "example1", "--r2", "0.3", "--phi2", "nan"), "phi2"),
+    ],
+)
+def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and f"{field} must be finite" in err
+
+
 def test_simulate_shot_floor(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--scheme", "balanced", "--r", "0.693", "--shots", "10"

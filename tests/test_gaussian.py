@@ -8,12 +8,11 @@ from qbound.gaussian import (
     GaussianState,
     ProbeConfig,
     SymplecticTransform,
-    apply,
     beam_splitter,
     build_probe,
-    displace,
     make_squeezed,
     probe_covariances,
+    probe_factors,
     rotation,
     squeezing_db_to_r,
     symplectic_form,
@@ -33,7 +32,7 @@ def test_symplectic_form_properties():
 def test_make_squeezed_vacuum():
     state = make_squeezed(0.0, 1.3)
     assert np.allclose(state.cov, np.eye(2))
-    assert np.array_equal(state.mean, np.zeros(2))
+    assert state.n_modes == 1
 
 
 def test_make_squeezed_axis_aligned():
@@ -78,17 +77,18 @@ def test_rotation_bad_mode_index():
 
 def test_beam_splitter_identity_and_vacuum():
     assert np.allclose(beam_splitter(1.0).matrix, np.eye(4))
-    out = apply(beam_splitter(0.5), GaussianState(np.zeros(4), np.eye(4)))
-    assert np.allclose(out.cov, np.eye(4))
+    s = beam_splitter(0.5).matrix
+    assert np.allclose(s @ s.T, np.eye(4))
 
 
 def test_beam_splitter_balanced_orthogonal_squeezers():
     r = 0.7
     e_m, e_p = math.exp(-2.0 * r), math.exp(2.0 * r)
-    out = apply(beam_splitter(0.5), GaussianState(np.zeros(4), np.diag([e_m, e_p, e_p, e_m])))
+    s = beam_splitter(0.5).matrix
+    out = s @ np.diag([e_m, e_p, e_p, e_m]) @ s.T
     ch = math.cosh(2.0 * r)
-    assert np.allclose(out.cov[:2, :2], ch * np.eye(2), atol=1e-12)
-    assert np.allclose(out.cov[2:, 2:], ch * np.eye(2), atol=1e-12)
+    assert np.allclose(out[:2, :2], ch * np.eye(2), atol=1e-12)
+    assert np.allclose(out[2:, 2:], ch * np.eye(2), atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [-0.01, 1.01])
@@ -97,24 +97,19 @@ def test_beam_splitter_range(bad):
         beam_splitter(bad)
 
 
-def test_apply_identity_and_rotation():
-    state = make_squeezed(R_3DB, 0.0)
-    same = apply(rotation(0.0), state)
-    assert np.allclose(same.cov, state.cov)
-    rotated = apply(rotation(math.pi / 2.0), state)
-    assert np.allclose(rotated.cov, np.diag([2.0, 0.5]), atol=1e-15)
-
-
-def test_apply_beam_splitter_matches_direct_matrix_product():
+def test_probe_covariance_and_factors_match_direct_matrix_product():
     # Independent oracle over the whole r <= 20 contract: build the 4x4
     # beam-splitter matrix and the rotated squeezed inputs by hand and carry
-    # out the congruence entry by entry.
+    # out the congruence entry by entry.  Both the assembled covariance and
+    # the passive-optics factors O diag(lam) O^T must reproduce it.
     rng = np.random.default_rng(17)
     for _ in range(200):
         r1, r2 = np.sort(rng.uniform(0.0, 20.0, 2))
         phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, 2)
         t = rng.uniform(0.0, 1.0)
-        got = build_probe(ProbeConfig(r1=r1, r2=r2, phi1=phi1, phi2=phi2, t=t)).cov
+        config = ProbeConfig(r1=r1, r2=r2, phi1=phi1, phi2=phi2, t=t)
+        got = build_probe(config).cov
+        o, lam = probe_factors(config)
         a, b = math.sqrt(t), math.sqrt(1.0 - t)
         s = [[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]]
         sigma_in = np.zeros((4, 4))
@@ -129,17 +124,15 @@ def test_apply_beam_splitter_matches_direct_matrix_product():
         ])
         assert np.array_equal(got, got.T)
         assert np.max(np.abs(got - expected)) <= 2e-15 * np.max(np.abs(expected))
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply(beam_splitter(0.5), GaussianState(np.zeros(2), np.eye(2)))
+        assert np.max(np.abs(o @ o.T - np.eye(4))) <= 1e-15
+        factored = o @ np.diag(lam) @ o.T
+        assert np.max(np.abs(factored - expected)) <= 2e-15 * np.max(np.abs(expected))
 
 
 def test_build_probe_vacuum():
     probe = build_probe(ProbeConfig(r1=0.0, r2=0.0, phi1=0.3, phi2=1.2, t=0.7))
     assert np.allclose(probe.cov, np.eye(4))
-    assert np.array_equal(probe.mean, np.zeros(4))
+    assert probe.n_modes == 2
 
 
 def test_build_probe_mode_one_marginals():
@@ -171,27 +164,6 @@ def test_build_probe_is_pure():
         omega = symplectic_form(2)
         nus = np.abs(np.linalg.eigvals(1j * omega @ probe.cov))
         assert np.max(np.abs(nus - 1.0)) < 1e-9
-
-
-def test_displace_examples():
-    vacuum = GaussianState(np.zeros(2), np.eye(2))
-    state = displace(vacuum, ChannelParams(0.0, 0.0))
-    assert np.array_equal(state.mean, np.zeros(2))
-    state = displace(vacuum, ChannelParams(0.3, -0.1))
-    assert np.allclose(state.mean, [0.3, -0.1])
-    assert np.allclose(state.cov, np.eye(2))
-    probe = displace(build_probe(ProbeConfig(r1=0.1, r2=0.4, t=0.5)), ChannelParams(1.0, 2.0))
-    assert np.allclose(probe.mean, [1.0, 2.0, 0.0, 0.0])
-
-
-def test_displace_commutes_with_passive_on_other_mode():
-    theta = ChannelParams(0.7, -0.2)
-    passive = rotation(1.1, n_modes=2, target_mode=1)
-    state = build_probe(ProbeConfig(r1=0.2, r2=0.9, phi1=0.3, phi2=1.0, t=0.6))
-    one = displace(apply(passive, state), theta)
-    other = apply(passive, displace(state, theta))
-    assert np.allclose(one.mean, other.mean, atol=1e-14)
-    assert np.allclose(one.cov, other.cov, atol=1e-14)
 
 
 def test_validate_vacuum_and_unphysical():
@@ -233,6 +205,10 @@ def test_probe_config_validation():
         ProbeConfig(r1=-0.1, r2=0.2)
     with pytest.raises(ValueError):
         ProbeConfig(r1=0.1, r2=0.2, n_modes=3)
+    with pytest.raises(ValueError, match="phi2"):
+        ProbeConfig(r1=0.1, r2=0.2, phi2=math.nan)
+    with pytest.raises(ValueError, match="theta_y"):
+        ChannelParams(0.0, math.inf)
 
 
 def test_db_conversion_round_trip():
@@ -245,7 +221,7 @@ def test_db_conversion_round_trip():
 def test_state_rejects_asymmetric_cov():
     cov = np.array([[1.0, 1e-6], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        GaussianState(np.zeros(2), cov)
+        GaussianState(cov)
 
 
 def test_structural_checks_are_relative():
@@ -255,10 +231,10 @@ def test_structural_checks_are_relative():
         cov = make_squeezed(r, 0.3).cov.copy()
         scale = np.max(np.abs(cov))
         cov[0, 1] += 4.0 * np.finfo(float).eps * scale
-        GaussianState(np.zeros(2), cov)
+        GaussianState(cov)
         cov[0, 1] += 1e-6 * scale
         with pytest.raises(ValueError):
-            GaussianState(np.zeros(2), cov)
+            GaussianState(cov)
         squeeze = np.diag([math.exp(-r), math.exp(r)]) @ rotation(0.3).matrix
         SymplecticTransform(squeeze)
         broken = squeeze.copy()

@@ -340,7 +340,7 @@ def test_extract_measurement_balanced():
     assert cert.certified
     # one X-type and one Y-type homodyne on distinct modes
     assert sorted(cert.scheme.angles) == pytest.approx([0.0, math.pi / 2], abs=1e-9)
-    v_x, v_y = cert.scheme.predicted_variances(cov)
+    v_x, v_y = cert.scheme.predicted_variances(probe)
     assert v_x + v_y == pytest.approx(res.f_hcr, rel=1e-9)
 
 
@@ -358,7 +358,7 @@ def test_extract_measurement_random_commuting_optima():
         cert = extract_measurement(res, cov)
         if not cert.certified:
             continue
-        v_x, v_y = cert.scheme.predicted_variances(cov)
+        v_x, v_y = cert.scheme.predicted_variances(probe)
         weighted = w.w_x * v_x + w.w_y * v_y
         assert weighted == pytest.approx(res.f_hcr, rel=1e-6)
         assert abs(cert.scheme.angles[0] - cert.scheme.angles[1]) > 1e-6
@@ -379,7 +379,7 @@ def test_extract_measurement_example1_angles():
         assert angles == pytest.approx(
             sorted([phi2 % math.pi, (phi2 + math.pi / 2) % math.pi]), abs=1e-7
         )
-        v_x, v_y = cert.scheme.predicted_variances(cov)
+        v_x, v_y = cert.scheme.predicted_variances(probe)
         assert v_x + v_y == pytest.approx(res.f_hcr, rel=1e-9)
 
 

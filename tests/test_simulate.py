@@ -1,18 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qbound import closed_forms as cf
-from qbound.gaussian import ChannelParams, ProbeConfig, apply, build_probe, displace
+from qbound.gaussian import ChannelParams, ProbeConfig, build_probe
 from qbound.holevo import DualCoefficients, Weights, solve
-from qbound.simulate import (
-    _homodyne_moments,
-    build_scheme,
-    compare_to_bound,
-    run_scheme,
-    scheme_from_duals,
-)
+from qbound.simulate import build_scheme, compare_to_bound, run_scheme, scheme_from_duals
 
 R_6DB = 0.5 * math.log(4.0)
 
@@ -24,8 +19,7 @@ def test_homodyne_moments_match_stated_measurement_statistics():
     for phi2 in (0.0, 0.4, 1.2):
         scheme = build_scheme("example1", r2=r2, t=t, phi2=phi2)
         theta = ChannelParams(0.31, -0.12)
-        state = apply(scheme.transform, displace(build_probe(scheme.probe), theta))
-        mean, cov = _homodyne_moments(state, scheme.angles)
+        mean, cov = scheme.outcome_moments(scheme.probe, theta)
         assert mean[0] == pytest.approx(
             math.sqrt(1 - t) * (theta.theta_y * math.cos(phi2) - theta.theta_x * math.sin(phi2)),
             abs=1e-12,
@@ -44,7 +38,7 @@ def test_build_scheme_example1_phi0():
     scheme = build_scheme("example1", r2=r2, t=t, phi2=0.0)
     # theta_x from the squeezed arm, theta_y from the vacuum arm
     assert np.allclose(scheme.estimator, [[0.0, 1.0 / math.sqrt(t)], [1.0 / math.sqrt(1 - t), 0.0]])
-    v_x, v_y = scheme.predicted_variances(build_probe(scheme.probe).cov)
+    v_x, v_y = scheme.predicted_variances(scheme.probe)
     assert v_x == pytest.approx(math.exp(-2 * r2) / t, rel=1e-12)
     assert v_y == pytest.approx(1.0 / (1 - t), rel=1e-12)
     scheme.check_unbiased()
@@ -55,7 +49,7 @@ def test_build_scheme_example1_general_angle():
     t = 1.0 / (1.0 + math.exp(r2))
     for phi2 in (0.3, 1.0):
         scheme = build_scheme("example1", r2=r2, t=t, phi2=phi2)
-        v_x, v_y = scheme.predicted_variances(build_probe(scheme.probe).cov)
+        v_x, v_y = scheme.predicted_variances(scheme.probe)
         scale = (1.0 + math.exp(r2)) * math.exp(-2 * r2)
         assert v_x == pytest.approx(
             scale * (math.cos(phi2) ** 2 + math.exp(r2) * math.sin(phi2) ** 2), rel=1e-12
@@ -70,7 +64,7 @@ def test_build_scheme_balanced():
     for w_x, w_y in ((1.0, 1.0), (1.0, 4.0)):
         t_star = math.sqrt(w_y) / (math.sqrt(w_x) + math.sqrt(w_y))
         scheme = build_scheme("balanced", r=r, t_star=t_star)
-        v_x, v_y = scheme.predicted_variances(build_probe(scheme.probe).cov)
+        v_x, v_y = scheme.predicted_variances(scheme.probe)
         assert v_x == pytest.approx(math.exp(-2 * r) / (1 - t_star), rel=1e-12)
         assert v_y == pytest.approx(math.exp(-2 * r) / t_star, rel=1e-12)
 
@@ -82,6 +76,21 @@ def test_build_scheme_guards():
         build_scheme("balanced", r=0.5, t_star=1.0)
     with pytest.raises(ValueError):
         build_scheme("nope")
+    scheme = build_scheme("balanced", r=0.5, t_star=0.5)
+    with pytest.raises(ValueError, match="mode counts"):
+        scheme.outcome_moments(ProbeConfig(r1=0.5, n_modes=1), ChannelParams())
+
+
+def test_check_unbiased_is_relative_and_rejects_nan():
+    # At the optimal t the example1 estimator has entries ~e^{r2/2}; its
+    # response defect is rounding relative to them.
+    r2 = 20.0
+    scheme = build_scheme("example1", r2=r2, t=1.0 / (1.0 + math.exp(r2)), phi2=0.0)
+    assert np.max(np.abs(scheme.estimator)) > 1e4
+    balanced = build_scheme("balanced", r=0.5, t_star=0.5)
+    for estimator in (balanced.estimator * (1.0 + 2e-9), np.full((2, 2), math.nan)):
+        with pytest.raises(ValueError, match="not locally unbiased"):
+            replace(balanced, estimator=estimator).check_unbiased()
 
 
 def test_run_scheme_balanced_hits_target():
@@ -92,18 +101,22 @@ def test_run_scheme_balanced_hits_target():
     assert report.predicted_v_x == pytest.approx(0.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("r", [5.0, 7.0])
+@pytest.mark.parametrize("r", [5.0, 7.0, 10.0, 15.0, 20.0])
 def test_run_scheme_at_large_squeezing_hits_the_closed_forms(r):
-    # Entries of size e^{2r} leave rounding-level asymmetry in the measured
-    # covariance; the relative structural checks accept it.
+    # The outcome covariance sums nonnegative terms of size e^{-2r} and
+    # e^{2r}, so the predicted variances stay exact over the whole r <= 20
+    # contract; example1 runs at its optimal t = 1/(1 + e^r).
     theta = ChannelParams(0.3, -0.1)
     t = 1.0 / (1.0 + math.exp(r))
     cases = (
         (build_scheme("balanced", r=r, t_star=0.3), (math.exp(-2 * r) / 0.7, math.exp(-2 * r) / 0.3)),
         (build_scheme("example1", r2=r, t=t, phi2=0.0), cf.example1_variances(t, r, favour="x")),
+        (build_scheme("example1", r2=r, t=t, phi2=math.pi / 2), cf.example1_variances(t, r)),
     )
     for k, (scheme, (want_x, want_y)) in enumerate(cases):
         report = run_scheme(scheme, scheme.probe, theta, 200_000, seed=31 + k)
+        assert report.predicted_v_x == pytest.approx(want_x, rel=1e-13)
+        assert report.predicted_v_y == pytest.approx(want_y, rel=1e-13)
         assert abs(report.var_x - want_x) <= 5.0 * report.se_var_x
         assert abs(report.var_y - want_y) <= 5.0 * report.se_var_y
 
