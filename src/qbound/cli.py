@@ -275,8 +275,6 @@ def _parse_theta(text: str) -> ChannelParams:
 def cmd_simulate(args) -> int:
     _apply_config_file(args)
     shots = args.shots if args.shots is not None else 1_000_000
-    if shots < 100:
-        raise ConfigError(f"shots must be at least 100, got {shots}")
     seed = args.seed if args.seed is not None else 0
     theta = _parse_theta(args.theta if args.theta is not None else "0.0,0.0")
 

@@ -10,6 +10,7 @@ bivariate normal with no truncation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -91,8 +92,13 @@ class MeasurementScheme:
     def predicted_variances(self, probe: ProbeConfig) -> tuple[float, float]:
         """Exact estimator variances on a probe."""
         _, outcome_cov = self.outcome_moments(probe, ChannelParams())
-        est_cov = self.estimator @ outcome_cov @ self.estimator.T
-        return float(est_cov[0, 0]), float(est_cov[1, 1])
+        var = _congruence_diag(self.estimator, outcome_cov)
+        return float(var[0]), float(var[1])
+
+
+def _congruence_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # diag(A B A^T), summed elementwise like outcome_moments.
+    return (a[:, :, None] * a[:, None, :] * b).sum(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -292,11 +298,25 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
 def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
     # Streaming (count, mean, sum of squared deviations) merge; associative,
     # so chunked accumulation is deterministic for a fixed chunk layout.
+    # run_scheme feeds it each chunk's sufficient statistics mapped to the
+    # estimates (mean L z_bar, squared deviations diag(L G L^T)), never the
+    # estimates themselves, and leaves out the constant K mean: a shift moves
+    # the mean and not m2, so it is added once after the last merge.
     n = n_a + n_b
     delta = mean_b - mean_a
     mean = mean_a + delta * (n_b / n)
     m2 = m2_a + m2_b + delta**2 * (n_a * n_b / n)
     return n, mean, m2
+
+
+def _checked_integer(name: str, value, minimum: int) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def run_scheme(
@@ -309,48 +329,67 @@ def run_scheme(
     """Simulate a scheme end to end and report empirical estimator statistics.
 
     The homodyne outcomes of the displaced probe (outcome_moments) are
-    sampled in fixed-size chunks whose substreams are derived from
-    (seed, chunk index); results are bit-reproducible for a given seed.
+    ``mean + chol z`` with z standard normal, drawn in fixed-size chunks whose
+    substreams are derived from (seed, chunk index); results are
+    bit-reproducible for a given seed.  The estimates ``K mean + L z`` with
+    ``L = K chol`` are affine in z, so each chunk is reduced to its
+    sufficient statistics: its count, the mean z_bar of its draws and their
+    2x2 centered Gram matrix G.  The chunk contributes mean ``L z_bar`` and
+    squared deviations ``diag(L G L^T)``; ``K mean`` is added once at the
+    end, so the displacement never meets noise of size e^{-r}.  Neither
+    outcomes nor estimates are materialized.  The reduction sums every
+    product elementwise rather than by BLAS, so a seeded report does not
+    depend on the BLAS thread count.
+
+    ``shots`` must be an integer >= 100 and ``seed`` a non-negative integer;
+    both are checked before any draw.
     """
-    if shots < 100:
-        raise ValueError(f"shots must be at least 100, got {shots}")
+    shots = _checked_integer("shots", shots, 100)
+    seed = _checked_integer("seed", seed, 0)
     mean, cov = scheme.outcome_moments(probe, theta)
     chol = np.linalg.cholesky(cov)
     k_mat = scheme.estimator
+    lower = (k_mat[:, :, None] * chol).sum(axis=1)
+    center = (k_mat * mean).sum(axis=1)
 
     count = 0
     acc_mean = np.zeros(2)
     acc_m2 = np.zeros(2)
     chunk_index = 0
+    draws = np.empty((mean.size, min(shots, _SAMPLE_CHUNK)))
     while count < shots:
         n_draw = min(_SAMPLE_CHUNK, shots - count)
         rng = np.random.default_rng([seed, chunk_index])
-        outcomes = mean + rng.standard_normal((n_draw, mean.size)) @ chol.T
-        estimates = outcomes @ k_mat.T
-        c_mean = estimates.mean(axis=0)
-        c_m2 = ((estimates - c_mean) ** 2).sum(axis=0)
+        z = draws[:, :n_draw]
+        z[...] = rng.standard_normal((n_draw, mean.size)).T
+        z_bar = z.mean(axis=1)
+        z -= z_bar[:, None]
+        gram = np.array([[(z_i * z_j).sum() for z_j in z] for z_i in z])
+        c_mean = (lower * z_bar).sum(axis=1)
+        c_m2 = _congruence_diag(lower, gram)
         count, acc_mean, acc_m2 = _merge_moments(count, acc_mean, acc_m2, n_draw, c_mean, c_m2)
         chunk_index += 1
 
+    est_mean = center + acc_mean
     var = acc_m2 / (count - 1)
     se_mean = np.sqrt(var / count)
     se_var = var * math.sqrt(2.0 / (count - 1))
-    pred_x, pred_y = scheme.predicted_variances(probe)
+    predicted = _congruence_diag(k_mat, cov)
     return SimulationReport(
         shots=count,
         seed=seed,
         theta_x=theta.theta_x,
         theta_y=theta.theta_y,
-        mean_x=float(acc_mean[0]),
-        mean_y=float(acc_mean[1]),
+        mean_x=float(est_mean[0]),
+        mean_y=float(est_mean[1]),
         var_x=float(var[0]),
         var_y=float(var[1]),
         se_mean_x=float(se_mean[0]),
         se_mean_y=float(se_mean[1]),
         se_var_x=float(se_var[0]),
         se_var_y=float(se_var[1]),
-        predicted_v_x=pred_x,
-        predicted_v_y=pred_y,
+        predicted_v_x=float(predicted[0]),
+        predicted_v_y=float(predicted[1]),
         kind=scheme.kind,
     )
 

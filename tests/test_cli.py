@@ -173,6 +173,24 @@ def test_simulate_shot_floor(capsys):
     assert "shots" in err
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (("--seed", "-1"), {}, "seed must be at least 0"),
+        ((), {"shots": 1e5}, "shots must be an integer"),
+        ((), {"seed": 0.5}, "seed must be an integer"),
+    ],
+)
+def test_simulate_rejects_bad_shots_and_seed_naming_the_field(capsys, tmp_path, argv, config, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(
+        capsys, "simulate", "--scheme", "balanced", "--r", "0.693", "--config", str(path), *argv
+    )
+    assert code == 2
+    assert out == "" and message in err
+
+
 def test_simulate_statistical_failure_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--scheme", "balanced", "--r", "0.693", "--shots", "100000",

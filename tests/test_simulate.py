@@ -1,13 +1,26 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbound
 from qbound import closed_forms as cf
 from qbound.gaussian import ChannelParams, ProbeConfig, build_probe
 from qbound.holevo import DualCoefficients, Weights, solve
-from qbound.simulate import build_scheme, compare_to_bound, run_scheme, scheme_from_duals
+from qbound.simulate import (
+    _SAMPLE_CHUNK,
+    MeasurementScheme,
+    build_scheme,
+    compare_to_bound,
+    run_scheme,
+    scheme_from_duals,
+)
 
 R_6DB = 0.5 * math.log(4.0)
 
@@ -156,6 +169,100 @@ def test_run_scheme_minimum_shots():
     scheme = build_scheme("balanced", r=0.4, t_star=0.5)
     with pytest.raises(ValueError):
         run_scheme(scheme, scheme.probe, ChannelParams(0, 0), 99, seed=0)
+
+
+@pytest.mark.parametrize(
+    "shots, seed, field",
+    [(1e5, 0, "shots"), (100.0, 0, "shots"), (100, -1, "seed"), (100, 1.5, "seed")],
+)
+def test_run_scheme_rejects_bad_shots_and_seed_before_drawing(monkeypatch, shots, seed, field):
+    scheme = build_scheme("balanced", r=0.4, t_star=0.5)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before validating")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=field):
+        run_scheme(scheme, scheme.probe, ChannelParams(0, 0), shots, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        build_scheme("balanced", r=20.0, t_star=0.3),
+        build_scheme("example1", r2=0.7, t=0.4, phi2=0.5),
+    ],
+    ids=["balanced", "example1"],
+)
+def test_run_scheme_forms_outcome_moments_once(monkeypatch, scheme):
+    calls = []
+    outcome_moments = MeasurementScheme.outcome_moments
+
+    def counting_outcome_moments(self, *args):
+        calls.append(args)
+        return outcome_moments(self, *args)
+
+    monkeypatch.setattr(MeasurementScheme, "outcome_moments", counting_outcome_moments)
+    report = run_scheme(scheme, scheme.probe, ChannelParams(0.3, -0.1), 1000, seed=2)
+    assert len(calls) == 1
+    assert (report.predicted_v_x, report.predicted_v_y) == scheme.predicted_variances(scheme.probe)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-16, reason="long double has no extended precision here"
+)
+@pytest.mark.parametrize("kind", ["balanced", "example1"])
+@pytest.mark.parametrize("r", [0.5, 10.0, 20.0])
+def test_run_scheme_matches_an_extended_precision_replay(kind, r):
+    # Replays run_scheme's draws (same chunk layout and substreams) and
+    # materializes outcomes and estimates in long double from the same
+    # float64 moments: what remains is run_scheme's own sampling arithmetic.
+    if kind == "balanced":
+        scheme = build_scheme("balanced", r=r, t_star=0.3)
+    else:
+        scheme = build_scheme("example1", r2=r, t=1.0 / (1.0 + math.exp(r)), phi2=0.0)
+    theta = ChannelParams(0.3, -0.1)
+    mean, cov = scheme.outcome_moments(scheme.probe, theta)
+    mean = mean.astype(np.longdouble)
+    chol = np.linalg.cholesky(cov).astype(np.longdouble)
+    k_mat = scheme.estimator.astype(np.longdouble)
+    for shots in (100, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 1):
+        report = run_scheme(scheme, scheme.probe, theta, shots, seed=11)
+        estimates = []
+        for k, start in enumerate(range(0, shots, _SAMPLE_CHUNK)):
+            n = min(_SAMPLE_CHUNK, shots - start)
+            z = np.random.default_rng([11, k]).standard_normal((n, 2)).astype(np.longdouble)
+            outcomes = mean + (z[:, None, :] * chol).sum(axis=2)
+            estimates.append((outcomes[:, None, :] * k_mat).sum(axis=2))
+        est = np.concatenate(estimates)
+        want_mean = est.mean(axis=0)
+        want_var = ((est - want_mean) ** 2).sum(axis=0) / (shots - 1)
+        got_var = np.array([report.var_x, report.var_y])
+        got_mean = np.array([report.mean_x, report.mean_y])
+        se_mean = np.array([report.se_mean_x, report.se_mean_y])
+        assert np.all(np.abs(got_var / want_var - 1.0) <= 1e-10), (shots, got_var, want_var)
+        assert np.all(np.abs(got_mean - want_mean) <= 1e-4 * se_mean), (shots, got_mean, want_mean)
+
+
+def test_seeded_report_does_not_depend_on_blas_threads():
+    code = (
+        "import json\n"
+        "from qbound.gaussian import ChannelParams\n"
+        "from qbound.simulate import build_scheme, run_scheme\n"
+        "s = build_scheme('example1', r2=0.7, t=0.4, phi2=0.5)\n"
+        "print(json.dumps(run_scheme(s, s.probe, ChannelParams(0.3, -0.1), 200_000, 5).to_dict()))\n"
+    )
+    src = str(Path(qbound.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        reports.append(json.loads(run.stdout))
+    assert reports[0] == reports[1]
+    assert reports[0]["shots"] == 200_000
 
 
 def test_compare_to_bound_optimal_and_suboptimal():
