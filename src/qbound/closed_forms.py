@@ -193,46 +193,63 @@ class Example2Params:
     residual: float
 
 
-def _quartic_roots(c3, c2, c1, c0) -> np.ndarray:
-    """Real parts of the roots of mu^4 + c3 mu^3 + c2 mu^2 + c1 mu + c0, per row.
+_NEWTON_MAX_STEPS = 64  # no root here needs more than seven
+_NEWTON_STEP_TOL = 1e-12
 
-    The coefficients are length-N arrays (scalars broadcast); the result is
-    (N, 4).  The roots are companion-matrix eigenvalues, each polished by one
-    Newton step, and a complex root contributes its real part.  Rows with a
-    non-finite coefficient get no roots (four zeros).  The solver's kink
-    quartic and the gamma quartic below both go through here.
+
+def _bracketed_newton(f_df, x, lo, hi, *args) -> np.ndarray:
+    """Root per row of a decreasing f with f(lo) >= 0 >= f(hi), by Newton steps from x.
+
+    ``f_df(x, *args)`` returns f and f' at x.  Each step narrows the bracket,
+    and a step that would leave it, or is not finite, is replaced by
+    bisection.  A row freezes once its step is at most _NEWTON_STEP_TOL of
+    its root (quadratic convergence then leaves it within a few ulps), so its
+    root does not depend on the batch it is in.  The solver's kink quartic
+    and the gamma quartic below both go through here.
     """
-    c3, c2, c1, c0 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (c3, c2, c1, c0)))
-    companion = np.zeros((c0.size, 4, 4))
-    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
-    companion[:, 0, 0], companion[:, 0, 1], companion[:, 0, 2], companion[:, 0, 3] = -c3, -c2, -c1, -c0
-    companion[~np.isfinite(companion).all(axis=(1, 2))] = 0.0
-    mu = np.linalg.eigvals(companion).real
-    c3, c2, c1, c0 = c3[:, None], c2[:, None], c1[:, None], c0[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = (((((mu + c3) * mu + c2) * mu + c1) * mu + c0)
-                / (((4.0 * mu + 3.0 * c3) * mu + 2.0 * c2) * mu + c1))
-    return np.where(np.isfinite(step), mu - step, mu)
+    x = np.array(x, dtype=float)
+    lo, hi = np.full_like(x, lo), np.full_like(x, hi)  # narrowed in place
+    moving = np.ones(x.shape, dtype=bool)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if not np.count_nonzero(moving):
+            break
+        f, df = f_df(x, *args)
+        above = f > 0.0
+        np.copyto(lo, x, where=above)
+        np.copyto(hi, x, where=~above)
+        new = x - f / df
+        outside = (new < lo) | (new > hi)
+        if np.count_nonzero(outside):
+            new[outside] = 0.5 * (lo[outside] + hi[outside])
+        np.copyto(new, x, where=~moving)
+        moving &= np.abs(new - x) > _NEWTON_STEP_TOL * new
+        x = new
+    return x
+
+
+def _neg_gamma_quartic(h, ratio, tanh2r):
+    """-Q(h) and -Q'(h) for the gamma quartic Q of _gamma_rows."""
+    return (ratio * (1.0 - tanh2r * h) - h * h * h * (h - tanh2r),
+            -(h * h * (4.0 * h - 3.0 * tanh2r) + ratio * tanh2r))
 
 
 def _gamma_rows(ratio, r) -> tuple[np.ndarray, np.ndarray]:
     """gamma and the absolute quartic residual for arrays of (ratio, r), unvalidated.
 
-    In h = 1/gamma the quartic is monic, h^4 - T h^3 + ratio T h - ratio = 0
-    with T = tanh(2r), and it covers ratio = 0 (h = T) and r = 0
-    (h = ratio^{1/4}) with no special case.  For ratio > 0 it has exactly one
-    positive root (it is negative on (0, T/2] and convex beyond), but a
-    complex pair can have a larger positive real part, so the root is the
-    positive candidate with the smallest relative residual.
+    In h = 1/gamma the quartic is monic, Q(h) = h^4 - T h^3 + ratio T h - ratio
+    with T = tanh(2r), and covers ratio = 0 (h = T) and r = 0 (h = ratio^{1/4})
+    with no special case.  Q(T) <= 0 and Q is convex beyond T/2, so Newton
+    steps descend monotonically to its one root above T from any upper bound.
+    The start is the least of T + ratio^{1/4}, max(ratio^{1/4}, 1) (Q(1) has
+    the sign of 1 - ratio) and one Newton step from T.
     """
     ratio = np.asarray(ratio, dtype=float)
     tanh2r = np.tanh(2.0 * np.asarray(r, dtype=float))
-    h = _quartic_roots(-tanh2r, 0.0, ratio * tanh2r, -ratio)
-    t, a = tanh2r[:, None], ratio[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(((h - t) * h * h + a * t) * h - a) / (((h + t) * h * h + a * t) * h + a)
-    h = h[np.arange(h.shape[0]), np.argmin(np.where(h > 0.0, rel, np.inf), axis=1)]
-    gamma = 1.0 / h
+    fourth = np.sqrt(np.sqrt(ratio))
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf or nan once T^3 underflows
+        from_t = tanh2r + ratio * ((1.0 - tanh2r) * (1.0 + tanh2r)) / (tanh2r * (tanh2r * tanh2r + ratio))
+    start = np.fmin(np.minimum(tanh2r + fourth, np.maximum(fourth, 1.0)), from_t)
+    gamma = 1.0 / _bracketed_newton(_neg_gamma_quartic, start, tanh2r, start, ratio, tanh2r)
     residual = np.abs(ratio * gamma**3 * (gamma - tanh2r) + gamma * tanh2r - 1.0)
     return gamma, residual
 

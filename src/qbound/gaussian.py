@@ -75,6 +75,14 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
+_OMEGA = {2 * n: _frozen_array(symplectic_form(n)) for n in (1, 2)}
+
+
+def _omega(dim: int) -> np.ndarray:
+    """Omega for a ``dim x dim`` quadrature map; the one- and two-mode forms are built once."""
+    return _OMEGA[dim] if dim in _OMEGA else symplectic_form(dim // 2)
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """A zero-mean Gaussian state; the displacement enters only the outcome means (simulate).
@@ -110,7 +118,7 @@ class SymplecticTransform:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0:
             raise ValueError(f"symplectic matrix must be square of even size, got {mat.shape}")
-        omega = symplectic_form(mat.shape[0] // 2)
+        omega = _omega(mat.shape[0])
         defect = np.max(np.abs(mat @ omega @ mat.T - omega))
         if not (defect <= SYMPLECTIC_TOL or defect <= SYMPLECTIC_TOL * np.max(np.abs(mat)) ** 2):
             raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
@@ -121,7 +129,7 @@ class SymplecticTransform:
         return self.matrix.shape[0] // 2
 
     def inverse(self) -> "SymplecticTransform":
-        omega = symplectic_form(self.n_modes)
+        omega = _omega(self.matrix.shape[0])
         # S^{-1} = -Omega S^T Omega for our convention (Omega^2 = -1).
         return SymplecticTransform(-omega @ self.matrix.T @ omega)
 
@@ -191,8 +199,9 @@ def beam_splitter(t: float) -> SymplecticTransform:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
     a, b = math.sqrt(t), math.sqrt(1.0 - t)
-    eye = np.eye(2)
-    mat = np.block([[a * eye, b * eye], [-b * eye, a * eye]])
+    eye, mat = np.eye(2), np.empty((4, 4))
+    mat[:2, :2] = mat[2:, 2:] = a * eye
+    mat[:2, 2:], mat[2:, :2] = b * eye, -b * eye
     return SymplecticTransform(mat)
 
 

@@ -24,8 +24,9 @@ off-diagonal block C, see _delta_minus_one):
 
 with a = w_x A_11 + w_y A_22.  Every term is nonnegative, so phi keeps its
 relative precision for all squeezing up to MAX_SQUEEZING_R.  batch_bound
-maximizes phi over mu in [0, 1] (one scalar-dual kernel) and solve() is one
-batch row.  The optimal duals follow in closed form from mu*, the tangency
+evaluates phi at its one maximizer mu* in [0, 1], a quartic root found per
+row by a bracketed Newton search (one scalar-dual kernel), and solve() is
+one batch row.  The optimal duals follow in closed form from mu*, the tangency
 point is the weight gradient of phi, and ``converged`` is the duality gap:
 the primal value h of the reported duals must match phi(mu*).
 """
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_forms import _quartic_roots
-from .gaussian import PURITY_TOL, GaussianState, symplectic_form
+from .closed_forms import _bracketed_newton
+from .gaussian import _OMEGA, PURITY_TOL, GaussianState
 
 __all__ = [
     "Weights",
@@ -120,8 +121,7 @@ class DualCoefficients:
 
     def commutator(self) -> float:
         """c_x' Omega c_y; the duals commute iff this vanishes."""
-        omega = symplectic_form(self.n_modes)
-        return float(self.c_x @ omega @ self.c_y)
+        return float(self.c_x @ _OMEGA[self.c_x.size] @ self.c_y)
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class BoundResult:
     v_x: float
     v_y: float
     converged: bool = True
-    iterations: int = 0  # always 0: the exact solver runs no iterative search
+    iterations: int = 0  # always 0, kept for the output format
 
 
 def _as_cov(cov) -> np.ndarray:
@@ -177,9 +177,9 @@ def _as_cov(cov) -> np.ndarray:
 # A row is certified when its relative duality gap is at most this.
 CERTIFICATE_TOL = 1e-9
 
-_OMEGA = {2: symplectic_form(1), 4: symplectic_form(2)}
 _EYE = {2: np.eye(2), 4: np.eye(4)}
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 _J_SIGNS = np.array([1.0, -1.0])
 
 
@@ -209,31 +209,40 @@ def _delta_minus_one(covs: np.ndarray) -> np.ndarray:
     return np.maximum(covs[:, 0, 3] * covs[:, 1, 2] - covs[:, 0, 2] * covs[:, 1, 3], 0.0)
 
 
-def _candidates(covs, w_x, w_y):
-    """Candidate multipliers mu per row and kappa(mu), phi(mu) at each: three (N, 6) arrays.
-
-    The candidates are the roots of P clipped to [0, 1] (a complex root
-    contributes its real part, a feasible if useless multiplier; none for one
-    mode), 0 and 1; rows with a zero weight keep only mu = 0.  The weights
-    are normalized.
-    """
-    n = w_x.size
-    d1 = _delta_minus_one(covs)
-    a = w_x * covs[:, 0, 0] + w_y * covs[:, 1, 1]
-    c = np.sqrt(w_x * w_y)
-    regular = c > 0.0
-    if covs.shape[-1] == 4:
-        roots = _quartic_roots(0.0, -(3.0 * d1 + 2.0), -(a / np.where(regular, c, 1.0)) * d1, d1 + 1.0)
-    else:  # delta = 1: phi increases on [0, 1], so mu = 1 wins
-        roots = np.empty((n, 0))
-    mu = np.clip(np.concatenate([roots, np.zeros((n, 1)), np.ones((n, 1))], axis=1), 0.0, 1.0)
-    # Degenerate weights leave a pure quadratic per dual: only mu = 0 counts.
-    mu = np.where(regular[:, None], mu, 0.0)
-    d1, a, c = d1[:, None], a[:, None], c[:, None]
+def _kink_f_df(mu, d1, k):
+    """P(mu) and P'(mu) of the kink quartic, P = (1 - mu^2)^2 - d1 (3 mu^2 + k mu - 1)."""
     s = (1.0 - mu) * (1.0 + mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.where(d1 + s > 0.0, s / (d1 + s), 1.0)  # -> 1 as mu -> 1 at delta = 1
-    return mu, kappa, kappa * (a + 2.0 * c * mu)
+    return s * s - d1 * ((3.0 * mu + k) * mu - 1.0), -(4.0 * mu * s + d1 * (6.0 * mu + k))
+
+
+def _multiplier(d1, a, c):
+    """The maximizer mu* of phi over [0, 1] per row, from delta - 1, a and c.
+
+    mu* is 1 at delta = 1 (one mode or a product probe), 0 for a zero weight
+    and otherwise the root of P, written (1 - mu^2)^2 - d1 g(mu) with
+    g = 3 mu^2 + k mu - 1 and k = a / c >= 2, so that nothing cancels near
+    mu = 1.  The larger of its delta -> infinity limit (g = 0) and its
+    delta -> 1 limit (1 - mu^2 = sqrt(d1 (k + 2)), as g <= k + 2) is a lower
+    bound L, and g(U) = (1 - L^2)^2 / d1 gives an upper bound U.  P is
+    concave below mu_i = sqrt(1/3 + d1/2) and convex above, so Newton steps
+    from max(L, min(mu_i, U)) move monotonically to the root.  The bracket
+    ends one ulp below 1, where kappa would vanish.
+    """
+    regular = c > 0.0
+    mu = regular.astype(float)
+    kink = regular & (d1 > 0.0)
+    d1, k = d1[kink], a[kink] / c[kink]
+    lower = np.maximum(_quadratic_root(1.0, k), np.sqrt(np.maximum(1.0 - np.sqrt(d1 * (k + 2.0)), 0.0)))
+    s = (1.0 - lower) * (1.0 + lower)
+    upper = _quadratic_root(1.0 + s * s / d1, k)
+    start = np.maximum(lower, np.minimum(np.sqrt(1.0 / 3.0 + 0.5 * d1), upper))
+    mu[kink] = _bracketed_newton(_kink_f_df, np.minimum(start, _BELOW_ONE), 0.0, _BELOW_ONE, d1, k)
+    return mu
+
+
+def _quadratic_root(e, k):
+    """The positive root of 3 mu^2 + k mu - e, written not to overflow for large k."""
+    return (2.0 * e / k) / (1.0 + np.sqrt(1.0 + (12.0 * e / k) / k))
 
 
 def _duality_gap(covs, w_x, w_y, mu, f):
@@ -284,9 +293,9 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
 
     ``covs`` may be one pure 2x2 or 4x4 covariance (broadcast) or an
     (N, 2, 2) or (N, 4, 4) stack; ``w_x`` and ``w_y`` are length-N vectors.
-    Each row is the largest phi over the candidates of _candidates; a 2x2
-    covariance is the delta = 1 row.  A non-pure or non-finite covariance
-    raises ValueError.  If ``info`` is a dict it receives per-row arrays:
+    Each row is phi at its maximizer mu* (_multiplier); a 2x2 covariance is
+    the delta = 1 row.  A non-pure or non-finite covariance raises
+    ValueError.  If ``info`` is a dict it receives per-row arrays:
     ``v_x`` and ``v_y`` (the tangency point), ``gap`` (the relative duality
     gap, certified by _certified), ``free`` (the optimal (a, b, c, d); empty
     for one mode), ``z`` (Re Z, (N, 2, 2)) and ``beta`` (Im Z_12).
@@ -305,14 +314,18 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     total = w_x + w_y
     w_x = w_x / total
     w_y = w_y / total
-    mu, kappa, phi = _candidates(covs, w_x, w_y)
-    rows = np.arange(n)
-    best = np.argmax(phi, axis=1)
-    f, mu, kappa = phi[rows, best], mu[rows, best], kappa[rows, best]
-    if info is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
+    d1 = _delta_minus_one(covs)
+    a = w_x * covs[:, 0, 0] + w_y * covs[:, 1, 1]
+    c = np.sqrt(w_x * w_y)
+    mu = _multiplier(d1, a, c)
+    s = (1.0 - mu) * (1.0 + mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(d1 + s > 0.0, s / (d1 + s), 1.0)  # -> 1 as mu -> 1 at delta = 1
+        if info is not None:
             info["v_x"] = np.where(w_x > 0.0, kappa * (covs[:, 0, 0] + np.sqrt(w_y / w_x) * mu), np.inf)
             info["v_y"] = np.where(w_y > 0.0, kappa * (covs[:, 1, 1] + np.sqrt(w_x / w_y) * mu), np.inf)
+    f = kappa * (a + 2.0 * c * mu)
+    if info is not None:
         info["gap"], info["free"], info["z"], info["beta"] = _duality_gap(covs, w_x, w_y, mu, f)
     return f * total
 
@@ -321,7 +334,7 @@ def solve(cov, weights: Weights) -> BoundResult:
     """Weighted dual-variance bound of one probe covariance: one batch_bound row.
 
     ``converged`` is the duality-gap certificate of the reported duals, and
-    ``iterations`` is always 0 because no iterative search runs.
+    ``iterations`` is always 0: the Newton steps of the kink root are not counted.
     """
     sigma = _as_cov(cov)
     info: dict = {}

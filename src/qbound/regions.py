@@ -78,10 +78,11 @@ def _chunked_batch_bound(cov_rows: np.ndarray, w_x: np.ndarray, w_y: np.ndarray)
 
     n = w_x.size
     threads = _n_threads()
-    # On 2 cores (best of 5, three repeats) two threads gain 1.3-2.0x from 4096
-    # rows up (saving 6-12 ms there), 1.1-1.45x at 1024, and break even near
-    # 768 rows.  The pool also raises peak RSS by ~3 MB per process, so it
-    # starts at 4096 rows rather than at the break-even.
+    # On 2 cores (best of 5, six repeats, pool start-up included) two threads
+    # break even near 4096 rows (0.76-1.18x there, slower below) and gain up
+    # to 1.2x at 6144, 1.5x at 8192 and 1.8x at 16384 rows, but only while the
+    # second core is idle: in half the repeats they stayed at 0.9-1.0x up to
+    # 16384 rows.  The pool also raises peak RSS by ~3 MB per process.
     if threads == 1 or n < 4096:
         return run((cov_rows, w_x, w_y))
     bounds = np.linspace(0, n, threads + 1, dtype=int)

@@ -49,7 +49,7 @@ def test_bound_degenerate_weight_special_case(capsys):
 def test_bound_exits_3_on_an_uncertified_near_product_probe(capsys):
     code, out, err = run_cli(
         capsys, "bound", "--modes", "2", "--r1", "0.5", "--r2", "1.5", "--phi1", "0",
-        "--phi2", "0.3", "--t", "1e-12", "--wx", "1", "--wy", "1",
+        "--phi2", "0.3", "--t", "1e-20", "--wx", "1", "--wy", "1",
     )
     assert code == 3
     assert out == "" and "did not converge" in err

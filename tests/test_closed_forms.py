@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,6 +189,30 @@ def test_gamma_quartic_residuals_and_uniqueness():
     gamma, residual = cf._gamma_rows(*np.array(rows).T)
     assert gamma.tolist() == [cf.gamma_quartic_root(*row).gamma for row in rows]
     assert residual.tolist() == [cf.gamma_quartic_root(*row).residual for row in rows]
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("r", [0.0, 1e-6, 20.0])
+def test_gamma_root_is_exact_to_a_few_ulps_at_extreme_rows(ratio, r, monkeypatch):
+    # The exact gamma quartic, with the same float tanh(2r), changes sign
+    # within 4 ulps of the returned root, and h = 1/gamma stays in its
+    # bracket (T/2, 1 + ratio^{1/4}] after at most seven Newton steps.
+    if ratio == 0.0 and r == 0.0:
+        return  # jointly degenerate, rejected by gamma_quartic_root
+    steps = []
+    quartic_f_df = cf._neg_gamma_quartic
+    monkeypatch.setattr(cf, "_neg_gamma_quartic", lambda *args: steps.append(1) or quartic_f_df(*args))
+    gamma = cf.gamma_quartic_root(ratio, r).gamma
+    assert 1 <= len(steps) <= 7
+    tanh2r = float(np.tanh(2.0 * r))
+    assert tanh2r / 2.0 < 1.0 / gamma <= 1.0 + ratio**0.25
+
+    def quartic(g):
+        g, a, t = Fraction(g), Fraction(ratio), Fraction(tanh2r)
+        return a * g**4 - a * t * g**3 + t * g - 1
+
+    ulps = 4.0 * np.spacing(gamma)
+    assert quartic(gamma - ulps) <= 0 <= quartic(gamma + ulps)
 
 
 def test_example2_parametric_balanced_point():

@@ -1,12 +1,13 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qbound import closed_forms as cf
-from qbound import holevo
+from qbound import holevo, regions
 from qbound.gaussian import ProbeConfig, build_probe, make_squeezed, probe_covariances, symplectic_form
 from qbound.holevo import (
     CERTIFICATE_TOL,
@@ -222,12 +223,12 @@ def test_near_product_probes_reach_the_attained_value(probe, w, attained):
     assert res.converged
 
 
-# Known limit: at min(t, 1-t) < 1e-8 the bound is exact, but the primal value
-# h of the duals, evaluated from the covariance, can lose more than
+# Known limit: below min(t, 1-t) ~ 1e-12 the bound is exact, but the primal
+# value h of the duals, evaluated from the covariance, can lose more than
 # CERTIFICATE_TOL to cancellation, and the certificate flags such rows
-# rather than passing them (this one by a gap of ~1e-7).  A factored gap
+# rather than passing them (this one by a gap of ~1e-8).  A factored gap
 # would certify this row; the test then changes.
-FLAGGED_NEAR_PRODUCT = (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-12), Weights(1.0, 1.0))
+FLAGGED_NEAR_PRODUCT = (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-20), Weights(1.0, 1.0))
 
 
 def test_unresolved_near_product_row_is_flagged():
@@ -268,26 +269,34 @@ def test_product_probes_certify_with_mode_one_duals():
 
 def test_certificate_rejects_mutated_kernels():
     # The certificate must pass the exact kernel's answer and fail three wrong
-    # kernels on every row: one that returns 0.0, one that takes the worst
-    # candidate multiplier, and one that scales the value by 1 - 1e-6.
+    # kernels on every row: one that returns 0.0, one that takes the end of
+    # the bracket [0, 1] that the root is not at as its multiplier, and one
+    # that scales the value by 1 - 1e-6.  The last 30 rows are product
+    # probes (t in {0, 1}), whose root is mu = 1, so the wrong end is 0.
     rng = np.random.default_rng(31)
     u = rng.uniform(size=(300, 5))
+    ratio = 10.0 ** rng.uniform(-4, 4, 300)
+    u = np.concatenate([u, rng.uniform(size=(30, 5))])
+    u[300:, 4] = np.round(u[300:, 4])
+    ratio = np.concatenate([ratio, 10.0 ** rng.uniform(-4, 4, 30)])
     r = np.sort(2.0 * u[:, :2], axis=1)
     covs = probe_covariances(r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
-    ratio = 10.0 ** rng.uniform(-4, 4, 300)
     w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
-    mu, _, phi = holevo._candidates(covs, w_x, w_y)
-    rows = np.arange(w_x.size)
-    best, worst = np.argmax(phi, axis=1), np.argmin(phi, axis=1)
-    mu_best, f_best = mu[rows, best], phi[rows, best]
+    d1, a, c = holevo._delta_minus_one(covs), w_x * covs[:, 0, 0] + w_y * covs[:, 1, 1], np.sqrt(w_x * w_y)
+    mu = holevo._multiplier(d1, a, c)
+    f = batch_bound(covs, w_x, w_y)
+    assert np.count_nonzero(mu == 1.0) == 30
+    # phi(0) = a / delta, and phi(1) = 0 once delta > 1.
+    wrong_mu = np.where(mu == 1.0, 0.0, 1.0)
+    wrong_f = np.where(mu == 1.0, a / (1.0 + d1), 0.0)
 
     def certified(mu_k, f_k):
         return holevo._certified(holevo._duality_gap(covs, w_x, w_y, mu_k, f_k)[0])
 
-    assert certified(mu_best, f_best).all()
-    assert not certified(mu_best, np.zeros_like(f_best)).any()
-    assert not certified(mu[rows, worst], phi[rows, worst]).any()
-    assert not certified(mu_best, (1.0 - 1e-6) * f_best).any()
+    assert certified(mu, f).all()
+    assert not certified(mu, np.zeros_like(f)).any()
+    assert not certified(wrong_mu, wrong_f).any()
+    assert not certified(mu, (1.0 - 1e-6) * f).any()
 
 
 def test_kernel_matches_closed_forms_for_all_squeezing():
@@ -324,6 +333,73 @@ def test_kernel_matches_closed_forms_for_all_squeezing():
     exact = np.array(exact)
     assert np.max(np.abs(rel[exact])) <= 1e-13
     assert np.min(rel[~exact]) >= -1e-13
+
+
+def test_a_row_does_not_depend_on_its_batch(monkeypatch):
+    # Value, tangency and gap of a row are bit-identical alone, inside a
+    # 10k-row batch, and split across one or two sweep threads: every row's
+    # root search stops on its own criterion.  Product probes and zero
+    # weights ride along.
+    rng = np.random.default_rng(43)
+    n = 10_000
+    u = rng.uniform(size=(n, 5))
+    u[:200, 4] = np.round(u[:200, 4])
+    r = np.sort(20.0 * u[:, :2] ** 3, axis=1)
+    covs = probe_covariances(r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
+    ratio = 10.0 ** rng.uniform(-4, 4, n)
+    w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+    w_x[200:300], w_y[300:400] = 0.0, 0.0
+
+    def rows(f, info):
+        return np.vstack([f, info["v_x"], info["v_y"], info["gap"]])
+
+    info = {}
+    batch = rows(batch_bound(covs, w_x, w_y, info), info)
+    for i in np.concatenate([np.arange(0, 400, 50), rng.choice(n, 1000, replace=False)]):
+        alone = {}
+        assert rows(batch_bound(covs[i], w_x[i], w_y[i], alone), alone).tobytes() == batch[:, i:i + 1].tobytes()
+
+    gaps = []
+
+    def recording(covs_k, w_x_k, w_y_k, info_k):
+        f = batch_bound(covs_k, w_x_k, w_y_k, info_k)
+        gaps.append((w_x_k.ctypes.data, info_k["gap"]))  # the address sorts chunks into row order
+        return f
+
+    monkeypatch.setattr(regions, "batch_bound", recording)
+    monkeypatch.setattr(regions.os, "cpu_count", lambda: 2)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QBOUND_THREADS", threads)
+        gaps.clear()
+        f, v_x, v_y, certified = regions._chunked_batch_bound(covs, w_x, w_y)
+        assert len(gaps) == int(threads)
+        gap = np.concatenate([g for _, g in sorted(gaps, key=lambda item: item[0])])
+        assert np.vstack([f, v_x, v_y, gap]).tobytes() == batch.tobytes()
+        assert np.array_equal(certified, holevo._certified(info["gap"]))
+
+
+def _exact_kink(mu, d1, k):
+    mu, d1, k = Fraction(mu), Fraction(d1), Fraction(k)
+    return (1 - mu * mu) ** 2 - d1 * (3 * mu * mu + k * mu - 1)
+
+
+@pytest.mark.parametrize("d1", [0.0, 1e-30, 1e-12, 1.0, 1e12, 1e34])
+@pytest.mark.parametrize("k", [2.0, 1e3, 1e8])
+def test_kink_root_is_exact_to_a_few_ulps_at_extreme_rows(d1, k, monkeypatch):
+    # The exact kink quartic changes sign within 4 ulps of the returned root,
+    # and the root stays in its bracket: (0, 1) for delta > 1, 1 at delta = 1.
+    # No row takes more than five Newton steps, and delta = 1 takes none.
+    steps = []
+    kink_f_df = holevo._kink_f_df
+    monkeypatch.setattr(holevo, "_kink_f_df", lambda *args: steps.append(1) or kink_f_df(*args))
+    mu = float(holevo._multiplier(np.array([d1]), np.array([k]), np.array([1.0]))[0])
+    assert len(steps) <= (0 if d1 == 0.0 else 5)
+    if d1 == 0.0:
+        assert mu == 1.0
+        return
+    assert 0.0 < mu < 1.0
+    ulps = 4.0 * np.spacing(mu)
+    assert _exact_kink(mu - ulps, d1, k) >= 0 >= _exact_kink(min(mu + ulps, 1.0), d1, k)
 
 
 def test_import_does_not_load_scipy():
