@@ -92,20 +92,28 @@ def _resolve_r(args, r_attr: str, db_attr: str, default: float | None = None) ->
     return default
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset options from a JSON config file; flags take precedence."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as handle:
+def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
+    """A JSON config file as ``--key=value`` tokens for the subcommand's parser.
+
+    Each key names an option of the subcommand.  A flag set to true becomes
+    ``--flag`` and one set to false nothing; every other value is parsed as
+    if typed on the command line, with the same type and choice checks.
+    """
+    with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
+    tokens = []
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if not hasattr(args, dest):  # also keeps argparse from expanding an abbreviation
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+        option = "--" + dest.replace("_", "-")
+        if isinstance(getattr(args, dest), bool) and isinstance(value, bool):
+            tokens += [option] if value else []
+        else:
+            tokens.append(f"{option}={value}")
+    return tokens
 
 
 def _weights(args) -> Weights:
@@ -123,7 +131,6 @@ def _weights(args) -> Weights:
 
 
 def cmd_bound(args) -> int:
-    _apply_config_file(args)
     weights = _weights(args)
     modes = args.modes if args.modes is not None else 2
 
@@ -218,9 +225,12 @@ def _sample_to_row(sample: regions.RegionSample) -> dict:
 
 
 def cmd_region(args) -> int:
-    _apply_config_file(args)
     modes = args.modes if args.modes is not None else 2
-    n_vx = args.vx_points if args.vx_points is not None else 200
+    for dest in ("vx_points", "t_points", "phi_points", "w_points"):
+        count = getattr(args, dest)
+        if count < 1:
+            raise ConfigError(f"--{dest.replace('_', '-')} must be at least 1, got {count}")
+    n_vx = args.vx_points
 
     rows: list[dict] = []
     if modes == 1:
@@ -243,9 +253,9 @@ def cmd_region(args) -> int:
                 _sample_to_row(s) for s in regions.closed_form_boundary(r1, r2, v_x_values)
             )
         if want_numeric:
-            t_grid = np.linspace(0.02, 0.98, args.t_points or 25)
-            phi_grid = np.linspace(0.0, math.pi / 2.0, args.phi_points or 13)
-            w_grid = np.geomspace(1e-2, 1e2, args.w_points or 25)
+            t_grid = np.linspace(0.02, 0.98, args.t_points)
+            phi_grid = np.linspace(0.0, math.pi / 2.0, args.phi_points)
+            w_grid = np.geomspace(1e-2, 1e2, args.w_points)
             rows.extend(
                 _sample_to_row(s)
                 for s in regions.envelope(r1, r2, t_grid, phi_grid, w_grid)
@@ -273,7 +283,6 @@ def _parse_theta(text: str) -> ChannelParams:
 
 
 def cmd_simulate(args) -> int:
-    _apply_config_file(args)
     shots = args.shots if args.shots is not None else 1_000_000
     seed = args.seed if args.seed is not None else 0
     theta = _parse_theta(args.theta if args.theta is not None else "0.0,0.0")
@@ -319,7 +328,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _apply_config_file(args)
     results = verify.run_verification(
         only=args.only,
         quick=bool(args.quick),
@@ -393,10 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db2", type=float)
     p.add_argument("--closed-form", action="store_true", help="emit analytic envelope rows")
     p.add_argument("--numeric", action="store_true", help="emit numeric envelope rows")
-    p.add_argument("--vx-points", type=int)
-    p.add_argument("--t-points", type=int)
-    p.add_argument("--phi-points", type=int)
-    p.add_argument("--w-points", type=int)
+    p.add_argument("--vx-points", type=int, default=200)
+    p.add_argument("--t-points", type=int, default=25)
+    p.add_argument("--phi-points", type=int, default=13)
+    p.add_argument("--w-points", type=int, default=25)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
     p.set_defaults(func=cmd_region)
@@ -433,8 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # File values go right after the subcommand, so explicit flags override them.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args.config, args) + argv[at:])
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")

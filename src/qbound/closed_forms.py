@@ -197,6 +197,7 @@ _NEWTON_MAX_STEPS = 64  # no root here needs more than seven
 _NEWTON_STEP_TOL = 1e-12
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # f / f' is 0 / 0 once both underflow
 def _bracketed_newton(f_df, x, lo, hi, *args) -> np.ndarray:
     """Root per row of a decreasing f with f(lo) >= 0 >= f(hi), by Newton steps from x.
 
@@ -218,7 +219,7 @@ def _bracketed_newton(f_df, x, lo, hi, *args) -> np.ndarray:
         np.copyto(lo, x, where=above)
         np.copyto(hi, x, where=~above)
         new = x - f / df
-        outside = (new < lo) | (new > hi)
+        outside = ~((new >= lo) & (new <= hi))  # true for nan
         if np.count_nonzero(outside):
             new[outside] = 0.5 * (lo[outside] + hi[outside])
         np.copyto(new, x, where=~moving)
@@ -250,7 +251,8 @@ def _gamma_rows(ratio, r) -> tuple[np.ndarray, np.ndarray]:
         from_t = tanh2r + ratio * ((1.0 - tanh2r) * (1.0 + tanh2r)) / (tanh2r * (tanh2r * tanh2r + ratio))
     start = np.fmin(np.minimum(tanh2r + fourth, np.maximum(fourth, 1.0)), from_t)
     gamma = 1.0 / _bracketed_newton(_neg_gamma_quartic, start, tanh2r, start, ratio, tanh2r)
-    residual = np.abs(ratio * gamma**3 * (gamma - tanh2r) + gamma * tanh2r - 1.0)
+    cubed = np.where(ratio > 0.0, gamma, 0.0) ** 3  # gamma^3 overflows only where ratio = 0
+    residual = np.abs(ratio * cubed * (gamma - tanh2r) + gamma * tanh2r - 1.0)
     return gamma, residual
 
 

@@ -11,9 +11,7 @@ probe configurations reconstructs the analytic sensitivity limit.
 from __future__ import annotations
 
 import math
-import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,44 +51,15 @@ class SqlFeasibility:
 
 
 def _n_threads() -> int:
-    """Sweep worker count: QBOUND_THREADS clamped to [1, cpu count], else min(4, cpus)."""
-    cpus = os.cpu_count() or 1
-    env = os.environ.get("QBOUND_THREADS", "")
-    if env.strip():
-        try:
-            return min(max(1, int(env)), cpus)
-        except ValueError:
-            raise ValueError(f"QBOUND_THREADS must be an integer, got {env!r}") from None
-    return min(4, cpus)
+    # Sweeps run serially; perfbench/run.py reads this for its provenance line.
+    return 1
 
 
-def _chunked_batch_bound(cov_rows: np.ndarray, w_x: np.ndarray, w_y: np.ndarray):
-    """batch_bound with tangency and certificate, split across threads.
-
-    Returns (f, v_x, v_y, certified) per row.  The chunk layout depends on
-    the worker count, but every row is computed independently of the others,
-    so the concatenated result does not.
-    """
-    def run(args):
-        info: dict = {}
-        f = batch_bound(*args, info)
-        return f, info["v_x"], info["v_y"], _certified(info["gap"])
-
-    n = w_x.size
-    threads = _n_threads()
-    # On 2 cores (best of 5, six repeats, pool start-up included) two threads
-    # break even near 4096 rows (0.76-1.18x there, slower below) and gain up
-    # to 1.2x at 6144, 1.5x at 8192 and 1.8x at 16384 rows, but only while the
-    # second core is idle: in half the repeats they stayed at 0.9-1.0x up to
-    # 16384 rows.  The pool also raises peak RSS by ~3 MB per process.
-    if threads == 1 or n < 4096:
-        return run((cov_rows, w_x, w_y))
-    bounds = np.linspace(0, n, threads + 1, dtype=int)
-    chunks = [(cov_rows if cov_rows.ndim == 2 else cov_rows[lo:hi], w_x[lo:hi], w_y[lo:hi])
-              for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run, chunks))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+def _solve_rows(cov_rows: np.ndarray, w_x: np.ndarray, w_y: np.ndarray):
+    """batch_bound with tangency and certificate: (f, v_x, v_y, certified) per row."""
+    info: dict = {}
+    f = batch_bound(cov_rows, w_x, w_y, info)
+    return f, info["v_x"], info["v_y"], _certified(info["gap"])
 
 
 def _ratio_weights(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +81,7 @@ def boundary_for_config(probe: ProbeConfig, w_ratios) -> list[RegionSample]:
     ratios = np.asarray(list(w_ratios), dtype=float)
     if ratios.size == 0:
         raise ValueError("w_ratios must be nonempty")
-    _, v_x, v_y, certified = _chunked_batch_bound(build_probe(probe).cov, *_ratio_weights(ratios))
+    _, v_x, v_y, certified = _solve_rows(build_probe(probe).cov, *_ratio_weights(ratios))
     order = np.argsort(v_x)
     samples: list[RegionSample] = []
     for i in order:
@@ -152,7 +121,7 @@ def _config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2) -> _Sweep:
         phi2 = phi1 + math.pi / 2.0
     covs = probe_covariances(r1, r2, phi1, phi2, t)
     w_x, w_y = _ratio_weights(ratios)
-    parts = _chunked_batch_bound(
+    parts = _solve_rows(
         np.repeat(covs, ratios.size, axis=0), np.tile(w_x, t.size), np.tile(w_y, t.size)
     )
     return _Sweep(t, phi1, ratios, *(part.reshape(t.size, ratios.size) for part in parts))

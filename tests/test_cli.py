@@ -9,7 +9,10 @@ from qbound.cli import main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected an argument
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -177,8 +180,8 @@ def test_simulate_shot_floor(capsys):
     "argv, config, message",
     [
         (("--seed", "-1"), {}, "seed must be at least 0"),
-        ((), {"shots": 1e5}, "shots must be an integer"),
-        ((), {"seed": 0.5}, "seed must be an integer"),
+        ((), {"shots": 1e5}, "argument --shots: invalid int value"),
+        ((), {"seed": 0.5}, "argument --seed: invalid int value"),
     ],
 )
 def test_simulate_rejects_bad_shots_and_seed_naming_the_field(capsys, tmp_path, argv, config, message):
@@ -238,6 +241,45 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert code == 0
     record = json.loads(out)
     assert record["weights"]["w_y"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "command, config, option",
+    [
+        ("bound", {"wx": [1]}, "--wx"),
+        ("verify", {"only": 3}, "--only"),
+        ("bound", {"modes": 3}, "--modes"),
+        ("region", {"numeric": 1}, "--numeric"),
+        ("region", {"t_points": 0}, "--t-points"),
+    ],
+)
+def test_config_values_are_parsed_like_flags(capsys, tmp_path, command, config, option):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 2
+    assert out == "" and option in err
+
+
+def test_config_flag_takes_effect_and_negatives_parse(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"numeric": True, "t-points": 2, "phi_points": 2, "w_points": 3,
+                                "r1": 0.3, "r2": 0.6, "closed_form": False}))
+    code, out, _ = run_cli(capsys, "region", "--config", str(path))
+    assert code == 0
+    sources = {row["source"] for row in csv.DictReader(io.StringIO(out))}
+    assert sources == {"numeric-solver"}
+    path.write_text(json.dumps({"modes": 1, "r": 0.4, "phi": -0.3}))
+    code, out, _ = run_cli(capsys, "bound", "--config", str(path))
+    assert code == 0
+    assert json.loads(out)["probe"]["phi1"] == -0.3
+
+
+@pytest.mark.parametrize("option", ["--vx-points", "--t-points", "--phi-points", "--w-points"])
+def test_region_rejects_empty_grids_naming_the_flag(capsys, option):
+    code, out, err = run_cli(capsys, "region", "--r1", "0.3", "--r2", "0.6", "--numeric", option, "0")
+    assert code == 2
+    assert out == "" and f"{option} must be at least 1" in err
 
 
 def test_atomic_out_file(capsys, tmp_path):

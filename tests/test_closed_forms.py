@@ -168,6 +168,10 @@ def test_gamma_quartic_degenerate_rows():
     assert flat.residual <= 1e-15
     weak = cf.gamma_quartic_root(0.0, 1e-6)
     assert weak.gamma == pytest.approx(1.0 / math.tanh(2e-6), rel=1e-15)
+    for r in (1e-110, 1e-200, 1e-300):  # T^3 underflows and gamma^3 overflows
+        tiny = cf.gamma_quartic_root(0.0, r)
+        assert tiny.gamma == pytest.approx(1.0 / math.tanh(2.0 * r), rel=1e-15)
+        assert tiny.residual <= 1e-15
     assert cf.gamma_quartic_root(1.0, R_6DB).gamma == pytest.approx(1.0, abs=1e-13)
     with pytest.raises(ValueError):
         cf.gamma_quartic_root(0.0, 0.0)

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -165,16 +164,12 @@ def _count_batch_rows(monkeypatch) -> list:
     return rows
 
 
-def test_threads_env_does_not_change_results(monkeypatch):
-    # 12 x 9 x 40 = 4320 rows, above the pool cutoff; two workers on any host
-    grids = (np.linspace(0.1, 0.9, 12), np.linspace(0.0, math.pi / 2, 9), np.geomspace(0.1, 10, 40))
+def test_default_region_grid_is_one_batch(monkeypatch):
+    # The CLI's default region grid: 25 t x 13 phi1 x 25 ratios in one call
     rows = _count_batch_rows(monkeypatch)
-    monkeypatch.setattr(regions.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("QBOUND_THREADS", "1")
-    one = regions.envelope(0.2, 0.7, *grids)
-    monkeypatch.setenv("QBOUND_THREADS", "2")
-    assert regions.envelope(0.2, 0.7, *grids) == one
-    assert rows == [4320, 2160, 2160]  # one serial call, then one per pool thread
+    grids = (np.linspace(0.02, 0.98, 25), np.linspace(0.0, math.pi / 2, 13), np.geomspace(1e-2, 1e2, 25))
+    assert regions.envelope(0.3, 0.7, *grids)
+    assert rows == [8125]
 
 
 def test_envelope_gap_check_solves_each_row_once(monkeypatch):
@@ -213,8 +208,3 @@ def test_single_mode_boundary_curve():
     for row in rows:
         v_a, v_b = cf.projected_variances(0.4, 0.0)
         assert (row.v_y - v_b) * (row.v_x - v_a) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_threads_env_is_clamped_to_the_cpu_count(monkeypatch):
-    monkeypatch.setenv("QBOUND_THREADS", str(10**9))
-    assert regions._n_threads() <= (os.cpu_count() or 1)
