@@ -33,10 +33,6 @@ EXIT_STAT_FAILED = 4
 REGION_CSV_FIELDS = ("v_x", "v_y", "segment", "source", "t", "phi1", "w_ratio")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -76,20 +72,15 @@ def _rows_to_csv(rows: list[dict], fields) -> str:
     return buffer.getvalue()
 
 
-def _resolve_r(args, r_attr: str, db_attr: str, default: float | None = None) -> float:
-    r = getattr(args, r_attr, None)
-    db = getattr(args, db_attr, None)
+def _resolve_r(args, r_attr: str, db_attr: str) -> float:
+    r, db = getattr(args, r_attr), getattr(args, db_attr)
     if r is not None and db is not None:
-        raise ConfigError(f"--{r_attr.replace('_', '-')} and --{db_attr.replace('_', '-')} "
-                          "cannot both be given")
+        raise ValueError(f"--{r_attr} and --{db_attr} cannot both be given")
     if db is not None:
         return squeezing_db_to_r(db)
-    if r is not None:
-        return float(r)
-    if default is None:
-        raise ConfigError(f"one of --{r_attr.replace('_', '-')} or "
-                          f"--{db_attr.replace('_', '-')} is required")
-    return default
+    if r is None:
+        raise ValueError(f"one of --{r_attr} or --{db_attr} is required")
+    return r
 
 
 def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
@@ -102,12 +93,12 @@ def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     tokens = []
     for key, value in data.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest):  # also keeps argparse from expanding an abbreviation
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         option = "--" + dest.replace("_", "-")
         if isinstance(getattr(args, dest), bool) and isinstance(value, bool):
             tokens += [option] if value else []
@@ -116,31 +107,19 @@ def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
     return tokens
 
 
-def _weights(args) -> Weights:
-    w_x = args.wx if args.wx is not None else 1.0
-    w_y = args.wy if args.wy is not None else 1.0
-    try:
-        return Weights(float(w_x), float(w_y))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------
 
 
 def cmd_bound(args) -> int:
-    weights = _weights(args)
-    modes = args.modes if args.modes is not None else 2
-
-    if modes == 1:
+    weights = Weights(args.wx, args.wy)
+    if args.modes == 1:
         r = _resolve_r(args, "r", "db")
-        phi = args.phi if args.phi is not None else 0.0
-        probe = ProbeConfig(r1=r, phi1=phi, n_modes=1)
+        probe = ProbeConfig(r1=r, phi1=args.phi, n_modes=1)
         crosscheck = {
             "name": "single-mode-line",
-            "value": closed_forms.single_mode_line(weights.w_x, weights.w_y, r, phi),
+            "value": closed_forms.single_mode_line(weights.w_x, weights.w_y, r, args.phi),
         }
     else:
         r1 = _resolve_r(args, "r1", "db1")
@@ -148,22 +127,17 @@ def cmd_bound(args) -> int:
         if args.auto_config:
             opt = closed_forms.optimal_config(weights.w_x, weights.w_y, r1, r2)
             if not 0.0 < opt.probe_t < 1.0:
-                raise ConfigError("degenerate weights have no two-mode auto configuration")
+                raise ValueError("degenerate weights have no two-mode auto configuration")
             probe = ProbeConfig(r1=r1, r2=r2, phi1=opt.phi1, phi2=opt.phi2, t=opt.probe_t)
             crosscheck = {
                 "name": "optimal-config-weighted-sum",
                 "value": weights.w_x * opt.v_x + weights.w_y * opt.v_y,
             }
         else:
-            phi1 = args.phi1 if args.phi1 is not None else 0.0
-            phi2 = args.phi2 if args.phi2 is not None else math.pi / 2.0
-            t = args.t if args.t is not None else 0.5
-            try:
-                probe = ProbeConfig(r1=r1, r2=r2, phi1=phi1, phi2=phi2, t=t)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            probe = ProbeConfig(r1=r1, r2=r2, phi1=args.phi1, phi2=args.phi2, t=args.t)
             crosscheck = None
-            if r1 == r2 and t == 0.5 and phi1 == 0.0 and abs(phi2 - math.pi / 2.0) < 1e-12:
+            if (r1 == r2 and args.t == 0.5 and args.phi1 == 0.0
+                    and abs(args.phi2 - math.pi / 2.0) < 1e-12):
                 if weights.w_x == 0.0 or weights.w_y == 0.0:
                     crosscheck = {
                         "name": "degenerate-weight-special-case",
@@ -212,55 +186,34 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sample_to_row(sample: regions.RegionSample) -> dict:
-    return {
-        "v_x": sample.v_x,
-        "v_y": sample.v_y,
-        "segment": sample.segment,
-        "source": sample.source,
-        "t": sample.t,
-        "phi1": sample.phi1,
-        "w_ratio": sample.w_ratio,
-    }
-
-
 def cmd_region(args) -> int:
-    modes = args.modes if args.modes is not None else 2
     for dest in ("vx_points", "t_points", "phi_points", "w_points"):
         count = getattr(args, dest)
         if count < 1:
-            raise ConfigError(f"--{dest.replace('_', '-')} must be at least 1, got {count}")
-    n_vx = args.vx_points
+            raise ValueError(f"--{dest.replace('_', '-')} must be at least 1, got {count}")
 
-    rows: list[dict] = []
-    if modes == 1:
+    samples: list[regions.RegionSample] = []
+    if args.modes == 1:
         r = _resolve_r(args, "r", "db")
-        phi = args.phi if args.phi is not None else 0.0
-        v_a, _ = closed_forms.projected_variances(r, phi)
-        v_x_values = np.geomspace(v_a * 1.01, v_a * 1.01 + 20.0, n_vx)
-        rows.extend(_sample_to_row(s) for s in regions.single_mode_boundary(r, phi, v_x_values))
+        v_a, _ = closed_forms.projected_variances(r, args.phi)
+        v_x_values = np.geomspace(v_a * 1.01, v_a * 1.01 + 20.0, args.vx_points)
+        samples += regions.single_mode_boundary(r, args.phi, v_x_values)
     else:
         r1 = _resolve_r(args, "r1", "db1")
         r2 = _resolve_r(args, "r2", "db2")
         if r1 > r2:
             r1, r2 = r2, r1
-        want_numeric = bool(args.numeric)
-        want_closed = bool(args.closed_form) or not want_numeric
-        if want_closed:
+        if args.closed_form or not args.numeric:
             floor = math.exp(-2.0 * r2)
-            v_x_values = np.geomspace(floor * 1.01, 10.0 * math.exp(2.0 * r2), n_vx)
-            rows.extend(
-                _sample_to_row(s) for s in regions.closed_form_boundary(r1, r2, v_x_values)
-            )
-        if want_numeric:
+            v_x_values = np.geomspace(floor * 1.01, 10.0 * math.exp(2.0 * r2), args.vx_points)
+            samples += regions.closed_form_boundary(r1, r2, v_x_values)
+        if args.numeric:
             t_grid = np.linspace(0.02, 0.98, args.t_points)
             phi_grid = np.linspace(0.0, math.pi / 2.0, args.phi_points)
             w_grid = np.geomspace(1e-2, 1e2, args.w_points)
-            rows.extend(
-                _sample_to_row(s)
-                for s in regions.envelope(r1, r2, t_grid, phi_grid, w_grid)
-            )
-    rows.sort(key=lambda row: row["v_x"])
+            samples += regions.envelope(r1, r2, t_grid, phi_grid, w_grid)
+    samples.sort(key=lambda sample: sample.v_x)
+    rows = [{field: getattr(s, field) for field in REGION_CSV_FIELDS} for s in samples]
     if args.format == "json":
         _emit(json.dumps(rows, indent=2), args.out)
     else:
@@ -278,38 +231,24 @@ def _parse_theta(text: str) -> ChannelParams:
         parts = [float(p) for p in text.split(",")]
         theta_x, theta_y = parts
     except (ValueError, TypeError):
-        raise ConfigError(f"--theta expects 'x,y', got {text!r}") from None
+        raise ValueError(f"--theta expects 'x,y', got {text!r}") from None
     return ChannelParams(theta_x, theta_y)
 
 
 def cmd_simulate(args) -> int:
-    shots = args.shots if args.shots is not None else 1_000_000
-    seed = args.seed if args.seed is not None else 0
-    theta = _parse_theta(args.theta if args.theta is not None else "0.0,0.0")
-
-    if args.scheme == "balanced":
-        r = _resolve_r(args, "r", "db")
-        if args.t is not None:
-            t_star = args.t
-        else:
-            weights = _weights(args)
-            t_star = math.sqrt(weights.w_y) / (math.sqrt(weights.w_x) + math.sqrt(weights.w_y))
-        try:
-            scheme = build_scheme("balanced", r=r, t_star=t_star)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    elif args.scheme == "example1":
+    theta = _parse_theta(args.theta)
+    if args.scheme == "example1":
         r2 = _resolve_r(args, "r2", "db2")
         t = args.t if args.t is not None else 0.5
-        phi2 = args.phi2 if args.phi2 is not None else 0.0
-        try:
-            scheme = build_scheme("example1", r2=r2, t=t, phi2=phi2)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        scheme = build_scheme("example1", r2=r2, t=t, phi2=args.phi2)
     else:
-        raise ConfigError(f"unknown scheme {args.scheme!r}")
+        r = _resolve_r(args, "r", "db")
+        if args.t is None:
+            scheme = build_scheme("balanced", r=r, weights=Weights(args.wx, args.wy))
+        else:
+            scheme = build_scheme("balanced", r=r, t_star=args.t)
 
-    report = run_scheme(scheme, scheme.probe, theta, shots, seed)
+    report = run_scheme(scheme, scheme.probe, theta, args.shots, args.seed)
     target_x = args.target_vx if args.target_vx is not None else report.predicted_v_x
     target_y = args.target_vy if args.target_vy is not None else report.predicted_v_y
     ok_x = abs(report.var_x - target_x) <= 5.0 * report.se_var_x
@@ -330,10 +269,10 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     results = verify.run_verification(
         only=args.only,
-        quick=bool(args.quick),
-        perturb_envelope=args.perturb_envelope or 0.0,
-        shots=args.shots if args.shots is not None else 1_000_000,
-        seed=args.seed if args.seed is not None else 20240816,
+        quick=args.quick,
+        perturb_envelope=args.perturb_envelope,
+        shots=args.shots,
+        seed=args.seed,
     )
     if not results:
         sys.stderr.write(f"no checks match --only {args.only!r}\n")
@@ -362,6 +301,26 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (written atomically); stdout if omitted")
 
 
+_FLOAT_HELP = {
+    "r": "squeezing parameter (or give --db)",
+    "db": "squeezing in dB (or give --r)",
+    "phi": "single-mode squeezing angle (rad)",
+    "t": "beam-splitter transmissivity",
+    "target-vx": "override the acceptance target for v_x",
+    "target-vy": "override the acceptance target for v_y",
+}
+
+
+def _add_floats(parser: argparse.ArgumentParser, *names: str, **defaults: float) -> None:
+    """Add a float option ``--name`` per name, defaulting to ``defaults[name]`` or None.
+
+    None means "not given": each ``--rN``/``--dbN`` pair accepts at most one.
+    """
+    for name in names:
+        parser.add_argument(f"--{name}", type=float, default=defaults.get(name),
+                            help=_FLOAT_HELP.get(name))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbound",
@@ -371,19 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="compute the weighted-variance bound for a probe")
-    p.add_argument("--modes", type=int, choices=(1, 2))
-    p.add_argument("--r", type=float, help="single-mode squeezing parameter")
-    p.add_argument("--db", type=float, help="single-mode squeezing in dB")
-    p.add_argument("--phi", type=float, help="single-mode squeezing angle (rad)")
-    p.add_argument("--r1", type=float)
-    p.add_argument("--r2", type=float)
-    p.add_argument("--db1", type=float)
-    p.add_argument("--db2", type=float)
-    p.add_argument("--phi1", type=float)
-    p.add_argument("--phi2", type=float)
-    p.add_argument("--t", type=float, help="beam-splitter transmissivity")
-    p.add_argument("--wx", type=float)
-    p.add_argument("--wy", type=float)
+    p.add_argument("--modes", type=int, choices=(1, 2), default=2)
+    _add_floats(p, "r", "db", "phi", "r1", "r2", "db1", "db2", "phi1", "phi2", "t", "wx", "wy",
+                phi=0.0, phi1=0.0, phi2=math.pi / 2.0, t=0.5, wx=1.0, wy=1.0)
     p.add_argument("--auto-config", action="store_true",
                    help="use the optimal rotations and mixing ratio for the weights")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -391,14 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("region", help="emit accessible-region boundary samples")
-    p.add_argument("--modes", type=int, choices=(1, 2))
-    p.add_argument("--r", type=float)
-    p.add_argument("--db", type=float)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--r1", type=float)
-    p.add_argument("--r2", type=float)
-    p.add_argument("--db1", type=float)
-    p.add_argument("--db2", type=float)
+    p.add_argument("--modes", type=int, choices=(1, 2), default=2)
+    _add_floats(p, "r", "db", "phi", "r1", "r2", "db1", "db2", phi=0.0)
     p.add_argument("--closed-form", action="store_true", help="emit analytic envelope rows")
     p.add_argument("--numeric", action="store_true", help="emit numeric envelope rows")
     p.add_argument("--vx-points", type=int, default=200)
@@ -411,29 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo run of a measurement scheme")
     p.add_argument("--scheme", choices=("balanced", "example1"), required=True)
-    p.add_argument("--r", type=float)
-    p.add_argument("--db", type=float)
-    p.add_argument("--r2", type=float)
-    p.add_argument("--db2", type=float)
-    p.add_argument("--phi2", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--wx", type=float)
-    p.add_argument("--wy", type=float)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--theta", help="displacement as 'x,y'")
-    p.add_argument("--target-vx", type=float, help="override the acceptance target for v_x")
-    p.add_argument("--target-vy", type=float, help="override the acceptance target for v_y")
+    # --t None: balanced derives t* from the weights, example1 uses 0.5.
+    _add_floats(p, "r", "db", "r2", "db2", "phi2", "t", "wx", "wy", phi2=0.0, wx=1.0, wy=1.0)
+    p.add_argument("--shots", type=int, default=1_000_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--theta", default="0.0,0.0", help="displacement as 'x,y'")
+    _add_floats(p, "target-vx", "target-vy")  # None: the scheme's predicted variances
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the cross-verification suite")
     p.add_argument("--only", help="run only checks whose name contains this substring")
     p.add_argument("--quick", action="store_true", help="reduced grids and shot counts")
-    p.add_argument("--perturb-envelope", type=float,
+    p.add_argument("--perturb-envelope", type=float, default=0.0,
                    help="fault-injection hook: scale the reference envelope")
-    p.add_argument("--shots", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--shots", type=int, default=verify.MC_SHOTS)
+    p.add_argument("--seed", type=int, default=verify.MC_SEED)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
     return parser
@@ -449,10 +385,7 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_tokens(args.config, args) + argv[at:])
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID_CONFIG
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_CONFIG
     except SolverConvergenceError as exc:

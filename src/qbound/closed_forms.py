@@ -142,6 +142,8 @@ def optimal_config(w_x: float, w_y: float, r1: float, r2: float, phi1: float = 0
     return the single-parameter limit (direct probing with the stronger
     squeezer).
     """
+    if not (math.isfinite(w_x) and math.isfinite(w_y)):
+        raise ValueError("weights must be finite")
     if w_x < 0.0 or w_y < 0.0 or w_x + w_y <= 0.0:
         raise ValueError("weights must be nonnegative and not both zero")
     r1, r2, swapped = _canonical_pair(r1, r2)

@@ -22,8 +22,10 @@ off-diagonal block C, see _delta_minus_one):
 
     phi(mu) = kappa(mu) (a + 2 c mu),  kappa = (1 - mu^2) / ((delta - 1) + (1 - mu^2)),
 
-with a = w_x A_11 + w_y A_22.  Every term is nonnegative, so phi keeps its
-relative precision for all squeezing up to MAX_SQUEEZING_R.  batch_bound
+with a = w_x A_11 + w_y A_22.  Every term is nonnegative, so phi adds no
+cancellation of its own: it is as precise as A_11, A_22 (exact to rounding)
+and delta - 1, which is accurate only for squeezing angles that are
+multiples of pi/2 or t in {0, 1} (see _delta_minus_one).  batch_bound
 evaluates phi at its one maximizer mu* in [0, 1], a quartic root found per
 row by a bracketed Newton search (one scalar-dual kernel), and solve() is
 one batch row.  The optimal duals follow in closed form from mu*, the tangency
@@ -201,8 +203,11 @@ def _delta_minus_one(covs: np.ndarray) -> np.ndarray:
 
     A pure two-mode state has det A + det B + 2 det C = 2 and det A = det B,
     with C the off-diagonal block, so det A - 1 = -det C >= 0.  That form
-    carries no cancellation against the 1 and is exactly 0 for a product
-    probe (t = 0 or 1), where det A - 1 from A loses ~e^{4r} ulps.
+    has no cancellation against the 1 and is exactly 0 for a product probe
+    (t = 0 or 1), where det A - 1 from A loses ~e^{4r} ulps.  Its own two
+    products, each of size ~e^{2(r1+r2)}, cancel unless both squeezing angles
+    are multiples of pi/2, so at general angles its conditioning degrades
+    like e^{2(r1+r2)}.
     """
     if covs.shape[-1] == 2:
         return np.zeros(covs.shape[0])

@@ -236,10 +236,8 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
     measured at phi2 + pi/2 (vacuum arm) and phi2 (squeezed arm).
 
     kind='balanced': two equally squeezed states (r) with orthogonal angles,
-    splitting ratio ``t_star``; X and Y homodyne on the two separated modes.
-
-    kind='general': delegate to scheme_from_duals (params: duals, cov,
-    weights), raising if no product certificate exists.
+    splitting ratio ``t_star`` (or the optimum for ``weights``, given instead);
+    X and Y homodyne on the two separated modes.
 
     The ``t``/``t_star`` values follow the optimal-variance formulas (e.g.
     balanced variances e^{-2r}/(1-t*) and e^{-2r}/t*); the attached
@@ -284,11 +282,6 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
             kind="balanced",
             probe=probe,
         )
-    elif kind == "general":
-        cert = scheme_from_duals(params["duals"], params["cov"], params["weights"])
-        if not cert.certified:
-            raise ValueError(cert.reason)
-        scheme = cert.scheme
     else:
         raise ValueError(f"unknown scheme kind {kind!r}")
     scheme.check_unbiased()

@@ -32,6 +32,11 @@ from .holevo import Weights, batch_bound, solve
 from .simulate import build_scheme, compare_to_bound, run_scheme
 
 
+# Monte-Carlo shot count and base seed of the two simulation checks.
+MC_SHOTS = 1_000_000
+MC_SEED = 20240816
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -221,8 +226,8 @@ def _mc_reports(shots: int, seed: int):
     return tuple(rows)
 
 
-def check_monte_carlo_achievability(quick: bool = False, shots: int = 1_000_000,
-                                    seed: int = 20240816) -> CheckResult:
+def check_monte_carlo_achievability(quick: bool = False, shots: int = MC_SHOTS,
+                                    seed: int = MC_SEED) -> CheckResult:
     """Empirical variances of the reference schemes hit their targets within 5 SE."""
     if quick:
         shots = min(shots, 200_000)
@@ -253,8 +258,8 @@ def check_monte_carlo_achievability(quick: bool = False, shots: int = 1_000_000,
     return CheckResult("monte-carlo-achievability", passed, detail)
 
 
-def check_no_bound_violation(quick: bool = False, shots: int = 1_000_000,
-                             seed: int = 20240816) -> CheckResult:
+def check_no_bound_violation(quick: bool = False, shots: int = MC_SHOTS,
+                             seed: int = MC_SEED) -> CheckResult:
     """No simulated scheme beats the bound for its own probe (5 SE margin)."""
     if quick:
         shots = min(shots, 200_000)
@@ -370,8 +375,8 @@ def run_verification(
     only: str | None = None,
     quick: bool = False,
     perturb_envelope: float = 0.0,
-    shots: int = 1_000_000,
-    seed: int = 20240816,
+    shots: int = MC_SHOTS,
+    seed: int = MC_SEED,
 ) -> list[CheckResult]:
     """Run the named cross-checks, optionally filtered by substring."""
     results = []

@@ -168,6 +168,26 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
     assert out == "" and f"{field} must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--t", "1.5"), "transmissivity must lie in [0, 1]"),
+        (("bound", "--r1", "0.7", "--r2", "0.3"), "canonical ordering"),
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--wx", "-1"), "weights must be >= 0"),
+        (("simulate", "--scheme", "balanced", "--r", "0.5", "--wx", "0", "--wy", "1"), "t_star = 1.0"),
+        (("simulate", "--scheme", "balanced", "--r", "0.5", "--t", "1"), "t_star = 1.0"),
+        (("simulate", "--scheme", "example1", "--r2", "0.5", "--t", "0"), "transmissivity t = 0.0"),
+        (("bound", "--modes", "1", "--db", "4000", "--wx", "1", "--wy", "1"),
+         "squeezing of 4000.0 dB is out of range"),
+        (("region", "--modes", "1", "--db", "-4000"), "squeezing of -4000.0 dB is out of range"),
+    ],
+)
+def test_library_errors_exit_2_with_the_library_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and message in err
+
+
 def test_simulate_shot_floor(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--scheme", "balanced", "--r", "0.693", "--shots", "10"

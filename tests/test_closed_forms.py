@@ -146,6 +146,12 @@ def test_optimal_config_degenerate_weights():
     assert math.isinf(opt.v_x)
 
 
+@pytest.mark.parametrize("w_x, w_y", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)])
+def test_optimal_config_rejects_non_finite_weights(w_x, w_y):
+    with pytest.raises(ValueError, match="weights must be finite"):
+        cf.optimal_config(w_x, w_y, 0.3, 0.5)
+
+
 def test_gamma_quartic_unit_ratio():
     rng = np.random.default_rng(2)
     for r in rng.uniform(0.05, 2.0, 20):
