@@ -20,7 +20,6 @@ from .holevo import (
     SolverConvergenceError,
     Weights,
     batch_bound,
-    extract_measurement,
     solve,
 )
 from .closed_forms import (
@@ -56,6 +55,7 @@ from .simulate import (
     SimulationReport,
     build_scheme,
     compare_to_bound,
+    extract_measurement,
     run_scheme,
     scheme_from_duals,
 )

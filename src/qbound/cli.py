@@ -237,6 +237,7 @@ def _parse_theta(text: str) -> ChannelParams:
 
 def cmd_simulate(args) -> int:
     theta = _parse_theta(args.theta)
+    weights = Weights(args.wx, args.wy)
     if args.scheme == "example1":
         r2 = _resolve_r(args, "r2", "db2")
         t = args.t if args.t is not None else 0.5
@@ -244,7 +245,7 @@ def cmd_simulate(args) -> int:
     else:
         r = _resolve_r(args, "r", "db")
         if args.t is None:
-            scheme = build_scheme("balanced", r=r, weights=Weights(args.wx, args.wy))
+            scheme = build_scheme("balanced", r=r, weights=weights)
         else:
             scheme = build_scheme("balanced", r=r, t_star=args.t)
 

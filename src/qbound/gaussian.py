@@ -50,13 +50,16 @@ def squeezing_db_to_r(db: float) -> float:
     """Convert squeezing in dB to the squeezing parameter r.
 
     The convention is ``dB = -10 log10(e^{-2r})``, so 3 dB corresponds to a
-    squeezed variance of about one half.  A value whose power ratio
-    ``10^(dB/10)`` leaves the float range raises ValueError.
+    squeezed variance of about one half.  A value whose r falls outside
+    [0, MAX_SQUEEZING_R] (0 to about 173.7 dB) raises ValueError.
     """
     try:
-        return math.log(10.0 ** (db / 10.0)) / 2.0
+        r = math.log(10.0 ** (db / 10.0)) / 2.0
     except (OverflowError, ValueError):  # 10^(db/10) overflows, or underflows to 0
-        raise ValueError(f"squeezing of {db} dB is out of range") from None
+        r = math.nan
+    if not 0.0 <= r <= MAX_SQUEEZING_R:  # also false for NaN
+        raise ValueError(f"squeezing of {db} dB is out of range")
+    return r
 
 
 def _check_r(r, name: str = "r") -> None:

@@ -51,7 +51,6 @@ __all__ = [
     "CERTIFICATE_TOL",
     "solve",
     "batch_bound",
-    "extract_measurement",
 ]
 
 
@@ -250,8 +249,8 @@ def _quadratic_root(e, k):
     return (2.0 * e / k) / (1.0 + np.sqrt(1.0 + (12.0 * e / k) / k))
 
 
-def _duality_gap(covs, w_x, w_y, mu, f):
-    """Relative gap (h - f) / f of the duals at mu against a claimed bound f.
+def _duality_gap(covs, d1, w_x, w_y, mu, f):
+    """Relative gap (h - f) / f of the duals at mu against a claimed bound f, given delta - 1.
 
     Returns (gap, free, z, beta): the duals' free entries (a, b, c, d), the
     real second-moment matrices Z (N, 2, 2) and beta = Im Z_12.  Weak duality
@@ -271,7 +270,7 @@ def _duality_gap(covs, w_x, w_y, mu, f):
             j_swapped = g[:, ::-1, ::-1] * _J_SIGNS  # rows J g_y, J g_x
             rho = np.sqrt(w_x / np.where(w_y > 0.0, w_y, 1.0))
             coef = np.stack([np.where(mu > 0.0, -mu / rho, 0.0), mu * rho], axis=1)[..., None]
-            s = (_delta_minus_one(covs) + (1.0 - mu) * (1.0 + mu))[:, None, None]  # det B - mu^2
+            s = (d1 + (1.0 - mu) * (1.0 + mu))[:, None, None]  # det B - mu^2
             numer = (adj[:, None] * g[:, :, None, :]).sum(axis=-1) + coef * j_swapped
             # s = 0 only at mu = delta = 1, a product probe: its duals stay on mode 1.
             free = np.where(s > 0.0, -numer / s, 0.0)
@@ -331,7 +330,7 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
             info["v_y"] = np.where(w_y > 0.0, kappa * (covs[:, 1, 1] + np.sqrt(w_x / w_y) * mu), np.inf)
     f = kappa * (a + 2.0 * c * mu)
     if info is not None:
-        info["gap"], info["free"], info["z"], info["beta"] = _duality_gap(covs, w_x, w_y, mu, f)
+        info["gap"], info["free"], info["z"], info["beta"] = _duality_gap(covs, d1, w_x, w_y, mu, f)
     return f * total
 
 
@@ -352,15 +351,3 @@ def solve(cov, weights: Weights) -> BoundResult:
         weights, float(info["v_x"][0]), float(info["v_y"][0]), bool(_certified(info["gap"][0])),
     )
 
-
-def extract_measurement(result: BoundResult, cov):
-    """Product-homodyne scheme realizing the optimal duals, when one exists.
-
-    Delegates to the measurement layer; see simulate.scheme_from_duals for
-    the construction and the no-certificate flag.
-    """
-    from .simulate import scheme_from_duals
-
-    if not result.converged:
-        raise SolverConvergenceError("cannot extract a measurement from an unconverged result")
-    return scheme_from_duals(result.duals, _as_cov(cov), result.weights)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .gaussian import ChannelParams, ProbeConfig, SymplecticTransform, beam_splitter, probe_factors
-from .holevo import DualCoefficients, Weights
+from .holevo import BoundResult, DualCoefficients, SolverConvergenceError, Weights, _as_cov
 
 _SAMPLE_CHUNK = 1 << 16
 
@@ -49,24 +49,21 @@ class MeasurementScheme:
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
 
     def measured_directions(self) -> np.ndarray:
-        """Rows: the quadrature vectors measured by each homodyne, pre-transform."""
-        n = len(self.angles)
-        dirs = np.zeros((n, 2 * n))
-        for k, alpha in enumerate(self.angles):
-            e = np.zeros(2 * n)
-            e[2 * k] = math.cos(alpha)
-            e[2 * k + 1] = math.sin(alpha)
-            dirs[k] = self.transform.matrix.T @ e
-        return dirs
+        """Rows: the quadrature vectors measured by each homodyne, pre-transform.
 
-    def response_matrix(self) -> np.ndarray:
-        """d(estimates)/d(theta): identity exactly when locally unbiased."""
-        dirs = self.measured_directions()
-        return self.estimator @ dirs[:, :2]
+        Row k is ``cos(alpha_k) M[2k] + sin(alpha_k) M[2k+1]`` for the transform M.
+        """
+        m = self.transform.matrix
+        return np.array([math.cos(al) * m[2 * k] + math.sin(al) * m[2 * k + 1]
+                         for k, al in enumerate(self.angles)])
 
     def check_unbiased(self, tol: float = 1e-9) -> None:
-        """Raise unless the response is the identity within ``tol * max(1, max|estimator|)``."""
-        defect = np.max(np.abs(self.response_matrix() - np.eye(2)))
+        """Raise unless the response d(estimates)/d(theta) is the identity.
+
+        The tolerance is ``tol * max(1, max|estimator|)``.
+        """
+        response = self.estimator @ self.measured_directions()[:, :2]
+        defect = np.max(np.abs(response - np.eye(2)))
         if not defect <= tol * max(1.0, float(np.max(np.abs(self.estimator)))):  # NaN fails
             raise ValueError(f"estimator is not locally unbiased (defect {defect:.3e})")
 
@@ -143,24 +140,16 @@ class BoundComparison:
     ok: bool
 
 
-def _normalize_angle(u: np.ndarray) -> tuple[float, float]:
-    """Angle of +-u folded into [0, pi); returns (angle, sign flip applied)."""
-    alpha = math.atan2(u[1], u[0]) % math.pi
-    canon = np.array([math.cos(alpha), math.sin(alpha)])
-    sign = 1.0 if float(canon @ u) > 0.0 else -1.0
-    return alpha, sign
-
-
 def scheme_from_duals(duals: DualCoefficients, cov, weights: Weights) -> ProductCertificate:
-    """Build the product homodyne realizing commuting two-mode duals.
+    """Build the product homodyne realizing commuting two-mode duals, in closed form.
 
-    Commuting duals have mode-2 coefficient matrix D with det D = -1, so D
-    has one positive and one negative eigenvalue with product -1.  The
-    positive eigenvalue rho fixes a beam splitter of transmissivity
-    1/(1 + rho^2) whose outputs carry the two dual observables on separate
-    quadratures; the left eigenvectors of D give the homodyne angles.  When
-    the duals fail to commute beyond tolerance (single-mode probes always
-    do), no product scheme can reproduce them and the result is flagged.
+    Commuting duals have mode-2 coefficient matrix D = [[a, b], [c, d]] with
+    det D = beta - 1 = -1, so its eigenvalues are rho = h + sqrt(h^2 + 1) > 0
+    and -1/rho, h = tr D / 2.  A beam splitter of transmissivity 1/(1 + rho^2)
+    puts the duals on separate outputs, the left eigenvectors u1, u2 of D give
+    the homodyne angles, and the estimator inverts the mode-1 response
+    [sqrt(t_d) u1; -sqrt(1 - t_d) u2].  Duals that do not commute (one mode
+    never does), or that the scheme fails to reproduce, are flagged.
     """
     cov = np.asarray(cov, dtype=float)
     if duals.n_modes != 2:
@@ -169,8 +158,8 @@ def scheme_from_duals(duals: DualCoefficients, cov, weights: Weights) -> Product
             "no product-homodyne certificate: a single mode cannot carry both conjugate estimates",
         )
     beta = duals.commutator()
-    v_xx = float(duals.c_x @ cov @ duals.c_x)
-    v_yy = float(duals.c_y @ cov @ duals.c_y)
+    target = np.vstack([duals.c_x, duals.c_y])
+    v_xx, v_yy = _congruence_diag(target, cov)
     f = weights.w_x * v_xx + weights.w_y * v_yy + 2.0 * weights.geometric * abs(beta)
     if abs(beta) > 1e-6 * max(1.0, abs(f)):
         return ProductCertificate(
@@ -178,54 +167,34 @@ def scheme_from_duals(duals: DualCoefficients, cov, weights: Weights) -> Product
             "no product-homodyne certificate: optimal duals do not commute",
         )
 
-    # Project the free coefficients exactly onto the commuting manifold to
-    # absorb optimizer round-off (beta is a quadric in the free entries).
-    free = duals.free.copy()
-    for _ in range(4):
-        a, b, c, d = free
-        resid = 1.0 + a * d - b * c
-        grad = np.array([d, -c, -b, a])
-        norm2 = float(grad @ grad)
-        if norm2 == 0.0 or abs(resid) < 1e-15:
-            break
-        free -= grad * (resid / norm2)
-    duals = DualCoefficients.from_free(free)
-
-    d_mat = np.array([[free[0], free[1]], [free[2], free[3]]])
-    evals, evecs = np.linalg.eig(d_mat.T)  # left eigenvectors of D
-    evals = evals.real
-    order = np.argsort(evals)[::-1]
-    rho_pos, rho_neg = evals[order]
-    kappa1 = evecs[:, order[0]].real
-    kappa2 = evecs[:, order[1]].real
-    if not (rho_pos > 0.0 > rho_neg):
-        return ProductCertificate(
-            False, None, beta,
-            "no product-homodyne certificate: degenerate dual geometry",
-        )
-    t_d = 1.0 / (1.0 + rho_pos**2)
-
-    kappa1 /= np.linalg.norm(kappa1)
-    kappa2 /= np.linalg.norm(kappa2)
-    alpha1, sign1 = _normalize_angle(kappa1)
-    alpha2, sign2 = _normalize_angle(-kappa2)
-    u1, u2 = sign1 * kappa1, -sign2 * kappa2
-
-    # Estimator K reproduces the duals' mode-1 entries from the outcomes.
-    g = np.column_stack([math.sqrt(t_d) * u1, -math.sqrt(1.0 - t_d) * u2])
-    k_mat = np.linalg.inv(g).T
-    scheme = MeasurementScheme(beam_splitter(t_d), (alpha1, alpha2), k_mat, kind="general")
+    a, b, c, d = duals.free
+    h = 0.5 * (a + d)
+    rho = h + math.hypot(h, 1.0) if h >= 0.0 else 1.0 / (math.hypot(h, 1.0) - h)  # nothing cancels
+    t_d = 1.0 / (1.0 + rho * rho)
+    angles = []
+    for lam in (rho, -1.0 / rho):
+        # (c, lam - a) and (lam - d, b) both solve u'D = lam u'; the longer keeps its digits.
+        u = max((c, lam - a), (lam - d, b), key=lambda v: math.hypot(*v))
+        angles.append(math.atan2(u[1], u[0]) % math.pi)
+    scale = (math.sqrt(t_d), -math.sqrt(1.0 - t_d))
+    response = np.array([[s * math.cos(al), s * math.sin(al)] for s, al in zip(scale, angles)])
+    scheme = MeasurementScheme(beam_splitter(t_d), angles, np.linalg.inv(response))
     scheme.check_unbiased()
 
-    dirs = scheme.measured_directions()
-    realized = scheme.estimator @ dirs
-    target = np.vstack([duals.c_x, duals.c_y])
+    realized = scheme.estimator @ scheme.measured_directions()
     if np.max(np.abs(realized - target)) > 1e-6 * max(1.0, np.max(np.abs(target))):
         return ProductCertificate(
             False, None, beta,
             "no product-homodyne certificate: reconstruction mismatch",
         )
     return ProductCertificate(True, scheme, beta)
+
+
+def extract_measurement(result: BoundResult, cov) -> ProductCertificate:
+    """Product-homodyne scheme realizing a converged result's optimal duals (scheme_from_duals)."""
+    if not result.converged:
+        raise SolverConvergenceError("cannot extract a measurement from an unconverged result")
+    return scheme_from_duals(result.duals, _as_cov(cov), result.weights)
 
 
 def build_scheme(kind: str, **params) -> MeasurementScheme:

@@ -180,6 +180,13 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
         (("bound", "--modes", "1", "--db", "4000", "--wx", "1", "--wy", "1"),
          "squeezing of 4000.0 dB is out of range"),
         (("region", "--modes", "1", "--db", "-4000"), "squeezing of -4000.0 dB is out of range"),
+        (("simulate", "--scheme", "balanced", "--r", "0.5", "--wx", "-1", "--t", "0.3"),
+         "weights must be >= 0"),
+        (("simulate", "--scheme", "example1", "--r2", "0.5", "--wx", "-3"), "weights must be >= 0"),
+        (("bound", "--modes", "1", "--db", "200"), "squeezing of 200.0 dB is out of range"),
+        (("region", "--db1", "200", "--r2", "1"), "squeezing of 200.0 dB is out of range"),
+        (("simulate", "--scheme", "balanced", "--db", "200"), "squeezing of 200.0 dB is out of range"),
+        (("bound", "--modes", "1", "--db", "-3"), "squeezing of -3.0 dB is out of range"),
     ],
 )
 def test_library_errors_exit_2_with_the_library_message(capsys, argv, message):

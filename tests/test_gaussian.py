@@ -218,6 +218,15 @@ def test_db_conversion_round_trip():
     assert -10.0 * math.log10(math.exp(-2.0 * r)) == pytest.approx(7.3, rel=1e-12)
 
 
+def test_db_conversion_rejects_r_outside_the_squeezing_range():
+    # r must lie in [0, MAX_SQUEEZING_R], 0 to ~173.7 dB; in range the formula is unchanged.
+    for db in (0.0, 3.0, 173.7):
+        assert squeezing_db_to_r(db) == math.log(10.0 ** (db / 10.0)) / 2.0
+    for db in (-3.0, -1e-9, 173.8, 200.0, math.nan):
+        with pytest.raises(ValueError, match="dB is out of range"):
+            squeezing_db_to_r(db)
+
+
 def test_state_rejects_asymmetric_cov():
     cov = np.array([[1.0, 1e-6], [0.0, 1.0]])
     with pytest.raises(ValueError):

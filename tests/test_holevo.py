@@ -14,9 +14,11 @@ from qbound.holevo import (
     DualCoefficients,
     Weights,
     batch_bound,
-    extract_measurement,
     solve,
 )
+from qbound.simulate import extract_measurement
+
+import oracle
 
 R_3DB = 0.5 * math.log(2.0)
 R_6DB = 0.5 * math.log(4.0)
@@ -201,18 +203,17 @@ def test_batch_bound_matches_solve():
 
 
 # Near-product probes (t close to 0 or 1), where an earlier candidate search
-# lost its kink roots.  The first two reference values lie within 4e-12 above
-# the minimum that a 50-digit evaluation gives for the same float
-# covariances; the third is the 50-digit bound of the configuration itself.
+# lost its kink roots; the attained values come from the 80-digit oracle.
 NEAR_PRODUCT_CASES = [
-    (ProbeConfig(r1=0.5, r2=2.0, phi1=0.0, phi2=1.0, t=1.0 - 1e-7), Weights(1.0, 1e-3), 0.4330733062091),
-    (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-7), Weights(1.0, 1.0), 22.12608158229),
-    (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-10), Weights(1.0, 1.0), 22.135031877476232),
+    (ProbeConfig(r1=0.5, r2=2.0, phi1=0.0, phi2=1.0, t=1.0 - 1e-7), Weights(1.0, 1e-3)),
+    (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-7), Weights(1.0, 1.0)),
+    (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-10), Weights(1.0, 1.0)),
 ]
 
 
-@pytest.mark.parametrize("probe, w, attained", NEAR_PRODUCT_CASES)
-def test_near_product_probes_reach_the_attained_value(probe, w, attained):
+@pytest.mark.parametrize("probe, w", NEAR_PRODUCT_CASES)
+def test_near_product_probes_reach_the_attained_value(probe, w):
+    attained = oracle.bound(probe, w)
     cov = build_probe(probe).cov
     res = solve(cov, w)
     assert res.f_hcr <= attained * (1.0 + 1e-9)
@@ -237,6 +238,36 @@ def test_unresolved_near_product_row_is_flagged():
     res = solve(cov, w)
     assert res.converged is False
     assert abs(primal(cov, w, res.duals) - res.f_hcr) > CERTIFICATE_TOL * res.f_hcr
+
+
+def test_kernel_matches_the_oracle_at_quarter_angles_and_product_probes():
+    # Where -det C does not cancel (both angles multiples of pi/2, or t in
+    # {0, 1}) the bound is exact to rounding over the whole r <= 20 contract.
+    rng = np.random.default_rng(43)
+    probes = []
+    for k in range(24):
+        r1, r2 = np.sort(rng.uniform(0.0, 20.0, 2))
+        if k % 2 == 0:
+            phi1, phi2 = 0.5 * math.pi * rng.integers(0, 4, 2)
+            t = rng.uniform(0.0, 1.0)
+        else:
+            phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+            t = float(rng.integers(0, 2))
+        probes.append(ProbeConfig(r1=r1, r2=r2, phi1=phi1, phi2=phi2, t=t))
+    ratio = 10.0 ** rng.uniform(-3.0, 3.0, len(probes))
+    covs = np.array([build_probe(p).cov for p in probes])
+    values = batch_bound(covs, ratio, np.ones(len(probes)))
+    for probe, w_x, value in zip(probes, ratio, values):
+        assert value == pytest.approx(oracle.bound(probe, Weights(w_x, 1.0)), rel=1e-13, abs=0.0)
+
+
+def test_batch_bound_reads_delta_minus_one_once(monkeypatch):
+    # The duality gap reuses the kernel's delta - 1 instead of recomputing it.
+    calls = []
+    delta_minus_one = holevo._delta_minus_one
+    monkeypatch.setattr(holevo, "_delta_minus_one", lambda covs: calls.append(1) or delta_minus_one(covs))
+    solve(fig2b_cov(), Weights(1.0, 2.0))
+    assert len(calls) == 1
 
 
 def test_certificate_accepts_optima_and_rejects_moved_duals():
@@ -291,7 +322,7 @@ def test_certificate_rejects_mutated_kernels():
     wrong_f = np.where(mu == 1.0, a / (1.0 + d1), 0.0)
 
     def certified(mu_k, f_k):
-        return holevo._certified(holevo._duality_gap(covs, w_x, w_y, mu_k, f_k)[0])
+        return holevo._certified(holevo._duality_gap(covs, d1, w_x, w_y, mu_k, f_k)[0])
 
     assert certified(mu, f).all()
     assert not certified(mu, np.zeros_like(f)).any()
@@ -413,12 +444,31 @@ def test_extract_measurement_random_commuting_optima():
         w = Weights(1.0, 10.0 ** rng.uniform(-0.8, 0.8))
         res = solve(cov, w)
         cert = extract_measurement(res, cov)
-        if not cert.certified:
-            continue
+        assert cert.certified
         v_x, v_y = cert.scheme.predicted_variances(probe)
         weighted = w.w_x * v_x + w.w_y * v_y
-        assert weighted == pytest.approx(res.f_hcr, rel=1e-6)
+        assert weighted == pytest.approx(res.f_hcr, rel=1e-12)
         assert abs(cert.scheme.angles[0] - cert.scheme.angles[1]) > 1e-6
+
+
+def test_extract_measurement_attains_the_bound_at_general_angles():
+    # Every row up to r = 4 is certified, and its closed-form homodyne scheme
+    # has the bound as its weighted variance.
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        r1, r2 = np.sort(rng.uniform(0.0, 4.0, 2))
+        probe = ProbeConfig(
+            r1=r1, r2=r2, phi1=rng.uniform(0, 2 * math.pi),
+            phi2=rng.uniform(0, 2 * math.pi), t=rng.uniform(0.0, 1.0),
+        )
+        cov = build_probe(probe).cov
+        w = Weights(1.0, 10.0 ** rng.uniform(-2, 2))
+        res = solve(cov, w)
+        assert res.converged
+        cert = extract_measurement(res, cov)
+        assert cert.certified
+        v_x, v_y = cert.scheme.predicted_variances(probe)
+        assert abs(w.w_x * v_x + w.w_y * v_y - res.f_hcr) <= 1e-11 * res.f_hcr
 
 
 def test_extract_measurement_example1_angles():
