@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -322,7 +323,9 @@ def _add_floats(parser: argparse.ArgumentParser, *names: str, **defaults: float)
                             help=_FLOAT_HELP.get(name))
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The qbound argument parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="qbound",
         description="Precision bounds, accessible regions, and measurement simulations "

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,6 +21,8 @@ from .gaussian import ChannelParams, ProbeConfig, SymplecticTransform, beam_spli
 from .holevo import BoundResult, DualCoefficients, SolverConvergenceError, Weights, _as_cov
 
 _SAMPLE_CHUNK = 1 << 16
+_DRAW_BLOCK = 1 << 14  # rows drawn at a time: a 256 KB buffer per worker
+_LOOKAHEAD = 4  # chunks per worker that may finish ahead of the next merge
 
 
 @dataclass(frozen=True)
@@ -260,7 +264,7 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
 def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
     # Streaming (count, mean, sum of squared deviations) merge; associative,
     # so chunked accumulation is deterministic for a fixed chunk layout.
-    # run_scheme feeds it each chunk's sufficient statistics mapped to the
+    # _sample_moments feeds it each chunk's sufficient statistics mapped to the
     # estimates (mean L z_bar, squared deviations diag(L G L^T)), never the
     # estimates themselves, and leaves out the constant K mean: a shift moves
     # the mean and not m2, so it is added once after the last merge.
@@ -281,6 +285,107 @@ def _checked_integer(name: str, value, minimum: int) -> int:
     return value
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_moments(seed: int, index: int, shots: int, buf: np.ndarray):
+    """Count, mean z_bar and centered Gram matrix G of one chunk's draws.
+
+    Chunk ``index`` holds the next min(_SAMPLE_CHUNK, rest) of ``shots``
+    standard-normal rows from substream default_rng([seed, index]).  They
+    are drawn into ``buf`` a block at a time, which reproduces the stream of
+    one whole-chunk draw, and each sum is read straight off the interleaved
+    columns by elementwise reductions (no BLAS, no copies).  G is the raw
+    Gram matrix centered once, ``S - n z_bar z_bar^T``.
+    """
+    n = min(_SAMPLE_CHUNK, shots - index * _SAMPLE_CHUNK)
+    dim = buf.shape[1]
+    rng = np.random.default_rng([seed, index])
+    sums = np.zeros(dim)
+    raw = np.zeros((dim, dim))
+    for start in range(0, n, len(buf)):
+        z = buf[: n - start]  # the whole buffer, or the chunk's last rows
+        rng.standard_normal(out=z)
+        for i in range(dim):
+            sums[i] += z[:, i].sum()
+            for j in range(i + 1):
+                raw[i, j] += np.einsum("i,i->", z[:, i], z[:, j])
+    raw += np.tril(raw, -1).T
+    z_bar = sums / n
+    return n, z_bar, raw - n * z_bar[:, None] * z_bar
+
+
+def _sample_moments(lower: np.ndarray, seed: int, shots: int):
+    """Merged (count, mean, m2) of the estimate noise ``lower z`` over all chunks.
+
+    min(usable CPUs, chunks) workers, this thread among them, claim chunks
+    in index order and reduce each (_chunk_moments) in their own draw
+    buffer.  Finished chunks are merged strictly in chunk order, by whichever
+    worker finishes the next one, so the result depends neither on the worker
+    count nor on which worker drew which chunk.  A worker claims a chunk
+    only within _LOOKAHEAD chunks per worker of the first unmerged one, so
+    the statistics held between merges grow with the worker count and not
+    with ``shots``.  Workers wait for one another only there: one slowed by
+    other load on its core does not stall the rest.  A one-chunk run starts
+    no thread.  A worker's exception is re-raised here after every helper
+    is joined.
+    """
+    n_chunks = -(-shots // _SAMPLE_CHUNK)
+    workers = min(_usable_cpus(), n_chunks)
+    window = _LOOKAHEAD * workers
+    # One draw buffer per worker, allocated by this thread: a buffer allocated
+    # in a helper would stay resident in that thread's malloc arena after the call.
+    buffers = [np.empty((min(_DRAW_BLOCK, shots), lower.shape[1])) for _ in range(workers)]
+    cond = threading.Condition()
+    finished = {}  # chunk index -> statistics, not yet merged
+    claimed = merged = 0
+    total = (0, np.zeros(2), np.zeros(2))
+    failures = []
+
+    def work(buf):
+        nonlocal claimed, merged, total
+        try:
+            while True:
+                with cond:
+                    while claimed - merged >= window and claimed < n_chunks and not failures:
+                        cond.wait()
+                    if claimed == n_chunks or failures:
+                        return
+                    index = claimed
+                    claimed += 1
+                stats = _chunk_moments(seed, index, shots, buf)
+                with cond:
+                    finished[index] = stats
+                    while merged in finished:
+                        n, z_bar, gram = finished.pop(merged)
+                        c_mean = (lower * z_bar).sum(axis=1)
+                        total = _merge_moments(*total, n, c_mean, _congruence_diag(lower, gram))
+                        merged += 1
+                    cond.notify_all()
+        except BaseException as exc:
+            with cond:
+                failures.append(exc)
+                cond.notify_all()
+
+    helpers = []
+    try:
+        for buf in buffers[1:]:
+            helper = threading.Thread(target=work, args=(buf,), name="qbound-sample")
+            helper.start()
+            helpers.append(helper)
+        work(buffers[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
+    return total
+
+
 def run_scheme(
     scheme: MeasurementScheme,
     probe: ProbeConfig,
@@ -292,16 +397,18 @@ def run_scheme(
 
     The homodyne outcomes of the displaced probe (outcome_moments) are
     ``mean + chol z`` with z standard normal, drawn in fixed-size chunks whose
-    substreams are derived from (seed, chunk index); results are
-    bit-reproducible for a given seed.  The estimates ``K mean + L z`` with
-    ``L = K chol`` are affine in z, so each chunk is reduced to its
-    sufficient statistics: its count, the mean z_bar of its draws and their
-    2x2 centered Gram matrix G.  The chunk contributes mean ``L z_bar`` and
-    squared deviations ``diag(L G L^T)``; ``K mean`` is added once at the
-    end, so the displacement never meets noise of size e^{-r}.  Neither
-    outcomes nor estimates are materialized.  The reduction sums every
-    product elementwise rather than by BLAS, so a seeded report does not
-    depend on the BLAS thread count.
+    substreams are derived from (seed, chunk index).  The estimates
+    ``K mean + L z`` with ``L = K chol`` are affine in z, so each chunk is
+    reduced to its sufficient statistics: its count, the mean z_bar of its
+    draws and their 2x2 centered Gram matrix G, summed elementwise off the
+    draws without BLAS.  The chunk contributes mean ``L z_bar`` and squared
+    deviations ``diag(L G L^T)``; ``K mean`` is added once at the end, so the
+    displacement never meets noise of size e^{-r}.  Neither outcomes nor
+    estimates are materialized.
+
+    Chunks are sampled concurrently on the usable cores and merged in chunk
+    order (_sample_moments), so a seeded report repeats bit for bit whatever
+    the core and BLAS thread counts, and memory does not grow with ``shots``.
 
     ``shots`` must be an integer >= 100 and ``seed`` a non-negative integer;
     both are checked before any draw.
@@ -314,24 +421,7 @@ def run_scheme(
     lower = (k_mat[:, :, None] * chol).sum(axis=1)
     center = (k_mat * mean).sum(axis=1)
 
-    count = 0
-    acc_mean = np.zeros(2)
-    acc_m2 = np.zeros(2)
-    chunk_index = 0
-    draws = np.empty((mean.size, min(shots, _SAMPLE_CHUNK)))
-    while count < shots:
-        n_draw = min(_SAMPLE_CHUNK, shots - count)
-        rng = np.random.default_rng([seed, chunk_index])
-        z = draws[:, :n_draw]
-        z[...] = rng.standard_normal((n_draw, mean.size)).T
-        z_bar = z.mean(axis=1)
-        z -= z_bar[:, None]
-        gram = np.array([[(z_i * z_j).sum() for z_j in z] for z_i in z])
-        c_mean = (lower * z_bar).sum(axis=1)
-        c_m2 = _congruence_diag(lower, gram)
-        count, acc_mean, acc_m2 = _merge_moments(count, acc_mean, acc_m2, n_draw, c_mean, c_m2)
-        chunk_index += 1
-
+    count, acc_mean, acc_m2 = _sample_moments(lower, seed, shots)
     est_mean = center + acc_mean
     var = acc_m2 / (count - 1)
     se_mean = np.sqrt(var / count)

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qbound.cli import main
+import qbound
+from qbound.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -320,3 +325,24 @@ def test_atomic_out_file(capsys, tmp_path):
     record = json.loads(path.read_text())
     assert record["converged"]
     assert not list(tmp_path.glob(".qbound-*"))
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"modes": 1, "r": 0.4, "phi": -0.3, "wy": 3}))
+    calls = [["bound", "--config", str(path)], ["bound", "--modes", "1", "--r", "0.4"]]
+    in_process = []
+    for argv in calls:
+        code, out, err = run_cli(capsys, *argv)
+        in_process.append((code, out, err))
+    src = str(Path(qbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    fresh = []
+    for argv in calls:
+        run = subprocess.run([sys.executable, "-m", "qbound.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        fresh.append((run.returncode, run.stdout, run.stderr))
+    assert in_process == fresh
+    assert json.loads(in_process[0][1])["weights"]["w_y"] == 3.0
+    assert json.loads(in_process[1][1])["weights"]["w_y"] == 1.0

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 
 import qbound
 from qbound import closed_forms as cf
+from qbound import simulate
 from qbound.gaussian import ChannelParams, ProbeConfig, build_probe
 from qbound.holevo import DualCoefficients, Weights, solve
 from qbound.simulate import (
@@ -263,6 +266,111 @@ def test_seeded_report_does_not_depend_on_blas_threads():
         reports.append(json.loads(run.stdout))
     assert reports[0] == reports[1]
     assert reports[0]["shots"] == 200_000
+
+
+def _bounded(fn, timeout=120.0):
+    # Runs fn on a daemon thread so that a deadlocked run fails the test instead of hanging it.
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "run did not finish"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def test_seeded_report_does_not_depend_on_the_worker_count(monkeypatch):
+    scheme = build_scheme("example1", r2=0.7, t=0.4, phi2=0.5)
+    theta = ChannelParams(0.3, -0.1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for shots in (100, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 1):
+            reports = []
+            for workers in (1, 2, 3, 5):
+                monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+                report = _bounded(lambda: run_scheme(scheme, scheme.probe, theta, shots, seed=13))
+                reports.append(report.to_dict())
+            assert all(r == reports[0] for r in reports), shots
+            assert reports[0]["shots"] == shots
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_chunk_run_starts_no_thread(monkeypatch):
+    scheme = build_scheme("balanced", r=0.4, t_star=0.3)
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(threading, "Thread", no_threads)
+    report = run_scheme(scheme, scheme.probe, ChannelParams(0.1, 0.2), _SAMPLE_CHUNK, seed=1)
+    assert report.shots == _SAMPLE_CHUNK
+
+
+def test_chunks_run_at_most_the_lookahead_past_a_slow_one(monkeypatch):
+    scheme = build_scheme("example1", r2=0.7, t=0.4, phi2=0.5)
+    theta = ChannelParams(0.3, -0.1)
+    shots = 40 * _SAMPLE_CHUNK
+    chunk_moments = simulate._chunk_moments
+    started = []
+
+    def slow_first_chunk(seed, index, shots, buf):
+        started.append(index)
+        if index == 0:
+            time.sleep(0.5)
+            started.append("chunk 0 done")
+        return chunk_moments(seed, index, shots, buf)
+
+    monkeypatch.setattr(simulate, "_chunk_moments", slow_first_chunk)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    report = _bounded(lambda: run_scheme(scheme, scheme.probe, theta, shots, seed=3))
+    ahead = started[: started.index("chunk 0 done")]
+    assert max(ahead) == 3 * simulate._LOOKAHEAD - 1  # the rest wait for chunk 0's merge
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    assert run_scheme(scheme, scheme.probe, theta, shots, seed=3) == report
+
+
+class _ChunkFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failing_chunk_raises_its_own_error_and_leaves_no_thread(monkeypatch, workers):
+    scheme = build_scheme("balanced", r=0.4, t_star=0.3)
+    theta = ChannelParams(0.1, 0.2)
+    chunk_moments = simulate._chunk_moments
+    failed = threading.Event()
+
+    def failing_chunk_moments(seed, index, shots, buf):
+        if index == 2:
+            failed.set()
+            raise _ChunkFailure(f"chunk {index}")
+        if index > 0:  # still running when chunk 2 fails, so run_scheme must join it
+            failed.wait(10.0)
+            time.sleep(0.1)
+        return chunk_moments(seed, index, shots, buf)
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(simulate, "_chunk_moments", failing_chunk_moments)
+    threads = threading.active_count()
+    with pytest.raises(_ChunkFailure, match="chunk 2"):
+        _bounded(lambda: run_scheme(scheme, scheme.probe, theta, 6 * _SAMPLE_CHUNK, seed=1))
+    assert threading.active_count() == threads
+
+    monkeypatch.setattr(simulate, "_chunk_moments", chunk_moments)
+    report = _bounded(lambda: run_scheme(scheme, scheme.probe, theta, 2_000_000, seed=1))
+    assert report.shots == 2_000_000
+    assert threading.active_count() == threads
 
 
 def test_compare_to_bound_optimal_and_suboptimal():
