@@ -87,9 +87,10 @@ def _resolve_r(args, r_attr: str, db_attr: str) -> float:
 def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
     """A JSON config file as ``--key=value`` tokens for the subcommand's parser.
 
-    Each key names an option of the subcommand.  A flag set to true becomes
-    ``--flag`` and one set to false nothing; every other value is parsed as
-    if typed on the command line, with the same type and choice checks.
+    Each key names an option of the subcommand other than ``config``.  A
+    flag set to true becomes ``--flag`` and one set to false nothing; every
+    other number or string is parsed as if typed on the command line, with
+    the same type and choice checks.  null, arrays and objects are rejected.
     """
     with open(path) as handle:
         data = json.load(handle)
@@ -98,9 +99,14 @@ def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
     tokens = []
     for key, value in data.items():
         dest = key.replace("-", "_")
+        if dest == "config":
+            raise ValueError("config key 'config' is not allowed: a config file cannot load another")
         if not hasattr(args, dest):  # also keeps argparse from expanding an abbreviation
             raise ValueError(f"unknown config key {key!r}")
         option = "--" + dest.replace("_", "-")
+        if value is None or isinstance(value, (list, dict)):
+            raise ValueError(f"config key {key!r} ({option}) must be a number, string or boolean, "
+                             f"not {json.dumps(value)}")
         if isinstance(getattr(args, dest), bool) and isinstance(value, bool):
             tokens += [option] if value else []
         else:
@@ -147,7 +153,7 @@ def cmd_bound(args) -> int:
                 elif weights.w_x == weights.w_y:
                     crosscheck = {
                         "name": "balanced-point",
-                        "value": 4.0 * weights.w_x * math.exp(-2.0 * r1),
+                        "value": weights.w_x * (4.0 * math.exp(-2.0 * r1)),
                     }
 
     result = solve(build_probe(probe).cov, weights)

@@ -311,13 +311,18 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     if covs.ndim not in (2, 3) or covs.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"covariances must be 2x2 or 4x4, got shape {covs.shape}")
     _check_pure(covs)
+    finite = np.isfinite(w_x) & np.isfinite(w_y)
+    if not np.all(finite & (np.minimum(w_x, w_y) >= 0.0) & (np.maximum(w_x, w_y) > 0.0)):
+        raise ValueError("weights must be finite, >= 0 and not both zero in every row")
     if covs.ndim == 2:
         covs = np.broadcast_to(covs, (n,) + covs.shape)
     # Normalizing to unit weight sum makes the homogeneity f(c W) = c f(W)
-    # hold by construction.
-    total = w_x + w_y
-    w_x = w_x / total
-    w_y = w_y / total
+    # hold by construction.  Weights near the float maximum are halved first,
+    # exactly, so that their sum stays finite; other rows are not rescaled.
+    half = np.where(np.maximum(w_x, w_y) < 2.0**1020, 1.0, 0.5)
+    total = half * w_x + half * w_y
+    w_x = half * w_x / total
+    w_y = half * w_y / total
     d1 = _delta_minus_one(covs)
     a = w_x * covs[:, 0, 0] + w_y * covs[:, 1, 1]
     c = np.sqrt(w_x * w_y)
@@ -331,7 +336,7 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     f = kappa * (a + 2.0 * c * mu)
     if info is not None:
         info["gap"], info["free"], info["z"], info["beta"] = _duality_gap(covs, d1, w_x, w_y, mu, f)
-    return f * total
+    return f * total / half
 
 
 def solve(cov, weights: Weights) -> BoundResult:

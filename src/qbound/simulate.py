@@ -22,7 +22,7 @@ from .holevo import BoundResult, DualCoefficients, SolverConvergenceError, Weigh
 
 _SAMPLE_CHUNK = 1 << 16
 _DRAW_BLOCK = 1 << 14  # rows drawn at a time: a 256 KB buffer per worker
-_LOOKAHEAD = 4  # chunks per worker that may finish ahead of the next merge
+_ULP_EXP = 1074  # every finite float is an integer multiple of 2**-1074
 
 
 @dataclass(frozen=True)
@@ -261,20 +261,6 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
     return scheme
 
 
-def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
-    # Streaming (count, mean, sum of squared deviations) merge; associative,
-    # so chunked accumulation is deterministic for a fixed chunk layout.
-    # _sample_moments feeds it each chunk's sufficient statistics mapped to the
-    # estimates (mean L z_bar, squared deviations diag(L G L^T)), never the
-    # estimates themselves, and leaves out the constant K mean: a shift moves
-    # the mean and not m2, so it is added once after the last merge.
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    mean = mean_a + delta * (n_b / n)
-    m2 = m2_a + m2_b + delta**2 * (n_a * n_b / n)
-    return n, mean, m2
-
-
 def _checked_integer(name: str, value, minimum: int) -> int:
     try:
         value = operator.index(value)
@@ -292,84 +278,73 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_moments(seed: int, index: int, shots: int, buf: np.ndarray):
-    """Count, mean z_bar and centered Gram matrix G of one chunk's draws.
+def _exact(x: float) -> int:
+    # x as an exact integer count of 2**-_ULP_EXP; such counts add in any order.
+    num, den = float(x).as_integer_ratio()
+    return num << (_ULP_EXP + 1 - den.bit_length())
+
+
+def _chunk_moments(seed: int, index: int, shots: int, buf: np.ndarray) -> np.ndarray:
+    """Raw sums of one chunk's draws: each column z_i, then each z_i z_j, j <= i.
 
     Chunk ``index`` holds the next min(_SAMPLE_CHUNK, rest) of ``shots``
-    standard-normal rows from substream default_rng([seed, index]).  They
-    are drawn into ``buf`` a block at a time, which reproduces the stream of
-    one whole-chunk draw, and each sum is read straight off the interleaved
-    columns by elementwise reductions (no BLAS, no copies).  G is the raw
-    Gram matrix centered once, ``S - n z_bar z_bar^T``.
+    standard-normal rows from substream default_rng([seed, index]), drawn
+    into ``buf`` a block at a time (the stream of one whole-chunk draw) and
+    summed off the interleaved columns elementwise: no BLAS, no copies.
     """
     n = min(_SAMPLE_CHUNK, shots - index * _SAMPLE_CHUNK)
     dim = buf.shape[1]
     rng = np.random.default_rng([seed, index])
-    sums = np.zeros(dim)
-    raw = np.zeros((dim, dim))
+    pairs = list(zip(*np.tril_indices(dim)))
+    sums = np.zeros(dim + len(pairs))
     for start in range(0, n, len(buf)):
         z = buf[: n - start]  # the whole buffer, or the chunk's last rows
         rng.standard_normal(out=z)
         for i in range(dim):
             sums[i] += z[:, i].sum()
-            for j in range(i + 1):
-                raw[i, j] += np.einsum("i,i->", z[:, i], z[:, j])
-    raw += np.tril(raw, -1).T
-    z_bar = sums / n
-    return n, z_bar, raw - n * z_bar[:, None] * z_bar
+        for k, (i, j) in enumerate(pairs, dim):
+            sums[k] += np.einsum("i,i->", z[:, i], z[:, j])
+    return sums
 
 
-def _sample_moments(lower: np.ndarray, seed: int, shots: int):
-    """Merged (count, mean, m2) of the estimate noise ``lower z`` over all chunks.
+def _sample_moments(dim: int, seed: int, shots: int) -> np.ndarray:
+    """The raw sums of _chunk_moments over all ``shots`` draws, each rounded once.
 
     min(usable CPUs, chunks) workers, this thread among them, claim chunks
-    in index order and reduce each (_chunk_moments) in their own draw
-    buffer.  Finished chunks are merged strictly in chunk order, by whichever
-    worker finishes the next one, so the result depends neither on the worker
-    count nor on which worker drew which chunk.  A worker claims a chunk
-    only within _LOOKAHEAD chunks per worker of the first unmerged one, so
-    the statistics held between merges grow with the worker count and not
-    with ``shots``.  Workers wait for one another only there: one slowed by
-    other load on its core does not stall the rest.  A one-chunk run starts
-    no thread.  A worker's exception is re-raised here after every helper
-    is joined.
+    in index order, each reduced in its worker's own draw buffer.  Chunk sums
+    are added as exact integer multiples of 2**-1074 (_exact), whose totals
+    do not depend on the order of their terms, so no worker waits for
+    another.  Integer true division rounds each total once, correctly: it
+    equals math.fsum of the chunk sums.  A one-chunk run starts no thread.
+    A worker's exception stops the others at their next claim and is
+    re-raised here after every helper is joined.
     """
     n_chunks = -(-shots // _SAMPLE_CHUNK)
     workers = min(_usable_cpus(), n_chunks)
-    window = _LOOKAHEAD * workers
     # One draw buffer per worker, allocated by this thread: a buffer allocated
     # in a helper would stay resident in that thread's malloc arena after the call.
-    buffers = [np.empty((min(_DRAW_BLOCK, shots), lower.shape[1])) for _ in range(workers)]
-    cond = threading.Condition()
-    finished = {}  # chunk index -> statistics, not yet merged
-    claimed = merged = 0
-    total = (0, np.zeros(2), np.zeros(2))
+    buffers = [np.empty((min(_DRAW_BLOCK, shots), dim)) for _ in range(workers)]
+    lock = threading.Lock()
+    totals = [0] * (dim + dim * (dim + 1) // 2)
+    claimed = 0
     failures = []
 
     def work(buf):
-        nonlocal claimed, merged, total
+        nonlocal claimed
+        exact = []
         try:
             while True:
-                with cond:
-                    while claimed - merged >= window and claimed < n_chunks and not failures:
-                        cond.wait()
+                with lock:
+                    for k, units in enumerate(exact):
+                        totals[k] += units
                     if claimed == n_chunks or failures:
                         return
                     index = claimed
                     claimed += 1
-                stats = _chunk_moments(seed, index, shots, buf)
-                with cond:
-                    finished[index] = stats
-                    while merged in finished:
-                        n, z_bar, gram = finished.pop(merged)
-                        c_mean = (lower * z_bar).sum(axis=1)
-                        total = _merge_moments(*total, n, c_mean, _congruence_diag(lower, gram))
-                        merged += 1
-                    cond.notify_all()
+                exact = [_exact(s) for s in _chunk_moments(seed, index, shots, buf)]
         except BaseException as exc:
-            with cond:
+            with lock:
                 failures.append(exc)
-                cond.notify_all()
 
     helpers = []
     try:
@@ -383,7 +358,7 @@ def _sample_moments(lower: np.ndarray, seed: int, shots: int):
             helper.join()
     if failures:
         raise failures[0]
-    return total
+    return np.array([units / (1 << _ULP_EXP) for units in totals])
 
 
 def run_scheme(
@@ -398,17 +373,17 @@ def run_scheme(
     The homodyne outcomes of the displaced probe (outcome_moments) are
     ``mean + chol z`` with z standard normal, drawn in fixed-size chunks whose
     substreams are derived from (seed, chunk index).  The estimates
-    ``K mean + L z`` with ``L = K chol`` are affine in z, so each chunk is
-    reduced to its sufficient statistics: its count, the mean z_bar of its
-    draws and their 2x2 centered Gram matrix G, summed elementwise off the
-    draws without BLAS.  The chunk contributes mean ``L z_bar`` and squared
-    deviations ``diag(L G L^T)``; ``K mean`` is added once at the end, so the
-    displacement never meets noise of size e^{-r}.  Neither outcomes nor
-    estimates are materialized.
+    ``K mean + L z`` with ``L = K chol`` are affine in z, so the run reduces
+    to the sums of z and of its pairwise products.  Their Gram matrix is
+    centered once, ``G = S - n z_bar z_bar^T``; the estimates have mean
+    ``K mean + L z_bar``, with ``K mean`` added last so the displacement
+    never meets noise of size e^{-r}, and squared deviations
+    ``diag(L G L^T)``.  Neither outcomes nor estimates are materialized.
 
-    Chunks are sampled concurrently on the usable cores and merged in chunk
-    order (_sample_moments), so a seeded report repeats bit for bit whatever
-    the core and BLAS thread counts, and memory does not grow with ``shots``.
+    Chunks are sampled concurrently on the usable cores and summed exactly
+    (_sample_moments), so a seeded report repeats bit for bit whatever the
+    core and BLAS thread counts and the order in which chunks finish, and
+    memory does not grow with ``shots``.
 
     ``shots`` must be an integer >= 100 and ``seed`` a non-negative integer;
     both are checked before any draw.
@@ -421,14 +396,20 @@ def run_scheme(
     lower = (k_mat[:, :, None] * chol).sum(axis=1)
     center = (k_mat * mean).sum(axis=1)
 
-    count, acc_mean, acc_m2 = _sample_moments(lower, seed, shots)
-    est_mean = center + acc_mean
-    var = acc_m2 / (count - 1)
-    se_mean = np.sqrt(var / count)
-    se_var = var * math.sqrt(2.0 / (count - 1))
+    dim = lower.shape[1]
+    sums = _sample_moments(dim, seed, shots)
+    z_bar = sums[:dim] / shots
+    raw = np.empty((dim, dim))
+    rows, cols = np.tril_indices(dim)
+    raw[rows, cols] = raw[cols, rows] = sums[dim:]
+    gram = raw - shots * z_bar[:, None] * z_bar
+    est_mean = center + (lower * z_bar).sum(axis=1)
+    var = _congruence_diag(lower, gram) / (shots - 1)
+    se_mean = np.sqrt(var / shots)
+    se_var = var * math.sqrt(2.0 / (shots - 1))
     predicted = _congruence_diag(k_mat, cov)
     return SimulationReport(
-        shots=count,
+        shots=shots,
         seed=seed,
         theta_x=theta.theta_x,
         theta_y=theta.theta_y,

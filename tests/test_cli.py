@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,17 @@ def test_bound_degenerate_weight_special_case(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["f_hcr"] == pytest.approx(8.0 / 17.0, rel=1e-9)
+
+
+def test_bound_weights_whose_sum_overflows(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_cli(capsys, "bound", "--r1", "2", "--r2", "2", "--wx", "1e308", "--wy", "1e308")
+    assert code == 0
+    record = json.loads(out)
+    check = record["closed_form_crosscheck"]
+    assert check["name"] == "balanced-point"
+    assert math.isfinite(record["f_hcr"]) and check["abs_diff"] <= 1e-15 * record["f_hcr"]
 
 
 def test_bound_exits_3_on_an_uncertified_near_product_probe(capsys):
@@ -192,12 +204,28 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
         (("region", "--db1", "200", "--r2", "1"), "squeezing of 200.0 dB is out of range"),
         (("simulate", "--scheme", "balanced", "--db", "200"), "squeezing of 200.0 dB is out of range"),
         (("bound", "--modes", "1", "--db", "-3"), "squeezing of -3.0 dB is out of range"),
+        # a dict stands for a --config file holding it
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--config", {"out": None}),
+         "config key 'out' (--out) must be a number, string or boolean, not null"),
+        (("verify", "--quick", "--config", {"only": None}), "config key 'only' (--only) must be a number"),
+        (("region", "--r1", "0.3", "--r2", "0.5", "--config", {"t-points": [3, 4]}),
+         "config key 't-points' (--t-points) must be a number, string or boolean, not [3, 4]"),
+        (("simulate", "--scheme", "balanced", "--config", {"r": {"value": 0.5}}), "config key 'r' (--r) must be"),
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--config", {"config": "other.json"}),
+         "config key 'config' is not allowed"),
     ],
 )
-def test_library_errors_exit_2_with_the_library_message(capsys, argv, message):
+def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    argv = list(argv)
+    for i, item in enumerate(argv):
+        if isinstance(item, dict):
+            argv[i] = "config.json"
+            Path(argv[i]).write_text(json.dumps(item))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ") and message in err
+    assert {p.name for p in tmp_path.iterdir()} <= {"config.json"}  # no output file, not even "None"
 
 
 def test_simulate_shot_floor(capsys):

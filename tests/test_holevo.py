@@ -202,6 +202,27 @@ def test_batch_bound_matches_solve():
         assert solve(cov, Weights(wx, wy)).f_hcr == val
 
 
+def test_batch_bound_weights_near_the_float_maximum_are_finite_and_exact():
+    cov = build_probe(ProbeConfig(r1=2.0, r2=2.0, phi2=math.pi / 2.0, t=0.5)).cov
+    unit = batch_bound(cov, [1.0, 1.0], [1.0, 0.0])
+    with np.errstate(all="raise"):
+        big = batch_bound(cov, [1e308, 2.0**1023], [1e308, 0.0])
+    # halving is exact and normalizes to the same weights, so only the scale differs
+    assert big[0] == unit[0] * 1e308
+    assert big[1] == unit[1] * 2.0**1023
+
+
+@pytest.mark.parametrize(
+    "w_x, w_y",
+    [([0.0], [0.0]), ([1.0], [math.nan]), ([-1.0], [2.0]), ([1.0, math.inf], [1.0, 1.0])],
+)
+def test_batch_bound_rejects_weight_rows_that_weights_rejects(w_x, w_y):
+    cov = make_squeezed(0.4, 0.0).cov
+    with pytest.raises(ValueError, match="weights must be finite, >= 0 and not both zero"):
+        batch_bound(cov, w_x, w_y)
+    assert batch_bound(cov, [0.0], [1.0])[0] == solve(cov, Weights(0.0, 1.0)).f_hcr  # one zero is valid
+
+
 # Near-product probes (t close to 0 or 1), where an earlier candidate search
 # lost its kink roots; the attained values come from the 80-digit oracle.
 NEAR_PRODUCT_CASES = [

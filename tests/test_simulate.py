@@ -317,7 +317,7 @@ def test_one_chunk_run_starts_no_thread(monkeypatch):
     assert report.shots == _SAMPLE_CHUNK
 
 
-def test_chunks_run_at_most_the_lookahead_past_a_slow_one(monkeypatch):
+def test_no_chunk_waits_for_a_slow_one(monkeypatch):
     scheme = build_scheme("example1", r2=0.7, t=0.4, phi2=0.5)
     theta = ChannelParams(0.3, -0.1)
     shots = 40 * _SAMPLE_CHUNK
@@ -334,10 +334,27 @@ def test_chunks_run_at_most_the_lookahead_past_a_slow_one(monkeypatch):
     monkeypatch.setattr(simulate, "_chunk_moments", slow_first_chunk)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
     report = _bounded(lambda: run_scheme(scheme, scheme.probe, theta, shots, seed=3))
-    ahead = started[: started.index("chunk 0 done")]
-    assert max(ahead) == 3 * simulate._LOOKAHEAD - 1  # the rest wait for chunk 0's merge
+    assert sorted(started[: started.index("chunk 0 done")]) == list(range(40))
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
     assert run_scheme(scheme, scheme.probe, theta, shots, seed=3) == report
+
+
+def test_run_totals_are_the_exactly_rounded_sums_of_the_chunk_sums(monkeypatch):
+    chunk_moments = simulate._chunk_moments
+    per_chunk = []
+
+    def recorded(seed, index, shots, buf):
+        sums = chunk_moments(seed, index, shots, buf)
+        per_chunk.append(sums)
+        return sums
+
+    monkeypatch.setattr(simulate, "_chunk_moments", recorded)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    shots = 7 * _SAMPLE_CHUNK + 11
+    totals = _bounded(lambda: simulate._sample_moments(2, 29, shots))
+    assert len(per_chunk) == 8 and totals.shape == (5,)
+    for column in range(5):
+        assert totals[column] == math.fsum(sums[column] for sums in per_chunk), column
 
 
 class _ChunkFailure(Exception):
