@@ -4,7 +4,6 @@ from .gaussian import (
     ChannelParams,
     GaussianState,
     ProbeConfig,
-    SymplecticTransform,
     beam_splitter,
     build_probe,
     make_squeezed,

@@ -101,7 +101,8 @@ def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
         dest = key.replace("-", "_")
         if dest == "config":
             raise ValueError("config key 'config' is not allowed: a config file cannot load another")
-        if not hasattr(args, dest):  # also keeps argparse from expanding an abbreviation
+        # command and func are set by the parser; hasattr also blocks abbreviations.
+        if dest in ("command", "func") or not hasattr(args, dest):
             raise ValueError(f"unknown config key {key!r}")
         option = "--" + dest.replace("_", "-")
         if value is None or isinstance(value, (list, dict)):

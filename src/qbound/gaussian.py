@@ -1,4 +1,4 @@
-"""Gaussian states in quadrature representation and symplectic operations.
+"""Gaussian states in quadrature representation and the passive optics that mix them.
 
 Conventions used throughout the package:
 
@@ -21,10 +21,9 @@ import numpy as np
 
 # Tolerances for structural checks (double precision headroom for 4x4
 # matrices).  Entries grow like e^{2r}, so a symmetry defect also passes within
-# SYMMETRY_TOL of the largest entry, and a symplectic or purity defect within
-# its tolerance of that entry squared.
+# SYMMETRY_TOL of the largest entry, and a purity defect within PURITY_TOL of
+# that entry squared.
 SYMMETRY_TOL = 1e-12
-SYMPLECTIC_TOL = 1e-10
 PURITY_TOL = 1e-9
 
 # Squeezing parameters beyond this are far outside any physical regime and
@@ -85,11 +84,6 @@ def _frozen_array(values) -> np.ndarray:
 _OMEGA = {2 * n: _frozen_array(symplectic_form(n)) for n in (1, 2)}
 
 
-def _omega(dim: int) -> np.ndarray:
-    """Omega for a ``dim x dim`` quadrature map; the one- and two-mode forms are built once."""
-    return _OMEGA[dim] if dim in _OMEGA else symplectic_form(dim // 2)
-
-
 @dataclass(frozen=True)
 class GaussianState:
     """A zero-mean Gaussian state; the displacement enters only the outcome means (simulate).
@@ -113,32 +107,6 @@ class GaussianState:
     @property
     def n_modes(self) -> int:
         return self.cov.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class SymplecticTransform:
-    """A linear quadrature map S with S @ Omega @ S.T = Omega."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0:
-            raise ValueError(f"symplectic matrix must be square of even size, got {mat.shape}")
-        omega = _omega(mat.shape[0])
-        defect = np.max(np.abs(mat @ omega @ mat.T - omega))
-        if not (defect <= SYMPLECTIC_TOL or defect <= SYMPLECTIC_TOL * np.max(np.abs(mat)) ** 2):
-            raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
-        object.__setattr__(self, "matrix", _frozen_array(mat))
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    def inverse(self) -> "SymplecticTransform":
-        omega = _omega(self.matrix.shape[0])
-        # S^{-1} = -Omega S^T Omega for our convention (Omega^2 = -1).
-        return SymplecticTransform(-omega @ self.matrix.T @ omega)
 
 
 @dataclass(frozen=True)
@@ -182,34 +150,30 @@ class ProbeConfig:
                 raise ValueError(f"transmissivity must lie in [0, 1], got {self.t}")
 
 
-def rotation(phi: float, n_modes: int = 1, target_mode: int = 0) -> SymplecticTransform:
-    """Counter-clockwise phase-space rotation by ``phi`` on ``target_mode``, identity elsewhere."""
+def rotation(phi: float, n_modes: int = 1, target_mode: int = 0) -> np.ndarray:
+    """Read-only counter-clockwise rotation by ``phi`` on ``target_mode``, identity elsewhere."""
     if not 0 <= target_mode < n_modes:
         raise ValueError(f"target_mode {target_mode} out of range for {n_modes} modes")
-    mat = np.eye(2 * n_modes)
-    sl = slice(2 * target_mode, 2 * target_mode + 2)
-    mat[sl, sl] = _rotation_block(phi)
-    return SymplecticTransform(mat)
-
-
-def _rotation_block(phi: float) -> np.ndarray:
     c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
+    mat = np.eye(2 * n_modes)
+    k = 2 * target_mode
+    mat[k, k] = mat[k + 1, k + 1] = c
+    mat[k, k + 1], mat[k + 1, k] = -s, s
+    mat.flags.writeable = False
+    return mat
 
 
-def beam_splitter(t: float) -> SymplecticTransform:
-    """Two-mode beam splitter of transmissivity ``t``.
+def beam_splitter(t: float) -> np.ndarray:
+    """Two-mode beam splitter of transmissivity ``t``, read-only.
 
     Mode-1 output is ``sqrt(t) * mode1 + sqrt(1-t) * mode2`` on both
-    quadratures; the mixing is real orthogonal, so it is symplectic.
+    quadratures; the mixing is real orthogonal, so it is symplectic and its
+    transpose is its inverse.  This is the one place the convention is written.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
     a, b = math.sqrt(t), math.sqrt(1.0 - t)
-    eye, mat = np.eye(2), np.empty((4, 4))
-    mat[:2, :2] = mat[2:, 2:] = a * eye
-    mat[:2, 2:], mat[2:, :2] = b * eye, -b * eye
-    return SymplecticTransform(mat)
+    return _frozen_array([[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]])
 
 
 def _squeezed_marginal(r, phi) -> np.ndarray:
@@ -276,18 +240,17 @@ def probe_factors(config: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Passive optics ``O`` and input variances ``lam`` with probe covariance ``O diag(lam) O^T``.
 
     A pure state is passive optics on squeezed vacua (Weedbrook et al., RMP 84,
-    621 (2012)): ``O`` is the beam splitter times ``R(phi1)`` and ``R(phi2)`` on
+    621 (2012)): ``O`` is beam_splitter(t) times ``R(phi1)`` and ``R(phi2)`` on
     the diagonal (``R(phi1)`` alone for one mode), ``lam = (e^{-2r1}, e^{2r1},
     e^{-2r2}, e^{2r2})``.  A quadrature variance ``sum_k (d O)_k^2 lam_k`` then
     sums nonnegative terms, where ``d cov d^T`` cancels entries of size e^{2r}.
+    Both quadratures mix alike, so block (i, j) of ``O`` is beam-splitter
+    entry (2i, 2j) times ``R(phi_j)``: one product per entry, no sum, no BLAS.
     """
     n = config.n_modes
     lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2)[:n] for sign in (-1.0, 1.0)])
     if n == 1:
-        return _rotation_block(config.phi1), lam
-    a, b = math.sqrt(config.t), math.sqrt(1.0 - config.t)
-    rot1, rot2 = _rotation_block(config.phi1), _rotation_block(config.phi2)
-    o = np.empty((4, 4))
-    o[:2, :2], o[:2, 2:] = a * rot1, b * rot2
-    o[2:, :2], o[2:, 2:] = -b * rot1, a * rot2
-    return o, lam
+        return rotation(config.phi1), lam
+    mixing = beam_splitter(config.t)[::2, ::2]  # [i, j]: mode j's coefficient in output i
+    rotations = np.array([rotation(config.phi1), rotation(config.phi2)]).swapaxes(0, 1)  # [p, j, q]
+    return (mixing[:, None, :, None] * rotations).reshape(4, 4), lam

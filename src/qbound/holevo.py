@@ -298,11 +298,12 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     ``covs`` may be one pure 2x2 or 4x4 covariance (broadcast) or an
     (N, 2, 2) or (N, 4, 4) stack; ``w_x`` and ``w_y`` are length-N vectors.
     Each row is phi at its maximizer mu* (_multiplier); a 2x2 covariance is
-    the delta = 1 row.  A non-pure or non-finite covariance raises
-    ValueError.  If ``info`` is a dict it receives per-row arrays:
-    ``v_x`` and ``v_y`` (the tangency point), ``gap`` (the relative duality
-    gap, certified by _certified), ``free`` (the optimal (a, b, c, d); empty
-    for one mode), ``z`` (Re Z, (N, 2, 2)) and ``beta`` (Im Z_12).
+    the delta = 1 row.  A non-pure or non-finite covariance, or a bound
+    too large for a float, raises ValueError.  If ``info`` is a dict it
+    receives per-row arrays: ``v_x`` and ``v_y`` (the tangency point),
+    ``gap`` (the relative duality gap, certified by _certified), ``free``
+    (the optimal (a, b, c, d); empty for one mode), ``z`` (Re Z, (N, 2, 2))
+    and ``beta`` (Im Z_12).
     """
     w_x = np.atleast_1d(np.asarray(w_x, dtype=float))
     w_y = np.atleast_1d(np.asarray(w_y, dtype=float))
@@ -321,6 +322,7 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     # exactly, so that their sum stays finite; other rows are not rescaled.
     half = np.where(np.maximum(w_x, w_y) < 2.0**1020, 1.0, 0.5)
     total = half * w_x + half * w_y
+    given_x, given_y = w_x, w_y
     w_x = half * w_x / total
     w_y = half * w_y / total
     d1 = _delta_minus_one(covs)
@@ -336,7 +338,12 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     f = kappa * (a + 2.0 * c * mu)
     if info is not None:
         info["gap"], info["free"], info["z"], info["beta"] = _duality_gap(covs, d1, w_x, w_y, mu, f)
-    return f * total / half
+    with np.errstate(over="ignore"):
+        f = f * total / half
+    if not np.all(np.isfinite(f)):
+        row = np.argmin(np.isfinite(f))
+        raise ValueError(f"the bound at weights ({given_x[row]}, {given_y[row]}) overflows a float")
+    return f
 
 
 def solve(cov, weights: Weights) -> BoundResult:

@@ -1,10 +1,10 @@
 """Monte-Carlo verification of homodyne measurement schemes.
 
-A scheme is a disentangling symplectic transform, one homodyne angle per
-output mode, and a linear estimator mapping the two outcomes to estimates of
-the displacement pair.  Outcome statistics of commuting homodynes on a
-Gaussian state are exactly Gaussian, so sampling uses the projected
-bivariate normal with no truncation.
+A scheme is a symplectic transform (a beam splitter in every scheme built
+here), one homodyne angle per output mode, and a linear estimator mapping
+the two outcomes to estimates of the displacement pair.  Commuting
+homodynes on a Gaussian state have exactly Gaussian outcomes, so sampling
+uses the projected bivariate normal with no truncation.
 """
 
 from __future__ import annotations
@@ -17,24 +17,27 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gaussian import ChannelParams, ProbeConfig, SymplecticTransform, beam_splitter, probe_factors
+from .gaussian import (
+    ChannelParams, ProbeConfig, _frozen_array, beam_splitter, probe_factors, symplectic_form,
+)
 from .holevo import BoundResult, DualCoefficients, SolverConvergenceError, Weights, _as_cov
 
 _SAMPLE_CHUNK = 1 << 16
 _DRAW_BLOCK = 1 << 14  # rows drawn at a time: a 256 KB buffer per worker
 _ULP_EXP = 1074  # every finite float is an integer multiple of 2**-1074
+_SYMPLECTIC_TOL = 1e-10  # on max|S Omega S^T - Omega|, or relative to max|S|^2
 
 
 @dataclass(frozen=True)
 class MeasurementScheme:
-    """Disentangling transform, homodyne angles, and estimator coefficients.
+    """Symplectic transform S (read-only), homodyne angles, and estimator coefficients.
 
     ``estimator`` rows give the coefficients of (M1, M2) in the estimates of
     theta_x and theta_y.  The measured quadratures act on distinct modes, so
     they commute and a joint outcome distribution exists.
     """
 
-    transform: SymplecticTransform
+    transform: np.ndarray
     angles: tuple
     estimator: np.ndarray
     kind: str = "general"
@@ -42,14 +45,18 @@ class MeasurementScheme:
 
     def __post_init__(self):
         est = np.asarray(self.estimator, dtype=float)
+        mat = np.asarray(self.transform, dtype=float)
         n = len(self.angles)
         if est.shape != (2, n):
             raise ValueError(f"estimator must be 2x{n}, got {est.shape}")
-        if self.transform.n_modes != n:
-            raise ValueError("one homodyne angle per transformed mode is required")
-        est = est.copy()
-        est.flags.writeable = False
-        object.__setattr__(self, "estimator", est)
+        if mat.shape != (2 * n, 2 * n):
+            raise ValueError(f"one homodyne angle per transformed mode is required, got {mat.shape}")
+        omega = symplectic_form(n)
+        defect = np.max(np.abs(mat @ omega @ mat.T - omega))
+        if not (defect <= _SYMPLECTIC_TOL or defect <= _SYMPLECTIC_TOL * np.max(np.abs(mat)) ** 2):
+            raise ValueError(f"transform is not symplectic (defect {defect:.3e})")
+        object.__setattr__(self, "transform", _frozen_array(mat))
+        object.__setattr__(self, "estimator", _frozen_array(est))
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
 
     def measured_directions(self) -> np.ndarray:
@@ -57,7 +64,7 @@ class MeasurementScheme:
 
         Row k is ``cos(alpha_k) M[2k] + sin(alpha_k) M[2k+1]`` for the transform M.
         """
-        m = self.transform.matrix
+        m = self.transform
         return np.array([math.cos(al) * m[2 * k] + math.sin(al) * m[2 * k + 1]
                          for k, al in enumerate(self.angles)])
 
@@ -82,7 +89,7 @@ class MeasurementScheme:
         multiply-adds leave residue where the transform undoes the probe's
         beam splitter, and times e^{2r} that residue swamps e^{-2r}.
         """
-        if probe.n_modes != self.transform.n_modes:
+        if probe.n_modes != len(self.angles):
             raise ValueError("scheme and probe mode counts differ")
         dirs = self.measured_directions()
         o, lam = probe_factors(probe)
@@ -214,7 +221,8 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
 
     The ``t``/``t_star`` values follow the optimal-variance formulas (e.g.
     balanced variances e^{-2r}/(1-t*) and e^{-2r}/t*); the attached
-    ProbeConfig carries the matching package-convention transmissivity 1 - t.
+    ProbeConfig carries the matching package-convention transmissivity 1 - t,
+    whose beam splitter the transform undoes: its inverse is its transpose.
     """
     if kind == "example1":
         r2 = float(params["r2"])
@@ -231,7 +239,7 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
             ]
         )
         scheme = MeasurementScheme(
-            beam_splitter(1.0 - t).inverse(),
+            beam_splitter(1.0 - t).T,
             (phi2 + math.pi / 2.0, phi2),
             estimator,
             kind="example1",
@@ -249,7 +257,7 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
         probe = ProbeConfig(r1=r, r2=r, phi1=0.0, phi2=math.pi / 2.0, t=1.0 - t_star)
         estimator = np.diag([1.0 / math.sqrt(1.0 - t_star), 1.0 / math.sqrt(t_star)])
         scheme = MeasurementScheme(
-            beam_splitter(1.0 - t_star).inverse(),
+            beam_splitter(1.0 - t_star).T,
             (0.0, math.pi / 2.0),
             estimator,
             kind="balanced",

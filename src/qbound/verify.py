@@ -312,10 +312,10 @@ def check_structural_properties(quick: bool = False, seed: int = 11) -> CheckRes
     worst = 0.0
     omega = symplectic_form(2)
     for _ in range(n):
-        s = rotation(rng.uniform(0, 2 * math.pi), 2, 0).matrix
-        s = beam_splitter(rng.uniform(0, 1)).matrix @ s
-        s = rotation(rng.uniform(0, 2 * math.pi), 2, 1).matrix @ s
-        s = beam_splitter(rng.uniform(0, 1)).matrix @ s
+        s = rotation(rng.uniform(0, 2 * math.pi), 2, 0)
+        s = beam_splitter(rng.uniform(0, 1)) @ s
+        s = rotation(rng.uniform(0, 2 * math.pi), 2, 1) @ s
+        s = beam_splitter(rng.uniform(0, 1)) @ s
         worst = max(worst, float(np.max(np.abs(s @ omega @ s.T - omega))))
     detail["symplectic_defect"] = worst
     ok_symplectic = worst <= 1e-10

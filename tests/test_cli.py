@@ -66,6 +66,18 @@ def test_bound_weights_whose_sum_overflows(capsys):
     assert math.isfinite(record["f_hcr"]) and check["abs_diff"] <= 1e-15 * record["f_hcr"]
 
 
+def test_bound_too_large_for_a_float_exits_2_without_a_warning(capsys):
+    # The single-mode bound at weights (w, w) is about 2.3 w; at w = 1e308 it is not a float.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "bound", "--modes", "1", "--r", "1", "--wx", "1e308", "--wy", "1e308")
+        assert code == 2 and out == ""
+        assert err == "error: the bound at weights (1e+308, 1e+308) overflows a float\n"
+        code, out, _ = run_cli(capsys, "bound", "--modes", "1", "--r", "1", "--wx", "1e307", "--wy", "1e307")
+    assert code == 0
+    assert math.isfinite(json.loads(out)["f_hcr"])
+
+
 def test_bound_exits_3_on_an_uncertified_near_product_probe(capsys):
     code, out, err = run_cli(
         capsys, "bound", "--modes", "2", "--r1", "0.5", "--r2", "1.5", "--phi1", "0",
@@ -213,6 +225,10 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
         (("simulate", "--scheme", "balanced", "--config", {"r": {"value": 0.5}}), "config key 'r' (--r) must be"),
         (("bound", "--r1", "0.3", "--r2", "0.5", "--config", {"config": "other.json"}),
          "config key 'config' is not allowed"),
+        # the namespace's own attributes are not options
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--config", {"func": "x"}), "unknown config key 'func'"),
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--config", {"command": "region"}),
+         "unknown config key 'command'"),
     ],
 )
 def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkeypatch, argv, message):

@@ -7,7 +7,6 @@ from qbound.gaussian import (
     ChannelParams,
     GaussianState,
     ProbeConfig,
-    SymplecticTransform,
     beam_splitter,
     build_probe,
     make_squeezed,
@@ -57,13 +56,13 @@ def test_make_squeezed_rejects_bad_r(bad):
 
 
 def test_rotation_identity_and_swap():
-    assert np.allclose(rotation(0.0).matrix, np.eye(2))
-    swapped = rotation(math.pi / 2.0).matrix @ np.diag([0.5, 2.0]) @ rotation(math.pi / 2.0).matrix.T
+    assert np.allclose(rotation(0.0), np.eye(2))
+    swapped = rotation(math.pi / 2.0) @ np.diag([0.5, 2.0]) @ rotation(math.pi / 2.0).T
     assert np.allclose(swapped, np.diag([2.0, 0.5]), atol=1e-15)
 
 
 def test_rotation_block_on_mode_one_of_two():
-    s = rotation(math.pi / 6.0, n_modes=2, target_mode=0).matrix
+    s = rotation(math.pi / 6.0, n_modes=2, target_mode=0)
     c, sn = math.cos(math.pi / 6.0), math.sin(math.pi / 6.0)
     assert np.allclose(s[:2, :2], [[c, -sn], [sn, c]])
     assert np.allclose(s[2:, 2:], np.eye(2))
@@ -76,19 +75,25 @@ def test_rotation_bad_mode_index():
 
 
 def test_beam_splitter_identity_and_vacuum():
-    assert np.allclose(beam_splitter(1.0).matrix, np.eye(4))
-    s = beam_splitter(0.5).matrix
+    assert np.allclose(beam_splitter(1.0), np.eye(4))
+    s = beam_splitter(0.5)
     assert np.allclose(s @ s.T, np.eye(4))
 
 
 def test_beam_splitter_balanced_orthogonal_squeezers():
     r = 0.7
     e_m, e_p = math.exp(-2.0 * r), math.exp(2.0 * r)
-    s = beam_splitter(0.5).matrix
+    s = beam_splitter(0.5)
     out = s @ np.diag([e_m, e_p, e_p, e_m]) @ s.T
     ch = math.cosh(2.0 * r)
     assert np.allclose(out[:2, :2], ch * np.eye(2), atol=1e-12)
     assert np.allclose(out[2:, 2:], ch * np.eye(2), atol=1e-12)
+
+
+def test_passive_maps_are_read_only():
+    for mat in (rotation(0.4), rotation(0.4, 2, 1), beam_splitter(0.3)):
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("bad", [-0.01, 1.01])
@@ -190,9 +195,9 @@ def test_symplectic_invariant_under_composition():
     rng = np.random.default_rng(8)
     omega = symplectic_form(2)
     for _ in range(100):
-        s = beam_splitter(rng.uniform(0, 1)).matrix
-        s = rotation(rng.uniform(0, 2 * math.pi), 2, rng.integers(0, 2)).matrix @ s
-        s = beam_splitter(rng.uniform(0, 1)).matrix @ s
+        s = beam_splitter(rng.uniform(0, 1))
+        s = rotation(rng.uniform(0, 2 * math.pi), 2, rng.integers(0, 2)) @ s
+        s = beam_splitter(rng.uniform(0, 1)) @ s
         assert np.max(np.abs(s @ omega @ s.T - omega)) <= 1e-10
 
 
@@ -236,6 +241,7 @@ def test_state_rejects_asymmetric_cov():
 def test_structural_checks_are_relative():
     # Rounding-level asymmetry on entries of size e^{2r} is accepted at any
     # r <= 20, and the same relative defect of 1e-6 is rejected at any scale.
+    # (MeasurementScheme's symplectic check: tests/test_simulate.py.)
     for r in (0.0, 7.0, 20.0):
         cov = make_squeezed(r, 0.3).cov.copy()
         scale = np.max(np.abs(cov))
@@ -244,9 +250,3 @@ def test_structural_checks_are_relative():
         cov[0, 1] += 1e-6 * scale
         with pytest.raises(ValueError):
             GaussianState(cov)
-        squeeze = np.diag([math.exp(-r), math.exp(r)]) @ rotation(0.3).matrix
-        SymplecticTransform(squeeze)
-        broken = squeeze.copy()
-        broken[0, 0] += 1e-6 * np.max(np.abs(squeeze))  # det moves by ~1e-6 max|S|^2
-        with pytest.raises(ValueError):
-            SymplecticTransform(broken)

@@ -14,7 +14,7 @@ import pytest
 import qbound
 from qbound import closed_forms as cf
 from qbound import simulate
-from qbound.gaussian import ChannelParams, ProbeConfig, build_probe
+from qbound.gaussian import ChannelParams, ProbeConfig, beam_splitter, build_probe, rotation
 from qbound.holevo import DualCoefficients, Weights, solve
 from qbound.simulate import (
     _SAMPLE_CHUNK,
@@ -95,6 +95,33 @@ def test_build_scheme_guards():
     scheme = build_scheme("balanced", r=0.5, t_star=0.5)
     with pytest.raises(ValueError, match="mode counts"):
         scheme.outcome_moments(ProbeConfig(r1=0.5, n_modes=1), ChannelParams())
+
+
+def test_reference_transforms_are_the_transposed_probe_beam_splitter():
+    # An orthogonal map's inverse is its transpose, bit for bit.
+    for scheme in (
+        build_scheme("balanced", r=0.9, t_star=0.3),
+        build_scheme("balanced", r=20.0, weights=Weights(1.0, 7.0)),
+        build_scheme("example1", r2=0.8, t=0.3, phi2=0.5),
+        build_scheme("example1", r2=20.0, t=1e-9, phi2=-2.0),
+    ):
+        expected = beam_splitter(scheme.probe.t).T
+        assert scheme.transform.tobytes() == expected.tobytes()
+        assert not scheme.transform.flags.writeable
+
+
+def test_scheme_transform_symplectic_check_is_relative():
+    # A squeezer with entries up to e^{r} is accepted at any r <= 20, and a
+    # relative defect of 1e-6 (det moves by ~1e-6 max|S|^2) is rejected.
+    for r in (0.0, 7.0, 20.0):
+        squeeze = np.diag([math.exp(-r), math.exp(r)]) @ rotation(0.3)
+        MeasurementScheme(squeeze, (0.0,), [[1.0], [0.0]])
+        broken = squeeze.copy()
+        broken[0, 0] += 1e-6 * np.max(np.abs(squeeze))
+        with pytest.raises(ValueError, match="not symplectic"):
+            MeasurementScheme(broken, (0.0,), [[1.0], [0.0]])
+    with pytest.raises(ValueError, match="one homodyne angle per transformed mode"):
+        MeasurementScheme(np.eye(4), (0.0,), [[1.0], [0.0]])
 
 
 def test_check_unbiased_is_relative_and_rejects_nan():
