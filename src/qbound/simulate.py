@@ -3,16 +3,16 @@
 A scheme is a symplectic transform (a beam splitter in every scheme built
 here), one homodyne angle per output mode, and a linear estimator mapping
 the two outcomes to estimates of the displacement pair.  Commuting
-homodynes on a Gaussian state have exactly Gaussian outcomes, so sampling
-uses the projected bivariate normal with no truncation.
+homodynes on a Gaussian state have exactly Gaussian outcomes, so a run's
+estimator statistics follow from the mean and centered Gram matrix of its
+standard-normal draws; both have exact laws, and run_scheme draws them
+directly, at a cost that does not depend on the shot count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,9 +22,7 @@ from .gaussian import (
 )
 from .holevo import BoundResult, DualCoefficients, SolverConvergenceError, Weights, _as_cov
 
-_SAMPLE_CHUNK = 1 << 16
-_DRAW_BLOCK = 1 << 14  # rows drawn at a time: a 256 KB buffer per worker
-_ULP_EXP = 1074  # every finite float is an integer multiple of 2**-1074
+_MAX_SHOTS = 1 << 53  # every shot count up to here is an exact float
 _SYMPLECTIC_TOL = 1e-10  # on max|S Omega S^T - Omega|, or relative to max|S|^2
 
 
@@ -279,96 +277,6 @@ def _checked_integer(name: str, value, minimum: int) -> int:
     return value
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _exact(x: float) -> int:
-    # x as an exact integer count of 2**-_ULP_EXP; such counts add in any order.
-    num, den = float(x).as_integer_ratio()
-    return num << (_ULP_EXP + 1 - den.bit_length())
-
-
-def _chunk_moments(seed: int, index: int, shots: int, buf: np.ndarray) -> np.ndarray:
-    """Raw sums of one chunk's draws: each column z_i, then each z_i z_j, j <= i.
-
-    Chunk ``index`` holds the next min(_SAMPLE_CHUNK, rest) of ``shots``
-    standard-normal rows from substream default_rng([seed, index]), drawn
-    into ``buf`` a block at a time (the stream of one whole-chunk draw) and
-    summed off the interleaved columns elementwise: no BLAS, no copies.
-    """
-    n = min(_SAMPLE_CHUNK, shots - index * _SAMPLE_CHUNK)
-    dim = buf.shape[1]
-    rng = np.random.default_rng([seed, index])
-    pairs = list(zip(*np.tril_indices(dim)))
-    sums = np.zeros(dim + len(pairs))
-    for start in range(0, n, len(buf)):
-        z = buf[: n - start]  # the whole buffer, or the chunk's last rows
-        rng.standard_normal(out=z)
-        for i in range(dim):
-            sums[i] += z[:, i].sum()
-        for k, (i, j) in enumerate(pairs, dim):
-            sums[k] += np.einsum("i,i->", z[:, i], z[:, j])
-    return sums
-
-
-def _sample_moments(dim: int, seed: int, shots: int) -> np.ndarray:
-    """The raw sums of _chunk_moments over all ``shots`` draws, each rounded once.
-
-    min(usable CPUs, chunks) workers, this thread among them, claim chunks
-    in index order, each reduced in its worker's own draw buffer.  Chunk sums
-    are added as exact integer multiples of 2**-1074 (_exact), whose totals
-    do not depend on the order of their terms, so no worker waits for
-    another.  Integer true division rounds each total once, correctly: it
-    equals math.fsum of the chunk sums.  A one-chunk run starts no thread.
-    A worker's exception stops the others at their next claim and is
-    re-raised here after every helper is joined.
-    """
-    n_chunks = -(-shots // _SAMPLE_CHUNK)
-    workers = min(_usable_cpus(), n_chunks)
-    # One draw buffer per worker, allocated by this thread: a buffer allocated
-    # in a helper would stay resident in that thread's malloc arena after the call.
-    buffers = [np.empty((min(_DRAW_BLOCK, shots), dim)) for _ in range(workers)]
-    lock = threading.Lock()
-    totals = [0] * (dim + dim * (dim + 1) // 2)
-    claimed = 0
-    failures = []
-
-    def work(buf):
-        nonlocal claimed
-        exact = []
-        try:
-            while True:
-                with lock:
-                    for k, units in enumerate(exact):
-                        totals[k] += units
-                    if claimed == n_chunks or failures:
-                        return
-                    index = claimed
-                    claimed += 1
-                exact = [_exact(s) for s in _chunk_moments(seed, index, shots, buf)]
-        except BaseException as exc:
-            with lock:
-                failures.append(exc)
-
-    helpers = []
-    try:
-        for buf in buffers[1:]:
-            helper = threading.Thread(target=work, args=(buf,), name="qbound-sample")
-            helper.start()
-            helpers.append(helper)
-        work(buffers[0])
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise failures[0]
-    return np.array([units / (1 << _ULP_EXP) for units in totals])
-
-
 def run_scheme(
     scheme: MeasurementScheme,
     probe: ProbeConfig,
@@ -379,24 +287,27 @@ def run_scheme(
     """Simulate a scheme end to end and report empirical estimator statistics.
 
     The homodyne outcomes of the displaced probe (outcome_moments) are
-    ``mean + chol z`` with z standard normal, drawn in fixed-size chunks whose
-    substreams are derived from (seed, chunk index).  The estimates
-    ``K mean + L z`` with ``L = K chol`` are affine in z, so the run reduces
-    to the sums of z and of its pairwise products.  Their Gram matrix is
-    centered once, ``G = S - n z_bar z_bar^T``; the estimates have mean
-    ``K mean + L z_bar``, with ``K mean`` added last so the displacement
-    never meets noise of size e^{-r}, and squared deviations
-    ``diag(L G L^T)``.  Neither outcomes nor estimates are materialized.
+    ``mean + chol z`` with z standard normal.  The estimates ``K mean + L z``
+    with ``L = K chol`` are affine in z, so a run of n shots reduces to the
+    mean z_bar of its draws and their centered Gram matrix G: the estimates
+    have mean ``K mean + L z_bar``, with ``K mean`` added last so the
+    displacement never meets noise of size e^{-r}, and squared deviations
+    ``diag(L G L^T)``.
 
-    Chunks are sampled concurrently on the usable cores and summed exactly
-    (_sample_moments), so a seeded report repeats bit for bit whatever the
-    core and BLAS thread counts and the order in which chunks finish, and
-    memory does not grow with ``shots``.
+    Both statistics are drawn from their exact, independent laws with one
+    ``default_rng(seed)``: z_bar ~ N(0, I/n), then G ~ Wishart(n - 1, I) by
+    the Bartlett decomposition G = A A^T, A lower triangular with
+    A_ii^2 ~ chi^2(n - 1 - i) and A_ij ~ N(0, 1) below the diagonal
+    (Anderson 2003, ch. 7; Odell and Feiveson 1966).  So a run costs the
+    same at any ``shots``, starts no thread, uses no BLAS product, and a
+    seeded report repeats bit for bit.
 
-    ``shots`` must be an integer >= 100 and ``seed`` a non-negative integer;
-    both are checked before any draw.
+    ``shots`` must be an integer in [100, 2**53] and ``seed`` a
+    non-negative integer; both are checked before any draw.
     """
     shots = _checked_integer("shots", shots, 100)
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most 2**53 = {_MAX_SHOTS}, got {shots}")
     seed = _checked_integer("seed", seed, 0)
     mean, cov = scheme.outcome_moments(probe, theta)
     chol = np.linalg.cholesky(cov)
@@ -405,12 +316,11 @@ def run_scheme(
     center = (k_mat * mean).sum(axis=1)
 
     dim = lower.shape[1]
-    sums = _sample_moments(dim, seed, shots)
-    z_bar = sums[:dim] / shots
-    raw = np.empty((dim, dim))
-    rows, cols = np.tril_indices(dim)
-    raw[rows, cols] = raw[cols, rows] = sums[dim:]
-    gram = raw - shots * z_bar[:, None] * z_bar
+    rng = np.random.default_rng(seed)
+    z_bar = rng.standard_normal(dim) / math.sqrt(shots)
+    bartlett = np.diag(np.sqrt(rng.chisquare(shots - 1 - np.arange(dim))))
+    bartlett[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
+    gram = (bartlett[:, None, :] * bartlett).sum(axis=2)
     est_mean = center + (lower * z_bar).sum(axis=1)
     var = _congruence_diag(lower, gram) / (shots - 1)
     se_mean = np.sqrt(var / shots)

@@ -252,6 +252,14 @@ def test_simulate_shot_floor(capsys):
     assert "shots" in err
 
 
+def test_simulate_shot_ceiling(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--scheme", "balanced", "--r", "0.693", "--shots", "100000000000000000000"
+    )
+    assert code == 2
+    assert out == "" and "shots must be at most 2**53" in err
+
+
 @pytest.mark.parametrize(
     "argv, config, message",
     [

@@ -3,8 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,11 +11,9 @@ import pytest
 
 import qbound
 from qbound import closed_forms as cf
-from qbound import simulate
 from qbound.gaussian import ChannelParams, ProbeConfig, beam_splitter, build_probe, rotation
 from qbound.holevo import DualCoefficients, Weights, solve
 from qbound.simulate import (
-    _SAMPLE_CHUNK,
     MeasurementScheme,
     build_scheme,
     compare_to_bound,
@@ -174,6 +170,24 @@ def test_run_scheme_unbiased_at_random_displacements():
         assert abs(report.mean_y - theta.theta_y) <= 5.0 * report.se_mean_y
 
 
+def test_run_scheme_statistics_follow_their_exact_laws_over_seeds():
+    # Over seeds 0..1999 at n = 100: var / predicted ~ chi^2(n - 1) / (n - 1)
+    # has mean 1 and variance 2 / (n - 1), and each mean's z-score is N(0, 1).
+    shots, seeds = 100, 2000
+    scheme = build_scheme("example1", r2=0.8, t=0.4, phi2=0.7)
+    theta = ChannelParams(0.3, -0.1)
+    reports = [run_scheme(scheme, scheme.probe, theta, shots, seed) for seed in range(seeds)]
+    predicted = np.array([reports[0].predicted_v_x, reports[0].predicted_v_y])
+    ratios = np.array([(r.var_x, r.var_y) for r in reports]) / predicted
+    z = (np.array([(r.mean_x, r.mean_y) for r in reports]) - (theta.theta_x, theta.theta_y)) / np.sqrt(predicted / shots)
+    se_ratio_mean = math.sqrt(2.0 / (shots - 1) / seeds)
+    se_z_var = math.sqrt(2.0 / (seeds - 1))
+    for axis in range(2):
+        assert abs(ratios[:, axis].mean() - 1.0) <= 4.0 * se_ratio_mean, axis
+        assert abs(z[:, axis].mean()) <= 4.0 / math.sqrt(seeds), axis
+        assert abs(z[:, axis].var(ddof=1) - 1.0) <= 4.0 * se_z_var, axis
+
+
 def test_run_scheme_seed_determinism():
     scheme = build_scheme("balanced", r=0.4, t_star=0.3)
     theta = ChannelParams(0.2, 0.1)
@@ -203,7 +217,13 @@ def test_run_scheme_minimum_shots():
 
 @pytest.mark.parametrize(
     "shots, seed, field",
-    [(1e5, 0, "shots"), (100.0, 0, "shots"), (100, -1, "seed"), (100, 1.5, "seed")],
+    [
+        (1e5, 0, "shots"),
+        (100.0, 0, "shots"),
+        (2**53 + 1, 0, "shots"),
+        (100, -1, "seed"),
+        (100, 1.5, "seed"),
+    ],
 )
 def test_run_scheme_rejects_bad_shots_and_seed_before_drawing(monkeypatch, shots, seed, field):
     scheme = build_scheme("balanced", r=0.4, t_star=0.5)
@@ -244,9 +264,10 @@ def test_run_scheme_forms_outcome_moments_once(monkeypatch, scheme):
 @pytest.mark.parametrize("kind", ["balanced", "example1"])
 @pytest.mark.parametrize("r", [0.5, 10.0, 20.0])
 def test_run_scheme_matches_an_extended_precision_replay(kind, r):
-    # Replays run_scheme's draws (same chunk layout and substreams) and
-    # materializes outcomes and estimates in long double from the same
-    # float64 moments: what remains is run_scheme's own sampling arithmetic.
+    # Replays run_scheme's Bartlett draws from default_rng(seed) and forms
+    # the mean outcome and the estimates' squared deviations in long double
+    # from the same float64 moments, by another route (rows of (L A)^2): what
+    # remains is run_scheme's own arithmetic.
     if kind == "balanced":
         scheme = build_scheme("balanced", r=r, t_star=0.3)
     else:
@@ -256,17 +277,18 @@ def test_run_scheme_matches_an_extended_precision_replay(kind, r):
     mean = mean.astype(np.longdouble)
     chol = np.linalg.cholesky(cov).astype(np.longdouble)
     k_mat = scheme.estimator.astype(np.longdouble)
-    for shots in (100, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 1):
+    lower = (k_mat[:, :, None] * chol).sum(axis=1)
+    for shots in (100, 65_536, 65_537, 196_609):
         report = run_scheme(scheme, scheme.probe, theta, shots, seed=11)
-        estimates = []
-        for k, start in enumerate(range(0, shots, _SAMPLE_CHUNK)):
-            n = min(_SAMPLE_CHUNK, shots - start)
-            z = np.random.default_rng([11, k]).standard_normal((n, 2)).astype(np.longdouble)
-            outcomes = mean + (z[:, None, :] * chol).sum(axis=2)
-            estimates.append((outcomes[:, None, :] * k_mat).sum(axis=2))
-        est = np.concatenate(estimates)
-        want_mean = est.mean(axis=0)
-        want_var = ((est - want_mean) ** 2).sum(axis=0) / (shots - 1)
+        rng = np.random.default_rng(11)
+        n = np.longdouble(shots)
+        z_bar = rng.standard_normal(2).astype(np.longdouble) / np.sqrt(n)
+        chi2 = rng.chisquare([shots - 1, shots - 2]).astype(np.longdouble)
+        bartlett = np.diag(np.sqrt(chi2))
+        bartlett[1, 0] = rng.standard_normal()
+        outcome_mean = mean + (chol * z_bar).sum(axis=1)
+        want_mean = (k_mat * outcome_mean).sum(axis=1)
+        want_var = ((lower[:, :, None] * bartlett).sum(axis=1) ** 2).sum(axis=1) / (n - 1)
         got_var = np.array([report.var_x, report.var_y])
         got_mean = np.array([report.mean_x, report.mean_y])
         se_mean = np.array([report.se_mean_x, report.se_mean_y])
@@ -293,128 +315,6 @@ def test_seeded_report_does_not_depend_on_blas_threads():
         reports.append(json.loads(run.stdout))
     assert reports[0] == reports[1]
     assert reports[0]["shots"] == 200_000
-
-
-def _bounded(fn, timeout=120.0):
-    # Runs fn on a daemon thread so that a deadlocked run fails the test instead of hanging it.
-    outcome = {}
-
-    def target():
-        try:
-            outcome["value"] = fn()
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    runner = threading.Thread(target=target, daemon=True)
-    runner.start()
-    runner.join(timeout)
-    assert not runner.is_alive(), "run did not finish"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
-def test_seeded_report_does_not_depend_on_the_worker_count(monkeypatch):
-    scheme = build_scheme("example1", r2=0.7, t=0.4, phi2=0.5)
-    theta = ChannelParams(0.3, -0.1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
-    try:
-        for shots in (100, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 1):
-            reports = []
-            for workers in (1, 2, 3, 5):
-                monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
-                report = _bounded(lambda: run_scheme(scheme, scheme.probe, theta, shots, seed=13))
-                reports.append(report.to_dict())
-            assert all(r == reports[0] for r in reports), shots
-            assert reports[0]["shots"] == shots
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_one_chunk_run_starts_no_thread(monkeypatch):
-    scheme = build_scheme("balanced", r=0.4, t_star=0.3)
-
-    def no_threads(*args, **kwargs):
-        raise AssertionError("started a thread")
-
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(threading, "Thread", no_threads)
-    report = run_scheme(scheme, scheme.probe, ChannelParams(0.1, 0.2), _SAMPLE_CHUNK, seed=1)
-    assert report.shots == _SAMPLE_CHUNK
-
-
-def test_no_chunk_waits_for_a_slow_one(monkeypatch):
-    scheme = build_scheme("example1", r2=0.7, t=0.4, phi2=0.5)
-    theta = ChannelParams(0.3, -0.1)
-    shots = 40 * _SAMPLE_CHUNK
-    chunk_moments = simulate._chunk_moments
-    started = []
-
-    def slow_first_chunk(seed, index, shots, buf):
-        started.append(index)
-        if index == 0:
-            time.sleep(0.5)
-            started.append("chunk 0 done")
-        return chunk_moments(seed, index, shots, buf)
-
-    monkeypatch.setattr(simulate, "_chunk_moments", slow_first_chunk)
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
-    report = _bounded(lambda: run_scheme(scheme, scheme.probe, theta, shots, seed=3))
-    assert sorted(started[: started.index("chunk 0 done")]) == list(range(40))
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
-    assert run_scheme(scheme, scheme.probe, theta, shots, seed=3) == report
-
-
-def test_run_totals_are_the_exactly_rounded_sums_of_the_chunk_sums(monkeypatch):
-    chunk_moments = simulate._chunk_moments
-    per_chunk = []
-
-    def recorded(seed, index, shots, buf):
-        sums = chunk_moments(seed, index, shots, buf)
-        per_chunk.append(sums)
-        return sums
-
-    monkeypatch.setattr(simulate, "_chunk_moments", recorded)
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
-    shots = 7 * _SAMPLE_CHUNK + 11
-    totals = _bounded(lambda: simulate._sample_moments(2, 29, shots))
-    assert len(per_chunk) == 8 and totals.shape == (5,)
-    for column in range(5):
-        assert totals[column] == math.fsum(sums[column] for sums in per_chunk), column
-
-
-class _ChunkFailure(Exception):
-    pass
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_a_failing_chunk_raises_its_own_error_and_leaves_no_thread(monkeypatch, workers):
-    scheme = build_scheme("balanced", r=0.4, t_star=0.3)
-    theta = ChannelParams(0.1, 0.2)
-    chunk_moments = simulate._chunk_moments
-    failed = threading.Event()
-
-    def failing_chunk_moments(seed, index, shots, buf):
-        if index == 2:
-            failed.set()
-            raise _ChunkFailure(f"chunk {index}")
-        if index > 0:  # still running when chunk 2 fails, so run_scheme must join it
-            failed.wait(10.0)
-            time.sleep(0.1)
-        return chunk_moments(seed, index, shots, buf)
-
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(simulate, "_chunk_moments", failing_chunk_moments)
-    threads = threading.active_count()
-    with pytest.raises(_ChunkFailure, match="chunk 2"):
-        _bounded(lambda: run_scheme(scheme, scheme.probe, theta, 6 * _SAMPLE_CHUNK, seed=1))
-    assert threading.active_count() == threads
-
-    monkeypatch.setattr(simulate, "_chunk_moments", chunk_moments)
-    report = _bounded(lambda: run_scheme(scheme, scheme.probe, theta, 2_000_000, seed=1))
-    assert report.shots == 2_000_000
-    assert threading.active_count() == threads
 
 
 def test_compare_to_bound_optimal_and_suboptimal():
