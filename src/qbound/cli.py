@@ -22,7 +22,7 @@ import numpy as np
 
 from . import closed_forms, regions, verify
 from .gaussian import ChannelParams, ProbeConfig, build_probe, squeezing_db_to_r
-from .holevo import SolverConvergenceError, Weights, solve
+from .holevo import Weights, solve
 from .simulate import build_scheme, run_scheme
 
 EXIT_OK = 0
@@ -399,9 +399,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_CONFIG
-    except SolverConvergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

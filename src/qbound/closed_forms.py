@@ -139,8 +139,8 @@ def optimal_config(w_x: float, w_y: float, r1: float, r2: float, phi1: float = 0
     ``t* = e^{r1} / (e^{r1} + e^{r2} sqrt(w_x/w_y))``; for w_y < w_x the roles
     of x and y are swapped.  Equal weights admit a one-parameter family with
     constant v_x + v_y, selected by the ``phi1`` argument.  Degenerate weights
-    return the single-parameter limit (direct probing with the stronger
-    squeezer).
+    (one zero, or a ratio sqrt(min/max) that underflows to 0) return the
+    single-parameter limit t* = 1 (direct probing with the stronger squeezer).
     """
     if not (math.isfinite(w_x) and math.isfinite(w_y)):
         raise ValueError("weights must be finite")
@@ -151,23 +151,14 @@ def optimal_config(w_x: float, w_y: float, r1: float, r2: float, phi1: float = 0
     f1, f2 = math.exp(-2.0 * r1), math.exp(-2.0 * r2)
     cross = math.exp(-(r1 + r2))
 
-    if w_x == 0.0:  # only theta_y matters: probe with the r2 squeezer directly
-        return OptimalConfig(1.0, 0.0, math.pi / 2.0, math.inf, f2, 0.0, swapped)
-    if w_y == 0.0:
-        return OptimalConfig(1.0, math.pi / 2.0, 0.0, f2, math.inf, 0.0, swapped)
-
-    if w_x < w_y:
-        ratio = math.sqrt(w_x / w_y)
+    if w_x != w_y:
+        ratio = math.sqrt(min(w_x, w_y) / max(w_x, w_y))
         t_star = e1 / (e1 + e2 * ratio)
-        v_x = f1 + cross / ratio
-        v_y = f2 + cross * ratio
-        return OptimalConfig(t_star, 0.0, math.pi / 2.0, v_x, v_y, 1.0 - t_star, swapped)
-    if w_y < w_x:
-        ratio = math.sqrt(w_y / w_x)
-        t_star = e1 / (e1 + e2 * ratio)
-        v_y = f1 + cross / ratio
-        v_x = f2 + cross * ratio
-        return OptimalConfig(t_star, math.pi / 2.0, 0.0, v_x, v_y, 1.0 - t_star, swapped)
+        v_light = f1 + cross / ratio if ratio > 0.0 else math.inf
+        v_heavy = f2 + cross * ratio
+        if w_x < w_y:
+            return OptimalConfig(t_star, 0.0, math.pi / 2.0, v_light, v_heavy, 1.0 - t_star, swapped)
+        return OptimalConfig(t_star, math.pi / 2.0, 0.0, v_heavy, v_light, 1.0 - t_star, swapped)
 
     # Equal weights: family endpoint selected by phi1 (phi2 = phi1 + pi/2).
     t_star = e1 / (e1 + e2)

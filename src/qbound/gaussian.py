@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerances for structural checks (double precision headroom for 4x4
-# matrices).  Entries grow like e^{2r}, so a symmetry defect also passes within
-# SYMMETRY_TOL of the largest entry, and a purity defect within PURITY_TOL of
-# that entry squared.
+# Symmetry tolerance (double precision headroom for 4x4 matrices).  Entries
+# grow like e^{2r}, so a symmetry defect also passes within SYMMETRY_TOL of the
+# largest entry.
 SYMMETRY_TOL = 1e-12
-PURITY_TOL = 1e-9
 
 # Squeezing parameters beyond this are far outside any physical regime and
 # overflow e^{2r} arithmetic headroom.

@@ -30,18 +30,20 @@ evaluates phi at its one maximizer mu* in [0, 1], a quartic root found per
 row by a bracketed Newton search (one scalar-dual kernel), and solve() is
 one batch row.  The optimal duals follow in closed form from mu*, the tangency
 point is the weight gradient of phi, and ``converged`` is the duality gap:
-the primal value h of the reported duals must match phi(mu*).
+the primal value h of the reported duals must match phi(mu*).  Only gaussian,
+which builds covariances, and this module read them: simulate builds the
+optimal measurement from a BoundResult alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_forms import _bracketed_newton
-from .gaussian import _OMEGA, PURITY_TOL, GaussianState
+from .gaussian import _OMEGA
 
 __all__ = [
     "Weights",
@@ -127,7 +129,7 @@ class DualCoefficients:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Bound value with the optimizing duals, their second moments and the tangency point.
+    """Bound value with the optimizing duals and the tangency point.
 
     ``v_x`` and ``v_y`` are the gradient of the bound in the weights at the
     optimum (the tangency point of the bound line); a zero weight gives an
@@ -136,22 +138,10 @@ class BoundResult:
 
     f_hcr: float
     duals: DualCoefficients
-    z_real: np.ndarray = field(repr=False)
-    z_imag: np.ndarray = field(repr=False)
-    weights: Weights = field(repr=False)
     v_x: float
     v_y: float
     converged: bool = True
     iterations: int = 0  # always 0, kept for the output format
-
-
-def _as_cov(cov) -> np.ndarray:
-    if isinstance(cov, GaussianState):
-        return cov.cov
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] not in (2, 4):
-        raise ValueError(f"covariance must be 2x2 or 4x4, got shape {cov.shape}")
-    return cov
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +167,7 @@ def _as_cov(cov) -> np.ndarray:
 
 # A row is certified when its relative duality gap is at most this.
 CERTIFICATE_TOL = 1e-9
+PURITY_TOL = 1e-9  # _check_pure's bound on the defect, relative to max|S|^2
 
 _EYE = {2: np.eye(2), 4: np.eye(4)}
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -252,8 +243,8 @@ def _quadratic_root(e, k):
 def _duality_gap(covs, d1, w_x, w_y, mu, f):
     """Relative gap (h - f) / f of the duals at mu against a claimed bound f, given delta - 1.
 
-    Returns (gap, free, z, beta): the duals' free entries (a, b, c, d), the
-    real second-moment matrices Z (N, 2, 2) and beta = Im Z_12.  Weak duality
+    Returns (gap, free), with free the duals' entries (a, b, c, d); h is
+    formed from their real second moments Z and beta = Im Z_12.  Weak duality
     makes h >= true bound >= phi(mu), so the gap of the exact optimum is
     zero and any other (mu, f) leaves a positive one; a gap that only
     rounding separates from zero certifies f.  Products summed over short
@@ -279,7 +270,7 @@ def _duality_gap(covs, d1, w_x, w_y, mu, f):
         s_c = (c[:, :, None, :] * covs[:, None, :, :]).sum(axis=-1)
         z = (s_c[:, :, None, :] * c[:, None, :, :]).sum(axis=-1)
         h = w_x * z[:, 0, 0] + w_y * z[:, 1, 1] + 2.0 * np.sqrt(w_x * w_y) * np.abs(beta)
-        return (h - f) / f, free.reshape(n, -1), z, beta
+        return (h - f) / f, free.reshape(n, -1)
 
 
 def _certified(gap):
@@ -301,9 +292,8 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     the delta = 1 row.  A non-pure or non-finite covariance, or a bound
     too large for a float, raises ValueError.  If ``info`` is a dict it
     receives per-row arrays: ``v_x`` and ``v_y`` (the tangency point),
-    ``gap`` (the relative duality gap, certified by _certified), ``free``
-    (the optimal (a, b, c, d); empty for one mode), ``z`` (Re Z, (N, 2, 2))
-    and ``beta`` (Im Z_12).
+    ``gap`` (the relative duality gap, certified by _certified) and ``free``
+    (the optimal (a, b, c, d); empty for one mode).
     """
     w_x = np.atleast_1d(np.asarray(w_x, dtype=float))
     w_y = np.atleast_1d(np.asarray(w_y, dtype=float))
@@ -337,7 +327,7 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
             info["v_y"] = np.where(w_y > 0.0, kappa * (covs[:, 1, 1] + np.sqrt(w_x / w_y) * mu), np.inf)
     f = kappa * (a + 2.0 * c * mu)
     if info is not None:
-        info["gap"], info["free"], info["z"], info["beta"] = _duality_gap(covs, d1, w_x, w_y, mu, f)
+        info["gap"], info["free"] = _duality_gap(covs, d1, w_x, w_y, mu, f)
     with np.errstate(over="ignore"):
         f = f * total / half
     if not np.all(np.isfinite(f)):
@@ -347,19 +337,17 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
 
 
 def solve(cov, weights: Weights) -> BoundResult:
-    """Weighted dual-variance bound of one probe covariance: one batch_bound row.
+    """Weighted dual-variance bound of one pure 2x2 or 4x4 covariance: one batch_bound row.
 
     ``converged`` is the duality-gap certificate of the reported duals, and
     ``iterations`` is always 0: the Newton steps of the kink root are not counted.
     """
-    sigma = _as_cov(cov)
+    if np.ndim(cov) != 2:
+        raise ValueError(f"covariance must be 2x2 or 4x4, got shape {np.shape(cov)}")
     info: dict = {}
-    f = float(batch_bound(sigma, weights.w_x, weights.w_y, info)[0])
+    f = float(batch_bound(cov, weights.w_x, weights.w_y, info)[0])
     free = info["free"][0]
     duals = DualCoefficients.from_free(free) if free.size else DualCoefficients.single_mode()
-    beta = float(info["beta"][0])
     return BoundResult(
-        f, duals, info["z"][0], np.array([[0.0, beta], [-beta, 0.0]]),
-        weights, float(info["v_x"][0]), float(info["v_y"][0]), bool(_certified(info["gap"][0])),
+        f, duals, float(info["v_x"][0]), float(info["v_y"][0]), bool(_certified(info["gap"][0])),
     )
-

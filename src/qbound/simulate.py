@@ -7,6 +7,10 @@ homodynes on a Gaussian state have exactly Gaussian outcomes, so a run's
 estimator statistics follow from the mean and centered Gram matrix of its
 standard-normal draws; both have exact laws, and run_scheme draws them
 directly, at a cost that does not depend on the shot count.
+
+The optimal product homodyne is read off a converged BoundResult alone
+(extract_measurement): its certificate makes ``f_hcr`` the weighted
+variance of its duals, so no covariance is needed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from .gaussian import (
     ChannelParams, ProbeConfig, _frozen_array, beam_splitter, probe_factors, symplectic_form,
 )
-from .holevo import BoundResult, DualCoefficients, SolverConvergenceError, Weights, _as_cov
+from .holevo import BoundResult, DualCoefficients, SolverConvergenceError, Weights
 
 _MAX_SHOTS = 1 << 53  # every shot count up to here is an exact float
 _SYMPLECTIC_TOL = 1e-10  # on max|S Omega S^T - Omega|, or relative to max|S|^2
@@ -149,7 +153,7 @@ class BoundComparison:
     ok: bool
 
 
-def scheme_from_duals(duals: DualCoefficients, cov, weights: Weights) -> ProductCertificate:
+def scheme_from_duals(duals: DualCoefficients, bound: float) -> ProductCertificate:
     """Build the product homodyne realizing commuting two-mode duals, in closed form.
 
     Commuting duals have mode-2 coefficient matrix D = [[a, b], [c, d]] with
@@ -157,20 +161,18 @@ def scheme_from_duals(duals: DualCoefficients, cov, weights: Weights) -> Product
     and -1/rho, h = tr D / 2.  A beam splitter of transmissivity 1/(1 + rho^2)
     puts the duals on separate outputs, the left eigenvectors u1, u2 of D give
     the homodyne angles, and the estimator inverts the mode-1 response
-    [sqrt(t_d) u1; -sqrt(1 - t_d) u2].  Duals that do not commute (one mode
-    never does), or that the scheme fails to reproduce, are flagged.
+    [sqrt(t_d) u1; -sqrt(1 - t_d) u2].  Duals count as commuting when
+    |beta| <= 1e-6 max(1, |bound|), with ``bound`` their weighted variance.
+    Duals that do not commute (one mode never does), or that the scheme
+    fails to reproduce, are flagged.
     """
-    cov = np.asarray(cov, dtype=float)
     if duals.n_modes != 2:
         return ProductCertificate(
             False, None, duals.commutator(),
             "no product-homodyne certificate: a single mode cannot carry both conjugate estimates",
         )
     beta = duals.commutator()
-    target = np.vstack([duals.c_x, duals.c_y])
-    v_xx, v_yy = _congruence_diag(target, cov)
-    f = weights.w_x * v_xx + weights.w_y * v_yy + 2.0 * weights.geometric * abs(beta)
-    if abs(beta) > 1e-6 * max(1.0, abs(f)):
+    if abs(beta) > 1e-6 * max(1.0, abs(bound)):
         return ProductCertificate(
             False, None, beta,
             "no product-homodyne certificate: optimal duals do not commute",
@@ -190,6 +192,7 @@ def scheme_from_duals(duals: DualCoefficients, cov, weights: Weights) -> Product
     scheme = MeasurementScheme(beam_splitter(t_d), angles, np.linalg.inv(response))
     scheme.check_unbiased()
 
+    target = np.vstack([duals.c_x, duals.c_y])
     realized = scheme.estimator @ scheme.measured_directions()
     if np.max(np.abs(realized - target)) > 1e-6 * max(1.0, np.max(np.abs(target))):
         return ProductCertificate(
@@ -199,11 +202,14 @@ def scheme_from_duals(duals: DualCoefficients, cov, weights: Weights) -> Product
     return ProductCertificate(True, scheme, beta)
 
 
-def extract_measurement(result: BoundResult, cov) -> ProductCertificate:
-    """Product-homodyne scheme realizing a converged result's optimal duals (scheme_from_duals)."""
+def extract_measurement(result: BoundResult) -> ProductCertificate:
+    """Product-homodyne scheme realizing a converged result's optimal duals (scheme_from_duals).
+
+    Convergence certifies ``f_hcr`` as the duals' weighted variance, so it is the ``bound``.
+    """
     if not result.converged:
         raise SolverConvergenceError("cannot extract a measurement from an unconverged result")
-    return scheme_from_duals(result.duals, _as_cov(cov), result.weights)
+    return scheme_from_duals(result.duals, result.f_hcr)
 
 
 def build_scheme(kind: str, **params) -> MeasurementScheme:

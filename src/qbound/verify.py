@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -198,13 +197,8 @@ def check_reference_point_values(quick: bool = False) -> CheckResult:
     )
 
 
-@lru_cache(maxsize=1)
 def _mc_reports(shots: int, seed: int):
-    """The simulation test matrix: (label, scheme, report, weights, targets, optimal).
-
-    Cached on (shots, seed): the achievability and no-violation checks of one
-    verify run share a single simulation of the matrix.
-    """
+    """The simulation test matrix: (label, scheme, report, weights, targets, optimal)."""
     r6db = 0.5 * math.log(4.0)
     theta = ChannelParams(0.3, -0.1)
     rows = []

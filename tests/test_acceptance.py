@@ -54,19 +54,3 @@ def test_criterion_09_sql_threshold():
 
 def test_criterion_10_structural_properties():
     _criterion(10)
-
-
-def test_monte_carlo_matrix_is_simulated_once_per_run(monkeypatch):
-    calls = []
-    run_scheme = verify.run_scheme
-
-    def counting_run_scheme(*args):
-        calls.append(args)
-        return run_scheme(*args)
-
-    monkeypatch.setattr(verify, "run_scheme", counting_run_scheme)
-    verify._mc_reports.cache_clear()
-    verify.check_monte_carlo_achievability(quick=True, seed=1)
-    verify.check_no_bound_violation(quick=True, seed=1)
-    # four matrix schemes once, plus the two bias runs of the achievability check
-    assert len(calls) == 6

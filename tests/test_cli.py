@@ -229,6 +229,11 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
         (("bound", "--r1", "0.3", "--r2", "0.5", "--config", {"func": "x"}), "unknown config key 'func'"),
         (("bound", "--r1", "0.3", "--r2", "0.5", "--config", {"command": "region"}),
          "unknown config key 'command'"),
+        (("bound", "--r1", "0.3", "--r2", "1.2", "--wx", "0", "--wy", "1", "--auto-config"),
+         "degenerate weights have no two-mode auto configuration"),
+        # sqrt(w_x / w_y) underflows to 0: the zero-weight limit
+        (("bound", "--r1", "0.3", "--r2", "1.2", "--wx", "1e-200", "--wy", "1e200", "--auto-config"),
+         "degenerate weights have no two-mode auto configuration"),
     ],
 )
 def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkeypatch, argv, message):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,18 @@ def test_optimal_config_degenerate_weights():
     opt = cf.optimal_config(0.0, 1.0, 0.1, 0.7)
     assert opt.v_y == pytest.approx(math.exp(-1.4))
     assert math.isinf(opt.v_x)
+
+
+def test_optimal_config_underflowed_ratio_is_the_zero_weight_limit():
+    # sqrt(1e-200 / 1e200) underflows to 0
+    assert cf.optimal_config(1e-200, 1e200, 0.3, 1.2) == cf.optimal_config(0.0, 1.0, 0.3, 1.2)
+
+
+@pytest.mark.parametrize("w_x, w_y", [(1.0, 4.0), (0.3, 1e10), (0.0, 2.0), (1e-200, 1e200)])
+def test_optimal_config_mirrors_under_swapped_weights(w_x, w_y):
+    opt = cf.optimal_config(w_x, w_y, 0.3, 1.2)
+    mirror = cf.optimal_config(w_y, w_x, 0.3, 1.2)
+    assert mirror == replace(opt, phi1=opt.phi2, phi2=opt.phi1, v_x=opt.v_y, v_y=opt.v_x)
 
 
 @pytest.mark.parametrize("w_x, w_y", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)])

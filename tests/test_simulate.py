@@ -333,8 +333,8 @@ def test_compare_to_bound_optimal_and_suboptimal():
 
 
 def test_scheme_from_duals_rejects_noncommuting():
-    cov = build_probe(ProbeConfig(r1=0.3, r2=0.7, t=0.5)).cov
-    cert = scheme_from_duals(DualCoefficients.from_free([0, 0, 0, 0]), cov, Weights(1, 1))
+    bound = solve(build_probe(ProbeConfig(r1=0.3, r2=0.7, t=0.5)).cov, Weights(1, 1)).f_hcr
+    cert = scheme_from_duals(DualCoefficients.from_free([0, 0, 0, 0]), bound)
     assert not cert.certified
     assert "commute" in cert.reason
 
@@ -343,7 +343,7 @@ def test_scheme_from_duals_reconstructs_commuting_optimum():
     probe = ProbeConfig(r1=0.5, r2=0.5, phi1=0.0, phi2=math.pi / 2, t=0.5)
     cov = build_probe(probe).cov
     res = solve(cov, Weights(1, 1))
-    cert = scheme_from_duals(res.duals, cov, res.weights)
+    cert = scheme_from_duals(res.duals, res.f_hcr)
     assert cert.certified
     assert abs(cert.commutator) <= 1e-8
     # the realized observables reproduce the duals
