@@ -6,7 +6,6 @@ from .gaussian import (
     ProbeConfig,
     beam_splitter,
     build_probe,
-    make_squeezed,
     probe_covariances,
     probe_factors,
     rotation,

@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import closed_forms, regions, verify
-from .gaussian import ChannelParams, ProbeConfig, build_probe, squeezing_db_to_r
+from .gaussian import ChannelParams, ProbeConfig, squeezing_db_to_r
 from .holevo import Weights, solve
 from .simulate import build_scheme, run_scheme
 
@@ -157,7 +157,7 @@ def cmd_bound(args) -> int:
                         "value": weights.w_x * (4.0 * math.exp(-2.0 * r1)),
                     }
 
-    result = solve(build_probe(probe).cov, weights)
+    result = solve(probe, weights)
     if not result.converged:
         sys.stderr.write("solver did not converge\n")
         return EXIT_NO_CONVERGENCE

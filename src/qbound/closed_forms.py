@@ -119,8 +119,8 @@ class OptimalConfig:
     ``t_star`` follows the convention of the optimal-variance formulas
     (v_x = e^{-2 r1}/(1-t), v_y = e^{-2 r2}/t on the favoured branch);
     ``probe_t`` is the equivalent beam-splitter transmissivity in this
-    package's mode-ordering convention (``probe_t = 1 - t_star``), i.e. the
-    value to put in a ProbeConfig so that build_probe realizes this optimum.
+    package's mode-ordering convention (1 - t_star, written without the
+    subtraction): the value to put in a ProbeConfig to realize this optimum.
     """
 
     t_star: float
@@ -153,12 +153,12 @@ def optimal_config(w_x: float, w_y: float, r1: float, r2: float, phi1: float = 0
 
     if w_x != w_y:
         ratio = math.sqrt(min(w_x, w_y) / max(w_x, w_y))
-        t_star = e1 / (e1 + e2 * ratio)
+        t_star, probe_t = e1 / (e1 + e2 * ratio), e2 * ratio / (e1 + e2 * ratio)
         v_light = f1 + cross / ratio if ratio > 0.0 else math.inf
         v_heavy = f2 + cross * ratio
         if w_x < w_y:
-            return OptimalConfig(t_star, 0.0, math.pi / 2.0, v_light, v_heavy, 1.0 - t_star, swapped)
-        return OptimalConfig(t_star, math.pi / 2.0, 0.0, v_heavy, v_light, 1.0 - t_star, swapped)
+            return OptimalConfig(t_star, 0.0, math.pi / 2.0, v_light, v_heavy, probe_t, swapped)
+        return OptimalConfig(t_star, math.pi / 2.0, 0.0, v_heavy, v_light, probe_t, swapped)
 
     # Equal weights: family endpoint selected by phi1 (phi2 = phi1 + pi/2).
     t_star = e1 / (e1 + e2)
@@ -166,7 +166,7 @@ def optimal_config(w_x: float, w_y: float, r1: float, r2: float, phi1: float = 0
     offset = 0.5 * math.cos(2.0 * phi1) * (f1 - f2)
     return OptimalConfig(
         t_star, phi1, phi1 + math.pi / 2.0, half_total + offset, half_total - offset,
-        1.0 - t_star, swapped,
+        e2 / (e1 + e2), swapped,
     )
 
 

@@ -17,22 +17,23 @@ modes).  As 2 c |beta| with c = sqrt(w_x w_y) is the maximum of 2 m beta over
 closed form leaves a concave scalar dual in mu = m / c (the convex-program
 view of Albarelli et al., PRL 123, 200503 (2019)).  Every probe here is pure,
 so S^{-1} = Omega' S Omega and that dual depends only on the mode-1 marginal
-A through A_11, A_22 and delta - 1 = det A - 1 >= 0 (read as -det C of the
-off-diagonal block C, see _delta_minus_one):
+A through A_11, A_22 and delta - 1 = det A - 1 >= 0:
 
     phi(mu) = kappa(mu) (a + 2 c mu),  kappa = (1 - mu^2) / ((delta - 1) + (1 - mu^2)),
 
-with a = w_x A_11 + w_y A_22.  Every term is nonnegative, so phi adds no
-cancellation of its own: it is as precise as A_11, A_22 (exact to rounding)
-and delta - 1, which is accurate only for squeezing angles that are
-multiples of pi/2 or t in {0, 1} (see _delta_minus_one).  batch_bound
+with a = w_x A_11 + w_y A_22.  Every term is nonnegative, so phi is as
+precise as A_11, A_22 (exact to rounding) and delta - 1.  A configuration (a
+ProbeConfig, or the arrays of probe_covariances) takes delta - 1 from
+gaussian.probe_delta_minus_one, a sum of nonnegative terms, so its bound is
+accurate to ~1e-14 for all r <= 20; a raw covariance gives -det C, whose
+conditioning degrades like e^{2(r1+r2)} (see _delta_minus_one).  batch_bound
 evaluates phi at its one maximizer mu* in [0, 1], a quartic root found per
-row by a bracketed Newton search (one scalar-dual kernel), and solve() is
-one batch row.  The optimal duals follow in closed form from mu*, the tangency
-point is the weight gradient of phi, and ``converged`` is the duality gap:
-the primal value h of the reported duals must match phi(mu*).  Only gaussian,
-which builds covariances, and this module read them: simulate builds the
-optimal measurement from a BoundResult alone.
+row by a bracketed Newton search, and solve() is one batch row.  The optimal
+duals follow in closed form from mu*, the tangency point is the weight
+gradient of phi, and ``converged`` is the duality gap: the primal value h of
+the reported duals must match phi(mu*).  Only gaussian, which builds
+covariances, and this module read them: simulate builds the optimal
+measurement from a BoundResult alone.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import _bracketed_newton
-from .gaussian import _OMEGA
+from .gaussian import _OMEGA, ProbeConfig, build_probe, probe_covariances, probe_delta_minus_one
 
 __all__ = [
     "Weights",
@@ -189,19 +190,32 @@ def _check_pure(covs: np.ndarray) -> None:
 
 
 def _delta_minus_one(covs: np.ndarray) -> np.ndarray:
-    """det A - 1 of the mode-1 marginal A per row; 0 for one mode.
+    """det A - 1 of the mode-1 marginal A of raw covariances, as -det C; 0 for one mode.
 
     A pure two-mode state has det A + det B + 2 det C = 2 and det A = det B,
-    with C the off-diagonal block, so det A - 1 = -det C >= 0.  That form
-    has no cancellation against the 1 and is exactly 0 for a product probe
-    (t = 0 or 1), where det A - 1 from A loses ~e^{4r} ulps.  Its own two
-    products, each of size ~e^{2(r1+r2)}, cancel unless both squeezing angles
-    are multiples of pi/2, so at general angles its conditioning degrades
-    like e^{2(r1+r2)}.
+    so det A - 1 = -det C >= 0, exactly 0 for a product probe (t in {0, 1}).
+    Its two products, of size ~e^{2(r1+r2)}, cancel unless both squeezing
+    angles are multiples of pi/2, so its conditioning degrades like
+    e^{2(r1+r2)}; configurations take gaussian.probe_delta_minus_one instead.
     """
     if covs.shape[-1] == 2:
-        return np.zeros(covs.shape[0])
-    return np.maximum(covs[:, 0, 3] * covs[:, 1, 2] - covs[:, 0, 2] * covs[:, 1, 3], 0.0)
+        return np.zeros(covs.shape[:-2])
+    return np.maximum(covs[..., 0, 3] * covs[..., 1, 2] - covs[..., 0, 2] * covs[..., 1, 3], 0.0)
+
+
+def _probe_rows(probe):
+    """(covariances, delta - 1) of a probe; raw covariances alone are checked and read -det C."""
+    if isinstance(probe, ProbeConfig):
+        if probe.n_modes == 1:
+            return build_probe(probe).cov, 0.0
+        probe = (probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t)
+    if isinstance(probe, tuple):
+        return probe_covariances(*probe), probe_delta_minus_one(*probe)
+    covs = np.asarray(probe, dtype=float)
+    if covs.ndim not in (2, 3) or covs.shape[-2:] not in ((2, 2), (4, 4)):
+        raise ValueError(f"covariances must be 2x2 or 4x4, got shape {covs.shape}")
+    _check_pure(covs)
+    return covs, _delta_minus_one(covs)
 
 
 def _kink_f_df(mu, d1, k):
@@ -259,7 +273,7 @@ def _duality_gap(covs, d1, w_x, w_y, mu, f):
             g = covs[:, :2, 2:]  # rows g_x, g_y
             adj = covs[:, 2:, 2:][:, ::-1, ::-1] * _ADJ_SIGNS  # adj B of the symmetric B
             j_swapped = g[:, ::-1, ::-1] * _J_SIGNS  # rows J g_y, J g_x
-            rho = np.sqrt(w_x / np.where(w_y > 0.0, w_y, 1.0))
+            rho = np.sqrt(w_x) / np.sqrt(np.where(w_y > 0.0, w_y, 1.0))
             coef = np.stack([np.where(mu > 0.0, -mu / rho, 0.0), mu * rho], axis=1)[..., None]
             s = (d1 + (1.0 - mu) * (1.0 + mu))[:, None, None]  # det B - mu^2
             numer = (adj[:, None] * g[:, :, None, :]).sum(axis=-1) + coef * j_swapped
@@ -283,30 +297,29 @@ def _certified(gap):
     return np.abs(gap) <= CERTIFICATE_TOL
 
 
-def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
-    """Bound values for a batch of (covariance, weights) rows.
+def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
+    """Bound values for a batch of (probe, weights) rows.
 
-    ``covs`` may be one pure 2x2 or 4x4 covariance (broadcast) or an
-    (N, 2, 2) or (N, 4, 4) stack; ``w_x`` and ``w_y`` are length-N vectors.
-    Each row is phi at its maximizer mu* (_multiplier); a 2x2 covariance is
-    the delta = 1 row.  A non-pure or non-finite covariance, or a bound
-    too large for a float, raises ValueError.  If ``info`` is a dict it
-    receives per-row arrays: ``v_x`` and ``v_y`` (the tangency point),
-    ``gap`` (the relative duality gap, certified by _certified) and ``free``
-    (the optimal (a, b, c, d); empty for one mode).
+    ``probe`` is a ProbeConfig, a tuple ``(r1, r2, phi1, phi2, t)`` of
+    two-mode configuration arrays as probe_covariances takes them, or raw
+    pure covariances: one 2x2 or 4x4 matrix or an (N, 2, 2) or (N, 4, 4)
+    stack.  The probes and the weights ``w_x``, ``w_y`` broadcast together,
+    and the rows are that shape flattened in C order, so configuration
+    columns (T, 1) against weights (R,) build each probe once for its R rows.
+    Each row is phi at its maximizer mu* (_multiplier); one mode is the
+    delta = 1 row.  An invalid probe, shapes that do not broadcast or a
+    bound too large for a float raise ValueError.  If ``info`` is a dict it
+    receives per-row arrays: ``v_x`` and ``v_y`` (the
+    tangency point), ``gap`` (the relative duality gap, certified by
+    _certified) and ``free`` (the optimal (a, b, c, d); empty for one mode).
     """
-    w_x = np.atleast_1d(np.asarray(w_x, dtype=float))
-    w_y = np.atleast_1d(np.asarray(w_y, dtype=float))
-    n = w_x.size
-    covs = np.asarray(covs, dtype=float)
-    if covs.ndim not in (2, 3) or covs.shape[-2:] not in ((2, 2), (4, 4)):
-        raise ValueError(f"covariances must be 2x2 or 4x4, got shape {covs.shape}")
-    _check_pure(covs)
+    covs, d1 = _probe_rows(probe)
+    one = np.ones(np.broadcast(d1, w_x, w_y).shape or (1,))  # x * one broadcasts x exactly
+    covs = (covs * one[..., None, None]).reshape((-1,) + covs.shape[-2:])
+    d1, w_x, w_y = ((np.asarray(x, dtype=float) * one).ravel() for x in (d1, w_x, w_y))
     finite = np.isfinite(w_x) & np.isfinite(w_y)
     if not np.all(finite & (np.minimum(w_x, w_y) >= 0.0) & (np.maximum(w_x, w_y) > 0.0)):
         raise ValueError("weights must be finite, >= 0 and not both zero in every row")
-    if covs.ndim == 2:
-        covs = np.broadcast_to(covs, (n,) + covs.shape)
     # Normalizing to unit weight sum makes the homogeneity f(c W) = c f(W)
     # hold by construction.  Weights near the float maximum are halved first,
     # exactly, so that their sum stays finite; other rows are not rescaled.
@@ -315,7 +328,6 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     given_x, given_y = w_x, w_y
     w_x = half * w_x / total
     w_y = half * w_y / total
-    d1 = _delta_minus_one(covs)
     a = w_x * covs[:, 0, 0] + w_y * covs[:, 1, 1]
     c = np.sqrt(w_x * w_y)
     mu = _multiplier(d1, a, c)
@@ -323,8 +335,9 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(d1 + s > 0.0, s / (d1 + s), 1.0)  # -> 1 as mu -> 1 at delta = 1
         if info is not None:
-            info["v_x"] = np.where(w_x > 0.0, kappa * (covs[:, 0, 0] + np.sqrt(w_y / w_x) * mu), np.inf)
-            info["v_y"] = np.where(w_y > 0.0, kappa * (covs[:, 1, 1] + np.sqrt(w_x / w_y) * mu), np.inf)
+            root_x, root_y = np.sqrt(w_x), np.sqrt(w_y)  # w_y / w_x overflows for a subnormal w_x
+            info["v_x"] = np.where(w_x > 0.0, kappa * (covs[:, 0, 0] + root_y / root_x * mu), np.inf)
+            info["v_y"] = np.where(w_y > 0.0, kappa * (covs[:, 1, 1] + root_x / root_y * mu), np.inf)
     f = kappa * (a + 2.0 * c * mu)
     if info is not None:
         info["gap"], info["free"] = _duality_gap(covs, d1, w_x, w_y, mu, f)
@@ -336,18 +349,17 @@ def batch_bound(covs, w_x, w_y, info: dict | None = None) -> np.ndarray:
     return f
 
 
-def solve(cov, weights: Weights) -> BoundResult:
-    """Weighted dual-variance bound of one pure 2x2 or 4x4 covariance: one batch_bound row.
+def solve(probe, weights: Weights) -> BoundResult:
+    """Weighted dual-variance bound of one ProbeConfig or pure covariance: one batch_bound row.
 
     ``converged`` is the duality-gap certificate of the reported duals, and
     ``iterations`` is always 0: the Newton steps of the kink root are not counted.
     """
-    if np.ndim(cov) != 2:
-        raise ValueError(f"covariance must be 2x2 or 4x4, got shape {np.shape(cov)}")
+    if not isinstance(probe, ProbeConfig) and np.ndim(probe) != 2:
+        raise ValueError(f"covariance must be 2x2 or 4x4, got shape {np.shape(probe)}")
     info: dict = {}
-    f = float(batch_bound(cov, weights.w_x, weights.w_y, info)[0])
+    f = float(batch_bound(probe, weights.w_x, weights.w_y, info)[0])
     free = info["free"][0]
     duals = DualCoefficients.from_free(free) if free.size else DualCoefficients.single_mode()
-    return BoundResult(
-        f, duals, float(info["v_x"][0]), float(info["v_y"][0]), bool(_certified(info["gap"][0])),
-    )
+    return BoundResult(f, duals, float(info["v_x"][0]), float(info["v_y"][0]),
+                       bool(_certified(info["gap"][0])))

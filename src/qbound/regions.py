@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_forms
-from .gaussian import ProbeConfig, build_probe, probe_covariances
+from .gaussian import ProbeConfig
 from .holevo import _certified, batch_bound
 
 ENVELOPE_BINS = 400
@@ -55,10 +55,10 @@ def _n_threads() -> int:
     return 1
 
 
-def _solve_rows(cov_rows: np.ndarray, w_x: np.ndarray, w_y: np.ndarray):
+def _solve_rows(probe, w_x: np.ndarray, w_y: np.ndarray):
     """batch_bound with tangency and certificate: (f, v_x, v_y, certified) per row."""
     info: dict = {}
-    f = batch_bound(cov_rows, w_x, w_y, info)
+    f = batch_bound(probe, w_x, w_y, info)
     return f, info["v_x"], info["v_y"], _certified(info["gap"])
 
 
@@ -81,7 +81,7 @@ def boundary_for_config(probe: ProbeConfig, w_ratios) -> list[RegionSample]:
     ratios = np.asarray(list(w_ratios), dtype=float)
     if ratios.size == 0:
         raise ValueError("w_ratios must be nonempty")
-    _, v_x, v_y, certified = _solve_rows(build_probe(probe).cov, *_ratio_weights(ratios))
+    _, v_x, v_y, certified = _solve_rows(probe, *_ratio_weights(ratios))
     order = np.argsort(v_x)
     samples: list[RegionSample] = []
     for i in order:
@@ -119,11 +119,7 @@ def _config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2) -> _Sweep:
     else:
         t, phi1 = (grid.ravel() for grid in np.meshgrid(t_values, phi_values, indexing="ij"))
         phi2 = phi1 + math.pi / 2.0
-    covs = probe_covariances(r1, r2, phi1, phi2, t)
-    w_x, w_y = _ratio_weights(ratios)
-    parts = _solve_rows(
-        np.repeat(covs, ratios.size, axis=0), np.tile(w_x, t.size), np.tile(w_y, t.size)
-    )
+    parts = _solve_rows((r1, r2, phi1[:, None], phi2[:, None], t[:, None]), *_ratio_weights(ratios))
     return _Sweep(t, phi1, ratios, *(part.reshape(t.size, ratios.size) for part in parts))
 
 

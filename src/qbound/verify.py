@@ -18,16 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_forms, regions
-from .gaussian import (
-    ChannelParams,
-    ProbeConfig,
-    beam_splitter,
-    build_probe,
-    make_squeezed,
-    probe_covariances,
-    rotation,
-    symplectic_form,
-)
+from .gaussian import ChannelParams, ProbeConfig, beam_splitter, build_probe, rotation, symplectic_form
 from .holevo import Weights, batch_bound, solve
 from .simulate import build_scheme, compare_to_bound, run_scheme
 
@@ -70,9 +61,8 @@ def check_single_mode_closed_form(quick: bool = False) -> CheckResult:
     weights = [(w_x, w_y) for ratio in (0.1, 1.0, 10.0)
                for w_x, w_y in ((ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)), (ratio, 1.0))]
     grid = [(r, phi) for r in rs for phi in phis]
-    covs = np.repeat([make_squeezed(r, phi).cov for r, phi in grid], len(weights), axis=0)
-    w_x, w_y = np.tile(np.array(weights).T, len(grid))
-    got = batch_bound(covs, w_x, w_y)
+    covs = [build_probe(ProbeConfig(r1=r, phi1=phi, n_modes=1)).cov for r, phi in grid]
+    got = batch_bound(np.repeat(covs, len(weights), 0), *np.tile(np.array(weights).T, len(grid)))
     want = np.array([closed_forms.single_mode_line(wx, wy, r, phi) for r, phi in grid for wx, wy in weights])
     worst = float(np.max(np.abs(got - want) / want))
     return CheckResult("single-mode-closed-form", worst <= 1e-9, {"max_rel_err": worst})
@@ -85,7 +75,7 @@ def check_equal_squeezing_optimum(quick: bool = False) -> CheckResult:
         for r in (0.2, 0.5, 0.693):
             opt = closed_forms.optimal_config(w_x, w_y, r, r)
             probe = ProbeConfig(r1=r, r2=r, phi1=opt.phi1, phi2=opt.phi2, t=opt.probe_t)
-            got = solve(build_probe(probe).cov, Weights(w_x, w_y)).f_hcr
+            got = solve(probe, Weights(w_x, w_y)).f_hcr
             want = (math.sqrt(w_x) + math.sqrt(w_y)) ** 2 * math.exp(-2.0 * r)
             worst = max(worst, abs(got - want) / want)
     return CheckResult("equal-squeezing-optimum", worst <= 1e-6, {"max_rel_err": worst})
@@ -101,11 +91,11 @@ def check_weight_special_cases(quick: bool = False) -> CheckResult:
     for r in (0.2, 0.3, 0.5, math.log(2.0), 1.1):
         want = 1.0 / math.cosh(2.0 * r)
         lam_x, lam_y = closed_forms.example2_lambda_endpoints(r)
-        cov = build_probe(ProbeConfig(r1=r, r2=r, phi1=0.0, phi2=math.pi / 2.0, t=0.5)).cov
+        probe = ProbeConfig(r1=r, r2=r, phi1=0.0, phi2=math.pi / 2.0, t=0.5)
         for lam, row, w in ((lam_x, 0, Weights(1.0, 0.0)), (lam_y, 1, Weights(0.0, 1.0))):
             f_val = closed_forms.example2_parametric(lam, r, 0.5)[row]
             worst_formula = max(worst_formula, abs(f_val - want) / want)
-            worst_solver = max(worst_solver, abs(solve(cov, w).f_hcr - want) / want)
+            worst_solver = max(worst_solver, abs(solve(probe, w).f_hcr - want) / want)
     exact_6db = abs(1.0 / math.cosh(2.0 * math.log(2.0)) - 8.0 / 17.0) <= 1e-15
     passed = worst_formula <= 1e-12 and worst_solver <= 1e-6 and exact_6db
     return CheckResult(
@@ -257,7 +247,7 @@ def check_no_bound_violation(quick: bool = False, shots: int = MC_SHOTS,
     detail = {}
     passed = True
     for label, scheme, report, weights, _, optimal in _mc_reports(shots, seed):
-        bound = solve(build_probe(scheme.probe).cov, weights).f_hcr
+        bound = solve(scheme.probe, weights).f_hcr
         cmp = compare_to_bound(report, bound, weights, expect_saturation=optimal)
         passed &= cmp.ok
         detail[label] = {
@@ -334,12 +324,12 @@ def check_structural_properties(quick: bool = False, seed: int = 11) -> CheckRes
     # Weight-scaling linearity of the bound.  Columns: r1, r2 (sorted), phi1, phi2, t.
     u = rng.uniform(size=(n, 5))
     r = np.sort(1.2 * u[:, :2], axis=1)
-    covs = probe_covariances(r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
+    probes = (r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
     w_x = 10.0 ** rng.uniform(-1, 1, n)
     w_y = 10.0 ** rng.uniform(-1, 1, n)
     scale = 10.0 ** rng.uniform(-2, 2, n)
-    base = batch_bound(covs, w_x, w_y)
-    scaled = batch_bound(covs, scale * w_x, scale * w_y)
+    base = batch_bound(probes, w_x, w_y)
+    scaled = batch_bound(probes, scale * w_x, scale * w_y)
     worst_scale = float(np.max(np.abs(scaled - scale * base) / (scale * base)))
     detail["weight_scaling"] = worst_scale
     ok_scaling = worst_scale <= 1e-12

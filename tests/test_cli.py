@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qbound
+from qbound import closed_forms
 from qbound.cli import build_parser, main
 
 
@@ -94,6 +95,32 @@ def test_bound_at_large_squeezing_is_exact_or_exits_3(capsys):
     assert code in (0, 3)
     if code == 0:
         assert json.loads(out)["f_hcr"] == pytest.approx(4.0 * math.exp(-20.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("w_x, w_y", [("1e-40", "1"), ("5e-324", "1"), ("1", "5e-324")])
+def test_bound_auto_config_keeps_a_tiny_transmissivity(capsys, w_x, w_y):
+    # The weight ratio is at most 1e-40: 1 - t* rounds to 0, but the
+    # transmissivity, computed without that subtraction, stays positive, and
+    # the bound is the optimal configuration's weighted sum, also at a
+    # subnormal weight.
+    code, out, _ = run_cli(
+        capsys, "bound", "--r1", "0.3", "--r2", "1.2", "--wx", w_x, "--wy", w_y, "--auto-config",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert 0.0 < record["probe"]["t"] < 1e-19
+    assert record["f_hcr"] == pytest.approx(0.0907179532894125, rel=1e-13, abs=0.0)
+    assert record["closed_form_crosscheck"]["abs_diff"] <= 1e-15
+
+
+@pytest.mark.parametrize("r1, r2", [(0.2, 18.0), (0.5, 20.0)])
+def test_numeric_region_stays_above_the_envelope_at_large_squeezing(capsys, r1, r2):
+    code, out, _ = run_cli(capsys, "region", "--r1", str(r1), "--r2", str(r2), "--numeric", "--format", "json")
+    assert code == 0
+    rows = [row for row in json.loads(out) if row["source"] == "numeric-solver"]
+    assert rows
+    for row in rows:
+        assert row["v_y"] >= closed_forms.two_mode_envelope(row["v_x"], r1, r2).v_y * (1.0 - 1e-9)
 
 
 def test_bound_rejects_r_and_db_together(capsys):

@@ -152,6 +152,17 @@ def test_optimal_config_underflowed_ratio_is_the_zero_weight_limit():
     assert cf.optimal_config(1e-200, 1e200, 0.3, 1.2) == cf.optimal_config(0.0, 1.0, 0.3, 1.2)
 
 
+def test_optimal_config_probe_t_keeps_its_precision_at_tiny_ratios():
+    # 1 - t* would round to about 2.44e-15 here and to 0 below ratios ~1e-16.
+    e1, e2 = math.exp(0.3), math.exp(1.2)
+    for w_x in (1e-30, 1e-40):
+        ratio = math.sqrt(w_x)
+        want = e2 * ratio / (e1 + e2 * ratio)
+        assert cf.optimal_config(w_x, 1.0, 0.3, 1.2).probe_t == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert cf.optimal_config(1e-30, 1.0, 0.3, 1.2).probe_t == pytest.approx(2.4596e-15, rel=1e-4, abs=0.0)
+    assert cf.optimal_config(1.0, 1.0, 0.3, 1.2).probe_t == pytest.approx(e2 / (e1 + e2), rel=1e-15)
+
+
 @pytest.mark.parametrize("w_x, w_y", [(1.0, 4.0), (0.3, 1e10), (0.0, 2.0), (1e-200, 1e200)])
 def test_optimal_config_mirrors_under_swapped_weights(w_x, w_y):
     opt = cf.optimal_config(w_x, w_y, 0.3, 1.2)

@@ -9,7 +9,6 @@ from qbound.gaussian import (
     ProbeConfig,
     beam_splitter,
     build_probe,
-    make_squeezed,
     probe_covariances,
     probe_factors,
     rotation,
@@ -29,18 +28,18 @@ def test_symplectic_form_properties():
 
 
 def test_make_squeezed_vacuum():
-    state = make_squeezed(0.0, 1.3)
+    state = build_probe(ProbeConfig(r1=0.0, phi1=1.3, n_modes=1))
     assert np.allclose(state.cov, np.eye(2))
     assert state.n_modes == 1
 
 
 def test_make_squeezed_axis_aligned():
-    state = make_squeezed(R_3DB, 0.0)
+    state = build_probe(ProbeConfig(r1=R_3DB, phi1=0.0, n_modes=1))
     assert np.allclose(state.cov, np.diag([0.5, 2.0]), atol=1e-15)
 
 
 def test_make_squeezed_rotated_pi_over_6():
-    state = make_squeezed(R_3DB, math.pi / 6.0)
+    state = build_probe(ProbeConfig(r1=R_3DB, phi1=math.pi / 6.0, n_modes=1))
     off = -3.0 * math.sqrt(3.0) / 8.0  # (e^{-2r} - e^{2r}) sin cos at 3 dB
     expected = np.array([[0.875, off], [off, 1.625]])
     assert np.allclose(state.cov, expected, atol=1e-14)
@@ -52,7 +51,7 @@ def test_make_squeezed_rotated_pi_over_6():
 @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan, 25.0])
 def test_make_squeezed_rejects_bad_r(bad):
     with pytest.raises(ValueError):
-        make_squeezed(bad, 0.0)
+        build_probe(ProbeConfig(r1=bad, phi1=0.0, n_modes=1))
 
 
 def test_rotation_identity_and_swap():
@@ -243,7 +242,7 @@ def test_structural_checks_are_relative():
     # r <= 20, and the same relative defect of 1e-6 is rejected at any scale.
     # (MeasurementScheme's symplectic check: tests/test_simulate.py.)
     for r in (0.0, 7.0, 20.0):
-        cov = make_squeezed(r, 0.3).cov.copy()
+        cov = build_probe(ProbeConfig(r1=r, phi1=0.3, n_modes=1)).cov.copy()
         scale = np.max(np.abs(cov))
         cov[0, 1] += 4.0 * np.finfo(float).eps * scale
         GaussianState(cov)

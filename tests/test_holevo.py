@@ -8,7 +8,7 @@ import pytest
 
 from qbound import closed_forms as cf
 from qbound import holevo
-from qbound.gaussian import ProbeConfig, build_probe, make_squeezed, probe_covariances, symplectic_form
+from qbound.gaussian import ProbeConfig, build_probe, probe_covariances, symplectic_form
 from qbound.holevo import (
     CERTIFICATE_TOL,
     DualCoefficients,
@@ -75,7 +75,7 @@ def test_dual_coefficients():
 def test_single_mode_closed_examples():
     assert solve(np.eye(2), Weights(1, 1)).f_hcr == pytest.approx(4.0)
     r = 0.6
-    cov = make_squeezed(r, 0.0).cov
+    cov = build_probe(ProbeConfig(r1=r, phi1=0.0, n_modes=1)).cov
     assert solve(cov, Weights(1, 0)).f_hcr == pytest.approx(math.exp(-2 * r))
     assert solve(cov, Weights(0, 1)).f_hcr == pytest.approx(math.exp(2 * r))
 
@@ -83,7 +83,7 @@ def test_single_mode_closed_examples():
 def test_solve_single_mode_is_closed_path():
     # A 2x2 covariance is the delta = 1 row: mu* = 1, the only feasible duals
     # and the single-mode line w_x S_11 + w_y S_22 + 2 sqrt(w_x w_y).
-    cov = make_squeezed(0.8, 0.3).cov
+    cov = build_probe(ProbeConfig(r1=0.8, phi1=0.3, n_modes=1)).cov
     w = Weights(1.3, 0.4)
     res = solve(cov, w)
     assert res.f_hcr == pytest.approx(w.w_x * cov[0, 0] + w.w_y * cov[1, 1] + 2.0 * w.geometric, rel=1e-15)
@@ -92,7 +92,7 @@ def test_solve_single_mode_is_closed_path():
 
 
 def test_solve_single_mode_3db():
-    res = solve(make_squeezed(R_3DB, math.pi / 6).cov, Weights(1, 1))
+    res = solve(ProbeConfig(r1=R_3DB, phi1=math.pi / 6, n_modes=1), Weights(1, 1))
     assert res.f_hcr == pytest.approx(4.5, rel=1e-12)
     # cross-check: 2 (1 + cosh 2r) independent of the angle
     assert res.f_hcr == pytest.approx(2.0 * (1.0 + math.cosh(2 * R_3DB)), rel=1e-12)
@@ -129,7 +129,7 @@ def test_bound_result_invariant():
 @pytest.mark.parametrize("cov", [
     np.stack([np.eye(4), np.eye(4)]),
     np.eye(3),
-    make_squeezed(0.4, 0.0),
+    build_probe(ProbeConfig(r1=0.4, phi1=0.0, n_modes=1)),
 ], ids=["stack", "3x3", "GaussianState"])
 def test_solve_takes_one_2x2_or_4x4_matrix(cov):
     with pytest.raises(ValueError, match="2x2 or 4x4"):
@@ -219,7 +219,7 @@ def test_batch_bound_weights_near_the_float_maximum_are_finite_and_exact():
     [([0.0], [0.0]), ([1.0], [math.nan]), ([-1.0], [2.0]), ([1.0, math.inf], [1.0, 1.0])],
 )
 def test_batch_bound_rejects_weight_rows_that_weights_rejects(w_x, w_y):
-    cov = make_squeezed(0.4, 0.0).cov
+    cov = build_probe(ProbeConfig(r1=0.4, phi1=0.0, n_modes=1)).cov
     with pytest.raises(ValueError, match="weights must be finite, >= 0 and not both zero"):
         batch_bound(cov, w_x, w_y)
     assert batch_bound(cov, [0.0], [1.0])[0] == solve(cov, Weights(0.0, 1.0)).f_hcr  # one zero is valid
@@ -291,6 +291,52 @@ def test_batch_bound_reads_delta_minus_one_once(monkeypatch):
     monkeypatch.setattr(holevo, "_delta_minus_one", lambda covs: calls.append(1) or delta_minus_one(covs))
     solve(fig2b_cov(), Weights(1.0, 2.0))
     assert len(calls) == 1
+
+
+def test_configuration_rows_skip_the_purity_check_and_det_c(monkeypatch):
+    # A configuration is pure by construction and takes delta - 1 in closed
+    # form, so neither the purity check nor -det C runs for its rows.
+    calls = []
+    for name in ("_check_pure", "_delta_minus_one"):
+        monkeypatch.setattr(holevo, name, lambda *args, name=name: calls.append(name))
+    probe = ProbeConfig(r1=0.35, r2=0.69, phi1=0.0, phi2=math.pi / 2, t=0.4)
+    solve(probe, Weights(1.0, 2.0))
+    batch_bound((0.35, 0.69, [0.1, 2.0], [1.0, 5.0], [0.3, 0.6]), [1.0, 2.0], [2.0, 1.0], {})
+    assert calls == []
+
+
+@pytest.mark.parametrize("config, message", [
+    ((0.3, 0.5, [0.1, math.nan], 1.0, 0.5), "phi1 and phi2 must be finite"),
+    ((0.3, 0.5, 0.1, math.inf, 0.5), "phi1 and phi2 must be finite"),
+    ((0.3, 0.5, 0.1, 1.0, [0.5, 1.5]), "transmissivity must lie in"),
+    ((0.5, 0.3, 0.1, 1.0, 0.5), "canonical ordering"),
+    ((0.3, 25.0, 0.1, 1.0, 0.5), "r2 must be finite"),
+])
+def test_batch_bound_rejects_invalid_configuration_arrays(config, message):
+    with pytest.raises(ValueError, match=message):
+        batch_bound(config, [1.0, 1.0], [1.0, 1.0])
+
+
+def test_configurations_match_the_oracle_over_the_whole_contract():
+    # Configuration rows read delta - 1 as a sum of nonnegative terms, so
+    # every row agrees with the 80-digit oracle to 1e-13 for r <= 20 at
+    # general angles, t in [0, 1] with both ends, and ratios 1e-3..1e3.
+    # The same rows as configuration arrays in one batch agree as well.
+    rng = np.random.default_rng(2026)
+    probes, weights = [], []
+    for k in range(100):
+        r1, r2 = np.sort(rng.uniform(0.0, 20.0, 2))
+        phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+        t = float(k % 20 == 10) if k % 10 == 0 else rng.uniform()
+        probes.append(ProbeConfig(r1=r1, r2=r2, phi1=phi1, phi2=phi2, t=t))
+        weights.append(Weights(10.0 ** rng.uniform(-3.0, 3.0), 1.0))
+    assert {p.t for p in probes} >= {0.0, 1.0}
+    columns = tuple(np.array([getattr(p, k) for p in probes]) for k in ("r1", "r2", "phi1", "phi2", "t"))
+    batch = batch_bound(columns, [w.w_x for w in weights], 1.0)
+    for probe, w, in_batch in zip(probes, weights, batch):
+        want = oracle.bound(probe, w)
+        assert solve(probe, w).f_hcr == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert in_batch == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_certificate_accepts_optima_and_rejects_moved_duals():
@@ -514,8 +560,7 @@ def test_extract_measurement_example1_angles():
 
 
 def test_extract_measurement_single_mode_flags():
-    cov = make_squeezed(0.4, 0.0).cov
-    res = solve(cov, Weights(1, 1))
+    res = solve(ProbeConfig(r1=0.4, phi1=0.0, n_modes=1), Weights(1, 1))
     cert = extract_measurement(res)
     assert not cert.certified
     assert "single mode" in cert.reason
@@ -525,3 +570,19 @@ def test_solve_reports_tangency_for_degenerate_weights():
     res = solve(fig2b_cov(), Weights(1.0, 0.0))
     assert math.isinf(res.v_y)
     assert res.v_x == pytest.approx(res.f_hcr, rel=1e-12)
+
+
+def test_configuration_columns_broadcast_against_weights():
+    # Columns (T, 1) against weights (R,) are the T * R rows of the repeated
+    # inputs in C order, bit for bit; shapes that do not broadcast are rejected.
+    phi1, phi2, t = np.array([0.1, 2.0, 4.0]), np.array([1.0, 5.0, 0.3]), np.array([0.3, 0.6, 1.0])
+    w_x, w_y = np.array([1.0, 0.0, 1e-3, 7.0]), np.array([2.0, 1.0, 1.0, 0.0])
+    got, want = {}, {}
+    columns = batch_bound((0.35, 3.0, phi1[:, None], phi2[:, None], t[:, None]), w_x, w_y, got)
+    repeated = (0.35, 3.0, *(np.repeat(x, w_x.size) for x in (phi1, phi2, t)))
+    rows = batch_bound(repeated, np.tile(w_x, t.size), np.tile(w_y, t.size), want)
+    assert columns.shape == (12,) and columns.tobytes() == rows.tobytes()
+    for key in ("v_x", "v_y", "gap", "free"):
+        assert got[key].tobytes() == want[key].tobytes()
+    with pytest.raises(ValueError):
+        batch_bound((0.35, 3.0, phi1, phi2, t), w_x, w_y)

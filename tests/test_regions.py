@@ -157,8 +157,9 @@ def _count_batch_rows(monkeypatch) -> list:
     rows = []
 
     def counting(*args):
-        rows.append(np.size(args[1]))
-        return batch_bound(*args)
+        f = batch_bound(*args)
+        rows.append(f.size)
+        return f
 
     monkeypatch.setattr(regions, "batch_bound", counting)
     return rows
@@ -174,9 +175,8 @@ def test_default_region_grid_is_one_batch(monkeypatch):
 
 def test_envelope_gap_check_solves_each_row_once(monkeypatch):
     rows = _count_batch_rows(monkeypatch)
-    monkeypatch.setattr(regions, "build_probe", None)  # the sweep must not build probes
     assert verify.check_envelope_gap(quick=True).passed
-    assert sum(rows) == 21 * 21 * 9  # ratios x t values x phi1 values
+    assert rows == [21 * 21 * 9]  # one batch: ratios x t values x phi1 values
     with pytest.raises(ValueError):
         regions.envelope(0.1, 0.2, [0.5, 1.5], [0.0], [1.0])
 
