@@ -61,7 +61,7 @@ def squeezing_db_to_r(db: float) -> float:
 
 def _check_r(r, name: str = "r") -> None:
     """Raise ValueError unless every entry of ``r`` is finite and in [0, MAX_SQUEEZING_R]."""
-    lo, hi = (np.min(r), np.max(r)) if np.ndim(r) else (r, r)
+    lo, hi = (r, r) if isinstance(r, float) or not np.ndim(r) else (np.min(r), np.max(r))
     if not 0.0 <= lo <= hi <= MAX_SQUEEZING_R:  # also false for NaN
         raise ValueError(f"{name} must be finite and within [0, {MAX_SQUEEZING_R}], got {r}")
 

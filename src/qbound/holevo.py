@@ -258,32 +258,35 @@ def _duality_gap(covs, d1, w_x, w_y, mu, f):
     """Relative gap (h - f) / f of the duals at mu against a claimed bound f, given delta - 1.
 
     Returns (gap, free), with free the duals' entries (a, b, c, d); h is
-    formed from their real second moments Z and beta = Im Z_12.  Weak duality
-    makes h >= true bound >= phi(mu), so the gap of the exact optimum is
-    zero and any other (mu, f) leaves a positive one; a gap that only
-    rounding separates from zero certifies f.  Products summed over short
-    trailing axes (no BLAS) keep each row's result independent of the batch
-    it is in, so solve() equals its batch_bound row exactly.
+    formed from their second moments Z_ii = c_i' S c_i and beta = Im Z_12.
+    Weak duality makes h >= true bound >= phi(mu), so the gap of the exact
+    optimum is zero and any other (mu, f) leaves a positive one; a gap that
+    only rounding separates from zero certifies f.  Each dual is a column of
+    elementwise arithmetic with u = (a, c) and v = (b, d), summed left to
+    right: (S c_i)_k = (S_ki + u_i S_k2) + v_i S_k3 and Z_ii = ((S c_i)_i +
+    u_i (S c_i)_2) + v_i (S c_i)_3, so a row's result does not depend on its batch.
     """
-    n, dim = mu.size, covs.shape[-1]
-    free = np.zeros((n, 2, dim - 2))  # rows (a, b) and (c, d)
-    beta = np.ones(n)
+    n = mu.size
+    z = covs.diagonal(0, 1, 2)[:, :2]  # Z_ii of the mode-1 parts alone
+    free, beta = np.zeros((n, 0)), 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if dim == 4:
+        if covs.shape[-1] == 4:
             g = covs[:, :2, 2:]  # rows g_x, g_y
-            adj = covs[:, 2:, 2:][:, ::-1, ::-1] * _ADJ_SIGNS  # adj B of the symmetric B
+            adj = (covs[:, 2:, 2:][:, ::-1, ::-1] * _ADJ_SIGNS)[:, None]  # adj B of the symmetric B
             j_swapped = g[:, ::-1, ::-1] * _J_SIGNS  # rows J g_y, J g_x
             rho = np.sqrt(w_x) / np.sqrt(np.where(w_y > 0.0, w_y, 1.0))
-            coef = np.stack([np.where(mu > 0.0, -mu / rho, 0.0), mu * rho], axis=1)[..., None]
+            coef = np.array([np.where(mu > 0.0, -mu / rho, 0.0), mu * rho]).T[..., None]
             s = (d1 + (1.0 - mu) * (1.0 + mu))[:, None, None]  # det B - mu^2
-            numer = (adj[:, None] * g[:, :, None, :]).sum(axis=-1) + coef * j_swapped
-            # s = 0 only at mu = delta = 1, a product probe: its duals stay on mode 1.
+            # Rows (a, b), (c, d) = -(adj(B) g_i + coef_i J g_j) / s; the sum starts at +0.0, so a
+            # zero dual is always -0.0.  s = 0 only at mu = delta = 1, a product probe: its duals
+            # stay on mode 1.
+            numer = (0.0 + g[..., :1] * adj[..., 0]) + g[..., 1:] * adj[..., 1] + coef * j_swapped
             free = np.where(s > 0.0, -numer / s, 0.0)
-            beta = beta + free[:, 0, 0] * free[:, 1, 1] - free[:, 0, 1] * free[:, 1, 0]
-        c = np.concatenate([np.broadcast_to(_EYE[2], (n, 2, 2)), free], axis=2)  # rows c_x, c_y
-        s_c = (c[:, :, None, :] * covs[:, None, :, :]).sum(axis=-1)
-        z = (s_c[:, :, None, :] * c[:, None, :, :]).sum(axis=-1)
-        h = w_x * z[:, 0, 0] + w_y * z[:, 1, 1] + 2.0 * np.sqrt(w_x * w_y) * np.abs(beta)
+            u, v = free[..., 0], free[..., 1]  # (a, c) and (b, d): one column per dual
+            sc = (covs[:, :, :2] + u[:, None] * covs[:, :, 2:3]) + v[:, None] * covs[:, :, 3:4]  # S c_i
+            z = (sc.diagonal(0, 1, 2) + u * sc[:, 2]) + v * sc[:, 3]
+            beta = (1.0 + u[:, 0] * v[:, 1]) - v[:, 0] * u[:, 1]
+        h = w_x * z[:, 0] + w_y * z[:, 1] + 2.0 * np.sqrt(w_x * w_y) * np.abs(beta)
         return (h - f) / f, free.reshape(n, -1)
 
 

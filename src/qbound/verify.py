@@ -19,7 +19,7 @@ import numpy as np
 
 from . import closed_forms, regions
 from .gaussian import ChannelParams, ProbeConfig, beam_splitter, build_probe, rotation, symplectic_form
-from .holevo import Weights, batch_bound, solve
+from .holevo import Weights, batch_bound
 from .simulate import build_scheme, compare_to_bound, run_scheme
 
 
@@ -69,33 +69,36 @@ def check_single_mode_closed_form(quick: bool = False) -> CheckResult:
 
 
 def check_equal_squeezing_optimum(quick: bool = False) -> CheckResult:
-    """Solver at the optimal two-mode configuration hits (sqrt(wx)+sqrt(wy))^2 e^{-2r}."""
-    worst = 0.0
-    for w_x, w_y in ((1.0, 1.0), (1.0, 4.0), (4.0, 1.0)):
-        for r in (0.2, 0.5, 0.693):
-            opt = closed_forms.optimal_config(w_x, w_y, r, r)
-            probe = ProbeConfig(r1=r, r2=r, phi1=opt.phi1, phi2=opt.phi2, t=opt.probe_t)
-            got = solve(probe, Weights(w_x, w_y)).f_hcr
-            want = (math.sqrt(w_x) + math.sqrt(w_y)) ** 2 * math.exp(-2.0 * r)
-            worst = max(worst, abs(got - want) / want)
+    """Solver at the optimal two-mode configuration hits (sqrt(wx)+sqrt(wy))^2 e^{-2r}.
+
+    The nine (weights, r) rows are one batch_bound call on their configurations.
+    """
+    cases = [(w_x, w_y, r) for w_x, w_y in ((1.0, 1.0), (1.0, 4.0), (4.0, 1.0)) for r in (0.2, 0.5, 0.693)]
+    opts = [closed_forms.optimal_config(w_x, w_y, r, r) for w_x, w_y, r in cases]
+    w_x, w_y, r = np.array(cases).T
+    got = batch_bound((r, r, *np.array([(o.phi1, o.phi2, o.probe_t) for o in opts]).T), w_x, w_y)
+    want = np.array([(math.sqrt(w_x) + math.sqrt(w_y)) ** 2 * math.exp(-2.0 * r) for w_x, w_y, r in cases])
+    worst = float(np.max(np.abs(got - want) / want))
     return CheckResult("equal-squeezing-optimum", worst <= 1e-6, {"max_rel_err": worst})
 
 
 def check_weight_special_cases(quick: bool = False) -> CheckResult:
     """Degenerate weights at t = 0.5 give 1/cosh(2r) via both routes.
 
-    At 6 dB (r = ln 2) that value is exactly 8/17.
+    At 6 dB (r = ln 2) that value is exactly 8/17.  The solver route is one
+    batch_bound call: each r with weights (1, 0) and (0, 1).
     """
+    rs = (0.2, 0.3, 0.5, math.log(2.0), 1.1)
+    wants = [1.0 / math.cosh(2.0 * r) for r in rs]
     worst_formula = 0.0
-    worst_solver = 0.0
-    for r in (0.2, 0.3, 0.5, math.log(2.0), 1.1):
-        want = 1.0 / math.cosh(2.0 * r)
+    for r, want in zip(rs, wants):
         lam_x, lam_y = closed_forms.example2_lambda_endpoints(r)
-        probe = ProbeConfig(r1=r, r2=r, phi1=0.0, phi2=math.pi / 2.0, t=0.5)
-        for lam, row, w in ((lam_x, 0, Weights(1.0, 0.0)), (lam_y, 1, Weights(0.0, 1.0))):
+        for lam, row in ((lam_x, 0), (lam_y, 1)):
             f_val = closed_forms.example2_parametric(lam, r, 0.5)[row]
             worst_formula = max(worst_formula, abs(f_val - want) / want)
-            worst_solver = max(worst_solver, abs(solve(probe, w).f_hcr - want) / want)
+    r, want, w_x = np.repeat(rs, 2), np.repeat(wants, 2), np.tile([1.0, 0.0], len(rs))
+    got = batch_bound((r, r, 0.0, math.pi / 2.0, 0.5), w_x, 1.0 - w_x)
+    worst_solver = float(np.max(np.abs(got - want) / want))
     exact_6db = abs(1.0 / math.cosh(2.0 * math.log(2.0)) - 8.0 / 17.0) <= 1e-15
     passed = worst_formula <= 1e-12 and worst_solver <= 1e-6 and exact_6db
     return CheckResult(
@@ -243,11 +246,17 @@ def check_monte_carlo_achievability(quick: bool = False, shots: int = MC_SHOTS,
 
 def check_no_bound_violation(quick: bool = False, shots: int = MC_SHOTS,
                              seed: int = MC_SEED) -> CheckResult:
-    """No simulated scheme beats the bound for its own probe (5 SE margin)."""
+    """No simulated scheme beats the bound for its own probe (5 SE margin).
+
+    The bounds of the four schemes' probes are one batch_bound call.
+    """
     detail = {}
     passed = True
-    for label, scheme, report, weights, _, optimal in _mc_reports(shots, seed):
-        bound = solve(scheme.probe, weights).f_hcr
+    reports = _mc_reports(shots, seed)
+    rows = np.array([(s.probe.r1, s.probe.r2, s.probe.phi1, s.probe.phi2, s.probe.t, w.w_x, w.w_y)
+                     for _, s, _, w, _, _ in reports]).T
+    bounds = batch_bound(tuple(rows[:5]), *rows[5:]).tolist()
+    for (label, scheme, report, weights, _, optimal), bound in zip(reports, bounds):
         cmp = compare_to_bound(report, bound, weights, expect_saturation=optimal)
         passed &= cmp.ok
         detail[label] = {
@@ -292,11 +301,8 @@ def check_structural_properties(quick: bool = False, seed: int = 11) -> CheckRes
     # Symplectic preservation under random composition.
     worst = 0.0
     omega = symplectic_form(2)
-    for _ in range(n):
-        s = rotation(rng.uniform(0, 2 * math.pi), 2, 0)
-        s = beam_splitter(rng.uniform(0, 1)) @ s
-        s = rotation(rng.uniform(0, 2 * math.pi), 2, 1) @ s
-        s = beam_splitter(rng.uniform(0, 1)) @ s
+    for phi1, t1, phi2, t2 in rng.uniform([0, 0, 0, 0], [2 * math.pi, 1, 2 * math.pi, 1], (n, 4)):
+        s = beam_splitter(t2) @ (rotation(phi2, 2, 1) @ (beam_splitter(t1) @ rotation(phi1, 2, 0)))
         worst = max(worst, float(np.max(np.abs(s @ omega @ s.T - omega))))
     detail["symplectic_defect"] = worst
     ok_symplectic = worst <= 1e-10
@@ -304,8 +310,8 @@ def check_structural_properties(quick: bool = False, seed: int = 11) -> CheckRes
     # Envelope continuity at the knees and x<->y symmetry.
     worst_cont = 0.0
     worst_sym = 0.0
-    for _ in range(n):
-        r1, r2 = np.sort(rng.uniform(0.01, 2.0, 2))
+    for r1, r2, log_excess in rng.uniform([0.01, 0.01, -2], [2, 2, 1], (n, 3)):
+        r1, r2 = sorted((r1, r2))
         v_c = closed_forms.envelope_v_c(r1, r2)
         v_d = closed_forms.envelope_v_d(r1, r2)
         low_at_c = v_c * math.exp(-2.0 * r1) / (v_c - math.exp(-2.0 * r2))
@@ -313,7 +319,7 @@ def check_structural_properties(quick: bool = False, seed: int = 11) -> CheckRes
         mid_at_d = closed_forms.two_mode_envelope(v_d, r1, r2).v_y
         high_at_d = v_d * math.exp(-2.0 * r2) / (v_d - math.exp(-2.0 * r1))
         worst_cont = max(worst_cont, abs(low_at_c - mid_at_c), abs(high_at_d - mid_at_d))
-        v_x = math.exp(-2.0 * r2) + 10.0 ** rng.uniform(-2, 1)
+        v_x = math.exp(-2.0 * r2) + 10.0 ** log_excess
         v_y = closed_forms.two_mode_envelope(v_x, r1, r2).v_y
         back = closed_forms.two_mode_envelope(v_y, r1, r2).v_y
         worst_sym = max(worst_sym, abs(back - v_x))

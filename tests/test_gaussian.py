@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qbound import closed_forms as cf
 from qbound.gaussian import (
     ChannelParams,
     GaussianState,
@@ -48,10 +49,26 @@ def test_make_squeezed_rotated_pi_over_6():
     assert state.cov[1, 1] == pytest.approx(0.5 * 0.25 + 2.0 * 0.75)
 
 
-@pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan, 25.0])
+@pytest.mark.parametrize("bad", [
+    -0.1, math.inf, math.nan, 25.0, -math.inf, -1, 21,
+    pytest.param(np.float64(math.nan), id="float64-nan"), pytest.param(np.float64(20.5), id="float64-20.5"),
+    pytest.param(np.array(-0.5), id="0d-(-0.5)"), pytest.param(np.array(math.nan), id="0d-nan"),
+    pytest.param(np.array([0.5, 25.0]), id="array"),
+])
 def test_make_squeezed_rejects_bad_r(bad):
+    # Python and NumPy floats, ints, 0-d arrays and arrays, through a probe and a closed form.
+    if np.ndim(bad) == 0:
+        with pytest.raises(ValueError):
+            build_probe(ProbeConfig(r1=bad, phi1=0.0, n_modes=1))
+        with pytest.raises(ValueError):
+            cf.single_mode_line(1.0, 1.0, bad, 0.0)
     with pytest.raises(ValueError):
-        build_probe(ProbeConfig(r1=bad, phi1=0.0, n_modes=1))
+        probe_covariances(bad, 20.0, 0.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("r", [0.0, 20.0, 0, 20, np.float64(20.0), np.array(3.0), np.array([0.0, 20.0])])
+def test_squeezing_at_the_ends_of_the_range_is_accepted(r):
+    assert np.all(np.isfinite(probe_covariances(r, 20.0, 0.0, 0.0, 0.5)))
 
 
 def test_rotation_identity_and_swap():

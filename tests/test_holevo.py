@@ -399,6 +399,27 @@ def test_certificate_rejects_mutated_kernels():
     assert not certified(mu, (1.0 - 1e-6) * f).any()
 
 
+def test_gap_is_the_primal_value_of_the_reported_duals():
+    # The certificate's column arithmetic against primal()'s matrix products
+    # on r <= 2 rows, product probes (t in {0, 1}) and zero weights among them.
+    rng = np.random.default_rng(47)
+    n = 400
+    u = rng.uniform(size=(n, 5))
+    u[:40, 4] = np.round(u[:40, 4])
+    r = np.sort(2.0 * u[:, :2], axis=1)
+    config = (r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
+    covs = probe_covariances(*config)
+    ratio = 10.0 ** rng.uniform(-3, 3, n)
+    w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+    w_x[20:60], w_y[60:100] = 0.0, 0.0
+    info = {}
+    f = batch_bound(config, w_x, w_y, info)
+    for i in range(n):
+        duals = DualCoefficients.from_free(info["free"][i])
+        want = (primal(covs[i], Weights(w_x[i], w_y[i]), duals) - f[i]) / f[i]
+        assert abs(info["gap"][i] - want) <= 1e-12
+
+
 def test_kernel_matches_closed_forms_for_all_squeezing():
     # Property test over r in [0, 20], t in [0, 1], ratios 1e-4..1e4 and
     # degenerate weights: the balanced point 4 w e^{-2r}, the degenerate

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbound import closed_forms as cf
-from qbound import regions, verify
+from qbound import holevo, regions, verify
 from qbound.gaussian import ProbeConfig, build_probe
 from qbound.holevo import batch_bound
 
@@ -179,6 +179,25 @@ def test_envelope_gap_check_solves_each_row_once(monkeypatch):
     assert rows == [21 * 21 * 9]  # one batch: ratios x t values x phi1 values
     with pytest.raises(ValueError):
         regions.envelope(0.1, 0.2, [0.5, 1.5], [0.0], [1.0])
+
+
+@pytest.mark.parametrize("check", [verify.check_equal_squeezing_optimum, verify.check_weight_special_cases,
+                                   verify.check_no_bound_violation])
+def test_fixed_row_checks_are_one_batch(check, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return batch_bound(*args)
+
+    def no_solve(*args):
+        raise AssertionError("the check solved a row on its own")
+
+    monkeypatch.setattr(verify, "batch_bound", counting)
+    monkeypatch.setattr(verify, "solve", no_solve, raising=False)
+    monkeypatch.setattr(holevo, "solve", no_solve)
+    assert check(quick=True).passed
+    assert len(calls) == 1
 
 
 def test_sql_feasible_threshold():
