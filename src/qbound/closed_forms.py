@@ -77,16 +77,48 @@ class EnvelopePoint:
     swapped: bool = False
 
 
+_SEGMENTS = (SEGMENT_LOW, SEGMENT_MIDDLE, SEGMENT_HIGH)
+
+
+def _envelope_rows(v_x, r1, r2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """v_y, the knees v_c and v_d, and the segment index of the two-mode envelope, unvalidated.
+
+    Broadcast over v_x and canonical (r1 <= r2) arrays.  The segment index is
+    0, 1 or 2 for low, middle and high (a NaN v_x is high, as a comparison
+    with it is false), and v_y is that segment's branch.  two_mode_envelope
+    is one row of this.
+    """
+    v_x, r1, r2 = (np.asarray(a, dtype=float) for a in (v_x, r1, r2))
+    f1, f2, cross = np.exp(-2.0 * r1), np.exp(-2.0 * r2), np.exp(-(r1 + r2))
+    v_c, v_d = f2 + cross, f1 + cross
+    below_c, upto_d = v_x < v_c, v_x <= v_d
+    with np.errstate(divide="ignore", invalid="ignore"):  # np.where evaluates every branch on every row
+        low, high = v_x * f1 / (v_x - f2), v_x * f2 / (v_x - f1)
+    v_y = np.where(below_c, low, np.where(upto_d, np.square(np.exp(-r1) + np.exp(-r2)) - v_x, high))
+    return v_y, v_c, v_d, 2 - (below_c.astype(np.intp) + upto_d)
+
+
+def _checked_envelope_rows(v_x, r1, r2) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(v_y, segment index, swapped) of _envelope_rows after canonicalizing r and checking v_x."""
+    r1, r2, swapped = _canonical_pair(r1, r2)
+    v_x, floor = np.asarray(v_x, dtype=float), np.exp(-2.0 * r2)
+    infeasible = v_x <= floor
+    if np.any(infeasible):
+        raise ValueError(f"v_x = {v_x[infeasible][0]} is infeasible; the envelope floor is e^(-2 r2) = {floor}")
+    v_y, _, _, segment = _envelope_rows(v_x, r1, r2)
+    return v_y, segment, swapped
+
+
 def envelope_v_c(r1: float, r2: float) -> float:
     """Left knee of the two-mode envelope: e^{-2 r2} + e^{-(r1+r2)}."""
     r1, r2, _ = _canonical_pair(r1, r2)
-    return math.exp(-2.0 * r2) + math.exp(-(r1 + r2))
+    return float(_envelope_rows(math.nan, r1, r2)[1])  # the knees do not depend on v_x
 
 
 def envelope_v_d(r1: float, r2: float) -> float:
     """Right knee of the two-mode envelope: e^{-2 r1} + e^{-(r1+r2)}."""
     r1, r2, _ = _canonical_pair(r1, r2)
-    return math.exp(-2.0 * r1) + math.exp(-(r1 + r2))
+    return float(_envelope_rows(math.nan, r1, r2)[2])
 
 
 def two_mode_envelope(v_x: float, r1: float, r2: float) -> EnvelopePoint:
@@ -96,20 +128,11 @@ def two_mode_envelope(v_x: float, r1: float, r2: float) -> EnvelopePoint:
     ``v_x + v_y = (e^{-r1} + e^{-r2})^2`` between the knees v_c and v_d.  The
     knees are included in the middle segment label; the branch values agree
     there, so the label is a tie-break only.  Inputs with r1 > r2 are
-    canonicalized by swapping (flagged in the result).
+    canonicalized by swapping (flagged in the result).  This is one row of
+    the batched _envelope_rows.
     """
-    r1, r2, swapped = _canonical_pair(r1, r2)
-    f1, f2 = math.exp(-2.0 * r1), math.exp(-2.0 * r2)
-    if v_x <= f2:
-        raise ValueError(f"v_x = {v_x} is infeasible; the envelope floor is e^(-2 r2) = {f2}")
-    v_c = f2 + math.exp(-(r1 + r2))
-    v_d = f1 + math.exp(-(r1 + r2))
-    if v_x < v_c:
-        return EnvelopePoint(v_x, v_x * f1 / (v_x - f2), SEGMENT_LOW, swapped)
-    if v_x <= v_d:
-        total = (math.exp(-r1) + math.exp(-r2)) ** 2
-        return EnvelopePoint(v_x, total - v_x, SEGMENT_MIDDLE, swapped)
-    return EnvelopePoint(v_x, v_x * f2 / (v_x - f1), SEGMENT_HIGH, swapped)
+    v_y, segment, swapped = _checked_envelope_rows(v_x, r1, r2)
+    return EnvelopePoint(v_x, float(v_y), _SEGMENTS[segment], swapped)
 
 
 @dataclass(frozen=True)

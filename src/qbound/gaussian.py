@@ -221,8 +221,9 @@ def probe_delta_minus_one(r1, r2, phi1, phi2, t) -> np.ndarray:
     b = d - phi1
     e = (phi1 - (d - b)) - (phi2 + b)  # phi1 - phi2 = d + e exactly
     cos, sin = np.cos(d) - e * np.sin(d), np.sin(d) + e * np.cos(d)
-    return 4.0 * (t * (1.0 - t) * ((cos * np.sinh(np.subtract(r1, r2))) ** 2
-                                   + (sin * np.sinh(np.add(r1, r2))) ** 2))
+    # np.square, not ** 2: on NumPy scalars ** calls pow, which can round differently from x * x.
+    return 4.0 * (t * (1.0 - t) * (np.square(cos * np.sinh(np.subtract(r1, r2)))
+                                   + np.square(sin * np.sinh(np.add(r1, r2)))))
 
 
 def build_probe(config: ProbeConfig) -> GaussianState:

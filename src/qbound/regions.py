@@ -123,17 +123,26 @@ def _config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2) -> _Sweep:
     return _Sweep(t, phi1, ratios, *(part.reshape(t.size, ratios.size) for part in parts))
 
 
-def _sample(sweep: _Sweep, ic: int, j: int) -> RegionSample:
-    """The tangency point of configuration ``ic`` at weight ratio ``j``."""
-    return RegionSample(
-        v_x=float(sweep.v_x[ic, j]), v_y=float(sweep.v_y[ic, j]), source=SOURCE_NUMERIC,
-        t=float(sweep.t[ic]), phi1=float(sweep.phi1[ic]), w_ratio=float(sweep.ratios[j]),
-        converged=bool(sweep.certified[ic, j]),
-    )
+def _samples(sweep: _Sweep, ic: np.ndarray, j: np.ndarray) -> list[RegionSample]:
+    """The tangency points of configurations ``ic`` at weight ratios ``j``."""
+    return [
+        RegionSample(
+            v_x=float(sweep.v_x[c, k]), v_y=float(sweep.v_y[c, k]), source=SOURCE_NUMERIC,
+            t=float(sweep.t[c]), phi1=float(sweep.phi1[c]), w_ratio=float(sweep.ratios[k]),
+            converged=bool(sweep.certified[c, k]),
+        )
+        for c, k in zip(ic, j)
+    ]
 
 
-def _binned_envelope(sweep: _Sweep, r2: float) -> list[RegionSample]:
-    """The lowest v_y of a sweep's tangency points in each logarithmic v_x bin."""
+def _by_v_x(sweep: _Sweep, ic: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ic, j) reordered by v_x; the sort is stable, so ties keep their order."""
+    order = np.argsort(sweep.v_x[ic, j], kind="stable")
+    return ic[order], j[order]
+
+
+def _binned_envelope(sweep: _Sweep, r2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(configuration, ratio) indices of the lowest v_y in each logarithmic v_x bin, by v_x."""
     lo = math.exp(-2.0 * r2) * 1.001
     hi = 10.0 * math.exp(2.0 * r2)
     v_x, v_y = sweep.v_x, sweep.v_y
@@ -143,16 +152,13 @@ def _binned_envelope(sweep: _Sweep, r2: float) -> list[RegionSample]:
     # Sort by (bin, v_y); the first entry of each bin is its lowest point.
     order = np.lexsort((v_y[ic, j], bin_of))
     _, first = np.unique(bin_of[order], return_index=True)
-    samples = [_sample(sweep, ic[m], j[m]) for m in order[first]]
-    samples.sort(key=lambda s: s.v_x)
-    return samples
+    lowest = order[first]
+    return _by_v_x(sweep, ic[lowest], j[lowest])
 
 
-def _support_points(sweep: _Sweep) -> list[RegionSample]:
-    """Per weight ratio, the tangency point of the configuration with the lowest bound."""
-    samples = [_sample(sweep, ic, j) for j, ic in enumerate(np.argmin(sweep.f, axis=0))]
-    samples.sort(key=lambda s: s.v_x)
-    return samples
+def _support_points(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
+    """Per weight ratio, the (configuration, ratio) indices of the lowest bound, by v_x."""
+    return _by_v_x(sweep, np.argmin(sweep.f, axis=0), np.arange(sweep.ratios.size))
 
 
 def envelope(
@@ -171,7 +177,8 @@ def envelope(
     the lowest v_y in each logarithmic v_x bin.  The result dominates the
     analytic envelope and approaches it as the grids refine.
     """
-    return _binned_envelope(_config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2), r2)
+    sweep = _config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2)
+    return _samples(sweep, *_binned_envelope(sweep, r2))
 
 
 def envelope_support_points(
@@ -189,7 +196,8 @@ def envelope_support_points(
     support-function sampling of the accessible region (one point per bound
     line), complementary to the binned pointwise minimum of envelope().
     """
-    return _support_points(_config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2))
+    sweep = _config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2)
+    return _samples(sweep, *_support_points(sweep))
 
 
 def envelope_value(samples: list[RegionSample], v_x) -> np.ndarray:
@@ -217,18 +225,16 @@ def envelope_value(samples: list[RegionSample], v_x) -> np.ndarray:
 
 
 def closed_form_boundary(r1: float, r2: float, v_x_values) -> list[RegionSample]:
-    """Analytic two-mode envelope samples with segment labels."""
-    samples = []
-    for v_x in np.asarray(list(v_x_values), dtype=float):
-        point = closed_forms.two_mode_envelope(float(v_x), r1, r2)
-        samples.append(
-            RegionSample(
-                v_x=float(point.v_x), v_y=float(point.v_y),
-                source=SOURCE_CLOSED_FORM, segment=point.segment,
-            )
+    """Analytic two-mode envelope samples with segment labels, sorted by v_x: one batched row set."""
+    v_x = np.asarray(list(v_x_values), dtype=float)
+    v_y, segment, _ = closed_forms._checked_envelope_rows(v_x, r1, r2)
+    return [
+        RegionSample(
+            v_x=float(v_x[i]), v_y=float(v_y[i]),
+            source=SOURCE_CLOSED_FORM, segment=closed_forms._SEGMENTS[segment[i]],
         )
-    samples.sort(key=lambda s: s.v_x)
-    return samples
+        for i in np.argsort(v_x, kind="stable")
+    ]
 
 
 def single_mode_boundary(r: float, phi: float, v_x_values) -> list[RegionSample]:

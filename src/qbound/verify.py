@@ -147,24 +147,22 @@ def check_envelope_gap(quick: bool = False, perturb: float = 0.0) -> CheckResult
     else:
         w_grid, t_grid, phi_grid = _envelope_grids(r1, r2, 50, 25)
 
-    def gaps(samples):
-        v_x = np.array([s.v_x for s in samples])
-        v_y = np.array([s.v_y for s in samples])
-        reference = np.array(
-            [closed_forms.two_mode_envelope(v, r1, r2).v_y for v in v_x]
-        ) * (1.0 + perturb)
+    sweep = regions._config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2=False)
+
+    def gaps(ic, j):
+        v_x, v_y = sweep.v_x[ic, j], sweep.v_y[ic, j]
+        reference = closed_forms._envelope_rows(v_x, r1, r2)[0] * (1.0 + perturb)
         return v_y - reference, reference
 
-    sweep = regions._config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2=False)
-    points = regions._support_points(sweep)
-    diff, reference = gaps(points)
+    support = regions._support_points(sweep)
+    diff, reference = gaps(*support)
     max_gap = float(np.max(np.abs(diff / reference)))
     dip = float(np.min(diff))
-    binned_dip = float(np.min(gaps(regions._binned_envelope(sweep, r2))[0]))
+    binned_dip = float(np.min(gaps(*regions._binned_envelope(sweep, r2))[0]))
     passed = max_gap <= 1e-3 and dip >= -1e-9 and binned_dip >= -1e-9
     return CheckResult(
         "envelope-gap", passed,
-        {"n_points": len(points), "max_rel_gap": max_gap, "largest_dip": dip,
+        {"n_points": support[0].size, "max_rel_gap": max_gap, "largest_dip": dip,
          "binned_dip": binned_dip},
     )
 
@@ -298,31 +296,29 @@ def check_structural_properties(quick: bool = False, seed: int = 11) -> CheckRes
     n = 200 if quick else 1000
     detail = {}
 
-    # Symplectic preservation under random composition.
-    worst = 0.0
+    # Symplectic preservation under random composition, as one (n, 4, 4) stack.
     omega = symplectic_form(2)
-    for phi1, t1, phi2, t2 in rng.uniform([0, 0, 0, 0], [2 * math.pi, 1, 2 * math.pi, 1], (n, 4)):
-        s = beam_splitter(t2) @ (rotation(phi2, 2, 1) @ (beam_splitter(t1) @ rotation(phi1, 2, 0)))
-        worst = max(worst, float(np.max(np.abs(s @ omega @ s.T - omega))))
+    draws = rng.uniform([0, 0, 0, 0], [2 * math.pi, 1, 2 * math.pi, 1], (n, 4))
+    bs2, rot2, bs1, rot1 = (np.array(mats) for mats in zip(*(
+        (beam_splitter(t2), rotation(phi2, 2, 1), beam_splitter(t1), rotation(phi1, 2, 0))
+        for phi1, t1, phi2, t2 in draws)))
+    s = bs2 @ (rot2 @ (bs1 @ rot1))
+    worst = float(np.max(np.abs(s @ omega @ s.swapaxes(1, 2) - omega)))  # np.max keeps a NaN
     detail["symplectic_defect"] = worst
     ok_symplectic = worst <= 1e-10
 
-    # Envelope continuity at the knees and x<->y symmetry.
-    worst_cont = 0.0
-    worst_sym = 0.0
-    for r1, r2, log_excess in rng.uniform([0.01, 0.01, -2], [2, 2, 1], (n, 3)):
-        r1, r2 = sorted((r1, r2))
-        v_c = closed_forms.envelope_v_c(r1, r2)
-        v_d = closed_forms.envelope_v_d(r1, r2)
-        low_at_c = v_c * math.exp(-2.0 * r1) / (v_c - math.exp(-2.0 * r2))
-        mid_at_c = closed_forms.two_mode_envelope(v_c, r1, r2).v_y
-        mid_at_d = closed_forms.two_mode_envelope(v_d, r1, r2).v_y
-        high_at_d = v_d * math.exp(-2.0 * r2) / (v_d - math.exp(-2.0 * r1))
-        worst_cont = max(worst_cont, abs(low_at_c - mid_at_c), abs(high_at_d - mid_at_d))
-        v_x = math.exp(-2.0 * r2) + 10.0 ** log_excess
-        v_y = closed_forms.two_mode_envelope(v_x, r1, r2).v_y
-        back = closed_forms.two_mode_envelope(v_y, r1, r2).v_y
-        worst_sym = max(worst_sym, abs(back - v_x))
+    # Envelope continuity at the knees and x<->y symmetry, each quantity one batched row set.
+    r1, r2, log_excess = rng.uniform([0.01, 0.01, -2], [2, 2, 1], (n, 3)).T
+    r1, r2 = np.minimum(r1, r2), np.maximum(r1, r2)
+    _, v_c, v_d, _ = closed_forms._envelope_rows(math.nan, r1, r2)
+    low_at_c = v_c * np.exp(-2.0 * r1) / (v_c - np.exp(-2.0 * r2))
+    mid_at_c, mid_at_d = closed_forms._envelope_rows(np.stack([v_c, v_d]), r1, r2)[0]
+    high_at_d = v_d * np.exp(-2.0 * r2) / (v_d - np.exp(-2.0 * r1))
+    worst_cont = float(np.max(np.maximum(np.abs(low_at_c - mid_at_c), np.abs(high_at_d - mid_at_d))))
+    v_x = np.exp(-2.0 * r2) + 10.0 ** log_excess
+    v_y = closed_forms._envelope_rows(v_x, r1, r2)[0]
+    back = closed_forms._envelope_rows(v_y, r1, r2)[0]
+    worst_sym = float(np.max(np.abs(back - v_x)))
     detail["envelope_continuity"] = worst_cont
     detail["envelope_symmetry"] = worst_sym
     ok_envelope = worst_cont <= 1e-9 and worst_sym <= 1e-9

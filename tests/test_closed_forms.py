@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -343,3 +344,59 @@ def test_example1_parametric_saturates_relation():
         t = rng.uniform(1.0 / (1.0 + math.exp(r2)), 0.999)
         v_x, v_y = cf.example1_variances(t, r2, favour="y")
         assert cf.example1_relations(v_x, v_y, r2, "y-favoured") == pytest.approx(1.0, rel=1e-12)
+
+
+def _decimal_envelope(v_x: float, r1: float, r2: float) -> tuple[Decimal, float]:
+    """Envelope v_y in 50-digit decimal from the same float inputs, and its condition number.
+
+    The condition number is 1 + v_x / |v_x - f| on a hyperbolic branch with
+    pole f, and 1 + total / v_y on the line v_x + v_y = total.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x, a, b = Decimal(v_x), Decimal(r1), Decimal(r2)
+        f1, f2, cross = (-2 * a).exp(), (-2 * b).exp(), (-(a + b)).exp()
+        if x < f2 + cross:
+            return x * f1 / (x - f2), float(1 + x / abs(x - f2))
+        if x <= f1 + cross:
+            total = ((-a).exp() + (-b).exp()) ** 2
+            return total - x, float(1 + total / (total - x))
+        return x * f2 / (x - f1), float(1 + x / abs(x - f1))
+
+
+def test_envelope_rows_match_a_decimal_reference():
+    # Seeded rows over r <= 20 in every segment, on both knees and within
+    # 1e-6 (relative) of the floor; 100 rows have r1 = r2.  Each row is within
+    # 8 ulp times its condition number of the 50-digit value, and the scalar
+    # two_mode_envelope (given the pair in either order) is the core's row.
+    rng = np.random.default_rng(41)
+    n = 600
+    r = np.sort(rng.uniform(0.0, 20.0, (6 * n, 2)), axis=1)
+    r[:100, 1] = r[:100, 0]
+    r1, r2 = r.T
+    _, v_c, v_d, _ = cf._envelope_rows(math.nan, r1, r2)
+    floor = np.exp(-2.0 * r2)
+    u = rng.uniform(size=n)
+    v_x = np.concatenate([
+        floor[:n] + (v_c[:n] - floor[:n]) * u,                         # low
+        v_c[n:2 * n] + (v_d[n:2 * n] - v_c[n:2 * n]) * u,              # middle
+        v_d[2 * n:3 * n] * (1.0 + 10.0 ** rng.uniform(-6.0, 3.0, n)),  # high
+        v_c[3 * n:4 * n], v_d[4 * n:5 * n],                            # knees
+        floor[5 * n:] * (1.0 + 10.0 ** rng.uniform(-9.0, -6.0, n)),    # near the floor
+    ])
+    v_y, _, _, segment = cf._envelope_rows(v_x, r1, r2)
+    assert np.array_equal(segment, np.repeat([0, 1, 2, 1, 1, 0], n))  # knees are labelled middle
+    unit = 8.0 * np.finfo(float).eps
+    worst = 0.0
+    for x, a, b, y in zip(v_x, r1, r2, v_y):
+        want, cond = _decimal_envelope(x, a, b)
+        worst = max(worst, float(abs(Decimal(y) - want) / want) / (unit * cond))
+    assert worst <= 1.0
+
+    rows = rng.choice(6 * n, 300, replace=False)
+    for i in rows:
+        for pair in ((r1[i], r2[i]), (r2[i], r1[i])):
+            point = cf.two_mode_envelope(v_x[i], *pair)
+            assert point.v_y.hex() == v_y[i].hex()
+            assert point.segment == cf._SEGMENTS[segment[i]]
+            assert point.swapped == (pair[0] > pair[1])

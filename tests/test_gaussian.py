@@ -11,6 +11,7 @@ from qbound.gaussian import (
     beam_splitter,
     build_probe,
     probe_covariances,
+    probe_delta_minus_one,
     probe_factors,
     rotation,
     squeezing_db_to_r,
@@ -266,3 +267,19 @@ def test_structural_checks_are_relative():
         cov[0, 1] += 1e-6 * scale
         with pytest.raises(ValueError):
             GaussianState(cov)
+
+
+def test_delta_minus_one_of_one_row_is_its_array_row():
+    # Python floats (a ProbeConfig) and NumPy scalars give the bits of one
+    # array call: a square taken with ** on a NumPy scalar calls pow, which
+    # rounds differently from the x * x of arrays on some rows.
+    rng = np.random.default_rng(2024)
+    n = 20_000
+    cols = (rng.uniform(0.0, 20.0, n), rng.uniform(0.0, 20.0, n), rng.uniform(0.0, 2.0 * math.pi, n),
+            rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.0, 1.0, n))
+    want = probe_delta_minus_one(*cols)
+    rows = list(zip(*cols))
+    as_floats = np.array([probe_delta_minus_one(*map(float, row)) for row in rows])
+    as_scalars = np.array([probe_delta_minus_one(*row) for row in rows])
+    assert as_floats.tobytes() == want.tobytes()
+    assert as_scalars.tobytes() == want.tobytes()

@@ -204,6 +204,16 @@ def test_batch_bound_matches_solve():
         assert solve(cov, Weights(wx, wy)).f_hcr == val
 
 
+def test_solve_on_a_configuration_is_its_batch_row():
+    # A row whose delta - 1 rounds differently when squared by pow on the
+    # Python floats of a ProbeConfig than by x * x in configuration arrays.
+    config = ProbeConfig(r1=8.273470942750414, r2=16.827953378296783, phi1=4.111293603305999,
+                         phi2=3.4827803152895513, t=0.7873960023653186)
+    w_x = 0.6612774634476833
+    columns = tuple(np.array([value]) for value in (config.r1, config.r2, config.phi1, config.phi2, config.t))
+    assert solve(config, Weights(w_x, 1.0)).f_hcr == batch_bound(columns, w_x, 1.0)[0]
+
+
 def test_batch_bound_weights_near_the_float_maximum_are_finite_and_exact():
     cov = build_probe(ProbeConfig(r1=2.0, r2=2.0, phi2=math.pi / 2.0, t=0.5)).cov
     unit = batch_bound(cov, [1.0, 1.0], [1.0, 0.0])

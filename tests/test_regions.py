@@ -200,6 +200,28 @@ def test_fixed_row_checks_are_one_batch(check, monkeypatch):
     assert len(calls) == 1
 
 
+def _nan_every_seventh_row(rows):
+    def mutated(v_x, r1, r2):
+        v_y, *rest = rows(v_x, r1, r2)
+        v_y = np.array(v_y)
+        v_y.flat[::7] = np.nan
+        return (v_y, *rest)
+    return mutated
+
+
+@pytest.mark.parametrize("module,name,mutate,key,tol", [
+    (cf, "_envelope_rows", _nan_every_seventh_row, "envelope_continuity", 1e-9),
+    (verify, "beam_splitter", lambda bs: lambda t: bs(t) * (1.0 + 1e-6), "symplectic_defect", 1e-10),
+    (verify, "batch_bound", lambda bound: lambda *args: bound(*args) + 1e-9, "weight_scaling", 1e-12),
+], ids=["nan-envelope-rows", "scaled-beam-splitter", "inhomogeneous-bound"])
+def test_structural_properties_fails_on_mutants(module, name, mutate, key, tol, monkeypatch):
+    # A NaN must fail the check, not drop out of a max.
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    result = verify.check_structural_properties(quick=True)
+    assert not result.passed
+    assert not result.detail[key] <= tol
+
+
 def test_sql_feasible_threshold():
     r = R = 0.5 * math.log(4.0)
     result = regions.sql_feasible(r, r)
