@@ -174,13 +174,50 @@ def beam_splitter(t: float) -> np.ndarray:
     return _frozen_array([[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]])
 
 
-def _squeezed_marginal(r, phi) -> np.ndarray:
-    """``R(phi) diag(e^{-2r}, e^{2r}) R(phi)^T``, broadcast over r and phi: shape (..., 2, 2)."""
+def _mixing_stacks(t, phi, target_mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """beam_splitter(t) and rotation(phi, 2, target_mode) for each row of ``t`` and ``phi``.
+
+    Two (n, 4, 4) stacks whose rows equal those functions' matrices bit for
+    bit, built without a Python loop over the rows.
+    """
+    t = np.asarray(t, dtype=float).ravel()
+    if not 0.0 <= t.min() <= t.max() <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
+    a, b, zero = np.sqrt(t), np.sqrt(1.0 - t), np.zeros(t.size)
+    mixing = np.stack([a, zero, b, zero, zero, a, zero, b, -b, zero, a, zero, zero, -b, zero, a], axis=-1)
+    c, s = np.cos(phi), np.sin(phi)
+    rot = np.tile(np.eye(4), (t.size, 1, 1))
+    k = 2 * target_mode
+    rot[:, k, k] = rot[:, k + 1, k + 1] = c
+    rot[:, k, k + 1], rot[:, k + 1, k] = -s, s
+    return mixing.reshape(-1, 4, 4), rot
+
+
+def _squeezed_entries(r, phi):
+    """Entries (xx, xy, yy) of ``R(phi) diag(e^{-2r}, e^{2r}) R(phi)^T``, broadcast over r and phi."""
     r = np.asarray(r, dtype=float)
     e_m, e_p, c, s = np.exp(-2.0 * r), np.exp(2.0 * r), np.cos(phi), np.sin(phi)
-    xy = (e_m - e_p) * c * s
-    entries = (e_m * c * c + e_p * s * s, xy, xy, e_m * s * s + e_p * c * c)
-    return np.stack(entries, axis=-1).reshape(np.shape(xy) + (2, 2))
+    return e_m * c * c + e_p * s * s, (e_m - e_p) * c * s, e_m * s * s + e_p * c * c
+
+
+def _squeezed_marginal(r, phi) -> np.ndarray:
+    """``R(phi) diag(e^{-2r}, e^{2r}) R(phi)^T``, broadcast over r and phi: shape (..., 2, 2)."""
+    xx, xy, yy = _squeezed_entries(r, phi)
+    return np.stack((xx, xy, xy, yy), axis=-1).reshape(np.shape(xy) + (2, 2))
+
+
+def _check_config(r1, r2, phi1, phi2, t) -> np.ndarray:
+    """Raise ValueError unless the configuration arrays are in the contract; returns t as floats."""
+    _check_r(r1, "r1")
+    _check_r(r2, "r2")
+    if np.any(np.greater(r1, r2)):
+        raise ValueError(f"canonical ordering requires r1 <= r2, got r1 = {r1}, r2 = {r2}")
+    t = np.asarray(t, dtype=float)
+    if not 0.0 <= t.min() <= t.max() <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {t.ravel()}")
+    if not np.all(np.isfinite(phi1) & np.isfinite(phi2)):
+        raise ValueError(f"phi1 and phi2 must be finite, got {phi1} and {phi2}")
+    return t
 
 
 def probe_covariances(r1, r2, phi1, phi2, t) -> np.ndarray:
@@ -193,21 +230,24 @@ def probe_covariances(r1, r2, phi1, phi2, t) -> np.ndarray:
     entry and the off-diagonal one is written to both sides, so the result is
     exactly symmetric.
     """
-    _check_r(r1, "r1")
-    _check_r(r2, "r2")
-    if np.any(np.greater(r1, r2)):
-        raise ValueError(f"canonical ordering requires r1 <= r2, got r1 = {r1}, r2 = {r2}")
-    t = np.asarray(t, dtype=float)[..., None, None]
-    if not 0.0 <= t.min() <= t.max() <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {t.ravel()}")
-    if not np.all(np.isfinite(phi1) & np.isfinite(phi2)):
-        raise ValueError(f"phi1 and phi2 must be finite, got {phi1} and {phi2}")
+    t = _check_config(r1, r2, phi1, phi2, t)[..., None, None]
     c1, c2 = _squeezed_marginal(r1, phi1), _squeezed_marginal(r2, phi2)
     cov = np.empty(np.broadcast_shapes(t.shape, c1.shape, c2.shape)[:-2] + (4, 4))
     cov[..., :2, :2] = t * c1 + (1.0 - t) * c2
     cov[..., 2:, 2:] = (1.0 - t) * c1 + t * c2
     cov[..., :2, 2:] = cov[..., 2:, :2] = np.sqrt(t * (1.0 - t)) * (c2 - c1)
     return cov
+
+
+def probe_mode1_variances(r1, r2, phi1, phi2, t) -> tuple[np.ndarray, np.ndarray]:
+    """(A_11, A_22): entries (0, 0) and (1, 1) of probe_covariances(r1, r2, phi1, phi2, t).
+
+    The same expressions, ``t C1 + (1-t) C2`` entry by entry, so the values
+    are bit-identical to the covariance's, with no 4x4 matrix built.
+    """
+    t = _check_config(r1, r2, phi1, phi2, t)
+    (xx1, _, yy1), (xx2, _, yy2) = _squeezed_entries(r1, phi1), _squeezed_entries(r2, phi2)
+    return t * xx1 + (1.0 - t) * xx2, t * yy1 + (1.0 - t) * yy2
 
 
 def probe_delta_minus_one(r1, r2, phi1, phi2, t) -> np.ndarray:

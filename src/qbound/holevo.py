@@ -23,28 +23,43 @@ A through A_11, A_22 and delta - 1 = det A - 1 >= 0:
 
 with a = w_x A_11 + w_y A_22.  Every term is nonnegative, so phi is as
 precise as A_11, A_22 (exact to rounding) and delta - 1.  A configuration (a
-ProbeConfig, or the arrays of probe_covariances) takes delta - 1 from
+ProbeConfig, or the arrays of probe_covariances) builds no covariance: it
+reads A_11 and A_22 from gaussian.probe_mode1_variances and delta - 1 from
 gaussian.probe_delta_minus_one, a sum of nonnegative terms, so its bound is
 accurate to ~1e-14 for all r <= 20; a raw covariance gives -det C, whose
 conditioning degrades like e^{2(r1+r2)} (see _delta_minus_one).  batch_bound
 evaluates phi at its one maximizer mu* in [0, 1], a quartic root found per
-row by a bracketed Newton search, and solve() is one batch row.  The optimal
-duals follow in closed form from mu*, the tangency point is the weight
-gradient of phi, and ``converged`` is the duality gap: the primal value h of
-the reported duals must match phi(mu*).  Only gaussian, which builds
-covariances, and this module read them: simulate builds the optimal
-measurement from a BoundResult alone.
+row by a bracketed Newton search, and solve() is one batch row.  The
+tangency point is the weight gradient of phi.
+
+Two certificates back ``converged``.  A configuration row is certified on
+the scalar dual (_scalar_certified): a bracket of mu* and the tangent of the
+concave phi bound max phi from above, within CERTIFICATE_TOL of phi(mu*).
+Rounding does not break it at large squeezing, but it checks the
+maximization for the given A_11, A_22 and delta - 1, not their reduction
+from the probe (the 80-digit oracle test holds that).  A raw covariance keeps the duality gap:
+the primal value h of the closed-form optimal duals, evaluated from the
+covariance, must match phi(mu*).  Its terms are ~e^{4r} times the answer, so
+it stops resolving rows from r ~ 4.5, and a scalar certificate would pass a
+wrong -det C.  The duals come from a covariance too, so solve() builds one
+for a configuration, and BoundResult.duals_certified is their gap, which
+extract_measurement requires.  Only gaussian, which builds covariances, and
+this module read them: simulate builds the optimal measurement from a
+BoundResult alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_forms import _bracketed_newton
-from .gaussian import _OMEGA, ProbeConfig, build_probe, probe_covariances, probe_delta_minus_one
+from .gaussian import (
+    _OMEGA, ProbeConfig, _squeezed_entries, build_probe, probe_delta_minus_one, probe_mode1_variances,
+)
 
 __all__ = [
     "Weights",
@@ -134,7 +149,12 @@ class BoundResult:
 
     ``v_x`` and ``v_y`` are the gradient of the bound in the weights at the
     optimum (the tangency point of the bound line); a zero weight gives an
-    infinite component.  ``converged`` is the duality-gap certificate.
+    infinite component.  ``converged`` certifies ``f_hcr``: the scalar-dual
+    certificate for a ProbeConfig, the duality gap for a raw covariance.
+    ``duals_certified`` is the duality gap of ``duals`` alone: their weighted
+    variance, evaluated from the probe covariance, matches ``f_hcr``.  The
+    gap's terms are ~e^{4r} times the answer, so at large squeezing it can
+    fail where ``converged`` holds; only a certified gap vouches for the duals.
     """
 
     f_hcr: float
@@ -143,6 +163,7 @@ class BoundResult:
     v_y: float
     converged: bool = True
     iterations: int = 0  # always 0, kept for the output format
+    duals_certified: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +179,27 @@ class BoundResult:
 # quadratic q + 2 c mu beta is minimized by
 #     u(mu) = -(adj(B) g_x - (mu / rho) J g_y) / (delta - mu^2),
 #     v(mu) = -(adj(B) g_y + mu rho J g_x) / (delta - mu^2),
-# and its minimum is phi(mu).  phi is concave on [0, 1] and phi'(mu) has the
-# sign of the depressed quartic
+# and its minimum is phi(mu).  phi is concave on [0, 1] and
+# phi'(mu) = 2 c P(mu) / (delta - 1 + 1 - mu^2)^2 with the depressed quartic
 #     P(mu) = mu^4 - (3 delta - 1) mu^2 - (a / c)(delta - 1) mu + delta,
 # with P(0) = delta > 0 >= P(1), so its maximizer is mu = 1 when delta = 1
 # (one mode) and otherwise the unique root of P in (0, 1).  Weak duality makes
 # phi(mu) a lower bound for every mu and h(u, v) an upper bound for every
-# feasible dual, so h(u(mu*), v(mu*)) = phi(mu*) certifies the value.
+# feasible dual, so h(u(mu*), v(mu*)) = phi(mu*) certifies the value (the
+# raw-covariance certificate); concavity makes every tangent of phi an upper
+# bound for max phi (the configuration certificate).
 
-# A row is certified when its relative duality gap is at most this.
+# A row is certified when its value is within this of the certified
+# maximum, relative to the value.
 CERTIFICATE_TOL = 1e-9
 PURITY_TOL = 1e-9  # _check_pure's bound on the defect, relative to max|S|^2
 
 _EYE = {2: np.eye(2), 4: np.eye(4)}
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+_BRACKET_REL = 1e-9  # _scalar_certified's bracket half-width, relative to min(mu, 1 - mu^2) ...
+_BRACKET_MIN = 4.5e-16  # ... and at least four ulps of 1
+_KINK_ROUNDING = 8.0 * np.finfo(float).eps
 _J_SIGNS = np.array([1.0, -1.0])
 
 
@@ -204,18 +231,25 @@ def _delta_minus_one(covs: np.ndarray) -> np.ndarray:
 
 
 def _probe_rows(probe):
-    """(covariances, delta - 1) of a probe; raw covariances alone are checked and read -det C."""
+    """(A_11, A_22, delta - 1, covariances) of a probe; the covariances only for raw ones.
+
+    A configuration builds no covariance: A_11 and A_22 are the (0, 0) and
+    (1, 1) entries of its covariance, written with the same expressions, and
+    delta - 1 is gaussian.probe_delta_minus_one.  Raw covariances alone are
+    checked for purity and read delta - 1 as -det C.
+    """
     if isinstance(probe, ProbeConfig):
         if probe.n_modes == 1:
-            return build_probe(probe).cov, 0.0
+            a11, _, a22 = _squeezed_entries(probe.r1, probe.phi1)
+            return a11, a22, 0.0, None
         probe = (probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t)
     if isinstance(probe, tuple):
-        return probe_covariances(*probe), probe_delta_minus_one(*probe)
+        return (*probe_mode1_variances(*probe), probe_delta_minus_one(*probe), None)
     covs = np.asarray(probe, dtype=float)
     if covs.ndim not in (2, 3) or covs.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"covariances must be 2x2 or 4x4, got shape {covs.shape}")
     _check_pure(covs)
-    return covs, _delta_minus_one(covs)
+    return covs[..., 0, 0], covs[..., 1, 1], _delta_minus_one(covs), covs
 
 
 def _kink_f_df(mu, d1, k):
@@ -291,13 +325,115 @@ def _duality_gap(covs, d1, w_x, w_y, mu, f):
 
 
 def _certified(gap):
-    """The certificate: a duality gap within CERTIFICATE_TOL on either side.
+    """The raw-covariance certificate: a duality gap within CERTIFICATE_TOL on either side.
 
     A gap below -CERTIFICATE_TOL means the primal value h lost its precision
     (its terms cancel once squeezing is large), which proves nothing either
     way.  Non-finite gaps fail.
     """
     return np.abs(gap) <= CERTIFICATE_TOL
+
+
+def _scaled_kink(mu, d1, a, c):
+    """c P(mu) = c (1 - mu^2)^2 - d1 ((3 c mu + a) mu - c), and a bound on its rounding error.
+
+    Written with c as a factor so that a zero weight needs no a / c; the
+    bound is 8 eps times the sum of the magnitudes of its terms, every one
+    of which is nonnegative.
+    """
+    s = (1.0 - mu) * (1.0 + mu)
+    g = (3.0 * c * mu + a) * mu
+    return c * s * s - d1 * (g - c), _KINK_ROUNDING * (c * s * s + d1 * (g + c))
+
+
+def _scalar_certified(d1, a, c, mu, f):
+    """The configuration certificate: f is within CERTIFICATE_TOL of max phi, per row.
+
+    phi is concave on [0, 1], so max phi lies in [L, U] with L = phi(mu_lo)
+    and U the least of these upper bounds:
+
+    * a + 2 c everywhere, as kappa <= 1 and mu <= 1.  This certifies the
+      delta = 1 rows (mu* = 1, phi = a + 2 c mu) and near-product rows whose
+      mu* lies within an ulp of 1;
+    * phi(0) for a zero weight (c = 0), where phi decreases from mu = 0;
+    * phi(mu_lo) + phi'(mu_lo) (mu_hi - mu_lo), with phi' = 2 c P / (delta - 1
+      + 1 - mu^2)^2, when c P(mu_lo) > 0 > c P(mu_hi) by more than its
+      rounding: mu* then lies in [mu_lo, mu_hi], and the tangent at mu_lo
+      lies above phi.
+
+    The bracket is mu -/+ max(1e-9 min(mu, 1 - mu^2), 4.5e-16), clipped to
+    [0, 1], around the reported multiplier mu.  A row is certified when
+    U - f and f - L are both at most CERTIFICATE_TOL f; non-finite values
+    fail.  Every term of phi is nonnegative, so rounding moves L and U by
+    a few ulps.  This certifies the scalar maximization for the given a, c
+    and delta - 1, not the reduction from the probe to them.
+    """
+    half_width = np.maximum(_BRACKET_REL * np.minimum(mu, (1.0 - mu) * (1.0 + mu)), _BRACKET_MIN)
+    lo, hi = np.maximum(mu - half_width, 0.0), np.minimum(mu + half_width, 1.0)
+    s_lo = (1.0 - lo) * (1.0 + lo)  # > 0, as lo < 1
+    lower = s_lo / (d1 + s_lo) * (a + 2.0 * c * lo)
+    kink_lo, rounding_lo = _scaled_kink(lo, d1, a, c)
+    kink_hi, rounding_hi = _scaled_kink(hi, d1, a, c)
+    bracketed = (kink_lo > rounding_lo) & (kink_hi < -rounding_hi)
+    tangent = lower + 2.0 * kink_lo / ((d1 + s_lo) * (d1 + s_lo)) * (hi - lo)
+    upper = np.minimum(a + 2.0 * c, np.where(bracketed, tangent, np.inf))
+    upper = np.where(c > 0.0, upper, np.minimum(upper, a / (d1 + 1.0)))
+    return (upper - f <= CERTIFICATE_TOL * f) & (f - lower <= CERTIFICATE_TOL * f)
+
+
+_Rows = namedtuple("_Rows", "f unit_f w_x w_y a11 a22 d1 a c mu kappa covs")
+
+
+def _kernel(probe, w_x, w_y) -> _Rows:
+    """The rows of batch_bound: f, and per row the kernel's inputs and outputs on unit-sum weights.
+
+    ``unit_f`` is phi(mu*) at the normalized weights ``w_x``, ``w_y``, and
+    ``f`` the bound at the given ones; ``covs`` is None for configurations.
+    """
+    a11, a22, d1, covs = _probe_rows(probe)
+    one = np.ones(np.broadcast(d1, w_x, w_y).shape or (1,))  # x * one broadcasts x exactly
+    if covs is not None:
+        covs = (covs * one[..., None, None]).reshape((-1,) + covs.shape[-2:])
+    a11, a22, d1, w_x, w_y = ((np.asarray(x, dtype=float) * one).ravel() for x in (a11, a22, d1, w_x, w_y))
+    finite = np.isfinite(w_x) & np.isfinite(w_y)
+    if not np.all(finite & (np.minimum(w_x, w_y) >= 0.0) & (np.maximum(w_x, w_y) > 0.0)):
+        raise ValueError("weights must be finite, >= 0 and not both zero in every row")
+    # Normalizing to unit weight sum makes the homogeneity f(c W) = c f(W)
+    # hold by construction.  Weights near the float maximum are halved first,
+    # exactly, so that their sum stays finite; other rows are not rescaled.
+    half = np.where(np.maximum(w_x, w_y) < 2.0**1020, 1.0, 0.5)
+    total = half * w_x + half * w_y
+    given_x, given_y = w_x, w_y
+    w_x = half * w_x / total
+    w_y = half * w_y / total
+    a = w_x * a11 + w_y * a22
+    c = np.sqrt(w_x * w_y)
+    mu = _multiplier(d1, a, c)
+    s = (1.0 - mu) * (1.0 + mu)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kappa = np.where(d1 + s > 0.0, s / (d1 + s), 1.0)  # -> 1 as mu -> 1 at delta = 1
+        unit_f = kappa * (a + 2.0 * c * mu)
+        f = unit_f * total / half
+    if not np.all(np.isfinite(f)):
+        row = np.argmin(np.isfinite(f))
+        raise ValueError(f"the bound at weights ({given_x[row]}, {given_y[row]}) overflows a float")
+    return _Rows(f, unit_f, w_x, w_y, a11, a22, d1, a, c, mu, kappa, covs)
+
+
+def _describe(rows: _Rows) -> dict:
+    """batch_bound's ``info``: tangency, certificate and, for raw covariances, gap and duals."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root_x, root_y = np.sqrt(rows.w_x), np.sqrt(rows.w_y)  # w_y / w_x overflows for a subnormal w_x
+        info = {
+            "v_x": np.where(rows.w_x > 0.0, rows.kappa * (rows.a11 + root_y / root_x * rows.mu), np.inf),
+            "v_y": np.where(rows.w_y > 0.0, rows.kappa * (rows.a22 + root_x / root_y * rows.mu), np.inf),
+        }
+    if rows.covs is None:
+        info["certified"] = _scalar_certified(rows.d1, rows.a, rows.c, rows.mu, rows.unit_f)
+    else:
+        info["gap"], info["free"] = _duality_gap(rows.covs, rows.d1, rows.w_x, rows.w_y, rows.mu, rows.unit_f)
+        info["certified"] = _certified(info["gap"])
+    return info
 
 
 def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
@@ -312,57 +448,37 @@ def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
     Each row is phi at its maximizer mu* (_multiplier); one mode is the
     delta = 1 row.  An invalid probe, shapes that do not broadcast or a
     bound too large for a float raise ValueError.  If ``info`` is a dict it
-    receives per-row arrays: ``v_x`` and ``v_y`` (the
-    tangency point), ``gap`` (the relative duality gap, certified by
-    _certified) and ``free`` (the optimal (a, b, c, d); empty for one mode).
+    receives per-row arrays: ``v_x`` and ``v_y`` (the tangency point) and
+    ``certified``.  Configuration rows build no covariance and are certified
+    on the scalar dual (_scalar_certified).  Raw covariances are certified
+    by their duality gap (_certified), and ``info`` also receives ``gap``
+    (the relative duality gap) and ``free`` (the optimal (a, b, c, d);
+    empty for one mode).
     """
-    covs, d1 = _probe_rows(probe)
-    one = np.ones(np.broadcast(d1, w_x, w_y).shape or (1,))  # x * one broadcasts x exactly
-    covs = (covs * one[..., None, None]).reshape((-1,) + covs.shape[-2:])
-    d1, w_x, w_y = ((np.asarray(x, dtype=float) * one).ravel() for x in (d1, w_x, w_y))
-    finite = np.isfinite(w_x) & np.isfinite(w_y)
-    if not np.all(finite & (np.minimum(w_x, w_y) >= 0.0) & (np.maximum(w_x, w_y) > 0.0)):
-        raise ValueError("weights must be finite, >= 0 and not both zero in every row")
-    # Normalizing to unit weight sum makes the homogeneity f(c W) = c f(W)
-    # hold by construction.  Weights near the float maximum are halved first,
-    # exactly, so that their sum stays finite; other rows are not rescaled.
-    half = np.where(np.maximum(w_x, w_y) < 2.0**1020, 1.0, 0.5)
-    total = half * w_x + half * w_y
-    given_x, given_y = w_x, w_y
-    w_x = half * w_x / total
-    w_y = half * w_y / total
-    a = w_x * covs[:, 0, 0] + w_y * covs[:, 1, 1]
-    c = np.sqrt(w_x * w_y)
-    mu = _multiplier(d1, a, c)
-    s = (1.0 - mu) * (1.0 + mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.where(d1 + s > 0.0, s / (d1 + s), 1.0)  # -> 1 as mu -> 1 at delta = 1
-        if info is not None:
-            root_x, root_y = np.sqrt(w_x), np.sqrt(w_y)  # w_y / w_x overflows for a subnormal w_x
-            info["v_x"] = np.where(w_x > 0.0, kappa * (covs[:, 0, 0] + root_y / root_x * mu), np.inf)
-            info["v_y"] = np.where(w_y > 0.0, kappa * (covs[:, 1, 1] + root_x / root_y * mu), np.inf)
-    f = kappa * (a + 2.0 * c * mu)
+    rows = _kernel(probe, w_x, w_y)
     if info is not None:
-        info["gap"], info["free"] = _duality_gap(covs, d1, w_x, w_y, mu, f)
-    with np.errstate(over="ignore"):
-        f = f * total / half
-    if not np.all(np.isfinite(f)):
-        row = np.argmin(np.isfinite(f))
-        raise ValueError(f"the bound at weights ({given_x[row]}, {given_y[row]}) overflows a float")
-    return f
+        info.update(_describe(rows))
+    return rows.f
 
 
 def solve(probe, weights: Weights) -> BoundResult:
     """Weighted dual-variance bound of one ProbeConfig or pure covariance: one batch_bound row.
 
-    ``converged`` is the duality-gap certificate of the reported duals, and
-    ``iterations`` is always 0: the Newton steps of the kink root are not counted.
+    ``converged`` is the row's certificate.  The duals come from the
+    covariance, which a ProbeConfig builds for this one row, and
+    ``duals_certified`` is their duality gap.  ``iterations`` is always 0:
+    the Newton steps of the kink root are not counted.
     """
     if not isinstance(probe, ProbeConfig) and np.ndim(probe) != 2:
         raise ValueError(f"covariance must be 2x2 or 4x4, got shape {np.shape(probe)}")
-    info: dict = {}
-    f = float(batch_bound(probe, weights.w_x, weights.w_y, info)[0])
+    rows = _kernel(probe, weights.w_x, weights.w_y)
+    info = _describe(rows)
+    duals_certified = info["certified"]
+    if rows.covs is None:
+        covs = build_probe(probe).cov[None]
+        gap, info["free"] = _duality_gap(covs, rows.d1, rows.w_x, rows.w_y, rows.mu, rows.unit_f)
+        duals_certified = _certified(gap)
     free = info["free"][0]
     duals = DualCoefficients.from_free(free) if free.size else DualCoefficients.single_mode()
-    return BoundResult(f, duals, float(info["v_x"][0]), float(info["v_y"][0]),
-                       bool(_certified(info["gap"][0])))
+    return BoundResult(float(rows.f[0]), duals, float(info["v_x"][0]), float(info["v_y"][0]),
+                       bool(info["certified"][0]), duals_certified=bool(duals_certified[0]))

@@ -8,9 +8,9 @@ estimator statistics follow from the mean and centered Gram matrix of its
 standard-normal draws; both have exact laws, and run_scheme draws them
 directly, at a cost that does not depend on the shot count.
 
-The optimal product homodyne is read off a converged BoundResult alone
-(extract_measurement): its certificate makes ``f_hcr`` the weighted
-variance of its duals, so no covariance is needed.
+The optimal product homodyne is read off a BoundResult alone
+(extract_measurement): the certified duality gap of its duals makes
+``f_hcr`` their weighted variance, so no covariance is needed.
 """
 
 from __future__ import annotations
@@ -203,12 +203,13 @@ def scheme_from_duals(duals: DualCoefficients, bound: float) -> ProductCertifica
 
 
 def extract_measurement(result: BoundResult) -> ProductCertificate:
-    """Product-homodyne scheme realizing a converged result's optimal duals (scheme_from_duals).
+    """Product-homodyne scheme realizing a result's optimal duals (scheme_from_duals).
 
-    Convergence certifies ``f_hcr`` as the duals' weighted variance, so it is the ``bound``.
+    The result must be converged and its duals certified: their duality gap
+    makes ``f_hcr`` the duals' weighted variance, so it is the ``bound``.
     """
-    if not result.converged:
-        raise SolverConvergenceError("cannot extract a measurement from an unconverged result")
+    if not (result.converged and result.duals_certified):
+        raise SolverConvergenceError("cannot extract a measurement: the duals of this result are not certified")
     return scheme_from_duals(result.duals, result.f_hcr)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_forms, regions
-from .gaussian import ChannelParams, ProbeConfig, beam_splitter, build_probe, rotation, symplectic_form
+from .gaussian import ChannelParams, ProbeConfig, _mixing_stacks, build_probe, symplectic_form
 from .holevo import Weights, batch_bound
 from .simulate import build_scheme, compare_to_bound, run_scheme
 
@@ -298,10 +298,9 @@ def check_structural_properties(quick: bool = False, seed: int = 11) -> CheckRes
 
     # Symplectic preservation under random composition, as one (n, 4, 4) stack.
     omega = symplectic_form(2)
-    draws = rng.uniform([0, 0, 0, 0], [2 * math.pi, 1, 2 * math.pi, 1], (n, 4))
-    bs2, rot2, bs1, rot1 = (np.array(mats) for mats in zip(*(
-        (beam_splitter(t2), rotation(phi2, 2, 1), beam_splitter(t1), rotation(phi1, 2, 0))
-        for phi1, t1, phi2, t2 in draws)))
+    phi1, t1, phi2, t2 = rng.uniform([0, 0, 0, 0], [2 * math.pi, 1, 2 * math.pi, 1], (n, 4)).T
+    bs1, rot1 = _mixing_stacks(t1, phi1, 0)
+    bs2, rot2 = _mixing_stacks(t2, phi2, 1)
     s = bs2 @ (rot2 @ (bs1 @ rot1))
     worst = float(np.max(np.abs(s @ omega @ s.swapaxes(1, 2) - omega)))  # np.max keeps a NaN
     detail["symplectic_defect"] = worst
@@ -323,15 +322,16 @@ def check_structural_properties(quick: bool = False, seed: int = 11) -> CheckRes
     detail["envelope_symmetry"] = worst_sym
     ok_envelope = worst_cont <= 1e-9 and worst_sym <= 1e-9
 
-    # Weight-scaling linearity of the bound.  Columns: r1, r2 (sorted), phi1, phi2, t.
+    # Weight-scaling linearity of the bound, as one batch_bound call: the
+    # configurations against the weights and the scaled weights.  Columns:
+    # r1, r2 (sorted), phi1, phi2, t.
     u = rng.uniform(size=(n, 5))
     r = np.sort(1.2 * u[:, :2], axis=1)
     probes = (r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
     w_x = 10.0 ** rng.uniform(-1, 1, n)
     w_y = 10.0 ** rng.uniform(-1, 1, n)
     scale = 10.0 ** rng.uniform(-2, 2, n)
-    base = batch_bound(probes, w_x, w_y)
-    scaled = batch_bound(probes, scale * w_x, scale * w_y)
+    base, scaled = batch_bound(probes, np.stack([w_x, scale * w_x]), np.stack([w_y, scale * w_y])).reshape(2, n)
     worst_scale = float(np.max(np.abs(scaled - scale * base) / (scale * base)))
     detail["weight_scaling"] = worst_scale
     ok_scaling = worst_scale <= 1e-12

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import qbound
-from qbound import closed_forms
+from qbound import closed_forms, holevo
 from qbound.cli import build_parser, main
+
+import oracle
 
 
 def run_cli(capsys, *argv):
@@ -79,22 +81,33 @@ def test_bound_too_large_for_a_float_exits_2_without_a_warning(capsys):
     assert math.isfinite(json.loads(out)["f_hcr"])
 
 
-def test_bound_exits_3_on_an_uncertified_near_product_probe(capsys):
-    code, out, err = run_cli(
+def test_bound_certifies_a_near_product_probe(capsys):
+    # min(t, 1 - t) = 1e-20: the scalar-dual certificate holds where the
+    # covariance's duality gap lost its precision, and the value is exact.
+    code, out, _ = run_cli(
         capsys, "bound", "--modes", "2", "--r1", "0.5", "--r2", "1.5", "--phi1", "0",
         "--phi2", "0.3", "--t", "1e-20", "--wx", "1", "--wy", "1",
     )
+    assert code == 0
+    want = oracle.bound(qbound.ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-20), qbound.Weights(1.0, 1.0))
+    assert json.loads(out)["f_hcr"] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_bound_at_large_squeezing_is_certified(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--r1", "10", "--r2", "10", "--wx", "1", "--wy", "1")
+    assert code == 0
+    assert json.loads(out)["f_hcr"] == pytest.approx(4.0 * math.exp(-20.0), rel=1e-13, abs=0.0)
+
+
+def test_bound_exits_3_when_the_value_fails_its_certificate(capsys, monkeypatch):
+    # A kernel whose multiplier is off the maximizer reports phi below its
+    # maximum; the certificate rejects it and the value is not printed.
+    multiplier = holevo._multiplier
+    monkeypatch.setattr(holevo, "_multiplier", lambda d1, a, c: 0.5 * multiplier(d1, a, c))
+    code, out, err = run_cli(capsys, "bound", "--r1", "0.5", "--r2", "1.5", "--phi2", "0.3",
+                             "--wx", "1", "--wy", "1")
     assert code == 3
     assert out == "" and "did not converge" in err
-
-
-def test_bound_at_large_squeezing_is_exact_or_exits_3(capsys):
-    # At r = 10 the value is exact; the certificate may not resolve its gap,
-    # and then the command exits 3 instead of printing an unverified value.
-    code, out, _ = run_cli(capsys, "bound", "--r1", "10", "--r2", "10", "--wx", "1", "--wy", "1")
-    assert code in (0, 3)
-    if code == 0:
-        assert json.loads(out)["f_hcr"] == pytest.approx(4.0 * math.exp(-20.0), rel=1e-13)
 
 
 @pytest.mark.parametrize("w_x, w_y", [("1e-40", "1"), ("5e-324", "1"), ("1", "5e-324")])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qbound import closed_forms as cf
+from qbound import gaussian
 from qbound.gaussian import (
     ChannelParams,
     GaussianState,
@@ -283,3 +284,15 @@ def test_delta_minus_one_of_one_row_is_its_array_row():
     as_scalars = np.array([probe_delta_minus_one(*row) for row in rows])
     assert as_floats.tobytes() == want.tobytes()
     assert as_scalars.tobytes() == want.tobytes()
+
+
+def test_mixing_stacks_match_beam_splitter_and_rotation_bit_for_bit():
+    rng = np.random.default_rng(5)
+    t, phi = rng.uniform(size=50), rng.uniform(0.0, 2.0 * math.pi, 50)
+    t[:2] = 0.0, 1.0
+    for mode in (0, 1):
+        mixing, rot = gaussian._mixing_stacks(t, phi, mode)
+        assert mixing.tobytes() == np.array([beam_splitter(x) for x in t]).tobytes()
+        assert rot.tobytes() == np.array([rotation(x, 2, mode) for x in phi]).tobytes()
+    with pytest.raises(ValueError, match="transmissivity"):
+        gaussian._mixing_stacks([0.5, 1.5], [0.0, 0.0], 0)

@@ -8,10 +8,13 @@ import pytest
 
 from qbound import closed_forms as cf
 from qbound import holevo
-from qbound.gaussian import ProbeConfig, build_probe, probe_covariances, symplectic_form
+from qbound.gaussian import (
+    ProbeConfig, build_probe, probe_covariances, probe_delta_minus_one, probe_mode1_variances, symplectic_form,
+)
 from qbound.holevo import (
     CERTIFICATE_TOL,
     DualCoefficients,
+    SolverConvergenceError,
     Weights,
     batch_bound,
     solve,
@@ -257,11 +260,11 @@ def test_near_product_probes_reach_the_attained_value(probe, w):
     assert res.converged
 
 
-# Known limit: below min(t, 1-t) ~ 1e-12 the bound is exact, but the primal
-# value h of the duals, evaluated from the covariance, can lose more than
-# CERTIFICATE_TOL to cancellation, and the certificate flags such rows
-# rather than passing them (this one by a gap of ~1e-8).  A factored gap
-# would certify this row; the test then changes.
+# Known limit of the raw-covariance certificate: below min(t, 1-t) ~ 1e-12
+# the bound is exact, but the primal value h of the duals, evaluated from the
+# covariance, can lose more than CERTIFICATE_TOL to cancellation, and the
+# duality gap flags such rows rather than passing them (this one by a gap of
+# ~1e-8).  The same probe as a ProbeConfig is certified on the scalar dual.
 FLAGGED_NEAR_PRODUCT = (ProbeConfig(r1=0.5, r2=1.5, phi1=0.0, phi2=0.3, t=1e-20), Weights(1.0, 1.0))
 
 
@@ -269,8 +272,9 @@ def test_unresolved_near_product_row_is_flagged():
     probe, w = FLAGGED_NEAR_PRODUCT
     cov = build_probe(probe).cov
     res = solve(cov, w)
-    assert res.converged is False
+    assert res.converged is False and res.duals_certified is False
     assert abs(primal(cov, w, res.duals) - res.f_hcr) > CERTIFICATE_TOL * res.f_hcr
+    assert solve(probe, w).converged
 
 
 def test_kernel_matches_the_oracle_at_quarter_angles_and_product_probes():
@@ -409,9 +413,46 @@ def test_certificate_rejects_mutated_kernels():
     assert not certified(mu, (1.0 - 1e-6) * f).any()
 
 
+def test_scalar_certificate_rejects_mutated_kernels():
+    # The configuration certificate passes the exact kernel's answer and
+    # fails the same three wrong kernels on every row, over r <= 20 with
+    # near-product probes (t = 10^U(-30, -3)) and zero weights among the
+    # rows.  The 50 product probes (t in {0, 1}) keep r <= 2: at larger
+    # squeezing their two bracket ends, a and a + 2c, can agree within
+    # CERTIFICATE_TOL, and the wrong end is then not wrong.
+    rng = np.random.default_rng(37)
+    n = 2000
+    r = np.sort(20.0 * rng.uniform(size=(n, 2)), axis=1)
+    r[:50] /= 10.0
+    phi1, phi2 = 2.0 * math.pi * rng.uniform(size=(2, n))
+    t = rng.uniform(size=n)
+    t[:50] = np.round(t[:50])
+    t[50:350] = 10.0 ** rng.uniform(-30, -3, 300)
+    ratio = 10.0 ** rng.uniform(-4, 4, n)
+    w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+    w_x[350:400], w_y[400:450] = 0.0, 0.0
+    a11, a22 = probe_mode1_variances(r[:, 0], r[:, 1], phi1, phi2, t)
+    d1 = probe_delta_minus_one(r[:, 0], r[:, 1], phi1, phi2, t)
+    a, c = w_x * a11 + w_y * a22, np.sqrt(w_x * w_y)
+    mu = holevo._multiplier(d1, a, c)
+    f = batch_bound((r[:, 0], r[:, 1], phi1, phi2, t), w_x, w_y)
+    assert np.count_nonzero(mu == 1.0) == 50 and np.count_nonzero(mu == 0.0) == 100
+    wrong_mu = np.where(mu == 1.0, 0.0, 1.0)
+    wrong_f = np.where(mu == 1.0, a / (1.0 + d1), 0.0)
+
+    def certified(mu_k, f_k):
+        return holevo._scalar_certified(d1, a, c, mu_k, f_k)
+
+    assert certified(mu, f).all()
+    assert not certified(mu, np.zeros_like(f)).any()
+    assert not certified(wrong_mu, wrong_f).any()
+    assert not certified(mu, (1.0 - 1e-6) * f).any()
+
+
 def test_gap_is_the_primal_value_of_the_reported_duals():
-    # The certificate's column arithmetic against primal()'s matrix products
-    # on r <= 2 rows, product probes (t in {0, 1}) and zero weights among them.
+    # The raw-covariance certificate's column arithmetic against primal()'s
+    # matrix products on r <= 2 rows, product probes (t in {0, 1}) and zero
+    # weights among them.
     rng = np.random.default_rng(47)
     n = 400
     u = rng.uniform(size=(n, 5))
@@ -423,7 +464,7 @@ def test_gap_is_the_primal_value_of_the_reported_duals():
     w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
     w_x[20:60], w_y[60:100] = 0.0, 0.0
     info = {}
-    f = batch_bound(config, w_x, w_y, info)
+    f = batch_bound(covs, w_x, w_y, info)
     for i in range(n):
         duals = DualCoefficients.from_free(info["free"][i])
         want = (primal(covs[i], Weights(w_x[i], w_y[i]), duals) - f[i]) / f[i]
@@ -571,6 +612,34 @@ def test_extract_measurement_attains_the_bound_at_general_angles():
         assert abs(w.w_x * v_x + w.w_y * v_y - res.f_hcr) <= 1e-11 * res.f_hcr
 
 
+@pytest.mark.parametrize("r", [10.0, 15.0, 20.0])
+def test_extract_measurement_never_returns_a_scheme_off_the_bound(r):
+    # At large squeezing the value is certified on the scalar dual, which
+    # does not vouch for the duals; extract_measurement refuses unless their
+    # own duality gap is certified, so every scheme it returns has the bound
+    # as its weighted variance.
+    # Rows have r1 <= r2 uniform in [0, r].
+    rng = np.random.default_rng(int(r))
+    extracted = 0
+    for _ in range(100):
+        r1, r2 = np.sort(r * rng.uniform(size=2))
+        probe = ProbeConfig(r1=r1, r2=r2, phi1=rng.uniform(0, 2 * math.pi),
+                            phi2=rng.uniform(0, 2 * math.pi), t=rng.uniform(0.02, 0.98))
+        w = Weights(1.0, 10.0 ** rng.uniform(-3, 3))
+        res = solve(probe, w)
+        assert res.converged
+        try:
+            cert = extract_measurement(res)
+        except SolverConvergenceError:
+            assert not res.duals_certified
+            continue
+        assert cert.certified
+        extracted += 1
+        v_x, v_y = cert.scheme.predicted_variances(probe)
+        assert abs(w.w_x * v_x + w.w_y * v_y - res.f_hcr) <= 1e-9 * res.f_hcr
+    assert extracted > 0
+
+
 def test_extract_measurement_example1_angles():
     # one squeezer plus vacuum at equal weights: the homodyne angles are the
     # squeezing angle and its orthogonal complement
@@ -613,7 +682,7 @@ def test_configuration_columns_broadcast_against_weights():
     repeated = (0.35, 3.0, *(np.repeat(x, w_x.size) for x in (phi1, phi2, t)))
     rows = batch_bound(repeated, np.tile(w_x, t.size), np.tile(w_y, t.size), want)
     assert columns.shape == (12,) and columns.tobytes() == rows.tobytes()
-    for key in ("v_x", "v_y", "gap", "free"):
+    for key in ("v_x", "v_y", "certified"):
         assert got[key].tobytes() == want[key].tobytes()
     with pytest.raises(ValueError):
         batch_bound((0.35, 3.0, phi1, phi2, t), w_x, w_y)

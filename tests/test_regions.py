@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbound import closed_forms as cf
-from qbound import holevo, regions, verify
+from qbound import gaussian, holevo, regions, verify
 from qbound.gaussian import ProbeConfig, build_probe
 from qbound.holevo import batch_bound
 
@@ -181,8 +181,30 @@ def test_envelope_gap_check_solves_each_row_once(monkeypatch):
         regions.envelope(0.1, 0.2, [0.5, 1.5], [0.0], [1.0])
 
 
+def test_configuration_sweeps_build_no_covariance(monkeypatch):
+    # Configuration rows read A_11, A_22 and delta - 1 alone: a sweep and the
+    # checks that pass configurations run with probe_covariances disabled.
+    def no_covariance(*args):
+        raise AssertionError("a configuration row built a covariance")
+
+    monkeypatch.setattr(gaussian, "probe_covariances", no_covariance)
+    monkeypatch.setattr(holevo, "probe_covariances", no_covariance, raising=False)
+    grids = (np.linspace(0.02, 0.98, 5), np.linspace(0.0, math.pi / 2, 3), np.geomspace(1e-2, 1e2, 5))
+    assert regions._config_sweep(0.3, 0.7, *grids, sweep_phi2=False).certified.all()
+    assert verify.check_envelope_gap(quick=True).passed
+    assert verify.check_structural_properties(quick=True).passed
+
+
+@pytest.mark.parametrize("r1, r2", [(0.2, 18.0), (0.5, 20.0), (3.0, 12.0)])
+def test_default_numeric_region_grid_is_certified_at_large_squeezing(r1, r2):
+    # All 8,125 rows of the CLI's default region --numeric grid are certified.
+    grids = (np.linspace(0.02, 0.98, 25), np.linspace(0.0, math.pi / 2, 13), np.geomspace(1e-2, 1e2, 25))
+    sweep = regions._config_sweep(r1, r2, *grids, sweep_phi2=False)
+    assert sweep.certified.shape == (325, 25) and sweep.certified.all()
+
+
 @pytest.mark.parametrize("check", [verify.check_equal_squeezing_optimum, verify.check_weight_special_cases,
-                                   verify.check_no_bound_violation])
+                                   verify.check_no_bound_violation, verify.check_structural_properties])
 def test_fixed_row_checks_are_one_batch(check, monkeypatch):
     calls = []
 
@@ -209,9 +231,16 @@ def _nan_every_seventh_row(rows):
     return mutated
 
 
+def _scaled_beam_splitters(stacks):
+    def mutated(t, phi, target_mode):
+        mixing, rot = stacks(t, phi, target_mode)
+        return mixing * (1.0 + 1e-6), rot
+    return mutated
+
+
 @pytest.mark.parametrize("module,name,mutate,key,tol", [
     (cf, "_envelope_rows", _nan_every_seventh_row, "envelope_continuity", 1e-9),
-    (verify, "beam_splitter", lambda bs: lambda t: bs(t) * (1.0 + 1e-6), "symplectic_defect", 1e-10),
+    (verify, "_mixing_stacks", _scaled_beam_splitters, "symplectic_defect", 1e-10),
     (verify, "batch_bound", lambda bound: lambda *args: bound(*args) + 1e-9, "weight_scaling", 1e-12),
 ], ids=["nan-envelope-rows", "scaled-beam-splitter", "inhomogeneous-bound"])
 def test_structural_properties_fails_on_mutants(module, name, mutate, key, tol, monkeypatch):
