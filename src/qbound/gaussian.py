@@ -293,6 +293,9 @@ def probe_factors(config: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
     lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2)[:n] for sign in (-1.0, 1.0)])
     if n == 1:
         return rotation(config.phi1), lam
-    mixing = beam_splitter(config.t)[::2, ::2]  # [i, j]: mode j's coefficient in output i
-    rotations = np.array([rotation(config.phi1), rotation(config.phi2)]).swapaxes(0, 1)  # [p, j, q]
-    return (mixing[:, None, :, None] * rotations).reshape(4, 4), lam
+    a, b = math.sqrt(config.t), math.sqrt(1.0 - config.t)  # beam_splitter(t)'s entries
+    c1, s1, c2, s2 = math.cos(config.phi1), math.sin(config.phi1), math.cos(config.phi2), math.sin(config.phi2)
+    return np.array([[a * c1, a * -s1, b * c2, b * -s2],
+                     [a * s1, a * c1, b * s2, b * c2],
+                     [-b * c1, -b * -s1, a * c2, a * -s2],
+                     [-b * s1, -b * c1, a * s2, a * c2]]), lam

@@ -1,12 +1,15 @@
 """Monte-Carlo verification of homodyne measurement schemes.
 
-A scheme is a symplectic transform (a beam splitter in every scheme built
-here), one homodyne angle per output mode, and a linear estimator mapping
-the two outcomes to estimates of the displacement pair.  Commuting
-homodynes on a Gaussian state have exactly Gaussian outcomes, so a run's
-estimator statistics follow from the mean and centered Gram matrix of its
-standard-normal draws; both have exact laws, and run_scheme draws them
-directly, at a cost that does not depend on the shot count.
+A scheme is two homodynes: a two-mode symplectic transform (a beam splitter
+in every scheme built here), one homodyne angle per output mode, and a 2x2
+linear estimator mapping the two outcomes to estimates of the displacement
+pair.  Commuting homodynes on a Gaussian state have exactly Gaussian
+outcomes, so a run's estimator statistics follow from the mean and centered
+Gram matrix of its standard-normal draws; both have exact laws, and
+run_scheme draws them directly, at a cost that does not depend on the shot
+count.  A run is plain float arithmetic on its two outcomes; it leaves
+floats only for the probe's passive optics (probe_factors), the C-ordered
+product that gives the outcome means, and the seeded draws.
 
 The optimal product homodyne is read off a BoundResult alone
 (extract_measurement): the certified duality gap of its duals makes
@@ -21,9 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gaussian import (
-    ChannelParams, ProbeConfig, _frozen_array, beam_splitter, probe_factors, symplectic_form,
-)
+from .gaussian import _OMEGA, ChannelParams, ProbeConfig, _frozen_array, beam_splitter, probe_factors
 from .holevo import BoundResult, DualCoefficients, SolverConvergenceError, Weights
 
 _MAX_SHOTS = 1 << 53  # every shot count up to here is an exact float
@@ -32,7 +33,7 @@ _SYMPLECTIC_TOL = 1e-10  # on max|S Omega S^T - Omega|, or relative to max|S|^2
 
 @dataclass(frozen=True)
 class MeasurementScheme:
-    """Symplectic transform S (read-only), homodyne angles, and estimator coefficients.
+    """Two homodynes: a 4x4 symplectic transform S (read-only), two angles, a 2x2 estimator.
 
     ``estimator`` rows give the coefficients of (M1, M2) in the estimates of
     theta_x and theta_y.  The measured quadratures act on distinct modes, so
@@ -48,12 +49,12 @@ class MeasurementScheme:
     def __post_init__(self):
         est = np.asarray(self.estimator, dtype=float)
         mat = np.asarray(self.transform, dtype=float)
-        n = len(self.angles)
-        if est.shape != (2, n):
-            raise ValueError(f"estimator must be 2x{n}, got {est.shape}")
-        if mat.shape != (2 * n, 2 * n):
-            raise ValueError(f"one homodyne angle per transformed mode is required, got {mat.shape}")
-        omega = symplectic_form(n)
+        if (len(self.angles), mat.shape, est.shape) != (2, (4, 4), (2, 2)):
+            raise ValueError(
+                "a scheme is two homodynes: a 4x4 transform, two angles and a 2x2 estimator, got "
+                f"a {mat.shape} transform, {len(self.angles)} angle(s) and a {est.shape} estimator"
+            )
+        omega = _OMEGA[4]
         defect = np.max(np.abs(mat @ omega @ mat.T - omega))
         if not (defect <= _SYMPLECTIC_TOL or defect <= _SYMPLECTIC_TOL * np.max(np.abs(mat)) ** 2):
             raise ValueError(f"transform is not symplectic (defect {defect:.3e})")
@@ -66,9 +67,16 @@ class MeasurementScheme:
 
         Row k is ``cos(alpha_k) M[2k] + sin(alpha_k) M[2k+1]`` for the transform M.
         """
-        m = self.transform
-        return np.array([math.cos(al) * m[2 * k] + math.sin(al) * m[2 * k + 1]
-                         for k, al in enumerate(self.angles)])
+        return np.array(self._directions())
+
+    def _directions(self) -> list:
+        # measured_directions as nested float lists.
+        rows = self.transform.tolist()
+        dirs = []
+        for al, x_row, y_row in zip(self.angles, rows[::2], rows[1::2]):
+            c, s = math.cos(al), math.sin(al)
+            dirs.append([c * x + s * y for x, y in zip(x_row, y_row)])
+        return dirs
 
     def check_unbiased(self, tol: float = 1e-9) -> None:
         """Raise unless the response d(estimates)/d(theta) is the identity.
@@ -80,35 +88,52 @@ class MeasurementScheme:
         if not defect <= tol * max(1.0, float(np.max(np.abs(self.estimator)))):  # NaN fails
             raise ValueError(f"estimator is not locally unbiased (defect {defect:.3e})")
 
-    def outcome_moments(
-        self, probe: ProbeConfig, theta: ChannelParams
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance of the joint homodyne outcomes on the displaced probe.
+    def outcome_moments(self, probe: ProbeConfig, theta: ChannelParams) -> tuple[list, list]:
+        """Mean and covariance of the joint homodyne outcomes on the displaced probe, as floats.
 
+        Returns the mean ``[m1, m2]`` and the covariance ``[[c11, c12], [c21, c22]]``.
         The displacement shifts only the mode-1 means.  The covariance is
         ``M diag(lam) M^T`` with ``M = dirs O`` (probe_factors), exact for all
-        r <= 20.  Products are summed elementwise: a BLAS matmul's fused
-        multiply-adds leave residue where the transform undoes the probe's
-        beam splitter, and times e^{2r} that residue swamps e^{-2r}.
+        r <= 20.  Products are summed left to right in floats: a BLAS matmul's
+        fused multiply-adds leave residue where the transform undoes the
+        probe's beam splitter, and times e^{2r} that residue swamps e^{-2r}.
+        The means are the one BLAS product, on the C-ordered directions.
         """
-        if probe.n_modes != len(self.angles):
+        if probe.n_modes != 2:
             raise ValueError("scheme and probe mode counts differ")
-        dirs = self.measured_directions()
+        dirs = self._directions()
         o, lam = probe_factors(probe)
-        m = (dirs[:, :, None] * o).sum(axis=1)
-        cov = (m[:, None, :] * m[None, :, :] * lam).sum(axis=2)
-        return dirs[:, :2] @ (theta.theta_x, theta.theta_y), cov
+        l0, l1, l2, l3 = lam.tolist()
+        m = [[d0 * o0 + d1 * o1 + d2 * o2 + d3 * o3 for o0, o1, o2, o3 in zip(*o.tolist())]
+             for d0, d1, d2, d3 in dirs]
+        cov = [[a0 * b0 * l0 + a1 * b1 * l1 + a2 * b2 * l2 + a3 * b3 * l3 for b0, b1, b2, b3 in m]
+               for a0, a1, a2, a3 in m]
+        return (np.array(dirs)[:, :2] @ (theta.theta_x, theta.theta_y)).tolist(), cov
 
     def predicted_variances(self, probe: ProbeConfig) -> tuple[float, float]:
         """Exact estimator variances on a probe."""
         _, outcome_cov = self.outcome_moments(probe, ChannelParams())
-        var = _congruence_diag(self.estimator, outcome_cov)
-        return float(var[0]), float(var[1])
+        return tuple(_congruence_diag(self.estimator.tolist(), outcome_cov))
 
 
-def _congruence_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # diag(A B A^T), summed elementwise like outcome_moments.
-    return (a[:, :, None] * a[:, None, :] * b).sum(axis=(1, 2))
+def _congruence_diag(a: list, b: list) -> list:
+    # diag(A B A^T) for 2x2 float lists, the four terms of each row summed left to right.
+    (b00, b01), (b10, b11) = b
+    return [x * x * b00 + x * y * b01 + y * x * b10 + y * y * b11 for x, y in a]
+
+
+def _cholesky(c: list) -> list:
+    # Lower factor of a 2x2 covariance as LAPACK potf2 forms it: the column
+    # below the pivot is scaled by the pivot's reciprocal.
+    (c00, _), (c10, c11) = c
+    if not c00 > 0.0:  # NaN fails
+        raise np.linalg.LinAlgError("outcome covariance is not positive definite")
+    l00 = math.sqrt(c00)
+    l10 = c10 * (1.0 / l00)
+    pivot = c11 - l10 * l10
+    if not pivot > 0.0:
+        raise np.linalg.LinAlgError("outcome covariance is not positive definite")
+    return [[l00, 0.0], [l10, math.sqrt(pivot)]]
 
 
 @dataclass(frozen=True)
@@ -305,9 +330,13 @@ def run_scheme(
     ``default_rng(seed)``: z_bar ~ N(0, I/n), then G ~ Wishart(n - 1, I) by
     the Bartlett decomposition G = A A^T, A lower triangular with
     A_ii^2 ~ chi^2(n - 1 - i) and A_ij ~ N(0, 1) below the diagonal
-    (Anderson 2003, ch. 7; Odell and Feiveson 1966).  So a run costs the
-    same at any ``shots``, starts no thread, uses no BLAS product, and a
-    seeded report repeats bit for bit.
+    (Anderson 2003, ch. 7; Odell and Feiveson 1966).  Everything else is
+    float arithmetic on 2x2 moments, with no BLAS or LAPACK call except the
+    C-ordered mean product (outcome_moments): the Cholesky factor is formed
+    as LAPACK's potf2 forms it, and a covariance that is not positive
+    definite, or holds NaN, raises ``np.linalg.LinAlgError``.  So a run
+    costs the same at any ``shots``, starts no thread, and a seeded report
+    repeats bit for bit whatever the BLAS.
 
     ``shots`` must be an integer in [100, 2**53] and ``seed`` a
     non-negative integer; both are checked before any draw.
@@ -317,37 +346,35 @@ def run_scheme(
         raise ValueError(f"shots must be at most 2**53 = {_MAX_SHOTS}, got {shots}")
     seed = _checked_integer("seed", seed, 0)
     mean, cov = scheme.outcome_moments(probe, theta)
-    chol = np.linalg.cholesky(cov)
-    k_mat = scheme.estimator
-    lower = (k_mat[:, :, None] * chol).sum(axis=1)
-    center = (k_mat * mean).sum(axis=1)
+    chol = _cholesky(cov)
+    k_mat = scheme.estimator.tolist()
+    lower = [[k0 * c0 + k1 * c1 for c0, c1 in zip(*chol)] for k0, k1 in k_mat]
+    center = [k0 * mean[0] + k1 * mean[1] for k0, k1 in k_mat]
 
-    dim = lower.shape[1]
     rng = np.random.default_rng(seed)
-    z_bar = rng.standard_normal(dim) / math.sqrt(shots)
-    bartlett = np.diag(np.sqrt(rng.chisquare(shots - 1 - np.arange(dim))))
-    bartlett[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
-    gram = (bartlett[:, None, :] * bartlett).sum(axis=2)
-    est_mean = center + (lower * z_bar).sum(axis=1)
-    var = _congruence_diag(lower, gram) / (shots - 1)
-    se_mean = np.sqrt(var / shots)
-    se_var = var * math.sqrt(2.0 / (shots - 1))
-    predicted = _congruence_diag(k_mat, cov)
+    z0, z1 = (rng.standard_normal(2) / math.sqrt(shots)).tolist()
+    chi0, chi1 = rng.chisquare(shots - 1), rng.chisquare(shots - 2)
+    bartlett = [[math.sqrt(chi0), 0.0], [rng.standard_normal(), math.sqrt(chi1)]]
+    gram = [[a0 * b0 + a1 * b1 for b0, b1 in bartlett] for a0, a1 in bartlett]
+    mean_x, mean_y = (c + (l0 * z0 + l1 * z1) for c, (l0, l1) in zip(center, lower))
+    var_x, var_y = (v / (shots - 1) for v in _congruence_diag(lower, gram))
+    se_scale = math.sqrt(2.0 / (shots - 1))
+    predicted_v_x, predicted_v_y = _congruence_diag(k_mat, cov)
     return SimulationReport(
         shots=shots,
         seed=seed,
         theta_x=theta.theta_x,
         theta_y=theta.theta_y,
-        mean_x=float(est_mean[0]),
-        mean_y=float(est_mean[1]),
-        var_x=float(var[0]),
-        var_y=float(var[1]),
-        se_mean_x=float(se_mean[0]),
-        se_mean_y=float(se_mean[1]),
-        se_var_x=float(se_var[0]),
-        se_var_y=float(se_var[1]),
-        predicted_v_x=float(predicted[0]),
-        predicted_v_y=float(predicted[1]),
+        mean_x=mean_x,
+        mean_y=mean_y,
+        var_x=var_x,
+        var_y=var_y,
+        se_mean_x=math.sqrt(var_x / shots),
+        se_mean_y=math.sqrt(var_y / shots),
+        se_var_x=var_x * se_scale,
+        se_var_y=var_y * se_scale,
+        predicted_v_x=predicted_v_x,
+        predicted_v_y=predicted_v_y,
         kind=scheme.kind,
     )
 

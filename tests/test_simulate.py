@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mc_reference
 import qbound
 from qbound import closed_forms as cf
 from qbound.gaussian import ChannelParams, ProbeConfig, beam_splitter, build_probe, rotation
@@ -40,9 +41,9 @@ def test_homodyne_moments_match_stated_measurement_statistics():
             math.sqrt(t) * (theta.theta_y * math.sin(phi2) + theta.theta_x * math.cos(phi2)),
             abs=1e-12,
         )
-        assert cov[0, 0] == pytest.approx(1.0, rel=1e-12)
-        assert cov[1, 1] == pytest.approx(math.exp(-2 * r2), rel=1e-12)
-        assert cov[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert cov[0][0] == pytest.approx(1.0, rel=1e-12)
+        assert cov[1][1] == pytest.approx(math.exp(-2 * r2), rel=1e-12)
+        assert cov[0][1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_build_scheme_example1_phi0():
@@ -107,17 +108,29 @@ def test_reference_transforms_are_the_transposed_probe_beam_splitter():
 
 
 def test_scheme_transform_symplectic_check_is_relative():
-    # A squeezer with entries up to e^{r} is accepted at any r <= 20, and a
-    # relative defect of 1e-6 (det moves by ~1e-6 max|S|^2) is rejected.
+    # A two-mode squeezer with entries up to e^{r} is accepted at any r <= 20,
+    # and a relative defect of 1e-6 (det moves by ~1e-6 max|S|^2) is rejected.
     for r in (0.0, 7.0, 20.0):
-        squeeze = np.diag([math.exp(-r), math.exp(r)]) @ rotation(0.3)
-        MeasurementScheme(squeeze, (0.0,), [[1.0], [0.0]])
+        squeeze = np.diag([math.exp(-r), math.exp(r), 1.0, 1.0]) @ rotation(0.3, 2)
+        MeasurementScheme(squeeze, (0.0, 0.0), np.eye(2))
         broken = squeeze.copy()
         broken[0, 0] += 1e-6 * np.max(np.abs(squeeze))
         with pytest.raises(ValueError, match="not symplectic"):
-            MeasurementScheme(broken, (0.0,), [[1.0], [0.0]])
-    with pytest.raises(ValueError, match="one homodyne angle per transformed mode"):
-        MeasurementScheme(np.eye(4), (0.0,), [[1.0], [0.0]])
+            MeasurementScheme(broken, (0.0, 0.0), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "transform, angles, estimator",
+    [
+        (np.eye(4), (0.0,), np.eye(2)),
+        (np.eye(2), (0.0, 0.0), np.eye(2)),
+        (np.eye(4), (0.0, 0.0), [[1.0], [0.0]]),
+    ],
+    ids=["one-angle", "2x2-transform", "2x1-estimator"],
+)
+def test_scheme_is_exactly_two_homodynes(transform, angles, estimator):
+    with pytest.raises(ValueError, match="two homodynes: a 4x4 transform, two angles and a 2x2 estimator"):
+        MeasurementScheme(transform, angles, estimator)
 
 
 def test_check_unbiased_is_relative_and_rejects_nan():
@@ -258,6 +271,62 @@ def test_run_scheme_forms_outcome_moments_once(monkeypatch, scheme):
     assert (report.predicted_v_x, report.predicted_v_y) == scheme.predicted_variances(scheme.probe)
 
 
+def _edge_rows(n, seed):
+    # The two reference kinds, and general schemes whose outcomes mix all
+    # four inputs (in the reference kinds two of each four terms are rounding
+    # residue, so a reordered sum rarely shows); r in {0, 20, U(0, 20)}, t
+    # log-spread down to 1e-12 and up to 1 - 1e-12, shots in {100, 101, 2^53,
+    # log-uniform}, |theta| up to 1e3.
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        r1, r = sorted(float(rng.choice([0.0, 20.0, rng.uniform(0.0, 20.0)])) for _ in range(2))
+        t = float(rng.choice([1e-12, 1.0 - 1e-12, 10.0 ** rng.uniform(-12.0, math.log10(0.5))]))
+        t = 1.0 - t if rng.uniform() < 0.5 and t <= 0.5 else t
+        phi1, phi2 = (float(rng.choice([0.0, math.pi / 2.0, rng.uniform(-4.0, 4.0)])) for _ in range(2))
+        if k % 3 == 0:
+            scheme = build_scheme("balanced", r=r, t_star=t)
+        elif k % 3 == 1:
+            scheme = build_scheme("example1", r2=r, t=t, phi2=phi2)
+        else:
+            transform = beam_splitter(rng.uniform()).T @ rotation(rng.uniform(-4.0, 4.0), 2, 1)
+            scheme = MeasurementScheme(transform, rng.uniform(-4.0, 4.0, 2), rng.normal(size=(2, 2)),
+                                       probe=ProbeConfig(r1=r1, r2=r, phi1=phi1, phi2=phi2, t=t))
+        shots = int(rng.choice([100, 101, 2**53, min(int(10.0 ** rng.uniform(2.0, 15.9)), 2**53)]))
+        theta = ChannelParams(*(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-3.0, 3.0)))
+        yield scheme, theta, shots, int(rng.integers(2**63))
+
+
+def _fields(run, *args):
+    try:
+        report = run(*args)
+    except np.linalg.LinAlgError:
+        return "not positive definite"
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.to_dict().items()}
+
+
+def test_seeded_reports_match_the_numpy_reference_bit_for_bit():
+    # run_scheme's float arithmetic against the array form it replaced
+    # (tests/mc_reference.py): every report field and predicted variance.
+    reports = 0
+    for scheme, theta, shots, seed in _edge_rows(2100, 2024):
+        args = (scheme, scheme.probe, theta, shots, seed)
+        want = _fields(mc_reference.run_scheme, *args)
+        assert _fields(run_scheme, *args) == want, args
+        reports += want != "not positive definite"
+        want_pred = mc_reference.predicted_variances(scheme, scheme.probe)
+        assert [v.hex() for v in scheme.predicted_variances(scheme.probe)] == [v.hex() for v in want_pred], args
+    assert reports >= 2000
+
+
+@pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]]],
+                         ids=["singular", "nan"])
+def test_run_scheme_rejects_a_covariance_that_is_not_positive_definite(monkeypatch, cov):
+    monkeypatch.setattr(MeasurementScheme, "outcome_moments", lambda self, probe, theta: ([0.0, 0.0], cov))
+    scheme = build_scheme("balanced", r=0.4, t_star=0.5)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        run_scheme(scheme, scheme.probe, ChannelParams(), 1000, seed=0)
+
+
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= 1e-16, reason="long double has no extended precision here"
 )
@@ -274,7 +343,7 @@ def test_run_scheme_matches_an_extended_precision_replay(kind, r):
         scheme = build_scheme("example1", r2=r, t=1.0 / (1.0 + math.exp(r)), phi2=0.0)
     theta = ChannelParams(0.3, -0.1)
     mean, cov = scheme.outcome_moments(scheme.probe, theta)
-    mean = mean.astype(np.longdouble)
+    mean = np.array(mean, dtype=np.longdouble)
     chol = np.linalg.cholesky(cov).astype(np.longdouble)
     k_mat = scheme.estimator.astype(np.longdouble)
     lower = (k_mat[:, :, None] * chol).sum(axis=1)
