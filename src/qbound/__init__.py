@@ -42,7 +42,6 @@ from .regions import (
     boundary_for_config,
     closed_form_boundary,
     envelope,
-    envelope_value,
     single_mode_boundary,
     sql_feasible,
 )

@@ -365,8 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo run of a measurement scheme")
     p.add_argument("--scheme", choices=("balanced", "example1"), required=True)
-    # --t None: balanced derives t* from the weights, example1 uses 0.5.
-    _add_floats(p, "r", "db", "r2", "db2", "phi2", "t", "wx", "wy", phi2=0.0, wx=1.0, wy=1.0)
+    _add_floats(p, "r", "db", "r2", "db2", "phi2", phi2=0.0)
+    p.add_argument("--t", type=float, help="t* of the optimal-variance formulas; the probe's transmissivity "
+                   "is 1 - t* (default: optimal for the weights, or 0.5 for example1)")
+    _add_floats(p, "wx", "wy", wx=1.0, wy=1.0)
     p.add_argument("--shots", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", default="0.0,0.0", help="displacement as 'x,y'")

@@ -109,18 +109,6 @@ def _checked_envelope_rows(v_x, r1, r2) -> tuple[np.ndarray, np.ndarray, bool]:
     return v_y, segment, swapped
 
 
-def envelope_v_c(r1: float, r2: float) -> float:
-    """Left knee of the two-mode envelope: e^{-2 r2} + e^{-(r1+r2)}."""
-    r1, r2, _ = _canonical_pair(r1, r2)
-    return float(_envelope_rows(math.nan, r1, r2)[1])  # the knees do not depend on v_x
-
-
-def envelope_v_d(r1: float, r2: float) -> float:
-    """Right knee of the two-mode envelope: e^{-2 r1} + e^{-(r1+r2)}."""
-    r1, r2, _ = _canonical_pair(r1, r2)
-    return float(_envelope_rows(math.nan, r1, r2)[2])
-
-
 def two_mode_envelope(v_x: float, r1: float, r2: float) -> EnvelopePoint:
     """Minimal v_y over all rotations and mixing ratios of two squeezed inputs.
 
@@ -139,31 +127,27 @@ def two_mode_envelope(v_x: float, r1: float, r2: float) -> EnvelopePoint:
 class OptimalConfig:
     """Optimal probe configuration and the variances it achieves.
 
-    ``t_star`` follows the convention of the optimal-variance formulas
-    (v_x = e^{-2 r1}/(1-t), v_y = e^{-2 r2}/t on the favoured branch);
-    ``probe_t`` is the equivalent beam-splitter transmissivity in this
-    package's mode-ordering convention (1 - t_star, written without the
-    subtraction): the value to put in a ProbeConfig to realize this optimum.
+    ``probe_t`` is the beam-splitter transmissivity in this package's
+    convention: the value to put in a ProbeConfig to realize this optimum.
     """
 
-    t_star: float
+    probe_t: float
     phi1: float
     phi2: float
     v_x: float
     v_y: float
-    probe_t: float
     swapped: bool = False
 
 
 def optimal_config(w_x: float, w_y: float, r1: float, r2: float, phi1: float = 0.0) -> OptimalConfig:
     """Optimal rotations, mixing ratio, and variances for given weights.
 
-    For w_x < w_y the optimum uses phi1 = 0, phi2 = pi/2 and
-    ``t* = e^{r1} / (e^{r1} + e^{r2} sqrt(w_x/w_y))``; for w_y < w_x the roles
-    of x and y are swapped.  Equal weights admit a one-parameter family with
-    constant v_x + v_y, selected by the ``phi1`` argument.  Degenerate weights
-    (one zero, or a ratio sqrt(min/max) that underflows to 0) return the
-    single-parameter limit t* = 1 (direct probing with the stronger squeezer).
+    For w_x < w_y the optimum uses phi1 = 0, phi2 = pi/2 and ``probe_t =
+    e^{r2} rho / (e^{r1} + e^{r2} rho)`` with rho = sqrt(w_x/w_y); for w_y < w_x
+    the roles of x and y are swapped.  Equal weights admit a one-parameter
+    family with constant v_x + v_y, selected by the ``phi1`` argument.
+    Degenerate weights (one zero, or a rho that underflows to 0) return the
+    single-parameter limit probe_t = 0 (direct probing with the stronger squeezer).
     """
     if not (math.isfinite(w_x) and math.isfinite(w_y)):
         raise ValueError("weights must be finite")
@@ -176,20 +160,18 @@ def optimal_config(w_x: float, w_y: float, r1: float, r2: float, phi1: float = 0
 
     if w_x != w_y:
         ratio = math.sqrt(min(w_x, w_y) / max(w_x, w_y))
-        t_star, probe_t = e1 / (e1 + e2 * ratio), e2 * ratio / (e1 + e2 * ratio)
+        probe_t = e2 * ratio / (e1 + e2 * ratio)
         v_light = f1 + cross / ratio if ratio > 0.0 else math.inf
         v_heavy = f2 + cross * ratio
         if w_x < w_y:
-            return OptimalConfig(t_star, 0.0, math.pi / 2.0, v_light, v_heavy, probe_t, swapped)
-        return OptimalConfig(t_star, math.pi / 2.0, 0.0, v_heavy, v_light, probe_t, swapped)
+            return OptimalConfig(probe_t, 0.0, math.pi / 2.0, v_light, v_heavy, swapped)
+        return OptimalConfig(probe_t, math.pi / 2.0, 0.0, v_heavy, v_light, swapped)
 
     # Equal weights: family endpoint selected by phi1 (phi2 = phi1 + pi/2).
-    t_star = e1 / (e1 + e2)
     half_total = 0.5 * (math.exp(-r1) + math.exp(-r2)) ** 2
     offset = 0.5 * math.cos(2.0 * phi1) * (f1 - f2)
     return OptimalConfig(
-        t_star, phi1, phi1 + math.pi / 2.0, half_total + offset, half_total - offset,
-        e2 / (e1 + e2), swapped,
+        e2 / (e1 + e2), phi1, phi1 + math.pi / 2.0, half_total + offset, half_total - offset, swapped,
     )
 
 

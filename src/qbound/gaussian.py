@@ -279,20 +279,19 @@ def build_probe(config: ProbeConfig) -> GaussianState:
 
 
 def probe_factors(config: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Passive optics ``O`` and input variances ``lam`` with probe covariance ``O diag(lam) O^T``.
+    """Passive optics ``O`` and input variances ``lam`` of a two-mode probe, covariance ``O diag(lam) O^T``.
 
     A pure state is passive optics on squeezed vacua (Weedbrook et al., RMP 84,
     621 (2012)): ``O`` is beam_splitter(t) times ``R(phi1)`` and ``R(phi2)`` on
-    the diagonal (``R(phi1)`` alone for one mode), ``lam = (e^{-2r1}, e^{2r1},
-    e^{-2r2}, e^{2r2})``.  A quadrature variance ``sum_k (d O)_k^2 lam_k`` then
-    sums nonnegative terms, where ``d cov d^T`` cancels entries of size e^{2r}.
-    Both quadratures mix alike, so block (i, j) of ``O`` is beam-splitter
-    entry (2i, 2j) times ``R(phi_j)``: one product per entry, no sum, no BLAS.
+    the diagonal, ``lam = (e^{-2r1}, e^{2r1}, e^{-2r2}, e^{2r2})``.  A
+    quadrature variance ``sum_k (d O)_k^2 lam_k`` then sums nonnegative terms,
+    where ``d cov d^T`` cancels entries of size e^{2r}.  Both quadratures mix
+    alike, so block (i, j) of ``O`` is beam-splitter entry (2i, 2j) times
+    ``R(phi_j)``: one product per entry, no sum, no BLAS.
     """
-    n = config.n_modes
-    lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2)[:n] for sign in (-1.0, 1.0)])
-    if n == 1:
-        return rotation(config.phi1), lam
+    if config.n_modes != 2:
+        raise ValueError(f"probe_factors takes a two-mode probe, got n_modes = {config.n_modes}")
+    lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2) for sign in (-1.0, 1.0)])
     a, b = math.sqrt(config.t), math.sqrt(1.0 - config.t)  # beam_splitter(t)'s entries
     c1, s1, c2, s2 = math.cos(config.phi1), math.sin(config.phi1), math.cos(config.phi2), math.sin(config.phi2)
     return np.array([[a * c1, a * -s1, b * c2, b * -s2],

@@ -50,16 +50,13 @@ BoundResult alone.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_forms import _bracketed_newton
-from .gaussian import (
-    _OMEGA, ProbeConfig, _squeezed_entries, build_probe, probe_delta_minus_one, probe_mode1_variances,
-)
+from .gaussian import _OMEGA, ProbeConfig, build_probe, probe_delta_minus_one, probe_mode1_variances
 
 __all__ = [
     "Weights",
@@ -88,10 +85,6 @@ class Weights:
             raise ValueError("weights must be finite")
         if self.w_x < 0.0 or self.w_y < 0.0 or self.w_x + self.w_y <= 0.0:
             raise ValueError(f"weights must be >= 0 and not both zero, got {self}")
-
-    @property
-    def geometric(self) -> float:
-        return math.sqrt(self.w_x * self.w_y)
 
 
 @dataclass(frozen=True)
@@ -235,14 +228,13 @@ def _probe_rows(probe):
 
     A configuration builds no covariance: A_11 and A_22 are the (0, 0) and
     (1, 1) entries of its covariance, written with the same expressions, and
-    delta - 1 is gaussian.probe_delta_minus_one.  Raw covariances alone are
-    checked for purity and read delta - 1 as -det C.
+    delta - 1 is gaussian.probe_delta_minus_one; one mode is the t = 0
+    configuration (0, r1, 0, phi1, 0).  Raw covariances alone are checked
+    for purity and read delta - 1 as -det C.
     """
     if isinstance(probe, ProbeConfig):
-        if probe.n_modes == 1:
-            a11, _, a22 = _squeezed_entries(probe.r1, probe.phi1)
-            return a11, a22, 0.0, None
-        probe = (probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t)
+        probe = ((0.0, probe.r1, 0.0, probe.phi1, 0.0) if probe.n_modes == 1
+                 else (probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t))
     if isinstance(probe, tuple):
         return (*probe_mode1_variances(*probe), probe_delta_minus_one(*probe), None)
     covs = np.asarray(probe, dtype=float)
@@ -446,14 +438,14 @@ def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
     and the rows are that shape flattened in C order, so configuration
     columns (T, 1) against weights (R,) build each probe once for its R rows.
     Each row is phi at its maximizer mu* (_multiplier); one mode is the
-    delta = 1 row.  An invalid probe, shapes that do not broadcast or a
-    bound too large for a float raise ValueError.  If ``info`` is a dict it
-    receives per-row arrays: ``v_x`` and ``v_y`` (the tangency point) and
-    ``certified``.  Configuration rows build no covariance and are certified
-    on the scalar dual (_scalar_certified).  Raw covariances are certified
-    by their duality gap (_certified), and ``info`` also receives ``gap``
-    (the relative duality gap) and ``free`` (the optimal (a, b, c, d);
-    empty for one mode).
+    t = 0 row (0, r1, 0, phi1, 0), with delta = 1.  An invalid probe, shapes
+    that do not broadcast or a bound too large for a float raise ValueError.
+    If ``info`` is a dict it receives per-row arrays: ``v_x`` and ``v_y``
+    (the tangency point) and ``certified``.  Configuration rows build no
+    covariance and are certified on the scalar dual (_scalar_certified).
+    Raw covariances are certified by their duality gap (_certified), and
+    ``info`` also receives ``gap`` (the relative duality gap) and ``free``
+    (the optimal (a, b, c, d); empty for a 2x2 covariance).
     """
     rows = _kernel(probe, w_x, w_y)
     if info is not None:

@@ -200,30 +200,6 @@ def envelope_support_points(
     return _samples(sweep, *_support_points(sweep))
 
 
-def envelope_value(samples: list[RegionSample], v_x) -> np.ndarray:
-    """Evaluate the numeric envelope at given v_x via its lower convex hull.
-
-    The accessible region above the analytic envelope is convex, so the lower
-    hull of boundary samples stays on or above the true envelope and only
-    moves toward it as samples are added.
-    """
-    pts = sorted((s.v_x, s.v_y) for s in samples)
-    if len(pts) < 2:
-        raise ValueError("need at least two envelope samples")
-    hull: list[tuple[float, float]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1) <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    xs = np.array([p[0] for p in hull])
-    ys = np.array([p[1] for p in hull])
-    return np.interp(np.asarray(v_x, dtype=float), xs, ys)
-
-
 def closed_form_boundary(r1: float, r2: float, v_x_values) -> list[RegionSample]:
     """Analytic two-mode envelope samples with segment labels, sorted by v_x: one batched row set."""
     v_x = np.asarray(list(v_x_values), dtype=float)

@@ -54,13 +54,17 @@ class MeasurementScheme:
                 "a scheme is two homodynes: a 4x4 transform, two angles and a 2x2 estimator, got "
                 f"a {mat.shape} transform, {len(self.angles)} angle(s) and a {est.shape} estimator"
             )
+        angles = tuple(float(a) for a in self.angles)
+        for name, values in (("angles", angles), ("estimator", est.flat)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         omega = _OMEGA[4]
         defect = np.max(np.abs(mat @ omega @ mat.T - omega))
         if not (defect <= _SYMPLECTIC_TOL or defect <= _SYMPLECTIC_TOL * np.max(np.abs(mat)) ** 2):
             raise ValueError(f"transform is not symplectic (defect {defect:.3e})")
         object.__setattr__(self, "transform", _frozen_array(mat))
         object.__setattr__(self, "estimator", _frozen_array(est))
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        object.__setattr__(self, "angles", angles)
 
     def measured_directions(self) -> np.ndarray:
         """Rows: the quadrature vectors measured by each homodyne, pre-transform.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_forms, regions
-from .gaussian import ChannelParams, ProbeConfig, _mixing_stacks, build_probe, symplectic_form
+from .gaussian import ChannelParams, _mixing_stacks, symplectic_form
 from .holevo import Weights, batch_bound
 from .simulate import build_scheme, compare_to_bound, run_scheme
 
@@ -54,15 +54,16 @@ def check_single_mode_closed_form(quick: bool = False) -> CheckResult:
     """Numeric bound equals the closed single-mode line on an (r, phi, w) grid.
 
     Each ratio runs with weights normalized to unit sum and with w_y = 1.  The
-    grid is one batch_bound call on 2x2 covariances (solve() is one row of it).
+    grid is one batch_bound call on the t = 0 configuration rows (0, r, 0,
+    phi, 0), the route a one-mode ProbeConfig takes (solve() is one row of it).
     """
     rs = np.arange(0.0, 1.51, 0.3 if quick else 0.1)
     phis = np.arange(0.0, math.pi / 2.0 + 1e-12, math.pi / 12.0)
     weights = [(w_x, w_y) for ratio in (0.1, 1.0, 10.0)
                for w_x, w_y in ((ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)), (ratio, 1.0))]
     grid = [(r, phi) for r in rs for phi in phis]
-    covs = [build_probe(ProbeConfig(r1=r, phi1=phi, n_modes=1)).cov for r, phi in grid]
-    got = batch_bound(np.repeat(covs, len(weights), 0), *np.tile(np.array(weights).T, len(grid)))
+    r, phi = np.array(grid).T[..., None]
+    got = batch_bound((0.0, r, 0.0, phi, 0.0), *np.array(weights).T)
     want = np.array([closed_forms.single_mode_line(wx, wy, r, phi) for r, phi in grid for wx, wy in weights])
     worst = float(np.max(np.abs(got - want) / want))
     return CheckResult("single-mode-closed-form", worst <= 1e-9, {"max_rel_err": worst})

@@ -64,7 +64,8 @@ def test_two_mode_envelope_balanced_middle():
 
 def test_two_mode_envelope_knee_continuity():
     r1, r2 = 0.35, 0.69
-    v_c, v_d = cf.envelope_v_c(r1, r2), cf.envelope_v_d(r1, r2)
+    v_c = math.exp(-2.0 * r2) + math.exp(-(r1 + r2))
+    v_d = math.exp(-2.0 * r1) + math.exp(-(r1 + r2))
     assert v_c == pytest.approx(0.6050, abs=5e-4)
     assert v_d == pytest.approx(0.8500, abs=5e-4)
     assert cf.two_mode_envelope(v_c, r1, r2).v_y == pytest.approx(v_d, rel=1e-12)
@@ -111,7 +112,7 @@ def test_ancilla_never_hurts():
 
 def test_optimal_config_vacuum_plus_squeezer():
     opt = cf.optimal_config(1.0, 1.0, 0.0, math.log(2.0))
-    assert opt.t_star == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert opt.probe_t == pytest.approx(2.0 / 3.0, rel=1e-14)
     assert opt.v_x == pytest.approx(1.5, rel=1e-14)
     assert opt.v_y == pytest.approx(0.75, rel=1e-14)
     assert math.exp(0.0) / opt.v_x + 0.25 / opt.v_y == pytest.approx(1.0, rel=1e-14)
@@ -120,7 +121,7 @@ def test_optimal_config_vacuum_plus_squeezer():
 def test_optimal_config_unequal_weights():
     r = 0.4
     opt = cf.optimal_config(1.0, 4.0, r, r)
-    assert opt.t_star == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert opt.probe_t == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert opt.v_x == pytest.approx(3.0 * math.exp(-2.0 * r), rel=1e-14)
     assert opt.v_y == pytest.approx(1.5 * math.exp(-2.0 * r), rel=1e-14)
 

@@ -120,6 +120,11 @@ def test_beam_splitter_range(bad):
         beam_splitter(bad)
 
 
+def test_probe_factors_rejects_a_one_mode_probe():
+    with pytest.raises(ValueError, match="two-mode probe"):
+        probe_factors(ProbeConfig(r1=0.5, phi1=0.3, n_modes=1))
+
+
 def test_probe_covariance_and_factors_match_direct_matrix_product():
     # Independent oracle over the whole r <= 20 contract: build the 4x4
     # beam-splitter matrix and the rotated squeezed inputs by hand and carry

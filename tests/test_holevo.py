@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qbound import closed_forms as cf
-from qbound import holevo
+from qbound import gaussian, holevo, verify
 from qbound.gaussian import (
     ProbeConfig, build_probe, probe_covariances, probe_delta_minus_one, probe_mode1_variances, symplectic_form,
 )
@@ -40,7 +40,7 @@ def primal(cov, w, duals):
     """The objective h of given duals, straight from the covariance."""
     omega = symplectic_form(duals.c_x.size // 2)
     return (w.w_x * duals.c_x @ cov @ duals.c_x + w.w_y * duals.c_y @ cov @ duals.c_y
-            + 2.0 * w.geometric * abs(duals.c_x @ omega @ duals.c_y))
+            + 2.0 * math.sqrt(w.w_x * w.w_y) * abs(duals.c_x @ omega @ duals.c_y))
 
 
 def test_weights_validation():
@@ -48,7 +48,8 @@ def test_weights_validation():
         Weights(-1.0, 1.0)
     with pytest.raises(ValueError):
         Weights(0.0, 0.0)
-    assert Weights(2.0, 8.0).geometric == pytest.approx(4.0)
+    w = Weights(2.0, 8.0)
+    assert (w.w_x, w.w_y) == (2.0, 8.0)
 
 
 def test_unbiased_constraints_shapes():
@@ -89,9 +90,51 @@ def test_solve_single_mode_is_closed_path():
     cov = build_probe(ProbeConfig(r1=0.8, phi1=0.3, n_modes=1)).cov
     w = Weights(1.3, 0.4)
     res = solve(cov, w)
-    assert res.f_hcr == pytest.approx(w.w_x * cov[0, 0] + w.w_y * cov[1, 1] + 2.0 * w.geometric, rel=1e-15)
+    line = w.w_x * cov[0, 0] + w.w_y * cov[1, 1] + 2.0 * math.sqrt(w.w_x * w.w_y)
+    assert res.f_hcr == pytest.approx(line, rel=1e-15)
     assert res.duals.n_modes == 1 and res.converged
     assert res.f_hcr == pytest.approx(primal(cov, w, res.duals), rel=1e-15)
+
+
+def test_one_mode_config_tuple_and_covariance_rows_are_bit_identical():
+    # A one-mode ProbeConfig is the t = 0 configuration (0, r, 0, phi, 0):
+    # its value, tangency and certificate equal those of that tuple and of
+    # its raw 2x2 covariance bit for bit, through batch_bound and solve.
+    rng = np.random.default_rng(23)
+    n_configs, n_ratios = 1000, 5
+    r, phi = rng.uniform(0.0, 20.0, n_configs), rng.uniform(0.0, 2.0 * math.pi, n_configs)
+    w_x = 10.0 ** rng.uniform(-3.0, 3.0, (n_configs, n_ratios))
+    configs = [ProbeConfig(r1=ri, phi1=phii, n_modes=1) for ri, phii in zip(r, phi)]
+    covs = np.repeat([build_probe(config).cov for config in configs], n_ratios, axis=0)
+
+    def rows(probe, w):
+        info = {}
+        f = batch_bound(probe, w, 1.0, info)
+        return np.stack([f, info["v_x"], info["v_y"], info["certified"]], axis=-1)
+
+    from_tuple = rows((0.0, r[:, None], 0.0, phi[:, None], 0.0), w_x)
+    from_covs = rows(covs, w_x.ravel())
+    from_configs = np.concatenate([rows(config, w) for config, w in zip(configs, w_x)])
+    assert np.all(from_tuple[:, 3] == 1.0)
+    assert np.array_equal(from_configs, from_tuple) and np.array_equal(from_covs, from_tuple)
+    for probe, w, want in zip(np.repeat(configs, n_ratios), w_x.ravel(), from_tuple):
+        res = solve(probe, Weights(w, 1.0))
+        assert [res.f_hcr, res.v_x, res.v_y, res.converged] == want.tolist()
+    for cov, w, want in zip(covs, w_x.ravel(), from_tuple):
+        res = solve(cov, Weights(w, 1.0))
+        assert [res.f_hcr, res.v_x, res.v_y, res.converged] == want.tolist()
+
+
+def test_single_mode_check_builds_no_covariance(monkeypatch):
+    # verify's single-mode check takes the t = 0 configuration route of
+    # `bound --modes 1`: no probe is built and no raw covariance is checked.
+    def refuse(*args):
+        raise AssertionError("the single-mode check built a covariance")
+
+    for module in (gaussian, holevo, verify):
+        monkeypatch.setattr(module, "build_probe", refuse, raising=False)
+    monkeypatch.setattr(holevo, "_check_pure", refuse)
+    assert verify.check_single_mode_closed_form(quick=False).passed
 
 
 def test_solve_single_mode_3db():

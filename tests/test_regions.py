@@ -76,47 +76,65 @@ def test_envelope_never_below_closed_form():
         assert s.v_y >= reference - 1e-9
 
 
+def _support(samples) -> dict:
+    """The support function at the support points' weight ratios: w_x v_x + w_y v_y at unit weight sum.
+
+    The tangency point lies on its bound line, so this is the least bound
+    over the swept configurations at that ratio.
+    """
+    return {s.w_ratio: (s.w_ratio * s.v_x + s.v_y) / (1.0 + s.w_ratio) for s in samples}
+
+
 def test_envelope_refinement_is_monotone():
-    # nested grids: the fine sweep contains the coarse one, so the lower hull
-    # can only move toward the analytic envelope
+    # nested grids: the fine sweep contains the coarse one, so its support
+    # function can only move down, toward the optimum of optimal_config
     r1, r2 = 0.2, 0.6
     t_fine = np.linspace(0.05, 0.95, 19)
     phi_fine = np.linspace(0.0, math.pi / 2, 7)
     w_fine = np.geomspace(0.05, 20.0, 17)
-    fine = regions.envelope(r1, r2, t_fine, phi_fine, w_fine)
-    coarse = regions.envelope(r1, r2, t_fine[::2], phi_fine[::2], w_fine[::2])
-    v_probe = np.geomspace(math.exp(-2 * r2) * 1.3, 4.0, 25)
-    fine_vals = regions.envelope_value(fine, v_probe)
-    coarse_vals = regions.envelope_value(coarse, v_probe)
-    assert np.all(fine_vals <= coarse_vals + 1e-12)
+    fine = _support(regions.envelope_support_points(r1, r2, t_fine, phi_fine, w_fine))
+    coarse = _support(regions.envelope_support_points(r1, r2, t_fine[::2], phi_fine[::2], w_fine[::2]))
+    assert len(coarse) == 9 and coarse.keys() <= fine.keys()
+    for ratio, value in coarse.items():
+        opt = cf.optimal_config(ratio, 1.0, r1, r2)
+        optimum = (ratio * opt.v_x + opt.v_y) / (1.0 + ratio)
+        assert optimum - 1e-12 <= fine[ratio] <= value + 1e-12
+    assert any(fine[ratio] < value - 1e-6 for ratio, value in coarse.items())
 
 
 def test_envelope_middle_segment_is_the_constant_sum_line():
-    # distinct squeezing levels give a non-degenerate middle segment; the
-    # equal-weight family with phi2 = phi1 + pi/2 sweeps along it
+    # distinct squeezing levels give a non-degenerate middle segment between
+    # the knees v_c and v_d.  Its support line is the equal-weight one,
+    # v_x + v_y = total: no support point lies below it, the equal-weight
+    # support point lies on it, and every other weight ratio touches the
+    # region outside the knees.
     r1, r2 = 0.3, 0.8
     w_grid = np.geomspace(0.25, 4.0, 9)
     amp = math.exp(-r1) * np.sqrt(w_grid)
     t_grid = np.unique(amp / (amp + math.exp(-r2)))
-    samples = regions.envelope(r1, r2, t_grid, np.linspace(0.0, math.pi / 2, 13), w_grid)
+    phi_grid = np.linspace(0.0, math.pi / 2, 13)
+    samples = regions.envelope_support_points(r1, r2, t_grid, phi_grid, w_grid)
     total = (math.exp(-r1) + math.exp(-r2)) ** 2
-    v_c, v_d = cf.envelope_v_c(r1, r2), cf.envelope_v_d(r1, r2)
-    inside = [s for s in samples if 1.02 * v_c <= s.v_x <= 0.98 * v_d]
-    assert len(inside) >= 3
-    for s in inside:
+    cross = math.exp(-(r1 + r2))
+    v_c, v_d = math.exp(-2.0 * r2) + cross, math.exp(-2.0 * r1) + cross
+    assert 1.0 in {s.w_ratio for s in samples}
+    for s in samples:
         assert s.v_x + s.v_y >= total - 1e-9
+        if s.w_ratio == 1.0:
+            assert s.v_x + s.v_y == pytest.approx(total, rel=1e-9)
+        elif s.w_ratio < 1.0:
+            assert s.v_x >= v_d * (1.0 - 1e-9)
+        else:
+            assert s.v_x <= v_c * (1.0 + 1e-9)
     # the equal-weight family at its optimal splitting ratio sweeps the
-    # segment exactly as phi1 varies
+    # whole segment, from knee to knee, as phi1 varies
     t_star = math.exp(-r1) / (math.exp(-r1) + math.exp(-r2))
-    on_line = [s for s in inside if s.w_ratio == 1.0 and abs(s.t - t_star) < 1e-9]
-    assert len(on_line) >= 3
-    for s in on_line:
-        assert s.v_x + s.v_y == pytest.approx(total, rel=1e-9)
-    # and the reconstructed lower boundary tracks the line across the segment
-    probes = np.linspace(1.05 * v_c, 0.95 * v_d, 9)
-    hull_vals = regions.envelope_value(samples, probes)
-    assert np.all(hull_vals + probes >= total - 1e-9)
-    assert np.max(np.abs(hull_vals + probes - total) / total) <= 2e-3
+    info = {}
+    batch_bound((r1, r2, phi_grid, phi_grid + math.pi / 2, t_star), 1.0, 1.0, info)
+    assert np.all(info["certified"])
+    assert np.max(np.abs(info["v_x"] + info["v_y"] - total)) <= 1e-9 * total
+    assert info["v_x"].max() == pytest.approx(v_d, rel=1e-9)
+    assert info["v_x"].min() == pytest.approx(v_c, rel=1e-9)
 
 
 def test_envelope_support_points_track_closed_form():
@@ -133,23 +151,17 @@ def test_envelope_support_points_track_closed_form():
 
 
 def test_envelope_exhaustive_phi2_agrees_with_orthogonal_rule():
-    # sweeping phi2 independently never improves on phi2 = phi1 + pi/2
+    # sweeping phi2 independently never lowers the support function below
+    # that of phi2 = phi1 + pi/2
     r1, r2 = 0.3, 0.8
     t_grid = np.linspace(0.2, 0.8, 5)
     phi_grid = np.linspace(0.0, math.pi / 2, 5)
     w_grid = np.geomspace(0.2, 5.0, 7)
-    orthogonal = regions.envelope(r1, r2, t_grid, phi_grid, w_grid)
-    exhaustive = regions.envelope(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2=True)
-    v_probe = np.geomspace(math.exp(-2 * r2) * 1.5, 3.0, 11)
-    assert np.all(
-        regions.envelope_value(exhaustive, v_probe)
-        >= regions.envelope_value(orthogonal, v_probe) - 1e-9
-    )
-
-
-def test_envelope_value_requires_points():
-    with pytest.raises(ValueError):
-        regions.envelope_value([], [1.0])
+    orthogonal = _support(regions.envelope_support_points(r1, r2, t_grid, phi_grid, w_grid))
+    exhaustive = _support(regions.envelope_support_points(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2=True))
+    assert orthogonal.keys() == exhaustive.keys() and len(orthogonal) == 7
+    for ratio, value in orthogonal.items():
+        assert exhaustive[ratio] >= value - 1e-9
 
 
 def _count_batch_rows(monkeypatch) -> list:

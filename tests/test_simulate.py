@@ -135,14 +135,33 @@ def test_scheme_is_exactly_two_homodynes(transform, angles, estimator):
 
 def test_check_unbiased_is_relative_and_rejects_nan():
     # At the optimal t the example1 estimator has entries ~e^{r2/2}; its
-    # response defect is rounding relative to them.
+    # response defect is rounding relative to them.  A NaN estimator is
+    # rejected when the scheme is built, before check_unbiased can run.
     r2 = 20.0
     scheme = build_scheme("example1", r2=r2, t=1.0 / (1.0 + math.exp(r2)), phi2=0.0)
     assert np.max(np.abs(scheme.estimator)) > 1e4
     balanced = build_scheme("balanced", r=0.5, t_star=0.5)
-    for estimator in (balanced.estimator * (1.0 + 2e-9), np.full((2, 2), math.nan)):
-        with pytest.raises(ValueError, match="not locally unbiased"):
-            replace(balanced, estimator=estimator).check_unbiased()
+    with pytest.raises(ValueError, match="not locally unbiased"):
+        replace(balanced, estimator=balanced.estimator * (1.0 + 2e-9)).check_unbiased()
+    with pytest.raises(ValueError, match="estimator must be finite"):
+        replace(balanced, estimator=np.full((2, 2), math.nan))
+
+
+@pytest.mark.parametrize(
+    "angles, estimator, field",
+    [
+        ((math.nan, 0.0), np.eye(2), "angles"),
+        ((0.0, -math.inf), np.eye(2), "angles"),
+        ((0.0, 0.0), [[1.0, 0.0], [math.nan, 1.0]], "estimator"),
+        ((0.0, 0.0), [[math.inf, 0.0], [0.0, 1.0]], "estimator"),
+    ],
+    ids=["nan-angle", "inf-angle", "nan-estimator", "inf-estimator"],
+)
+def test_scheme_rejects_non_finite_angles_and_estimator_by_name(angles, estimator, field):
+    # Left to run_scheme, a NaN would surface as a covariance that is not
+    # positive definite, which names the wrong cause.
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MeasurementScheme(np.eye(4), angles, estimator, probe=ProbeConfig())
 
 
 def test_run_scheme_balanced_hits_target():
