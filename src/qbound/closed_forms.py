@@ -204,7 +204,8 @@ def _bracketed_newton(f_df, x, lo, hi, *args) -> np.ndarray:
     bisection.  A row freezes once its step is at most _NEWTON_STEP_TOL of
     its root (quadratic convergence then leaves it within a few ulps), so its
     root does not depend on the batch it is in.  The solver's kink quartic
-    and the gamma quartic below both go through here.
+    and the gamma quartic below both go through here; holevo.solve takes
+    _bracketed_newton_row.
     """
     x = np.array(x, dtype=float)
     lo, hi = np.full_like(x, lo), np.full_like(x, hi)  # narrowed in place
@@ -222,6 +223,26 @@ def _bracketed_newton(f_df, x, lo, hi, *args) -> np.ndarray:
             new[outside] = 0.5 * (lo[outside] + hi[outside])
         np.copyto(new, x, where=~moving)
         moving &= np.abs(new - x) > _NEWTON_STEP_TOL * new
+        x = new
+    return x
+
+
+def _bracketed_newton_row(f_df, x: float, lo: float, hi: float, *args) -> float:
+    """_bracketed_newton for one row in float arithmetic: the same steps, so the same root bit for bit.
+
+    A zero f' takes the bisection step, as the array form's non-finite step does.
+    """
+    for _ in range(_NEWTON_MAX_STEPS):
+        f, df = f_df(x, *args)
+        if f > 0.0:
+            lo = x
+        else:
+            hi = x
+        new = x - f / df if df != 0.0 else math.nan
+        if not (new >= lo and new <= hi):
+            new = 0.5 * (lo + hi)
+        if not abs(new - x) > _NEWTON_STEP_TOL * new:
+            return new
         x = new
     return x
 

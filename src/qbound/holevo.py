@@ -29,8 +29,11 @@ gaussian.probe_delta_minus_one, a sum of nonnegative terms, so its bound is
 accurate to ~1e-14 for all r <= 20; a raw covariance gives -det C, whose
 conditioning degrades like e^{2(r1+r2)} (see _delta_minus_one).  batch_bound
 evaluates phi at its one maximizer mu* in [0, 1], a quartic root found per
-row by a bracketed Newton search, and solve() is one batch row.  The
-tangency point is the weight gradient of phi.
+row by a bracketed Newton search, on NumPy arrays.  solve() computes the
+same row in float arithmetic (the _row_* twins of the array helpers, with
+the same expressions in the same order), so its fields are bit-identical to
+batch_bound's row, as a test pins, without NumPy's per-call cost on
+one-element arrays.  The tangency point is the weight gradient of phi.
 
 Two certificates back ``converged``.  A configuration row is certified on
 the scalar dual (_scalar_certified): a bracket of mu* and the tangent of the
@@ -41,21 +44,23 @@ from the probe (the 80-digit oracle test holds that).  A raw covariance keeps th
 the primal value h of the closed-form optimal duals, evaluated from the
 covariance, must match phi(mu*).  Its terms are ~e^{4r} times the answer, so
 it stops resolving rows from r ~ 4.5, and a scalar certificate would pass a
-wrong -det C.  The duals come from a covariance too, so solve() builds one
-for a configuration, and BoundResult.duals_certified is their gap, which
-extract_measurement requires.  Only gaussian, which builds covariances, and
+wrong -det C.  Two-mode duals come from a covariance too, so solve() builds
+one for a two-mode configuration (one mode pins the duals to mode 1, where
+the gap is phi(1) = a + 2 c), and BoundResult.duals_certified is their gap,
+which extract_measurement requires.  Only gaussian, which builds covariances, and
 this module read them: simulate builds the optimal measurement from a
 BoundResult alone.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import _bracketed_newton
+from .closed_forms import _bracketed_newton, _bracketed_newton_row
 from .gaussian import _OMEGA, ProbeConfig, build_probe, probe_delta_minus_one, probe_mode1_variances
 
 __all__ = [
@@ -104,8 +109,8 @@ class DualCoefficients:
         c_y = np.array(self.c_y, dtype=float)
         if c_x.shape != c_y.shape or c_x.ndim != 1 or c_x.size not in (2, 4):
             raise ValueError("dual coefficient vectors must both have length 2 or 4")
-        pinned = np.array([c_x[0] - 1.0, c_x[1], c_y[0], c_y[1] - 1.0])
-        if not np.all(np.abs(pinned) <= 1e-12):
+        (x_1, x_2), (y_1, y_2) = c_x[:2].tolist(), c_y[:2].tolist()
+        if not all(abs(pinned) <= 1e-12 for pinned in (x_1 - 1.0, x_2, y_1, y_2 - 1.0)):
             raise ValueError("mode-1 entries violate the local unbiasedness constraints")
         c_x.flags.writeable = False
         c_y.flags.writeable = False
@@ -119,8 +124,8 @@ class DualCoefficients:
     @classmethod
     def from_free(cls, free) -> "DualCoefficients":
         """Two-mode duals from the free vector (a, b, c, d)."""
-        a, b, c, d = np.asarray(free, dtype=float)
-        return cls(np.array([1.0, 0.0, a, b]), np.array([0.0, 1.0, c, d]))
+        a, b, c, d = free
+        return cls([1.0, 0.0, a, b], [0.0, 1.0, c, d])
 
     @property
     def n_modes(self) -> int:
@@ -145,7 +150,9 @@ class BoundResult:
     infinite component.  ``converged`` certifies ``f_hcr``: the scalar-dual
     certificate for a ProbeConfig, the duality gap for a raw covariance.
     ``duals_certified`` is the duality gap of ``duals`` alone: their weighted
-    variance, evaluated from the probe covariance, matches ``f_hcr``.  The
+    variance, evaluated from the probe covariance (from A_11 and A_22 for
+    one mode), matches ``f_hcr``.  solve() fills every field in float
+    arithmetic, bit-identical to the batch_bound row.  The
     gap's terms are ~e^{4r} times the answer, so at large squeezing it can
     fail where ``converged`` holds; only a certified gap vouches for the duals.
     """
@@ -189,10 +196,10 @@ PURITY_TOL = 1e-9  # _check_pure's bound on the defect, relative to max|S|^2
 
 _EYE = {2: np.eye(2), 4: np.eye(4)}
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-_BELOW_ONE = np.nextafter(1.0, 0.0)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 _BRACKET_REL = 1e-9  # _scalar_certified's bracket half-width, relative to min(mu, 1 - mu^2) ...
 _BRACKET_MIN = 4.5e-16  # ... and at least four ulps of 1
-_KINK_ROUNDING = 8.0 * np.finfo(float).eps
+_KINK_ROUNDING = 8.0 * sys.float_info.epsilon
 _J_SIGNS = np.array([1.0, -1.0])
 
 
@@ -204,8 +211,10 @@ def _check_pure(covs: np.ndarray) -> None:
     """
     dim = covs.shape[-1]
     so = covs @ _OMEGA[dim]
-    defect = np.max(np.abs(so @ so + _EYE[dim]), axis=(-2, -1))
-    if not np.all(defect <= PURITY_TOL * np.max(np.abs(covs), axis=(-2, -1)) ** 2):
+    # Comparing every entry of the defect with the bound gives the verdict of comparing its
+    # largest, with one reduction fewer; with cold caches a reduction costs ~40 us (2-core VM).
+    bound = PURITY_TOL * abs(covs).max(axis=(-2, -1), keepdims=True) ** 2
+    if not (abs(so @ so + _EYE[dim]) <= bound).all():
         raise ValueError("covariance is not a pure Gaussian state")
 
 
@@ -275,9 +284,23 @@ def _multiplier(d1, a, c):
     return mu
 
 
-def _quadratic_root(e, k):
+def _row_multiplier(d1: float, a: float, c: float) -> float:
+    """_multiplier of one row in float arithmetic: the same start and Newton steps, so the same mu*."""
+    if not c > 0.0:
+        return 0.0
+    if not d1 > 0.0:
+        return 1.0
+    k = a / c
+    lower = max(_quadratic_root(1.0, k, math.sqrt), math.sqrt(max(1.0 - math.sqrt(d1 * (k + 2.0)), 0.0)))
+    s = (1.0 - lower) * (1.0 + lower)
+    upper = _quadratic_root(1.0 + s * s / d1, k, math.sqrt)
+    start = max(lower, min(math.sqrt(1.0 / 3.0 + 0.5 * d1), upper))
+    return _bracketed_newton_row(_kink_f_df, min(start, _BELOW_ONE), 0.0, _BELOW_ONE, d1, k)
+
+
+def _quadratic_root(e, k, sqrt=np.sqrt):
     """The positive root of 3 mu^2 + k mu - e, written not to overflow for large k."""
-    return (2.0 * e / k) / (1.0 + np.sqrt(1.0 + (12.0 * e / k) / k))
+    return (2.0 * e / k) / (1.0 + sqrt(1.0 + (12.0 * e / k) / k))
 
 
 def _duality_gap(covs, d1, w_x, w_y, mu, f):
@@ -316,6 +339,36 @@ def _duality_gap(covs, d1, w_x, w_y, mu, f):
         return (h - f) / f, free.reshape(n, -1)
 
 
+def _row_duality_gap(cov, a11, a22, d1, w_x, w_y, mu, f):
+    """_duality_gap of one row in float arithmetic, with its expressions in its order.
+
+    ``cov`` is the 4x4 covariance as nested lists, or None where the duals
+    are pinned to mode 1 (a 2x2 covariance or a one-mode configuration):
+    there Z_ii = A_ii and beta = 1, so h is phi(1) = a + 2 c.  Returns (gap,
+    free), with free the tuple (a, b, c, d), empty for pinned duals.
+    """
+    z_x, z_y, beta, free = a11, a22, 1.0, ()
+    if cov is not None:
+        rho = math.sqrt(w_x) / math.sqrt(w_y if w_y > 0.0 else 1.0)
+        s = d1 + (1.0 - mu) * (1.0 + mu)
+        adj = ((cov[3][3], -cov[3][2]), (-cov[2][3], cov[2][2]))  # rows of adj B
+        duals = []  # (a, b) and (c, d): -(adj(B) g_i + coef_i J g_j) / s
+        for g, coef, j_g in ((cov[0][2:], -mu / rho if mu > 0.0 else 0.0, (cov[1][3], -cov[1][2])),
+                             (cov[1][2:], mu * rho, (cov[0][3], -cov[0][2]))):
+            duals.append([-((0.0 + g[0] * adj_k[0]) + g[1] * adj_k[1] + coef * j_k) / s if s > 0.0 else 0.0
+                          for adj_k, j_k in zip(adj, j_g)])
+        (a, b), (c, d) = duals
+        # Z_ii = (S c_i)_i + u_i (S c_i)_2 + v_i (S c_i)_3, each (S c_i)_k summed as _duality_gap does
+        z_x, z_y = (((cov[i][i] + u * cov[i][2]) + v * cov[i][3]
+                     + u * ((cov[2][i] + u * cov[2][2]) + v * cov[2][3]))
+                    + v * ((cov[3][i] + u * cov[3][2]) + v * cov[3][3])
+                    for i, u, v in ((0, a, b), (1, c, d)))
+        beta, free = (1.0 + a * d) - b * c, (a, b, c, d)
+    h = w_x * z_x + w_y * z_y + 2.0 * math.sqrt(w_x * w_y) * abs(beta)
+    # f underflows to 0 only far outside r <= 20; the array form's 0 / 0 is nan there too
+    return ((h - f) / f if f != 0.0 else math.nan), free
+
+
 def _certified(gap):
     """The raw-covariance certificate: a duality gap within CERTIFICATE_TOL on either side.
 
@@ -323,7 +376,7 @@ def _certified(gap):
     (its terms cancel once squeezing is large), which proves nothing either
     way.  Non-finite gaps fail.
     """
-    return np.abs(gap) <= CERTIFICATE_TOL
+    return abs(gap) <= CERTIFICATE_TOL
 
 
 def _scaled_kink(mu, d1, a, c):
@@ -373,14 +426,40 @@ def _scalar_certified(d1, a, c, mu, f):
     return (upper - f <= CERTIFICATE_TOL * f) & (f - lower <= CERTIFICATE_TOL * f)
 
 
-_Rows = namedtuple("_Rows", "f unit_f w_x w_y a11 a22 d1 a c mu kappa covs")
+def _row_scalar_certified(d1: float, a: float, c: float, mu: float, f: float) -> bool:
+    """_scalar_certified of one row in float arithmetic, with its expressions in its order."""
+    half_width = max(_BRACKET_REL * min(mu, (1.0 - mu) * (1.0 + mu)), _BRACKET_MIN)
+    lo, hi = max(mu - half_width, 0.0), min(mu + half_width, 1.0)
+    s_lo = (1.0 - lo) * (1.0 + lo)
+    lower = s_lo / (d1 + s_lo) * (a + 2.0 * c * lo)
+    kink_lo, rounding_lo = _scaled_kink(lo, d1, a, c)
+    kink_hi, rounding_hi = _scaled_kink(hi, d1, a, c)
+    upper = a + 2.0 * c
+    if kink_lo > rounding_lo and kink_hi < -rounding_hi:
+        upper = min(upper, lower + 2.0 * kink_lo / ((d1 + s_lo) * (d1 + s_lo)) * (hi - lo))
+    if not c > 0.0:
+        upper = min(upper, a / (d1 + 1.0))
+    return upper - f <= CERTIFICATE_TOL * f and f - lower <= CERTIFICATE_TOL * f
 
 
-def _kernel(probe, w_x, w_y) -> _Rows:
-    """The rows of batch_bound: f, and per row the kernel's inputs and outputs on unit-sum weights.
+def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
+    """Bound values for a batch of (probe, weights) rows.
 
-    ``unit_f`` is phi(mu*) at the normalized weights ``w_x``, ``w_y``, and
-    ``f`` the bound at the given ones; ``covs`` is None for configurations.
+    ``probe`` is a ProbeConfig, a tuple ``(r1, r2, phi1, phi2, t)`` of
+    two-mode configuration arrays as probe_covariances takes them, or raw
+    pure covariances: one 2x2 or 4x4 matrix or an (N, 2, 2) or (N, 4, 4)
+    stack.  The probes and the weights ``w_x``, ``w_y`` broadcast together,
+    and the rows are that shape flattened in C order, so configuration
+    columns (T, 1) against weights (R,) build each probe once for its R rows.
+    Each row is phi at its maximizer mu* (_multiplier); one mode is the
+    t = 0 row (0, r1, 0, phi1, 0), with delta = 1.  An invalid probe, shapes
+    that do not broadcast or a bound too large for a float raise ValueError.
+    If ``info`` is a dict it receives per-row arrays: ``v_x`` and ``v_y``
+    (the tangency point) and ``certified``.  Configuration rows build no
+    covariance and are certified on the scalar dual (_scalar_certified).
+    Raw covariances are certified by their duality gap (_certified), and
+    ``info`` also receives ``gap`` (the relative duality gap) and ``free``
+    (the optimal (a, b, c, d); empty for a 2x2 covariance).
     """
     a11, a22, d1, covs = _probe_rows(probe)
     one = np.ones(np.broadcast(d1, w_x, w_y).shape or (1,))  # x * one broadcasts x exactly
@@ -409,68 +488,57 @@ def _kernel(probe, w_x, w_y) -> _Rows:
     if not np.all(np.isfinite(f)):
         row = np.argmin(np.isfinite(f))
         raise ValueError(f"the bound at weights ({given_x[row]}, {given_y[row]}) overflows a float")
-    return _Rows(f, unit_f, w_x, w_y, a11, a22, d1, a, c, mu, kappa, covs)
-
-
-def _describe(rows: _Rows) -> dict:
-    """batch_bound's ``info``: tangency, certificate and, for raw covariances, gap and duals."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root_x, root_y = np.sqrt(rows.w_x), np.sqrt(rows.w_y)  # w_y / w_x overflows for a subnormal w_x
-        info = {
-            "v_x": np.where(rows.w_x > 0.0, rows.kappa * (rows.a11 + root_y / root_x * rows.mu), np.inf),
-            "v_y": np.where(rows.w_y > 0.0, rows.kappa * (rows.a22 + root_x / root_y * rows.mu), np.inf),
-        }
-    if rows.covs is None:
-        info["certified"] = _scalar_certified(rows.d1, rows.a, rows.c, rows.mu, rows.unit_f)
-    else:
-        info["gap"], info["free"] = _duality_gap(rows.covs, rows.d1, rows.w_x, rows.w_y, rows.mu, rows.unit_f)
-        info["certified"] = _certified(info["gap"])
-    return info
-
-
-def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
-    """Bound values for a batch of (probe, weights) rows.
-
-    ``probe`` is a ProbeConfig, a tuple ``(r1, r2, phi1, phi2, t)`` of
-    two-mode configuration arrays as probe_covariances takes them, or raw
-    pure covariances: one 2x2 or 4x4 matrix or an (N, 2, 2) or (N, 4, 4)
-    stack.  The probes and the weights ``w_x``, ``w_y`` broadcast together,
-    and the rows are that shape flattened in C order, so configuration
-    columns (T, 1) against weights (R,) build each probe once for its R rows.
-    Each row is phi at its maximizer mu* (_multiplier); one mode is the
-    t = 0 row (0, r1, 0, phi1, 0), with delta = 1.  An invalid probe, shapes
-    that do not broadcast or a bound too large for a float raise ValueError.
-    If ``info`` is a dict it receives per-row arrays: ``v_x`` and ``v_y``
-    (the tangency point) and ``certified``.  Configuration rows build no
-    covariance and are certified on the scalar dual (_scalar_certified).
-    Raw covariances are certified by their duality gap (_certified), and
-    ``info`` also receives ``gap`` (the relative duality gap) and ``free``
-    (the optimal (a, b, c, d); empty for a 2x2 covariance).
-    """
-    rows = _kernel(probe, w_x, w_y)
     if info is not None:
-        info.update(_describe(rows))
-    return rows.f
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root_x, root_y = np.sqrt(w_x), np.sqrt(w_y)  # w_y / w_x overflows for a subnormal w_x
+            info["v_x"] = np.where(w_x > 0.0, kappa * (a11 + root_y / root_x * mu), np.inf)
+            info["v_y"] = np.where(w_y > 0.0, kappa * (a22 + root_x / root_y * mu), np.inf)
+        if covs is None:
+            info["certified"] = _scalar_certified(d1, a, c, mu, unit_f)
+        else:
+            info["gap"], info["free"] = _duality_gap(covs, d1, w_x, w_y, mu, unit_f)
+            info["certified"] = _certified(info["gap"])
+    return f
 
 
 def solve(probe, weights: Weights) -> BoundResult:
-    """Weighted dual-variance bound of one ProbeConfig or pure covariance: one batch_bound row.
+    """Weighted dual-variance bound of one ProbeConfig or pure covariance.
 
-    ``converged`` is the row's certificate.  The duals come from the
-    covariance, which a ProbeConfig builds for this one row, and
-    ``duals_certified`` is their duality gap.  ``iterations`` is always 0:
+    This is batch_bound's row computed in float arithmetic, with the same
+    expressions in the same order, so every field is bit-identical to that
+    row (a test pins it) without NumPy's per-call cost on one-element arrays.
+    ``converged`` is the row's certificate.  The duals of a two-mode
+    configuration come from its covariance, built for this one row, and
+    ``duals_certified`` is their duality gap; one mode pins the duals to
+    mode 1, so their gap needs no covariance.  ``iterations`` is always 0:
     the Newton steps of the kink root are not counted.
     """
     if not isinstance(probe, ProbeConfig) and np.ndim(probe) != 2:
         raise ValueError(f"covariance must be 2x2 or 4x4, got shape {np.shape(probe)}")
-    rows = _kernel(probe, weights.w_x, weights.w_y)
-    info = _describe(rows)
-    duals_certified = info["certified"]
-    if rows.covs is None:
-        covs = build_probe(probe).cov[None]
-        gap, info["free"] = _duality_gap(covs, rows.d1, rows.w_x, rows.w_y, rows.mu, rows.unit_f)
-        duals_certified = _certified(gap)
-    free = info["free"][0]
-    duals = DualCoefficients.from_free(free) if free.size else DualCoefficients.single_mode()
-    return BoundResult(float(rows.f[0]), duals, float(info["v_x"][0]), float(info["v_y"][0]),
-                       bool(info["certified"][0]), duals_certified=bool(duals_certified[0]))
+    a11, a22, d1, covs = _probe_rows(probe)
+    a11, a22, d1 = float(a11), float(a22), float(d1)
+    given_x, given_y = float(weights.w_x), float(weights.w_y)
+    half = 1.0 if max(given_x, given_y) < 2.0**1020 else 0.5
+    total = half * given_x + half * given_y
+    w_x, w_y = half * given_x / total, half * given_y / total
+    a = w_x * a11 + w_y * a22
+    c = math.sqrt(w_x * w_y)
+    mu = _row_multiplier(d1, a, c)
+    s = (1.0 - mu) * (1.0 + mu)
+    kappa = s / (d1 + s) if d1 + s > 0.0 else 1.0
+    unit_f = kappa * (a + 2.0 * c * mu)
+    f = unit_f * total / half
+    if not math.isfinite(f):
+        raise ValueError(f"the bound at weights ({given_x}, {given_y}) overflows a float")
+    root_x, root_y = math.sqrt(w_x), math.sqrt(w_y)
+    v_x = kappa * (a11 + root_y / root_x * mu) if w_x > 0.0 else math.inf
+    v_y = kappa * (a22 + root_x / root_y * mu) if w_y > 0.0 else math.inf
+    config = isinstance(probe, ProbeConfig)
+    if config:
+        covs = build_probe(probe).cov if probe.n_modes == 2 else None
+    gap, free = _row_duality_gap(covs.tolist() if covs is not None and len(covs) == 4 else None,
+                                 a11, a22, d1, w_x, w_y, mu, unit_f)
+    duals_certified = _certified(gap)
+    converged = _row_scalar_certified(d1, a, c, mu, unit_f) if config else duals_certified
+    duals = DualCoefficients.from_free(free) if free else DualCoefficients.single_mode()
+    return BoundResult(f, duals, v_x, v_y, converged, duals_certified=duals_certified)

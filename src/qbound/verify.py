@@ -55,7 +55,8 @@ def check_single_mode_closed_form(quick: bool = False) -> CheckResult:
 
     Each ratio runs with weights normalized to unit sum and with w_y = 1.  The
     grid is one batch_bound call on the t = 0 configuration rows (0, r, 0,
-    phi, 0), the route a one-mode ProbeConfig takes (solve() is one row of it).
+    phi, 0), the route a one-mode ProbeConfig takes (solve() computes the
+    same row in float arithmetic, bit-identical to it).
     """
     rs = np.arange(0.0, 1.51, 0.3 if quick else 0.1)
     phis = np.arange(0.0, math.pi / 2.0 + 1e-12, math.pi / 12.0)

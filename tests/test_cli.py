@@ -102,8 +102,9 @@ def test_bound_at_large_squeezing_is_certified(capsys):
 def test_bound_exits_3_when_the_value_fails_its_certificate(capsys, monkeypatch):
     # A kernel whose multiplier is off the maximizer reports phi below its
     # maximum; the certificate rejects it and the value is not printed.
-    multiplier = holevo._multiplier
-    monkeypatch.setattr(holevo, "_multiplier", lambda d1, a, c: 0.5 * multiplier(d1, a, c))
+    # bound calls solve, whose float row takes mu* from _row_multiplier.
+    multiplier = holevo._row_multiplier
+    monkeypatch.setattr(holevo, "_row_multiplier", lambda d1, a, c: 0.5 * multiplier(d1, a, c))
     code, out, err = run_cli(capsys, "bound", "--r1", "0.5", "--r2", "1.5", "--phi2", "0.3",
                              "--wx", "1", "--wy", "1")
     assert code == 3

@@ -268,6 +268,7 @@ def test_batch_bound_weights_near_the_float_maximum_are_finite_and_exact():
     # halving is exact and normalizes to the same weights, so only the scale differs
     assert big[0] == unit[0] * 1e308
     assert big[1] == unit[1] * 2.0**1023
+    assert [solve(cov, Weights(1e308, 1e308)).f_hcr, solve(cov, Weights(2.0**1023, 0.0)).f_hcr] == big.tolist()
 
 
 @pytest.mark.parametrize(
@@ -360,6 +361,42 @@ def test_configuration_rows_skip_the_purity_check_and_det_c(monkeypatch):
     solve(probe, Weights(1.0, 2.0))
     batch_bound((0.35, 0.69, [0.1, 2.0], [1.0, 5.0], [0.3, 0.6]), [1.0, 2.0], [2.0, 1.0], {})
     assert calls == []
+    # One mode pins the duals to mode 1, so their gap needs no covariance either.
+    one_mode = ProbeConfig(r1=0.8, phi1=0.3, n_modes=1)
+    info = {}
+    f = batch_bound(one_mode, 1.0, 3.0, info)
+    monkeypatch.setattr(holevo, "build_probe", lambda *args: calls.append("build_probe"))
+    res = solve(one_mode, Weights(1.0, 3.0))
+    assert calls == []
+    assert [res.f_hcr, res.v_x, res.v_y, res.converged] == [f[0], info["v_x"][0], info["v_y"][0], True]
+    assert res.duals_certified and res.duals.n_modes == 1
+
+
+def test_solve_does_not_go_through_the_array_kernel(monkeypatch):
+    # solve computes its row in floats: the array multiplier, its Newton
+    # search and the array duality gap never run, and the row is unchanged.
+    config = ProbeConfig(r1=0.35, r2=0.69, phi1=0.2, phi2=1.3, t=0.4)
+    probes = [build_probe(config).cov, build_probe(ProbeConfig(r1=0.8, phi1=0.3, n_modes=1)).cov, config]
+    want = [batch_bound(probe, 1.0, 2.0)[0] for probe in probes]
+
+    def refuse(*args):
+        raise AssertionError("solve went through the array kernel")
+
+    for name in ("_multiplier", "_bracketed_newton", "_duality_gap"):
+        monkeypatch.setattr(holevo, name, refuse)
+    assert [solve(probe, Weights(1.0, 2.0)).f_hcr for probe in probes] == want
+
+
+@pytest.mark.parametrize("probe, w, message", [
+    (np.diag([1.1, 1.0, 1.0, 1.0]), (1.0, 1.0), "covariance is not a pure Gaussian state"),
+    (np.stack([np.eye(4), np.eye(4)]), (1.0, 1.0), "covariance must be 2x2 or 4x4, got shape (2, 4, 4)"),
+    (np.eye(4), (1e308, 1e308), "the bound at weights (1e+308, 1e+308) overflows a float"),
+    (ProbeConfig(r1=2.0, n_modes=1), (1.0, 1e308), "the bound at weights (1.0, 1e+308) overflows a float"),
+], ids=["impure", "stack", "overflow", "config-overflow"])
+def test_solve_error_messages(probe, w, message):
+    with pytest.raises(ValueError) as excinfo:
+        solve(probe, Weights(*w))
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("config, message", [
@@ -553,25 +590,37 @@ def test_kernel_matches_closed_forms_for_all_squeezing():
 def test_a_row_does_not_depend_on_its_batch():
     # Value, tangency and gap of a row are bit-identical alone and inside a
     # 10k-row batch: every row's root search stops on its own criterion.
-    # Product probes and zero weights ride along.
+    # solve's float row gives the same value, tangency, certificate and
+    # duals bit for bit.  Product probes, zero and subnormal weights and
+    # weights >= 2**1020 (on probes with r <= 0.8, whose bound stays finite)
+    # ride along.
     rng = np.random.default_rng(43)
     n = 10_000
     u = rng.uniform(size=(n, 5))
     u[:200, 4] = np.round(u[:200, 4])
     r = np.sort(20.0 * u[:, :2] ** 3, axis=1)
+    r[600:700] *= 0.04
     covs = probe_covariances(r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
     ratio = 10.0 ** rng.uniform(-4, 4, n)
     w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
     w_x[200:300], w_y[300:400] = 0.0, 0.0
+    w_x[400:450], w_y[450:500] = 5e-324, 2.0 ** -1060
+    w_x[500:550], w_y[550:600] = 1e-310, 5e-324
+    w_x[600:700], w_y[600:700] = w_x[600:700] * 2.0**1021, w_y[600:700] * 2.0**1021
+    assert np.all(np.maximum(w_x[600:700], w_y[600:700]) >= 2.0**1020)
 
     def rows(f, info):
         return np.vstack([f, info["v_x"], info["v_y"], info["gap"]])
 
     info = {}
     batch = rows(batch_bound(covs, w_x, w_y, info), info)
-    for i in np.concatenate([np.arange(0, 400, 50), rng.choice(n, 1000, replace=False)]):
+    for i in np.concatenate([np.arange(0, 700, 25), rng.choice(n, 1000, replace=False)]):
         alone = {}
         assert rows(batch_bound(covs[i], w_x[i], w_y[i], alone), alone).tobytes() == batch[:, i:i + 1].tobytes()
+        res = solve(covs[i], Weights(w_x[i], w_y[i]))
+        assert np.array([res.f_hcr, res.v_x, res.v_y]).tobytes() == batch[:3, i].tobytes()
+        assert res.converged is res.duals_certified is bool(info["certified"][i])
+        assert res.duals.free.tobytes() == info["free"][i].tobytes()
 
 
 def _exact_kink(mu, d1, k):
