@@ -22,34 +22,33 @@ A through A_11, A_22 and delta - 1 = det A - 1 >= 0:
     phi(mu) = kappa(mu) (a + 2 c mu),  kappa = (1 - mu^2) / ((delta - 1) + (1 - mu^2)),
 
 with a = w_x A_11 + w_y A_22.  Every term is nonnegative, so phi is as
-precise as A_11, A_22 (exact to rounding) and delta - 1.  A configuration (a
-ProbeConfig, or the arrays of probe_covariances) builds no covariance: it
-reads A_11 and A_22 from gaussian.probe_mode1_variances and delta - 1 from
-gaussian.probe_delta_minus_one, a sum of nonnegative terms, so its bound is
-accurate to ~1e-14 for all r <= 20; a raw covariance gives -det C, whose
-conditioning degrades like e^{2(r1+r2)} (see _delta_minus_one).  batch_bound
-evaluates phi at its one maximizer mu* in [0, 1], a quartic root found per
-row by a bracketed Newton search, on NumPy arrays.  solve() computes the
-same row in float arithmetic (the _row_* twins of the array helpers, with
-the same expressions in the same order), so its fields are bit-identical to
-batch_bound's row, as a test pins, without NumPy's per-call cost on
-one-element arrays.  The tangency point is the weight gradient of phi.
+precise as A_11, A_22 (exact to rounding) and delta - 1.  batch_bound takes
+configurations alone (a ProbeConfig, or the arrays of probe_covariances) and
+builds no covariance: A_11 and A_22 come from gaussian.probe_mode1_variances
+and delta - 1 from gaussian.probe_delta_minus_one, a sum of nonnegative
+terms, so its bound is accurate to ~1e-14 for all r <= 20.  It evaluates phi
+at its one maximizer mu* in [0, 1], a quartic root found per row by a
+bracketed Newton search, on NumPy arrays.  solve() computes one row in float
+arithmetic with the same expressions in the same order, bit-identical to a
+configuration's batch_bound row, and alone takes a raw pure covariance,
+whose -det C degrades like e^{2(r1+r2)} (see _delta_minus_one).  The
+tangency point is the weight gradient of phi.
 
 Two certificates back ``converged``.  A configuration row is certified on
 the scalar dual (_scalar_certified): a bracket of mu* and the tangent of the
 concave phi bound max phi from above, within CERTIFICATE_TOL of phi(mu*).
 Rounding does not break it at large squeezing, but it checks the
 maximization for the given A_11, A_22 and delta - 1, not their reduction
-from the probe (the 80-digit oracle test holds that).  A raw covariance keeps the duality gap:
-the primal value h of the closed-form optimal duals, evaluated from the
-covariance, must match phi(mu*).  Its terms are ~e^{4r} times the answer, so
-it stops resolving rows from r ~ 4.5, and a scalar certificate would pass a
-wrong -det C.  Two-mode duals come from a covariance too, so solve() builds
-one for a two-mode configuration (one mode pins the duals to mode 1, where
-the gap is phi(1) = a + 2 c), and BoundResult.duals_certified is their gap,
-which extract_measurement requires.  Only gaussian, which builds covariances, and
-this module read them: simulate builds the optimal measurement from a
-BoundResult alone.
+from the probe (the 80-digit oracle test holds that).  A raw covariance
+keeps the duality gap: the primal value h of the closed-form optimal duals,
+evaluated from the covariance, must match phi(mu*).  Its terms are ~e^{4r}
+times the answer, so it stops resolving rows from r ~ 4.5, and a scalar
+certificate would pass a wrong -det C.  Two-mode duals come from a
+covariance too, so solve() builds one for a two-mode configuration (one mode
+pins the duals to mode 1, where the gap is phi(1) = a + 2 c), and
+BoundResult.duals_certified is their gap, which extract_measurement
+requires.  Only gaussian, which builds covariances, and this module read
+them: simulate builds the optimal measurement from a BoundResult alone.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import _bracketed_newton, _bracketed_newton_row
-from .gaussian import _OMEGA, ProbeConfig, build_probe, probe_delta_minus_one, probe_mode1_variances
+from .gaussian import _OMEGA, ProbeConfig, probe_covariances, probe_delta_minus_one, probe_mode1_variances
 
 __all__ = [
     "Weights",
@@ -151,10 +150,9 @@ class BoundResult:
     certificate for a ProbeConfig, the duality gap for a raw covariance.
     ``duals_certified`` is the duality gap of ``duals`` alone: their weighted
     variance, evaluated from the probe covariance (from A_11 and A_22 for
-    one mode), matches ``f_hcr``.  solve() fills every field in float
-    arithmetic, bit-identical to the batch_bound row.  The
-    gap's terms are ~e^{4r} times the answer, so at large squeezing it can
-    fail where ``converged`` holds; only a certified gap vouches for the duals.
+    one mode), matches ``f_hcr``.  The gap's terms are ~e^{4r} times the
+    answer, so at large squeezing it can fail where ``converged`` holds; only
+    a certified gap vouches for the duals.
     """
 
     f_hcr: float
@@ -186,7 +184,7 @@ class BoundResult:
 # (one mode) and otherwise the unique root of P in (0, 1).  Weak duality makes
 # phi(mu) a lower bound for every mu and h(u, v) an upper bound for every
 # feasible dual, so h(u(mu*), v(mu*)) = phi(mu*) certifies the value (the
-# raw-covariance certificate); concavity makes every tangent of phi an upper
+# duality-gap certificate); concavity makes every tangent of phi an upper
 # bound for max phi (the configuration certificate).
 
 # A row is certified when its value is within this of the certified
@@ -195,12 +193,10 @@ CERTIFICATE_TOL = 1e-9
 PURITY_TOL = 1e-9  # _check_pure's bound on the defect, relative to max|S|^2
 
 _EYE = {2: np.eye(2), 4: np.eye(4)}
-_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _BRACKET_REL = 1e-9  # _scalar_certified's bracket half-width, relative to min(mu, 1 - mu^2) ...
 _BRACKET_MIN = 4.5e-16  # ... and at least four ulps of 1
 _KINK_ROUNDING = 8.0 * sys.float_info.epsilon
-_J_SIGNS = np.array([1.0, -1.0])
 
 
 def _check_pure(covs: np.ndarray) -> None:
@@ -219,7 +215,7 @@ def _check_pure(covs: np.ndarray) -> None:
 
 
 def _delta_minus_one(covs: np.ndarray) -> np.ndarray:
-    """det A - 1 of the mode-1 marginal A of raw covariances, as -det C; 0 for one mode.
+    """det A - 1 of the mode-1 marginal A of a raw covariance, as -det C; 0 for one mode.
 
     A pure two-mode state has det A + det B + 2 det C = 2 and det A = det B,
     so det A - 1 = -det C >= 0, exactly 0 for a product probe (t in {0, 1}).
@@ -232,25 +228,21 @@ def _delta_minus_one(covs: np.ndarray) -> np.ndarray:
     return np.maximum(covs[..., 0, 3] * covs[..., 1, 2] - covs[..., 0, 2] * covs[..., 1, 3], 0.0)
 
 
-def _probe_rows(probe):
-    """(A_11, A_22, delta - 1, covariances) of a probe; the covariances only for raw ones.
+def _config_rows(probe):
+    """(A_11, A_22, delta - 1) of a ProbeConfig or a tuple of configuration arrays.
 
-    A configuration builds no covariance: A_11 and A_22 are the (0, 0) and
-    (1, 1) entries of its covariance, written with the same expressions, and
-    delta - 1 is gaussian.probe_delta_minus_one; one mode is the t = 0
-    configuration (0, r1, 0, phi1, 0).  Raw covariances alone are checked
-    for purity and read delta - 1 as -det C.
+    No covariance is built: A_11 and A_22 are the (0, 0) and (1, 1) entries
+    of its covariance, written with the same expressions, and delta - 1 is
+    gaussian.probe_delta_minus_one; one mode is the t = 0 configuration
+    (0, r1, 0, phi1, 0).  Any other probe raises ValueError.
     """
     if isinstance(probe, ProbeConfig):
         probe = ((0.0, probe.r1, 0.0, probe.phi1, 0.0) if probe.n_modes == 1
                  else (probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t))
-    if isinstance(probe, tuple):
-        return (*probe_mode1_variances(*probe), probe_delta_minus_one(*probe), None)
-    covs = np.asarray(probe, dtype=float)
-    if covs.ndim not in (2, 3) or covs.shape[-2:] not in ((2, 2), (4, 4)):
-        raise ValueError(f"covariances must be 2x2 or 4x4, got shape {covs.shape}")
-    _check_pure(covs)
-    return covs[..., 0, 0], covs[..., 1, 1], _delta_minus_one(covs), covs
+    if not isinstance(probe, tuple):
+        raise ValueError("batch_bound takes a ProbeConfig or a tuple (r1, r2, phi1, phi2, t) of configuration "
+                         f"arrays, got {type(probe).__name__}; solve takes one raw covariance")
+    return (*probe_mode1_variances(*probe), probe_delta_minus_one(*probe))
 
 
 def _kink_f_df(mu, d1, k):
@@ -303,49 +295,14 @@ def _quadratic_root(e, k, sqrt=np.sqrt):
     return (2.0 * e / k) / (1.0 + sqrt(1.0 + (12.0 * e / k) / k))
 
 
-def _duality_gap(covs, d1, w_x, w_y, mu, f):
-    """Relative gap (h - f) / f of the duals at mu against a claimed bound f, given delta - 1.
-
-    Returns (gap, free), with free the duals' entries (a, b, c, d); h is
-    formed from their second moments Z_ii = c_i' S c_i and beta = Im Z_12.
-    Weak duality makes h >= true bound >= phi(mu), so the gap of the exact
-    optimum is zero and any other (mu, f) leaves a positive one; a gap that
-    only rounding separates from zero certifies f.  Each dual is a column of
-    elementwise arithmetic with u = (a, c) and v = (b, d), summed left to
-    right: (S c_i)_k = (S_ki + u_i S_k2) + v_i S_k3 and Z_ii = ((S c_i)_i +
-    u_i (S c_i)_2) + v_i (S c_i)_3, so a row's result does not depend on its batch.
-    """
-    n = mu.size
-    z = covs.diagonal(0, 1, 2)[:, :2]  # Z_ii of the mode-1 parts alone
-    free, beta = np.zeros((n, 0)), 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if covs.shape[-1] == 4:
-            g = covs[:, :2, 2:]  # rows g_x, g_y
-            adj = (covs[:, 2:, 2:][:, ::-1, ::-1] * _ADJ_SIGNS)[:, None]  # adj B of the symmetric B
-            j_swapped = g[:, ::-1, ::-1] * _J_SIGNS  # rows J g_y, J g_x
-            rho = np.sqrt(w_x) / np.sqrt(np.where(w_y > 0.0, w_y, 1.0))
-            coef = np.array([np.where(mu > 0.0, -mu / rho, 0.0), mu * rho]).T[..., None]
-            s = (d1 + (1.0 - mu) * (1.0 + mu))[:, None, None]  # det B - mu^2
-            # Rows (a, b), (c, d) = -(adj(B) g_i + coef_i J g_j) / s; the sum starts at +0.0, so a
-            # zero dual is always -0.0.  s = 0 only at mu = delta = 1, a product probe: its duals
-            # stay on mode 1.
-            numer = (0.0 + g[..., :1] * adj[..., 0]) + g[..., 1:] * adj[..., 1] + coef * j_swapped
-            free = np.where(s > 0.0, -numer / s, 0.0)
-            u, v = free[..., 0], free[..., 1]  # (a, c) and (b, d): one column per dual
-            sc = (covs[:, :, :2] + u[:, None] * covs[:, :, 2:3]) + v[:, None] * covs[:, :, 3:4]  # S c_i
-            z = (sc.diagonal(0, 1, 2) + u * sc[:, 2]) + v * sc[:, 3]
-            beta = (1.0 + u[:, 0] * v[:, 1]) - v[:, 0] * u[:, 1]
-        h = w_x * z[:, 0] + w_y * z[:, 1] + 2.0 * np.sqrt(w_x * w_y) * np.abs(beta)
-        return (h - f) / f, free.reshape(n, -1)
-
-
 def _row_duality_gap(cov, a11, a22, d1, w_x, w_y, mu, f):
-    """_duality_gap of one row in float arithmetic, with its expressions in its order.
+    """Relative gap (h - f) / f of the duals at mu against a claimed bound f, and the duals.
 
-    ``cov`` is the 4x4 covariance as nested lists, or None where the duals
-    are pinned to mode 1 (a 2x2 covariance or a one-mode configuration):
-    there Z_ii = A_ii and beta = 1, so h is phi(1) = a + 2 c.  Returns (gap,
-    free), with free the tuple (a, b, c, d), empty for pinned duals.
+    h is the primal value of the duals (a, b, c, d), from their second
+    moments Z_ii = c_i' S c_i and beta = Im Z_12.  ``cov`` is the 4x4
+    covariance as nested lists, or None where the duals are pinned to mode 1
+    (a 2x2 covariance or a one-mode configuration): there Z_ii = A_ii and
+    beta = 1, so h is phi(1) = a + 2 c and free is empty.
     """
     z_x, z_y, beta, free = a11, a22, 1.0, ()
     if cov is not None:
@@ -358,19 +315,19 @@ def _row_duality_gap(cov, a11, a22, d1, w_x, w_y, mu, f):
             duals.append([-((0.0 + g[0] * adj_k[0]) + g[1] * adj_k[1] + coef * j_k) / s if s > 0.0 else 0.0
                           for adj_k, j_k in zip(adj, j_g)])
         (a, b), (c, d) = duals
-        # Z_ii = (S c_i)_i + u_i (S c_i)_2 + v_i (S c_i)_3, each (S c_i)_k summed as _duality_gap does
+        # Z_ii = (S c_i)_i + u_i (S c_i)_2 + v_i (S c_i)_3, with (S c_i)_k = (S_ki + u_i S_k2) + v_i S_k3
         z_x, z_y = (((cov[i][i] + u * cov[i][2]) + v * cov[i][3]
                      + u * ((cov[2][i] + u * cov[2][2]) + v * cov[2][3]))
                     + v * ((cov[3][i] + u * cov[3][2]) + v * cov[3][3])
                     for i, u, v in ((0, a, b), (1, c, d)))
         beta, free = (1.0 + a * d) - b * c, (a, b, c, d)
     h = w_x * z_x + w_y * z_y + 2.0 * math.sqrt(w_x * w_y) * abs(beta)
-    # f underflows to 0 only far outside r <= 20; the array form's 0 / 0 is nan there too
+    # f underflows to 0 only far outside r <= 20; a nan gap fails the certificate
     return ((h - f) / f if f != 0.0 else math.nan), free
 
 
 def _certified(gap):
-    """The raw-covariance certificate: a duality gap within CERTIFICATE_TOL on either side.
+    """The duality-gap certificate: a gap within CERTIFICATE_TOL on either side.
 
     A gap below -CERTIFICATE_TOL means the primal value h lost its precision
     (its terms cancel once squeezing is large), which proves nothing either
@@ -443,28 +400,23 @@ def _row_scalar_certified(d1: float, a: float, c: float, mu: float, f: float) ->
 
 
 def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
-    """Bound values for a batch of (probe, weights) rows.
+    """Bound values for a batch of (configuration, weights) rows.
 
-    ``probe`` is a ProbeConfig, a tuple ``(r1, r2, phi1, phi2, t)`` of
-    two-mode configuration arrays as probe_covariances takes them, or raw
-    pure covariances: one 2x2 or 4x4 matrix or an (N, 2, 2) or (N, 4, 4)
-    stack.  The probes and the weights ``w_x``, ``w_y`` broadcast together,
-    and the rows are that shape flattened in C order, so configuration
-    columns (T, 1) against weights (R,) build each probe once for its R rows.
-    Each row is phi at its maximizer mu* (_multiplier); one mode is the
-    t = 0 row (0, r1, 0, phi1, 0), with delta = 1.  An invalid probe, shapes
-    that do not broadcast or a bound too large for a float raise ValueError.
-    If ``info`` is a dict it receives per-row arrays: ``v_x`` and ``v_y``
-    (the tangency point) and ``certified``.  Configuration rows build no
-    covariance and are certified on the scalar dual (_scalar_certified).
-    Raw covariances are certified by their duality gap (_certified), and
-    ``info`` also receives ``gap`` (the relative duality gap) and ``free``
-    (the optimal (a, b, c, d); empty for a 2x2 covariance).
+    ``probe`` is a ProbeConfig or a tuple ``(r1, r2, phi1, phi2, t)`` of
+    two-mode configuration arrays as probe_covariances takes them; a raw
+    covariance goes to solve.  The probes and the weights ``w_x``, ``w_y``
+    broadcast together, and the rows are that shape flattened in C order, so
+    configuration columns (T, 1) against weights (R,) build each probe once
+    for its R rows.  Each row is phi at its maximizer mu* (_multiplier); one
+    mode is the t = 0 row (0, r1, 0, phi1, 0), with delta = 1.  Any other
+    probe, an invalid configuration, shapes that do not broadcast or a bound
+    too large for a float raise ValueError.  If ``info`` is a dict it
+    receives per-row arrays: ``v_x`` and ``v_y`` (the tangency point) and
+    ``certified``.  No row builds a covariance, and each is certified on the
+    scalar dual (_scalar_certified).
     """
-    a11, a22, d1, covs = _probe_rows(probe)
+    a11, a22, d1 = _config_rows(probe)
     one = np.ones(np.broadcast(d1, w_x, w_y).shape or (1,))  # x * one broadcasts x exactly
-    if covs is not None:
-        covs = (covs * one[..., None, None]).reshape((-1,) + covs.shape[-2:])
     a11, a22, d1, w_x, w_y = ((np.asarray(x, dtype=float) * one).ravel() for x in (a11, a22, d1, w_x, w_y))
     finite = np.isfinite(w_x) & np.isfinite(w_y)
     if not np.all(finite & (np.minimum(w_x, w_y) >= 0.0) & (np.maximum(w_x, w_y) > 0.0)):
@@ -493,30 +445,40 @@ def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
             root_x, root_y = np.sqrt(w_x), np.sqrt(w_y)  # w_y / w_x overflows for a subnormal w_x
             info["v_x"] = np.where(w_x > 0.0, kappa * (a11 + root_y / root_x * mu), np.inf)
             info["v_y"] = np.where(w_y > 0.0, kappa * (a22 + root_x / root_y * mu), np.inf)
-        if covs is None:
-            info["certified"] = _scalar_certified(d1, a, c, mu, unit_f)
-        else:
-            info["gap"], info["free"] = _duality_gap(covs, d1, w_x, w_y, mu, unit_f)
-            info["certified"] = _certified(info["gap"])
+        info["certified"] = _scalar_certified(d1, a, c, mu, unit_f)
     return f
 
 
 def solve(probe, weights: Weights) -> BoundResult:
-    """Weighted dual-variance bound of one ProbeConfig or pure covariance.
+    """Weighted dual-variance bound of one ProbeConfig or one raw pure 2x2 or 4x4 covariance.
 
-    This is batch_bound's row computed in float arithmetic, with the same
-    expressions in the same order, so every field is bit-identical to that
-    row (a test pins it) without NumPy's per-call cost on one-element arrays.
-    ``converged`` is the row's certificate.  The duals of a two-mode
-    configuration come from its covariance, built for this one row, and
-    ``duals_certified`` is their duality gap; one mode pins the duals to
-    mode 1, so their gap needs no covariance.  ``iterations`` is always 0:
-    the Newton steps of the kink root are not counted.
+    A configuration's fields are bit-identical to its batch_bound row (a test
+    pins it), computed in float arithmetic without NumPy's per-call cost.
+    ``converged`` is the row's certificate: the scalar dual for a
+    configuration, the duality gap for a raw covariance, which alone is
+    checked for purity and reads delta - 1 as -det C.  ``duals_certified`` is
+    the duals' duality gap; a two-mode configuration builds its covariance
+    once for them and reads A_11 and A_22 off it, and one mode pins them to
+    mode 1.  ``iterations`` is always 0: Newton steps are not counted.
     """
-    if not isinstance(probe, ProbeConfig) and np.ndim(probe) != 2:
-        raise ValueError(f"covariance must be 2x2 or 4x4, got shape {np.shape(probe)}")
-    a11, a22, d1, covs = _probe_rows(probe)
-    a11, a22, d1 = float(a11), float(a22), float(d1)
+    config = isinstance(probe, ProbeConfig)
+    if config and probe.n_modes == 2:
+        columns = (probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t)
+        cov = probe_covariances(*columns).tolist()
+        a11, a22, d1 = cov[0][0], cov[1][1], float(probe_delta_minus_one(*columns))
+    elif config:
+        cov = None
+        a11, a22, d1 = (float(x) for x in _config_rows(probe))
+    else:
+        shape = np.shape(probe)  # np.asarray(GaussianState, dtype=float) would raise TypeError
+        if shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"covariance{'s' if len(shape) == 2 else ''} must be 2x2 or 4x4, got shape {shape}")
+        matrix = np.asarray(probe, dtype=float)
+        _check_pure(matrix)
+        d1, cov = float(_delta_minus_one(matrix)), matrix.tolist()
+        a11, a22 = cov[0][0], cov[1][1]
+        if len(cov) == 2:
+            cov = None  # one mode pins the duals to mode 1
     given_x, given_y = float(weights.w_x), float(weights.w_y)
     half = 1.0 if max(given_x, given_y) < 2.0**1020 else 0.5
     total = half * given_x + half * given_y
@@ -533,11 +495,7 @@ def solve(probe, weights: Weights) -> BoundResult:
     root_x, root_y = math.sqrt(w_x), math.sqrt(w_y)
     v_x = kappa * (a11 + root_y / root_x * mu) if w_x > 0.0 else math.inf
     v_y = kappa * (a22 + root_x / root_y * mu) if w_y > 0.0 else math.inf
-    config = isinstance(probe, ProbeConfig)
-    if config:
-        covs = build_probe(probe).cov if probe.n_modes == 2 else None
-    gap, free = _row_duality_gap(covs.tolist() if covs is not None and len(covs) == 4 else None,
-                                 a11, a22, d1, w_x, w_y, mu, unit_f)
+    gap, free = _row_duality_gap(cov, a11, a22, d1, w_x, w_y, mu, unit_f)
     duals_certified = _certified(gap)
     converged = _row_scalar_certified(d1, a, c, mu, unit_f) if config else duals_certified
     duals = DualCoefficients.from_free(free) if free else DualCoefficients.single_mode()

@@ -18,7 +18,7 @@ from qbound.gaussian import (
     squeezing_db_to_r,
     symplectic_form,
 )
-from qbound.holevo import batch_bound
+from qbound.holevo import Weights, solve
 
 R_3DB = 0.5 * math.log(2.0)  # e^{-2r} = 1/2
 
@@ -198,10 +198,10 @@ def test_validate_vacuum_and_unphysical():
     # The bound validates its input as a pure state: the vacuum passes; an
     # unphysical, a thermal and a non-finite covariance raise ValueError.
     for n in (2, 4):
-        assert batch_bound(np.eye(n), [1.0], [1.0])[0] == pytest.approx(4.0)
+        assert solve(np.eye(n), Weights(1.0, 1.0)).f_hcr == pytest.approx(4.0)
         for bad in (0.5 * np.eye(n), 2.5 * np.eye(n), np.full((n, n), math.nan)):
             with pytest.raises(ValueError, match="not a pure"):
-                batch_bound(bad, [1.0], [1.0])
+                solve(bad, Weights(1.0, 1.0))
 
 
 def test_validate_probe_outputs():
@@ -211,7 +211,7 @@ def test_validate_probe_outputs():
     u = rng.uniform(size=(2000, 5))
     r = np.sort(20.0 * u[:, :2], axis=1)
     covs = probe_covariances(r[:, 0], r[:, 1], 2 * math.pi * u[:, 2], 2 * math.pi * u[:, 3], u[:, 4])
-    assert np.all(np.isfinite(batch_bound(covs, np.ones(2000), np.ones(2000))))
+    assert all(math.isfinite(solve(cov, Weights(1.0, 1.0)).f_hcr) for cov in covs)
 
 
 def test_symplectic_invariant_under_composition():

@@ -98,8 +98,9 @@ def test_solve_single_mode_is_closed_path():
 
 def test_one_mode_config_tuple_and_covariance_rows_are_bit_identical():
     # A one-mode ProbeConfig is the t = 0 configuration (0, r, 0, phi, 0):
-    # its value, tangency and certificate equal those of that tuple and of
-    # its raw 2x2 covariance bit for bit, through batch_bound and solve.
+    # its value, tangency and certificate equal those of that tuple bit for
+    # bit, through batch_bound and solve, and so do those of solve on its raw
+    # 2x2 covariance.
     rng = np.random.default_rng(23)
     n_configs, n_ratios = 1000, 5
     r, phi = rng.uniform(0.0, 20.0, n_configs), rng.uniform(0.0, 2.0 * math.pi, n_configs)
@@ -113,10 +114,9 @@ def test_one_mode_config_tuple_and_covariance_rows_are_bit_identical():
         return np.stack([f, info["v_x"], info["v_y"], info["certified"]], axis=-1)
 
     from_tuple = rows((0.0, r[:, None], 0.0, phi[:, None], 0.0), w_x)
-    from_covs = rows(covs, w_x.ravel())
     from_configs = np.concatenate([rows(config, w) for config, w in zip(configs, w_x)])
     assert np.all(from_tuple[:, 3] == 1.0)
-    assert np.array_equal(from_configs, from_tuple) and np.array_equal(from_covs, from_tuple)
+    assert np.array_equal(from_configs, from_tuple)
     for probe, w, want in zip(np.repeat(configs, n_ratios), w_x.ravel(), from_tuple):
         res = solve(probe, Weights(w, 1.0))
         assert [res.f_hcr, res.v_x, res.v_y, res.converged] == want.tolist()
@@ -132,7 +132,8 @@ def test_single_mode_check_builds_no_covariance(monkeypatch):
         raise AssertionError("the single-mode check built a covariance")
 
     for module in (gaussian, holevo, verify):
-        monkeypatch.setattr(module, "build_probe", refuse, raising=False)
+        for name in ("build_probe", "probe_covariances"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     monkeypatch.setattr(holevo, "_check_pure", refuse)
     assert verify.check_single_mode_closed_form(quick=False).passed
 
@@ -231,23 +232,19 @@ def test_swap_symmetry():
 
 def test_batch_bound_matches_solve():
     rng = np.random.default_rng(19)
-    covs, w_x, w_y = [], [], []
+    configs, w_x, w_y = [], [], []
     for _ in range(25):
         r1, r2 = np.sort(rng.uniform(0.0, 1.3, 2))
-        covs.append(
-            build_probe(
-                ProbeConfig(
-                    r1=r1, r2=r2, phi1=rng.uniform(0, math.pi),
-                    phi2=rng.uniform(0, math.pi), t=rng.uniform(0, 1),
-                )
-            ).cov
-        )
+        configs.append(ProbeConfig(
+            r1=r1, r2=r2, phi1=rng.uniform(0, math.pi), phi2=rng.uniform(0, math.pi), t=rng.uniform(0, 1),
+        ))
         w_x.append(10.0 ** rng.uniform(-1.5, 1.5))
         w_y.append(10.0 ** rng.uniform(-1.5, 1.5))
-    values = batch_bound(np.array(covs), np.array(w_x), np.array(w_y))
-    for cov, wx, wy, val in zip(covs, w_x, w_y, values):
+    columns = tuple(np.array([getattr(p, k) for p in configs]) for k in ("r1", "r2", "phi1", "phi2", "t"))
+    values = batch_bound(columns, np.array(w_x), np.array(w_y))
+    for config, wx, wy, val in zip(configs, w_x, w_y, values):
         # one solver path: solve() is a batch_bound row
-        assert solve(cov, Weights(wx, wy)).f_hcr == val
+        assert solve(config, Weights(wx, wy)).f_hcr == val
 
 
 def test_solve_on_a_configuration_is_its_batch_row():
@@ -261,14 +258,15 @@ def test_solve_on_a_configuration_is_its_batch_row():
 
 
 def test_batch_bound_weights_near_the_float_maximum_are_finite_and_exact():
-    cov = build_probe(ProbeConfig(r1=2.0, r2=2.0, phi2=math.pi / 2.0, t=0.5)).cov
-    unit = batch_bound(cov, [1.0, 1.0], [1.0, 0.0])
+    config = ProbeConfig(r1=2.0, r2=2.0, phi2=math.pi / 2.0, t=0.5)
+    columns = (2.0, 2.0, 0.0, math.pi / 2.0, 0.5)
+    unit = batch_bound(columns, [1.0, 1.0], [1.0, 0.0])
     with np.errstate(all="raise"):
-        big = batch_bound(cov, [1e308, 2.0**1023], [1e308, 0.0])
+        big = batch_bound(columns, [1e308, 2.0**1023], [1e308, 0.0])
     # halving is exact and normalizes to the same weights, so only the scale differs
     assert big[0] == unit[0] * 1e308
     assert big[1] == unit[1] * 2.0**1023
-    assert [solve(cov, Weights(1e308, 1e308)).f_hcr, solve(cov, Weights(2.0**1023, 0.0)).f_hcr] == big.tolist()
+    assert [solve(config, Weights(1e308, 1e308)).f_hcr, solve(config, Weights(2.0**1023, 0.0)).f_hcr] == big.tolist()
 
 
 @pytest.mark.parametrize(
@@ -276,10 +274,10 @@ def test_batch_bound_weights_near_the_float_maximum_are_finite_and_exact():
     [([0.0], [0.0]), ([1.0], [math.nan]), ([-1.0], [2.0]), ([1.0, math.inf], [1.0, 1.0])],
 )
 def test_batch_bound_rejects_weight_rows_that_weights_rejects(w_x, w_y):
-    cov = build_probe(ProbeConfig(r1=0.4, phi1=0.0, n_modes=1)).cov
+    config = ProbeConfig(r1=0.4, phi1=0.0, n_modes=1)
     with pytest.raises(ValueError, match="weights must be finite, >= 0 and not both zero"):
-        batch_bound(cov, w_x, w_y)
-    assert batch_bound(cov, [0.0], [1.0])[0] == solve(cov, Weights(0.0, 1.0)).f_hcr  # one zero is valid
+        batch_bound(config, w_x, w_y)
+    assert batch_bound(config, [0.0], [1.0])[0] == solve(config, Weights(0.0, 1.0)).f_hcr  # one zero is valid
 
 
 # Near-product probes (t close to 0 or 1), where an earlier candidate search
@@ -298,7 +296,6 @@ def test_near_product_probes_reach_the_attained_value(probe, w):
     res = solve(cov, w)
     assert res.f_hcr <= attained * (1.0 + 1e-9)
     assert res.f_hcr == pytest.approx(attained, rel=1e-11)
-    assert res.f_hcr == batch_bound(cov, w.w_x, w.w_y)[0]
     opt = cf.optimal_config(w.w_x, w.w_y, probe.r1, probe.r2)
     assert res.f_hcr >= w.w_x * opt.v_x + w.w_y * opt.v_y
     assert res.converged
@@ -336,13 +333,12 @@ def test_kernel_matches_the_oracle_at_quarter_angles_and_product_probes():
             t = float(rng.integers(0, 2))
         probes.append(ProbeConfig(r1=r1, r2=r2, phi1=phi1, phi2=phi2, t=t))
     ratio = 10.0 ** rng.uniform(-3.0, 3.0, len(probes))
-    covs = np.array([build_probe(p).cov for p in probes])
-    values = batch_bound(covs, ratio, np.ones(len(probes)))
-    for probe, w_x, value in zip(probes, ratio, values):
+    for probe, w_x in zip(probes, ratio):
+        value = solve(build_probe(probe).cov, Weights(w_x, 1.0)).f_hcr
         assert value == pytest.approx(oracle.bound(probe, Weights(w_x, 1.0)), rel=1e-13, abs=0.0)
 
 
-def test_batch_bound_reads_delta_minus_one_once(monkeypatch):
+def test_solve_reads_delta_minus_one_once(monkeypatch):
     # The duality gap reuses the kernel's delta - 1 instead of recomputing it.
     calls = []
     delta_minus_one = holevo._delta_minus_one
@@ -365,7 +361,9 @@ def test_configuration_rows_skip_the_purity_check_and_det_c(monkeypatch):
     one_mode = ProbeConfig(r1=0.8, phi1=0.3, n_modes=1)
     info = {}
     f = batch_bound(one_mode, 1.0, 3.0, info)
-    monkeypatch.setattr(holevo, "build_probe", lambda *args: calls.append("build_probe"))
+    for module in (gaussian, holevo):
+        for name in ("build_probe", "probe_covariances"):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name), raising=False)
     res = solve(one_mode, Weights(1.0, 3.0))
     assert calls == []
     assert [res.f_hcr, res.v_x, res.v_y, res.converged] == [f[0], info["v_x"][0], info["v_y"][0], True]
@@ -374,15 +372,16 @@ def test_configuration_rows_skip_the_purity_check_and_det_c(monkeypatch):
 
 def test_solve_does_not_go_through_the_array_kernel(monkeypatch):
     # solve computes its row in floats: the array multiplier, its Newton
-    # search and the array duality gap never run, and the row is unchanged.
+    # search and the array certificate never run, and the row is unchanged.
     config = ProbeConfig(r1=0.35, r2=0.69, phi1=0.2, phi2=1.3, t=0.4)
     probes = [build_probe(config).cov, build_probe(ProbeConfig(r1=0.8, phi1=0.3, n_modes=1)).cov, config]
-    want = [batch_bound(probe, 1.0, 2.0)[0] for probe in probes]
+    want = [solve(probe, Weights(1.0, 2.0)).f_hcr for probe in probes]
+    assert want[2] == batch_bound(config, 1.0, 2.0)[0]
 
     def refuse(*args):
         raise AssertionError("solve went through the array kernel")
 
-    for name in ("_multiplier", "_bracketed_newton", "_duality_gap"):
+    for name in ("_multiplier", "_bracketed_newton", "_scalar_certified"):
         monkeypatch.setattr(holevo, name, refuse)
     assert [solve(probe, Weights(1.0, 2.0)).f_hcr for probe in probes] == want
 
@@ -409,6 +408,18 @@ def test_solve_error_messages(probe, w, message):
 def test_batch_bound_rejects_invalid_configuration_arrays(config, message):
     with pytest.raises(ValueError, match=message):
         batch_bound(config, [1.0, 1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("probe", [
+    build_probe(ProbeConfig(r1=0.4, phi1=0.0, n_modes=1)).cov,
+    fig2b_cov(),
+    np.stack([fig2b_cov(), np.eye(4)]),
+    build_probe(ProbeConfig(r1=0.4, phi1=0.0, n_modes=1)),
+], ids=["2x2", "4x4", "stack", "GaussianState"])
+def test_batch_bound_refuses_raw_covariances(probe):
+    # batch_bound takes configurations alone; a raw covariance goes to solve.
+    with pytest.raises(ValueError, match=r"takes a ProbeConfig or a tuple \(r1, r2, phi1, phi2, t\)"):
+        batch_bound(probe, 1.0, 1.0)
 
 
 def test_configurations_match_the_oracle_over_the_whole_contract():
@@ -478,14 +489,16 @@ def test_certificate_rejects_mutated_kernels():
     w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
     d1, a, c = holevo._delta_minus_one(covs), w_x * covs[:, 0, 0] + w_y * covs[:, 1, 1], np.sqrt(w_x * w_y)
     mu = holevo._multiplier(d1, a, c)
-    f = batch_bound(covs, w_x, w_y)
+    f = np.array([solve(cov, Weights(wx, wy)).f_hcr for cov, wx, wy in zip(covs, w_x, w_y)])
     assert np.count_nonzero(mu == 1.0) == 30
     # phi(0) = a / delta, and phi(1) = 0 once delta > 1.
     wrong_mu = np.where(mu == 1.0, 0.0, 1.0)
     wrong_f = np.where(mu == 1.0, a / (1.0 + d1), 0.0)
 
     def certified(mu_k, f_k):
-        return holevo._certified(holevo._duality_gap(covs, d1, w_x, w_y, mu_k, f_k)[0])
+        rows = zip(covs.tolist(), d1.tolist(), w_x.tolist(), w_y.tolist(), mu_k.tolist(), f_k.tolist())
+        return np.array([holevo._certified(holevo._row_duality_gap(cov, cov[0][0], cov[1][1], *row)[0])
+                         for cov, *row in rows])
 
     assert certified(mu, f).all()
     assert not certified(mu, np.zeros_like(f)).any()
@@ -543,12 +556,13 @@ def test_gap_is_the_primal_value_of_the_reported_duals():
     ratio = 10.0 ** rng.uniform(-3, 3, n)
     w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
     w_x[20:60], w_y[60:100] = 0.0, 0.0
-    info = {}
-    f = batch_bound(covs, w_x, w_y, info)
-    for i in range(n):
-        duals = DualCoefficients.from_free(info["free"][i])
-        want = (primal(covs[i], Weights(w_x[i], w_y[i]), duals) - f[i]) / f[i]
-        assert abs(info["gap"][i] - want) <= 1e-12
+    for cov, wx, wy in zip(covs, w_x, w_y):
+        f = solve(cov, Weights(wx, wy)).f_hcr
+        d1, a, c = float(holevo._delta_minus_one(cov)), wx * cov[0, 0] + wy * cov[1, 1], math.sqrt(wx * wy)
+        mu = holevo._row_multiplier(d1, a, c)
+        gap, free = holevo._row_duality_gap(cov.tolist(), cov[0, 0], cov[1, 1], d1, wx, wy, mu, f)
+        want = (primal(cov, Weights(wx, wy), DualCoefficients.from_free(free)) - f) / f
+        assert abs(gap - want) <= 1e-12
 
 
 def test_kernel_matches_closed_forms_for_all_squeezing():
@@ -580,7 +594,7 @@ def test_kernel_matches_closed_forms_for_all_squeezing():
                 cf.single_mode_line(ratio, 1.0, r_mode1, phi_mode1), True)
         add(probe_covariances(r1, r2, phi1, phi2, rng.uniform()), ratio, 1.0,
             ratio * opt.v_x + opt.v_y, False)
-    got = batch_bound(np.array(covs), w_x, w_y)
+    got = np.array([solve(cov, Weights(wx, wy)).f_hcr for cov, wx, wy in zip(covs, w_x, w_y)])
     rel = (got - np.array(refs)) / np.array(refs)
     exact = np.array(exact)
     assert np.max(np.abs(rel[exact])) <= 1e-13
@@ -588,19 +602,20 @@ def test_kernel_matches_closed_forms_for_all_squeezing():
 
 
 def test_a_row_does_not_depend_on_its_batch():
-    # Value, tangency and gap of a row are bit-identical alone and inside a
-    # 10k-row batch: every row's root search stops on its own criterion.
-    # solve's float row gives the same value, tangency, certificate and
-    # duals bit for bit.  Product probes, zero and subnormal weights and
-    # weights >= 2**1020 (on probes with r <= 0.8, whose bound stays finite)
-    # ride along.
+    # Value, tangency and certificate of a configuration row are
+    # bit-identical alone and inside a 10k-row batch: every row's root search
+    # stops on its own criterion.  solve's float row gives the same value,
+    # tangency and certificate bit for bit, and its duals have the bound as
+    # their primal value wherever r2 <= 2.  Product probes, zero and
+    # subnormal weights and weights >= 2**1020 (on probes with r <= 0.8,
+    # whose bound stays finite) ride along.
     rng = np.random.default_rng(43)
     n = 10_000
     u = rng.uniform(size=(n, 5))
     u[:200, 4] = np.round(u[:200, 4])
     r = np.sort(20.0 * u[:, :2] ** 3, axis=1)
     r[600:700] *= 0.04
-    covs = probe_covariances(r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
+    config = (r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
     ratio = 10.0 ** rng.uniform(-4, 4, n)
     w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
     w_x[200:300], w_y[300:400] = 0.0, 0.0
@@ -610,17 +625,23 @@ def test_a_row_does_not_depend_on_its_batch():
     assert np.all(np.maximum(w_x[600:700], w_y[600:700]) >= 2.0**1020)
 
     def rows(f, info):
-        return np.vstack([f, info["v_x"], info["v_y"], info["gap"]])
+        return np.vstack([f, info["v_x"], info["v_y"], info["certified"]])
 
     info = {}
-    batch = rows(batch_bound(covs, w_x, w_y, info), info)
+    batch = rows(batch_bound(config, w_x, w_y, info), info)
     for i in np.concatenate([np.arange(0, 700, 25), rng.choice(n, 1000, replace=False)]):
         alone = {}
-        assert rows(batch_bound(covs[i], w_x[i], w_y[i], alone), alone).tobytes() == batch[:, i:i + 1].tobytes()
-        res = solve(covs[i], Weights(w_x[i], w_y[i]))
+        row = tuple(column[i] for column in config)
+        assert rows(batch_bound(row, w_x[i], w_y[i], alone), alone).tobytes() == batch[:, i:i + 1].tobytes()
+        res = solve(ProbeConfig(*row), Weights(w_x[i], w_y[i]))
         assert np.array([res.f_hcr, res.v_x, res.v_y]).tobytes() == batch[:3, i].tobytes()
-        assert res.converged is res.duals_certified is bool(info["certified"][i])
-        assert res.duals.free.tobytes() == info["free"][i].tobytes()
+        assert res.converged is bool(info["certified"][i])
+        if r[i, 1] <= 2.0:
+            total = 0.5 * w_x[i] + 0.5 * w_y[i]  # unit weights, as weights >= 2**1020 overflow primal()
+            unit = Weights(0.5 * w_x[i] / total, 0.5 * w_y[i] / total)
+            value = 0.5 * res.f_hcr / total
+            assert res.duals_certified
+            assert abs(primal(probe_covariances(*row), unit, res.duals) - value) <= 1e-12 * value
 
 
 def _exact_kink(mu, d1, k):

@@ -6,7 +6,7 @@ import pytest
 from qbound import closed_forms as cf
 from qbound import gaussian, holevo, regions, verify
 from qbound.gaussian import ProbeConfig, build_probe
-from qbound.holevo import batch_bound
+from qbound.holevo import Weights, batch_bound, solve
 
 
 def test_boundary_single_mode_equal_weights():
@@ -44,10 +44,8 @@ def test_boundary_tangency_matches_dual_formula():
     for point in regions.boundary_for_config(probe, ratios):
         w_x = point.w_ratio / (1.0 + point.w_ratio)
         w_y = 1.0 - w_x
-        f = batch_bound(
-            cov, np.array([w_x * (1 + h), w_x * (1 - h), w_x, w_x]),
-            np.array([w_y, w_y, w_y * (1 + h), w_y * (1 - h)]),
-        )
+        f = [solve(cov, Weights(wx, wy)).f_hcr
+             for wx, wy in ((w_x * (1 + h), w_y), (w_x * (1 - h), w_y), (w_x, w_y * (1 + h)), (w_x, w_y * (1 - h)))]
         assert point.v_x == pytest.approx((f[0] - f[1]) / (2 * h * w_x), rel=1e-6)
         assert point.v_y == pytest.approx((f[2] - f[3]) / (2 * h * w_y), rel=1e-6)
         assert point.converged
