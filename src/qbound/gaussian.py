@@ -97,10 +97,14 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0 or cov.size == 0:
             raise ValueError(f"cov must be a square matrix of even size, got shape {cov.shape}")
-        asymmetry = np.max(np.abs(cov - cov.T))
-        if not (asymmetry <= SYMMETRY_TOL or asymmetry <= SYMMETRY_TOL * np.max(np.abs(cov))):
+        # Within SYMMETRY_TOL, or within SYMMETRY_TOL times the largest entry, is within
+        # SYMMETRY_TOL * max(1, largest); a nan entry, or inf - inf, fails the comparison.
+        entries, mirrored = cov.ravel().tolist(), cov.T.ravel().tolist()
+        bound = SYMMETRY_TOL * max(1.0, max(map(abs, entries)))
+        if not all(abs(x - y) <= bound for x, y in zip(entries, mirrored)):
             raise ValueError("covariance matrix is not symmetric")
-        object.__setattr__(self, "cov", _frozen_array(0.5 * (cov + cov.T)))
+        symmetric, n = [0.5 * (x + y) for x, y in zip(entries, mirrored)], len(cov)
+        object.__setattr__(self, "cov", _frozen_array([symmetric[k : k + n] for k in range(0, n * n, n)]))
 
     @property
     def n_modes(self) -> int:
@@ -193,11 +197,35 @@ def _mixing_stacks(t, phi, target_mode: int) -> tuple[np.ndarray, np.ndarray]:
     return mixing.reshape(-1, 4, 4), rot
 
 
+def _rotated_entries(e_m, e_p, c, s):
+    """Entries (xx, xy, yy) of ``R diag(e_m, e_p) R^T`` with R = [[c, -s], [s, c]]: arrays or floats."""
+    return e_m * c * c + e_p * s * s, (e_m - e_p) * c * s, e_m * s * s + e_p * c * c
+
+
 def _squeezed_entries(r, phi):
     """Entries (xx, xy, yy) of ``R(phi) diag(e^{-2r}, e^{2r}) R(phi)^T``, broadcast over r and phi."""
     r = np.asarray(r, dtype=float)
-    e_m, e_p, c, s = np.exp(-2.0 * r), np.exp(2.0 * r), np.cos(phi), np.sin(phi)
-    return e_m * c * c + e_p * s * s, (e_m - e_p) * c * s, e_m * s * s + e_p * c * c
+    return _rotated_entries(np.exp(-2.0 * r), np.exp(2.0 * r), np.cos(phi), np.sin(phi))
+
+
+def _probe_cov_row(r1, r2, phi1, phi2, t) -> list[list[float]]:
+    """One row of probe_covariances as nested float lists, bit-identical to it (a test pins it).
+
+    The same expressions in the same order, for a configuration already
+    checked (a ProbeConfig).  e^{+-2r} comes from one np.exp call: math.exp
+    can round differently.
+    """
+    r1, r2, phi1, phi2, t = float(r1), float(r2), float(phi1), float(phi2), float(t)
+    e_m1, e_p1, e_m2, e_p2 = np.exp([-2.0 * r1, 2.0 * r1, -2.0 * r2, 2.0 * r2]).tolist()
+    xx1, xy1, yy1 = _rotated_entries(e_m1, e_p1, math.cos(phi1), math.sin(phi1))
+    xx2, xy2, yy2 = _rotated_entries(e_m2, e_p2, math.cos(phi2), math.sin(phi2))
+    u = 1.0 - t
+    a_xy, b_xy, g = t * xy1 + u * xy2, u * xy1 + t * xy2, math.sqrt(t * u)
+    c_xx, c_xy, c_yy = g * (xx2 - xx1), g * (xy2 - xy1), g * (yy2 - yy1)
+    return [[t * xx1 + u * xx2, a_xy, c_xx, c_xy],
+            [a_xy, t * yy1 + u * yy2, c_xy, c_yy],
+            [c_xx, c_xy, u * xx1 + t * xx2, b_xy],
+            [c_xy, c_yy, b_xy, u * yy1 + t * yy2]]
 
 
 def _squeezed_marginal(r, phi) -> np.ndarray:
@@ -271,11 +299,14 @@ def build_probe(config: ProbeConfig) -> GaussianState:
 
     For two modes: squeeze both inputs, rotate them by ``phi1`` and ``phi2``,
     and mix them on a beam splitter of transmissivity ``t``: one row of
-    probe_covariances.  One mode is the rotated squeezed state.
+    probe_covariances, computed in float arithmetic (_probe_cov_row).  One
+    mode is the rotated squeezed state, in the same float form.
     """
     if config.n_modes == 1:
-        return GaussianState(_squeezed_marginal(config.r1, config.phi1))
-    return GaussianState(probe_covariances(config.r1, config.r2, config.phi1, config.phi2, config.t))
+        r, phi = float(config.r1), float(config.phi1)
+        xx, xy, yy = _rotated_entries(*np.exp([-2.0 * r, 2.0 * r]).tolist(), math.cos(phi), math.sin(phi))
+        return GaussianState([[xx, xy], [xy, yy]])
+    return GaussianState(_probe_cov_row(config.r1, config.r2, config.phi1, config.phi2, config.t))
 
 
 def probe_factors(config: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:

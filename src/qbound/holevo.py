@@ -44,10 +44,12 @@ keeps the duality gap: the primal value h of the closed-form optimal duals,
 evaluated from the covariance, must match phi(mu*).  Its terms are ~e^{4r}
 times the answer, so it stops resolving rows from r ~ 4.5, and a scalar
 certificate would pass a wrong -det C.  Two-mode duals come from a
-covariance too, so solve() builds one for a two-mode configuration (one mode
-pins the duals to mode 1, where the gap is phi(1) = a + 2 c), and
-BoundResult.duals_certified is their gap, which extract_measurement
-requires.  Only gaussian, which builds covariances, and this module read
+covariance too, so solve() builds one for a two-mode configuration, a float
+row bit-identical to a probe_covariances row (a test pins it); one mode
+pins the duals to mode 1, where the gap is phi(1) = a + 2 c.
+BoundResult.duals_certified is the duals' gap, which extract_measurement
+requires.  A raw covariance is checked for purity and read as -det C on
+float lists too.  Only gaussian, which builds covariances, and this module read
 them: simulate builds the optimal measurement from a BoundResult alone.
 """
 
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import _bracketed_newton, _bracketed_newton_row
-from .gaussian import _OMEGA, ProbeConfig, probe_covariances, probe_delta_minus_one, probe_mode1_variances
+from .gaussian import _OMEGA, ProbeConfig, _probe_cov_row, probe_delta_minus_one, probe_mode1_variances
 
 __all__ = [
     "Weights",
@@ -85,7 +87,7 @@ class Weights:
     w_y: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.w_x) and np.isfinite(self.w_y)):
+        if not (math.isfinite(self.w_x) and math.isfinite(self.w_y)):
             raise ValueError("weights must be finite")
         if self.w_x < 0.0 or self.w_y < 0.0 or self.w_x + self.w_y <= 0.0:
             raise ValueError(f"weights must be >= 0 and not both zero, got {self}")
@@ -192,30 +194,36 @@ class BoundResult:
 CERTIFICATE_TOL = 1e-9
 PURITY_TOL = 1e-9  # _check_pure's bound on the defect, relative to max|S|^2
 
-_EYE = {2: np.eye(2), 4: np.eye(4)}
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _BRACKET_REL = 1e-9  # _scalar_certified's bracket half-width, relative to min(mu, 1 - mu^2) ...
 _BRACKET_MIN = 4.5e-16  # ... and at least four ulps of 1
 _KINK_ROUNDING = 8.0 * sys.float_info.epsilon
 
 
-def _check_pure(covs: np.ndarray) -> None:
-    """Raise ValueError unless every covariance satisfies (S Omega)^2 = -1.
+def _check_pure(cov: list) -> None:
+    """Raise ValueError unless a covariance, as nested float lists, satisfies (S Omega)^2 = -1.
 
     The defect is relative to max|S|^2, the size of the entries of
     (S Omega)^2; a non-finite covariance fails too.
     """
-    dim = covs.shape[-1]
-    so = covs @ _OMEGA[dim]
-    # Comparing every entry of the defect with the bound gives the verdict of comparing its
-    # largest, with one reduction fewer; with cold caches a reduction costs ~40 us (2-core VM).
-    bound = PURITY_TOL * abs(covs).max(axis=(-2, -1), keepdims=True) ** 2
-    if not (abs(so @ so + _EYE[dim]) <= bound).all():
+    n = len(cov)
+    so = [(-y0, x0, -y1, x1) for x0, y0, x1, y1 in cov] if n == 4 else [(-y, x) for x, y in cov]  # S Omega
+    cols = list(zip(*so))
+    if n == 4:
+        sq = [a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 for a0, a1, a2, a3 in so for b0, b1, b2, b3 in cols]
+    else:
+        sq = [a0 * b0 + a1 * b1 for a0, a1 in so for b0, b1 in cols]
+    for k in range(0, n * n, n + 1):
+        sq[k] += 1.0  # (S Omega)^2 + 1, row by row
+    # A nan entry of S makes its row of sq nan, which fails the comparison below.
+    size = max(map(abs, [x for row in cov for x in row]))
+    bound = PURITY_TOL * (size * size)
+    if not (size < math.inf and all(abs(x) <= bound for x in sq)):
         raise ValueError("covariance is not a pure Gaussian state")
 
 
-def _delta_minus_one(covs: np.ndarray) -> np.ndarray:
-    """det A - 1 of the mode-1 marginal A of a raw covariance, as -det C; 0 for one mode.
+def _delta_minus_one(cov: list) -> float:
+    """det A - 1 of the mode-1 marginal A of a covariance as nested float lists, as -det C; 0 for one mode.
 
     A pure two-mode state has det A + det B + 2 det C = 2 and det A = det B,
     so det A - 1 = -det C >= 0, exactly 0 for a product probe (t in {0, 1}).
@@ -223,9 +231,10 @@ def _delta_minus_one(covs: np.ndarray) -> np.ndarray:
     angles are multiples of pi/2, so its conditioning degrades like
     e^{2(r1+r2)}; configurations take gaussian.probe_delta_minus_one instead.
     """
-    if covs.shape[-1] == 2:
-        return np.zeros(covs.shape[:-2])
-    return np.maximum(covs[..., 0, 3] * covs[..., 1, 2] - covs[..., 0, 2] * covs[..., 1, 3], 0.0)
+    if len(cov) == 2:
+        return 0.0
+    minus_det_c = cov[0][3] * cov[1][2] - cov[0][2] * cov[1][3]
+    return 0.0 if minus_det_c <= 0.0 else minus_det_c  # a nan stays nan, and -0.0 becomes 0.0
 
 
 def _config_rows(probe):
@@ -456,15 +465,17 @@ def solve(probe, weights: Weights) -> BoundResult:
     pins it), computed in float arithmetic without NumPy's per-call cost.
     ``converged`` is the row's certificate: the scalar dual for a
     configuration, the duality gap for a raw covariance, which alone is
-    checked for purity and reads delta - 1 as -det C.  ``duals_certified`` is
-    the duals' duality gap; a two-mode configuration builds its covariance
-    once for them and reads A_11 and A_22 off it, and one mode pins them to
-    mode 1.  ``iterations`` is always 0: Newton steps are not counted.
+    checked for purity and reads delta - 1 as -det C, both on float lists.
+    ``duals_certified`` is the duals' duality gap; a two-mode configuration
+    builds its covariance once for them, a float row bit-identical to a
+    probe_covariances row (a test pins it), and reads A_11 and A_22 off it;
+    one mode pins them to mode 1.  ``iterations`` is always 0: Newton steps
+    are not counted.
     """
     config = isinstance(probe, ProbeConfig)
     if config and probe.n_modes == 2:
         columns = (probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t)
-        cov = probe_covariances(*columns).tolist()
+        cov = _probe_cov_row(*columns)
         a11, a22, d1 = cov[0][0], cov[1][1], float(probe_delta_minus_one(*columns))
     elif config:
         cov = None
@@ -472,11 +483,10 @@ def solve(probe, weights: Weights) -> BoundResult:
     else:
         shape = np.shape(probe)  # np.asarray(GaussianState, dtype=float) would raise TypeError
         if shape not in ((2, 2), (4, 4)):
-            raise ValueError(f"covariance{'s' if len(shape) == 2 else ''} must be 2x2 or 4x4, got shape {shape}")
-        matrix = np.asarray(probe, dtype=float)
-        _check_pure(matrix)
-        d1, cov = float(_delta_minus_one(matrix)), matrix.tolist()
-        a11, a22 = cov[0][0], cov[1][1]
+            raise ValueError(f"covariance must be 2x2 or 4x4, got shape {shape}")
+        cov = np.asarray(probe, dtype=float).tolist()
+        _check_pure(cov)
+        d1, a11, a22 = _delta_minus_one(cov), cov[0][0], cov[1][1]
         if len(cov) == 2:
             cov = None  # one mode pins the duals to mode 1
     given_x, given_y = float(weights.w_x), float(weights.w_y)

@@ -275,6 +275,63 @@ def test_structural_checks_are_relative():
             GaussianState(cov)
 
 
+def test_float_probe_rows_are_probe_covariances_rows_bit_for_bit():
+    # build_probe computes one probe in float arithmetic: its covariance is
+    # probe_covariances' row (two modes) or _squeezed_marginal's (one mode)
+    # byte for byte, over r <= 20, angles in [-2 pi, 2 pi], product probes
+    # and t within 1e-30 of 0 and 1, from float and NumPy scalar fields alike.
+    rng = np.random.default_rng(2026)
+    n = 20_000
+    r = np.sort(20.0 * rng.uniform(size=(n, 2)), axis=1)
+    phi1, phi2 = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=(2, n))
+    t = rng.uniform(size=n)
+    t[:2000] = np.round(t[:2000])
+    t[2000:6000] = 10.0 ** rng.uniform(-30.0, -1.0, 4000)
+    t[6000:10000] = 1.0 - t[2000:6000]
+    cols = (r[:, 0], r[:, 1], phi1, phi2, t)
+    want_two, want_one = probe_covariances(*cols), gaussian._squeezed_marginal(r[:, 1], phi2)
+    for k, row in enumerate(zip(*cols)):
+        fields = row if k % 2 else tuple(map(float, row))  # NumPy scalars on odd rows
+        two = build_probe(ProbeConfig(*fields)).cov
+        one = build_probe(ProbeConfig(r1=fields[1], phi1=fields[3], n_modes=1)).cov
+        assert two.tobytes() == want_two[k].tobytes() and one.tobytes() == want_one[k].tobytes()
+        if k < 100:
+            cov_row = gaussian._probe_cov_row(*fields)
+            assert np.array(cov_row).tobytes() == two.tobytes()
+            assert {type(x) for x in cov_row[0] + cov_row[1] + cov_row[2] + cov_row[3]} == {float}
+
+
+def test_float_symmetry_check_gives_the_numpy_verdicts():
+    # GaussianState tests symmetry on floats; its verdict is that of the
+    # NumPy expression it replaced, written here as the reference, on
+    # probes with one off-diagonal entry moved by 1e-16 to 1e-8 of the
+    # largest, and with a nan or infinite entry.
+    def numpy_verdict(cov):
+        with np.errstate(invalid="ignore"):
+            asymmetry = np.max(np.abs(cov - cov.T))
+        return bool(asymmetry <= gaussian.SYMMETRY_TOL or asymmetry <= gaussian.SYMMETRY_TOL * np.max(np.abs(cov)))
+
+    rng = np.random.default_rng(59)
+    n = 3000
+    r = np.sort(20.0 * rng.uniform(size=(n, 2)), axis=1)
+    r[: n // 2] /= 10.0
+    covs = probe_covariances(r[:, 0], r[:, 1], *rng.uniform(0.0, 2.0 * math.pi, size=(2, n)), rng.uniform(size=n))
+    verdicts = []
+    for k, cov in enumerate(covs):
+        cov = cov.copy()
+        i, j = rng.choice(4, 2, replace=False)
+        scale = max(1.0, np.max(np.abs(cov)))
+        cov[i, j] = [cov[i, j] + 10.0 ** rng.uniform(-16.0, -8.0) * scale, math.nan, math.inf, -math.inf][k % 4]
+        try:
+            GaussianState(cov)
+            verdicts.append(True)
+        except ValueError:
+            verdicts.append(False)
+        assert verdicts[-1] == numpy_verdict(cov)
+    # An infinite entry passes both (inf <= SYMMETRY_TOL * inf); the moved ones split.
+    assert 100 < sum(verdicts[0::4]) < 650 and not any(verdicts[1::4]) and all(verdicts[2::4] + verdicts[3::4])
+
+
 def test_delta_minus_one_of_one_row_is_its_array_row():
     # Python floats (a ProbeConfig) and NumPy scalars give the bits of one
     # array call: a square taken with ** on a NumPy scalar calls pow, which

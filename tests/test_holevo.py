@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_single_mode_check_builds_no_covariance(monkeypatch):
         raise AssertionError("the single-mode check built a covariance")
 
     for module in (gaussian, holevo, verify):
-        for name in ("build_probe", "probe_covariances"):
+        for name in ("build_probe", "probe_covariances", "_probe_cov_row"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     monkeypatch.setattr(holevo, "_check_pure", refuse)
     assert verify.check_single_mode_closed_form(quick=False).passed
@@ -338,6 +339,44 @@ def test_kernel_matches_the_oracle_at_quarter_angles_and_product_probes():
         assert value == pytest.approx(oracle.bound(probe, Weights(w_x, 1.0)), rel=1e-13, abs=0.0)
 
 
+def test_float_purity_check_gives_the_numpy_verdicts():
+    # _check_pure runs on nested float lists; its verdict is that of the
+    # NumPy expression it replaced, written here as the reference, on 2x2
+    # and 4x4 probes over r <= 20 perturbed by 1e-14 to 1e-3 of their
+    # largest entry, and with a nan or infinite entry.
+    def numpy_verdict(cov):
+        dim = cov.shape[-1]
+        with np.errstate(invalid="ignore"):
+            so = cov @ symplectic_form(dim // 2)
+            bound = holevo.PURITY_TOL * abs(cov).max(axis=(-2, -1), keepdims=True) ** 2
+            return bool((abs(so @ so + np.eye(dim)) <= bound).all())
+
+    def float_verdict(cov):
+        try:
+            holevo._check_pure(cov.tolist())
+        except ValueError:
+            return False
+        return True
+
+    rng = np.random.default_rng(53)
+    n = 3000
+    r = np.sort(20.0 * rng.uniform(size=(n, 2)), axis=1)
+    r[: n // 2] /= 10.0
+    phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, size=(2, n))
+    fours = probe_covariances(r[:, 0], r[:, 1], phi1, phi2, rng.uniform(size=n))
+    twos = gaussian._squeezed_marginal(r[:, 1], phi2)
+    verdicts = []
+    for k, cov in enumerate(chain.from_iterable(zip(fours, twos))):
+        cov = cov.copy()
+        if k % 10 < 7:
+            cov += 10.0 ** rng.uniform(-14.0, -3.0) * np.max(np.abs(cov)) * rng.standard_normal(cov.shape)
+        else:
+            cov[tuple(rng.integers(len(cov), size=2))] = [math.nan, math.inf, -math.inf][k % 10 - 7]
+        verdicts.append(float_verdict(cov))
+        assert verdicts[-1] == numpy_verdict(cov)
+    assert 1000 < sum(verdicts) < 3000
+
+
 def test_solve_reads_delta_minus_one_once(monkeypatch):
     # The duality gap reuses the kernel's delta - 1 instead of recomputing it.
     calls = []
@@ -362,7 +401,7 @@ def test_configuration_rows_skip_the_purity_check_and_det_c(monkeypatch):
     info = {}
     f = batch_bound(one_mode, 1.0, 3.0, info)
     for module in (gaussian, holevo):
-        for name in ("build_probe", "probe_covariances"):
+        for name in ("build_probe", "probe_covariances", "_probe_cov_row"):
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name), raising=False)
     res = solve(one_mode, Weights(1.0, 3.0))
     assert calls == []
@@ -389,9 +428,10 @@ def test_solve_does_not_go_through_the_array_kernel(monkeypatch):
 @pytest.mark.parametrize("probe, w, message", [
     (np.diag([1.1, 1.0, 1.0, 1.0]), (1.0, 1.0), "covariance is not a pure Gaussian state"),
     (np.stack([np.eye(4), np.eye(4)]), (1.0, 1.0), "covariance must be 2x2 or 4x4, got shape (2, 4, 4)"),
+    (np.eye(3), (1.0, 1.0), "covariance must be 2x2 or 4x4, got shape (3, 3)"),
     (np.eye(4), (1e308, 1e308), "the bound at weights (1e+308, 1e+308) overflows a float"),
     (ProbeConfig(r1=2.0, n_modes=1), (1.0, 1e308), "the bound at weights (1.0, 1e+308) overflows a float"),
-], ids=["impure", "stack", "overflow", "config-overflow"])
+], ids=["impure", "stack", "3x3", "overflow", "config-overflow"])
 def test_solve_error_messages(probe, w, message):
     with pytest.raises(ValueError) as excinfo:
         solve(probe, Weights(*w))
@@ -487,7 +527,8 @@ def test_certificate_rejects_mutated_kernels():
     r = np.sort(2.0 * u[:, :2], axis=1)
     covs = probe_covariances(r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
     w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
-    d1, a, c = holevo._delta_minus_one(covs), w_x * covs[:, 0, 0] + w_y * covs[:, 1, 1], np.sqrt(w_x * w_y)
+    d1 = np.array([holevo._delta_minus_one(cov) for cov in covs.tolist()])
+    a, c = w_x * covs[:, 0, 0] + w_y * covs[:, 1, 1], np.sqrt(w_x * w_y)
     mu = holevo._multiplier(d1, a, c)
     f = np.array([solve(cov, Weights(wx, wy)).f_hcr for cov, wx, wy in zip(covs, w_x, w_y)])
     assert np.count_nonzero(mu == 1.0) == 30
@@ -558,7 +599,7 @@ def test_gap_is_the_primal_value_of_the_reported_duals():
     w_x[20:60], w_y[60:100] = 0.0, 0.0
     for cov, wx, wy in zip(covs, w_x, w_y):
         f = solve(cov, Weights(wx, wy)).f_hcr
-        d1, a, c = float(holevo._delta_minus_one(cov)), wx * cov[0, 0] + wy * cov[1, 1], math.sqrt(wx * wy)
+        d1, a, c = holevo._delta_minus_one(cov.tolist()), wx * cov[0, 0] + wy * cov[1, 1], math.sqrt(wx * wy)
         mu = holevo._row_multiplier(d1, a, c)
         gap, free = holevo._row_duality_gap(cov.tolist(), cov[0, 0], cov[1, 1], d1, wx, wy, mu, f)
         want = (primal(cov, Weights(wx, wy), DualCoefficients.from_free(free)) - f) / f

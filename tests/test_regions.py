@@ -193,12 +193,14 @@ def test_envelope_gap_check_solves_each_row_once(monkeypatch):
 
 def test_configuration_sweeps_build_no_covariance(monkeypatch):
     # Configuration rows read A_11, A_22 and delta - 1 alone: a sweep and the
-    # checks that pass configurations run with probe_covariances disabled.
+    # checks that pass configurations run with probe_covariances and its
+    # float row disabled.
     def no_covariance(*args):
         raise AssertionError("a configuration row built a covariance")
 
-    monkeypatch.setattr(gaussian, "probe_covariances", no_covariance)
-    monkeypatch.setattr(holevo, "probe_covariances", no_covariance, raising=False)
+    for module in (gaussian, holevo):
+        for name in ("probe_covariances", "_probe_cov_row"):
+            monkeypatch.setattr(module, name, no_covariance, raising=False)
     grids = (np.linspace(0.02, 0.98, 5), np.linspace(0.0, math.pi / 2, 3), np.geomspace(1e-2, 1e2, 5))
     assert regions._config_sweep(0.3, 0.7, *grids, sweep_phi2=False).certified.all()
     assert verify.check_envelope_gap(quick=True).passed
