@@ -98,8 +98,10 @@ class GaussianState:
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0 or cov.size == 0:
             raise ValueError(f"cov must be a square matrix of even size, got shape {cov.shape}")
         # Within SYMMETRY_TOL, or within SYMMETRY_TOL times the largest entry, is within
-        # SYMMETRY_TOL * max(1, largest); a nan entry, or inf - inf, fails the comparison.
+        # SYMMETRY_TOL * max(1, largest), for finite entries.
         entries, mirrored = cov.ravel().tolist(), cov.T.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
+            raise ValueError("covariance entries must be finite")
         bound = SYMMETRY_TOL * max(1.0, max(map(abs, entries)))
         if not all(abs(x - y) <= bound for x, y in zip(entries, mirrored)):
             raise ValueError("covariance matrix is not symmetric")
@@ -172,10 +174,15 @@ def beam_splitter(t: float) -> np.ndarray:
     quadratures; the mixing is real orthogonal, so it is symplectic and its
     transpose is its inverse.  This is the one place the convention is written.
     """
+    return _frozen_array(_beam_splitter_rows(t))
+
+
+def _beam_splitter_rows(t: float) -> list:
+    """beam_splitter(t) as nested float lists."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
     a, b = math.sqrt(t), math.sqrt(1.0 - t)
-    return _frozen_array([[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]])
+    return [[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]]
 
 
 def _mixing_stacks(t, phi, target_mode: int) -> tuple[np.ndarray, np.ndarray]:
@@ -309,6 +316,19 @@ def build_probe(config: ProbeConfig) -> GaussianState:
     return GaussianState(_probe_cov_row(config.r1, config.r2, config.phi1, config.phi2, config.t))
 
 
+def _probe_factor_rows(config: ProbeConfig) -> tuple[list, list]:
+    """probe_factors as nested float lists: ``O`` by rows and ``lam``."""
+    if config.n_modes != 2:
+        raise ValueError(f"probe_factors takes a two-mode probe, got n_modes = {config.n_modes}")
+    lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2) for sign in (-1.0, 1.0)]).tolist()
+    a, b = math.sqrt(config.t), math.sqrt(1.0 - config.t)  # beam_splitter(t)'s entries
+    c1, s1, c2, s2 = math.cos(config.phi1), math.sin(config.phi1), math.cos(config.phi2), math.sin(config.phi2)
+    return [[a * c1, a * -s1, b * c2, b * -s2],
+            [a * s1, a * c1, b * s2, b * c2],
+            [-b * c1, -b * -s1, a * c2, a * -s2],
+            [-b * s1, -b * c1, a * s2, a * c2]], lam
+
+
 def probe_factors(config: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Passive optics ``O`` and input variances ``lam`` of a two-mode probe, covariance ``O diag(lam) O^T``.
 
@@ -320,12 +340,5 @@ def probe_factors(config: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
     alike, so block (i, j) of ``O`` is beam-splitter entry (2i, 2j) times
     ``R(phi_j)``: one product per entry, no sum, no BLAS.
     """
-    if config.n_modes != 2:
-        raise ValueError(f"probe_factors takes a two-mode probe, got n_modes = {config.n_modes}")
-    lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2) for sign in (-1.0, 1.0)])
-    a, b = math.sqrt(config.t), math.sqrt(1.0 - config.t)  # beam_splitter(t)'s entries
-    c1, s1, c2, s2 = math.cos(config.phi1), math.sin(config.phi1), math.cos(config.phi2), math.sin(config.phi2)
-    return np.array([[a * c1, a * -s1, b * c2, b * -s2],
-                     [a * s1, a * c1, b * s2, b * c2],
-                     [-b * c1, -b * -s1, a * c2, a * -s2],
-                     [-b * s1, -b * c1, a * s2, a * c2]]), lam
+    o, lam = _probe_factor_rows(config)
+    return np.array(o), np.array(lam)

@@ -204,7 +204,8 @@ def _check_pure(cov: list) -> None:
     """Raise ValueError unless a covariance, as nested float lists, satisfies (S Omega)^2 = -1.
 
     The defect is relative to max|S|^2, the size of the entries of
-    (S Omega)^2; a non-finite covariance fails too.
+    (S Omega)^2; a non-finite covariance fails too, and so does one whose
+    max|S|^2 overflows.
     """
     n = len(cov)
     so = [(-y0, x0, -y1, x1) for x0, y0, x1, y1 in cov] if n == 4 else [(-y, x) for x, y in cov]  # S Omega
@@ -218,7 +219,7 @@ def _check_pure(cov: list) -> None:
     # A nan entry of S makes its row of sq nan, which fails the comparison below.
     size = max(map(abs, [x for row in cov for x in row]))
     bound = PURITY_TOL * (size * size)
-    if not (size < math.inf and all(abs(x) <= bound for x in sq)):
+    if not (bound < math.inf and all(abs(x) <= bound for x in sq)):
         raise ValueError("covariance is not a pure Gaussian state")
 
 

@@ -7,9 +7,10 @@ pair.  Commuting homodynes on a Gaussian state have exactly Gaussian
 outcomes, so a run's estimator statistics follow from the mean and centered
 Gram matrix of its standard-normal draws; both have exact laws, and
 run_scheme draws them directly, at a cost that does not depend on the shot
-count.  A run is plain float arithmetic on its two outcomes; it leaves
-floats only for the probe's passive optics (probe_factors), the C-ordered
-product that gives the outcome means, and the seeded draws.
+count.  A scheme is built, checked and run in plain float arithmetic on its
+two outcomes; it leaves floats only for the one read-only array it stores
+per matrix, the np.exp of the probe's input variances, the C-ordered product
+that gives the outcome means, and the seeded draws.
 
 The optimal product homodyne is read off a BoundResult alone
 (extract_measurement): the certified duality gap of its duals makes
@@ -24,11 +25,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gaussian import _OMEGA, ChannelParams, ProbeConfig, _frozen_array, beam_splitter, probe_factors
+from .gaussian import _OMEGA, ChannelParams, ProbeConfig, _beam_splitter_rows, _probe_factor_rows, beam_splitter
 from .holevo import BoundResult, DualCoefficients, SolverConvergenceError, Weights
 
 _MAX_SHOTS = 1 << 53  # every shot count up to here is an exact float
-_SYMPLECTIC_TOL = 1e-10  # on max|S Omega S^T - Omega|, or relative to max|S|^2
+_SYMPLECTIC_TOL = 1e-10  # on max|S Omega S^T - Omega|, or relative to a finite max|S|^2
+_OMEGA_ROWS = _OMEGA[4].tolist()
+
+
+def _max_abs(values: list) -> float:
+    # np.max(np.abs(values)) on floats: nan if any value is, where Python's max keeps only a leading nan.
+    top = max(map(abs, values))
+    return math.nan if any(map(math.isnan, values)) else top
 
 
 @dataclass(frozen=True)
@@ -47,49 +55,54 @@ class MeasurementScheme:
     probe: ProbeConfig | None = None
 
     def __post_init__(self):
-        est = np.asarray(self.estimator, dtype=float)
-        mat = np.asarray(self.transform, dtype=float)
+        # One owning array per matrix, checked on its float rows and then made read-only.
+        est = np.array(self.estimator, dtype=float)
+        mat = np.array(self.transform, dtype=float)
         if (len(self.angles), mat.shape, est.shape) != (2, (4, 4), (2, 2)):
             raise ValueError(
                 "a scheme is two homodynes: a 4x4 transform, two angles and a 2x2 estimator, got "
                 f"a {mat.shape} transform, {len(self.angles)} angle(s) and a {est.shape} estimator"
             )
-        angles = tuple(float(a) for a in self.angles)
-        for name, values in (("angles", angles), ("estimator", est.flat)):
+        angles = tuple(map(float, self.angles))
+        (k00, k01), (k10, k11) = est.tolist()
+        for name, values in (("angles", angles), ("estimator", (k00, k01, k10, k11))):
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        omega = _OMEGA[4]
-        defect = np.max(np.abs(mat @ omega @ mat.T - omega))
-        if not (defect <= _SYMPLECTIC_TOL or defect <= _SYMPLECTIC_TOL * np.max(np.abs(mat)) ** 2):
+        rows = mat.tolist()
+        # Omega is a signed permutation: entry (i, j) of S Omega S^T sums the two modes' 2x2 minors of rows i, j.
+        defect = _max_abs([x0 * v0 - y0 * u0 + x1 * v1 - y1 * u1 - w
+                           for (x0, y0, x1, y1), omega_row in zip(rows, _OMEGA_ROWS)
+                           for (u0, v0, u1, v1), w in zip(rows, omega_row)])
+        size = _max_abs(rows[0] + rows[1] + rows[2] + rows[3])
+        if not (defect <= _SYMPLECTIC_TOL or defect <= _SYMPLECTIC_TOL * (size * size) < math.inf):
             raise ValueError(f"transform is not symplectic (defect {defect:.3e})")
-        object.__setattr__(self, "transform", _frozen_array(mat))
-        object.__setattr__(self, "estimator", _frozen_array(est))
+        mat.flags.writeable = est.flags.writeable = False
+        object.__setattr__(self, "transform", mat)
+        object.__setattr__(self, "estimator", est)
         object.__setattr__(self, "angles", angles)
+        dirs = []  # measured_directions as nested float lists, formed once
+        for al, x_row, y_row in zip(angles, rows[::2], rows[1::2]):
+            c, s = math.cos(al), math.sin(al)
+            dirs.append([c * x + s * y for x, y in zip(x_row, y_row)])
+        object.__setattr__(self, "_dirs", dirs)
 
     def measured_directions(self) -> np.ndarray:
         """Rows: the quadrature vectors measured by each homodyne, pre-transform.
 
         Row k is ``cos(alpha_k) M[2k] + sin(alpha_k) M[2k+1]`` for the transform M.
         """
-        return np.array(self._directions())
-
-    def _directions(self) -> list:
-        # measured_directions as nested float lists.
-        rows = self.transform.tolist()
-        dirs = []
-        for al, x_row, y_row in zip(self.angles, rows[::2], rows[1::2]):
-            c, s = math.cos(al), math.sin(al)
-            dirs.append([c * x + s * y for x, y in zip(x_row, y_row)])
-        return dirs
+        return np.array(self._dirs)
 
     def check_unbiased(self, tol: float = 1e-9) -> None:
         """Raise unless the response d(estimates)/d(theta) is the identity.
 
         The tolerance is ``tol * max(1, max|estimator|)``.
         """
-        response = self.estimator @ self.measured_directions()[:, :2]
-        defect = np.max(np.abs(response - np.eye(2)))
-        if not defect <= tol * max(1.0, float(np.max(np.abs(self.estimator)))):  # NaN fails
+        (k00, k01), (k10, k11) = self.estimator.tolist()
+        (x0, y0, _, _), (x1, y1, _, _) = self._dirs
+        defect = _max_abs([k00 * x0 + k01 * x1 - 1.0, k00 * y0 + k01 * y1,
+                           k10 * x0 + k11 * x1, k10 * y0 + k11 * y1 - 1.0])  # K dirs[:, :2] - I
+        if not defect <= tol * max(1.0, abs(k00), abs(k01), abs(k10), abs(k11)):  # NaN fails
             raise ValueError(f"estimator is not locally unbiased (defect {defect:.3e})")
 
     def outcome_moments(self, probe: ProbeConfig, theta: ChannelParams) -> tuple[list, list]:
@@ -105,10 +118,9 @@ class MeasurementScheme:
         """
         if probe.n_modes != 2:
             raise ValueError("scheme and probe mode counts differ")
-        dirs = self._directions()
-        o, lam = probe_factors(probe)
-        l0, l1, l2, l3 = lam.tolist()
-        m = [[d0 * o0 + d1 * o1 + d2 * o2 + d3 * o3 for o0, o1, o2, o3 in zip(*o.tolist())]
+        dirs = self._dirs
+        o, (l0, l1, l2, l3) = _probe_factor_rows(probe)
+        m = [[d0 * o0 + d1 * o1 + d2 * o2 + d3 * o3 for o0, o1, o2, o3 in zip(*o)]
              for d0, d1, d2, d3 in dirs]
         cov = [[a0 * b0 * l0 + a1 * b1 * l1 + a2 * b2 * l2 + a3 * b3 * l3 for b0, b1, b2, b3 in m]
                for a0, a1, a2, a3 in m]
@@ -266,14 +278,10 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
             raise ValueError(f"transmissivity t = {t} leaves one estimator undefined")
         probe = ProbeConfig(r1=0.0, r2=r2, phi1=0.0, phi2=phi2, t=1.0 - t)
         sin_p, cos_p = math.sin(phi2), math.cos(phi2)
-        estimator = np.array(
-            [
-                [-sin_p / math.sqrt(1.0 - t), cos_p / math.sqrt(t)],
-                [cos_p / math.sqrt(1.0 - t), sin_p / math.sqrt(t)],
-            ]
-        )
+        estimator = [[-sin_p / math.sqrt(1.0 - t), cos_p / math.sqrt(t)],
+                     [cos_p / math.sqrt(1.0 - t), sin_p / math.sqrt(t)]]
         scheme = MeasurementScheme(
-            beam_splitter(1.0 - t).T,
+            list(zip(*_beam_splitter_rows(1.0 - t))),
             (phi2 + math.pi / 2.0, phi2),
             estimator,
             kind="example1",
@@ -289,9 +297,9 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
         if not 0.0 < t_star < 1.0:
             raise ValueError(f"t_star = {t_star} leaves one estimator undefined")
         probe = ProbeConfig(r1=r, r2=r, phi1=0.0, phi2=math.pi / 2.0, t=1.0 - t_star)
-        estimator = np.diag([1.0 / math.sqrt(1.0 - t_star), 1.0 / math.sqrt(t_star)])
+        estimator = [[1.0 / math.sqrt(1.0 - t_star), 0.0], [0.0, 1.0 / math.sqrt(t_star)]]
         scheme = MeasurementScheme(
-            beam_splitter(1.0 - t_star).T,
+            list(zip(*_beam_splitter_rows(1.0 - t_star))),
             (0.0, math.pi / 2.0),
             estimator,
             kind="balanced",
@@ -356,7 +364,7 @@ def run_scheme(
     center = [k0 * mean[0] + k1 * mean[1] for k0, k1 in k_mat]
 
     rng = np.random.default_rng(seed)
-    z0, z1 = (rng.standard_normal(2) / math.sqrt(shots)).tolist()
+    z0, z1 = (z / math.sqrt(shots) for z in rng.standard_normal(2).tolist())
     chi0, chi1 = rng.chisquare(shots - 1), rng.chisquare(shots - 2)
     bartlett = [[math.sqrt(chi0), 0.0], [rng.standard_normal(), math.sqrt(chi1)]]
     gram = [[a0 * b0 + a1 * b1 for b0, b1 in bartlett] for a0, a1 in bartlett]

@@ -261,6 +261,15 @@ def test_state_rejects_asymmetric_cov():
         GaussianState(cov)
 
 
+@pytest.mark.parametrize("cov", [[[1.0, math.inf], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]]],
+                         ids=["inf-mirror-finite", "inf-diagonal"])
+def test_state_refuses_non_finite_entries(cov):
+    # Checked before symmetry, which an infinite entry passes (inf <= SYMMETRY_TOL * inf);
+    # off-diagonal nan and +-inf entries: test_float_symmetry_check_gives_the_numpy_verdicts.
+    with pytest.raises(ValueError, match="covariance entries must be finite"):
+        GaussianState(cov)
+
+
 def test_structural_checks_are_relative():
     # Rounding-level asymmetry on entries of size e^{2r} is accepted at any
     # r <= 20, and the same relative defect of 1e-6 is rejected at any scale.
@@ -305,7 +314,9 @@ def test_float_symmetry_check_gives_the_numpy_verdicts():
     # GaussianState tests symmetry on floats; its verdict is that of the
     # NumPy expression it replaced, written here as the reference, on
     # probes with one off-diagonal entry moved by 1e-16 to 1e-8 of the
-    # largest, and with a nan or infinite entry.
+    # largest, and with a nan entry.  An infinite entry is refused as
+    # non-finite before the symmetry test, which it would pass (inf <=
+    # SYMMETRY_TOL * inf).
     def numpy_verdict(cov):
         with np.errstate(invalid="ignore"):
             asymmetry = np.max(np.abs(cov - cov.T))
@@ -325,11 +336,12 @@ def test_float_symmetry_check_gives_the_numpy_verdicts():
         try:
             GaussianState(cov)
             verdicts.append(True)
-        except ValueError:
+        except ValueError as err:
             verdicts.append(False)
-        assert verdicts[-1] == numpy_verdict(cov)
-    # An infinite entry passes both (inf <= SYMMETRY_TOL * inf); the moved ones split.
-    assert 100 < sum(verdicts[0::4]) < 650 and not any(verdicts[1::4]) and all(verdicts[2::4] + verdicts[3::4])
+            assert ("entries must be finite" in str(err)) == (k % 4 > 0)
+        assert verdicts[-1] == (numpy_verdict(cov) and k % 4 < 2)
+    # The moved entries split.
+    assert 100 < sum(verdicts[0::4]) < 650 and not any(verdicts[1::4] + verdicts[2::4] + verdicts[3::4])
 
 
 def test_delta_minus_one_of_one_row_is_its_array_row():

@@ -431,7 +431,10 @@ def test_solve_does_not_go_through_the_array_kernel(monkeypatch):
     (np.eye(3), (1.0, 1.0), "covariance must be 2x2 or 4x4, got shape (3, 3)"),
     (np.eye(4), (1e308, 1e308), "the bound at weights (1e+308, 1e+308) overflows a float"),
     (ProbeConfig(r1=2.0, n_modes=1), (1.0, 1e308), "the bound at weights (1.0, 1e+308) overflows a float"),
-], ids=["impure", "stack", "3x3", "overflow", "config-overflow"])
+    # max|S|^2 overflows at 1e160: the relative tolerance must not become infinite.
+    (1e150 * np.eye(4), (1.0, 1.0), "covariance is not a pure Gaussian state"),
+    (1e160 * np.eye(4), (1.0, 1.0), "covariance is not a pure Gaussian state"),
+], ids=["impure", "stack", "3x3", "overflow", "config-overflow", "scaled-1e150", "scaled-1e160"])
 def test_solve_error_messages(probe, w, message):
     with pytest.raises(ValueError) as excinfo:
         solve(probe, Weights(*w))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import pytest
 import mc_reference
 import qbound
 from qbound import closed_forms as cf
-from qbound.gaussian import ChannelParams, ProbeConfig, beam_splitter, build_probe, rotation
+from qbound import simulate
+from qbound.gaussian import ChannelParams, ProbeConfig, beam_splitter, build_probe, rotation, symplectic_form
 from qbound.holevo import DualCoefficients, Weights, solve
 from qbound.simulate import (
     MeasurementScheme,
@@ -119,6 +121,15 @@ def test_scheme_transform_symplectic_check_is_relative():
             MeasurementScheme(broken, (0.0, 0.0), np.eye(2))
 
 
+def test_scheme_symplectic_tolerance_does_not_overflow():
+    # max|S|^2 overflows past ~1.3e154: the relative tolerance must stay finite,
+    # so 1e160 I is refused like 1e150 I.  The absolute tolerance still holds.
+    for scale in (1e150, 1e160):
+        with pytest.raises(ValueError, match="not symplectic"):
+            MeasurementScheme(scale * np.eye(4), (0.0, 0.0), np.eye(2))
+    MeasurementScheme(np.diag([1e160, 1e-160, 1.0, 1.0]), (0.0, 0.0), np.eye(2))
+
+
 @pytest.mark.parametrize(
     "transform, angles, estimator",
     [
@@ -145,6 +156,11 @@ def test_check_unbiased_is_relative_and_rejects_nan():
         replace(balanced, estimator=balanced.estimator * (1.0 + 2e-9)).check_unbiased()
     with pytest.raises(ValueError, match="estimator must be finite"):
         replace(balanced, estimator=np.full((2, 2), math.nan))
+    # A response entry past the first that overflows to inf - inf is refused,
+    # though the other entries are within tol * max|estimator|.
+    squeezed = np.diag([1e150, 1e-150, 1e150, 1e-150]) @ beam_splitter(0.5)
+    with pytest.raises(ValueError, match="not locally unbiased"):
+        MeasurementScheme(squeezed, (0.0, 0.0), [[0.0, 0.0], [1e200, 1e200]]).check_unbiased()
 
 
 @pytest.mark.parametrize(
@@ -335,6 +351,186 @@ def test_seeded_reports_match_the_numpy_reference_bit_for_bit():
         want_pred = mc_reference.predicted_variances(scheme, scheme.probe)
         assert [v.hex() for v in scheme.predicted_variances(scheme.probe)] == [v.hex() for v in want_pred], args
     assert reports >= 2000
+
+
+def _numpy_scheme(kind, r, t, phi2=0.0):
+    # build_scheme's arrays as the NumPy expressions it replaced: beam_splitter(1 - t).T
+    # with beam_splitter written out, np.diag, and the example1 array.
+    u = 1.0 - t
+    a, b = math.sqrt(u), math.sqrt(1.0 - u)
+    transform = np.array([[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]]).T
+    if kind == "balanced":
+        angles = (0.0, math.pi / 2.0)
+        estimator = np.diag([1.0 / math.sqrt(1.0 - t), 1.0 / math.sqrt(t)])
+        probe = ProbeConfig(r1=r, r2=r, phi1=0.0, phi2=math.pi / 2.0, t=1.0 - t)
+    else:
+        sin_p, cos_p = math.sin(phi2), math.cos(phi2)
+        angles = (phi2 + math.pi / 2.0, phi2)
+        estimator = np.array([[-sin_p / math.sqrt(1.0 - t), cos_p / math.sqrt(t)],
+                              [cos_p / math.sqrt(1.0 - t), sin_p / math.sqrt(t)]])
+        probe = ProbeConfig(r1=0.0, r2=r, phi1=0.0, phi2=phi2, t=1.0 - t)
+    return SimpleNamespace(transform=transform, angles=angles, estimator=estimator, kind=kind, probe=probe)
+
+
+def test_float_schemes_are_the_numpy_schemes_bit_for_bit():
+    # build_scheme passes float rows; the stored transform and estimator are
+    # the bytes of the arrays it used to build, and the probe is the same, over
+    # both kinds, r <= 20, t log-spread within 1e-12 of 0 and 1, and phi2 in
+    # [-2 pi, 2 pi]; every fourth balanced scheme takes its t from weights.
+    rng = np.random.default_rng(27)
+    n = 20_000
+    r = np.where(rng.uniform(size=n) < 0.1, 20.0, rng.uniform(0.0, 20.0, n))
+    t = 10.0 ** rng.uniform(-12.0, math.log10(0.5), n)
+    t = np.where(rng.uniform(size=n) < 0.5, 1.0 - t, t)
+    t[:4] = 1e-12, 1.0 - 1e-12, 0.5, 1.0 / 3.0
+    phi2 = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, n)
+    ratio = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    for k, (r_k, t_k, phi_k, w_x) in enumerate(zip(r.tolist(), t.tolist(), phi2.tolist(), ratio.tolist())):
+        if k % 2:
+            scheme = build_scheme("example1", r2=r_k, t=t_k, phi2=phi_k)
+        elif k % 8 == 2:
+            w = Weights(w_x, 1.0)
+            scheme = build_scheme("balanced", r=r_k, weights=w)
+            t_k = math.sqrt(w.w_y) / (math.sqrt(w.w_x) + math.sqrt(w.w_y))
+        else:
+            scheme = build_scheme("balanced", r=r_k, t_star=t_k)
+        want = _numpy_scheme(scheme.kind, r_k, t_k, phi_k)
+        assert scheme.transform.tobytes() == want.transform.tobytes(), (k, scheme.kind, r_k, t_k)
+        assert scheme.estimator.tobytes() == want.estimator.tobytes(), (k, scheme.kind, r_k, t_k)
+        assert (scheme.probe, scheme.angles) == (want.probe, want.angles)
+
+
+def test_seeded_monte_carlo_requests_match_the_numpy_reference_bit_for_bit():
+    # Requests drawn as the monte-carlo benchmark plan draws them (r in [0.05,
+    # 1.75], t in [0.05, 0.95], phi2 in {0, pi/2}, 1e5 to 2e6 shots): the report
+    # of build_scheme + run_scheme is, float.hex for float.hex, that of the
+    # NumPy-built scheme run by the array reference (tests/mc_reference.py).
+    rng = np.random.default_rng(326)
+    for k in range(600):
+        kind = ("balanced", "example1")[k % 2]
+        r, t, phi2 = rng.uniform(0.05, 1.75), rng.uniform(0.05, 0.95), float(rng.choice([0.0, math.pi / 2.0]))
+        theta = ChannelParams(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        shots, seed = int(round(1e5 * 20.0 ** rng.uniform())), int(rng.integers(2**31))
+        if kind == "balanced":
+            scheme = build_scheme("balanced", r=r, t_star=t)
+        else:
+            scheme = build_scheme("example1", r2=r, t=t, phi2=phi2)
+        want = _numpy_scheme(kind, r, t, phi2)
+        args = (theta, shots, seed)
+        assert _fields(run_scheme, scheme, scheme.probe, *args) == _fields(
+            mc_reference.run_scheme, want, want.probe, *args), (k, kind, r, t, phi2)
+
+
+def _scheme_error(transform, angles, estimator, unbiased=False):
+    # The message a scheme is refused with, or None.
+    try:
+        scheme = MeasurementScheme(transform, angles, estimator)
+        if unbiased:
+            scheme.check_unbiased()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _symplectic_transforms(rng, n):
+    # Beam splitters times rotations, squeezers up to entries of 1e150 mixed on
+    # a beam splitter, and normal random matrices; perturbed by 1e-14 to 1e-3
+    # of their largest entry, scaled by up to 1e150, or (every fourth) given a
+    # nan or infinite entry, at each of the 16 positions in turn.
+    for k in range(n):
+        family = k % 3
+        if family == 0:
+            mat = beam_splitter(rng.uniform()) @ rotation(rng.uniform(-4.0, 4.0), 2, 0) @ rotation(
+                rng.uniform(-4.0, 4.0), 2, 1)
+        elif family == 1:
+            r1, r2 = rng.uniform(0.0, math.log(1e150) * rng.choice([0.01, 0.1, 1.0]), 2)
+            squeeze = np.diag([math.exp(-r1), math.exp(r1), math.exp(-r2), math.exp(r2)])
+            mat = beam_splitter(rng.uniform()) @ squeeze @ rotation(rng.uniform(-4.0, 4.0), 2, 0)
+        else:
+            mat = rng.standard_normal((4, 4))
+        mode = (k // 3) % 4
+        if mode == 1:
+            mat = mat + 10.0 ** rng.uniform(-14.0, -3.0) * np.max(np.abs(mat)) * rng.standard_normal((4, 4))
+        elif mode == 2:
+            mat = mat * 10.0 ** rng.uniform(0.0, 150.0)
+        elif mode == 3:
+            mat = mat.copy()
+            mat.flat[(k // 12) % 16] = (math.nan, math.inf, -math.inf)[(k // 192) % 3]
+        yield mat
+
+
+def test_float_symplectic_check_gives_the_numpy_verdicts():
+    # MeasurementScheme checks symplecticity on floats; its verdict is that of
+    # the NumPy expression it replaced, written here as the reference, except
+    # where max|S|^2 overflows (the relative tolerance then no longer accepts
+    # anything) and where the tolerance lies within the rounding of the defect
+    # (~16 ulps of max|S|^2), which any two summation orders may round either way.
+    tol, omega = simulate._SYMPLECTIC_TOL, symplectic_form(2)
+    rng = np.random.default_rng(2027)
+    accepted, close = 0, 0
+    for k, mat in enumerate(_symplectic_transforms(rng, 6_720)):
+        with np.errstate(all="ignore"):
+            defect = np.max(np.abs(mat @ omega @ mat.T - omega))
+            size2 = np.max(np.abs(mat)) ** 2
+        if size2 == math.inf:
+            want = bool(defect <= tol)
+        elif abs(defect - max(tol, tol * size2)) <= 16.0 * np.finfo(float).eps * size2:
+            close += 1
+            continue
+        else:
+            want = bool(defect <= tol or defect <= tol * size2)
+        error = _scheme_error(mat, (0.3, -1.2), np.eye(2))
+        assert (error is None) == want, (k, defect, size2, error)
+        if not np.all(np.isfinite(mat)):
+            assert error == "transform is not symplectic (defect nan)", (k, error)
+        elif error is not None:
+            assert error.startswith("transform is not symplectic (defect "), (k, error)
+        accepted += error is None
+    assert close <= 5 and 600 < accepted < 2_000
+
+
+def test_float_unbiasedness_check_gives_the_numpy_verdicts():
+    # check_unbiased runs on floats; its verdict is that of the NumPy
+    # expression it replaced, written here as the reference, on the exact
+    # inverse response of beam-splitter and squeezer transforms (entries up to
+    # e^5) at random angles, perturbed by 1e-14 to 1e-3 of its largest entry,
+    # scaled by up to 1e150, or given a nan or infinite entry at each of the
+    # four positions in turn (refused when the scheme is built, as before).
+    # Rows whose tolerance lies within the rounding of the response are skipped.
+    rng = np.random.default_rng(2028)
+    eps = np.finfo(float).eps
+    outcomes, close = {True: 0, False: 0}, 0
+    for k in range(6_000):
+        mat = beam_splitter(rng.uniform()) @ rotation(rng.uniform(-4.0, 4.0), 2, 0) @ rotation(
+            rng.uniform(-4.0, 4.0), 2, 1)
+        if k % 2:
+            r1, r2 = rng.uniform(0.0, 5.0, 2)
+            mat = mat @ np.diag([math.exp(-r1), math.exp(r1), math.exp(-r2), math.exp(r2)])
+        angles = tuple(rng.uniform(-4.0, 4.0, 2))
+        dirs = np.array([math.cos(al) * mat[2 * j] + math.sin(al) * mat[2 * j + 1] for j, al in enumerate(angles)])
+        est = np.linalg.inv(dirs[:, :2])
+        mode = (k // 2) % 4
+        if mode == 1:
+            est = est + 10.0 ** rng.uniform(-14.0, -3.0) * np.max(np.abs(est)) * rng.standard_normal((2, 2))
+        elif mode == 2:
+            est = est * 10.0 ** rng.uniform(0.0, 150.0)
+        elif mode == 3:
+            est = est.copy()
+            est.flat[(k // 8) % 4] = (math.nan, math.inf, -math.inf)[(k // 32) % 3]
+        error = _scheme_error(mat, angles, est, unbiased=True)
+        if mode == 3:
+            assert error is not None and error.startswith("estimator must be finite"), (k, error)
+            continue
+        defect = np.max(np.abs(est @ dirs[:, :2] - np.eye(2)))
+        bound = 1e-9 * max(1.0, float(np.max(np.abs(est))))
+        if abs(defect - bound) <= 8.0 * eps * (2.0 * np.max(np.abs(est)) * np.max(np.abs(dirs)) + 1.0):
+            close += 1
+            continue
+        assert (error is None) == bool(defect <= bound), (k, defect, bound, error)
+        if error is not None:
+            assert error.startswith("estimator is not locally unbiased (defect "), (k, error)
+        outcomes[error is None] += 1
+    assert close <= 5 and min(outcomes.values()) > 1_000
 
 
 @pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]]],
