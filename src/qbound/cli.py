@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import closed_forms, regions, verify
-from .gaussian import ChannelParams, ProbeConfig, squeezing_db_to_r
+from .gaussian import ChannelParams, ProbeConfig, _check_r, squeezing_db_to_r
 from .holevo import Weights, solve
 from .simulate import build_scheme, run_scheme
 
@@ -81,6 +81,7 @@ def _resolve_r(args, r_attr: str, db_attr: str) -> float:
         return squeezing_db_to_r(db)
     if r is None:
         raise ValueError(f"one of --{r_attr} or --{db_attr} is required")
+    _check_r(r, f"--{r_attr}")
     return r
 
 

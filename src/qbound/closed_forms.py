@@ -55,6 +55,8 @@ def single_mode_tradeoff(v_x: float, r: float, phi: float) -> float:
     the equality case ``v_b + 1/(v_x - v_a)``.
     """
     v_a, v_b = projected_variances(r, phi)
+    if not math.isfinite(v_x):
+        raise ValueError(f"v_x must be finite, got {v_x}")
     if v_x <= v_a:
         raise ValueError(f"v_x = {v_x} is infeasible; single-mode floor is v_a = {v_a}")
     return v_b + 1.0 / (v_x - v_a)
@@ -102,6 +104,8 @@ def _checked_envelope_rows(v_x, r1, r2) -> tuple[np.ndarray, np.ndarray, bool]:
     """(v_y, segment index, swapped) of _envelope_rows after canonicalizing r and checking v_x."""
     r1, r2, swapped = _canonical_pair(r1, r2)
     v_x, floor = np.asarray(v_x, dtype=float), np.exp(-2.0 * r2)
+    if not np.all(np.isfinite(v_x)):
+        raise ValueError(f"v_x must be finite, got {v_x[~np.isfinite(v_x)][0]}")
     infeasible = v_x <= floor
     if np.any(infeasible):
         raise ValueError(f"v_x = {v_x[infeasible][0]} is infeasible; the envelope floor is e^(-2 r2) = {floor}")

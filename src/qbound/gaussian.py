@@ -79,9 +79,6 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
-_OMEGA = {2 * n: _frozen_array(symplectic_form(n)) for n in (1, 2)}
-
-
 @dataclass(frozen=True)
 class GaussianState:
     """A zero-mean Gaussian state; the displacement enters only the outcome means (simulate).
@@ -172,16 +169,20 @@ def beam_splitter(t: float) -> np.ndarray:
 
     Mode-1 output is ``sqrt(t) * mode1 + sqrt(1-t) * mode2`` on both
     quadratures; the mixing is real orthogonal, so it is symplectic and its
-    transpose is its inverse.  This is the one place the convention is written.
+    transpose is its inverse.
     """
-    return _frozen_array(_beam_splitter_rows(t))
-
-
-def _beam_splitter_rows(t: float) -> list:
-    """beam_splitter(t) as nested float lists."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
-    a, b = math.sqrt(t), math.sqrt(1.0 - t)
+    return _frozen_array(_splitter_rows(*_splitter_entries(t)))
+
+
+def _splitter_entries(t: float) -> tuple[float, float]:
+    """(sqrt(t), sqrt(1 - t)): the entries of every float beam splitter; _mixing_stacks writes the arrays'."""
+    return math.sqrt(t), math.sqrt(1.0 - t)
+
+
+def _splitter_rows(a: float, b: float) -> list:
+    """The beam splitter with entries a, b (a^2 + b^2 = 1) as nested float lists, a real rotation."""
     return [[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]]
 
 
@@ -321,7 +322,7 @@ def _probe_factor_rows(config: ProbeConfig) -> tuple[list, list]:
     if config.n_modes != 2:
         raise ValueError(f"probe_factors takes a two-mode probe, got n_modes = {config.n_modes}")
     lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2) for sign in (-1.0, 1.0)]).tolist()
-    a, b = math.sqrt(config.t), math.sqrt(1.0 - config.t)  # beam_splitter(t)'s entries
+    a, b = _splitter_entries(config.t)
     c1, s1, c2, s2 = math.cos(config.phi1), math.sin(config.phi1), math.cos(config.phi2), math.sin(config.phi2)
     return [[a * c1, a * -s1, b * c2, b * -s2],
             [a * s1, a * c1, b * s2, b * c2],

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import _bracketed_newton, _bracketed_newton_row
-from .gaussian import _OMEGA, ProbeConfig, _probe_cov_row, probe_delta_minus_one, probe_mode1_variances
+from .gaussian import ProbeConfig, _frozen_array, _probe_cov_row, probe_delta_minus_one, probe_mode1_variances
 
 __all__ = [
     "Weights",
@@ -95,51 +95,40 @@ class Weights:
 
 @dataclass(frozen=True)
 class DualCoefficients:
-    """Quadrature coefficients of the dual observables X_x and X_y.
+    """Quadrature coefficients c_x = (1, 0, a, b) and c_y = (0, 1, c, d) of the duals X_x and X_y.
 
-    Local unbiasedness pins the mode-1 entries to the unit vectors (1, 0) in
-    c_x and (0, 1) in c_y; one mode leaves no freedom, two modes leave the
-    four mode-2 entries free.
+    Local unbiasedness pins the mode-1 entries, so only the mode-2 entries
+    ``free`` = (a, b, c, d) are stored; one mode has none, ``free = ()``, and
+    c_x = (1, 0), c_y = (0, 1).  c_x and c_y are read-only arrays built when
+    read.  Any other number of free entries raises ValueError.
     """
 
-    c_x: np.ndarray
-    c_y: np.ndarray
+    free: tuple = ()
 
     def __post_init__(self):
-        c_x = np.array(self.c_x, dtype=float)
-        c_y = np.array(self.c_y, dtype=float)
-        if c_x.shape != c_y.shape or c_x.ndim != 1 or c_x.size not in (2, 4):
-            raise ValueError("dual coefficient vectors must both have length 2 or 4")
-        (x_1, x_2), (y_1, y_2) = c_x[:2].tolist(), c_y[:2].tolist()
-        if not all(abs(pinned) <= 1e-12 for pinned in (x_1 - 1.0, x_2, y_1, y_2 - 1.0)):
-            raise ValueError("mode-1 entries violate the local unbiasedness constraints")
-        c_x.flags.writeable = False
-        c_y.flags.writeable = False
-        object.__setattr__(self, "c_x", c_x)
-        object.__setattr__(self, "c_y", c_y)
-
-    @classmethod
-    def single_mode(cls) -> "DualCoefficients":
-        return cls(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-    @classmethod
-    def from_free(cls, free) -> "DualCoefficients":
-        """Two-mode duals from the free vector (a, b, c, d)."""
-        a, b, c, d = free
-        return cls([1.0, 0.0, a, b], [0.0, 1.0, c, d])
+        free = tuple(map(float, self.free))
+        if len(free) not in (0, 4):
+            raise ValueError(f"duals have 0 (one mode) or 4 (two modes) free entries, got {len(free)}")
+        object.__setattr__(self, "free", free)
 
     @property
     def n_modes(self) -> int:
-        return self.c_x.size // 2
+        return 2 if self.free else 1
 
     @property
-    def free(self) -> np.ndarray:
-        """The unconstrained entries (a, b, c, d); empty for one mode."""
-        return np.concatenate([self.c_x[2:], self.c_y[2:]])
+    def c_x(self) -> np.ndarray:
+        return _frozen_array((1.0, 0.0, *self.free[:2]))
+
+    @property
+    def c_y(self) -> np.ndarray:
+        return _frozen_array((0.0, 1.0, *self.free[2:]))
 
     def commutator(self) -> float:
-        """c_x' Omega c_y; the duals commute iff this vanishes."""
-        return float(self.c_x @ _OMEGA[self.c_x.size] @ self.c_y)
+        """beta = c_x' Omega c_y = 1 + a d - b c, formed as in _row_duality_gap; 0 iff the duals commute."""
+        if not self.free:
+            return 1.0
+        a, b, c, d = self.free
+        return (1.0 + a * d) - b * c
 
 
 @dataclass(frozen=True)
@@ -509,5 +498,4 @@ def solve(probe, weights: Weights) -> BoundResult:
     gap, free = _row_duality_gap(cov, a11, a22, d1, w_x, w_y, mu, unit_f)
     duals_certified = _certified(gap)
     converged = _row_scalar_certified(d1, a, c, mu, unit_f) if config else duals_certified
-    duals = DualCoefficients.from_free(free) if free else DualCoefficients.single_mode()
-    return BoundResult(f, duals, v_x, v_y, converged, duals_certified=duals_certified)
+    return BoundResult(f, DualCoefficients(free), v_x, v_y, converged, duals_certified=duals_certified)

@@ -236,8 +236,7 @@ def sql_feasible(r1: float, r2: float) -> SqlFeasibility:
     one.  For equal squeezing this coincides with the product criterion
     e^{-2 r1} e^{-2 r2} < 1/4.
     """
-    if r1 > r2:
-        r1, r2 = r2, r1
+    r1, r2, _ = closed_forms._canonical_pair(r1, r2)
     midpoint = 0.5 * (math.exp(-r1) + math.exp(-r2)) ** 2
     if midpoint < 1.0:
         return SqlFeasibility(True, midpoint, midpoint)

@@ -1,16 +1,17 @@
 """Monte-Carlo verification of homodyne measurement schemes.
 
-A scheme is two homodynes: a two-mode symplectic transform (a beam splitter
-in every scheme built here), one homodyne angle per output mode, and a 2x2
-linear estimator mapping the two outcomes to estimates of the displacement
-pair.  Commuting homodynes on a Gaussian state have exactly Gaussian
-outcomes, so a run's estimator statistics follow from the mean and centered
-Gram matrix of its standard-normal draws; both have exact laws, and
-run_scheme draws them directly, at a cost that does not depend on the shot
-count.  A scheme is built, checked and run in plain float arithmetic on its
-two outcomes; it leaves floats only for the one read-only array it stores
-per matrix, the np.exp of the probe's input variances, the C-ordered product
-that gives the outcome means, and the seeded draws.
+A scheme is two homodynes: a demixing beam splitter, stored as its two
+entries (a, b) with a^2 + b^2 = 1, so its transform is a real rotation of
+like quadratures and symplectic by construction; one homodyne angle per
+output mode; and a 2x2 linear estimator mapping the two outcomes to
+estimates of the displacement pair.  Commuting homodynes on a Gaussian state
+have exactly Gaussian outcomes, so a run's estimator statistics follow from
+the mean and centered Gram matrix of its standard-normal draws; both have
+exact laws, and run_scheme draws them directly, at a cost that does not
+depend on the shot count.  A scheme is built, checked and run in plain float
+arithmetic on its two outcomes; it leaves floats only for the one read-only
+array it stores per matrix, the np.exp of the probe's input variances, the
+C-ordered product that gives the outcome means, and the seeded draws.
 
 The optimal product homodyne is read off a BoundResult alone
 (extract_measurement): the certified duality gap of its duals makes
@@ -21,16 +22,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .gaussian import _OMEGA, ChannelParams, ProbeConfig, _beam_splitter_rows, _probe_factor_rows, beam_splitter
+from .gaussian import ChannelParams, ProbeConfig, _probe_factor_rows, _splitter_entries, _splitter_rows
 from .holevo import BoundResult, DualCoefficients, SolverConvergenceError, Weights
 
 _MAX_SHOTS = 1 << 53  # every shot count up to here is an exact float
-_SYMPLECTIC_TOL = 1e-10  # on max|S Omega S^T - Omega|, or relative to a finite max|S|^2
-_OMEGA_ROWS = _OMEGA[4].tolist()
 
 
 def _max_abs(values: list) -> float:
@@ -41,42 +40,43 @@ def _max_abs(values: list) -> float:
 
 @dataclass(frozen=True)
 class MeasurementScheme:
-    """Two homodynes: a 4x4 symplectic transform S (read-only), two angles, a 2x2 estimator.
+    """Two homodynes behind a beam splitter: its entries, two angles, a 2x2 estimator.
 
-    ``estimator`` rows give the coefficients of (M1, M2) in the estimates of
-    theta_x and theta_y.  The measured quadratures act on distinct modes, so
-    they commute and a joint outcome distribution exists.
+    ``splitter`` = (a, b), with a^2 + b^2 = 1 within 1e-12, gives the
+    read-only 4x4 ``transform`` with rows (a, 0, b, 0), (0, a, 0, b),
+    (-b, 0, a, 0) and (0, -b, 0, a).  ``estimator`` rows give the
+    coefficients of (M1, M2) in the estimates of theta_x and theta_y.  The
+    measured quadratures act on distinct modes, so they commute and a joint
+    outcome distribution exists.
     """
 
-    transform: np.ndarray
+    splitter: tuple
     angles: tuple
     estimator: np.ndarray
     kind: str = "general"
     probe: ProbeConfig | None = None
+    transform: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # One owning array per matrix, checked on its float rows and then made read-only.
+        # Checked on floats; each stored matrix is one read-only array.
         est = np.array(self.estimator, dtype=float)
-        mat = np.array(self.transform, dtype=float)
-        if (len(self.angles), mat.shape, est.shape) != (2, (4, 4), (2, 2)):
+        if (len(self.splitter), len(self.angles), est.shape) != (2, 2, (2, 2)):
             raise ValueError(
-                "a scheme is two homodynes: a 4x4 transform, two angles and a 2x2 estimator, got "
-                f"a {mat.shape} transform, {len(self.angles)} angle(s) and a {est.shape} estimator"
+                "a scheme is two homodynes: a two-entry splitter, two angles and a 2x2 estimator, got "
+                f"{len(self.splitter)} splitter entries, {len(self.angles)} angle(s) and a {est.shape} estimator"
             )
-        angles = tuple(map(float, self.angles))
+        splitter, angles = tuple(map(float, self.splitter)), tuple(map(float, self.angles))
         (k00, k01), (k10, k11) = est.tolist()
-        for name, values in (("angles", angles), ("estimator", (k00, k01, k10, k11))):
+        for name, values in (("splitter", splitter), ("angles", angles), ("estimator", (k00, k01, k10, k11))):
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        rows = mat.tolist()
-        # Omega is a signed permutation: entry (i, j) of S Omega S^T sums the two modes' 2x2 minors of rows i, j.
-        defect = _max_abs([x0 * v0 - y0 * u0 + x1 * v1 - y1 * u1 - w
-                           for (x0, y0, x1, y1), omega_row in zip(rows, _OMEGA_ROWS)
-                           for (u0, v0, u1, v1), w in zip(rows, omega_row)])
-        size = _max_abs(rows[0] + rows[1] + rows[2] + rows[3])
-        if not (defect <= _SYMPLECTIC_TOL or defect <= _SYMPLECTIC_TOL * (size * size) < math.inf):
-            raise ValueError(f"transform is not symplectic (defect {defect:.3e})")
+        a, b = splitter
+        if abs(a * a + b * b - 1.0) > 1e-12:
+            raise ValueError(f"splitter entries must satisfy a^2 + b^2 = 1, got {a}^2 + {b}^2 = {a * a + b * b}")
+        rows = _splitter_rows(a, b)
+        mat = np.array(rows)
         mat.flags.writeable = est.flags.writeable = False
+        object.__setattr__(self, "splitter", splitter)
         object.__setattr__(self, "transform", mat)
         object.__setattr__(self, "estimator", est)
         object.__setattr__(self, "angles", angles)
@@ -228,9 +228,9 @@ def scheme_from_duals(duals: DualCoefficients, bound: float) -> ProductCertifica
         # (c, lam - a) and (lam - d, b) both solve u'D = lam u'; the longer keeps its digits.
         u = max((c, lam - a), (lam - d, b), key=lambda v: math.hypot(*v))
         angles.append(math.atan2(u[1], u[0]) % math.pi)
-    scale = (math.sqrt(t_d), -math.sqrt(1.0 - t_d))
-    response = np.array([[s * math.cos(al), s * math.sin(al)] for s, al in zip(scale, angles)])
-    scheme = MeasurementScheme(beam_splitter(t_d), angles, np.linalg.inv(response))
+    a_d, b_d = _splitter_entries(t_d)  # beam_splitter(t_d)
+    response = np.array([[s * math.cos(al), s * math.sin(al)] for s, al in zip((a_d, -b_d), angles)])
+    scheme = MeasurementScheme((a_d, b_d), angles, np.linalg.inv(response))
     scheme.check_unbiased()
 
     target = np.vstack([duals.c_x, duals.c_y])
@@ -268,7 +268,8 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
     The ``t``/``t_star`` values follow the optimal-variance formulas (e.g.
     balanced variances e^{-2r}/(1-t*) and e^{-2r}/t*); the attached
     ProbeConfig carries the matching package-convention transmissivity 1 - t,
-    whose beam splitter the transform undoes: its inverse is its transpose.
+    whose beam splitter the transform undoes: its inverse is its transpose,
+    the splitter (a, -b) for beam_splitter(1 - t)'s entries (a, b).
     """
     if kind == "example1":
         r2 = float(params["r2"])
@@ -278,15 +279,9 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
             raise ValueError(f"transmissivity t = {t} leaves one estimator undefined")
         probe = ProbeConfig(r1=0.0, r2=r2, phi1=0.0, phi2=phi2, t=1.0 - t)
         sin_p, cos_p = math.sin(phi2), math.cos(phi2)
+        angles = (phi2 + math.pi / 2.0, phi2)
         estimator = [[-sin_p / math.sqrt(1.0 - t), cos_p / math.sqrt(t)],
                      [cos_p / math.sqrt(1.0 - t), sin_p / math.sqrt(t)]]
-        scheme = MeasurementScheme(
-            list(zip(*_beam_splitter_rows(1.0 - t))),
-            (phi2 + math.pi / 2.0, phi2),
-            estimator,
-            kind="example1",
-            probe=probe,
-        )
     elif kind == "balanced":
         r = float(params["r"])
         if "t_star" in params:
@@ -297,16 +292,12 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
         if not 0.0 < t_star < 1.0:
             raise ValueError(f"t_star = {t_star} leaves one estimator undefined")
         probe = ProbeConfig(r1=r, r2=r, phi1=0.0, phi2=math.pi / 2.0, t=1.0 - t_star)
+        angles = (0.0, math.pi / 2.0)
         estimator = [[1.0 / math.sqrt(1.0 - t_star), 0.0], [0.0, 1.0 / math.sqrt(t_star)]]
-        scheme = MeasurementScheme(
-            list(zip(*_beam_splitter_rows(1.0 - t_star))),
-            (0.0, math.pi / 2.0),
-            estimator,
-            kind="balanced",
-            probe=probe,
-        )
     else:
         raise ValueError(f"unknown scheme kind {kind!r}")
+    a, b = _splitter_entries(probe.t)
+    scheme = MeasurementScheme((a, -b), angles, estimator, kind=kind, probe=probe)
     scheme.check_unbiased()
     return scheme
 

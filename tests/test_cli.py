@@ -290,6 +290,22 @@ def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkey
     assert {p.name for p in tmp_path.iterdir()} <= {"config.json"}  # no output file, not even "None"
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("region", "--r1", "nan", "--r2", "0.7"), "--r1", "nan"),
+    (("region", "--r1", "25", "--r2", "0.7"), "--r1", "25.0"),
+    (("region", "--modes", "1", "--r", "-1"), "--r", "-1.0"),
+    (("simulate", "--scheme", "balanced", "--r", "25"), "--r", "25.0"),
+    (("simulate", "--scheme", "example1", "--r2", "inf"), "--r2", "inf"),
+    (("bound", "--modes", "1", "--r", "30"), "--r", "30.0"),
+    (("bound", "--r1", "0.3", "--r2", "21"), "--r2", "21.0"),
+], ids=["region-nan", "region-too-large", "region-one-mode", "simulate-balanced", "simulate-example1",
+        "bound-one-mode", "bound-two-mode"])
+def test_invalid_squeezing_is_named_by_its_flag(capsys, argv, flag, value):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be finite and within [0, 20.0], got {value}\n"
+
+
 def test_simulate_shot_floor(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--scheme", "balanced", "--r", "0.693", "--shots", "10"

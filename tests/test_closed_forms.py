@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qbound import closed_forms as cf
+from qbound import regions
 
 R_3DB = 0.5 * math.log(2.0)
 R_6DB = 0.5 * math.log(4.0)
@@ -87,6 +88,20 @@ def test_two_mode_envelope_tail_and_errors():
     swapped = cf.two_mode_envelope(1.0, r2, r1)
     assert swapped.swapped
     assert swapped.v_y == cf.two_mode_envelope(1.0, r1, r2).v_y
+
+
+@pytest.mark.parametrize("v_x", [math.nan, math.inf, -math.inf])
+def test_checked_closed_forms_refuse_a_non_finite_v_x(v_x):
+    # A nan v_x used to come back as a nan v_y, and inf as inf / inf in the high branch.
+    calls = (
+        lambda: cf.two_mode_envelope(v_x, 0.35, 0.69),
+        lambda: cf.single_mode_tradeoff(v_x, 0.4, 0.2),
+        lambda: regions.closed_form_boundary(0.35, 0.69, [1.0, v_x]),
+        lambda: regions.single_mode_boundary(0.4, 0.2, [1.0, v_x]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"v_x must be finite, got {v_x}"):
+            call()
 
 
 def test_envelope_symmetry():

@@ -273,7 +273,6 @@ def test_state_refuses_non_finite_entries(cov):
 def test_structural_checks_are_relative():
     # Rounding-level asymmetry on entries of size e^{2r} is accepted at any
     # r <= 20, and the same relative defect of 1e-6 is rejected at any scale.
-    # (MeasurementScheme's symplectic check: tests/test_simulate.py.)
     for r in (0.0, 7.0, 20.0):
         cov = build_probe(ProbeConfig(r1=r, phi1=0.3, n_modes=1)).cov.copy()
         scale = np.max(np.abs(cov))

@@ -54,27 +54,56 @@ def test_weights_validation():
 
 
 def test_unbiased_constraints_shapes():
-    # DualCoefficients pins the mode-1 entries to the unit vectors: one mode
-    # leaves no free entry, two modes leave four, and three are unsupported.
-    one = DualCoefficients.single_mode()
-    assert one.n_modes == 1 and one.free.size == 0
+    # DualCoefficients stores only the entries local unbiasedness leaves free:
+    # none for one mode, the four mode-2 entries for two; other counts are refused.
+    one = DualCoefficients()
+    assert one.n_modes == 1 and one.free == ()
     assert np.array_equal(one.c_x, [1.0, 0.0]) and np.array_equal(one.c_y, [0.0, 1.0])
-    two = DualCoefficients.from_free([0.1, 0.2, 0.3, 0.4])
-    assert two.n_modes == 2 and np.array_equal(two.free, [0.1, 0.2, 0.3, 0.4])
-    with pytest.raises(ValueError):
-        DualCoefficients(np.r_[1.0, np.zeros(5)], np.r_[0.0, 1.0, np.zeros(4)])
-    for c_x, c_y in (([1.0, 1e-9], [0.0, 1.0]), ([1.0, 0.0], [0.0, math.nan])):
-        with pytest.raises(ValueError):
-            DualCoefficients(np.array(c_x), np.array(c_y))
+    two = DualCoefficients(np.array([0.1, 0.2, 0.3, 0.4]))
+    assert two.n_modes == 2 and two.free == (0.1, 0.2, 0.3, 0.4)
+    assert all(type(x) is float for x in two.free)
+    for free in ([0.0, 0.0], [0.0] * 5, [0.0] * 6):
+        with pytest.raises(ValueError, match="0 \\(one mode\\) or 4 \\(two modes\\) free entries"):
+            DualCoefficients(free)
 
 
 def test_dual_coefficients():
-    duals = DualCoefficients.from_free([0.0, 0.0, 0.0, 0.0])
+    duals = DualCoefficients((0.0, 0.0, 0.0, 0.0))
     assert np.array_equal(duals.c_x, [1.0, 0.0, 0.0, 0.0])
     assert np.array_equal(duals.c_y, [0.0, 1.0, 0.0, 0.0])
-    assert duals.commutator() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        DualCoefficients(np.array([1.0, 0.1, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]))
+    assert duals.commutator() == 1.0 and DualCoefficients().commutator() == 1.0
+    duals = DualCoefficients((0.1, 0.2, 0.3, 0.4))
+    assert duals.c_x.tolist() == [1.0, 0.0, 0.1, 0.2] and duals.c_y.tolist() == [0.0, 1.0, 0.3, 0.4]
+    assert not duals.c_x.flags.writeable and not duals.c_y.flags.writeable
+    assert duals.commutator() == pytest.approx(1.0 + 0.1 * 0.4 - 0.2 * 0.3, rel=1e-15)
+
+
+def test_results_and_duals_compare_equal_and_hash():
+    # A result is a value: two solves of one row are equal and hash alike.
+    for probe, w in ((ProbeConfig(r1=0.35, r2=0.69, phi2=0.4, t=0.3), Weights(1.0, 2.0)),
+                     (ProbeConfig(r1=0.6, phi1=0.2, n_modes=1), Weights(3.0, 1.0)),
+                     (fig2b_cov(), Weights(0.5, 1.0))):
+        first, second = solve(probe, w), solve(probe, w)
+        assert first == second and hash(first) == hash(second)
+        assert first.duals == DualCoefficients(first.duals.free)
+        assert hash(first.duals) == hash(DualCoefficients(list(first.duals.free)))
+    assert len({DualCoefficients(), DualCoefficients((0, 0, 0, 0)), DualCoefficients([0.0] * 4)}) == 2
+
+
+def test_commutator_is_the_gap_beta_bit_for_bit():
+    # beta = (1 + a d) - b c, the expression _row_duality_gap forms, bit for
+    # bit, and c_x' Omega c_y to rounding, over seeded two-mode configuration
+    # and raw-covariance rows with zero weights among them.
+    rng = np.random.default_rng(53)
+    omega = symplectic_form(2)
+    for k in range(1_200):
+        r1, r2 = sorted(rng.uniform(0.0, 4.0, 2).tolist())
+        config = ProbeConfig(r1, r2, *rng.uniform(-4.0, 4.0, 2).tolist(), float(rng.uniform()))
+        w = Weights(float(rng.choice([0.0, 10.0 ** rng.uniform(-3.0, 3.0)])), 1.0)
+        duals = solve(config if k % 2 else build_probe(config).cov, w).duals
+        a, b, c, d = duals.free
+        assert duals.commutator().hex() == ((1.0 + a * d) - b * c).hex(), k
+        assert abs(duals.commutator() - duals.c_x @ omega @ duals.c_y) <= 1e-15 * (1.0 + abs(a * d) + abs(b * c))
 
 
 def test_single_mode_closed_examples():
@@ -190,7 +219,7 @@ def test_solve_lower_bounds_random_duals():
     for w in (Weights(1, 1), Weights(0.3, 2.0)):
         f = solve(cov, w).f_hcr
         for _ in range(100):
-            duals = DualCoefficients.from_free(rng.normal(scale=2.0, size=4))
+            duals = DualCoefficients(rng.normal(scale=2.0, size=4))
             assert primal(cov, w, duals) >= f - 1e-10
 
 
@@ -500,7 +529,7 @@ def test_certificate_accepts_optima_and_rejects_moved_duals():
         res = solve(cov, w)
         assert res.converged
         assert abs(primal(cov, w, res.duals) - res.f_hcr) <= CERTIFICATE_TOL * res.f_hcr
-        moved = DualCoefficients.from_free(res.duals.free + 1e-4 * rng.standard_normal(4))
+        moved = DualCoefficients(res.duals.free + 1e-4 * rng.standard_normal(4))
         assert primal(cov, w, moved) - res.f_hcr > CERTIFICATE_TOL * res.f_hcr
 
 
@@ -605,7 +634,7 @@ def test_gap_is_the_primal_value_of_the_reported_duals():
         d1, a, c = holevo._delta_minus_one(cov.tolist()), wx * cov[0, 0] + wy * cov[1, 1], math.sqrt(wx * wy)
         mu = holevo._row_multiplier(d1, a, c)
         gap, free = holevo._row_duality_gap(cov.tolist(), cov[0, 0], cov[1, 1], d1, wx, wy, mu, f)
-        want = (primal(cov, Weights(wx, wy), DualCoefficients.from_free(free)) - f) / f
+        want = (primal(cov, Weights(wx, wy), DualCoefficients(free)) - f) / f
         assert abs(gap - want) <= 1e-12
 
 

@@ -278,6 +278,17 @@ def test_sql_feasible_threshold():
     assert regions.sql_feasible(r49, r49).feasible
 
 
+@pytest.mark.parametrize("r1, r2", [(-5.0, 1.0), (math.nan, 1.0), (30.0, 40.0), (1.0, math.inf)])
+def test_sql_feasible_checks_squeezing_like_every_closed_form(r1, r2):
+    # These used to read infeasible, or (30, 40) feasible.
+    with pytest.raises(ValueError, match="must be finite and within"):
+        regions.sql_feasible(r1, r2)
+
+
+def test_sql_feasible_is_symmetric_in_the_squeezing():
+    assert regions.sql_feasible(0.9, 0.5) == regions.sql_feasible(0.5, 0.9)
+
+
 def test_closed_form_boundary_segments():
     rows = regions.closed_form_boundary(0.35, 0.69, np.geomspace(0.26, 10.0, 40))
     segs = {r.segment for r in rows}
