@@ -48,7 +48,6 @@ from .regions import (
 from .simulate import (
     BoundComparison,
     MeasurementScheme,
-    ProductCertificate,
     SimulationReport,
     build_scheme,
     compare_to_bound,

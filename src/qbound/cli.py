@@ -78,11 +78,22 @@ def _resolve_r(args, r_attr: str, db_attr: str) -> float:
     if r is not None and db is not None:
         raise ValueError(f"--{r_attr} and --{db_attr} cannot both be given")
     if db is not None:
-        return squeezing_db_to_r(db)
+        try:
+            return squeezing_db_to_r(db)
+        except ValueError as exc:
+            raise ValueError(f"--{db_attr}: {exc}") from None
     if r is None:
         raise ValueError(f"one of --{r_attr} or --{db_attr} is required")
     _check_r(r, f"--{r_attr}")
     return r
+
+
+def _resolve_single_mode(args) -> tuple[float, float]:
+    """The one-mode squeezing (--r or --db) and a finite --phi."""
+    r = _resolve_r(args, "r", "db")
+    if not math.isfinite(args.phi):
+        raise ValueError(f"--phi must be finite, got {args.phi}")
+    return r, args.phi
 
 
 def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
@@ -124,11 +135,11 @@ def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
 def cmd_bound(args) -> int:
     weights = Weights(args.wx, args.wy)
     if args.modes == 1:
-        r = _resolve_r(args, "r", "db")
-        probe = ProbeConfig(r1=r, phi1=args.phi, n_modes=1)
+        r, phi = _resolve_single_mode(args)
+        probe = ProbeConfig(r1=r, phi1=phi, n_modes=1)
         crosscheck = {
             "name": "single-mode-line",
-            "value": closed_forms.single_mode_line(weights.w_x, weights.w_y, r, args.phi),
+            "value": closed_forms.single_mode_line(weights.w_x, weights.w_y, r, phi),
         }
     else:
         r1 = _resolve_r(args, "r1", "db1")
@@ -203,10 +214,10 @@ def cmd_region(args) -> int:
 
     samples: list[regions.RegionSample] = []
     if args.modes == 1:
-        r = _resolve_r(args, "r", "db")
-        v_a, _ = closed_forms.projected_variances(r, args.phi)
+        r, phi = _resolve_single_mode(args)
+        v_a, _ = closed_forms.projected_variances(r, phi)
         v_x_values = np.geomspace(v_a * 1.01, v_a * 1.01 + 20.0, args.vx_points)
-        samples += regions.single_mode_boundary(r, args.phi, v_x_values)
+        samples += regions.single_mode_boundary(r, phi, v_x_values)
     else:
         r1 = _resolve_r(args, "r1", "db1")
         r2 = _resolve_r(args, "r2", "db2")
@@ -383,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb-envelope", type=float, default=0.0,
                    help="fault-injection hook: scale the reference envelope")
     p.add_argument("--shots", type=int, default=verify.MC_SHOTS)
-    p.add_argument("--seed", type=int, default=verify.MC_SEED)
+    p.add_argument("--seed", type=int, default=verify.MC_SEED,
+                   help="base seed of the two Monte-Carlo checks (quartic-root uses 7, structural-properties 11)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -37,6 +37,8 @@ def projected_variances(r: float, phi: float) -> tuple[float, float]:
     sin and cos swapped; their product is >= 1.
     """
     _check_r(r)
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     e_m, e_p = math.exp(-2.0 * r), math.exp(2.0 * r)
     c2, s2 = math.cos(phi) ** 2, math.sin(phi) ** 2
     return e_m * c2 + e_p * s2, e_m * s2 + e_p * c2

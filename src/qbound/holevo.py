@@ -47,10 +47,10 @@ certificate would pass a wrong -det C.  Two-mode duals come from a
 covariance too, so solve() builds one for a two-mode configuration, a float
 row bit-identical to a probe_covariances row (a test pins it); one mode
 pins the duals to mode 1, where the gap is phi(1) = a + 2 c.
-BoundResult.duals_certified is the duals' gap, which extract_measurement
-requires.  A raw covariance is checked for purity and read as -det C on
+BoundResult.duals_certified is the duals' gap, a diagnostic of the duals
+alone.  A raw covariance is checked for purity and read as -det C on
 float lists too.  Only gaussian, which builds covariances, and this module read
-them: simulate builds the optimal measurement from a BoundResult alone.
+them: simulate certifies the optimal measurement by the variance it achieves.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class BoundResult:
     ``duals_certified`` is the duality gap of ``duals`` alone: their weighted
     variance, evaluated from the probe covariance (from A_11 and A_22 for
     one mode), matches ``f_hcr``.  The gap's terms are ~e^{4r} times the
-    answer, so at large squeezing it can fail where ``converged`` holds; only
-    a certified gap vouches for the duals.
+    answer, so at large squeezing it can fail where ``converged`` holds.  It
+    is a diagnostic of the duals: extract_measurement does not read it.
     """
 
     f_hcr: float

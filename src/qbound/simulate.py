@@ -13,21 +13,21 @@ arithmetic on its two outcomes; it leaves floats only for the one read-only
 array it stores per matrix, the np.exp of the probe's input variances, the
 C-ordered product that gives the outcome means, and the seeded draws.
 
-The optimal product homodyne is read off a BoundResult alone
-(extract_measurement): the certified duality gap of its duals makes
-``f_hcr`` their weighted variance, so no covariance is needed.
+The optimal product homodyne (extract_measurement) is built from the
+bound's duals in closed form and certified by the one number that decides
+optimality: its exact weighted variance must match the certified bound.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .gaussian import ChannelParams, ProbeConfig, _probe_factor_rows, _splitter_entries, _splitter_rows
-from .holevo import BoundResult, DualCoefficients, SolverConvergenceError, Weights
+from .holevo import CERTIFICATE_TOL, DualCoefficients, SolverConvergenceError, Weights, solve
 
 _MAX_SHOTS = 1 << 53  # every shot count up to here is an exact float
 
@@ -80,18 +80,11 @@ class MeasurementScheme:
         object.__setattr__(self, "transform", mat)
         object.__setattr__(self, "estimator", est)
         object.__setattr__(self, "angles", angles)
-        dirs = []  # measured_directions as nested float lists, formed once
+        dirs = []  # row k, cos(alpha_k) M[2k] + sin(alpha_k) M[2k+1]: the quadrature homodyne k measures
         for al, x_row, y_row in zip(angles, rows[::2], rows[1::2]):
             c, s = math.cos(al), math.sin(al)
             dirs.append([c * x + s * y for x, y in zip(x_row, y_row)])
         object.__setattr__(self, "_dirs", dirs)
-
-    def measured_directions(self) -> np.ndarray:
-        """Rows: the quadrature vectors measured by each homodyne, pre-transform.
-
-        Row k is ``cos(alpha_k) M[2k] + sin(alpha_k) M[2k+1]`` for the transform M.
-        """
-        return np.array(self._dirs)
 
     def check_unbiased(self, tol: float = 1e-9) -> None:
         """Raise unless the response d(estimates)/d(theta) is the identity.
@@ -153,16 +146,6 @@ def _cholesky(c: list) -> list:
 
 
 @dataclass(frozen=True)
-class ProductCertificate:
-    """Result of turning optimal duals into a product homodyne scheme."""
-
-    certified: bool
-    scheme: MeasurementScheme | None
-    commutator: float
-    reason: str = ""
-
-
-@dataclass(frozen=True)
 class SimulationReport:
     shots: int
     seed: int
@@ -194,31 +177,20 @@ class BoundComparison:
     ok: bool
 
 
-def scheme_from_duals(duals: DualCoefficients, bound: float) -> ProductCertificate:
-    """Build the product homodyne realizing commuting two-mode duals, in closed form.
+def scheme_from_duals(duals: DualCoefficients) -> MeasurementScheme:
+    """Build the product homodyne that realizes commuting two-mode duals, in closed form.
 
     Commuting duals have mode-2 coefficient matrix D = [[a, b], [c, d]] with
     det D = beta - 1 = -1, so its eigenvalues are rho = h + sqrt(h^2 + 1) > 0
     and -1/rho, h = tr D / 2.  A beam splitter of transmissivity 1/(1 + rho^2)
     puts the duals on separate outputs, the left eigenvectors u1, u2 of D give
     the homodyne angles, and the estimator inverts the mode-1 response
-    [sqrt(t_d) u1; -sqrt(1 - t_d) u2].  Duals count as commuting when
-    |beta| <= 1e-6 max(1, |bound|), with ``bound`` their weighted variance.
-    Duals that do not commute (one mode never does), or that the scheme
-    fails to reproduce, are flagged.
+    [sqrt(t_d) u1; -sqrt(1 - t_d) u2].  Other duals give a scheme off their
+    weighted variance.  One mode, or a response whose determinant is 0 or not
+    finite (a product probe's zero duals), raises ValueError.
     """
     if duals.n_modes != 2:
-        return ProductCertificate(
-            False, None, duals.commutator(),
-            "no product-homodyne certificate: a single mode cannot carry both conjugate estimates",
-        )
-    beta = duals.commutator()
-    if abs(beta) > 1e-6 * max(1.0, abs(bound)):
-        return ProductCertificate(
-            False, None, beta,
-            "no product-homodyne certificate: optimal duals do not commute",
-        )
-
+        raise ValueError("a single mode cannot carry both conjugate estimates")
     a, b, c, d = duals.free
     h = 0.5 * (a + d)
     rho = h + math.hypot(h, 1.0) if h >= 0.0 else 1.0 / (math.hypot(h, 1.0) - h)  # nothing cancels
@@ -229,29 +201,40 @@ def scheme_from_duals(duals: DualCoefficients, bound: float) -> ProductCertifica
         u = max((c, lam - a), (lam - d, b), key=lambda v: math.hypot(*v))
         angles.append(math.atan2(u[1], u[0]) % math.pi)
     a_d, b_d = _splitter_entries(t_d)  # beam_splitter(t_d)
-    response = np.array([[s * math.cos(al), s * math.sin(al)] for s, al in zip((a_d, -b_d), angles)])
-    scheme = MeasurementScheme((a_d, b_d), angles, np.linalg.inv(response))
+    (r00, r01), (r10, r11) = ((s * math.cos(al), s * math.sin(al)) for s, al in zip((a_d, -b_d), angles))
+    det = r00 * r11 - r01 * r10
+    if not (det != 0.0 and math.isfinite(det)):
+        raise ValueError(f"both homodynes measure one quadrature: the response determinant is {det}")
+    estimator = [[r11 / det, -r01 / det], [-r10 / det, r00 / det]]
+    scheme = MeasurementScheme((a_d, b_d), angles, estimator, kind="optimal")
     scheme.check_unbiased()
-
-    target = np.vstack([duals.c_x, duals.c_y])
-    realized = scheme.estimator @ scheme.measured_directions()
-    if np.max(np.abs(realized - target)) > 1e-6 * max(1.0, np.max(np.abs(target))):
-        return ProductCertificate(
-            False, None, beta,
-            "no product-homodyne certificate: reconstruction mismatch",
-        )
-    return ProductCertificate(True, scheme, beta)
+    return scheme
 
 
-def extract_measurement(result: BoundResult) -> ProductCertificate:
-    """Product-homodyne scheme realizing a result's optimal duals (scheme_from_duals).
+def extract_measurement(probe: ProbeConfig, weights: Weights) -> MeasurementScheme:
+    """The optimal product homodyne for a ProbeConfig, certified by the variance it achieves.
 
-    The result must be converged and its duals certified: their duality gap
-    makes ``f_hcr`` the duals' weighted variance, so it is the ``bound``.
+    Returns scheme_from_duals of the solved duals, ``probe`` attached, only
+    when its exact weighted variance is within CERTIFICATE_TOL of the
+    certified ``f_hcr``: any locally unbiased scheme's variance bounds the
+    minimum from above, and ``f_hcr`` from below.  Every refusal raises
+    SolverConvergenceError; a probe that is not a ProbeConfig, ValueError.
     """
-    if not (result.converged and result.duals_certified):
-        raise SolverConvergenceError("cannot extract a measurement: the duals of this result are not certified")
-    return scheme_from_duals(result.duals, result.f_hcr)
+    if not isinstance(probe, ProbeConfig):
+        raise ValueError("extract_measurement takes a ProbeConfig; a raw covariance goes through solve alone")
+    result = solve(probe, weights)
+    if not result.converged:
+        raise SolverConvergenceError("cannot extract a measurement: the bound is not converged")
+    try:
+        scheme = replace(scheme_from_duals(result.duals), probe=probe)
+    except ValueError as exc:
+        raise SolverConvergenceError(f"cannot extract a measurement: {exc}") from None
+    v_x, v_y = scheme.predicted_variances(probe)
+    excess = (weights.w_x * v_x + weights.w_y * v_y - result.f_hcr) / result.f_hcr
+    if not abs(excess) <= CERTIFICATE_TOL:  # NaN fails
+        raise SolverConvergenceError(f"cannot extract a measurement: the scheme's weighted variance is off the "
+                                     f"bound by {excess:.3e} relative (commutator {result.duals.commutator():.3e})")
+    return scheme
 
 
 def build_scheme(kind: str, **params) -> MeasurementScheme:

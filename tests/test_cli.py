@@ -227,9 +227,12 @@ def test_simulate_at_large_squeezing(capsys):
     "argv, field",
     [
         (("bound", "--r1", "0.3", "--r2", "0.5", "--phi1", "nan"), "phi1"),
-        (("bound", "--modes", "1", "--r", "0.3", "--phi", "inf"), "phi1"),
+        (("bound", "--modes", "1", "--r", "0.3", "--phi", "inf"), "--phi"),
         (("simulate", "--scheme", "balanced", "--r", "0.3", "--theta", "nan,0"), "theta_x"),
         (("simulate", "--scheme", "example1", "--r2", "0.3", "--phi2", "nan"), "phi2"),
+        (("bound", "--modes", "1", "--r", "0.3", "--phi", "nan"), "--phi"),
+        (("region", "--modes", "1", "--r", "0.3", "--phi", "nan"), "--phi"),
+        (("region", "--modes", "1", "--r", "0.3", "--phi", "inf"), "--phi"),
     ],
 )
 def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
@@ -275,6 +278,11 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
         # sqrt(w_x / w_y) underflows to 0: the zero-weight limit
         (("bound", "--r1", "0.3", "--r2", "1.2", "--wx", "1e-200", "--wy", "1e200", "--auto-config"),
          "degenerate weights have no two-mode auto configuration"),
+        # a decibel error names its flag
+        (("bound", "--r1", "0.5", "--db2", "300"), "--db2: squeezing of 300.0 dB is out of range"),
+        (("region", "--db1", "-5", "--r2", "1"), "--db1: squeezing of -5.0 dB is out of range"),
+        (("bound", "--modes", "1", "--db", "200"), "--db: squeezing of 200.0 dB is out of range"),
+        (("simulate", "--scheme", "example1", "--db2", "nan"), "--db2: squeezing of nan dB is out of range"),
     ],
 )
 def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkeypatch, argv, message):

@@ -104,6 +104,16 @@ def test_checked_closed_forms_refuse_a_non_finite_v_x(v_x):
             call()
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_single_mode_closed_forms_refuse_a_non_finite_angle(phi):
+    # A nan angle used to come back as a nan line, and the CLI named v_x for it.
+    for call in (lambda: cf.projected_variances(0.3, phi), lambda: cf.single_mode_line(1.0, 1.0, 0.3, phi),
+                 lambda: cf.single_mode_tradeoff(2.0, 0.3, phi),
+                 lambda: regions.single_mode_boundary(0.3, phi, [2.0, 3.0])):
+        with pytest.raises(ValueError, match=f"phi must be finite, got {phi}"):
+            call()
+
+
 def test_envelope_symmetry():
     rng = np.random.default_rng(9)
     for _ in range(100):

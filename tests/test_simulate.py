@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,14 +12,17 @@ import numpy as np
 import pytest
 
 import mc_reference
+import oracle
 import qbound
 from qbound import closed_forms as cf
+from qbound import simulate
 from qbound.gaussian import ChannelParams, ProbeConfig, beam_splitter, build_probe
-from qbound.holevo import DualCoefficients, Weights, solve
+from qbound.holevo import CERTIFICATE_TOL, DualCoefficients, SolverConvergenceError, Weights, solve
 from qbound.simulate import (
     MeasurementScheme,
     build_scheme,
     compare_to_bound,
+    extract_measurement,
     run_scheme,
     scheme_from_duals,
 )
@@ -116,17 +120,15 @@ def test_optimal_scheme_transform_is_its_beam_splitter():
         r = float(rng.uniform(0.05, 3.0))
         probe = ProbeConfig(r1=r, r2=r, phi1=0.0, phi2=math.pi / 2.0, t=float(rng.uniform(0.05, 0.95)))
         res = solve(probe, Weights(float(10.0 ** rng.uniform(-2.0, 2.0)), 1.0))
-        cert = scheme_from_duals(res.duals, res.f_hcr)
-        if not cert.certified:
-            continue
+        scheme = scheme_from_duals(res.duals)
         a, b, c, d = res.duals.free
         h = 0.5 * (a + d)
         rho = h + math.hypot(h, 1.0) if h >= 0.0 else 1.0 / (math.hypot(h, 1.0) - h)
         expected = beam_splitter(1.0 / (1.0 + rho * rho))
-        assert cert.scheme.transform.tobytes() == expected.tobytes()
-        assert not cert.scheme.transform.flags.writeable
+        assert scheme.transform.tobytes() == expected.tobytes()
+        assert not scheme.transform.flags.writeable
         schemes += 1
-    assert schemes >= 150
+    assert schemes == 200
 
 
 def test_scheme_splitter_must_be_a_finite_unit_pair():
@@ -582,24 +584,160 @@ def test_compare_to_bound_optimal_and_suboptimal():
 
 
 def test_scheme_from_duals_rejects_noncommuting():
-    bound = solve(build_probe(ProbeConfig(r1=0.3, r2=0.7, t=0.5)).cov, Weights(1, 1)).f_hcr
-    cert = scheme_from_duals(DualCoefficients((0.0, 0.0, 0.0, 0.0)), bound)
-    assert not cert.certified
-    assert "commute" in cert.reason
+    # A product probe's duals, (0, 0, 0, 0), do not commute (beta = 1): both
+    # homodynes come out at pi/2 and the response determinant is exactly 0,
+    # so the row is refused before anything is inverted.  Other
+    # non-commuting duals give a scheme that misses the bound, and
+    # extract_measurement refuses that one.
+    with pytest.raises(ValueError, match="both homodynes measure one quadrature"):
+        scheme_from_duals(DualCoefficients((0.0, 0.0, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="a single mode cannot carry both conjugate estimates"):
+        scheme_from_duals(DualCoefficients())
 
 
 def test_scheme_from_duals_reconstructs_commuting_optimum():
-    probe = ProbeConfig(r1=0.5, r2=0.5, phi1=0.0, phi2=math.pi / 2, t=0.5)
-    cov = build_probe(probe).cov
-    res = solve(cov, Weights(1, 1))
-    cert = scheme_from_duals(res.duals, res.f_hcr)
-    assert cert.certified
-    assert abs(cert.commutator) <= 1e-8
-    # the realized observables reproduce the duals
-    dirs = cert.scheme.measured_directions()
-    realized = cert.scheme.estimator @ dirs
-    assert np.allclose(realized[0], res.duals.c_x, atol=1e-7)
-    assert np.allclose(realized[1], res.duals.c_y, atol=1e-7)
+    # Up to r = 1 the realized observables K dirs, with dirs formed from the
+    # transform and the angles, reproduce the duals.
+    rng = np.random.default_rng(63)
+    for _ in range(50):
+        r1, r2 = sorted(rng.uniform(0.0, 1.0, 2).tolist())
+        phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, 2).tolist()
+        probe = ProbeConfig(r1=r1, r2=r2, phi1=phi1, phi2=phi2, t=float(rng.uniform(0.05, 0.95)))
+        res = solve(probe, Weights(1.0, float(10.0 ** rng.uniform(-2.0, 2.0))))
+        assert abs(res.duals.commutator()) <= 1e-8
+        scheme = scheme_from_duals(res.duals)
+        m = scheme.transform
+        dirs = np.array([math.cos(al) * m[2 * k] + math.sin(al) * m[2 * k + 1]
+                         for k, al in enumerate(scheme.angles)])
+        realized = scheme.estimator @ dirs
+        assert np.allclose(realized[0], res.duals.c_x, rtol=0.0, atol=1e-7)
+        assert np.allclose(realized[1], res.duals.c_y, rtol=0.0, atol=1e-7)
+
+
+@pytest.mark.parametrize("probe, weights", [
+    # a product probe's zero duals once reached a singular inverse
+    (ProbeConfig(r1=0.0, r2=10.2488, phi1=2.8294, phi2=2.6022, t=0.0), Weights(3.318, 0.1642)),
+    (ProbeConfig(r1=8.0, r2=12.0, phi1=0.4, phi2=1.3, t=1.0), Weights(1.0, 1.0)),
+    (ProbeConfig(r1=0.5, r2=15.0, phi1=1.0, phi2=2.0, t=0.0), Weights(1.0, 0.01)),
+    (ProbeConfig(r1=20.0, r2=20.0, phi1=0.7, phi2=0.1, t=1.0), Weights(1e-3, 1.0)),
+], ids=["t0-r10", "t1-r12", "t0-r15", "t1-r20"])
+def test_extract_measurement_refuses_product_probes(probe, weights):
+    assert solve(probe, weights).f_hcr > 1e6
+    with pytest.raises(SolverConvergenceError, match="both homodynes measure one quadrature"):
+        extract_measurement(probe, weights)
+
+
+def test_extract_measurement_takes_a_configuration_and_a_converged_bound(monkeypatch):
+    cov = build_probe(ProbeConfig(r1=0.3, r2=0.7, t=0.5)).cov
+    with pytest.raises(ValueError, match="solve"):
+        extract_measurement(cov, Weights(1.0, 1.0))
+    real_solve = simulate.solve
+    monkeypatch.setattr(simulate, "solve", lambda *args: replace(real_solve(*args), converged=False))
+    with pytest.raises(SolverConvergenceError, match="not converged"):
+        extract_measurement(ProbeConfig(r1=0.3, r2=0.7, t=0.5), Weights(1.0, 1.0))
+
+
+def _band(r_max: float, n: int):
+    # Seed 2030: r1 <= r2 uniform in [0, r_max], angles in [0, 2 pi),
+    # t in [0.02, 0.98] and w_y / w_x = 10^U(-2, 2), drawn per row in that order.
+    rng = np.random.default_rng(2030)
+    for _ in range(n):
+        r1, r2 = sorted(rng.uniform(0.0, r_max, 2).tolist())
+        phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, 2).tolist()
+        t = float(rng.uniform(0.02, 0.98))
+        yield ProbeConfig(r1=r1, r2=r2, phi1=phi1, phi2=phi2, t=t), Weights(1.0, float(10.0 ** rng.uniform(-2, 2)))
+
+
+def _weighted_excess(scheme, probe, weights) -> float:
+    v_x, v_y = scheme.predicted_variances(probe)
+    f = solve(probe, weights).f_hcr
+    return abs(weights.w_x * v_x + weights.w_y * v_y - f) / f
+
+
+def test_every_row_up_to_r8_extracts_a_scheme_on_the_bound():
+    for probe, weights in _band(8.0, 300):
+        assert _weighted_excess(extract_measurement(probe, weights), probe, weights) <= CERTIFICATE_TOL
+
+
+def _decimal_weighted_variance(scheme, probe, weights) -> Decimal:
+    # w_x V_x + w_y V_y of the scheme's float entries on the probe, in
+    # oracle.DIGITS-digit arithmetic: the covariance's blocks t C1 + (1-t) C2,
+    # (1-t) C1 + t C2 and sqrt(t(1-t)) (C2 - C1), then K dirs S dirs' K'.
+    with localcontext() as ctx:
+        ctx.prec = oracle.DIGITS
+        r1, r2, phi1, phi2, t = (Decimal(getattr(probe, k)) for k in ("r1", "r2", "phi1", "phi2", "t"))
+        c1, c2 = oracle._squeezed(r1, phi1), oracle._squeezed(r2, phi2)
+        mix = (t * (1 - t)).sqrt()
+
+        def block(p, q):
+            return [[p * c1[i][j] + q * c2[i][j] for j in range(2)] for i in range(2)]
+
+        a, b, g = block(t, 1 - t), block(1 - t, t), block(-mix, mix)
+        cov = [a[0] + g[0], a[1] + g[1], g[0] + b[0], g[1] + b[1]]
+        m = [[Decimal(x) for x in row] for row in scheme.transform.tolist()]
+        dirs = []
+        for k, angle in enumerate(scheme.angles):
+            c, s = oracle._cos_sin(Decimal(angle))
+            dirs.append([c * x + s * y for x, y in zip(m[2 * k], m[2 * k + 1])])
+        observables = [[Decimal(k0) * d0 + Decimal(k1) * d1 for d0, d1 in zip(*dirs)]
+                       for k0, k1 in scheme.estimator.tolist()]
+        v_x, v_y = (sum(o[i] * cov[i][j] * o[j] for i in range(4) for j in range(4)) for o in observables)
+        return Decimal(weights.w_x) * v_x + Decimal(weights.w_y) * v_y
+
+
+def test_extracted_schemes_attain_the_oracle_bound_in_decimal():
+    # The float gate is trusted: the first 40 schemes extracted from the
+    # r <= 20 band have, in 80-digit arithmetic, the oracle bound as their
+    # weighted variance within CERTIFICATE_TOL.
+    checked = 0
+    for probe, weights in _band(20.0, 300):
+        try:
+            scheme = extract_measurement(probe, weights)
+        except SolverConvergenceError:
+            continue
+        want = oracle.bound(probe, weights)
+        assert abs(float(_decimal_weighted_variance(scheme, probe, weights)) - want) <= CERTIFICATE_TOL * want
+        checked += 1
+        if checked == 40:
+            break
+    assert checked == 40
+
+
+def test_extract_measurement_refuses_a_scheme_off_the_bound(monkeypatch):
+    # The variance gate is live: a scheme whose first homodyne is 1e-3 off,
+    # with the estimator that keeps it locally unbiased, is refused.
+    real = simulate.scheme_from_duals
+
+    def mutant(duals):
+        scheme = real(duals)
+        angles = (scheme.angles[0] + 1e-3, scheme.angles[1])
+        a, b = scheme.splitter
+        response = [[s * math.cos(al), s * math.sin(al)] for s, al in zip((a, -b), angles)]
+        moved = MeasurementScheme(scheme.splitter, angles, np.linalg.inv(response), kind=scheme.kind)
+        moved.check_unbiased()
+        return moved
+
+    probe, weights = ProbeConfig(r1=0.4, r2=0.9, phi1=0.3, phi2=2.0, t=0.35), Weights(1.0, 2.0)
+    assert _weighted_excess(extract_measurement(probe, weights), probe, weights) <= CERTIFICATE_TOL
+    monkeypatch.setattr(simulate, "scheme_from_duals", mutant)
+    with pytest.raises(SolverConvergenceError, match="off the bound"):
+        extract_measurement(probe, weights)
+
+
+@pytest.mark.parametrize("probe", [
+    ProbeConfig(r1=3.0, r2=5.0, phi1=0.4, phi2=2.2, t=0.3),
+    ProbeConfig(r1=7.0, r2=10.0, phi1=1.1, phi2=0.2, t=0.6),
+    ProbeConfig(r1=20.0, r2=20.0, phi1=0.0, phi2=math.pi / 2.0, t=0.5),
+], ids=["r5", "r10", "r20"])
+def test_extracted_schemes_simulate_within_5_se(probe):
+    weights = Weights(1.0, 1.0)
+    scheme = extract_measurement(probe, weights)
+    report = run_scheme(scheme, scheme.probe, ChannelParams(0.3, -0.1), 1_000_000, seed=31)
+    assert abs(report.var_x - report.predicted_v_x) <= 5.0 * report.se_var_x
+    assert abs(report.var_y - report.predicted_v_y) <= 5.0 * report.se_var_y
+    assert abs(report.mean_x - 0.3) <= 5.0 * report.se_mean_x
+    assert abs(report.mean_y + 0.1) <= 5.0 * report.se_mean_y
+    assert compare_to_bound(report, solve(probe, weights).f_hcr, weights, expect_saturation=True).ok
 
 
 def test_single_mode_scheme_report_fields():
