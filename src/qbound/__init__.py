@@ -7,7 +7,6 @@ from .gaussian import (
     beam_splitter,
     build_probe,
     probe_covariances,
-    probe_factors,
     rotation,
     squeezing_db_to_r,
     symplectic_form,

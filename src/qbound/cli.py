@@ -88,6 +88,28 @@ def _resolve_r(args, r_attr: str, db_attr: str) -> float:
     return r
 
 
+def _resolve_mode_flags(args) -> None:
+    """Refuse a flag that bound or region would ignore, then apply the defaults of the angles and --t.
+
+    A flag counts as given on the command line or as a --config key.  Unset,
+    --phi, --phi1, --phi2 and --t take 0, 0, pi/2 and 0.5.
+    """
+    if args.modes == 1:
+        refused = dict.fromkeys(("r1", "r2", "db1", "db2", "phi1", "phi2", "t", "auto_config"),
+                                "is a two-mode flag: --modes 1 would ignore it")
+    else:
+        refused = dict.fromkeys(("r", "db", "phi"), "is a one-mode flag: two modes would ignore it")
+        if getattr(args, "auto_config", False):
+            refused.update(dict.fromkeys(("phi1", "phi2", "t"), "cannot be given with --auto-config, which chooses it"))
+    for name, reason in refused.items():
+        value = getattr(args, name, None)
+        if value is not None and value is not False:
+            raise ValueError(f"--{name.replace('_', '-')} {reason}")
+    for name, default in (("phi", 0.0), ("phi1", 0.0), ("phi2", math.pi / 2.0), ("t", 0.5)):
+        if hasattr(args, name) and getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def _resolve_single_mode(args) -> tuple[float, float]:
     """The one-mode squeezing (--r or --db) and a finite --phi."""
     r = _resolve_r(args, "r", "db")
@@ -133,6 +155,7 @@ def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
 
 
 def cmd_bound(args) -> int:
+    _resolve_mode_flags(args)
     weights = Weights(args.wx, args.wy)
     if args.modes == 1:
         r, phi = _resolve_single_mode(args)
@@ -211,6 +234,7 @@ def cmd_region(args) -> int:
         count = getattr(args, dest)
         if count < 1:
             raise ValueError(f"--{dest.replace('_', '-')} must be at least 1, got {count}")
+    _resolve_mode_flags(args)
 
     samples: list[regions.RegionSample] = []
     if args.modes == 1:
@@ -335,7 +359,8 @@ _FLOAT_HELP = {
 def _add_floats(parser: argparse.ArgumentParser, *names: str, **defaults: float) -> None:
     """Add a float option ``--name`` per name, defaulting to ``defaults[name]`` or None.
 
-    None means "not given": each ``--rN``/``--dbN`` pair accepts at most one.
+    None means "not given": each ``--rN``/``--dbN`` pair accepts at most one,
+    and bound and region refuse a flag that their mode count would ignore.
     """
     for name in names:
         parser.add_argument(f"--{name}", type=float, default=defaults.get(name),
@@ -354,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="compute the weighted-variance bound for a probe")
     p.add_argument("--modes", type=int, choices=(1, 2), default=2)
-    _add_floats(p, "r", "db", "phi", "r1", "r2", "db1", "db2", "phi1", "phi2", "t", "wx", "wy",
-                phi=0.0, phi1=0.0, phi2=math.pi / 2.0, t=0.5, wx=1.0, wy=1.0)
+    _add_floats(p, "r", "db", "phi", "r1", "r2", "db1", "db2", "phi1", "phi2", "t", "wx", "wy", wx=1.0, wy=1.0)
     p.add_argument("--auto-config", action="store_true",
                    help="use the optimal rotations and mixing ratio for the weights")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -364,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="emit accessible-region boundary samples")
     p.add_argument("--modes", type=int, choices=(1, 2), default=2)
-    _add_floats(p, "r", "db", "phi", "r1", "r2", "db1", "db2", phi=0.0)
+    _add_floats(p, "r", "db", "phi", "r1", "r2", "db1", "db2")
     p.add_argument("--closed-form", action="store_true", help="emit analytic envelope rows")
     p.add_argument("--numeric", action="store_true", help="emit numeric envelope rows")
     p.add_argument("--vx-points", type=int, default=200)

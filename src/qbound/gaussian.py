@@ -318,9 +318,15 @@ def build_probe(config: ProbeConfig) -> GaussianState:
 
 
 def _probe_factor_rows(config: ProbeConfig) -> tuple[list, list]:
-    """probe_factors as nested float lists: ``O`` by rows and ``lam``."""
-    if config.n_modes != 2:
-        raise ValueError(f"probe_factors takes a two-mode probe, got n_modes = {config.n_modes}")
+    """Passive optics ``O`` (by rows) and input variances ``lam`` of a two-mode probe, as floats.
+
+    A pure state is passive optics on squeezed vacua, covariance
+    ``O diag(lam) O^T`` (Weedbrook et al., RMP 84, 621 (2012)): ``O`` is
+    beam_splitter(t) times ``R(phi1)`` and ``R(phi2)`` on the diagonal, and
+    ``lam = (e^{-2r1}, e^{2r1}, e^{-2r2}, e^{2r2})``.  Both quadratures mix
+    alike, so block (i, j) of ``O`` is beam-splitter entry (2i, 2j) times
+    ``R(phi_j)``: one product per entry, no sum.
+    """
     lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2) for sign in (-1.0, 1.0)]).tolist()
     a, b = _splitter_entries(config.t)
     c1, s1, c2, s2 = math.cos(config.phi1), math.sin(config.phi1), math.cos(config.phi2), math.sin(config.phi2)
@@ -328,18 +334,3 @@ def _probe_factor_rows(config: ProbeConfig) -> tuple[list, list]:
             [a * s1, a * c1, b * s2, b * c2],
             [-b * c1, -b * -s1, a * c2, a * -s2],
             [-b * s1, -b * c1, a * s2, a * c2]], lam
-
-
-def probe_factors(config: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Passive optics ``O`` and input variances ``lam`` of a two-mode probe, covariance ``O diag(lam) O^T``.
-
-    A pure state is passive optics on squeezed vacua (Weedbrook et al., RMP 84,
-    621 (2012)): ``O`` is beam_splitter(t) times ``R(phi1)`` and ``R(phi2)`` on
-    the diagonal, ``lam = (e^{-2r1}, e^{2r1}, e^{-2r2}, e^{2r2})``.  A
-    quadrature variance ``sum_k (d O)_k^2 lam_k`` then sums nonnegative terms,
-    where ``d cov d^T`` cancels entries of size e^{2r}.  Both quadratures mix
-    alike, so block (i, j) of ``O`` is beam-splitter entry (2i, 2j) times
-    ``R(phi_j)``: one product per entry, no sum, no BLAS.
-    """
-    o, lam = _probe_factor_rows(config)
-    return np.array(o), np.array(lam)

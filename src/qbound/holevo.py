@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import _bracketed_newton, _bracketed_newton_row
-from .gaussian import ProbeConfig, _frozen_array, _probe_cov_row, probe_delta_minus_one, probe_mode1_variances
+from .gaussian import ProbeConfig, _probe_cov_row, probe_delta_minus_one, probe_mode1_variances
 
 __all__ = [
     "Weights",
@@ -99,7 +99,7 @@ class DualCoefficients:
 
     Local unbiasedness pins the mode-1 entries, so only the mode-2 entries
     ``free`` = (a, b, c, d) are stored; one mode has none, ``free = ()``, and
-    c_x = (1, 0), c_y = (0, 1).  c_x and c_y are read-only arrays built when
+    c_x = (1, 0), c_y = (0, 1).  c_x and c_y are float tuples built when
     read.  Any other number of free entries raises ValueError.
     """
 
@@ -116,12 +116,12 @@ class DualCoefficients:
         return 2 if self.free else 1
 
     @property
-    def c_x(self) -> np.ndarray:
-        return _frozen_array((1.0, 0.0, *self.free[:2]))
+    def c_x(self) -> tuple:
+        return (1.0, 0.0, *self.free[:2])
 
     @property
-    def c_y(self) -> np.ndarray:
-        return _frozen_array((0.0, 1.0, *self.free[2:]))
+    def c_y(self) -> tuple:
+        return (0.0, 1.0, *self.free[2:])
 
     def commutator(self) -> float:
         """beta = c_x' Omega c_y = 1 + a d - b c, formed as in _row_duality_gap; 0 iff the duals commute."""
@@ -347,7 +347,7 @@ def _scaled_kink(mu, d1, a, c):
     return c * s * s - d1 * (g - c), _KINK_ROUNDING * (c * s * s + d1 * (g + c))
 
 
-def _scalar_certified(d1, a, c, mu, f):
+def _scalar_certified(d1, a, c, mu, f, maximum=np.maximum, minimum=np.minimum, where=np.where):
     """The configuration certificate: f is within CERTIFICATE_TOL of max phi, per row.
 
     phi is concave on [0, 1], so max phi lies in [L, U] with L = phi(mu_lo)
@@ -367,35 +367,26 @@ def _scalar_certified(d1, a, c, mu, f):
     U - f and f - L are both at most CERTIFICATE_TOL f; non-finite values
     fail.  Every term of phi is nonnegative, so rounding moves L and U by
     a few ulps.  This certifies the scalar maximization for the given a, c
-    and delta - 1, not the reduction from the probe to them.
+    and delta - 1, not the reduction from the probe to them.  The
+    elementwise ``maximum``, ``minimum`` and ``where`` are NumPy's for
+    arrays; solve passes float ones for one row.  Both branches of each
+    ``where`` are evaluated, which is safe: d1 + s_lo > 0 and d1 + 1 > 0.
     """
-    half_width = np.maximum(_BRACKET_REL * np.minimum(mu, (1.0 - mu) * (1.0 + mu)), _BRACKET_MIN)
-    lo, hi = np.maximum(mu - half_width, 0.0), np.minimum(mu + half_width, 1.0)
+    half_width = maximum(_BRACKET_REL * minimum(mu, (1.0 - mu) * (1.0 + mu)), _BRACKET_MIN)
+    lo, hi = maximum(mu - half_width, 0.0), minimum(mu + half_width, 1.0)
     s_lo = (1.0 - lo) * (1.0 + lo)  # > 0, as lo < 1
     lower = s_lo / (d1 + s_lo) * (a + 2.0 * c * lo)
     kink_lo, rounding_lo = _scaled_kink(lo, d1, a, c)
     kink_hi, rounding_hi = _scaled_kink(hi, d1, a, c)
     bracketed = (kink_lo > rounding_lo) & (kink_hi < -rounding_hi)
     tangent = lower + 2.0 * kink_lo / ((d1 + s_lo) * (d1 + s_lo)) * (hi - lo)
-    upper = np.minimum(a + 2.0 * c, np.where(bracketed, tangent, np.inf))
-    upper = np.where(c > 0.0, upper, np.minimum(upper, a / (d1 + 1.0)))
+    upper = minimum(a + 2.0 * c, where(bracketed, tangent, math.inf))
+    upper = where(c > 0.0, upper, minimum(upper, a / (d1 + 1.0)))
     return (upper - f <= CERTIFICATE_TOL * f) & (f - lower <= CERTIFICATE_TOL * f)
 
 
-def _row_scalar_certified(d1: float, a: float, c: float, mu: float, f: float) -> bool:
-    """_scalar_certified of one row in float arithmetic, with its expressions in its order."""
-    half_width = max(_BRACKET_REL * min(mu, (1.0 - mu) * (1.0 + mu)), _BRACKET_MIN)
-    lo, hi = max(mu - half_width, 0.0), min(mu + half_width, 1.0)
-    s_lo = (1.0 - lo) * (1.0 + lo)
-    lower = s_lo / (d1 + s_lo) * (a + 2.0 * c * lo)
-    kink_lo, rounding_lo = _scaled_kink(lo, d1, a, c)
-    kink_hi, rounding_hi = _scaled_kink(hi, d1, a, c)
-    upper = a + 2.0 * c
-    if kink_lo > rounding_lo and kink_hi < -rounding_hi:
-        upper = min(upper, lower + 2.0 * kink_lo / ((d1 + s_lo) * (d1 + s_lo)) * (hi - lo))
-    if not c > 0.0:
-        upper = min(upper, a / (d1 + 1.0))
-    return upper - f <= CERTIFICATE_TOL * f and f - lower <= CERTIFICATE_TOL * f
+def _float_where(condition, x, y):
+    return x if condition else y
 
 
 def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
@@ -497,5 +488,5 @@ def solve(probe, weights: Weights) -> BoundResult:
     v_y = kappa * (a22 + root_x / root_y * mu) if w_y > 0.0 else math.inf
     gap, free = _row_duality_gap(cov, a11, a22, d1, w_x, w_y, mu, unit_f)
     duals_certified = _certified(gap)
-    converged = _row_scalar_certified(d1, a, c, mu, unit_f) if config else duals_certified
+    converged = _scalar_certified(d1, a, c, mu, unit_f, max, min, _float_where) if config else duals_certified
     return BoundResult(f, DualCoefficients(free), v_x, v_y, converged, duals_certified=duals_certified)

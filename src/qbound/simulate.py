@@ -4,14 +4,15 @@ A scheme is two homodynes: a demixing beam splitter, stored as its two
 entries (a, b) with a^2 + b^2 = 1, so its transform is a real rotation of
 like quadratures and symplectic by construction; one homodyne angle per
 output mode; and a 2x2 linear estimator mapping the two outcomes to
-estimates of the displacement pair.  Commuting homodynes on a Gaussian state
-have exactly Gaussian outcomes, so a run's estimator statistics follow from
-the mean and centered Gram matrix of its standard-normal draws; both have
-exact laws, and run_scheme draws them directly, at a cost that does not
-depend on the shot count.  A scheme is built, checked and run in plain float
-arithmetic on its two outcomes; it leaves floats only for the one read-only
-array it stores per matrix, the np.exp of the probe's input variances, the
-C-ordered product that gives the outcome means, and the seeded draws.
+estimates of the displacement pair, refused when it is built unless it is
+locally unbiased.  Commuting homodynes on a Gaussian state have exactly
+Gaussian outcomes, so a run's estimator statistics follow from the mean and
+centered Gram matrix of its standard-normal draws; both have exact laws, and
+run_scheme draws them directly, at a cost that does not depend on the shot
+count.  A scheme is built, checked and run in plain float arithmetic on its
+two outcomes, and stores float tuples; it leaves floats only for the np.exp
+of the probe's input variances, the C-ordered product that gives the
+outcome means, and the seeded draws.
 
 The optimal product homodyne (extract_measurement) is built from the
 bound's duals in closed form and certified by the one number that decides
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,41 +33,38 @@ from .holevo import CERTIFICATE_TOL, DualCoefficients, SolverConvergenceError, W
 _MAX_SHOTS = 1 << 53  # every shot count up to here is an exact float
 
 
-def _max_abs(values: list) -> float:
-    # np.max(np.abs(values)) on floats: nan if any value is, where Python's max keeps only a leading nan.
-    top = max(map(abs, values))
-    return math.nan if any(map(math.isnan, values)) else top
-
-
 @dataclass(frozen=True)
 class MeasurementScheme:
-    """Two homodynes behind a beam splitter: its entries, two angles, a 2x2 estimator.
+    """Two homodynes behind a beam splitter: its entries, two angles, a locally unbiased 2x2 estimator.
 
-    ``splitter`` = (a, b), with a^2 + b^2 = 1 within 1e-12, gives the
-    read-only 4x4 ``transform`` with rows (a, 0, b, 0), (0, a, 0, b),
-    (-b, 0, a, 0) and (0, -b, 0, a).  ``estimator`` rows give the
-    coefficients of (M1, M2) in the estimates of theta_x and theta_y.  The
-    measured quadratures act on distinct modes, so they commute and a joint
-    outcome distribution exists.
+    ``splitter`` = (a, b), with a^2 + b^2 = 1 within 1e-12, gives the 4x4
+    transform with rows (a, 0, b, 0), (0, a, 0, b), (-b, 0, a, 0) and
+    (0, -b, 0, a).  ``estimator`` rows give the coefficients of (M1, M2) in
+    the estimates of theta_x and theta_y; its response K dirs[:, :2] to the
+    displacement must be the identity within 1e-9 max(1, max|K|), where dirs
+    are the measured quadratures.  They act on distinct modes, so they
+    commute and a joint outcome distribution exists.  All three are stored
+    as float tuples, so equal schemes compare equal and hash alike.
     """
 
     splitter: tuple
     angles: tuple
-    estimator: np.ndarray
+    estimator: tuple
     kind: str = "general"
     probe: ProbeConfig | None = None
-    transform: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # Checked on floats; each stored matrix is one read-only array.
-        est = np.array(self.estimator, dtype=float)
-        if (len(self.splitter), len(self.angles), est.shape) != (2, 2, (2, 2)):
-            raise ValueError(
-                "a scheme is two homodynes: a two-entry splitter, two angles and a 2x2 estimator, got "
-                f"{len(self.splitter)} splitter entries, {len(self.angles)} angle(s) and a {est.shape} estimator"
-            )
         splitter, angles = tuple(map(float, self.splitter)), tuple(map(float, self.angles))
-        (k00, k01), (k10, k11) = est.tolist()
+        try:
+            estimator = tuple(tuple(map(float, row)) for row in self.estimator)
+        except TypeError:  # a row that is a number: the estimator is not 2x2
+            estimator = ()
+        shape = [len(row) for row in estimator]
+        if (len(splitter), len(angles), shape) != (2, 2, [2, 2]):
+            raise ValueError("a scheme is two homodynes: a two-entry splitter, two angles and a 2x2 estimator, "
+                             f"got {len(splitter)} splitter entries, {len(angles)} angle(s) and estimator row "
+                             f"lengths {shape}")
+        (k00, k01), (k10, k11) = estimator
         for name, values in (("splitter", splitter), ("angles", angles), ("estimator", (k00, k01, k10, k11))):
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -74,40 +72,31 @@ class MeasurementScheme:
         if abs(a * a + b * b - 1.0) > 1e-12:
             raise ValueError(f"splitter entries must satisfy a^2 + b^2 = 1, got {a}^2 + {b}^2 = {a * a + b * b}")
         rows = _splitter_rows(a, b)
-        mat = np.array(rows)
-        mat.flags.writeable = est.flags.writeable = False
-        object.__setattr__(self, "splitter", splitter)
-        object.__setattr__(self, "transform", mat)
-        object.__setattr__(self, "estimator", est)
-        object.__setattr__(self, "angles", angles)
         dirs = []  # row k, cos(alpha_k) M[2k] + sin(alpha_k) M[2k+1]: the quadrature homodyne k measures
         for al, x_row, y_row in zip(angles, rows[::2], rows[1::2]):
             c, s = math.cos(al), math.sin(al)
             dirs.append([c * x + s * y for x, y in zip(x_row, y_row)])
-        object.__setattr__(self, "_dirs", dirs)
-
-    def check_unbiased(self, tol: float = 1e-9) -> None:
-        """Raise unless the response d(estimates)/d(theta) is the identity.
-
-        The tolerance is ``tol * max(1, max|estimator|)``.
-        """
-        (k00, k01), (k10, k11) = self.estimator.tolist()
-        (x0, y0, _, _), (x1, y1, _, _) = self._dirs
-        defect = _max_abs([k00 * x0 + k01 * x1 - 1.0, k00 * y0 + k01 * y1,
-                           k10 * x0 + k11 * x1, k10 * y0 + k11 * y1 - 1.0])  # K dirs[:, :2] - I
-        if not defect <= tol * max(1.0, abs(k00), abs(k01), abs(k10), abs(k11)):  # NaN fails
-            raise ValueError(f"estimator is not locally unbiased (defect {defect:.3e})")
+        (x0, y0, _, _), (x1, y1, _, _) = dirs
+        defect = [k00 * x0 + k01 * x1 - 1.0, k00 * y0 + k01 * y1,
+                  k10 * x0 + k11 * x1, k10 * y0 + k11 * y1 - 1.0]  # K dirs[:, :2] - I
+        tol = 1e-9 * max(1.0, abs(k00), abs(k01), abs(k10), abs(k11))
+        if not all(abs(d) <= tol for d in defect):  # NaN and an overflow to inf fail
+            raise ValueError(f"estimator is not locally unbiased (defect {max(map(abs, defect)):.3e})")
+        for name, value in (("splitter", splitter), ("angles", angles), ("estimator", estimator), ("_dirs", dirs)):
+            object.__setattr__(self, name, value)
 
     def outcome_moments(self, probe: ProbeConfig, theta: ChannelParams) -> tuple[list, list]:
         """Mean and covariance of the joint homodyne outcomes on the displaced probe, as floats.
 
         Returns the mean ``[m1, m2]`` and the covariance ``[[c11, c12], [c21, c22]]``.
         The displacement shifts only the mode-1 means.  The covariance is
-        ``M diag(lam) M^T`` with ``M = dirs O`` (probe_factors), exact for all
-        r <= 20.  Products are summed left to right in floats: a BLAS matmul's
-        fused multiply-adds leave residue where the transform undoes the
-        probe's beam splitter, and times e^{2r} that residue swamps e^{-2r}.
-        The means are the one BLAS product, on the C-ordered directions.
+        ``M diag(lam) M^T`` with ``M = dirs O``, the probe's passive optics
+        ``O`` and input variances ``lam``: each variance sums nonnegative
+        terms, exact for all r <= 20.  Products are summed left to right in
+        floats: a BLAS matmul's fused multiply-adds leave residue where the
+        transform undoes the probe's beam splitter, and times e^{2r} that
+        residue swamps e^{-2r}.  The means are the one BLAS product, on the
+        C-ordered directions.
         """
         if probe.n_modes != 2:
             raise ValueError("scheme and probe mode counts differ")
@@ -122,7 +111,7 @@ class MeasurementScheme:
     def predicted_variances(self, probe: ProbeConfig) -> tuple[float, float]:
         """Exact estimator variances on a probe."""
         _, outcome_cov = self.outcome_moments(probe, ChannelParams())
-        return tuple(_congruence_diag(self.estimator.tolist(), outcome_cov))
+        return tuple(_congruence_diag(self.estimator, outcome_cov))
 
 
 def _congruence_diag(a: list, b: list) -> list:
@@ -206,9 +195,7 @@ def scheme_from_duals(duals: DualCoefficients) -> MeasurementScheme:
     if not (det != 0.0 and math.isfinite(det)):
         raise ValueError(f"both homodynes measure one quadrature: the response determinant is {det}")
     estimator = [[r11 / det, -r01 / det], [-r10 / det, r00 / det]]
-    scheme = MeasurementScheme((a_d, b_d), angles, estimator, kind="optimal")
-    scheme.check_unbiased()
-    return scheme
+    return MeasurementScheme((a_d, b_d), angles, estimator, kind="optimal")
 
 
 def extract_measurement(probe: ProbeConfig, weights: Weights) -> MeasurementScheme:
@@ -280,9 +267,7 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
     else:
         raise ValueError(f"unknown scheme kind {kind!r}")
     a, b = _splitter_entries(probe.t)
-    scheme = MeasurementScheme((a, -b), angles, estimator, kind=kind, probe=probe)
-    scheme.check_unbiased()
-    return scheme
+    return MeasurementScheme((a, -b), angles, estimator, kind=kind, probe=probe)
 
 
 def _checked_integer(name: str, value, minimum: int) -> int:
@@ -333,7 +318,7 @@ def run_scheme(
     seed = _checked_integer("seed", seed, 0)
     mean, cov = scheme.outcome_moments(probe, theta)
     chol = _cholesky(cov)
-    k_mat = scheme.estimator.tolist()
+    k_mat = scheme.estimator
     lower = [[k0 * c0 + k1 * c1 for c0, c1 in zip(*chol)] for k0, k1 in k_mat]
     center = [k0 * mean[0] + k1 * mean[1] for k0, k1 in k_mat]
 
@@ -370,18 +355,17 @@ def compare_to_bound(
     bound: float,
     weights: Weights,
     expect_saturation: bool = False,
-    n_sigma: float = 5.0,
 ) -> BoundComparison:
     """Check the empirical weighted variance sum against a bound value.
 
     The no-violation side must always hold: the weighted sum may not fall
-    more than ``n_sigma`` standard errors below the bound.  For a scheme
+    more than 5 standard errors below the bound.  For a scheme
     claimed optimal, ``expect_saturation`` additionally requires agreement
     within the same band.
     """
     weighted = weights.w_x * report.var_x + weights.w_y * report.var_y
     se = math.hypot(weights.w_x * report.se_var_x, weights.w_y * report.se_var_y)
-    no_violation = weighted >= bound - n_sigma * se
-    saturates = abs(weighted - bound) <= n_sigma * se
+    no_violation = weighted >= bound - 5.0 * se
+    saturates = abs(weighted - bound) <= 5.0 * se
     ok = no_violation and (saturates or not expect_saturation)
     return BoundComparison(weighted, bound, se, no_violation, saturates, ok)

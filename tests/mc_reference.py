@@ -25,8 +25,14 @@ def probe_factors(config):
     return (mixing[:, None, :, None] * rotations).reshape(4, 4), lam
 
 
+def transform(splitter):
+    # The 4x4 demixing transform of a scheme's splitter entries (a, b).
+    a, b = splitter
+    return np.array([[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]])
+
+
 def outcome_moments(scheme, probe, theta):
-    m = scheme.transform
+    m = transform(scheme.splitter)
     dirs = np.array([math.cos(al) * m[2 * k] + math.sin(al) * m[2 * k + 1]
                      for k, al in enumerate(scheme.angles)])
     o, lam = probe_factors(probe)
@@ -42,14 +48,14 @@ def congruence_diag(a, b):
 
 def predicted_variances(scheme, probe):
     _, cov = outcome_moments(scheme, probe, ChannelParams())
-    var = congruence_diag(scheme.estimator, cov)
+    var = congruence_diag(np.array(scheme.estimator), cov)
     return float(var[0]), float(var[1])
 
 
 def run_scheme(scheme, probe, theta, shots, seed):
     mean, cov = outcome_moments(scheme, probe, theta)
     chol = np.linalg.cholesky(cov)
-    k_mat = scheme.estimator
+    k_mat = np.array(scheme.estimator)
     lower = (k_mat[:, :, None] * chol).sum(axis=1)
     center = (k_mat * mean).sum(axis=1)
 

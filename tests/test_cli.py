@@ -283,6 +283,32 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
         (("region", "--db1", "-5", "--r2", "1"), "--db1: squeezing of -5.0 dB is out of range"),
         (("bound", "--modes", "1", "--db", "200"), "--db: squeezing of 200.0 dB is out of range"),
         (("simulate", "--scheme", "example1", "--db2", "nan"), "--db2: squeezing of nan dB is out of range"),
+        # a flag that the mode count would ignore, or one that --auto-config chooses
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--phi", "nan", "--r", "99"),
+         "--r is a one-mode flag: two modes would ignore it"),
+        (("bound", "--modes", "1", "--r", "0.3", "--r1", "nan", "--t", "7"),
+         "--r1 is a two-mode flag: --modes 1 would ignore it"),
+        (("region", "--modes", "1", "--r", "0.3", "--r1", "nan"), "--r1 is a two-mode flag: --modes 1 would ignore it"),
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--auto-config", "--t", "0.9", "--phi1", "nan"),
+         "--phi1 cannot be given with --auto-config, which chooses it"),
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--auto-config", "--t", "0.5"),
+         "--t cannot be given with --auto-config, which chooses it"),
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--auto-config", "--phi2", "1"),
+         "--phi2 cannot be given with --auto-config, which chooses it"),
+        (("bound", "--modes", "1", "--r", "0.3", "--auto-config"),
+         "--auto-config is a two-mode flag: --modes 1 would ignore it"),
+        (("bound", "--modes", "1", "--r", "0.3", "--phi1", "0"),
+         "--phi1 is a two-mode flag: --modes 1 would ignore it"),
+        (("region", "--r1", "0.3", "--r2", "0.5", "--phi", "0"), "--phi is a one-mode flag: two modes would ignore it"),
+        (("region", "--r1", "0.3", "--r2", "0.5", "--db", "3"), "--db is a one-mode flag: two modes would ignore it"),
+        (("region", "--modes", "1", "--r", "0.3", "--db2", "3"), "--db2 is a two-mode flag: --modes 1 would ignore it"),
+        # a --config key counts as given
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--config", {"phi": 0.0}),
+         "--phi is a one-mode flag: two modes would ignore it"),
+        (("bound", "--r", "0.3", "--config", {"modes": 1, "t": 0.5}),
+         "--t is a two-mode flag: --modes 1 would ignore it"),
+        (("bound", "--r1", "0.3", "--r2", "0.5", "--config", {"auto-config": True, "phi1": 0.0}),
+         "--phi1 cannot be given with --auto-config, which chooses it"),
     ],
 )
 def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkeypatch, argv, message):
@@ -296,6 +322,16 @@ def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkey
     assert code == 2
     assert out == "" and err.startswith("error: ") and message in err
     assert {p.name for p in tmp_path.iterdir()} <= {"config.json"}  # no output file, not even "None"
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (("bound", "--r1", "0.3", "--r2", "0.5", "--wx", "2"),
+     ("--phi1", "0", "--phi2", repr(math.pi / 2.0), "--t", "0.5")),
+    (("bound", "--modes", "1", "--r", "0.3", "--wy", "3"), ("--phi", "0")),
+    (("region", "--modes", "1", "--r", "0.3", "--vx-points", "5"), ("--phi", "0")),
+])
+def test_unset_angles_and_transmissivity_take_their_defaults(capsys, argv, defaults):
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, *defaults)
 
 
 @pytest.mark.parametrize("argv, flag, value", [

@@ -13,7 +13,6 @@ from qbound.gaussian import (
     build_probe,
     probe_covariances,
     probe_delta_minus_one,
-    probe_factors,
     rotation,
     squeezing_db_to_r,
     symplectic_form,
@@ -120,11 +119,6 @@ def test_beam_splitter_range(bad):
         beam_splitter(bad)
 
 
-def test_probe_factors_rejects_a_one_mode_probe():
-    with pytest.raises(ValueError, match="two-mode probe"):
-        probe_factors(ProbeConfig(r1=0.5, phi1=0.3, n_modes=1))
-
-
 def test_probe_covariance_and_factors_match_direct_matrix_product():
     # Independent oracle over the whole r <= 20 contract: build the 4x4
     # beam-splitter matrix and the rotated squeezed inputs by hand and carry
@@ -137,7 +131,7 @@ def test_probe_covariance_and_factors_match_direct_matrix_product():
         t = rng.uniform(0.0, 1.0)
         config = ProbeConfig(r1=r1, r2=r2, phi1=phi1, phi2=phi2, t=t)
         got = build_probe(config).cov
-        o, lam = probe_factors(config)
+        o, lam = (np.array(x) for x in gaussian._probe_factor_rows(config))
         a, b = math.sqrt(t), math.sqrt(1.0 - t)
         s = [[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]]
         sigma_in = np.zeros((4, 4))

@@ -39,9 +39,10 @@ def fig2b_cov():
 
 def primal(cov, w, duals):
     """The objective h of given duals, straight from the covariance."""
-    omega = symplectic_form(duals.c_x.size // 2)
-    return (w.w_x * duals.c_x @ cov @ duals.c_x + w.w_y * duals.c_y @ cov @ duals.c_y
-            + 2.0 * math.sqrt(w.w_x * w.w_y) * abs(duals.c_x @ omega @ duals.c_y))
+    c_x, c_y = np.array(duals.c_x), np.array(duals.c_y)
+    omega = symplectic_form(c_x.size // 2)
+    return (w.w_x * c_x @ cov @ c_x + w.w_y * c_y @ cov @ c_y
+            + 2.0 * math.sqrt(w.w_x * w.w_y) * abs(c_x @ omega @ c_y))
 
 
 def test_weights_validation():
@@ -58,7 +59,7 @@ def test_unbiased_constraints_shapes():
     # none for one mode, the four mode-2 entries for two; other counts are refused.
     one = DualCoefficients()
     assert one.n_modes == 1 and one.free == ()
-    assert np.array_equal(one.c_x, [1.0, 0.0]) and np.array_equal(one.c_y, [0.0, 1.0])
+    assert one.c_x == (1.0, 0.0) and one.c_y == (0.0, 1.0)
     two = DualCoefficients(np.array([0.1, 0.2, 0.3, 0.4]))
     assert two.n_modes == 2 and two.free == (0.1, 0.2, 0.3, 0.4)
     assert all(type(x) is float for x in two.free)
@@ -69,12 +70,11 @@ def test_unbiased_constraints_shapes():
 
 def test_dual_coefficients():
     duals = DualCoefficients((0.0, 0.0, 0.0, 0.0))
-    assert np.array_equal(duals.c_x, [1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(duals.c_y, [0.0, 1.0, 0.0, 0.0])
+    assert duals.c_x == (1.0, 0.0, 0.0, 0.0) and duals.c_y == (0.0, 1.0, 0.0, 0.0)
     assert duals.commutator() == 1.0 and DualCoefficients().commutator() == 1.0
     duals = DualCoefficients((0.1, 0.2, 0.3, 0.4))
-    assert duals.c_x.tolist() == [1.0, 0.0, 0.1, 0.2] and duals.c_y.tolist() == [0.0, 1.0, 0.3, 0.4]
-    assert not duals.c_x.flags.writeable and not duals.c_y.flags.writeable
+    assert duals.c_x == (1.0, 0.0, 0.1, 0.2) and duals.c_y == (0.0, 1.0, 0.3, 0.4)
+    assert all(type(x) is float for x in duals.c_x + duals.c_y)
     assert duals.commutator() == pytest.approx(1.0 + 0.1 * 0.4 - 0.2 * 0.3, rel=1e-15)
 
 
@@ -103,7 +103,8 @@ def test_commutator_is_the_gap_beta_bit_for_bit():
         duals = solve(config if k % 2 else build_probe(config).cov, w).duals
         a, b, c, d = duals.free
         assert duals.commutator().hex() == ((1.0 + a * d) - b * c).hex(), k
-        assert abs(duals.commutator() - duals.c_x @ omega @ duals.c_y) <= 1e-15 * (1.0 + abs(a * d) + abs(b * c))
+        beta = np.array(duals.c_x) @ omega @ duals.c_y
+        assert abs(duals.commutator() - beta) <= 1e-15 * (1.0 + abs(a * d) + abs(b * c))
 
 
 def test_single_mode_closed_examples():
@@ -439,8 +440,9 @@ def test_configuration_rows_skip_the_purity_check_and_det_c(monkeypatch):
 
 
 def test_solve_does_not_go_through_the_array_kernel(monkeypatch):
-    # solve computes its row in floats: the array multiplier, its Newton
-    # search and the array certificate never run, and the row is unchanged.
+    # solve computes its row in floats: the array multiplier and its Newton
+    # search never run, the certificate runs on floats with float maximum,
+    # minimum and where, and the row is unchanged.
     config = ProbeConfig(r1=0.35, r2=0.69, phi1=0.2, phi2=1.3, t=0.4)
     probes = [build_probe(config).cov, build_probe(ProbeConfig(r1=0.8, phi1=0.3, n_modes=1)).cov, config]
     want = [solve(probe, Weights(1.0, 2.0)).f_hcr for probe in probes]
@@ -449,9 +451,19 @@ def test_solve_does_not_go_through_the_array_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("solve went through the array kernel")
 
-    for name in ("_multiplier", "_bracketed_newton", "_scalar_certified"):
+    certified, rows = holevo._scalar_certified, []
+
+    def float_certificate(*args):
+        if len(args) != 8 or {args[5], args[6]} != {max, min} or not all(type(x) is float for x in args[:5]):
+            refuse()
+        rows.append(args)
+        return certified(*args)
+
+    for name in ("_multiplier", "_bracketed_newton"):
         monkeypatch.setattr(holevo, name, refuse)
+    monkeypatch.setattr(holevo, "_scalar_certified", float_certificate)
     assert [solve(probe, Weights(1.0, 2.0)).f_hcr for probe in probes] == want
+    assert len(rows) == 1
 
 
 @pytest.mark.parametrize("probe, w, message", [

@@ -59,7 +59,6 @@ def test_build_scheme_example1_phi0():
     v_x, v_y = scheme.predicted_variances(scheme.probe)
     assert v_x == pytest.approx(math.exp(-2 * r2) / t, rel=1e-12)
     assert v_y == pytest.approx(1.0 / (1 - t), rel=1e-12)
-    scheme.check_unbiased()
 
 
 def test_build_scheme_example1_general_angle():
@@ -108,8 +107,7 @@ def test_reference_transforms_are_the_transposed_probe_beam_splitter():
         build_scheme("example1", r2=20.0, t=1e-9, phi2=-2.0),
     ):
         expected = beam_splitter(scheme.probe.t).T
-        assert scheme.transform.tobytes() == expected.tobytes()
-        assert not scheme.transform.flags.writeable
+        assert mc_reference.transform(scheme.splitter).tobytes() == expected.tobytes()
 
 
 def test_optimal_scheme_transform_is_its_beam_splitter():
@@ -125,8 +123,7 @@ def test_optimal_scheme_transform_is_its_beam_splitter():
         h = 0.5 * (a + d)
         rho = h + math.hypot(h, 1.0) if h >= 0.0 else 1.0 / (math.hypot(h, 1.0) - h)
         expected = beam_splitter(1.0 / (1.0 + rho * rho))
-        assert scheme.transform.tobytes() == expected.tobytes()
-        assert not scheme.transform.flags.writeable
+        assert mc_reference.transform(scheme.splitter).tobytes() == expected.tobytes()
         schemes += 1
     assert schemes == 200
 
@@ -134,20 +131,25 @@ def test_optimal_scheme_transform_is_its_beam_splitter():
 def test_scheme_splitter_must_be_a_finite_unit_pair():
     # a^2 + b^2 = 1 within 1e-12: rounding passes, a 1e-9 defect does not,
     # and a non-finite entry is refused by name before the norm is formed.
+    # Each scheme carries the unbiased estimator of its splitter and angles.
     rng = np.random.default_rng(62)
     for theta in rng.uniform(-4.0, 4.0, 200).tolist():
         a, b = math.cos(theta), math.sin(theta)
         # scale^2 moves a^2 + b^2 by 1e-14 (accepted) or 1e-9 (refused)
         for scale, accepted in ((1.0 + 5e-15, True), (1.0 - 5e-15, True), (1.0 + 5e-10, False),
                                 (1.0 - 5e-10, False)):
-            error = _scheme_error((scale * a, scale * b), (0.3, -1.2), np.eye(2))
+            splitter = (scale * a, scale * b)
+            error = _scheme_error(splitter, (0.3, -1.2), _unbiased_estimator(splitter, (0.3, -1.2)))
             assert (error is None) == accepted, (theta, scale, error)
             if not accepted:
                 assert error.startswith("splitter entries must satisfy a^2 + b^2 = 1"), error
     for splitter in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, math.nan)):
         assert _scheme_error(splitter, (0.0, 0.0), np.eye(2)).startswith("splitter must be finite"), splitter
-    for splitter in ((1.0, 0.0), (0.0, -1.0), (-0.6, 0.8)):
-        assert _scheme_error(splitter, (0.0, 0.0), np.eye(2)) is None, splitter
+    for splitter in ((-0.6, 0.8), (0.8, 0.6), (math.sqrt(0.5), -math.sqrt(0.5))):
+        assert _scheme_error(splitter, (0.0, 1.0), _unbiased_estimator(splitter, (0.0, 1.0))) is None, splitter
+    # An unmixed splitter leaves one homodyne blind to the displacement: no estimator is unbiased.
+    for splitter in ((1.0, 0.0), (0.0, -1.0)):
+        assert _scheme_error(splitter, (0.0, 1.0), np.eye(2)).startswith("estimator is not locally unbiased")
 
 
 @pytest.mark.parametrize(
@@ -156,31 +158,50 @@ def test_scheme_splitter_must_be_a_finite_unit_pair():
         ((1.0, 0.0), (0.0,), np.eye(2)),
         ((1.0, 0.0, 0.0), (0.0, 0.0), np.eye(2)),
         ((1.0, 0.0), (0.0, 0.0), [[1.0], [0.0]]),
+        ((1.0, 0.0), (0.0, 0.0), [1.0, 0.0]),
     ],
-    ids=["one-angle", "three-entry-splitter", "2x1-estimator"],
+    ids=["one-angle", "three-entry-splitter", "2x1-estimator", "flat-estimator"],
 )
 def test_scheme_is_exactly_two_homodynes(splitter, angles, estimator):
     with pytest.raises(ValueError, match="two homodynes: a two-entry splitter, two angles and a 2x2 estimator"):
         MeasurementScheme(splitter, angles, estimator)
 
 
-def test_check_unbiased_is_relative_and_rejects_nan():
+def test_local_unbiasedness_is_relative_and_refuses_nan_and_overflow():
     # At the optimal t the example1 estimator has entries ~e^{r2/2}; its
-    # response defect is rounding relative to them.  A NaN estimator is
-    # rejected when the scheme is built, before check_unbiased can run.
+    # response defect is rounding relative to them, and the scheme is built.
+    # A response defect of 5e-10 relative passes and one of 2e-9 does not.
+    # A NaN estimator is refused by name before its response is formed.
     r2 = 20.0
     scheme = build_scheme("example1", r2=r2, t=1.0 / (1.0 + math.exp(r2)), phi2=0.0)
     assert np.max(np.abs(scheme.estimator)) > 1e4
     balanced = build_scheme("balanced", r=0.5, t_star=0.5)
+    replace(balanced, estimator=np.array(balanced.estimator) * (1.0 + 5e-10))
     with pytest.raises(ValueError, match="not locally unbiased"):
-        replace(balanced, estimator=balanced.estimator * (1.0 + 2e-9)).check_unbiased()
+        replace(balanced, estimator=np.array(balanced.estimator) * (1.0 + 2e-9))
     with pytest.raises(ValueError, match="estimator must be finite"):
         replace(balanced, estimator=np.full((2, 2), math.nan))
     # A response entry past the first that overflows to inf is refused,
     # though the other entries are within tol * max|estimator|.
     half = math.sqrt(0.5)
     with pytest.raises(ValueError, match="not locally unbiased"):
-        MeasurementScheme((half, half), (0.0, 0.0), [[0.0, 0.0], [1.5e308, -1.5e308]]).check_unbiased()
+        MeasurementScheme((half, half), (0.0, 0.0), [[0.0, 0.0], [1.5e308, -1.5e308]])
+
+
+def test_equal_schemes_compare_equal_and_hash():
+    # A scheme is a value: equal inputs give equal schemes of floats, arrays
+    # and lists build the same scheme, and a set keeps one of each scheme.
+    built = [build_scheme("example1", r2=0.8, t=0.3, phi2=0.5) for _ in range(2)]
+    probe, weights = ProbeConfig(r1=0.4, r2=0.9, phi1=0.3, phi2=2.0, t=0.35), Weights(1.0, 2.0)
+    extracted = [extract_measurement(probe, weights) for _ in range(2)]
+    for first, second in (built, extracted):
+        assert first == second and hash(first) == hash(second)
+        assert all(type(x) is float for x in (*first.splitter, *first.angles, *sum(first.estimator, ())))
+        rebuilt = MeasurementScheme(np.array(first.splitter), list(first.angles), np.array(first.estimator),
+                                    kind=first.kind, probe=first.probe)
+        assert rebuilt == first and hash(rebuilt) == hash(first)
+    assert len(set(built + extracted)) == 2
+    assert built[0] != replace(built[0], probe=None)
 
 
 @pytest.mark.parametrize(
@@ -327,9 +348,10 @@ def test_run_scheme_forms_outcome_moments_once(monkeypatch, scheme):
 
 
 def _edge_rows(n, seed):
-    # The two reference kinds, and general schemes, random splitters
-    # (cos a, sin a) on random probes, whose outcomes mix all four inputs (in
-    # the reference kinds two of each four terms are rounding residue, so a
+    # The two reference kinds, and general schemes (random splitters
+    # (cos a, sin a) and angles with their unbiased estimator) on random
+    # probes, whose outcomes mix all four inputs (in the reference kinds
+    # two of each four terms are rounding residue, so a
     # reordered sum rarely shows); r in {0, 20, U(0, 20)}, t
     # log-spread down to 1e-12 and up to 1 - 1e-12, shots in {100, 101, 2^53,
     # log-uniform}, |theta| up to 1e3.
@@ -345,9 +367,9 @@ def _edge_rows(n, seed):
             scheme = build_scheme("example1", r2=r, t=t, phi2=phi2)
         else:
             angle = rng.uniform(-4.0, 4.0)
+            splitter, angles = (math.cos(angle), math.sin(angle)), rng.uniform(-4.0, 4.0, 2)
             probe = ProbeConfig(r1=r1, r2=r, phi1=phi1, phi2=phi2, t=t)
-            scheme = MeasurementScheme((math.cos(angle), math.sin(angle)), rng.uniform(-4.0, 4.0, 2),
-                                       rng.normal(size=(2, 2)), probe=probe)
+            scheme = MeasurementScheme(splitter, angles, _unbiased_estimator(splitter, angles), probe=probe)
         shots = int(rng.choice([100, 101, 2**53, min(int(10.0 ** rng.uniform(2.0, 15.9)), 2**53)]))
         theta = ChannelParams(*(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-3.0, 3.0)))
         yield scheme, theta, shots, int(rng.integers(2**63))
@@ -377,7 +399,8 @@ def test_seeded_reports_match_the_numpy_reference_bit_for_bit():
 
 def _numpy_scheme(kind, r, t, phi2=0.0):
     # build_scheme's arrays as the NumPy expressions it replaced: beam_splitter(1 - t).T
-    # with beam_splitter written out, np.diag, and the example1 array.
+    # with beam_splitter written out, whose splitter entries are its first row's
+    # (0, 2) entries, np.diag, and the example1 array.
     u = 1.0 - t
     a, b = math.sqrt(u), math.sqrt(1.0 - u)
     transform = np.array([[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]]).T
@@ -391,12 +414,14 @@ def _numpy_scheme(kind, r, t, phi2=0.0):
         estimator = np.array([[-sin_p / math.sqrt(1.0 - t), cos_p / math.sqrt(t)],
                               [cos_p / math.sqrt(1.0 - t), sin_p / math.sqrt(t)]])
         probe = ProbeConfig(r1=0.0, r2=r, phi1=0.0, phi2=phi2, t=1.0 - t)
-    return SimpleNamespace(transform=transform, angles=angles, estimator=estimator, kind=kind, probe=probe)
+    return SimpleNamespace(splitter=(transform[0, 0], transform[0, 2]), transform=transform, angles=angles,
+                           estimator=estimator, kind=kind, probe=probe)
 
 
 def test_float_schemes_are_the_numpy_schemes_bit_for_bit():
-    # build_scheme passes float rows; the stored transform and estimator are
-    # the bytes of the arrays it used to build, and the probe is the same, over
+    # build_scheme passes float rows; the transform of the stored splitter and
+    # the estimator are the bytes of the arrays it used to build, and the probe
+    # is the same, over
     # both kinds, r <= 20, t log-spread within 1e-12 of 0 and 1, and phi2 in
     # [-2 pi, 2 pi]; every fourth balanced scheme takes its t from weights.
     rng = np.random.default_rng(27)
@@ -417,8 +442,8 @@ def test_float_schemes_are_the_numpy_schemes_bit_for_bit():
         else:
             scheme = build_scheme("balanced", r=r_k, t_star=t_k)
         want = _numpy_scheme(scheme.kind, r_k, t_k, phi_k)
-        assert scheme.transform.tobytes() == want.transform.tobytes(), (k, scheme.kind, r_k, t_k)
-        assert scheme.estimator.tobytes() == want.estimator.tobytes(), (k, scheme.kind, r_k, t_k)
+        assert mc_reference.transform(scheme.splitter).tobytes() == want.transform.tobytes(), (k, scheme.kind)
+        assert np.array(scheme.estimator).tobytes() == want.estimator.tobytes(), (k, scheme.kind, r_k, t_k)
         assert (scheme.probe, scheme.angles) == (want.probe, want.angles)
 
 
@@ -443,20 +468,24 @@ def test_seeded_monte_carlo_requests_match_the_numpy_reference_bit_for_bit():
             mc_reference.run_scheme, want, want.probe, *args), (k, kind, r, t, phi2)
 
 
-def _scheme_error(transform, angles, estimator, unbiased=False):
+def _scheme_error(splitter, angles, estimator):
     # The message a scheme is refused with, or None.
     try:
-        scheme = MeasurementScheme(transform, angles, estimator)
-        if unbiased:
-            scheme.check_unbiased()
+        MeasurementScheme(splitter, angles, estimator)
     except ValueError as exc:
         return str(exc)
     return None
 
 
+def _unbiased_estimator(splitter, angles):
+    # The inverse of the response [[a cos al0, a sin al0], [-b cos al1, -b sin al1]].
+    a, b = splitter
+    return np.linalg.inv([[s * math.cos(al), s * math.sin(al)] for s, al in zip((a, -b), angles)])
+
+
 def test_float_unbiasedness_check_gives_the_numpy_verdicts():
-    # check_unbiased runs on floats; its verdict is that of the NumPy
-    # expression it replaced, written here as the reference, on the exact
+    # A scheme checks its unbiasedness on floats when it is built; the verdict
+    # is that of the NumPy expression, written here as the reference, on the exact
     # inverse response of random splitters (cos x, sin x), every other one
     # within 1e-5 to 0.1 of a single mode so that the estimator grows large,
     # at random angles, perturbed by 1e-14 to 1e-3 of its largest entry,
@@ -484,7 +513,7 @@ def test_float_unbiasedness_check_gives_the_numpy_verdicts():
         elif mode == 3:
             est = est.copy()
             est.flat[(k // 8) % 4] = (math.nan, math.inf, -math.inf)[(k // 32) % 3]
-        error = _scheme_error(splitter, angles, est, unbiased=True)
+        error = _scheme_error(splitter, angles, est)
         if mode == 3:
             assert error is not None and error.startswith("estimator must be finite"), (k, error)
             continue
@@ -527,7 +556,7 @@ def test_run_scheme_matches_an_extended_precision_replay(kind, r):
     mean, cov = scheme.outcome_moments(scheme.probe, theta)
     mean = np.array(mean, dtype=np.longdouble)
     chol = np.linalg.cholesky(cov).astype(np.longdouble)
-    k_mat = scheme.estimator.astype(np.longdouble)
+    k_mat = np.array(scheme.estimator, dtype=np.longdouble)
     lower = (k_mat[:, :, None] * chol).sum(axis=1)
     for shots in (100, 65_536, 65_537, 196_609):
         report = run_scheme(scheme, scheme.probe, theta, shots, seed=11)
@@ -606,10 +635,10 @@ def test_scheme_from_duals_reconstructs_commuting_optimum():
         res = solve(probe, Weights(1.0, float(10.0 ** rng.uniform(-2.0, 2.0))))
         assert abs(res.duals.commutator()) <= 1e-8
         scheme = scheme_from_duals(res.duals)
-        m = scheme.transform
+        m = mc_reference.transform(scheme.splitter)
         dirs = np.array([math.cos(al) * m[2 * k] + math.sin(al) * m[2 * k + 1]
                          for k, al in enumerate(scheme.angles)])
-        realized = scheme.estimator @ dirs
+        realized = np.array(scheme.estimator) @ dirs
         assert np.allclose(realized[0], res.duals.c_x, rtol=0.0, atol=1e-7)
         assert np.allclose(realized[1], res.duals.c_y, rtol=0.0, atol=1e-7)
 
@@ -674,13 +703,13 @@ def _decimal_weighted_variance(scheme, probe, weights) -> Decimal:
 
         a, b, g = block(t, 1 - t), block(1 - t, t), block(-mix, mix)
         cov = [a[0] + g[0], a[1] + g[1], g[0] + b[0], g[1] + b[1]]
-        m = [[Decimal(x) for x in row] for row in scheme.transform.tolist()]
+        m = [[Decimal(x) for x in row] for row in mc_reference.transform(scheme.splitter).tolist()]
         dirs = []
         for k, angle in enumerate(scheme.angles):
             c, s = oracle._cos_sin(Decimal(angle))
             dirs.append([c * x + s * y for x, y in zip(m[2 * k], m[2 * k + 1])])
         observables = [[Decimal(k0) * d0 + Decimal(k1) * d1 for d0, d1 in zip(*dirs)]
-                       for k0, k1 in scheme.estimator.tolist()]
+                       for k0, k1 in scheme.estimator]
         v_x, v_y = (sum(o[i] * cov[i][j] * o[j] for i in range(4) for j in range(4)) for o in observables)
         return Decimal(weights.w_x) * v_x + Decimal(weights.w_y) * v_y
 
@@ -711,11 +740,8 @@ def test_extract_measurement_refuses_a_scheme_off_the_bound(monkeypatch):
     def mutant(duals):
         scheme = real(duals)
         angles = (scheme.angles[0] + 1e-3, scheme.angles[1])
-        a, b = scheme.splitter
-        response = [[s * math.cos(al), s * math.sin(al)] for s, al in zip((a, -b), angles)]
-        moved = MeasurementScheme(scheme.splitter, angles, np.linalg.inv(response), kind=scheme.kind)
-        moved.check_unbiased()
-        return moved
+        return MeasurementScheme(scheme.splitter, angles, _unbiased_estimator(scheme.splitter, angles),
+                                 kind=scheme.kind)
 
     probe, weights = ProbeConfig(r1=0.4, r2=0.9, phi1=0.3, phi2=2.0, t=0.35), Weights(1.0, 2.0)
     assert _weighted_excess(extract_measurement(probe, weights), probe, weights) <= CERTIFICATE_TOL
