@@ -4,10 +4,7 @@ from .gaussian import (
     ChannelParams,
     GaussianState,
     ProbeConfig,
-    beam_splitter,
     build_probe,
-    probe_covariances,
-    rotation,
     squeezing_db_to_r,
     symplectic_form,
 )

@@ -28,9 +28,6 @@ SYMMETRY_TOL = 1e-12
 # overflow e^{2r} arithmetic headroom.
 MAX_SQUEEZING_R = 20.0
 
-OMEGA_SINGLE_MODE = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the symplectic form matrix for ``n_modes`` modes.
 
@@ -39,7 +36,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
-        omega[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = OMEGA_SINGLE_MODE
+        omega[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[0.0, 1.0], [-1.0, 0.0]]
     return omega
 
 
@@ -128,7 +125,7 @@ class ProbeConfig:
     ``r1`` and ``r2`` are the squeezing parameters of the mode-1 and mode-2
     inputs, rotated by ``phi1`` and ``phi2`` before mixing on a beam splitter
     of transmissivity ``t``.  Canonical ordering requires ``0 <= r1 <= r2``
-    for two-mode configurations.
+    for two-mode configurations; ``0 <= t <= 1`` holds for either mode count.
     """
 
     r1: float = 0.0
@@ -144,36 +141,10 @@ class ProbeConfig:
         for name in ("r1", "r2"):
             _check_r(getattr(self, name), name)
         _check_finite(self, ("phi1", "phi2"))
-        if self.n_modes == 2:
-            if self.r1 > self.r2:
-                raise ValueError(f"canonical ordering requires r1 <= r2, got ({self.r1}, {self.r2})")
-            if not 0.0 <= self.t <= 1.0:
-                raise ValueError(f"transmissivity must lie in [0, 1], got {self.t}")
-
-
-def rotation(phi: float, n_modes: int = 1, target_mode: int = 0) -> np.ndarray:
-    """Read-only counter-clockwise rotation by ``phi`` on ``target_mode``, identity elsewhere."""
-    if not 0 <= target_mode < n_modes:
-        raise ValueError(f"target_mode {target_mode} out of range for {n_modes} modes")
-    c, s = math.cos(phi), math.sin(phi)
-    mat = np.eye(2 * n_modes)
-    k = 2 * target_mode
-    mat[k, k] = mat[k + 1, k + 1] = c
-    mat[k, k + 1], mat[k + 1, k] = -s, s
-    mat.flags.writeable = False
-    return mat
-
-
-def beam_splitter(t: float) -> np.ndarray:
-    """Two-mode beam splitter of transmissivity ``t``, read-only.
-
-    Mode-1 output is ``sqrt(t) * mode1 + sqrt(1-t) * mode2`` on both
-    quadratures; the mixing is real orthogonal, so it is symplectic and its
-    transpose is its inverse.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
-    return _frozen_array(_splitter_rows(*_splitter_entries(t)))
+        if not 0.0 <= self.t <= 1.0:  # also false for NaN
+            raise ValueError(f"transmissivity must lie in [0, 1], got {self.t}")
+        if self.n_modes == 2 and self.r1 > self.r2:
+            raise ValueError(f"canonical ordering requires r1 <= r2, got ({self.r1}, {self.r2})")
 
 
 def _splitter_entries(t: float) -> tuple[float, float]:
@@ -187,10 +158,11 @@ def _splitter_rows(a: float, b: float) -> list:
 
 
 def _mixing_stacks(t, phi, target_mode: int) -> tuple[np.ndarray, np.ndarray]:
-    """beam_splitter(t) and rotation(phi, 2, target_mode) for each row of ``t`` and ``phi``.
+    """Two-mode beam splitters of transmissivity ``t`` and rotations by ``phi`` on ``target_mode``.
 
-    Two (n, 4, 4) stacks whose rows equal those functions' matrices bit for
-    bit, built without a Python loop over the rows.
+    Two (n, 4, 4) stacks built without a Python loop over the rows, each row
+    the float splitter rows (_splitter_rows) and a math.cos/math.sin rotation
+    bit for bit (a test pins both).
     """
     t = np.asarray(t, dtype=float).ravel()
     if not 0.0 <= t.min() <= t.max() <= 1.0:
@@ -217,11 +189,15 @@ def _squeezed_entries(r, phi):
 
 
 def _probe_cov_row(r1, r2, phi1, phi2, t) -> list[list[float]]:
-    """One row of probe_covariances as nested float lists, bit-identical to it (a test pins it).
+    """The covariance of a checked two-mode configuration (a ProbeConfig), as nested float lists.
 
-    The same expressions in the same order, for a configuration already
-    checked (a ProbeConfig).  e^{+-2r} comes from one np.exp call: math.exp
-    can round differently.
+    Squeezed inputs ``C_i = R(phi_i) diag(e^{-2r_i}, e^{2r_i}) R(phi_i)^T``
+    mixed on a beam splitter of transmissivity ``t`` give the 2x2 blocks
+    ``t C1 + (1-t) C2`` and ``(1-t) C1 + t C2`` on the diagonal and
+    ``sqrt(t(1-t)) (C2 - C1)`` off it, written to both sides, so the row is
+    exactly symmetric.  Entries (0, 0) and (1, 1) are probe_mode1_variances'
+    bit for bit (a test pins it): the same expressions, with e^{+-2r} from
+    one np.exp call, as math.exp can round differently.
     """
     r1, r2, phi1, phi2, t = float(r1), float(r2), float(phi1), float(phi2), float(t)
     e_m1, e_p1, e_m2, e_p2 = np.exp([-2.0 * r1, 2.0 * r1, -2.0 * r2, 2.0 * r2]).tolist()
@@ -234,12 +210,6 @@ def _probe_cov_row(r1, r2, phi1, phi2, t) -> list[list[float]]:
             [a_xy, t * yy1 + u * yy2, c_xy, c_yy],
             [c_xx, c_xy, u * xx1 + t * xx2, b_xy],
             [c_xy, c_yy, b_xy, u * yy1 + t * yy2]]
-
-
-def _squeezed_marginal(r, phi) -> np.ndarray:
-    """``R(phi) diag(e^{-2r}, e^{2r}) R(phi)^T``, broadcast over r and phi: shape (..., 2, 2)."""
-    xx, xy, yy = _squeezed_entries(r, phi)
-    return np.stack((xx, xy, xy, yy), axis=-1).reshape(np.shape(xy) + (2, 2))
 
 
 def _check_config(r1, r2, phi1, phi2, t) -> np.ndarray:
@@ -256,30 +226,11 @@ def _check_config(r1, r2, phi1, phi2, t) -> np.ndarray:
     return t
 
 
-def probe_covariances(r1, r2, phi1, phi2, t) -> np.ndarray:
-    """Covariances of two-mode probes, broadcast over the inputs: shape (..., 4, 4).
-
-    Squeezed inputs ``C_i = R(phi_i) diag(e^{-2r_i}, e^{2r_i}) R(phi_i)^T``
-    mixed on a beam splitter of transmissivity ``t`` give the 2x2 blocks
-    ``t C1 + (1-t) C2`` and ``(1-t) C1 + t C2`` on the diagonal and
-    ``sqrt(t(1-t)) (C2 - C1)`` off it.  Every block is symmetric entry for
-    entry and the off-diagonal one is written to both sides, so the result is
-    exactly symmetric.
-    """
-    t = _check_config(r1, r2, phi1, phi2, t)[..., None, None]
-    c1, c2 = _squeezed_marginal(r1, phi1), _squeezed_marginal(r2, phi2)
-    cov = np.empty(np.broadcast_shapes(t.shape, c1.shape, c2.shape)[:-2] + (4, 4))
-    cov[..., :2, :2] = t * c1 + (1.0 - t) * c2
-    cov[..., 2:, 2:] = (1.0 - t) * c1 + t * c2
-    cov[..., :2, 2:] = cov[..., 2:, :2] = np.sqrt(t * (1.0 - t)) * (c2 - c1)
-    return cov
-
-
 def probe_mode1_variances(r1, r2, phi1, phi2, t) -> tuple[np.ndarray, np.ndarray]:
-    """(A_11, A_22): entries (0, 0) and (1, 1) of probe_covariances(r1, r2, phi1, phi2, t).
+    """(A_11, A_22): entries (0, 0) and (1, 1) of the probe covariance, broadcast over the configuration.
 
-    The same expressions, ``t C1 + (1-t) C2`` entry by entry, so the values
-    are bit-identical to the covariance's, with no 4x4 matrix built.
+    The expressions of _probe_cov_row, ``t C1 + (1-t) C2``, with no 4x4
+    matrix built: bit-identical to its entries (a test pins it).
     """
     t = _check_config(r1, r2, phi1, phi2, t)
     (xx1, _, yy1), (xx2, _, yy2) = _squeezed_entries(r1, phi1), _squeezed_entries(r2, phi2)
@@ -287,7 +238,7 @@ def probe_mode1_variances(r1, r2, phi1, phi2, t) -> tuple[np.ndarray, np.ndarray
 
 
 def probe_delta_minus_one(r1, r2, phi1, phi2, t) -> np.ndarray:
-    """det A - 1 of the mode-1 marginals of probe_covariances(r1, r2, phi1, phi2, t), broadcast.
+    """det A - 1 of the probe's mode-1 marginal, broadcast over the configuration.
 
     ``4t(1-t) [cos^2 d sinh^2(r1 - r2) + sin^2 d sinh^2(r1 + r2)]`` with d = phi1 - phi2 sums
     nonnegative terms: accurate to rounding for r <= 20, 0 at t in {0, 1}.  sin^2 d is
@@ -306,9 +257,9 @@ def build_probe(config: ProbeConfig) -> GaussianState:
     """Assemble the probe state described by a ProbeConfig.
 
     For two modes: squeeze both inputs, rotate them by ``phi1`` and ``phi2``,
-    and mix them on a beam splitter of transmissivity ``t``: one row of
-    probe_covariances, computed in float arithmetic (_probe_cov_row).  One
-    mode is the rotated squeezed state, in the same float form.
+    and mix them on a beam splitter of transmissivity ``t``, in float
+    arithmetic (_probe_cov_row).  One mode is the rotated squeezed state, in
+    the same float form.
     """
     if config.n_modes == 1:
         r, phi = float(config.r1), float(config.phi1)
@@ -322,7 +273,7 @@ def _probe_factor_rows(config: ProbeConfig) -> tuple[list, list]:
 
     A pure state is passive optics on squeezed vacua, covariance
     ``O diag(lam) O^T`` (Weedbrook et al., RMP 84, 621 (2012)): ``O`` is
-    beam_splitter(t) times ``R(phi1)`` and ``R(phi2)`` on the diagonal, and
+    the beam splitter of ``t`` times ``R(phi1)`` and ``R(phi2)`` on the diagonal, and
     ``lam = (e^{-2r1}, e^{2r1}, e^{-2r2}, e^{2r2})``.  Both quadratures mix
     alike, so block (i, j) of ``O`` is beam-splitter entry (2i, 2j) times
     ``R(phi_j)``: one product per entry, no sum.

@@ -23,7 +23,7 @@ A through A_11, A_22 and delta - 1 = det A - 1 >= 0:
 
 with a = w_x A_11 + w_y A_22.  Every term is nonnegative, so phi is as
 precise as A_11, A_22 (exact to rounding) and delta - 1.  batch_bound takes
-configurations alone (a ProbeConfig, or the arrays of probe_covariances) and
+configurations alone (a ProbeConfig, or its five fields as arrays) and
 builds no covariance: A_11 and A_22 come from gaussian.probe_mode1_variances
 and delta - 1 from gaussian.probe_delta_minus_one, a sum of nonnegative
 terms, so its bound is accurate to ~1e-14 for all r <= 20.  It evaluates phi
@@ -45,8 +45,8 @@ evaluated from the covariance, must match phi(mu*).  Its terms are ~e^{4r}
 times the answer, so it stops resolving rows from r ~ 4.5, and a scalar
 certificate would pass a wrong -det C.  Two-mode duals come from a
 covariance too, so solve() builds one for a two-mode configuration, a float
-row bit-identical to a probe_covariances row (a test pins it); one mode
-pins the duals to mode 1, where the gap is phi(1) = a + 2 c.
+row whose A_11 and A_22 are probe_mode1_variances' bit for bit (a test pins
+it); one mode pins the duals to mode 1, where the gap is phi(1) = a + 2 c.
 BoundResult.duals_certified is the duals' gap, a diagnostic of the duals
 alone.  A raw covariance is checked for purity and read as -det C on
 float lists too.  Only gaussian, which builds covariances, and this module read
@@ -393,7 +393,7 @@ def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
     """Bound values for a batch of (configuration, weights) rows.
 
     ``probe`` is a ProbeConfig or a tuple ``(r1, r2, phi1, phi2, t)`` of
-    two-mode configuration arrays as probe_covariances takes them; a raw
+    two-mode configuration arrays, a ProbeConfig's fields; a raw
     covariance goes to solve.  The probes and the weights ``w_x``, ``w_y``
     broadcast together, and the rows are that shape flattened in C order, so
     configuration columns (T, 1) against weights (R,) build each probe once
@@ -448,8 +448,8 @@ def solve(probe, weights: Weights) -> BoundResult:
     configuration, the duality gap for a raw covariance, which alone is
     checked for purity and reads delta - 1 as -det C, both on float lists.
     ``duals_certified`` is the duals' duality gap; a two-mode configuration
-    builds its covariance once for them, a float row bit-identical to a
-    probe_covariances row (a test pins it), and reads A_11 and A_22 off it;
+    builds its covariance once for them, a float row whose A_11 and A_22 are
+    probe_mode1_variances' bit for bit (a test pins it), and reads them off it;
     one mode pins them to mode 1.  ``iterations`` is always 0: Newton steps
     are not counted.
     """

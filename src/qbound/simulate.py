@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -178,6 +178,11 @@ def scheme_from_duals(duals: DualCoefficients) -> MeasurementScheme:
     weighted variance.  One mode, or a response whose determinant is 0 or not
     finite (a product probe's zero duals), raises ValueError.
     """
+    return MeasurementScheme(*_optimal_entries(duals), kind="optimal")
+
+
+def _optimal_entries(duals: DualCoefficients) -> tuple:
+    """(splitter, angles, estimator) of scheme_from_duals(duals), which raises the same ValueError."""
     if duals.n_modes != 2:
         raise ValueError("a single mode cannot carry both conjugate estimates")
     a, b, c, d = duals.free
@@ -189,13 +194,12 @@ def scheme_from_duals(duals: DualCoefficients) -> MeasurementScheme:
         # (c, lam - a) and (lam - d, b) both solve u'D = lam u'; the longer keeps its digits.
         u = max((c, lam - a), (lam - d, b), key=lambda v: math.hypot(*v))
         angles.append(math.atan2(u[1], u[0]) % math.pi)
-    a_d, b_d = _splitter_entries(t_d)  # beam_splitter(t_d)
+    a_d, b_d = _splitter_entries(t_d)
     (r00, r01), (r10, r11) = ((s * math.cos(al), s * math.sin(al)) for s, al in zip((a_d, -b_d), angles))
     det = r00 * r11 - r01 * r10
     if not (det != 0.0 and math.isfinite(det)):
         raise ValueError(f"both homodynes measure one quadrature: the response determinant is {det}")
-    estimator = [[r11 / det, -r01 / det], [-r10 / det, r00 / det]]
-    return MeasurementScheme((a_d, b_d), angles, estimator, kind="optimal")
+    return (a_d, b_d), angles, [[r11 / det, -r01 / det], [-r10 / det, r00 / det]]
 
 
 def extract_measurement(probe: ProbeConfig, weights: Weights) -> MeasurementScheme:
@@ -213,7 +217,7 @@ def extract_measurement(probe: ProbeConfig, weights: Weights) -> MeasurementSche
     if not result.converged:
         raise SolverConvergenceError("cannot extract a measurement: the bound is not converged")
     try:
-        scheme = replace(scheme_from_duals(result.duals), probe=probe)
+        scheme = MeasurementScheme(*_optimal_entries(result.duals), kind="optimal", probe=probe)
     except ValueError as exc:
         raise SolverConvergenceError(f"cannot extract a measurement: {exc}") from None
     v_x, v_y = scheme.predicted_variances(probe)
@@ -239,7 +243,7 @@ def build_scheme(kind: str, **params) -> MeasurementScheme:
     balanced variances e^{-2r}/(1-t*) and e^{-2r}/t*); the attached
     ProbeConfig carries the matching package-convention transmissivity 1 - t,
     whose beam splitter the transform undoes: its inverse is its transpose,
-    the splitter (a, -b) for beam_splitter(1 - t)'s entries (a, b).
+    the splitter (a, -b) for its entries (a, b) = (sqrt(1 - t), sqrt(t)).
     """
     if kind == "example1":
         r2 = float(params["r2"])

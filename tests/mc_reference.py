@@ -5,7 +5,8 @@ This module keeps the NumPy arithmetic that it replaced: the passive optics
 built by broadcasting, products reduced with ``.sum(axis=...)``,
 ``np.linalg.cholesky``, and the Bartlett factor filled through
 ``np.tril_indices``.  Both must give the same report bit for bit, so a
-reordered sum on either side shows.
+reordered sum on either side shows.  The splitter and rotations are written
+here with ``math``: only the parameter and report types come from qbound.
 """
 
 from __future__ import annotations
@@ -14,13 +15,19 @@ import math
 
 import numpy as np
 
-from qbound.gaussian import ChannelParams, beam_splitter, rotation
+from qbound.gaussian import ChannelParams
 from qbound.simulate import SimulationReport
+
+
+def rotation(phi):
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s], [s, c]])
 
 
 def probe_factors(config):
     lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2) for sign in (-1.0, 1.0)])
-    mixing = beam_splitter(config.t)[::2, ::2]  # [i, j]: mode j's coefficient in output i
+    a, b = math.sqrt(config.t), math.sqrt(1.0 - config.t)
+    mixing = np.array([[a, b], [-b, a]])  # [i, j]: mode j's coefficient in output i
     rotations = np.array([rotation(config.phi1), rotation(config.phi2)]).swapaxes(0, 1)  # [p, j, q]
     return (mixing[:, None, :, None] * rotations).reshape(4, 4), lam
 

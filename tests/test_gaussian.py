@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from qbound import closed_forms as cf
-from qbound import gaussian
+from qbound import gaussian, holevo
 from qbound.gaussian import (
     ChannelParams,
     GaussianState,
     ProbeConfig,
-    beam_splitter,
     build_probe,
-    probe_covariances,
     probe_delta_minus_one,
-    rotation,
+    probe_mode1_variances,
     squeezing_db_to_r,
     symplectic_form,
 )
-from qbound.holevo import Weights, solve
+from qbound.holevo import Weights, batch_bound, solve
 
 R_3DB = 0.5 * math.log(2.0)  # e^{-2r} = 1/2
 
@@ -57,66 +55,80 @@ def test_make_squeezed_rotated_pi_over_6():
     pytest.param(np.array([0.5, 25.0]), id="array"),
 ])
 def test_make_squeezed_rejects_bad_r(bad):
-    # Python and NumPy floats, ints, 0-d arrays and arrays, through a probe and a closed form.
+    # Python and NumPy floats, ints, 0-d arrays and arrays, through a probe, a
+    # closed form, the mode-1 variances and the configuration bound.
     if np.ndim(bad) == 0:
         with pytest.raises(ValueError):
             build_probe(ProbeConfig(r1=bad, phi1=0.0, n_modes=1))
         with pytest.raises(ValueError):
             cf.single_mode_line(1.0, 1.0, bad, 0.0)
-    with pytest.raises(ValueError):
-        probe_covariances(bad, 20.0, 0.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="r1 must be finite and within"):
+        probe_mode1_variances(bad, 20.0, 0.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="r1 must be finite and within"):
+        batch_bound((bad, 20.0, 0.0, 0.0, 0.5), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("r", [0.0, 20.0, 0, 20, np.float64(20.0), np.array(3.0), np.array([0.0, 20.0])])
 def test_squeezing_at_the_ends_of_the_range_is_accepted(r):
-    assert np.all(np.isfinite(probe_covariances(r, 20.0, 0.0, 0.0, 0.5)))
+    assert np.all(np.isfinite(probe_mode1_variances(r, 20.0, 0.0, 0.0, 0.5)))
+    assert np.all(np.isfinite(batch_bound((r, 20.0, 0.0, 0.0, 0.5), 1.0, 1.0)))
+
+
+def _splitter(t):
+    # The float beam splitter of transmissivity t, as MeasurementScheme and _probe_factor_rows take it.
+    return gaussian._splitter_rows(*gaussian._splitter_entries(t))
+
+
+def _rotations(phi, target_mode):
+    # Literal rotation rows: [[cos, -sin], [sin, cos]] on the target mode, the identity on the other.
+    out = np.tile(np.eye(4), (len(phi), 1, 1))
+    k = 2 * target_mode
+    for mat, angle in zip(out, phi):
+        c, s = math.cos(angle), math.sin(angle)
+        mat[k : k + 2, k : k + 2] = [[c, -s], [s, c]]
+    return out
 
 
 def test_rotation_identity_and_swap():
-    assert np.allclose(rotation(0.0), np.eye(2))
-    swapped = rotation(math.pi / 2.0) @ np.diag([0.5, 2.0]) @ rotation(math.pi / 2.0).T
-    assert np.allclose(swapped, np.diag([2.0, 0.5]), atol=1e-15)
+    # Through the rotation stack: phi = 0 is the identity, and pi/2 swaps a squeezed state's variances.
+    _, (ident, quarter) = gaussian._mixing_stacks([0.5, 0.5], [0.0, math.pi / 2.0], 0)
+    assert np.array_equal(ident, np.eye(4))
+    swapped = quarter @ np.diag([0.5, 2.0, 1.0, 1.0]) @ quarter.T
+    assert np.allclose(swapped, np.diag([2.0, 0.5, 1.0, 1.0]), atol=1e-15)
 
 
 def test_rotation_block_on_mode_one_of_two():
-    s = rotation(math.pi / 6.0, n_modes=2, target_mode=0)
-    c, sn = math.cos(math.pi / 6.0), math.sin(math.pi / 6.0)
-    assert np.allclose(s[:2, :2], [[c, -sn], [sn, c]])
-    assert np.allclose(s[2:, 2:], np.eye(2))
-    assert np.allclose(s[:2, 2:], 0.0)
-
-
-def test_rotation_bad_mode_index():
-    with pytest.raises(ValueError):
-        rotation(0.1, n_modes=2, target_mode=2)
+    for mode in (0, 1):
+        _, (s,) = gaussian._mixing_stacks([0.5], [math.pi / 6.0], mode)
+        c, sn = math.cos(math.pi / 6.0), math.sin(math.pi / 6.0)
+        k, other = 2 * mode, 2 - 2 * mode
+        assert np.allclose(s[k : k + 2, k : k + 2], [[c, -sn], [sn, c]])
+        assert np.array_equal(s[other : other + 2, other : other + 2], np.eye(2))
+        assert np.array_equal(s[:2, 2:], np.zeros((2, 2))) and np.array_equal(s[2:, :2], np.zeros((2, 2)))
 
 
 def test_beam_splitter_identity_and_vacuum():
-    assert np.allclose(beam_splitter(1.0), np.eye(4))
-    s = beam_splitter(0.5)
+    # t = 1 leaves both modes alone, and every splitter is orthogonal, so the vacuum stays the vacuum.
+    assert _splitter(1.0) == np.eye(4).tolist()
+    (mixing,), _ = gaussian._mixing_stacks([1.0], [0.0], 0)
+    assert np.array_equal(mixing, np.eye(4))
+    s = np.array(_splitter(0.5))
     assert np.allclose(s @ s.T, np.eye(4))
 
 
-def test_beam_splitter_balanced_orthogonal_squeezers():
-    r = 0.7
-    e_m, e_p = math.exp(-2.0 * r), math.exp(2.0 * r)
-    s = beam_splitter(0.5)
-    out = s @ np.diag([e_m, e_p, e_p, e_m]) @ s.T
-    ch = math.cosh(2.0 * r)
-    assert np.allclose(out[:2, :2], ch * np.eye(2), atol=1e-12)
-    assert np.allclose(out[2:, 2:], ch * np.eye(2), atol=1e-12)
-
-
-def test_passive_maps_are_read_only():
-    for mat in (rotation(0.4), rotation(0.4, 2, 1), beam_splitter(0.3)):
-        with pytest.raises(ValueError, match="read-only"):
-            mat[0, 0] = 2.0
-
-
-@pytest.mark.parametrize("bad", [-0.01, 1.01])
+@pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan, 7.0])
 def test_beam_splitter_range(bad):
-    with pytest.raises(ValueError):
-        beam_splitter(bad)
+    # A transmissivity outside [0, 1] is refused by every path that takes one,
+    # and by a one-mode probe, which has no beam splitter, with the same message.
+    for n_modes in (1, 2):
+        with pytest.raises(ValueError, match=r"transmissivity must lie in \[0, 1\]"):
+            ProbeConfig(r1=0.1, r2=0.2, t=bad, n_modes=n_modes)
+    with pytest.raises(ValueError, match="transmissivity"):
+        probe_mode1_variances(0.1, 0.2, 0.0, 0.0, bad)
+    with pytest.raises(ValueError, match="transmissivity"):
+        batch_bound((0.1, 0.2, 0.0, 0.0, bad), 1.0, 1.0)
+    with pytest.raises(ValueError, match="transmissivity"):
+        gaussian._mixing_stacks([0.5, bad], [0.0, 0.0], 0)
 
 
 def test_probe_covariance_and_factors_match_direct_matrix_product():
@@ -204,18 +216,20 @@ def test_validate_probe_outputs():
     rng = np.random.default_rng(13)
     u = rng.uniform(size=(2000, 5))
     r = np.sort(20.0 * u[:, :2], axis=1)
-    covs = probe_covariances(r[:, 0], r[:, 1], 2 * math.pi * u[:, 2], 2 * math.pi * u[:, 3], u[:, 4])
-    assert all(math.isfinite(solve(cov, Weights(1.0, 1.0)).f_hcr) for cov in covs)
+    cols = (r[:, 0], r[:, 1], 2 * math.pi * u[:, 2], 2 * math.pi * u[:, 3], u[:, 4])
+    assert all(math.isfinite(solve(build_probe(ProbeConfig(*row)).cov, Weights(1.0, 1.0)).f_hcr) for row in zip(*cols))
 
 
 def test_symplectic_invariant_under_composition():
+    # A splitter, a rotation on either mode and a second splitter compose to a symplectic map.
     rng = np.random.default_rng(8)
     omega = symplectic_form(2)
-    for _ in range(100):
-        s = beam_splitter(rng.uniform(0, 1))
-        s = rotation(rng.uniform(0, 2 * math.pi), 2, rng.integers(0, 2)) @ s
-        s = beam_splitter(rng.uniform(0, 1)) @ s
-        assert np.max(np.abs(s @ omega @ s.T - omega)) <= 1e-10
+    for mode in (0, 1):
+        t1, phi, t2 = rng.uniform([0, 0, 0], [1, 2 * math.pi, 1], (50, 3)).T
+        bs1, rot = gaussian._mixing_stacks(t1, phi, mode)
+        bs2, _ = gaussian._mixing_stacks(t2, phi, mode)
+        s = bs2 @ (rot @ bs1)
+        assert np.max(np.abs(s @ omega @ s.swapaxes(1, 2) - omega)) <= 1e-10
 
 
 def test_probe_config_validation():
@@ -277,11 +291,12 @@ def test_structural_checks_are_relative():
             GaussianState(cov)
 
 
-def test_float_probe_rows_are_probe_covariances_rows_bit_for_bit():
-    # build_probe computes one probe in float arithmetic: its covariance is
-    # probe_covariances' row (two modes) or _squeezed_marginal's (one mode)
-    # byte for byte, over r <= 20, angles in [-2 pi, 2 pi], product probes
-    # and t within 1e-30 of 0 and 1, from float and NumPy scalar fields alike.
+def test_float_probe_rows_are_pure_and_pin_the_mode1_variances_bit_for_bit():
+    # build_probe computes one probe in float arithmetic.  Over r <= 20, angles
+    # in [-2 pi, 2 pi], product probes and t within 1e-30 of 0 and 1, every
+    # probe is exactly symmetric and passes the purity check, float and NumPy
+    # scalar fields give the same bytes, and entries (0, 0) and (1, 1) are
+    # probe_mode1_variances' bit for bit: at t = 1 for one mode, which is mode 1.
     rng = np.random.default_rng(2026)
     n = 20_000
     r = np.sort(20.0 * rng.uniform(size=(n, 2)), axis=1)
@@ -291,12 +306,20 @@ def test_float_probe_rows_are_probe_covariances_rows_bit_for_bit():
     t[2000:6000] = 10.0 ** rng.uniform(-30.0, -1.0, 4000)
     t[6000:10000] = 1.0 - t[2000:6000]
     cols = (r[:, 0], r[:, 1], phi1, phi2, t)
-    want_two, want_one = probe_covariances(*cols), gaussian._squeezed_marginal(r[:, 1], phi2)
+    want_two = np.stack(probe_mode1_variances(*cols), axis=-1)
+    want_one = np.stack(probe_mode1_variances(r[:, 1], r[:, 1], phi2, phi2, 1.0), axis=-1)
     for k, row in enumerate(zip(*cols)):
-        fields = row if k % 2 else tuple(map(float, row))  # NumPy scalars on odd rows
-        two = build_probe(ProbeConfig(*fields)).cov
-        one = build_probe(ProbeConfig(r1=fields[1], phi1=fields[3], n_modes=1)).cov
-        assert two.tobytes() == want_two[k].tobytes() and one.tobytes() == want_one[k].tobytes()
+        covs = []
+        for fields in (tuple(map(float, row)), row):  # Python floats, then NumPy scalars
+            two = build_probe(ProbeConfig(*fields)).cov
+            one = build_probe(ProbeConfig(r1=fields[1], phi1=fields[3], n_modes=1)).cov
+            covs.append(two.tobytes() + one.tobytes())
+        assert covs[0] == covs[1]
+        assert two.diagonal()[:2].tobytes() == want_two[k].tobytes()
+        assert one.diagonal().tobytes() == want_one[k].tobytes()
+        for cov in (two, one):
+            assert np.array_equal(cov, cov.T)
+            holevo._check_pure(cov.tolist())
         if k < 100:
             cov_row = gaussian._probe_cov_row(*fields)
             assert np.array(cov_row).tobytes() == two.tobytes()
@@ -319,9 +342,9 @@ def test_float_symmetry_check_gives_the_numpy_verdicts():
     n = 3000
     r = np.sort(20.0 * rng.uniform(size=(n, 2)), axis=1)
     r[: n // 2] /= 10.0
-    covs = probe_covariances(r[:, 0], r[:, 1], *rng.uniform(0.0, 2.0 * math.pi, size=(2, n)), rng.uniform(size=n))
+    rows = zip(r[:, 0], r[:, 1], *rng.uniform(0.0, 2.0 * math.pi, size=(2, n)), rng.uniform(size=n))
     verdicts = []
-    for k, cov in enumerate(covs):
+    for k, cov in enumerate(np.array(gaussian._probe_cov_row(*row)) for row in rows):
         cov = cov.copy()
         i, j = rng.choice(4, 2, replace=False)
         scale = max(1.0, np.max(np.abs(cov)))
@@ -354,12 +377,15 @@ def test_delta_minus_one_of_one_row_is_its_array_row():
 
 
 def test_mixing_stacks_match_beam_splitter_and_rotation_bit_for_bit():
+    # verify's structural check composes these stacks; each row is the float
+    # splitter that MeasurementScheme and _probe_factor_rows use, and a
+    # rotation written with math.cos and math.sin.
     rng = np.random.default_rng(5)
     t, phi = rng.uniform(size=50), rng.uniform(0.0, 2.0 * math.pi, 50)
     t[:2] = 0.0, 1.0
     for mode in (0, 1):
         mixing, rot = gaussian._mixing_stacks(t, phi, mode)
-        assert mixing.tobytes() == np.array([beam_splitter(x) for x in t]).tobytes()
-        assert rot.tobytes() == np.array([rotation(x, 2, mode) for x in phi]).tobytes()
+        assert mixing.tobytes() == np.array([_splitter(x) for x in t]).tobytes()
+        assert rot.tobytes() == _rotations(phi, mode).tobytes()
     with pytest.raises(ValueError, match="transmissivity"):
         gaussian._mixing_stacks([0.5, 1.5], [0.0, 0.0], 0)

@@ -10,7 +10,7 @@ import pytest
 from qbound import closed_forms as cf
 from qbound import gaussian, holevo, verify
 from qbound.gaussian import (
-    ProbeConfig, build_probe, probe_covariances, probe_delta_minus_one, probe_mode1_variances, symplectic_form,
+    ProbeConfig, build_probe, probe_delta_minus_one, probe_mode1_variances, symplectic_form,
 )
 from qbound.holevo import (
     CERTIFICATE_TOL,
@@ -26,6 +26,13 @@ import oracle
 
 R_3DB = 0.5 * math.log(2.0)
 R_6DB = 0.5 * math.log(4.0)
+
+
+def _probe_covs(*config):
+    # gaussian._probe_cov_row over configuration columns broadcast together: shape (..., 4, 4).
+    rows = np.broadcast(*config)
+    return np.array([gaussian._probe_cov_row(*row) for row in rows]).reshape(rows.shape + (4, 4))
+
 
 # Frozen value of the brute-force grid + compass/pattern refinement oracle for
 # the probe (r1=0.35, r2=0.69, phi1=0, phi2=pi/2, t=0.4) at equal weights,
@@ -163,7 +170,7 @@ def test_single_mode_check_builds_no_covariance(monkeypatch):
         raise AssertionError("the single-mode check built a covariance")
 
     for module in (gaussian, holevo, verify):
-        for name in ("build_probe", "probe_covariances", "_probe_cov_row"):
+        for name in ("build_probe", "_probe_cov_row"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     monkeypatch.setattr(holevo, "_check_pure", refuse)
     assert verify.check_single_mode_closed_form(quick=False).passed
@@ -393,8 +400,8 @@ def test_float_purity_check_gives_the_numpy_verdicts():
     r = np.sort(20.0 * rng.uniform(size=(n, 2)), axis=1)
     r[: n // 2] /= 10.0
     phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, size=(2, n))
-    fours = probe_covariances(r[:, 0], r[:, 1], phi1, phi2, rng.uniform(size=n))
-    twos = gaussian._squeezed_marginal(r[:, 1], phi2)
+    fours = _probe_covs(r[:, 0], r[:, 1], phi1, phi2, rng.uniform(size=n))
+    twos = [build_probe(ProbeConfig(r1=r2, phi1=phi, n_modes=1)).cov for r2, phi in zip(r[:, 1], phi2)]
     verdicts = []
     for k, cov in enumerate(chain.from_iterable(zip(fours, twos))):
         cov = cov.copy()
@@ -431,7 +438,7 @@ def test_configuration_rows_skip_the_purity_check_and_det_c(monkeypatch):
     info = {}
     f = batch_bound(one_mode, 1.0, 3.0, info)
     for module in (gaussian, holevo):
-        for name in ("build_probe", "probe_covariances", "_probe_cov_row"):
+        for name in ("build_probe", "_probe_cov_row"):
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name), raising=False)
     res = solve(one_mode, Weights(1.0, 3.0))
     assert calls == []
@@ -569,7 +576,7 @@ def test_certificate_rejects_mutated_kernels():
     u[300:, 4] = np.round(u[300:, 4])
     ratio = np.concatenate([ratio, 10.0 ** rng.uniform(-4, 4, 30)])
     r = np.sort(2.0 * u[:, :2], axis=1)
-    covs = probe_covariances(r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
+    covs = _probe_covs(r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
     w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
     d1 = np.array([holevo._delta_minus_one(cov) for cov in covs.tolist()])
     a, c = w_x * covs[:, 0, 0] + w_y * covs[:, 1, 1], np.sqrt(w_x * w_y)
@@ -637,7 +644,7 @@ def test_gap_is_the_primal_value_of_the_reported_duals():
     u[:40, 4] = np.round(u[:40, 4])
     r = np.sort(2.0 * u[:, :2], axis=1)
     config = (r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4])
-    covs = probe_covariances(*config)
+    covs = _probe_covs(*config)
     ratio = 10.0 ** rng.uniform(-3, 3, n)
     w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
     w_x[20:60], w_y[60:100] = 0.0, 0.0
@@ -663,7 +670,7 @@ def test_kernel_matches_closed_forms_for_all_squeezing():
         covs.append(cov), w_x.append(wx), w_y.append(wy), refs.append(ref), exact.append(is_exact)
 
     for r in np.concatenate([[0.0, 20.0], rng.uniform(0.0, 20.0, 60)]):
-        balanced = probe_covariances(r, r, 0.0, math.pi / 2.0, 0.5)
+        balanced = _probe_covs(r, r, 0.0, math.pi / 2.0, 0.5)
         w = 10.0 ** rng.uniform(-2, 2)
         add(balanced, w, w, 4.0 * w * math.exp(-2.0 * r), True)
         add(balanced, w, 0.0, w / math.cosh(2.0 * r), True)
@@ -671,13 +678,13 @@ def test_kernel_matches_closed_forms_for_all_squeezing():
         r1, r2 = np.sort(rng.uniform(0.0, r, 2))
         ratio = 10.0 ** rng.uniform(-4, 4)
         opt = cf.optimal_config(ratio, 1.0, r1, r2)
-        add(probe_covariances(r1, r2, opt.phi1, opt.phi2, opt.probe_t), ratio, 1.0,
+        add(_probe_covs(r1, r2, opt.phi1, opt.phi2, opt.probe_t), ratio, 1.0,
             ratio * opt.v_x + opt.v_y, True)
         phi1, phi2 = rng.uniform(0.0, math.pi, 2)
         for t, (r_mode1, phi_mode1) in ((1.0, (r1, phi1)), (0.0, (r2, phi2))):
-            add(probe_covariances(r1, r2, phi1, phi2, t), ratio, 1.0,
+            add(_probe_covs(r1, r2, phi1, phi2, t), ratio, 1.0,
                 cf.single_mode_line(ratio, 1.0, r_mode1, phi_mode1), True)
-        add(probe_covariances(r1, r2, phi1, phi2, rng.uniform()), ratio, 1.0,
+        add(_probe_covs(r1, r2, phi1, phi2, rng.uniform()), ratio, 1.0,
             ratio * opt.v_x + opt.v_y, False)
     got = np.array([solve(cov, Weights(wx, wy)).f_hcr for cov, wx, wy in zip(covs, w_x, w_y)])
     rel = (got - np.array(refs)) / np.array(refs)
@@ -726,7 +733,7 @@ def test_a_row_does_not_depend_on_its_batch():
             unit = Weights(0.5 * w_x[i] / total, 0.5 * w_y[i] / total)
             value = 0.5 * res.f_hcr / total
             assert res.duals_certified
-            assert abs(primal(probe_covariances(*row), unit, res.duals) - value) <= 1e-12 * value
+            assert abs(primal(_probe_covs(*row), unit, res.duals) - value) <= 1e-12 * value
 
 
 def _exact_kink(mu, d1, k):

@@ -1,9 +1,11 @@
-"""The README's library quick start and CLI examples run against the current code."""
+"""The README's library quick start and CLI examples run against the current code, on a pinned public surface."""
 
 import re
 import shlex
+import types
 from pathlib import Path
 
+import qbound
 from qbound.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -24,3 +26,20 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # one example writes region.csv
     for argv in commands:
         assert main(argv[1:]) == 0, shlex.join(argv)
+
+
+def test_public_names_are_pinned():
+    # The public, non-module names of the package: adding or removing one is an API change.
+    names = {name for name, value in vars(qbound).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == {
+        "BoundComparison", "BoundResult", "ChannelParams", "DualCoefficients", "EnvelopePoint",
+        "Example2Params", "GaussianState", "MeasurementScheme", "OptimalConfig", "ProbeConfig",
+        "RegionSample", "ScalarCorollaries", "SimulationReport", "SolverConvergenceError", "SqlFeasibility",
+        "Weights", "batch_bound", "boundary_for_config", "build_probe", "build_scheme",
+        "closed_form_boundary", "compare_to_bound", "envelope", "example1_relations", "example1_variances",
+        "example2_parametric", "extract_measurement", "gamma_quartic_root", "optimal_config",
+        "projected_variances", "run_scheme", "scalar_corollaries", "scheme_from_duals",
+        "single_mode_boundary", "single_mode_line", "single_mode_tradeoff", "solve", "sql_feasible",
+        "squeezing_db_to_r", "symplectic_form", "two_mode_envelope",
+    }

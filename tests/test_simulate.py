@@ -16,7 +16,7 @@ import oracle
 import qbound
 from qbound import closed_forms as cf
 from qbound import simulate
-from qbound.gaussian import ChannelParams, ProbeConfig, beam_splitter, build_probe
+from qbound.gaussian import ChannelParams, ProbeConfig, build_probe
 from qbound.holevo import CERTIFICATE_TOL, DualCoefficients, SolverConvergenceError, Weights, solve
 from qbound.simulate import (
     MeasurementScheme,
@@ -98,6 +98,11 @@ def test_build_scheme_guards():
         scheme.outcome_moments(ProbeConfig(r1=0.5, n_modes=1), ChannelParams())
 
 
+def _beam_splitter(t):
+    # The beam splitter of transmissivity t: entries sqrt(t), sqrt(1 - t).
+    return mc_reference.transform((math.sqrt(t), math.sqrt(1.0 - t)))
+
+
 def test_reference_transforms_are_the_transposed_probe_beam_splitter():
     # An orthogonal map's inverse is its transpose, bit for bit.
     for scheme in (
@@ -106,12 +111,12 @@ def test_reference_transforms_are_the_transposed_probe_beam_splitter():
         build_scheme("example1", r2=0.8, t=0.3, phi2=0.5),
         build_scheme("example1", r2=20.0, t=1e-9, phi2=-2.0),
     ):
-        expected = beam_splitter(scheme.probe.t).T
+        expected = _beam_splitter(scheme.probe.t).T
         assert mc_reference.transform(scheme.splitter).tobytes() == expected.tobytes()
 
 
 def test_optimal_scheme_transform_is_its_beam_splitter():
-    # scheme_from_duals demixes the duals on beam_splitter(t_d), t_d = 1/(1 + rho^2).
+    # scheme_from_duals demixes the duals on the beam splitter of t_d = 1/(1 + rho^2).
     rng = np.random.default_rng(61)
     schemes = 0
     for _ in range(200):
@@ -122,7 +127,7 @@ def test_optimal_scheme_transform_is_its_beam_splitter():
         a, b, c, d = res.duals.free
         h = 0.5 * (a + d)
         rho = h + math.hypot(h, 1.0) if h >= 0.0 else 1.0 / (math.hypot(h, 1.0) - h)
-        expected = beam_splitter(1.0 / (1.0 + rho * rho))
+        expected = _beam_splitter(1.0 / (1.0 + rho * rho))
         assert mc_reference.transform(scheme.splitter).tobytes() == expected.tobytes()
         schemes += 1
     assert schemes == 200
@@ -398,8 +403,8 @@ def test_seeded_reports_match_the_numpy_reference_bit_for_bit():
 
 
 def _numpy_scheme(kind, r, t, phi2=0.0):
-    # build_scheme's arrays as the NumPy expressions it replaced: beam_splitter(1 - t).T
-    # with beam_splitter written out, whose splitter entries are its first row's
+    # build_scheme's arrays as the NumPy expressions it replaced: the transposed
+    # beam splitter of 1 - t written out, whose splitter entries are its first row's
     # (0, 2) entries, np.diag, and the example1 array.
     u = 1.0 - t
     a, b = math.sqrt(u), math.sqrt(1.0 - u)
@@ -688,6 +693,20 @@ def test_every_row_up_to_r8_extracts_a_scheme_on_the_bound():
         assert _weighted_excess(extract_measurement(probe, weights), probe, weights) <= CERTIFICATE_TOL
 
 
+def test_extract_measurement_builds_its_scheme_once(monkeypatch):
+    # One MeasurementScheme is checked per call, and it is scheme_from_duals'
+    # scheme with the probe attached by replace, which checks two.
+    rows = list(_band(8.0, 300))
+    want = [replace(scheme_from_duals(solve(probe, weights).duals), probe=probe) for probe, weights in rows]
+    built = []
+    post_init = MeasurementScheme.__post_init__
+    monkeypatch.setattr(MeasurementScheme, "__post_init__", lambda self: built.append(1) or post_init(self))
+    for (probe, weights), scheme in zip(rows, want):
+        got = extract_measurement(probe, weights)
+        assert got == scheme and repr(got) == repr(scheme)
+    assert len(built) == len(rows)
+
+
 def _decimal_weighted_variance(scheme, probe, weights) -> Decimal:
     # w_x V_x + w_y V_y of the scheme's float entries on the probe, in
     # oracle.DIGITS-digit arithmetic: the covariance's blocks t C1 + (1-t) C2,
@@ -735,17 +754,16 @@ def test_extracted_schemes_attain_the_oracle_bound_in_decimal():
 def test_extract_measurement_refuses_a_scheme_off_the_bound(monkeypatch):
     # The variance gate is live: a scheme whose first homodyne is 1e-3 off,
     # with the estimator that keeps it locally unbiased, is refused.
-    real = simulate.scheme_from_duals
+    real = simulate._optimal_entries
 
     def mutant(duals):
-        scheme = real(duals)
-        angles = (scheme.angles[0] + 1e-3, scheme.angles[1])
-        return MeasurementScheme(scheme.splitter, angles, _unbiased_estimator(scheme.splitter, angles),
-                                 kind=scheme.kind)
+        splitter, angles, _ = real(duals)
+        angles = (angles[0] + 1e-3, angles[1])
+        return splitter, angles, _unbiased_estimator(splitter, angles)
 
     probe, weights = ProbeConfig(r1=0.4, r2=0.9, phi1=0.3, phi2=2.0, t=0.35), Weights(1.0, 2.0)
     assert _weighted_excess(extract_measurement(probe, weights), probe, weights) <= CERTIFICATE_TOL
-    monkeypatch.setattr(simulate, "scheme_from_duals", mutant)
+    monkeypatch.setattr(simulate, "_optimal_entries", mutant)
     with pytest.raises(SolverConvergenceError, match="off the bound"):
         extract_measurement(probe, weights)
 
