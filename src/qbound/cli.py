@@ -3,7 +3,9 @@
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 invalid configuration, 3 solver non-convergence, 4 statistical acceptance
 failure.  Numbers are serialized with shortest round-trip decimals and file
-output is written atomically (temp file + rename).
+output is written atomically (temp file + rename).  Each command imports the
+modules it needs when it runs: region, simulate and verify import NumPy,
+bound does not.
 """
 
 from __future__ import annotations
@@ -18,12 +20,9 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
-from . import closed_forms, regions, verify
+from . import closed_forms
 from .gaussian import ChannelParams, ProbeConfig, _check_r, squeezing_db_to_r
 from .holevo import Weights, solve
-from .simulate import build_scheme, run_scheme
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -37,7 +36,7 @@ REGION_CSV_FIELDS = ("v_x", "v_y", "segment", "source", "t", "phi1", "w_ratio")
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):  # NumPy's float64 included
         return repr(float(value))
     return str(value)
 
@@ -230,13 +229,17 @@ def cmd_bound(args) -> int:
 
 
 def cmd_region(args) -> int:
+    import numpy as np
+
+    from . import regions
+
     for dest in ("vx_points", "t_points", "phi_points", "w_points"):
         count = getattr(args, dest)
         if count < 1:
             raise ValueError(f"--{dest.replace('_', '-')} must be at least 1, got {count}")
     _resolve_mode_flags(args)
 
-    samples: list[regions.RegionSample] = []
+    samples = []
     if args.modes == 1:
         r, phi = _resolve_single_mode(args)
         v_a, _ = closed_forms.projected_variances(r, phi)
@@ -280,6 +283,8 @@ def _parse_theta(text: str) -> ChannelParams:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import build_scheme, run_scheme
+
     theta = _parse_theta(args.theta)
     weights = Weights(args.wx, args.wy)
     if args.scheme == "example1":
@@ -312,12 +317,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_verification(
         only=args.only,
         quick=args.quick,
         perturb_envelope=args.perturb_envelope,
-        shots=args.shots,
-        seed=args.seed,
+        shots=verify.MC_SHOTS if args.shots is None else args.shots,
+        seed=verify.MC_SEED if args.seed is None else args.seed,
     )
     if not results:
         sys.stderr.write(f"no checks match --only {args.only!r}\n")
@@ -417,9 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true", help="reduced grids and shot counts")
     p.add_argument("--perturb-envelope", type=float, default=0.0,
                    help="fault-injection hook: scale the reference envelope")
-    p.add_argument("--shots", type=int, default=verify.MC_SHOTS)
-    p.add_argument("--seed", type=int, default=verify.MC_SEED,
-                   help="base seed of the two Monte-Carlo checks (quartic-root uses 7, structural-properties 11)")
+    p.add_argument("--shots", type=int, help="shots of each Monte-Carlo check (default: verify.MC_SHOTS)")
+    p.add_argument("--seed", type=int, help="base seed of the two Monte-Carlo checks (default: verify.MC_SEED; "
+                   "quartic-root uses 7, structural-properties 11)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
     return parser

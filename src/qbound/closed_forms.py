@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .gaussian import _LazyNumPy, _check_r
 
-from .gaussian import _check_r
+np = _LazyNumPy(globals())  # the float closed forms never read it
 
 
 def _canonical_pair(r1: float, r2: float) -> tuple[float, float, bool]:
@@ -201,7 +201,6 @@ _NEWTON_MAX_STEPS = 64  # no root here needs more than seven
 _NEWTON_STEP_TOL = 1e-12
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # f / f' is 0 / 0 once both underflow
 def _bracketed_newton(f_df, x, lo, hi, *args) -> np.ndarray:
     """Root per row of a decreasing f with f(lo) >= 0 >= f(hi), by Newton steps from x.
 
@@ -216,20 +215,21 @@ def _bracketed_newton(f_df, x, lo, hi, *args) -> np.ndarray:
     x = np.array(x, dtype=float)
     lo, hi = np.full_like(x, lo), np.full_like(x, hi)  # narrowed in place
     moving = np.ones(x.shape, dtype=bool)
-    for _ in range(_NEWTON_MAX_STEPS):
-        if not np.count_nonzero(moving):
-            break
-        f, df = f_df(x, *args)
-        above = f > 0.0
-        np.copyto(lo, x, where=above)
-        np.copyto(hi, x, where=~above)
-        new = x - f / df
-        outside = ~((new >= lo) & (new <= hi))  # true for nan
-        if np.count_nonzero(outside):
-            new[outside] = 0.5 * (lo[outside] + hi[outside])
-        np.copyto(new, x, where=~moving)
-        moving &= np.abs(new - x) > _NEWTON_STEP_TOL * new
-        x = new
+    with np.errstate(divide="ignore", invalid="ignore"):  # f / f' is 0 / 0 once both underflow
+        for _ in range(_NEWTON_MAX_STEPS):
+            if not np.count_nonzero(moving):
+                break
+            f, df = f_df(x, *args)
+            above = f > 0.0
+            np.copyto(lo, x, where=above)
+            np.copyto(hi, x, where=~above)
+            new = x - f / df
+            outside = ~((new >= lo) & (new <= hi))  # true for nan
+            if np.count_nonzero(outside):
+                new[outside] = 0.5 * (lo[outside] + hi[outside])
+            np.copyto(new, x, where=~moving)
+            moving &= np.abs(new - x) > _NEWTON_STEP_TOL * new
+            x = new
     return x
 
 

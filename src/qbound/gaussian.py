@@ -14,10 +14,30 @@ squeezing parameters appear in covariance matrices as literal entries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+
+class _LazyNumPy:
+    """Stands in for numpy in a module's globals until an attribute is read, then puts numpy there.
+
+    Float rows (the bound command) read no attribute, so importing the
+    package imports no NumPy; after the first array call the module's ``np``
+    is numpy itself, and later calls pay nothing for the laziness.
+    """
+
+    def __init__(self, namespace: dict):
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumPy(globals())
 
 # Symmetry tolerance (double precision headroom for 4x4 matrices).  Entries
 # grow like e^{2r}, so a symmetry defect also passes within SYMMETRY_TOL of the
@@ -56,9 +76,22 @@ def squeezing_db_to_r(db: float) -> float:
     return r
 
 
+def _is_row(*values) -> bool:
+    """Whether every value is a Python number (a NumPy float64 is a float): a float row, not arrays."""
+    for x in values:
+        if not isinstance(x, (int, float)):
+            return False
+    return True
+
+
+def _extent(x) -> tuple:
+    """(least, greatest) entry of a number or an array; NaN entries make a comparison with them false."""
+    return (x, x) if isinstance(x, (int, float)) else (np.min(x), np.max(x))
+
+
 def _check_r(r, name: str = "r") -> None:
     """Raise ValueError unless every entry of ``r`` is finite and in [0, MAX_SQUEEZING_R]."""
-    lo, hi = (r, r) if isinstance(r, float) or not np.ndim(r) else (np.min(r), np.max(r))
+    lo, hi = _extent(r)
     if not 0.0 <= lo <= hi <= MAX_SQUEEZING_R:  # also false for NaN
         raise ValueError(f"{name} must be finite and within [0, {MAX_SQUEEZING_R}], got {r}")
 
@@ -177,15 +210,26 @@ def _mixing_stacks(t, phi, target_mode: int) -> tuple[np.ndarray, np.ndarray]:
     return mixing.reshape(-1, 4, 4), rot
 
 
-def _rotated_entries(e_m, e_p, c, s):
-    """Entries (xx, xy, yy) of ``R diag(e_m, e_p) R^T`` with R = [[c, -s], [s, c]]: arrays or floats."""
+def _entrywise(f, x):
+    """The math function ``f`` at each entry of ``x``, as a float array of its shape.
+
+    np.exp and np.sinh round differently from math.exp and math.sinh on a
+    few percent of arguments (by an ulp), so array rows take math's, and
+    match the float rows bit for bit.  np.cos and np.sin match math.cos and
+    math.sin (a test pins them).  Sweeps hold r fixed, one call per column.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _squeezed_entries(r, phi, exp=math.exp, cos=math.cos, sin=math.sin):
+    """Entries (xx, xy, yy) of ``R(phi) diag(e^{-2r}, e^{2r}) R(phi)^T``, R = [[c, -s], [s, c]].
+
+    Floats by default; array callers pass the array forms of exp, cos and
+    sin, and get the same expression broadcast over r and phi.
+    """
+    e_m, e_p, c, s = exp(-2.0 * r), exp(2.0 * r), cos(phi), sin(phi)
     return e_m * c * c + e_p * s * s, (e_m - e_p) * c * s, e_m * s * s + e_p * c * c
-
-
-def _squeezed_entries(r, phi):
-    """Entries (xx, xy, yy) of ``R(phi) diag(e^{-2r}, e^{2r}) R(phi)^T``, broadcast over r and phi."""
-    r = np.asarray(r, dtype=float)
-    return _rotated_entries(np.exp(-2.0 * r), np.exp(2.0 * r), np.cos(phi), np.sin(phi))
 
 
 def _probe_cov_row(r1, r2, phi1, phi2, t) -> list[list[float]]:
@@ -196,13 +240,11 @@ def _probe_cov_row(r1, r2, phi1, phi2, t) -> list[list[float]]:
     ``t C1 + (1-t) C2`` and ``(1-t) C1 + t C2`` on the diagonal and
     ``sqrt(t(1-t)) (C2 - C1)`` off it, written to both sides, so the row is
     exactly symmetric.  Entries (0, 0) and (1, 1) are probe_mode1_variances'
-    bit for bit (a test pins it): the same expressions, with e^{+-2r} from
-    one np.exp call, as math.exp can round differently.
+    bit for bit (a test pins it): the same expressions and math functions.
     """
     r1, r2, phi1, phi2, t = float(r1), float(r2), float(phi1), float(phi2), float(t)
-    e_m1, e_p1, e_m2, e_p2 = np.exp([-2.0 * r1, 2.0 * r1, -2.0 * r2, 2.0 * r2]).tolist()
-    xx1, xy1, yy1 = _rotated_entries(e_m1, e_p1, math.cos(phi1), math.sin(phi1))
-    xx2, xy2, yy2 = _rotated_entries(e_m2, e_p2, math.cos(phi2), math.sin(phi2))
+    xx1, xy1, yy1 = _squeezed_entries(r1, phi1)
+    xx2, xy2, yy2 = _squeezed_entries(r2, phi2)
     u = 1.0 - t
     a_xy, b_xy, g = t * xy1 + u * xy2, u * xy1 + t * xy2, math.sqrt(t * u)
     c_xx, c_xy, c_yy = g * (xx2 - xx1), g * (xy2 - xy1), g * (yy2 - yy1)
@@ -212,45 +254,56 @@ def _probe_cov_row(r1, r2, phi1, phi2, t) -> list[list[float]]:
             [c_xy, c_yy, b_xy, u * yy1 + t * yy2]]
 
 
-def _check_config(r1, r2, phi1, phi2, t) -> np.ndarray:
-    """Raise ValueError unless the configuration arrays are in the contract; returns t as floats."""
+def _check_config(r1, r2, phi1, phi2, t) -> None:
+    """Raise ValueError unless a configuration, of numbers or of arrays, is in the contract."""
     _check_r(r1, "r1")
     _check_r(r2, "r2")
-    if np.any(np.greater(r1, r2)):
+    if not (r1 <= r2 if _is_row(r1, r2) else np.all(np.less_equal(r1, r2))):
         raise ValueError(f"canonical ordering requires r1 <= r2, got r1 = {r1}, r2 = {r2}")
-    t = np.asarray(t, dtype=float)
-    if not 0.0 <= t.min() <= t.max() <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {t.ravel()}")
-    if not np.all(np.isfinite(phi1) & np.isfinite(phi2)):
+    lo, hi = _extent(t)
+    if not 0.0 <= lo <= hi <= 1.0:  # also false for NaN
+        raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
+    if not (math.isfinite(phi1) and math.isfinite(phi2) if _is_row(phi1, phi2)
+            else np.all(np.isfinite(phi1) & np.isfinite(phi2))):
         raise ValueError(f"phi1 and phi2 must be finite, got {phi1} and {phi2}")
-    return t
 
 
-def probe_mode1_variances(r1, r2, phi1, phi2, t) -> tuple[np.ndarray, np.ndarray]:
+def probe_mode1_variances(r1, r2, phi1, phi2, t):
     """(A_11, A_22): entries (0, 0) and (1, 1) of the probe covariance, broadcast over the configuration.
 
     The expressions of _probe_cov_row, ``t C1 + (1-t) C2``, with no 4x4
-    matrix built: bit-identical to its entries (a test pins it).
+    matrix built: bit-identical to its entries (a test pins it).  A row of
+    numbers gives floats, without NumPy; arrays give arrays.
     """
-    t = _check_config(r1, r2, phi1, phi2, t)
-    (xx1, _, yy1), (xx2, _, yy2) = _squeezed_entries(r1, phi1), _squeezed_entries(r2, phi2)
+    _check_config(r1, r2, phi1, phi2, t)
+    if _is_row(r1, r2, phi1, phi2, t):
+        exp, cos, sin = math.exp, math.cos, math.sin
+    else:
+        exp, cos, sin = functools.partial(_entrywise, math.exp), np.cos, np.sin
+        r1, r2, phi1, phi2, t = (np.asarray(x, dtype=float) for x in (r1, r2, phi1, phi2, t))
+    xx1, _, yy1 = _squeezed_entries(r1, phi1, exp, cos, sin)
+    xx2, _, yy2 = _squeezed_entries(r2, phi2, exp, cos, sin)
     return t * xx1 + (1.0 - t) * xx2, t * yy1 + (1.0 - t) * yy2
 
 
-def probe_delta_minus_one(r1, r2, phi1, phi2, t) -> np.ndarray:
+def probe_delta_minus_one(r1, r2, phi1, phi2, t):
     """det A - 1 of the probe's mode-1 marginal, broadcast over the configuration.
 
     ``4t(1-t) [cos^2 d sinh^2(r1 - r2) + sin^2 d sinh^2(r1 + r2)]`` with d = phi1 - phi2 sums
     nonnegative terms: accurate to rounding for r <= 20, 0 at t in {0, 1}.  sin^2 d is
     ill-conditioned near multiples of pi, so the rounding error e of d is kept (TwoSum).
+    A row of numbers is one float, without NumPy; arrays give an array, bit for bit the rows.
     """
-    d, t = np.subtract(phi1, phi2), np.asarray(t, dtype=float)
+    if _is_row(r1, r2, phi1, phi2, t):
+        sinh, cos, sin = math.sinh, math.cos, math.sin
+    else:
+        sinh, cos, sin = functools.partial(_entrywise, math.sinh), np.cos, np.sin
+        r1, r2, phi1, phi2, t = (np.asarray(x, dtype=float) for x in (r1, r2, phi1, phi2, t))
+    d = phi1 - phi2
     b = d - phi1
     e = (phi1 - (d - b)) - (phi2 + b)  # phi1 - phi2 = d + e exactly
-    cos, sin = np.cos(d) - e * np.sin(d), np.sin(d) + e * np.cos(d)
-    # np.square, not ** 2: on NumPy scalars ** calls pow, which can round differently from x * x.
-    return 4.0 * (t * (1.0 - t) * (np.square(cos * np.sinh(np.subtract(r1, r2)))
-                                   + np.square(sin * np.sinh(np.add(r1, r2)))))
+    x, y = (cos(d) - e * sin(d)) * sinh(r1 - r2), (sin(d) + e * cos(d)) * sinh(r1 + r2)
+    return 4.0 * (t * (1.0 - t) * (x * x + y * y))
 
 
 def build_probe(config: ProbeConfig) -> GaussianState:
@@ -262,8 +315,7 @@ def build_probe(config: ProbeConfig) -> GaussianState:
     the same float form.
     """
     if config.n_modes == 1:
-        r, phi = float(config.r1), float(config.phi1)
-        xx, xy, yy = _rotated_entries(*np.exp([-2.0 * r, 2.0 * r]).tolist(), math.cos(phi), math.sin(phi))
+        xx, xy, yy = _squeezed_entries(float(config.r1), float(config.phi1))
         return GaussianState([[xx, xy], [xy, yy]])
     return GaussianState(_probe_cov_row(config.r1, config.r2, config.phi1, config.phi2, config.t))
 
@@ -276,7 +328,9 @@ def _probe_factor_rows(config: ProbeConfig) -> tuple[list, list]:
     the beam splitter of ``t`` times ``R(phi1)`` and ``R(phi2)`` on the diagonal, and
     ``lam = (e^{-2r1}, e^{2r1}, e^{-2r2}, e^{2r2})``.  Both quadratures mix
     alike, so block (i, j) of ``O`` is beam-splitter entry (2i, 2j) times
-    ``R(phi_j)``: one product per entry, no sum.
+    ``R(phi_j)``: one product per entry, no sum.  ``lam`` takes np.exp,
+    whose rounding the seeded simulate reports are pinned to
+    (tests/mc_reference.py); simulate imports NumPy anyway.
     """
     lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2) for sign in (-1.0, 1.0)]).tolist()
     a, b = _splitter_entries(config.t)

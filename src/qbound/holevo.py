@@ -59,10 +59,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .closed_forms import _bracketed_newton, _bracketed_newton_row
-from .gaussian import ProbeConfig, _probe_cov_row, probe_delta_minus_one, probe_mode1_variances
+from .gaussian import ProbeConfig, _LazyNumPy, _probe_cov_row, probe_delta_minus_one, probe_mode1_variances
+
+np = _LazyNumPy(globals())  # solve's float rows never read it
 
 __all__ = [
     "Weights",
@@ -233,7 +233,8 @@ def _config_rows(probe):
     No covariance is built: A_11 and A_22 are the (0, 0) and (1, 1) entries
     of its covariance, written with the same expressions, and delta - 1 is
     gaussian.probe_delta_minus_one; one mode is the t = 0 configuration
-    (0, r1, 0, phi1, 0).  Any other probe raises ValueError.
+    (0, r1, 0, phi1, 0).  A ProbeConfig gives floats, without NumPy.  Any
+    other probe raises ValueError.
     """
     if isinstance(probe, ProbeConfig):
         probe = ((0.0, probe.r1, 0.0, probe.phi1, 0.0) if probe.n_modes == 1
@@ -267,9 +268,9 @@ def _multiplier(d1, a, c):
     mu = regular.astype(float)
     kink = regular & (d1 > 0.0)
     d1, k = d1[kink], a[kink] / c[kink]
-    lower = np.maximum(_quadratic_root(1.0, k), np.sqrt(np.maximum(1.0 - np.sqrt(d1 * (k + 2.0)), 0.0)))
+    lower = np.maximum(_quadratic_root(1.0, k, np.sqrt), np.sqrt(np.maximum(1.0 - np.sqrt(d1 * (k + 2.0)), 0.0)))
     s = (1.0 - lower) * (1.0 + lower)
-    upper = _quadratic_root(1.0 + s * s / d1, k)
+    upper = _quadratic_root(1.0 + s * s / d1, k, np.sqrt)
     start = np.maximum(lower, np.minimum(np.sqrt(1.0 / 3.0 + 0.5 * d1), upper))
     mu[kink] = _bracketed_newton(_kink_f_df, np.minimum(start, _BELOW_ONE), 0.0, _BELOW_ONE, d1, k)
     return mu
@@ -282,15 +283,15 @@ def _row_multiplier(d1: float, a: float, c: float) -> float:
     if not d1 > 0.0:
         return 1.0
     k = a / c
-    lower = max(_quadratic_root(1.0, k, math.sqrt), math.sqrt(max(1.0 - math.sqrt(d1 * (k + 2.0)), 0.0)))
+    lower = max(_quadratic_root(1.0, k), math.sqrt(max(1.0 - math.sqrt(d1 * (k + 2.0)), 0.0)))
     s = (1.0 - lower) * (1.0 + lower)
-    upper = _quadratic_root(1.0 + s * s / d1, k, math.sqrt)
+    upper = _quadratic_root(1.0 + s * s / d1, k)
     start = max(lower, min(math.sqrt(1.0 / 3.0 + 0.5 * d1), upper))
     return _bracketed_newton_row(_kink_f_df, min(start, _BELOW_ONE), 0.0, _BELOW_ONE, d1, k)
 
 
-def _quadratic_root(e, k, sqrt=np.sqrt):
-    """The positive root of 3 mu^2 + k mu - e, written not to overflow for large k."""
+def _quadratic_root(e, k, sqrt=math.sqrt):
+    """The positive root of 3 mu^2 + k mu - e, written not to overflow for large k; arrays pass np.sqrt."""
     return (2.0 * e / k) / (1.0 + sqrt(1.0 + (12.0 * e / k) / k))
 
 
@@ -347,7 +348,7 @@ def _scaled_kink(mu, d1, a, c):
     return c * s * s - d1 * (g - c), _KINK_ROUNDING * (c * s * s + d1 * (g + c))
 
 
-def _scalar_certified(d1, a, c, mu, f, maximum=np.maximum, minimum=np.minimum, where=np.where):
+def _scalar_certified(d1, a, c, mu, f, maximum, minimum, where):
     """The configuration certificate: f is within CERTIFICATE_TOL of max phi, per row.
 
     phi is concave on [0, 1], so max phi lies in [L, U] with L = phi(mu_lo)
@@ -369,8 +370,8 @@ def _scalar_certified(d1, a, c, mu, f, maximum=np.maximum, minimum=np.minimum, w
     a few ulps.  This certifies the scalar maximization for the given a, c
     and delta - 1, not the reduction from the probe to them.  The
     elementwise ``maximum``, ``minimum`` and ``where`` are NumPy's for
-    arrays; solve passes float ones for one row.  Both branches of each
-    ``where`` are evaluated, which is safe: d1 + s_lo > 0 and d1 + 1 > 0.
+    arrays and float ones for solve's row.  Both branches of each ``where``
+    are evaluated, which is safe: d1 + s_lo > 0 and d1 + 1 > 0.
     """
     half_width = maximum(_BRACKET_REL * minimum(mu, (1.0 - mu) * (1.0 + mu)), _BRACKET_MIN)
     lo, hi = maximum(mu - half_width, 0.0), minimum(mu + half_width, 1.0)
@@ -435,7 +436,7 @@ def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
             root_x, root_y = np.sqrt(w_x), np.sqrt(w_y)  # w_y / w_x overflows for a subnormal w_x
             info["v_x"] = np.where(w_x > 0.0, kappa * (a11 + root_y / root_x * mu), np.inf)
             info["v_y"] = np.where(w_y > 0.0, kappa * (a22 + root_x / root_y * mu), np.inf)
-        info["certified"] = _scalar_certified(d1, a, c, mu, unit_f)
+        info["certified"] = _scalar_certified(d1, a, c, mu, unit_f, np.maximum, np.minimum, np.where)
     return f
 
 

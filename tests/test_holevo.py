@@ -626,7 +626,7 @@ def test_scalar_certificate_rejects_mutated_kernels():
     wrong_f = np.where(mu == 1.0, a / (1.0 + d1), 0.0)
 
     def certified(mu_k, f_k):
-        return holevo._scalar_certified(d1, a, c, mu_k, f_k)
+        return holevo._scalar_certified(d1, a, c, mu_k, f_k, np.maximum, np.minimum, np.where)
 
     assert certified(mu, f).all()
     assert not certified(mu, np.zeros_like(f)).any()

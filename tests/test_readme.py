@@ -1,9 +1,12 @@
 """The README's library quick start and CLI examples run against the current code, on a pinned public surface."""
 
+import importlib
 import re
 import shlex
 import types
 from pathlib import Path
+
+import pytest
 
 import qbound
 from qbound.cli import main
@@ -30,9 +33,13 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
 
 def test_public_names_are_pinned():
     # The public, non-module names of the package: adding or removing one is an API change.
-    names = {name for name, value in vars(qbound).items()
-             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert names == {
+    # The package resolves them on first use, so they are read through dir() and a star
+    # import, not vars(); each is the object its defining module holds.
+    names = {name for name in dir(qbound)
+             if not name.startswith("_") and not isinstance(getattr(qbound, name), types.ModuleType)}
+    star = {}
+    exec("from qbound import *", star)
+    assert names == set(star) - {"__builtins__"} == {
         "BoundComparison", "BoundResult", "ChannelParams", "DualCoefficients", "EnvelopePoint",
         "Example2Params", "GaussianState", "MeasurementScheme", "OptimalConfig", "ProbeConfig",
         "RegionSample", "ScalarCorollaries", "SimulationReport", "SolverConvergenceError", "SqlFeasibility",
@@ -43,3 +50,9 @@ def test_public_names_are_pinned():
         "single_mode_boundary", "single_mode_line", "single_mode_tradeoff", "solve", "sql_feasible",
         "squeezing_db_to_r", "symplectic_form", "two_mode_envelope",
     }
+    for name in names:
+        value = getattr(qbound, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value is star[name]
+    assert qbound.solve is qbound.holevo.solve
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qbound.no_such_name
