@@ -14,11 +14,11 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import sys
-import tempfile
 
 from . import closed_forms
 from .gaussian import ChannelParams, ProbeConfig, _check_r, squeezing_db_to_r
@@ -42,15 +42,29 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qbound-")
+    """Write ``text`` as UTF-8 to a new temp file next to ``path``, then rename it over ``path``.
+
+    The temp file is ``.qbound-<pid>-<n>``, created exclusively with mode
+    0o600 (a taken name is skipped); any failure removes it.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    for n in itertools.count():
+        tmp = os.path.join(directory, f".qbound-{os.getpid()}-{n}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            break
+        except FileExistsError:
+            continue
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

@@ -204,33 +204,39 @@ _NEWTON_STEP_TOL = 1e-12
 def _bracketed_newton(f_df, x, lo, hi, *args) -> np.ndarray:
     """Root per row of a decreasing f with f(lo) >= 0 >= f(hi), by Newton steps from x.
 
-    ``f_df(x, *args)`` returns f and f' at x.  Each step narrows the bracket,
-    and a step that would leave it, or is not finite, is replaced by
-    bisection.  A row freezes once its step is at most _NEWTON_STEP_TOL of
-    its root (quadratic convergence then leaves it within a few ulps), so its
-    root does not depend on the batch it is in.  The solver's kink quartic
-    and the gamma quartic below both go through here; holevo.solve takes
+    ``f_df(x, *args)`` returns f and f' at x; ``args`` are arrays of x's
+    shape, and ``lo`` and ``hi`` broadcast to it.  Each step narrows the
+    bracket, and a step that would leave it, or is not finite, is replaced
+    by bisection.  A row freezes once its step is at most _NEWTON_STEP_TOL
+    of its root (quadratic convergence then leaves it within a few ulps), so
+    its root does not depend on the batch it is in.  Each step runs on the
+    rows still moving alone.  The solver's kink quartic and the gamma
+    quartic below both go through here; holevo.solve takes
     _bracketed_newton_row.
     """
     x = np.array(x, dtype=float)
-    lo, hi = np.full_like(x, lo), np.full_like(x, hi)  # narrowed in place
-    moving = np.ones(x.shape, dtype=bool)
+    shape, lo, hi = x.shape, np.full_like(x, lo).ravel(), np.full_like(x, hi).ravel()
+    x, args = x.ravel(), [a.ravel() for a in args]
+    root, rows = np.empty_like(x), np.arange(x.size)  # the roots, and the indices of the rows still moving
     with np.errstate(divide="ignore", invalid="ignore"):  # f / f' is 0 / 0 once both underflow
         for _ in range(_NEWTON_MAX_STEPS):
-            if not np.count_nonzero(moving):
-                break
             f, df = f_df(x, *args)
             above = f > 0.0
-            np.copyto(lo, x, where=above)
-            np.copyto(hi, x, where=~above)
+            lo, hi = np.where(above, x, lo), np.where(above, hi, x)
             new = x - f / df
-            outside = ~((new >= lo) & (new <= hi))  # true for nan
-            if np.count_nonzero(outside):
-                new[outside] = 0.5 * (lo[outside] + hi[outside])
-            np.copyto(new, x, where=~moving)
-            moving &= np.abs(new - x) > _NEWTON_STEP_TOL * new
+            inside = (new >= lo) & (new <= hi)  # false for nan
+            if np.count_nonzero(inside) < inside.size:
+                new = np.where(inside, new, 0.5 * (lo + hi))
+            moving = np.abs(new - x) > _NEWTON_STEP_TOL * new
+            n_moving = np.count_nonzero(moving)
+            if not n_moving:
+                break
+            if n_moving < moving.size:
+                root[rows] = new  # the rows that freeze here keep this root
+                rows, new, lo, hi, *args = (a[moving] for a in (rows, new, lo, hi, *args))
             x = new
-    return x
+    root[rows] = new
+    return root.reshape(shape)
 
 
 def _bracketed_newton_row(f_df, x: float, lo: float, hi: float, *args) -> float:
@@ -269,8 +275,8 @@ def _gamma_rows(ratio, r) -> tuple[np.ndarray, np.ndarray]:
     The start is the least of T + ratio^{1/4}, max(ratio^{1/4}, 1) (Q(1) has
     the sign of 1 - ratio) and one Newton step from T.
     """
-    ratio = np.asarray(ratio, dtype=float)
-    tanh2r = np.tanh(2.0 * np.asarray(r, dtype=float))
+    ratio, r = np.broadcast_arrays(np.asarray(ratio, dtype=float), np.asarray(r, dtype=float))
+    tanh2r = np.tanh(2.0 * r)
     fourth = np.sqrt(np.sqrt(ratio))
     with np.errstate(divide="ignore", invalid="ignore"):  # inf or nan once T^3 underflows
         from_t = tanh2r + ratio * ((1.0 - tanh2r) * (1.0 + tanh2r)) / (tanh2r * (tanh2r * tanh2r + ratio))

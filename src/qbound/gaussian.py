@@ -328,11 +328,11 @@ def _probe_factor_rows(config: ProbeConfig) -> tuple[list, list]:
     the beam splitter of ``t`` times ``R(phi1)`` and ``R(phi2)`` on the diagonal, and
     ``lam = (e^{-2r1}, e^{2r1}, e^{-2r2}, e^{2r2})``.  Both quadratures mix
     alike, so block (i, j) of ``O`` is beam-splitter entry (2i, 2j) times
-    ``R(phi_j)``: one product per entry, no sum.  ``lam`` takes np.exp,
-    whose rounding the seeded simulate reports are pinned to
-    (tests/mc_reference.py); simulate imports NumPy anyway.
+    ``R(phi_j)``: one product per entry, no sum.  ``lam`` takes math.exp,
+    as solve's rows do, so a scheme's variances and the bound it is
+    certified against share their exponentials.
     """
-    lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2) for sign in (-1.0, 1.0)]).tolist()
+    lam = [math.exp(sign * 2.0 * r) for r in (config.r1, config.r2) for sign in (-1.0, 1.0)]
     a, b = _splitter_entries(config.t)
     c1, s1, c2, s2 = math.cos(config.phi1), math.sin(config.phi1), math.cos(config.phi2), math.sin(config.phi2)
     return [[a * c1, a * -s1, b * c2, b * -s2],

@@ -28,9 +28,10 @@ builds no covariance: A_11 and A_22 come from gaussian.probe_mode1_variances
 and delta - 1 from gaussian.probe_delta_minus_one, a sum of nonnegative
 terms, so its bound is accurate to ~1e-14 for all r <= 20.  It evaluates phi
 at its one maximizer mu* in [0, 1], a quartic root found per row by a
-bracketed Newton search, on NumPy arrays.  solve() computes one row in float
-arithmetic with the same expressions in the same order, bit-identical to a
-configuration's batch_bound row, and alone takes a raw pure covariance,
+bracketed Newton search, on NumPy arrays.  _bound_row computes one row in
+float arithmetic with the same expressions in the same order, bit-identical
+to the array row: solve() takes it, and so does batch_bound for a batch of
+at most _FLOAT_BATCH rows.  solve() alone takes a raw pure covariance,
 whose -det C degrades like e^{2(r1+r2)} (see _delta_minus_one).  The
 tangency point is the weight gradient of phi.
 
@@ -227,22 +228,28 @@ def _delta_minus_one(cov: list) -> float:
     return 0.0 if minus_det_c <= 0.0 else minus_det_c  # a nan stays nan, and -0.0 becomes 0.0
 
 
-def _config_rows(probe):
-    """(A_11, A_22, delta - 1) of a ProbeConfig or a tuple of configuration arrays.
+def _configuration(probe) -> tuple:
+    """The columns (r1, r2, phi1, phi2, t) of a ProbeConfig, or a tuple of them; any other probe raises ValueError.
 
-    No covariance is built: A_11 and A_22 are the (0, 0) and (1, 1) entries
-    of its covariance, written with the same expressions, and delta - 1 is
-    gaussian.probe_delta_minus_one; one mode is the t = 0 configuration
-    (0, r1, 0, phi1, 0).  A ProbeConfig gives floats, without NumPy.  Any
-    other probe raises ValueError.
+    One mode is the t = 0 configuration (0, r1, 0, phi1, 0).
     """
     if isinstance(probe, ProbeConfig):
-        probe = ((0.0, probe.r1, 0.0, probe.phi1, 0.0) if probe.n_modes == 1
-                 else (probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t))
+        return ((0.0, probe.r1, 0.0, probe.phi1, 0.0) if probe.n_modes == 1
+                else (probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t))
     if not isinstance(probe, tuple):
         raise ValueError("batch_bound takes a ProbeConfig or a tuple (r1, r2, phi1, phi2, t) of configuration "
                          f"arrays, got {type(probe).__name__}; solve takes one raw covariance")
-    return (*probe_mode1_variances(*probe), probe_delta_minus_one(*probe))
+    return probe
+
+
+def _config_rows(columns: tuple):
+    """(A_11, A_22, delta - 1) of configuration columns, numbers (floats, without NumPy) or arrays.
+
+    No covariance is built: A_11 and A_22 are the (0, 0) and (1, 1) entries
+    of its covariance, written with the same expressions, and delta - 1 is
+    gaussian.probe_delta_minus_one.
+    """
+    return (*probe_mode1_variances(*columns), probe_delta_minus_one(*columns))
 
 
 def _kink_f_df(mu, d1, k):
@@ -267,6 +274,8 @@ def _multiplier(d1, a, c):
     regular = c > 0.0
     mu = regular.astype(float)
     kink = regular & (d1 > 0.0)
+    if not np.count_nonzero(kink):  # one mode, product probes and zero weights: no root to find
+        return mu
     d1, k = d1[kink], a[kink] / c[kink]
     lower = np.maximum(_quadratic_root(1.0, k, np.sqrt), np.sqrt(np.maximum(1.0 - np.sqrt(d1 * (k + 2.0)), 0.0)))
     s = (1.0 - lower) * (1.0 + lower)
@@ -390,6 +399,71 @@ def _float_where(condition, x, y):
     return x if condition else y
 
 
+def _bound_row(a11, a22, d1, given_x, given_y, certify: bool):
+    """One bound row in float arithmetic: batch_bound's array expressions in their order, so its row bit for bit.
+
+    Returns (f, v_x, v_y, certified, duals_at) with the tangency point, the
+    scalar certificate when ``certify`` (else None), and the unit-sum
+    weights, mu* and unit-weight value that solve's duals are formed at.  A
+    bound too large for a float raises batch_bound's ValueError.
+    """
+    half = 1.0 if max(given_x, given_y) < 2.0**1020 else 0.5
+    total = half * given_x + half * given_y
+    w_x, w_y = half * given_x / total, half * given_y / total
+    a = w_x * a11 + w_y * a22
+    c = math.sqrt(w_x * w_y)
+    mu = _row_multiplier(d1, a, c)
+    s = (1.0 - mu) * (1.0 + mu)
+    kappa = s / (d1 + s) if d1 + s > 0.0 else 1.0  # -> 1 as mu -> 1 at delta = 1
+    unit_f = kappa * (a + 2.0 * c * mu)
+    f = unit_f * total / half
+    if not math.isfinite(f):
+        raise ValueError(f"the bound at weights ({given_x}, {given_y}) overflows a float")
+    root_x, root_y = math.sqrt(w_x), math.sqrt(w_y)  # w_y / w_x overflows for a subnormal w_x
+    v_x = kappa * (a11 + root_y / root_x * mu) if w_x > 0.0 else math.inf
+    v_y = kappa * (a22 + root_x / root_y * mu) if w_y > 0.0 else math.inf
+    certified = _scalar_certified(d1, a, c, mu, unit_f, max, min, _float_where) if certify else None
+    return f, v_x, v_y, certified, (w_x, w_y, mu, unit_f)
+
+
+# Batches of at most this many rows go through _bound_row one row at a time:
+# the array kernel's NumPy calls cost ~0.3 ms even for one row, more than
+# the float rows below this size.  Measured as the median of 40 alternating
+# calls per path and size, each right after a loop of 300 4x4 eigvalsh calls
+# that leaves the caches cold, as a benchmark request meets them, on seeded
+# two-mode rows (r <= 2, weight ratios 1e-2..1e2) on a 2-core x86-64 VM: the
+# float rows were faster up to ~28 rows with info and ~35 without (4 rows:
+# 0.09 ms against 0.36 ms; 64 rows: 1.4 ms against 0.64 ms).
+_FLOAT_BATCH = 32
+
+
+def _float_batch(columns: tuple, w_x, w_y, info: dict | None):
+    """batch_bound through _bound_row for 1 to _FLOAT_BATCH rows, or None for any other row count.
+
+    Each input is read once, as a list of its entries at the rows in C
+    order.  Any row it would refuse raises ValueError, whatever the message:
+    batch_bound then takes the array path, which raises its own.
+    """
+    shape = np.broadcast(*columns, w_x, w_y).shape
+    n = math.prod(shape)
+    if not 0 < n <= _FLOAT_BATCH:
+        return None
+    lists = []
+    for x in (np.asarray(x, dtype=float) for x in (*columns, w_x, w_y)):
+        lists.append(x.ravel().tolist() * n if x.size == 1
+                     else (x if x.shape == shape else np.broadcast_to(x, shape)).ravel().tolist())
+    rows = []
+    for *config, given_x, given_y in zip(*lists):
+        if not (math.isfinite(given_x) and math.isfinite(given_y) and min(given_x, given_y) >= 0.0
+                and max(given_x, given_y) > 0.0):
+            raise ValueError("weights must be finite, >= 0 and not both zero in every row")
+        rows.append(_bound_row(*_config_rows(config), given_x, given_y, info is not None))
+    f, v_x, v_y, certified, _ = zip(*rows)
+    if info is not None:
+        info.update(v_x=np.array(v_x), v_y=np.array(v_y), certified=np.array(certified))
+    return np.array(f)
+
+
 def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
     """Bound values for a batch of (configuration, weights) rows.
 
@@ -404,9 +478,18 @@ def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
     too large for a float raise ValueError.  If ``info`` is a dict it
     receives per-row arrays: ``v_x`` and ``v_y`` (the tangency point) and
     ``certified``.  No row builds a covariance, and each is certified on the
-    scalar dual (_scalar_certified).
+    scalar dual (_scalar_certified).  A batch of at most _FLOAT_BATCH rows
+    runs in float arithmetic (_bound_row), bit for bit the array rows; one
+    that it refuses is refused by the array path, with the same error.
     """
-    a11, a22, d1 = _config_rows(probe)
+    columns = _configuration(probe)
+    try:
+        f = _float_batch(columns, w_x, w_y, info)
+    except ValueError:
+        f = None  # the array path below raises the error
+    if f is not None:
+        return f
+    a11, a22, d1 = _config_rows(columns)
     one = np.ones(np.broadcast(d1, w_x, w_y).shape or (1,))  # x * one broadcasts x exactly
     a11, a22, d1, w_x, w_y = ((np.asarray(x, dtype=float) * one).ravel() for x in (a11, a22, d1, w_x, w_y))
     finite = np.isfinite(w_x) & np.isfinite(w_y)
@@ -461,7 +544,7 @@ def solve(probe, weights: Weights) -> BoundResult:
         a11, a22, d1 = cov[0][0], cov[1][1], float(probe_delta_minus_one(*columns))
     elif config:
         cov = None
-        a11, a22, d1 = (float(x) for x in _config_rows(probe))
+        a11, a22, d1 = (float(x) for x in _config_rows(_configuration(probe)))
     else:
         shape = np.shape(probe)  # np.asarray(GaussianState, dtype=float) would raise TypeError
         if shape not in ((2, 2), (4, 4)):
@@ -471,23 +554,8 @@ def solve(probe, weights: Weights) -> BoundResult:
         d1, a11, a22 = _delta_minus_one(cov), cov[0][0], cov[1][1]
         if len(cov) == 2:
             cov = None  # one mode pins the duals to mode 1
-    given_x, given_y = float(weights.w_x), float(weights.w_y)
-    half = 1.0 if max(given_x, given_y) < 2.0**1020 else 0.5
-    total = half * given_x + half * given_y
-    w_x, w_y = half * given_x / total, half * given_y / total
-    a = w_x * a11 + w_y * a22
-    c = math.sqrt(w_x * w_y)
-    mu = _row_multiplier(d1, a, c)
-    s = (1.0 - mu) * (1.0 + mu)
-    kappa = s / (d1 + s) if d1 + s > 0.0 else 1.0
-    unit_f = kappa * (a + 2.0 * c * mu)
-    f = unit_f * total / half
-    if not math.isfinite(f):
-        raise ValueError(f"the bound at weights ({given_x}, {given_y}) overflows a float")
-    root_x, root_y = math.sqrt(w_x), math.sqrt(w_y)
-    v_x = kappa * (a11 + root_y / root_x * mu) if w_x > 0.0 else math.inf
-    v_y = kappa * (a22 + root_x / root_y * mu) if w_y > 0.0 else math.inf
-    gap, free = _row_duality_gap(cov, a11, a22, d1, w_x, w_y, mu, unit_f)
+    f, v_x, v_y, certified, duals_at = _bound_row(a11, a22, d1, float(weights.w_x), float(weights.w_y), config)
+    gap, free = _row_duality_gap(cov, a11, a22, d1, *duals_at)
     duals_certified = _certified(gap)
-    converged = _scalar_certified(d1, a, c, mu, unit_f, max, min, _float_where) if config else duals_certified
+    converged = certified if config else duals_certified
     return BoundResult(f, DualCoefficients(free), v_x, v_y, converged, duals_certified=duals_certified)

@@ -71,6 +71,11 @@ def _ratio_weights(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w_x, 1.0 - w_x
 
 
+def _grid(values) -> np.ndarray:
+    """A grid as a float array: an ndarray as it is, any other iterable through a list."""
+    return np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+
+
 def boundary_for_config(probe: ProbeConfig, w_ratios) -> list[RegionSample]:
     """Lower-left boundary polyline of one probe's accessible region.
 
@@ -78,7 +83,7 @@ def boundary_for_config(probe: ProbeConfig, w_ratios) -> list[RegionSample]:
     strict monotonicity enforced (duplicate or non-decreasing v_y points are
     dropped).
     """
-    ratios = np.asarray(list(w_ratios), dtype=float)
+    ratios = _grid(w_ratios)
     if ratios.size == 0:
         raise ValueError("w_ratios must be nonempty")
     _, v_x, v_y, certified = _solve_rows(probe, *_ratio_weights(ratios))
@@ -108,9 +113,7 @@ def _config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2) -> _Sweep:
     per configuration, f, v_x, v_y and certified per (configuration, ratio).
     envelope() and envelope_support_points() are two reductions of this result.
     """
-    t_values = np.asarray(list(t_grid), dtype=float)
-    phi_values = np.asarray(list(phi_grid), dtype=float)
-    ratios = np.asarray(list(w_grid), dtype=float)
+    t_values, phi_values, ratios = (_grid(values) for values in (t_grid, phi_grid, w_grid))
     if t_values.size == 0 or phi_values.size == 0 or ratios.size == 0:
         raise ValueError("all grids must be nonempty")
     if sweep_phi2:
@@ -142,17 +145,24 @@ def _by_v_x(sweep: _Sweep, ic: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _binned_envelope(sweep: _Sweep, r2: float) -> tuple[np.ndarray, np.ndarray]:
-    """(configuration, ratio) indices of the lowest v_y in each logarithmic v_x bin, by v_x."""
+    """(configuration, ratio) indices of the lowest v_y in each logarithmic v_x bin, by v_x.
+
+    Of the rows tied at a bin's lowest v_y, the first in C order wins.  Two
+    passes of np.minimum.at, with no sort: the lowest v_y per bin, then the
+    first row that attains it.
+    """
     lo = math.exp(-2.0 * r2) * 1.001
     hi = 10.0 * math.exp(2.0 * r2)
     v_x, v_y = sweep.v_x, sweep.v_y
     ic, j = np.nonzero(np.isfinite(v_x) & np.isfinite(v_y) & (v_x >= lo) & (v_x <= hi))
     edges = np.geomspace(lo, hi, ENVELOPE_BINS + 1)
     bin_of = np.clip(np.searchsorted(edges, v_x[ic, j], side="right") - 1, 0, ENVELOPE_BINS - 1)
-    # Sort by (bin, v_y); the first entry of each bin is its lowest point.
-    order = np.lexsort((v_y[ic, j], bin_of))
-    _, first = np.unique(bin_of[order], return_index=True)
-    lowest = order[first]
+    lowest_v_y = np.full(ENVELOPE_BINS, np.inf)
+    np.minimum.at(lowest_v_y, bin_of, v_y[ic, j])
+    (at_lowest,) = np.nonzero(v_y[ic, j] == lowest_v_y[bin_of])
+    first = np.full(ENVELOPE_BINS, ic.size)
+    np.minimum.at(first, bin_of[at_lowest], at_lowest)
+    lowest = first[first < ic.size]  # by bin
     return _by_v_x(sweep, ic[lowest], j[lowest])
 
 
@@ -202,7 +212,7 @@ def envelope_support_points(
 
 def closed_form_boundary(r1: float, r2: float, v_x_values) -> list[RegionSample]:
     """Analytic two-mode envelope samples with segment labels, sorted by v_x: one batched row set."""
-    v_x = np.asarray(list(v_x_values), dtype=float)
+    v_x = _grid(v_x_values)
     v_y, segment, _ = closed_forms._checked_envelope_rows(v_x, r1, r2)
     return [
         RegionSample(
@@ -216,7 +226,7 @@ def closed_form_boundary(r1: float, r2: float, v_x_values) -> list[RegionSample]
 def single_mode_boundary(r: float, phi: float, v_x_values) -> list[RegionSample]:
     """Analytic single-mode tradeoff curve samples at fixed squeezing angle."""
     samples = []
-    for v_x in np.asarray(list(v_x_values), dtype=float):
+    for v_x in _grid(v_x_values):
         v_y = closed_forms.single_mode_tradeoff(float(v_x), r, phi)
         samples.append(
             RegionSample(

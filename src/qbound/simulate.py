@@ -10,9 +10,8 @@ Gaussian outcomes, so a run's estimator statistics follow from the mean and
 centered Gram matrix of its standard-normal draws; both have exact laws, and
 run_scheme draws them directly, at a cost that does not depend on the shot
 count.  A scheme is built, checked and run in plain float arithmetic on its
-two outcomes, and stores float tuples; it leaves floats only for the np.exp
-of the probe's input variances, the C-ordered product that gives the
-outcome means, and the seeded draws.
+two outcomes, and stores float tuples; it leaves floats only for the seeded
+draws.
 
 The optimal product homodyne (extract_measurement) is built from the
 bound's duals in closed form and certified by the one number that decides
@@ -93,10 +92,9 @@ class MeasurementScheme:
         ``M diag(lam) M^T`` with ``M = dirs O``, the probe's passive optics
         ``O`` and input variances ``lam``: each variance sums nonnegative
         terms, exact for all r <= 20.  Products are summed left to right in
-        floats: a BLAS matmul's fused multiply-adds leave residue where the
-        transform undoes the probe's beam splitter, and times e^{2r} that
-        residue swamps e^{-2r}.  The means are the one BLAS product, on the
-        C-ordered directions.
+        floats, the means too: a BLAS matmul's fused multiply-adds leave
+        residue where the transform undoes the probe's beam splitter, and
+        times e^{2r} that residue swamps e^{-2r}.
         """
         if probe.n_modes != 2:
             raise ValueError("scheme and probe mode counts differ")
@@ -106,7 +104,7 @@ class MeasurementScheme:
              for d0, d1, d2, d3 in dirs]
         cov = [[a0 * b0 * l0 + a1 * b1 * l1 + a2 * b2 * l2 + a3 * b3 * l3 for b0, b1, b2, b3 in m]
                for a0, a1, a2, a3 in m]
-        return (np.array(dirs)[:, :2] @ (theta.theta_x, theta.theta_y)).tolist(), cov
+        return [d0 * theta.theta_x + d1 * theta.theta_y for d0, d1, _, _ in dirs], cov
 
     def predicted_variances(self, probe: ProbeConfig) -> tuple[float, float]:
         """Exact estimator variances on a probe."""
@@ -306,9 +304,8 @@ def run_scheme(
     the Bartlett decomposition G = A A^T, A lower triangular with
     A_ii^2 ~ chi^2(n - 1 - i) and A_ij ~ N(0, 1) below the diagonal
     (Anderson 2003, ch. 7; Odell and Feiveson 1966).  Everything else is
-    float arithmetic on 2x2 moments, with no BLAS or LAPACK call except the
-    C-ordered mean product (outcome_moments): the Cholesky factor is formed
-    as LAPACK's potf2 forms it, and a covariance that is not positive
+    float arithmetic on 2x2 moments, with no BLAS or LAPACK call: the
+    Cholesky factor is formed as LAPACK's potf2 forms it, and a covariance that is not positive
     definite, or holds NaN, raises ``np.linalg.LinAlgError``.  So a run
     costs the same at any ``shots``, starts no thread, and a seeded report
     repeats bit for bit whatever the BLAS.

@@ -56,16 +56,20 @@ def check_single_mode_closed_form(quick: bool = False) -> CheckResult:
     Each ratio runs with weights normalized to unit sum and with w_y = 1.  The
     grid is one batch_bound call on the t = 0 configuration rows (0, r, 0,
     phi, 0), the route a one-mode ProbeConfig takes (solve() computes the
-    same row in float arithmetic, bit-identical to it).
+    same row in float arithmetic, bit-identical to it).  The closed line
+    w_x v_a + w_y v_b + 2 sqrt(w_x w_y) of closed_forms.single_mode_line,
+    with its projected variances v_a and v_b, is one array expression over
+    the same grid.
     """
     rs = np.arange(0.0, 1.51, 0.3 if quick else 0.1)
     phis = np.arange(0.0, math.pi / 2.0 + 1e-12, math.pi / 12.0)
     weights = [(w_x, w_y) for ratio in (0.1, 1.0, 10.0)
                for w_x, w_y in ((ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)), (ratio, 1.0))]
-    grid = [(r, phi) for r in rs for phi in phis]
-    r, phi = np.array(grid).T[..., None]
-    got = batch_bound((0.0, r, 0.0, phi, 0.0), *np.array(weights).T)
-    want = np.array([closed_forms.single_mode_line(wx, wy, r, phi) for r, phi in grid for wx, wy in weights])
+    r, phi = (grid.ravel()[:, None] for grid in np.meshgrid(rs, phis, indexing="ij"))
+    w_x, w_y = np.array(weights).T
+    got = batch_bound((0.0, r, 0.0, phi, 0.0), w_x, w_y)
+    e_m, e_p, c2, s2 = np.exp(-2.0 * r), np.exp(2.0 * r), np.cos(phi) ** 2, np.sin(phi) ** 2
+    want = (w_x * (e_m * c2 + e_p * s2) + w_y * (e_m * s2 + e_p * c2) + 2.0 * np.sqrt(w_x * w_y)).ravel()
     worst = float(np.max(np.abs(got - want) / want))
     return CheckResult("single-mode-closed-form", worst <= 1e-9, {"max_rel_err": worst})
 

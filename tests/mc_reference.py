@@ -5,8 +5,10 @@ This module keeps the NumPy arithmetic that it replaced: the passive optics
 built by broadcasting, products reduced with ``.sum(axis=...)``,
 ``np.linalg.cholesky``, and the Bartlett factor filled through
 ``np.tril_indices``.  Both must give the same report bit for bit, so a
-reordered sum on either side shows.  The splitter and rotations are written
-here with ``math``: only the parameter and report types come from qbound.
+reordered sum on either side shows.  The splitter, the rotations and the
+input variances are written here with ``math``, and the means are summed
+elementwise, as simulate sums them: only the parameter and report types come
+from qbound.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ def rotation(phi):
 
 
 def probe_factors(config):
-    lam = np.exp([sign * 2.0 * r for r in (config.r1, config.r2) for sign in (-1.0, 1.0)])
+    lam = np.array([math.exp(sign * 2.0 * r) for r in (config.r1, config.r2) for sign in (-1.0, 1.0)])
     a, b = math.sqrt(config.t), math.sqrt(1.0 - config.t)
     mixing = np.array([[a, b], [-b, a]])  # [i, j]: mode j's coefficient in output i
     rotations = np.array([rotation(config.phi1), rotation(config.phi2)]).swapaxes(0, 1)  # [p, j, q]
@@ -45,7 +47,7 @@ def outcome_moments(scheme, probe, theta):
     o, lam = probe_factors(probe)
     m = (dirs[:, :, None] * o).sum(axis=1)
     cov = (m[:, None, :] * m[None, :, :] * lam).sum(axis=2)
-    return dirs[:, :2] @ (theta.theta_x, theta.theta_y), cov
+    return (dirs[:, :2] * (theta.theta_x, theta.theta_y)).sum(axis=1), cov
 
 
 def congruence_diag(a, b):

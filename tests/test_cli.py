@@ -485,6 +485,26 @@ def test_atomic_out_file(capsys, tmp_path):
     assert not list(tmp_path.glob(".qbound-*"))
 
 
+def test_atomic_out_file_skips_a_taken_temp_name(capsys, tmp_path):
+    taken = tmp_path / f".qbound-{os.getpid()}-0"
+    taken.write_text("another writer's")
+    path = tmp_path / "bound.json"
+    code, out, _ = run_cli(capsys, "bound", "--modes", "1", "--r", "0.4", "--out", str(path))
+    assert code == 0 and out == ""
+    assert json.loads(path.read_text())["converged"]
+    assert taken.read_text() == "another writer's"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([taken.name, path.name])
+
+
+def test_atomic_out_file_leaves_no_temp_file_when_the_rename_fails(capsys, tmp_path):
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    code, out, err = run_cli(capsys, "bound", "--modes", "1", "--r", "0.4", "--out", str(target))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert target.is_dir() and not any(target.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
 def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, tmp_path):
     assert build_parser() is build_parser()
     path = tmp_path / "run.json"

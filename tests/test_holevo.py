@@ -883,3 +883,97 @@ def test_configuration_columns_broadcast_against_weights():
         assert got[key].tobytes() == want[key].tobytes()
     with pytest.raises(ValueError):
         batch_bound((0.35, 3.0, phi1, phi2, t), w_x, w_y)
+
+
+def _tiny_batches(n, rng):
+    """Seeded batch_bound arguments of n rows each.
+
+    General two-mode rows over r <= 20, with t in {0, 1, 1e-30} and zero,
+    subnormal and near-maximal weights among them; a one-mode probe against
+    a weight array; configuration columns (T, 1) against weights (R,).
+    """
+    u = rng.uniform(size=(n, 5))
+    r = np.sort(20.0 * u[:, :2] ** 2, axis=1)
+    t = u[:, 4]
+    t[::5], t[1::5], t[2::5] = 0.0, 1.0, 1e-30
+    ratio = 10.0 ** rng.uniform(-4, 4, n)
+    w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+    w_x[::7], w_y[1::7], w_x[2::7], w_y[3::7] = 0.0, 0.0, 5e-324, 1e-310
+    r[4::7] *= 0.015  # a bound at near-maximal weights stays finite only at small squeezing
+    w_x[4::7], w_y[4::7] = 2.0**1021 * w_x[4::7], 2.0**1021 * w_y[4::7]
+    config = (r[:, 0], r[:, 1], 2.0 * math.pi * u[:, 2], 2.0 * math.pi * u[:, 3], t)
+    rows, columns = next((a, n // a) for a in range(int(math.sqrt(n)), 0, -1) if n % a == 0)
+    broadcast = (0.5, 7.0, rng.uniform(0.0, 7.0, (rows, 1)), rng.uniform(0.0, 7.0, (rows, 1)),
+                 rng.uniform(0.0, 1.0, (rows, 1)))
+    return [
+        (config, w_x, w_y),
+        (ProbeConfig(r1=20.0 * rng.uniform(), phi1=7.0 * rng.uniform(), n_modes=1),
+         10.0 ** rng.uniform(-4, 4, n), 1.0),
+        (broadcast, 10.0 ** rng.uniform(-3, 3, columns), 1.0),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 4, holevo._FLOAT_BATCH, holevo._FLOAT_BATCH + 1])
+def test_tiny_batches_are_the_array_rows_bit_for_bit(n, monkeypatch):
+    # A batch of at most _FLOAT_BATCH rows runs in floats (_bound_row), and
+    # its values, tangency and certificate are the array kernel's bit for
+    # bit; one row more takes the array kernel itself.
+    rng = np.random.default_rng(3400 + n)
+    cases = _tiny_batches(n, rng)
+    got, kernel_calls = [], []
+    multiplier = holevo._multiplier
+    monkeypatch.setattr(holevo, "_multiplier", lambda *args: kernel_calls.append(1) or multiplier(*args))
+    for args in cases:
+        info = {}
+        got.append((batch_bound(*args, info), info))
+    assert len(kernel_calls) == (0 if n <= holevo._FLOAT_BATCH else len(cases))
+    monkeypatch.setattr(holevo, "_FLOAT_BATCH", 0)  # every batch takes the array kernel
+    for args, (f, info) in zip(cases, got):
+        want_info = {}
+        want = batch_bound(*args, want_info)
+        assert f.shape == want.shape == (n,) and f.tobytes() == want.tobytes()
+        assert info.keys() == want_info.keys() == {"v_x", "v_y", "certified"}
+        for key, value in want_info.items():
+            assert info[key].dtype == value.dtype and info[key].tobytes() == value.tobytes(), key
+        assert batch_bound(*args).tobytes() == want.tobytes()  # and without info
+
+
+@pytest.mark.parametrize("probe, w_x, w_y", [
+    ((0.3, 0.5, [0.1, math.nan], 1.0, 0.5), [1.0, 1.0], [1.0, 1.0]),
+    ((0.3, 0.5, 0.1, 1.0, [0.5, 1.5]), 1.0, 1.0),
+    ((0.5, 0.3, 0.1, 1.0, 0.5), 1.0, 1.0),
+    ((0.3, 25.0, 0.1, 1.0, 0.5), [1.0, 2.0], 1.0),
+    ((0.3, 0.5, 0.1, 1.0, 0.5), [1.0, 0.0], [1.0, 0.0]),
+    ((0.3, 0.5, 0.1, 1.0, 0.5), [1.0, 1.0], [math.nan, 1.0]),
+    ((0.3, 0.5, 0.1, 1.0, 0.5), [-1.0], [2.0]),
+    ((0.0, 2.0, 0.0, 0.0, 0.0), [1.0, 1.0, 1.0], [1.0, 1e308, 1e308]),
+    ((0.3, 0.5, np.zeros(3), 1.0, 0.5), np.ones(4), 1.0),
+    ((0.3, 0.5, np.zeros(3), np.zeros(4), 0.5), 1.0, 1.0),
+    (np.eye(4), 1.0, 1.0),
+    ([0.3, 0.5, 0.1, 1.0, 0.5], 1.0, 1.0),
+], ids=["nan-angle", "t-above-1", "unordered", "r-above-20", "zero-weights", "nan-weight", "negative-weight",
+        "overflow", "weights-do-not-broadcast", "columns-do-not-broadcast", "covariance", "list"])
+def test_tiny_batches_raise_the_array_errors(probe, w_x, w_y, monkeypatch):
+    # A tiny batch refuses what the array kernel refuses, with the same
+    # exception and message.
+    with pytest.raises(Exception) as tiny:
+        batch_bound(probe, w_x, w_y)
+    monkeypatch.setattr(holevo, "_FLOAT_BATCH", 0)
+    with pytest.raises(Exception) as array:
+        batch_bound(probe, w_x, w_y)
+    assert type(tiny.value) is type(array.value) is ValueError
+    assert str(tiny.value) == str(array.value)
+
+
+def test_newton_steps_only_the_rows_still_moving(monkeypatch):
+    # The kink root search steps fewer rows as rows freeze, over seeded
+    # delta - 1 in 1e-12..1e12, and every row's root is the one it finds alone.
+    sizes = []
+    kink_f_df = holevo._kink_f_df
+    monkeypatch.setattr(holevo, "_kink_f_df", lambda mu, *args: sizes.append(mu.size) or kink_f_df(mu, *args))
+    rng = np.random.default_rng(5)
+    d1, k = 10.0 ** rng.uniform(-12, 12, 400), 2.0 + 10.0 ** rng.uniform(-3, 8, 400)
+    mu = holevo._multiplier(d1, k, np.ones(400))
+    assert sizes[0] == 400 and sizes[-1] < 400 and sizes == sorted(sizes, reverse=True)
+    for i in range(0, 400, 37):
+        assert holevo._multiplier(d1[i:i + 1], k[i:i + 1], np.ones(1))[0] == mu[i]

@@ -183,6 +183,47 @@ def test_default_region_grid_is_one_batch(monkeypatch):
     assert rows == [8125]
 
 
+def _lexsort_binned_envelope(sweep, r2):
+    # The earlier _binned_envelope: sort by (bin, v_y) and take each bin's first entry.
+    lo = math.exp(-2.0 * r2) * 1.001
+    hi = 10.0 * math.exp(2.0 * r2)
+    v_x, v_y = sweep.v_x, sweep.v_y
+    ic, j = np.nonzero(np.isfinite(v_x) & np.isfinite(v_y) & (v_x >= lo) & (v_x <= hi))
+    edges = np.geomspace(lo, hi, regions.ENVELOPE_BINS + 1)
+    bin_of = np.clip(np.searchsorted(edges, v_x[ic, j], side="right") - 1, 0, regions.ENVELOPE_BINS - 1)
+    order = np.lexsort((v_y[ic, j], bin_of))
+    _, first = np.unique(bin_of[order], return_index=True)
+    lowest = order[first]
+    return regions._by_v_x(sweep, ic[lowest], j[lowest])
+
+
+def test_binned_envelope_keeps_the_lexsort_indices():
+    # Each bin's lowest v_y, the first in C order among ties, on the
+    # envelope-gap sweeps and on seeded sweeps with tied and non-finite v_y
+    # and tied and NaN v_x.
+    sweeps = []
+    for n_w, n_phi in ((20, 9), (50, 25)):
+        w_grid, t_grid, phi_grid = verify._envelope_grids(0.35, 0.69, n_w, n_phi)
+        sweeps.append((regions._config_sweep(0.35, 0.69, t_grid, phi_grid, w_grid, sweep_phi2=False), 0.69))
+    rng = np.random.default_rng(34)
+    for k in range(200):
+        shape = tuple(rng.integers(1, 60, 2))
+        v_x = np.exp(rng.uniform(-3.0, 3.0, shape))
+        v_y = np.round(rng.uniform(0.0, 3.0, shape), int(rng.integers(0, 3)))
+        if k % 3 == 0:
+            v_x = np.round(v_x, 1)
+        u = rng.uniform(size=shape)
+        v_x[u < 0.05] = np.nan
+        v_y[(u > 0.05) & (u < 0.1)] = np.inf
+        v_y[(u > 0.1) & (u < 0.12)] = np.nan
+        sweep = regions._Sweep(np.zeros(shape[0]), np.zeros(shape[0]), np.ones(shape[1]), v_x, v_x, v_y, u > 0)
+        sweeps.append((sweep, float(rng.uniform(0.0, 1.5))))
+    for sweep, r2 in sweeps:
+        want = _lexsort_binned_envelope(sweep, r2)
+        got = regions._binned_envelope(sweep, r2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_envelope_gap_check_solves_each_row_once(monkeypatch):
     rows = _count_batch_rows(monkeypatch)
     assert verify.check_envelope_gap(quick=True).passed

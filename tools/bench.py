@@ -1,9 +1,12 @@
-"""Wall time of qbound's CLI commands and imports in fresh processes, written to BENCH_<n>.json.
+"""Wall time of qbound's CLI commands, imports and in-process layers, written to BENCH_<n>.json.
 
-Each key is a command run in a new interpreter, with the tree's ``src`` on
-PYTHONPATH; its record holds the median, the quartiles and the raw seconds
-of 16 runs (REPS).  A bare ``python -c pass`` and ``import numpy`` run next
-to the qbound commands, so that host drift shows.  The file also records
+Each ``wall_s`` key is a command run in a new interpreter, with the tree's
+``src`` on PYTHONPATH; its record holds the median, the quartiles and the
+raw seconds of 16 runs (REPS).  A bare ``python -c pass`` and
+``import numpy`` run next to the qbound commands, so that host drift shows.
+Each ``layer_s`` key is one call timed in process, warm: a fresh interpreter
+per repetition (LAYER_REPS of them) times it LAYER_CALLS times and keeps the
+median, and the record holds those medians.  The file also records
 provenance (git SHA and dirty flag, a hash of ``src/qbound/*.py``, Python
 and NumPy versions, nproc) and size (lines of ``src/qbound/*.py`` and the
 tier-1 test count).
@@ -14,10 +17,11 @@ tier-1 test count).
     python tools/bench.py --out smoke.json --smoke
 
 With ``--baseline`` every command runs on both trees in turn, the first of
-the two alternating by repetition, so both files see the same host drift.
-``--compare`` prints new / old for each key and marks with ``*`` a change
-larger than the interquartile spread of both files.  ``--smoke`` runs one
-repetition of four commands and skips the tier-1 count.
+the two alternating by repetition, so both files see the same host drift;
+so do the layer processes.  ``--compare`` prints new / old for each key and
+marks with ``*`` a change larger than the interquartile spread of both
+files.  ``--smoke`` runs one repetition of four commands, one layer process
+with one call per layer, and skips the tier-1 count.
 """
 
 from __future__ import annotations
@@ -56,6 +60,56 @@ COMMANDS = {
 }
 SMOKE = ("python -c pass", "import qbound", "bound", "bound --modes 1")
 
+LAYER_REPS, LAYER_CALLS = 8, 15  # layer processes per tree, and timed calls of each layer in one
+# The layers' inputs: the quick and full envelope-gap sweeps, the quick
+# quartic-root rows and a 4-row batch.  Every name they use exists at commit
+# a483139 too, so that a baseline at BENCH_33.json's commit runs the same calls.
+LAYER_SETUP = """
+import math
+import numpy as np
+from qbound import closed_forms, holevo, regions, simulate, verify
+from qbound.gaussian import ChannelParams
+rng = np.random.default_rng(34)
+u = rng.uniform(size=(4, 5))
+r = np.sort(2.0 * u[:, :2], axis=1)
+rows4 = ((r[:, 0], r[:, 1], math.pi * u[:, 2], math.pi * u[:, 3], u[:, 4]), 10.0 ** rng.uniform(-1, 1, 4), 1.0)
+sweeps = {}
+for size, (n_w, n_phi) in (("quick", (20, 9)), ("full", (50, 25))):
+    w_grid, t_grid, phi_grid = verify._envelope_grids(0.35, 0.69, n_w, n_phi)
+    sweeps[size] = regions._config_sweep(0.35, 0.69, t_grid, phi_grid, w_grid, sweep_phi2=False)
+w_grid, t_grid, phi_grid = verify._envelope_grids(0.35, 0.69, 20, 9)
+t, phi1 = (g.ravel()[:, None] for g in np.meshgrid(t_grid, phi_grid, indexing="ij"))
+rows3969 = ((0.35, 0.69, phi1, phi1 + math.pi / 2.0, t), *regions._ratio_weights(w_grid))
+ratios = np.concatenate([np.ones(20), np.zeros(20), 10.0 ** rng.uniform(-3, 3, 1000)])
+gamma_r = np.concatenate([rng.uniform(0.05, 2.0, 40), rng.uniform(0.01, 2.5, 1000)])
+scheme = simulate.build_scheme("balanced", r=0.693, t_star=0.4)
+"""
+LAYERS = {
+    "batch_bound 4 rows": "holevo.batch_bound(*rows4, {})",
+    "batch_bound 3969 rows": "holevo.batch_bound(*rows3969, {})",
+    "_gamma_rows 1040 rows": "closed_forms._gamma_rows(ratios, gamma_r)",
+    "_binned_envelope quick": "regions._binned_envelope(sweeps['quick'], 0.69)",
+    "_binned_envelope full": "regions._binned_envelope(sweeps['full'], 0.69)",
+    "run_scheme": "simulate.run_scheme(scheme, scheme.probe, ChannelParams(0.3, -0.1), 1_000_000, 42)",
+    "verify --quick": "verify.run_verification(quick=True)",
+    "verify": "verify.run_verification()",
+}
+LAYER_MAIN = """
+import json, statistics, sys, time
+calls = int(sys.argv[1])
+out = {}
+for key, statement in json.loads(sys.argv[2]).items():
+    code = compile(statement, key, "eval")
+    eval(code)
+    laps = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        eval(code)
+        laps.append(time.perf_counter() - start)
+    out[key] = statistics.median(laps)
+print(json.dumps(out))
+"""
+
 
 def _git(tree: Path, *args: str) -> str | None:
     try:
@@ -89,6 +143,15 @@ def _seconds(tree: Path, args: list[str]) -> float:
     return seconds
 
 
+def _layer_medians(tree: Path, calls: int) -> dict:
+    """One fresh interpreter's median seconds per layer."""
+    proc = subprocess.run([sys.executable, "-c", LAYER_SETUP + LAYER_MAIN, str(calls), json.dumps(LAYERS)],
+                          cwd=tree, env=_env(tree), capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the layer timings exited {proc.returncode} in {tree}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
 def _summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else (values[0],) * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
@@ -118,12 +181,19 @@ def measure(trees: list[Path], smoke: bool) -> list[dict]:
         for key in keys:
             for tree, record in pairs:
                 record[key].append(_seconds(tree, COMMANDS[key]))
+    layer_reps, calls = (1, 1) if smoke else (LAYER_REPS, LAYER_CALLS)
+    layers = [{key: [] for key in LAYERS} for _ in trees]
+    for rep in range(layer_reps):
+        for tree, record in list(zip(trees, layers))[::(-1) ** rep]:
+            for key, seconds in _layer_medians(tree, calls).items():
+                record[key].append(seconds)
     results = []
-    for tree, record in zip(trees, times):
+    for tree, record, layer in zip(trees, times, layers):
         size = {"src_lines": sum(len(p.read_bytes().splitlines()) for p in _sources(tree)),
                 "tier1_tests": None if smoke else _tier1_count(tree)}
         results.append({"schema": SCHEMA, "provenance": _provenance(tree, reps, smoke), "size": size,
-                        "wall_s": {key: _summary(values) for key, values in record.items()}})
+                        "wall_s": {key: _summary(values) for key, values in record.items()},
+                        "layer_s": {key: _summary(values) for key, values in layer.items()}})
     return results
 
 
@@ -134,11 +204,12 @@ def compare(old: dict, new: dict) -> dict:
         other = new["size"].get(key)
         if value is not None and other is not None:
             rows[f"size.{key}"] = (other / value, other != value)
-    for key, a in old["wall_s"].items():
-        b = new["wall_s"].get(key)
-        if b is not None:
-            spread = max(a["q3"] - a["q1"], b["q3"] - b["q1"])
-            rows[f"wall_s.{key}"] = (b["median"] / a["median"], abs(b["median"] - a["median"]) > spread)
+    for part in ("wall_s", "layer_s"):
+        for key, a in old.get(part, {}).items():
+            b = new.get(part, {}).get(key)
+            if b is not None:
+                spread = max(a["q3"] - a["q1"], b["q3"] - b["q1"])
+                rows[f"{part}.{key}"] = (b["median"] / a["median"], abs(b["median"] - a["median"]) > spread)
     return rows
 
 
