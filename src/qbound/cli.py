@@ -22,7 +22,7 @@ import sys
 
 from . import closed_forms
 from .gaussian import ChannelParams, ProbeConfig, _check_r, squeezing_db_to_r
-from .holevo import Weights, solve
+from .holevo import CERTIFICATE_TOL, Weights, solve
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -209,6 +209,8 @@ def cmd_bound(args) -> int:
     if not result.converged:
         sys.stderr.write("solver did not converge\n")
         return EXIT_NO_CONVERGENCE
+    if not result.duals_certified and args.format == "json":  # the CSV row prints no duals
+        sys.stderr.write(f"duals not certified: their duality gap is not within {CERTIFICATE_TOL:g} (the bound is)\n")
     record = {
         "f_hcr": result.f_hcr,
         "v_x": result.v_x,

@@ -26,14 +26,13 @@ precise as A_11, A_22 (exact to rounding) and delta - 1.  batch_bound takes
 configurations alone (a ProbeConfig, or its five fields as arrays) and
 builds no covariance: A_11 and A_22 come from gaussian.probe_mode1_variances
 and delta - 1 from gaussian.probe_delta_minus_one, a sum of nonnegative
-terms, so its bound is accurate to ~1e-14 for all r <= 20.  It evaluates phi
-at its one maximizer mu* in [0, 1], a quartic root found per row by a
-bracketed Newton search, on NumPy arrays.  _bound_row computes one row in
-float arithmetic with the same expressions in the same order, bit-identical
-to the array row: solve() takes it, and so does batch_bound for a batch of
-at most _FLOAT_BATCH rows.  solve() alone takes a raw pure covariance,
-whose -det C degrades like e^{2(r1+r2)} (see _delta_minus_one).  The
-tangency point is the weight gradient of phi.
+terms, so its bound is accurate to ~1e-14 for all r <= 20.  One kernel
+(_kernel) evaluates phi at its one maximizer mu* in [0, 1], a quartic root
+found per row by a bracketed Newton search, and the tangency point, the
+weight gradient of phi.  It runs on NumPy arrays or, for solve() and
+batches of at most _FLOAT_BATCH rows, on Python floats, so a row is its
+array row bit for bit by construction.  solve() alone takes a raw pure
+covariance, whose -det C degrades like e^{2(r1+r2)} (see _delta_minus_one).
 
 Two certificates back ``converged``.  A configuration row is certified on
 the scalar dual (_scalar_certified): a bracket of mu* and the tangent of the
@@ -49,9 +48,8 @@ covariance too, so solve() builds one for a two-mode configuration, a float
 row whose A_11 and A_22 are probe_mode1_variances' bit for bit (a test pins
 it); one mode pins the duals to mode 1, where the gap is phi(1) = a + 2 c.
 BoundResult.duals_certified is the duals' gap, a diagnostic of the duals
-alone.  A raw covariance is checked for purity and read as -det C on
-float lists too.  Only gaussian, which builds covariances, and this module read
-them: simulate certifies the optimal measurement by the variance it achieves.
+alone.  Only gaussian, which builds covariances, and this module read them:
+simulate certifies the optimal measurement by the variance it achieves.
 """
 
 from __future__ import annotations
@@ -258,18 +256,39 @@ def _kink_f_df(mu, d1, k):
     return s * s - d1 * ((3.0 * mu + k) * mu - 1.0), -(4.0 * mu * s + d1 * (6.0 * mu + k))
 
 
+class _Floats:
+    """_kernel's elementwise namespace on Python floats, as numpy is on arrays; ``where`` evaluates both branches."""
+
+    sqrt, maximum, minimum = math.sqrt, max, min
+
+    @staticmethod
+    def where(condition, x, y):
+        return x if condition else y
+
+
+def _newton_start(d1, k, xp):
+    """The start of the kink root's Newton search, from delta - 1 > 0 and k = a / c >= 2.
+
+    The root of P, written (1 - mu^2)^2 - d1 g(mu) with g = 3 mu^2 + k mu - 1
+    so that nothing cancels near mu = 1, is at least the larger of its
+    delta -> infinity limit (g = 0) and its delta -> 1 limit, where
+    1 - mu^2 = sqrt(d1 (k + 2)) as g <= k + 2: a lower bound L.  Then
+    g(U) = (1 - L^2)^2 / d1 gives an upper bound U.  P is concave below
+    mu_i = sqrt(1/3 + d1/2) and convex above, so Newton steps from
+    max(L, min(mu_i, U)) move monotonically to the root.  Like the bracket,
+    the start ends one ulp below 1, where kappa would vanish.
+    """
+    lower = xp.maximum(_quadratic_root(1.0, k, xp), xp.sqrt(xp.maximum(1.0 - xp.sqrt(d1 * (k + 2.0)), 0.0)))
+    s = (1.0 - lower) * (1.0 + lower)
+    upper = _quadratic_root(1.0 + s * s / d1, k, xp)
+    return xp.minimum(xp.maximum(lower, xp.minimum(xp.sqrt(1.0 / 3.0 + 0.5 * d1), upper)), _BELOW_ONE)
+
+
 def _multiplier(d1, a, c):
     """The maximizer mu* of phi over [0, 1] per row, from delta - 1, a and c.
 
     mu* is 1 at delta = 1 (one mode or a product probe), 0 for a zero weight
-    and otherwise the root of P, written (1 - mu^2)^2 - d1 g(mu) with
-    g = 3 mu^2 + k mu - 1 and k = a / c >= 2, so that nothing cancels near
-    mu = 1.  The larger of its delta -> infinity limit (g = 0) and its
-    delta -> 1 limit (1 - mu^2 = sqrt(d1 (k + 2)), as g <= k + 2) is a lower
-    bound L, and g(U) = (1 - L^2)^2 / d1 gives an upper bound U.  P is
-    concave below mu_i = sqrt(1/3 + d1/2) and convex above, so Newton steps
-    from max(L, min(mu_i, U)) move monotonically to the root.  The bracket
-    ends one ulp below 1, where kappa would vanish.
+    and otherwise the root of P in (0, 1), by Newton steps from _newton_start.
     """
     regular = c > 0.0
     mu = regular.astype(float)
@@ -277,11 +296,7 @@ def _multiplier(d1, a, c):
     if not np.count_nonzero(kink):  # one mode, product probes and zero weights: no root to find
         return mu
     d1, k = d1[kink], a[kink] / c[kink]
-    lower = np.maximum(_quadratic_root(1.0, k, np.sqrt), np.sqrt(np.maximum(1.0 - np.sqrt(d1 * (k + 2.0)), 0.0)))
-    s = (1.0 - lower) * (1.0 + lower)
-    upper = _quadratic_root(1.0 + s * s / d1, k, np.sqrt)
-    start = np.maximum(lower, np.minimum(np.sqrt(1.0 / 3.0 + 0.5 * d1), upper))
-    mu[kink] = _bracketed_newton(_kink_f_df, np.minimum(start, _BELOW_ONE), 0.0, _BELOW_ONE, d1, k)
+    mu[kink] = _bracketed_newton(_kink_f_df, _newton_start(d1, k, np), 0.0, _BELOW_ONE, d1, k)
     return mu
 
 
@@ -292,16 +307,12 @@ def _row_multiplier(d1: float, a: float, c: float) -> float:
     if not d1 > 0.0:
         return 1.0
     k = a / c
-    lower = max(_quadratic_root(1.0, k), math.sqrt(max(1.0 - math.sqrt(d1 * (k + 2.0)), 0.0)))
-    s = (1.0 - lower) * (1.0 + lower)
-    upper = _quadratic_root(1.0 + s * s / d1, k)
-    start = max(lower, min(math.sqrt(1.0 / 3.0 + 0.5 * d1), upper))
-    return _bracketed_newton_row(_kink_f_df, min(start, _BELOW_ONE), 0.0, _BELOW_ONE, d1, k)
+    return _bracketed_newton_row(_kink_f_df, _newton_start(d1, k, _Floats), 0.0, _BELOW_ONE, d1, k)
 
 
-def _quadratic_root(e, k, sqrt=math.sqrt):
-    """The positive root of 3 mu^2 + k mu - e, written not to overflow for large k; arrays pass np.sqrt."""
-    return (2.0 * e / k) / (1.0 + sqrt(1.0 + (12.0 * e / k) / k))
+def _quadratic_root(e, k, xp):
+    """The positive root of 3 mu^2 + k mu - e, written not to overflow for large k."""
+    return (2.0 * e / k) / (1.0 + xp.sqrt(1.0 + (12.0 * e / k) / k))
 
 
 def _row_duality_gap(cov, a11, a22, d1, w_x, w_y, mu, f):
@@ -357,7 +368,7 @@ def _scaled_kink(mu, d1, a, c):
     return c * s * s - d1 * (g - c), _KINK_ROUNDING * (c * s * s + d1 * (g + c))
 
 
-def _scalar_certified(d1, a, c, mu, f, maximum, minimum, where):
+def _scalar_certified(d1, a, c, mu, f, xp):
     """The configuration certificate: f is within CERTIFICATE_TOL of max phi, per row.
 
     phi is concave on [0, 1], so max phi lies in [L, U] with L = phi(mu_lo)
@@ -377,57 +388,61 @@ def _scalar_certified(d1, a, c, mu, f, maximum, minimum, where):
     U - f and f - L are both at most CERTIFICATE_TOL f; non-finite values
     fail.  Every term of phi is nonnegative, so rounding moves L and U by
     a few ulps.  This certifies the scalar maximization for the given a, c
-    and delta - 1, not the reduction from the probe to them.  The
-    elementwise ``maximum``, ``minimum`` and ``where`` are NumPy's for
-    arrays and float ones for solve's row.  Both branches of each ``where``
-    are evaluated, which is safe: d1 + s_lo > 0 and d1 + 1 > 0.
+    and delta - 1, not the reduction from the probe to them.  ``xp`` is
+    _kernel's; each ``where`` is safe on floats: d1 + s_lo > 0, d1 + 1 > 0.
     """
-    half_width = maximum(_BRACKET_REL * minimum(mu, (1.0 - mu) * (1.0 + mu)), _BRACKET_MIN)
-    lo, hi = maximum(mu - half_width, 0.0), minimum(mu + half_width, 1.0)
+    half_width = xp.maximum(_BRACKET_REL * xp.minimum(mu, (1.0 - mu) * (1.0 + mu)), _BRACKET_MIN)
+    lo, hi = xp.maximum(mu - half_width, 0.0), xp.minimum(mu + half_width, 1.0)
     s_lo = (1.0 - lo) * (1.0 + lo)  # > 0, as lo < 1
     lower = s_lo / (d1 + s_lo) * (a + 2.0 * c * lo)
     kink_lo, rounding_lo = _scaled_kink(lo, d1, a, c)
     kink_hi, rounding_hi = _scaled_kink(hi, d1, a, c)
     bracketed = (kink_lo > rounding_lo) & (kink_hi < -rounding_hi)
     tangent = lower + 2.0 * kink_lo / ((d1 + s_lo) * (d1 + s_lo)) * (hi - lo)
-    upper = minimum(a + 2.0 * c, where(bracketed, tangent, math.inf))
-    upper = where(c > 0.0, upper, minimum(upper, a / (d1 + 1.0)))
+    upper = xp.minimum(a + 2.0 * c, xp.where(bracketed, tangent, math.inf))
+    upper = xp.where(c > 0.0, upper, xp.minimum(upper, a / (d1 + 1.0)))
     return (upper - f <= CERTIFICATE_TOL * f) & (f - lower <= CERTIFICATE_TOL * f)
 
 
-def _float_where(condition, x, y):
-    return x if condition else y
+def _kernel(a11, a22, d1, given_x, given_y, certify: bool, xp):
+    """The bound from A_11, A_22, delta - 1 and the weights, on one float row (xp = _Floats) or arrays (xp = np).
 
-
-def _bound_row(a11, a22, d1, given_x, given_y, certify: bool):
-    """One bound row in float arithmetic: batch_bound's array expressions in their order, so its row bit for bit.
-
-    Returns (f, v_x, v_y, certified, duals_at) with the tangency point, the
-    scalar certificate when ``certify`` (else None), and the unit-sum
-    weights, mu* and unit-weight value that solve's duals are formed at.  A
-    bound too large for a float raises batch_bound's ValueError.
+    Returns (f, v_x, v_y, certified, duals_at): the value, the tangency
+    point, the scalar certificate when ``certify`` (else None), and the
+    unit-sum weights, mu* and unit-weight value of solve's duals.  Both
+    branches of a ``where`` run, so the denominators that one branch needs
+    are guarded.  The caller refuses a value that overflows.
     """
-    half = 1.0 if max(given_x, given_y) < 2.0**1020 else 0.5
+    # Normalizing to unit weight sum makes the homogeneity f(c W) = c f(W)
+    # hold by construction.  Weights near the float maximum are halved first,
+    # exactly, so that their sum stays finite; other rows are not rescaled.
+    half = xp.where(xp.maximum(given_x, given_y) < 2.0**1020, 1.0, 0.5)
     total = half * given_x + half * given_y
     w_x, w_y = half * given_x / total, half * given_y / total
     a = w_x * a11 + w_y * a22
-    c = math.sqrt(w_x * w_y)
-    mu = _row_multiplier(d1, a, c)
+    c = xp.sqrt(w_x * w_y)
+    mu = (_row_multiplier if xp is _Floats else _multiplier)(d1, a, c)
     s = (1.0 - mu) * (1.0 + mu)
-    kappa = s / (d1 + s) if d1 + s > 0.0 else 1.0  # -> 1 as mu -> 1 at delta = 1
+    kappa = xp.where(d1 + s > 0.0, s, 1.0) / xp.where(d1 + s > 0.0, d1 + s, 1.0)  # -> 1 as mu -> 1 at delta = 1
     unit_f = kappa * (a + 2.0 * c * mu)
     f = unit_f * total / half
-    if not math.isfinite(f):
-        raise ValueError(f"the bound at weights ({given_x}, {given_y}) overflows a float")
-    root_x, root_y = math.sqrt(w_x), math.sqrt(w_y)  # w_y / w_x overflows for a subnormal w_x
-    v_x = kappa * (a11 + root_y / root_x * mu) if w_x > 0.0 else math.inf
-    v_y = kappa * (a22 + root_x / root_y * mu) if w_y > 0.0 else math.inf
-    certified = _scalar_certified(d1, a, c, mu, unit_f, max, min, _float_where) if certify else None
+    root_x, root_y = xp.sqrt(w_x), xp.sqrt(w_y)  # w_y / w_x overflows for a subnormal w_x
+    v_x = xp.where(w_x > 0.0, kappa * (a11 + root_y / xp.where(w_x > 0.0, root_x, 1.0) * mu), math.inf)
+    v_y = xp.where(w_y > 0.0, kappa * (a22 + root_x / xp.where(w_y > 0.0, root_y, 1.0) * mu), math.inf)
+    certified = _scalar_certified(d1, a, c, mu, unit_f, xp) if certify else None
     return f, v_x, v_y, certified, (w_x, w_y, mu, unit_f)
 
 
+def _bound_row(a11, a22, d1, given_x, given_y, certify: bool):
+    """_kernel on one row of floats; a bound too large for a float raises batch_bound's ValueError."""
+    row = _kernel(a11, a22, d1, given_x, given_y, certify, _Floats)
+    if not math.isfinite(row[0]):
+        raise ValueError(f"the bound at weights ({given_x}, {given_y}) overflows a float")
+    return row
+
+
 # Batches of at most this many rows go through _bound_row one row at a time:
-# the array kernel's NumPy calls cost ~0.3 ms even for one row, more than
+# the kernel's NumPy calls on arrays cost ~0.3 ms even for one row, more than
 # the float rows below this size.  Measured as the median of 40 alternating
 # calls per path and size, each right after a loop of 300 4x4 eigvalsh calls
 # that leaves the caches cold, as a benchmark request meets them, on seeded
@@ -438,7 +453,7 @@ _FLOAT_BATCH = 32
 
 
 def _float_batch(columns: tuple, w_x, w_y, info: dict | None):
-    """batch_bound through _bound_row for 1 to _FLOAT_BATCH rows, or None for any other row count.
+    """batch_bound through _bound_row for 0 to _FLOAT_BATCH rows, or None for more rows.
 
     Each input is read once, as a list of its entries at the rows in C
     order.  Any row it would refuse raises ValueError, whatever the message:
@@ -446,7 +461,7 @@ def _float_batch(columns: tuple, w_x, w_y, info: dict | None):
     """
     shape = np.broadcast(*columns, w_x, w_y).shape
     n = math.prod(shape)
-    if not 0 < n <= _FLOAT_BATCH:
+    if n > _FLOAT_BATCH:
         return None
     lists = []
     for x in (np.asarray(x, dtype=float) for x in (*columns, w_x, w_y)):
@@ -458,9 +473,9 @@ def _float_batch(columns: tuple, w_x, w_y, info: dict | None):
                 and max(given_x, given_y) > 0.0):
             raise ValueError("weights must be finite, >= 0 and not both zero in every row")
         rows.append(_bound_row(*_config_rows(config), given_x, given_y, info is not None))
-    f, v_x, v_y, certified, _ = zip(*rows)
+    f, v_x, v_y, certified, _ = zip(*rows) if rows else ((),) * 5  # an empty batch has no row to check
     if info is not None:
-        info.update(v_x=np.array(v_x), v_y=np.array(v_y), certified=np.array(certified))
+        info.update(v_x=np.array(v_x), v_y=np.array(v_y), certified=np.array(certified, dtype=bool))
     return np.array(f)
 
 
@@ -472,15 +487,15 @@ def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
     covariance goes to solve.  The probes and the weights ``w_x``, ``w_y``
     broadcast together, and the rows are that shape flattened in C order, so
     configuration columns (T, 1) against weights (R,) build each probe once
-    for its R rows.  Each row is phi at its maximizer mu* (_multiplier); one
-    mode is the t = 0 row (0, r1, 0, phi1, 0), with delta = 1.  Any other
-    probe, an invalid configuration, shapes that do not broadcast or a bound
-    too large for a float raise ValueError.  If ``info`` is a dict it
-    receives per-row arrays: ``v_x`` and ``v_y`` (the tangency point) and
-    ``certified``.  No row builds a covariance, and each is certified on the
-    scalar dual (_scalar_certified).  A batch of at most _FLOAT_BATCH rows
-    runs in float arithmetic (_bound_row), bit for bit the array rows; one
-    that it refuses is refused by the array path, with the same error.
+    for its R rows; no rows give empty arrays.  One mode is the t = 0 row
+    (0, r1, 0, phi1, 0), with delta = 1.  Any other probe, an invalid
+    configuration, shapes that do not broadcast or a bound too large for a
+    float raise ValueError.  If ``info`` is a dict it receives per-row
+    arrays: ``v_x`` and ``v_y`` (the tangency point) and ``certified``, the
+    scalar-dual certificate; no row builds a covariance.  Up to
+    _FLOAT_BATCH rows run _kernel on floats (_bound_row), more on arrays, so
+    both are the same rows bit for bit; a batch that the float rows refuse
+    is refused by the array path, with the same error.
     """
     columns = _configuration(probe)
     try:
@@ -495,47 +510,29 @@ def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
     finite = np.isfinite(w_x) & np.isfinite(w_y)
     if not np.all(finite & (np.minimum(w_x, w_y) >= 0.0) & (np.maximum(w_x, w_y) > 0.0)):
         raise ValueError("weights must be finite, >= 0 and not both zero in every row")
-    # Normalizing to unit weight sum makes the homogeneity f(c W) = c f(W)
-    # hold by construction.  Weights near the float maximum are halved first,
-    # exactly, so that their sum stays finite; other rows are not rescaled.
-    half = np.where(np.maximum(w_x, w_y) < 2.0**1020, 1.0, 0.5)
-    total = half * w_x + half * w_y
-    given_x, given_y = w_x, w_y
-    w_x = half * w_x / total
-    w_y = half * w_y / total
-    a = w_x * a11 + w_y * a22
-    c = np.sqrt(w_x * w_y)
-    mu = _multiplier(d1, a, c)
-    s = (1.0 - mu) * (1.0 + mu)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kappa = np.where(d1 + s > 0.0, s / (d1 + s), 1.0)  # -> 1 as mu -> 1 at delta = 1
-        unit_f = kappa * (a + 2.0 * c * mu)
-        f = unit_f * total / half
+        f, v_x, v_y, certified, _ = _kernel(a11, a22, d1, w_x, w_y, info is not None, np)
     if not np.all(np.isfinite(f)):
         row = np.argmin(np.isfinite(f))
-        raise ValueError(f"the bound at weights ({given_x[row]}, {given_y[row]}) overflows a float")
+        raise ValueError(f"the bound at weights ({w_x[row]}, {w_y[row]}) overflows a float")
     if info is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root_x, root_y = np.sqrt(w_x), np.sqrt(w_y)  # w_y / w_x overflows for a subnormal w_x
-            info["v_x"] = np.where(w_x > 0.0, kappa * (a11 + root_y / root_x * mu), np.inf)
-            info["v_y"] = np.where(w_y > 0.0, kappa * (a22 + root_x / root_y * mu), np.inf)
-        info["certified"] = _scalar_certified(d1, a, c, mu, unit_f, np.maximum, np.minimum, np.where)
+        info.update(v_x=v_x, v_y=v_y, certified=certified)
     return f
 
 
 def solve(probe, weights: Weights) -> BoundResult:
     """Weighted dual-variance bound of one ProbeConfig or one raw pure 2x2 or 4x4 covariance.
 
-    A configuration's fields are bit-identical to its batch_bound row (a test
-    pins it), computed in float arithmetic without NumPy's per-call cost.
-    ``converged`` is the row's certificate: the scalar dual for a
-    configuration, the duality gap for a raw covariance, which alone is
-    checked for purity and reads delta - 1 as -det C, both on float lists.
-    ``duals_certified`` is the duals' duality gap; a two-mode configuration
-    builds its covariance once for them, a float row whose A_11 and A_22 are
-    probe_mode1_variances' bit for bit (a test pins it), and reads them off it;
-    one mode pins them to mode 1.  ``iterations`` is always 0: Newton steps
-    are not counted.
+    solve runs batch_bound's _kernel on one float row, without NumPy's
+    per-call cost: a configuration's fields are its batch_bound row bit for
+    bit.  ``converged`` is the row's certificate:
+    the scalar dual for a configuration, the duality gap for a raw
+    covariance, which alone is checked for purity and reads delta - 1 as
+    -det C, both on float lists.  ``duals_certified`` is the duals' duality
+    gap; a two-mode configuration builds its covariance once for them, a
+    float row whose A_11 and A_22 are probe_mode1_variances' bit for bit (a
+    test pins it), and reads them off it; one mode pins them to mode 1.
+    ``iterations`` is always 0: Newton steps are not counted.
     """
     config = isinstance(probe, ProbeConfig)
     if config and probe.n_modes == 2:

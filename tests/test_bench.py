@@ -18,6 +18,7 @@ def test_smoke_record_has_the_schema_and_compares_to_itself_as_one(tmp_path):
     assert record["size"]["src_lines"] > 0 and record["size"]["tier1_tests"] is None
     assert set(record["wall_s"]) == {"python -c pass", "import qbound", "bound", "bound --modes 1"}
     assert set(record["layer_s"]) == {
+        "solve two-mode ProbeConfig", "solve one-mode ProbeConfig", "solve raw covariance",
         "batch_bound 4 rows", "batch_bound 3969 rows", "_gamma_rows 1040 rows", "_binned_envelope quick",
         "_binned_envelope full", "run_scheme", "verify --quick", "verify"}
     for summary in [*record["wall_s"].values(), *record["layer_s"].values()]:

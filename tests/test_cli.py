@@ -99,6 +99,21 @@ def test_bound_at_large_squeezing_is_certified(capsys):
     assert json.loads(out)["f_hcr"] == pytest.approx(4.0 * math.exp(-20.0), rel=1e-13, abs=0.0)
 
 
+def test_bound_says_on_stderr_when_its_duals_are_not_certified(capsys):
+    # At r = 10 the value is certified but the printed duals' own gap is not:
+    # one stderr line says so, without the word numpy (CI greps stderr for
+    # it), and stdout is the record alone.  Certified duals and a CSV row,
+    # which prints no duals, write nothing there.
+    argv = ("bound", "--r1", "10", "--r2", "10", "--wx", "1", "--wy", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and "duals" in json.loads(out)
+    assert err == "duals not certified: their duality gap is not within 1e-09 (the bound is)\n"
+    assert "numpy" not in err
+    assert run_cli(capsys, *argv, "--format", "csv")[2] == ""
+    code, out, err = run_cli(capsys, "bound", "--r1", "0.35", "--r2", "0.69", "--wx", "1", "--wy", "1")
+    assert code == 0 and err == ""
+
+
 def test_bound_exits_3_when_the_value_fails_its_certificate(capsys, monkeypatch):
     # A kernel whose multiplier is off the maximizer reports phi below its
     # maximum; the certificate rejects it and the value is not printed.

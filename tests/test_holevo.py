@@ -448,8 +448,8 @@ def test_configuration_rows_skip_the_purity_check_and_det_c(monkeypatch):
 
 def test_solve_does_not_go_through_the_array_kernel(monkeypatch):
     # solve computes its row in floats: the array multiplier and its Newton
-    # search never run, the certificate runs on floats with float maximum,
-    # minimum and where, and the row is unchanged.
+    # search never run, the certificate runs on floats with the float
+    # namespace, and the row is unchanged.
     config = ProbeConfig(r1=0.35, r2=0.69, phi1=0.2, phi2=1.3, t=0.4)
     probes = [build_probe(config).cov, build_probe(ProbeConfig(r1=0.8, phi1=0.3, n_modes=1)).cov, config]
     want = [solve(probe, Weights(1.0, 2.0)).f_hcr for probe in probes]
@@ -461,7 +461,7 @@ def test_solve_does_not_go_through_the_array_kernel(monkeypatch):
     certified, rows = holevo._scalar_certified, []
 
     def float_certificate(*args):
-        if len(args) != 8 or {args[5], args[6]} != {max, min} or not all(type(x) is float for x in args[:5]):
+        if len(args) != 6 or args[5] is not holevo._Floats or not all(type(x) is float for x in args[:5]):
             refuse()
         rows.append(args)
         return certified(*args)
@@ -626,7 +626,7 @@ def test_scalar_certificate_rejects_mutated_kernels():
     wrong_f = np.where(mu == 1.0, a / (1.0 + d1), 0.0)
 
     def certified(mu_k, f_k):
-        return holevo._scalar_certified(d1, a, c, mu_k, f_k, np.maximum, np.minimum, np.where)
+        return holevo._scalar_certified(d1, a, c, mu_k, f_k, np)
 
     assert certified(mu, f).all()
     assert not certified(mu, np.zeros_like(f)).any()
@@ -963,6 +963,34 @@ def test_tiny_batches_raise_the_array_errors(probe, w_x, w_y, monkeypatch):
         batch_bound(probe, w_x, w_y)
     assert type(tiny.value) is type(array.value) is ValueError
     assert str(tiny.value) == str(array.value)
+
+
+def test_solve_and_every_batch_size_reach_the_one_kernel(monkeypatch):
+    # solve and a batch of _FLOAT_BATCH rows run _kernel once per row on the
+    # float namespace; one row more runs it once, on numpy's arrays.
+    calls, kernel = [], holevo._kernel
+    monkeypatch.setattr(holevo, "_kernel", lambda *args: calls.append(args[-1]) or kernel(*args))
+    solve(ProbeConfig(r1=0.35, r2=0.69, phi1=0.2, phi2=1.3, t=0.4), Weights(1.0, 2.0))
+    assert calls == [holevo._Floats]
+    for n, want in ((holevo._FLOAT_BATCH, [holevo._Floats] * holevo._FLOAT_BATCH), (holevo._FLOAT_BATCH + 1, [np])):
+        calls.clear()
+        batch_bound((0.35, 0.69, np.linspace(0.0, 3.0, n), 1.3, 0.4), 1.0, 2.0, {})
+        assert calls == want
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_an_empty_batch_gives_empty_arrays(shape):
+    # A batch with no rows has nothing to refuse: its values and info are
+    # empty, while shapes that do not broadcast still raise.
+    probe = (np.zeros(shape), np.zeros(shape[-1:]), 0.0, 0.0, 0.5)
+    info = {}
+    f = batch_bound(probe, np.ones(shape[-1:]), np.ones(shape[-1:]), info)
+    assert f.shape == (0,) and f.dtype == float
+    assert {key: (value.shape, value.dtype) for key, value in info.items()} == {
+        "v_x": ((0,), float), "v_y": ((0,), float), "certified": ((0,), bool)}
+    assert batch_bound(probe, 1.0, 1.0).shape == (0,)
+    with pytest.raises(ValueError):
+        batch_bound(probe, np.ones(2), 1.0)
 
 
 def test_newton_steps_only_the_rows_still_moving(monkeypatch):

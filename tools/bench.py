@@ -5,8 +5,8 @@ Each ``wall_s`` key is a command run in a new interpreter, with the tree's
 raw seconds of 16 runs (REPS).  A bare ``python -c pass`` and
 ``import numpy`` run next to the qbound commands, so that host drift shows.
 Each ``layer_s`` key is one call timed in process, warm: a fresh interpreter
-per repetition (LAYER_REPS of them) times it LAYER_CALLS times and keeps the
-median, and the record holds those medians.  The file also records
+per layer and repetition (LAYER_REPS of them) times it LAYER_CALLS times and
+keeps the median, and the record holds those medians.  The file also records
 provenance (git SHA and dirty flag, a hash of ``src/qbound/*.py``, Python
 and NumPy versions, nproc) and size (lines of ``src/qbound/*.py`` and the
 tier-1 test count).
@@ -18,10 +18,11 @@ tier-1 test count).
 
 With ``--baseline`` every command runs on both trees in turn, the first of
 the two alternating by repetition, so both files see the same host drift;
-so do the layer processes.  ``--compare`` prints new / old for each key and
+so does each layer's process, so that the two trees' samples of a layer
+are about a second apart.  ``--compare`` prints new / old for each key and
 marks with ``*`` a change larger than the interquartile spread of both
-files.  ``--smoke`` runs one repetition of four commands, one layer process
-with one call per layer, and skips the tier-1 count.
+files.  ``--smoke`` runs one repetition of four commands, one process for
+all layers with one call each, and skips the tier-1 count.
 """
 
 from __future__ import annotations
@@ -60,15 +61,16 @@ COMMANDS = {
 }
 SMOKE = ("python -c pass", "import qbound", "bound", "bound --modes 1")
 
-LAYER_REPS, LAYER_CALLS = 8, 15  # layer processes per tree, and timed calls of each layer in one
+LAYER_REPS, LAYER_CALLS = 8, 15  # processes per layer and tree, and timed calls of the layer in each
 # The layers' inputs: the quick and full envelope-gap sweeps, the quick
-# quartic-root rows and a 4-row batch.  Every name they use exists at commit
-# a483139 too, so that a baseline at BENCH_33.json's commit runs the same calls.
+# quartic-root rows, a 4-row batch and one- and two-mode probes for solve.
+# Every name they use exists at commit bdc5c1d too, so that a baseline at
+# BENCH_34.json's commit runs the same calls.
 LAYER_SETUP = """
 import math
 import numpy as np
 from qbound import closed_forms, holevo, regions, simulate, verify
-from qbound.gaussian import ChannelParams
+from qbound.gaussian import ChannelParams, ProbeConfig, build_probe
 rng = np.random.default_rng(34)
 u = rng.uniform(size=(4, 5))
 r = np.sort(2.0 * u[:, :2], axis=1)
@@ -83,8 +85,13 @@ rows3969 = ((0.35, 0.69, phi1, phi1 + math.pi / 2.0, t), *regions._ratio_weights
 ratios = np.concatenate([np.ones(20), np.zeros(20), 10.0 ** rng.uniform(-3, 3, 1000)])
 gamma_r = np.concatenate([rng.uniform(0.05, 2.0, 40), rng.uniform(0.01, 2.5, 1000)])
 scheme = simulate.build_scheme("balanced", r=0.693, t_star=0.4)
+probe2, probe1 = ProbeConfig(0.35, 0.69, 0.2, 1.3, 0.4), ProbeConfig(r1=0.69, phi1=0.3, n_modes=1)
+cov2, weights = build_probe(probe2).cov, holevo.Weights(1.0, 2.0)
 """
 LAYERS = {
+    "solve two-mode ProbeConfig": "holevo.solve(probe2, weights)",
+    "solve one-mode ProbeConfig": "holevo.solve(probe1, weights)",
+    "solve raw covariance": "holevo.solve(cov2, weights)",
     "batch_bound 4 rows": "holevo.batch_bound(*rows4, {})",
     "batch_bound 3969 rows": "holevo.batch_bound(*rows3969, {})",
     "_gamma_rows 1040 rows": "closed_forms._gamma_rows(ratios, gamma_r)",
@@ -143,9 +150,10 @@ def _seconds(tree: Path, args: list[str]) -> float:
     return seconds
 
 
-def _layer_medians(tree: Path, calls: int) -> dict:
-    """One fresh interpreter's median seconds per layer."""
-    proc = subprocess.run([sys.executable, "-c", LAYER_SETUP + LAYER_MAIN, str(calls), json.dumps(LAYERS)],
+def _layer_medians(tree: Path, calls: int, keys: list) -> dict:
+    """One fresh interpreter's median seconds per layer, for the layers named in ``keys``."""
+    layers = {key: LAYERS[key] for key in keys}
+    proc = subprocess.run([sys.executable, "-c", LAYER_SETUP + LAYER_MAIN, str(calls), json.dumps(layers)],
                           cwd=tree, env=_env(tree), capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"the layer timings exited {proc.returncode} in {tree}:\n{proc.stderr}")
@@ -183,10 +191,14 @@ def measure(trees: list[Path], smoke: bool) -> list[dict]:
                 record[key].append(_seconds(tree, COMMANDS[key]))
     layer_reps, calls = (1, 1) if smoke else (LAYER_REPS, LAYER_CALLS)
     layers = [{key: [] for key in LAYERS} for _ in trees]
+    # Host speed drifts over seconds, so the trees alternate layer by layer.
+    groups = [list(LAYERS)] if smoke else [[key] for key in LAYERS]
     for rep in range(layer_reps):
-        for tree, record in list(zip(trees, layers))[::(-1) ** rep]:
-            for key, seconds in _layer_medians(tree, calls).items():
-                record[key].append(seconds)
+        pairs = list(zip(trees, layers))[::(-1) ** rep]
+        for keys in groups:
+            for tree, record in pairs:
+                for key, seconds in _layer_medians(tree, calls, keys).items():
+                    record[key].append(seconds)
     results = []
     for tree, record, layer in zip(trees, times, layers):
         size = {"src_lines": sum(len(p.read_bytes().splitlines()) for p in _sources(tree)),
