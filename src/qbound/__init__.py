@@ -9,9 +9,7 @@ in the same way.
 import importlib
 
 _EXPORTS = {
-    "gaussian": (
-        "ChannelParams", "GaussianState", "ProbeConfig", "build_probe", "squeezing_db_to_r", "symplectic_form",
-    ),
+    "gaussian": ("ChannelParams", "GaussianState", "ProbeConfig", "build_probe", "squeezing_db_to_r"),
     "holevo": ("BoundResult", "DualCoefficients", "SolverConvergenceError", "Weights", "batch_bound", "solve"),
     "closed_forms": (
         "EnvelopePoint", "Example2Params", "OptimalConfig", "ScalarCorollaries", "example1_relations",

@@ -48,17 +48,6 @@ SYMMETRY_TOL = 1e-12
 # overflow e^{2r} arithmetic headroom.
 MAX_SQUEEZING_R = 20.0
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the symplectic form matrix for ``n_modes`` modes.
-
-    Block diagonal with ``[[0, 1], [-1, 0]]`` per mode, encoding
-    ``[X, Y] = 2i``.
-    """
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[0.0, 1.0], [-1.0, 0.0]]
-    return omega
-
 
 def squeezing_db_to_r(db: float) -> float:
     """Convert squeezing in dB to the squeezing parameter r.
@@ -181,33 +170,13 @@ class ProbeConfig:
 
 
 def _splitter_entries(t: float) -> tuple[float, float]:
-    """(sqrt(t), sqrt(1 - t)): the entries of every float beam splitter; _mixing_stacks writes the arrays'."""
+    """(sqrt(t), sqrt(1 - t)): the entries of every beam splitter."""
     return math.sqrt(t), math.sqrt(1.0 - t)
 
 
 def _splitter_rows(a: float, b: float) -> list:
     """The beam splitter with entries a, b (a^2 + b^2 = 1) as nested float lists, a real rotation."""
     return [[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]]
-
-
-def _mixing_stacks(t, phi, target_mode: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-mode beam splitters of transmissivity ``t`` and rotations by ``phi`` on ``target_mode``.
-
-    Two (n, 4, 4) stacks built without a Python loop over the rows, each row
-    the float splitter rows (_splitter_rows) and a math.cos/math.sin rotation
-    bit for bit (a test pins both).
-    """
-    t = np.asarray(t, dtype=float).ravel()
-    if not 0.0 <= t.min() <= t.max() <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {t}")
-    a, b, zero = np.sqrt(t), np.sqrt(1.0 - t), np.zeros(t.size)
-    mixing = np.stack([a, zero, b, zero, zero, a, zero, b, -b, zero, a, zero, zero, -b, zero, a], axis=-1)
-    c, s = np.cos(phi), np.sin(phi)
-    rot = np.tile(np.eye(4), (t.size, 1, 1))
-    k = 2 * target_mode
-    rot[:, k, k] = rot[:, k + 1, k + 1] = c
-    rot[:, k, k + 1], rot[:, k + 1, k] = -s, s
-    return mixing.reshape(-1, 4, 4), rot
 
 
 def _entrywise(f, x):

@@ -282,6 +282,14 @@ def _checked_integer(name: str, value, minimum: int) -> int:
     return value
 
 
+def _checked_run(shots, seed) -> tuple[int, int]:
+    """(shots, seed) as integers, or ValueError unless shots is in [100, 2**53] and seed >= 0."""
+    shots = _checked_integer("shots", shots, 100)
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most 2**53 = {_MAX_SHOTS}, got {shots}")
+    return shots, _checked_integer("seed", seed, 0)
+
+
 def run_scheme(
     scheme: MeasurementScheme,
     probe: ProbeConfig,
@@ -313,10 +321,7 @@ def run_scheme(
     ``shots`` must be an integer in [100, 2**53] and ``seed`` a
     non-negative integer; both are checked before any draw.
     """
-    shots = _checked_integer("shots", shots, 100)
-    if shots > _MAX_SHOTS:
-        raise ValueError(f"shots must be at most 2**53 = {_MAX_SHOTS}, got {shots}")
-    seed = _checked_integer("seed", seed, 0)
+    shots, seed = _checked_run(shots, seed)
     mean, cov = scheme.outcome_moments(probe, theta)
     chol = _cholesky(cov)
     k_mat = scheme.estimator

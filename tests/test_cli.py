@@ -324,6 +324,9 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
          "--t is a two-mode flag: --modes 1 would ignore it"),
         (("bound", "--r1", "0.3", "--r2", "0.5", "--config", {"auto-config": True, "phi1": 0.0}),
          "--phi1 cannot be given with --auto-config, which chooses it"),
+        # a Monte-Carlo flag of verify is checked when --only selects no Monte-Carlo check
+        (("verify", "--quick", "--only", "sql", "--shots", "5"), "shots must be at least 100, got 5"),
+        (("verify", "--quick", "--only", "quartic", "--seed", "-1"), "seed must be at least 0, got -1"),
     ],
 )
 def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkeypatch, argv, message):

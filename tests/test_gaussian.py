@@ -13,18 +13,11 @@ from qbound.gaussian import (
     probe_delta_minus_one,
     probe_mode1_variances,
     squeezing_db_to_r,
-    symplectic_form,
 )
 from qbound.holevo import Weights, batch_bound, solve
 
 R_3DB = 0.5 * math.log(2.0)  # e^{-2r} = 1/2
-
-
-def test_symplectic_form_properties():
-    for n in (1, 2):
-        omega = symplectic_form(n)
-        assert np.array_equal(omega.T, -omega)
-        assert np.allclose(omega @ omega, -np.eye(2 * n))
+OMEGA = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
 
 
 def test_make_squeezed_vacuum():
@@ -79,27 +72,25 @@ def _splitter(t):
     return gaussian._splitter_rows(*gaussian._splitter_entries(t))
 
 
-def _rotations(phi, target_mode):
-    # Literal rotation rows: [[cos, -sin], [sin, cos]] on the target mode, the identity on the other.
-    out = np.tile(np.eye(4), (len(phi), 1, 1))
-    k = 2 * target_mode
-    for mat, angle in zip(out, phi):
-        c, s = math.cos(angle), math.sin(angle)
-        mat[k : k + 2, k : k + 2] = [[c, -s], [s, c]]
-    return out
+def _optics(phi1, phi2, t):
+    # A probe's passive optics O, as _probe_factor_rows gives it to simulate: the splitter of t times
+    # R(phi1) and R(phi2) on the diagonal.
+    return np.array(gaussian._probe_factor_rows(ProbeConfig(phi1=phi1, phi2=phi2, t=t))[0])
 
 
 def test_rotation_identity_and_swap():
-    # Through the rotation stack: phi = 0 is the identity, and pi/2 swaps a squeezed state's variances.
-    _, (ident, quarter) = gaussian._mixing_stacks([0.5, 0.5], [0.0, math.pi / 2.0], 0)
-    assert np.array_equal(ident, np.eye(4))
+    # Through the probe optics at t = 1: phi = 0 is the identity, and pi/2 swaps a squeezed state's variances.
+    assert np.array_equal(_optics(0.0, 0.0, 1.0), np.eye(4))
+    quarter = _optics(math.pi / 2.0, 0.0, 1.0)
     swapped = quarter @ np.diag([0.5, 2.0, 1.0, 1.0]) @ quarter.T
     assert np.allclose(swapped, np.diag([2.0, 0.5, 1.0, 1.0]), atol=1e-15)
 
 
 def test_rotation_block_on_mode_one_of_two():
     for mode in (0, 1):
-        _, (s,) = gaussian._mixing_stacks([0.5], [math.pi / 6.0], mode)
+        phis = [0.0, 0.0]
+        phis[mode] = math.pi / 6.0
+        s = _optics(*phis, 1.0)
         c, sn = math.cos(math.pi / 6.0), math.sin(math.pi / 6.0)
         k, other = 2 * mode, 2 - 2 * mode
         assert np.allclose(s[k : k + 2, k : k + 2], [[c, -sn], [sn, c]])
@@ -108,12 +99,11 @@ def test_rotation_block_on_mode_one_of_two():
 
 
 def test_beam_splitter_identity_and_vacuum():
-    # t = 1 leaves both modes alone, and every splitter is orthogonal, so the vacuum stays the vacuum.
+    # t = 1 leaves both modes alone, and every splitter and probe's optics is orthogonal, so the
+    # vacuum stays the vacuum.
     assert _splitter(1.0) == np.eye(4).tolist()
-    (mixing,), _ = gaussian._mixing_stacks([1.0], [0.0], 0)
-    assert np.array_equal(mixing, np.eye(4))
-    s = np.array(_splitter(0.5))
-    assert np.allclose(s @ s.T, np.eye(4))
+    for s in (np.array(_splitter(0.5)), _optics(0.3, 1.2, 0.5)):
+        assert np.allclose(s @ s.T, np.eye(4))
 
 
 @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan, 7.0])
@@ -127,8 +117,6 @@ def test_beam_splitter_range(bad):
         probe_mode1_variances(0.1, 0.2, 0.0, 0.0, bad)
     with pytest.raises(ValueError, match="transmissivity"):
         batch_bound((0.1, 0.2, 0.0, 0.0, bad), 1.0, 1.0)
-    with pytest.raises(ValueError, match="transmissivity"):
-        gaussian._mixing_stacks([0.5, bad], [0.0, 0.0], 0)
 
 
 def test_probe_covariance_and_factors_match_direct_matrix_product():
@@ -195,8 +183,7 @@ def test_build_probe_is_pure():
             )
         )
         # eigenvalue oracle: |eigs of i Omega Sigma| come in pairs at nu = 1
-        omega = symplectic_form(2)
-        nus = np.abs(np.linalg.eigvals(1j * omega @ probe.cov))
+        nus = np.abs(np.linalg.eigvals(1j * OMEGA @ probe.cov))
         assert np.max(np.abs(nus - 1.0)) < 1e-9
 
 
@@ -221,15 +208,13 @@ def test_validate_probe_outputs():
 
 
 def test_symplectic_invariant_under_composition():
-    # A splitter, a rotation on either mode and a second splitter compose to a symplectic map.
+    # A measurement splitter after a probe's optics, the float rows simulate runs, composes to an
+    # orthogonal and symplectic map.
     rng = np.random.default_rng(8)
-    omega = symplectic_form(2)
-    for mode in (0, 1):
-        t1, phi, t2 = rng.uniform([0, 0, 0], [1, 2 * math.pi, 1], (50, 3)).T
-        bs1, rot = gaussian._mixing_stacks(t1, phi, mode)
-        bs2, _ = gaussian._mixing_stacks(t2, phi, mode)
-        s = bs2 @ (rot @ bs1)
-        assert np.max(np.abs(s @ omega @ s.swapaxes(1, 2) - omega)) <= 1e-10
+    for phi1, phi2, t, t_d in rng.uniform([0, 0, 0, 0], [2 * math.pi, 2 * math.pi, 1, 1], (50, 4)).tolist():
+        s = np.array(_splitter(t_d)) @ _optics(phi1, phi2, t)
+        assert np.max(np.abs(s @ s.T - np.eye(4))) <= 2e-15
+        assert np.max(np.abs(s @ OMEGA @ s.T - OMEGA)) <= 2e-15
 
 
 def test_probe_config_validation():
@@ -374,18 +359,3 @@ def test_delta_minus_one_of_one_row_is_its_array_row():
     as_scalars = np.array([probe_delta_minus_one(*row) for row in rows])
     assert as_floats.tobytes() == want.tobytes()
     assert as_scalars.tobytes() == want.tobytes()
-
-
-def test_mixing_stacks_match_beam_splitter_and_rotation_bit_for_bit():
-    # verify's structural check composes these stacks; each row is the float
-    # splitter that MeasurementScheme and _probe_factor_rows use, and a
-    # rotation written with math.cos and math.sin.
-    rng = np.random.default_rng(5)
-    t, phi = rng.uniform(size=50), rng.uniform(0.0, 2.0 * math.pi, 50)
-    t[:2] = 0.0, 1.0
-    for mode in (0, 1):
-        mixing, rot = gaussian._mixing_stacks(t, phi, mode)
-        assert mixing.tobytes() == np.array([_splitter(x) for x in t]).tobytes()
-        assert rot.tobytes() == _rotations(phi, mode).tobytes()
-    with pytest.raises(ValueError, match="transmissivity"):
-        gaussian._mixing_stacks([0.5, 1.5], [0.0, 0.0], 0)

@@ -9,9 +9,7 @@ import pytest
 
 from qbound import closed_forms as cf
 from qbound import gaussian, holevo, verify
-from qbound.gaussian import (
-    ProbeConfig, build_probe, probe_delta_minus_one, probe_mode1_variances, symplectic_form,
-)
+from qbound.gaussian import ProbeConfig, build_probe, probe_delta_minus_one, probe_mode1_variances
 from qbound.holevo import (
     CERTIFICATE_TOL,
     DualCoefficients,
@@ -26,6 +24,11 @@ import oracle
 
 R_3DB = 0.5 * math.log(2.0)
 R_6DB = 0.5 * math.log(4.0)
+
+
+def _omega(n_modes):
+    # The symplectic form, [[0, 1], [-1, 0]] per mode: [X, Y] = 2i.
+    return np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _probe_covs(*config):
@@ -47,7 +50,7 @@ def fig2b_cov():
 def primal(cov, w, duals):
     """The objective h of given duals, straight from the covariance."""
     c_x, c_y = np.array(duals.c_x), np.array(duals.c_y)
-    omega = symplectic_form(c_x.size // 2)
+    omega = _omega(c_x.size // 2)
     return (w.w_x * c_x @ cov @ c_x + w.w_y * c_y @ cov @ c_y
             + 2.0 * math.sqrt(w.w_x * w.w_y) * abs(c_x @ omega @ c_y))
 
@@ -102,7 +105,7 @@ def test_commutator_is_the_gap_beta_bit_for_bit():
     # bit, and c_x' Omega c_y to rounding, over seeded two-mode configuration
     # and raw-covariance rows with zero weights among them.
     rng = np.random.default_rng(53)
-    omega = symplectic_form(2)
+    omega = _omega(2)
     for k in range(1_200):
         r1, r2 = sorted(rng.uniform(0.0, 4.0, 2).tolist())
         config = ProbeConfig(r1, r2, *rng.uniform(-4.0, 4.0, 2).tolist(), float(rng.uniform()))
@@ -384,7 +387,7 @@ def test_float_purity_check_gives_the_numpy_verdicts():
     def numpy_verdict(cov):
         dim = cov.shape[-1]
         with np.errstate(invalid="ignore"):
-            so = cov @ symplectic_form(dim // 2)
+            so = cov @ _omega(dim // 2)
             bound = holevo.PURITY_TOL * abs(cov).max(axis=(-2, -1), keepdims=True) ** 2
             return bool((abs(so @ so + np.eye(dim)) <= bound).all())
 

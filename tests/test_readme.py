@@ -48,7 +48,7 @@ def test_public_names_are_pinned():
         "example2_parametric", "extract_measurement", "gamma_quartic_root", "optimal_config",
         "projected_variances", "run_scheme", "scalar_corollaries", "scheme_from_duals",
         "single_mode_boundary", "single_mode_line", "single_mode_tradeoff", "solve", "sql_feasible",
-        "squeezing_db_to_r", "symplectic_form", "two_mode_envelope",
+        "squeezing_db_to_r", "two_mode_envelope",
     }
     for name in names:
         value = getattr(qbound, name)

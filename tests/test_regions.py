@@ -283,24 +283,34 @@ def _nan_every_seventh_row(rows):
     return mutated
 
 
-def _scaled_beam_splitters(stacks):
-    def mutated(t, phi, target_mode):
-        mixing, rot = stacks(t, phi, target_mode)
-        return mixing * (1.0 + 1e-6), rot
-    return mutated
+def _scaled(f, factor):
+    return lambda *args: f(*args) * factor
 
 
 @pytest.mark.parametrize("module,name,mutate,key,tol", [
     (cf, "_envelope_rows", _nan_every_seventh_row, "envelope_continuity", 1e-9),
-    (verify, "_mixing_stacks", _scaled_beam_splitters, "symplectic_defect", 1e-10),
+    (verify, "probe_delta_minus_one", lambda delta: _scaled(delta, 1.0 + 1e-9), "mode1_determinant", 1e-13),
     (verify, "batch_bound", lambda bound: lambda *args: bound(*args) + 1e-9, "weight_scaling", 1e-12),
-], ids=["nan-envelope-rows", "scaled-beam-splitter", "inhomogeneous-bound"])
+], ids=["nan-envelope-rows", "scaled-delta-minus-one", "inhomogeneous-bound"])
 def test_structural_properties_fails_on_mutants(module, name, mutate, key, tol, monkeypatch):
     # A NaN must fail the check, not drop out of a max.
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     result = verify.check_structural_properties(quick=True)
     assert not result.passed
     assert not result.detail[key] <= tol
+
+
+@pytest.mark.parametrize("check, key", [
+    (verify.check_single_mode_closed_form, "max_rel_err"),
+    (verify.check_equal_squeezing_optimum, "max_rel_err"),
+    (verify.check_weight_special_cases, "max_rel_err_solver"),
+], ids=["single-mode-closed-form", "equal-squeezing-optimum", "weight-special-cases"])
+def test_bound_checks_fail_on_a_bound_off_by_1e_10(check, key, monkeypatch):
+    # Their tolerance, 1e-13 relative, is about a hundred times the worst error over r <= 20.
+    monkeypatch.setattr(verify, "batch_bound", _scaled(batch_bound, 1.0 + 1e-10))
+    result = check(quick=True)
+    assert not result.passed
+    assert result.detail[key] > 1e-13
 
 
 def test_sql_feasible_threshold():
