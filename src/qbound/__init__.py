@@ -18,8 +18,8 @@ _EXPORTS = {
         "two_mode_envelope",
     ),
     "regions": (
-        "RegionSample", "SqlFeasibility", "boundary_for_config", "closed_form_boundary", "envelope",
-        "single_mode_boundary", "sql_feasible",
+        "RegionSample", "SqlFeasibility", "closed_form_boundary", "envelope", "single_mode_boundary",
+        "sql_feasible",
     ),
     "simulate": (
         "BoundComparison", "MeasurementScheme", "SimulationReport", "build_scheme", "compare_to_bound",

@@ -101,11 +101,24 @@ def _resolve_r(args, r_attr: str, db_attr: str) -> float:
     return r
 
 
+def _refuse_then_default(args, refused: dict, defaults: dict) -> None:
+    """Raise ValueError naming the first given flag of ``refused`` and its reason, then set the unset ``defaults``.
+
+    A flag counts as given on the command line or as a --config key.
+    """
+    for name, reason in refused.items():
+        value = getattr(args, name, None)
+        if value is not None and value is not False:
+            raise ValueError(f"--{name.replace('_', '-')} {reason}")
+    for name, default in defaults.items():
+        if getattr(args, name, default) is None:
+            setattr(args, name, default)
+
+
 def _resolve_mode_flags(args) -> None:
     """Refuse a flag that bound or region would ignore, then apply the defaults of the angles and --t.
 
-    A flag counts as given on the command line or as a --config key.  Unset,
-    --phi, --phi1, --phi2 and --t take 0, 0, pi/2 and 0.5.
+    Unset, --phi, --phi1, --phi2 and --t take 0, 0, pi/2 and 0.5.
     """
     if args.modes == 1:
         refused = dict.fromkeys(("r1", "r2", "db1", "db2", "phi1", "phi2", "t", "auto_config"),
@@ -114,13 +127,7 @@ def _resolve_mode_flags(args) -> None:
         refused = dict.fromkeys(("r", "db", "phi"), "is a one-mode flag: two modes would ignore it")
         if getattr(args, "auto_config", False):
             refused.update(dict.fromkeys(("phi1", "phi2", "t"), "cannot be given with --auto-config, which chooses it"))
-    for name, reason in refused.items():
-        value = getattr(args, name, None)
-        if value is not None and value is not False:
-            raise ValueError(f"--{name.replace('_', '-')} {reason}")
-    for name, default in (("phi", 0.0), ("phi1", 0.0), ("phi2", math.pi / 2.0), ("t", 0.5)):
-        if hasattr(args, name) and getattr(args, name) is None:
-            setattr(args, name, default)
+    _refuse_then_default(args, refused, {"phi": 0.0, "phi1": 0.0, "phi2": math.pi / 2.0, "t": 0.5})
 
 
 def _resolve_single_mode(args) -> tuple[float, float]:
@@ -301,18 +308,21 @@ def _parse_theta(text: str) -> ChannelParams:
 def cmd_simulate(args) -> int:
     from .simulate import build_scheme, run_scheme
 
-    theta = _parse_theta(args.theta)
-    weights = Weights(args.wx, args.wy)
     if args.scheme == "example1":
-        r2 = _resolve_r(args, "r2", "db2")
-        t = args.t if args.t is not None else 0.5
-        scheme = build_scheme("example1", r2=r2, t=t, phi2=args.phi2)
+        refused = dict.fromkeys(("r", "db", "wx", "wy"), "is a balanced flag: --scheme example1 would ignore it")
+        _refuse_then_default(args, refused, {"phi2": 0.0, "t": 0.5})
     else:
-        r = _resolve_r(args, "r", "db")
-        if args.t is None:
-            scheme = build_scheme("balanced", r=r, weights=weights)
-        else:
-            scheme = build_scheme("balanced", r=r, t_star=args.t)
+        refused = dict.fromkeys(("r2", "db2", "phi2"), "is an example1 flag: --scheme balanced would ignore it")
+        if args.t is not None:
+            refused.update(dict.fromkeys(("wx", "wy"), "cannot be given with --t, which fixes t*"))
+        _refuse_then_default(args, refused, {"wx": 1.0, "wy": 1.0})
+    theta = _parse_theta(args.theta)
+    if args.scheme == "example1":
+        scheme = build_scheme("example1", r2=_resolve_r(args, "r2", "db2"), t=args.t, phi2=args.phi2)
+    elif args.t is None:
+        scheme = build_scheme("balanced", r=_resolve_r(args, "r", "db"), weights=Weights(args.wx, args.wy))
+    else:
+        scheme = build_scheme("balanced", r=_resolve_r(args, "r", "db"), t_star=args.t)
 
     report = run_scheme(scheme, scheme.probe, theta, args.shots, args.seed)
     target_x = args.target_vx if args.target_vx is not None else report.predicted_v_x
@@ -383,7 +393,8 @@ def _add_floats(parser: argparse.ArgumentParser, *names: str, **defaults: float)
     """Add a float option ``--name`` per name, defaulting to ``defaults[name]`` or None.
 
     None means "not given": each ``--rN``/``--dbN`` pair accepts at most one,
-    and bound and region refuse a flag that their mode count would ignore.
+    bound and region refuse a flag that their mode count would ignore, and
+    simulate one that its scheme would ignore.
     """
     for name in names:
         parser.add_argument(f"--{name}", type=float, default=defaults.get(name),
@@ -424,10 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo run of a measurement scheme")
     p.add_argument("--scheme", choices=("balanced", "example1"), required=True)
-    _add_floats(p, "r", "db", "r2", "db2", "phi2", phi2=0.0)
+    _add_floats(p, "r", "db", "r2", "db2", "phi2")
     p.add_argument("--t", type=float, help="t* of the optimal-variance formulas; the probe's transmissivity "
                    "is 1 - t* (default: optimal for the weights, or 0.5 for example1)")
-    _add_floats(p, "wx", "wy", wx=1.0, wy=1.0)
+    _add_floats(p, "wx", "wy")
     p.add_argument("--shots", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", default="0.0,0.0", help="displacement as 'x,y'")

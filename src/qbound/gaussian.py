@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -148,6 +149,8 @@ class ProbeConfig:
     inputs, rotated by ``phi1`` and ``phi2`` before mixing on a beam splitter
     of transmissivity ``t``.  Canonical ordering requires ``0 <= r1 <= r2``
     for two-mode configurations; ``0 <= t <= 1`` holds for either mode count.
+    Every field is one real number (a 0-d array counts); any other value
+    raises ValueError.
     """
 
     r1: float = 0.0
@@ -158,6 +161,13 @@ class ProbeConfig:
     n_modes: int = 2
 
     def __post_init__(self):
+        if not _is_row(self.r1, self.r2, self.phi1, self.phi2, self.t, self.n_modes):
+            for name in ("r1", "r2", "phi1", "phi2", "t", "n_modes"):
+                value = getattr(self, name)
+                kind = getattr(getattr(value, "dtype", None), "kind", None)
+                if not (isinstance(value, numbers.Real)
+                        or getattr(value, "shape", None) == () and kind in ("b", "i", "u", "f")):
+                    raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.n_modes not in (1, 2):
             raise ValueError(f"n_modes must be 1 or 2, got {self.n_modes}")
         for name in ("r1", "r2"):

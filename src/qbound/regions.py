@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_forms
-from .gaussian import ProbeConfig
 from .holevo import batch_bound
 
 ENVELOPE_BINS = 400
@@ -55,13 +54,6 @@ def _n_threads() -> int:
     return 1
 
 
-def _solve_rows(probe, w_x: np.ndarray, w_y: np.ndarray):
-    """batch_bound with tangency and certificate: (f, v_x, v_y, certified) per row."""
-    info: dict = {}
-    f = batch_bound(probe, w_x, w_y, info)
-    return f, info["v_x"], info["v_y"], info["certified"]
-
-
 def _ratio_weights(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized weights (w_x, w_y) with w_x / w_y equal to each ratio."""
     ratios = np.asarray(ratios, dtype=float)
@@ -74,35 +66,6 @@ def _ratio_weights(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _grid(values) -> np.ndarray:
     """A grid as a float array: an ndarray as it is, any other iterable through a list."""
     return np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
-
-
-def boundary_for_config(probe: ProbeConfig, w_ratios) -> list[RegionSample]:
-    """Lower-left boundary polyline of one probe's accessible region.
-
-    One tangency point per weight ratio (w_x / w_y), sorted by v_x with
-    strict monotonicity enforced (duplicate or non-decreasing v_y points are
-    dropped).
-    """
-    ratios = _grid(w_ratios)
-    if ratios.size == 0:
-        raise ValueError("w_ratios must be nonempty")
-    _, v_x, v_y, certified = _solve_rows(probe, *_ratio_weights(ratios))
-    order = np.argsort(v_x)
-    samples: list[RegionSample] = []
-    for i in order:
-        sample = RegionSample(
-            v_x=float(v_x[i]),
-            v_y=float(v_y[i]),
-            source=SOURCE_NUMERIC,
-            t=probe.t if probe.n_modes == 2 else None,
-            phi1=probe.phi1,
-            w_ratio=float(ratios[i]),
-            converged=bool(certified[i]),
-        )
-        if samples and (sample.v_x <= samples[-1].v_x or sample.v_y >= samples[-1].v_y):
-            continue
-        samples.append(sample)
-    return samples
 
 
 def _config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2) -> _Sweep:
@@ -122,7 +85,9 @@ def _config_sweep(r1, r2, t_grid, phi_grid, w_grid, sweep_phi2) -> _Sweep:
     else:
         t, phi1 = (grid.ravel() for grid in np.meshgrid(t_values, phi_values, indexing="ij"))
         phi2 = phi1 + math.pi / 2.0
-    parts = _solve_rows((r1, r2, phi1[:, None], phi2[:, None], t[:, None]), *_ratio_weights(ratios))
+    info: dict = {}
+    f = batch_bound((r1, r2, phi1[:, None], phi2[:, None], t[:, None]), *_ratio_weights(ratios), info)
+    parts = (f, info["v_x"], info["v_y"], info["certified"])
     return _Sweep(t, phi1, ratios, *(part.reshape(t.size, ratios.size) for part in parts))
 
 
@@ -224,18 +189,12 @@ def closed_form_boundary(r1: float, r2: float, v_x_values) -> list[RegionSample]
 
 
 def single_mode_boundary(r: float, phi: float, v_x_values) -> list[RegionSample]:
-    """Analytic single-mode tradeoff curve samples at fixed squeezing angle."""
-    samples = []
-    for v_x in _grid(v_x_values):
-        v_y = closed_forms.single_mode_tradeoff(float(v_x), r, phi)
-        samples.append(
-            RegionSample(
-                v_x=float(v_x), v_y=float(v_y), source=SOURCE_CLOSED_FORM,
-                phi1=phi, segment="single-mode",
-            )
-        )
-    samples.sort(key=lambda s: s.v_x)
-    return samples
+    """Analytic single-mode tradeoff curve samples at fixed squeezing angle, sorted by v_x."""
+    return [
+        RegionSample(v_x=v_x, v_y=float(closed_forms.single_mode_tradeoff(v_x, r, phi)), source=SOURCE_CLOSED_FORM,
+                     phi1=phi, segment="single-mode")
+        for v_x in sorted(_grid(v_x_values).tolist())
+    ]
 
 
 def sql_feasible(r1: float, r2: float) -> SqlFeasibility:

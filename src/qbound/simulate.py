@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -176,11 +176,6 @@ def scheme_from_duals(duals: DualCoefficients) -> MeasurementScheme:
     weighted variance.  One mode, or a response whose determinant is 0 or not
     finite (a product probe's zero duals), raises ValueError.
     """
-    return MeasurementScheme(*_optimal_entries(duals), kind="optimal")
-
-
-def _optimal_entries(duals: DualCoefficients) -> tuple:
-    """(splitter, angles, estimator) of scheme_from_duals(duals), which raises the same ValueError."""
     if duals.n_modes != 2:
         raise ValueError("a single mode cannot carry both conjugate estimates")
     a, b, c, d = duals.free
@@ -197,7 +192,7 @@ def _optimal_entries(duals: DualCoefficients) -> tuple:
     det = r00 * r11 - r01 * r10
     if not (det != 0.0 and math.isfinite(det)):
         raise ValueError(f"both homodynes measure one quadrature: the response determinant is {det}")
-    return (a_d, b_d), angles, [[r11 / det, -r01 / det], [-r10 / det, r00 / det]]
+    return MeasurementScheme((a_d, b_d), angles, [[r11 / det, -r01 / det], [-r10 / det, r00 / det]], kind="optimal")
 
 
 def extract_measurement(probe: ProbeConfig, weights: Weights) -> MeasurementScheme:
@@ -215,7 +210,7 @@ def extract_measurement(probe: ProbeConfig, weights: Weights) -> MeasurementSche
     if not result.converged:
         raise SolverConvergenceError("cannot extract a measurement: the bound is not converged")
     try:
-        scheme = MeasurementScheme(*_optimal_entries(result.duals), kind="optimal", probe=probe)
+        scheme = replace(scheme_from_duals(result.duals), probe=probe)
     except ValueError as exc:
         raise SolverConvergenceError(f"cannot extract a measurement: {exc}") from None
     v_x, v_y = scheme.predicted_variances(probe)

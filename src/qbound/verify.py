@@ -32,6 +32,9 @@ from .simulate import _checked_run, build_scheme, compare_to_bound, run_scheme
 # Monte-Carlo shot count and base seed of the two simulation checks.
 MC_SHOTS = 1_000_000
 MC_SEED = 20240816
+# Seeds of the random rows of quartic-root and structural-properties.
+QUARTIC_SEED = 7
+STRUCTURAL_SEED = 11
 
 
 @dataclass
@@ -124,13 +127,13 @@ def check_weight_special_cases(quick: bool = False) -> CheckResult:
     )
 
 
-def check_quartic_root(quick: bool = False, seed: int = 7) -> CheckResult:
+def check_quartic_root(quick: bool = False) -> CheckResult:
     """Quartic root identities and residuals over random (ratio, r), in one batched call.
 
     Unit ratio gives gamma = 1, ratio 0 gives coth(2r), and random rows
     over r <= 20 must leave a residual below 1e-12.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(QUARTIC_SEED)
     unit_rs = rng.uniform(0.0, 20.0, 20)
     coth_rs = rng.uniform(0.05, 20.0, 20)  # coth(2r) has a pole at r = 0
     n = 1000 if quick else 10_000
@@ -307,9 +310,9 @@ def check_sql_threshold(quick: bool = False) -> CheckResult:
     )
 
 
-def check_structural_properties(quick: bool = False, seed: int = 11) -> CheckResult:
+def check_structural_properties(quick: bool = False) -> CheckResult:
     """Randomized structural invariants of the mode-1 reduction, the envelope, and the bound."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(STRUCTURAL_SEED)
     n = 200 if quick else 1000
     detail = {}
 

@@ -268,9 +268,11 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
         (("bound", "--modes", "1", "--db", "4000", "--wx", "1", "--wy", "1"),
          "squeezing of 4000.0 dB is out of range"),
         (("region", "--modes", "1", "--db", "-4000"), "squeezing of -4000.0 dB is out of range"),
+        # --wx is refused before its value is checked
         (("simulate", "--scheme", "balanced", "--r", "0.5", "--wx", "-1", "--t", "0.3"),
-         "weights must be >= 0"),
-        (("simulate", "--scheme", "example1", "--r2", "0.5", "--wx", "-3"), "weights must be >= 0"),
+         "--wx cannot be given with --t, which fixes t*"),
+        (("simulate", "--scheme", "example1", "--r2", "0.5", "--wx", "-3"),
+         "--wx is a balanced flag: --scheme example1 would ignore it"),
         (("bound", "--modes", "1", "--db", "200"), "squeezing of 200.0 dB is out of range"),
         (("region", "--db1", "200", "--r2", "1"), "squeezing of 200.0 dB is out of range"),
         (("simulate", "--scheme", "balanced", "--db", "200"), "squeezing of 200.0 dB is out of range"),
@@ -327,6 +329,23 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
         # a Monte-Carlo flag of verify is checked when --only selects no Monte-Carlo check
         (("verify", "--quick", "--only", "sql", "--shots", "5"), "shots must be at least 100, got 5"),
         (("verify", "--quick", "--only", "quartic", "--seed", "-1"), "seed must be at least 0, got -1"),
+        # a flag that the simulated scheme would ignore, or one that --t fixes; a --config key counts
+        (("simulate", "--scheme", "balanced", "--r", "0.5", "--r2", "3"),
+         "--r2 is an example1 flag: --scheme balanced would ignore it"),
+        (("simulate", "--scheme", "example1", "--r2", "0.5", "--r", "3"),
+         "--r is a balanced flag: --scheme example1 would ignore it"),
+        (("simulate", "--scheme", "balanced", "--r", "0.5", "--phi2", "1"),
+         "--phi2 is an example1 flag: --scheme balanced would ignore it"),
+        (("simulate", "--scheme", "example1", "--r2", "0.5", "--wx", "5"),
+         "--wx is a balanced flag: --scheme example1 would ignore it"),
+        (("simulate", "--scheme", "balanced", "--r", "0.5", "--t", "0.3", "--wx", "5"),
+         "--wx cannot be given with --t, which fixes t*"),
+        (("simulate", "--scheme", "balanced", "--r", "0.5", "--config", {"db2": 3}),
+         "--db2 is an example1 flag: --scheme balanced would ignore it"),
+        (("simulate", "--scheme", "example1", "--r2", "0.5", "--config", {"db": 3, "wy": 2}),
+         "--db is a balanced flag: --scheme example1 would ignore it"),
+        (("simulate", "--scheme", "balanced", "--r", "0.5", "--t", "0.3", "--config", {"wy": 2}),
+         "--wy cannot be given with --t, which fixes t*"),
     ],
 )
 def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkeypatch, argv, message):
@@ -347,6 +366,8 @@ def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkey
      ("--phi1", "0", "--phi2", repr(math.pi / 2.0), "--t", "0.5")),
     (("bound", "--modes", "1", "--r", "0.3", "--wy", "3"), ("--phi", "0")),
     (("region", "--modes", "1", "--r", "0.3", "--vx-points", "5"), ("--phi", "0")),
+    (("simulate", "--scheme", "example1", "--r2", "0.5", "--shots", "1000"), ("--phi2", "0")),
+    (("simulate", "--scheme", "balanced", "--r", "0.5", "--shots", "1000"), ("--wx", "1", "--wy", "1")),
 ])
 def test_unset_angles_and_transmissivity_take_their_defaults(capsys, argv, defaults):
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv, *defaults)

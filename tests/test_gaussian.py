@@ -232,6 +232,23 @@ def test_probe_config_validation():
         ChannelParams(0.0, math.inf)
 
 
+def test_probe_config_fields_are_real_scalars():
+    # Arrays with a dimension, strings and complex values are refused when the probe is built.
+    for fields, name in ((dict(r1=np.array([0.1, 0.2]), n_modes=1), "r1"),
+                         (dict(r1=np.array([0.1]), r2=np.array([0.2])), "r1"),
+                         (dict(r1=0.1, r2="0.2"), "r2"),
+                         (dict(t=np.complex128(0.5)), "t"),
+                         (dict(n_modes=np.array([1, 2])), "n_modes")):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            ProbeConfig(**fields)
+    # Python and NumPy real scalars and 0-d arrays give the Python-float probe's bound.
+    want = solve(ProbeConfig(r1=0.25, r2=0.5, phi1=0.75, phi2=1.5, t=0.375), Weights(1.0, 2.0)).f_hcr
+    for fields in (dict(r1=np.float64(0.25), r2=np.float32(0.5), phi1=np.float16(0.75), phi2=1.5, t=0.375),
+                   dict(r1=np.array(0.25), r2=np.array(0.5), phi1=0.75, phi2=np.array(1.5), t=np.array(0.375)),
+                   dict(r1=0.25, r2=0.5, phi1=0.75, phi2=1.5, t=0.375, n_modes=np.int64(2))):
+        assert solve(ProbeConfig(**fields), Weights(1.0, 2.0)).f_hcr == want
+
+
 def test_db_conversion_round_trip():
     db = 10.0 * math.log10(2.0)  # exactly e^{-2r} = 1/2
     assert squeezing_db_to_r(db) == pytest.approx(R_3DB, rel=1e-14)

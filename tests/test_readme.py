@@ -43,7 +43,7 @@ def test_public_names_are_pinned():
         "BoundComparison", "BoundResult", "ChannelParams", "DualCoefficients", "EnvelopePoint",
         "Example2Params", "GaussianState", "MeasurementScheme", "OptimalConfig", "ProbeConfig",
         "RegionSample", "ScalarCorollaries", "SimulationReport", "SolverConvergenceError", "SqlFeasibility",
-        "Weights", "batch_bound", "boundary_for_config", "build_probe", "build_scheme",
+        "Weights", "batch_bound", "build_probe", "build_scheme",
         "closed_form_boundary", "compare_to_bound", "envelope", "example1_relations", "example1_variances",
         "example2_parametric", "extract_measurement", "gamma_quartic_root", "optimal_config",
         "projected_variances", "run_scheme", "scalar_corollaries", "scheme_from_duals",

@@ -9,30 +9,32 @@ from qbound.gaussian import ProbeConfig, build_probe
 from qbound.holevo import Weights, batch_bound, solve
 
 
+def _tangency(probe, ratios):
+    """batch_bound's tangency points (v_x, v_y) and certificates at weight ratios w_x / w_y."""
+    ratios = np.asarray(ratios, dtype=float)
+    w_x = ratios / (1.0 + ratios)
+    info = {}
+    batch_bound(probe, w_x, 1.0 - w_x, info)
+    return info["v_x"], info["v_y"], info["certified"]
+
+
 def test_boundary_single_mode_equal_weights():
     r = 0.7
-    probe = ProbeConfig(r1=r, phi1=0.3, n_modes=1)
-    samples = regions.boundary_for_config(probe, [1.0])
-    assert len(samples) == 1
-    point = samples[0]
-    assert point.v_x + point.v_y == pytest.approx(2.0 * (1.0 + math.cosh(2 * r)), rel=1e-8)
-    assert point.converged
+    (v_x,), (v_y,), (certified,) = _tangency(ProbeConfig(r1=r, phi1=0.3, n_modes=1), [1.0])
+    assert v_x + v_y == pytest.approx(2.0 * (1.0 + math.cosh(2 * r)), rel=1e-8)
+    assert certified
 
 
 def test_boundary_vacuum_two_mode_hyperbola():
-    probe = ProbeConfig(r1=0.0, r2=0.0, t=0.5)
-    samples = regions.boundary_for_config(probe, np.geomspace(0.1, 10.0, 9))
-    for s in samples:
-        assert 1.0 / s.v_x + 1.0 / s.v_y == pytest.approx(1.0, rel=1e-7)
+    v_x, v_y, _ = _tangency(ProbeConfig(r1=0.0, r2=0.0, t=0.5), np.geomspace(0.1, 10.0, 9))
+    np.testing.assert_allclose(1.0 / v_x + 1.0 / v_y, 1.0, rtol=1e-7)
 
 
 def test_boundary_polyline_is_monotone():
+    # As w_x / w_y grows, every tangency point moves strictly left and up.
     probe = ProbeConfig(r1=0.35, r2=0.69, phi1=0.0, phi2=math.pi / 2, t=0.4)
-    samples = regions.boundary_for_config(probe, np.geomspace(0.05, 20.0, 21))
-    xs = [s.v_x for s in samples]
-    ys = [s.v_y for s in samples]
-    assert all(b > a for a, b in zip(xs, xs[1:]))
-    assert all(b < a for a, b in zip(ys, ys[1:]))
+    v_x, v_y, _ = _tangency(probe, np.geomspace(0.05, 20.0, 21))
+    assert np.all(np.diff(v_x) < 0.0) and np.all(np.diff(v_y) > 0.0)
 
 
 def test_boundary_tangency_matches_dual_formula():
@@ -41,17 +43,17 @@ def test_boundary_tangency_matches_dual_formula():
     cov = build_probe(probe).cov
     ratios = np.geomspace(1e-2, 1e2, 9)
     h = 1e-3
-    for point in regions.boundary_for_config(probe, ratios):
-        w_x = point.w_ratio / (1.0 + point.w_ratio)
+    for ratio, v_x, v_y, certified in zip(ratios, *_tangency(probe, ratios)):
+        w_x = ratio / (1.0 + ratio)
         w_y = 1.0 - w_x
         f = [solve(cov, Weights(wx, wy)).f_hcr
              for wx, wy in ((w_x * (1 + h), w_y), (w_x * (1 - h), w_y), (w_x, w_y * (1 + h)), (w_x, w_y * (1 - h)))]
-        assert point.v_x == pytest.approx((f[0] - f[1]) / (2 * h * w_x), rel=1e-6)
-        assert point.v_y == pytest.approx((f[2] - f[3]) / (2 * h * w_y), rel=1e-6)
-        assert point.converged
+        assert v_x == pytest.approx((f[0] - f[1]) / (2 * h * w_x), rel=1e-6)
+        assert v_y == pytest.approx((f[2] - f[3]) / (2 * h * w_y), rel=1e-6)
+        assert certified
         # the point dominates the full-resource envelope
-        envelope_v_y = cf.two_mode_envelope(point.v_x, 0.35, 0.69).v_y
-        assert point.v_y >= envelope_v_y - 1e-9
+        envelope_v_y = cf.two_mode_envelope(v_x, 0.35, 0.69).v_y
+        assert v_y >= envelope_v_y - 1e-9
 
 
 def test_envelope_vacuum_is_the_unit_hyperbola():

@@ -693,9 +693,9 @@ def test_every_row_up_to_r8_extracts_a_scheme_on_the_bound():
         assert _weighted_excess(extract_measurement(probe, weights), probe, weights) <= CERTIFICATE_TOL
 
 
-def test_extract_measurement_builds_its_scheme_once(monkeypatch):
-    # One MeasurementScheme is checked per call, and it is scheme_from_duals'
-    # scheme with the probe attached by replace, which checks two.
+def test_extract_measurement_is_scheme_from_duals_with_its_probe(monkeypatch):
+    # Each call checks two MeasurementSchemes: scheme_from_duals' scheme, and
+    # that scheme with the probe attached by replace, which it returns.
     rows = list(_band(8.0, 300))
     want = [replace(scheme_from_duals(solve(probe, weights).duals), probe=probe) for probe, weights in rows]
     built = []
@@ -703,8 +703,8 @@ def test_extract_measurement_builds_its_scheme_once(monkeypatch):
     monkeypatch.setattr(MeasurementScheme, "__post_init__", lambda self: built.append(1) or post_init(self))
     for (probe, weights), scheme in zip(rows, want):
         got = extract_measurement(probe, weights)
-        assert got == scheme and repr(got) == repr(scheme)
-    assert len(built) == len(rows)
+        assert got == scheme and repr(got) == repr(scheme) and got.probe is probe
+    assert len(built) == 2 * len(rows)
 
 
 def _decimal_weighted_variance(scheme, probe, weights) -> Decimal:
@@ -754,16 +754,14 @@ def test_extracted_schemes_attain_the_oracle_bound_in_decimal():
 def test_extract_measurement_refuses_a_scheme_off_the_bound(monkeypatch):
     # The variance gate is live: a scheme whose first homodyne is 1e-3 off,
     # with the estimator that keeps it locally unbiased, is refused.
-    real = simulate._optimal_entries
-
     def mutant(duals):
-        splitter, angles, _ = real(duals)
-        angles = (angles[0] + 1e-3, angles[1])
-        return splitter, angles, _unbiased_estimator(splitter, angles)
+        scheme = scheme_from_duals(duals)
+        angles = (scheme.angles[0] + 1e-3, scheme.angles[1])
+        return MeasurementScheme(scheme.splitter, angles, _unbiased_estimator(scheme.splitter, angles), kind="optimal")
 
     probe, weights = ProbeConfig(r1=0.4, r2=0.9, phi1=0.3, phi2=2.0, t=0.35), Weights(1.0, 2.0)
     assert _weighted_excess(extract_measurement(probe, weights), probe, weights) <= CERTIFICATE_TOL
-    monkeypatch.setattr(simulate, "_optimal_entries", mutant)
+    monkeypatch.setattr(simulate, "scheme_from_duals", mutant)
     with pytest.raises(SolverConvergenceError, match="off the bound"):
         extract_measurement(probe, weights)
 
