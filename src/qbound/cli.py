@@ -288,6 +288,9 @@ def cmd_region(args) -> int:
         _emit(json.dumps(rows, indent=2), args.out)
     else:
         _emit(_rows_to_csv(rows, REGION_CSV_FIELDS), args.out)
+    uncertified = sum(not s.converged for s in samples)
+    if uncertified:
+        sys.stderr.write(f"{uncertified} numeric rows not certified: their bound is not within {CERTIFICATE_TOL:g}\n")
     return EXIT_OK
 
 

@@ -316,6 +316,11 @@ def example2_parametric(lam: float, r: float, t: float) -> tuple[float, float]:
 
         f_x = [(1 + lam sqrt(t) e^r)^2 + lam^2 (1-t) e^{-2r}] / (lam + sqrt(t) e^{-r})^2
         f_y = [(1 + lam sqrt(t) e^r)^2 + lam^2 (1-t) e^{-2r}] / ((1-t) e^{-2r})
+
+    At the optimum 1 + lam sqrt(t) e^r is of size e^{-4r}, so the pair is only as good as lam: at
+    t = 1/2, the exact formulas at lam* = -e^{-r} (1 + gamma) / sqrt(2) rounded to a float miss
+    their value at the exact lam* by up to 3.3e-12 relative at r = 12 and 36 at r = 20 (80 digits,
+    weight ratios 1e-3..1e3), so no evaluation of this signature is accurate beyond r ~ 11.
     """
     _check_r(r)
     if not 0.0 < t < 1.0:

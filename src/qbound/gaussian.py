@@ -218,8 +218,8 @@ def _probe_cov_row(r1, r2, phi1, phi2, t) -> list[list[float]]:
     mixed on a beam splitter of transmissivity ``t`` give the 2x2 blocks
     ``t C1 + (1-t) C2`` and ``(1-t) C1 + t C2`` on the diagonal and
     ``sqrt(t(1-t)) (C2 - C1)`` off it, written to both sides, so the row is
-    exactly symmetric.  Entries (0, 0) and (1, 1) are probe_mode1_variances'
-    bit for bit (a test pins it): the same expressions and math functions.
+    exactly symmetric.  Entries (0, 0) and (1, 1) are probe_mode1's A_11 and
+    A_22 bit for bit (a test pins it): the same expressions and math functions.
     """
     r1, r2, phi1, phi2, t = float(r1), float(r2), float(phi1), float(phi2), float(t)
     xx1, xy1, yy1 = _squeezed_entries(r1, phi1)
@@ -247,42 +247,30 @@ def _check_config(r1, r2, phi1, phi2, t) -> None:
         raise ValueError(f"phi1 and phi2 must be finite, got {phi1} and {phi2}")
 
 
-def probe_mode1_variances(r1, r2, phi1, phi2, t):
-    """(A_11, A_22): entries (0, 0) and (1, 1) of the probe covariance, broadcast over the configuration.
+def probe_mode1(r1, r2, phi1, phi2, t):
+    """(A_11, A_22, delta - 1) of the probe's mode-1 marginal A, broadcast over the configuration.
 
-    The expressions of _probe_cov_row, ``t C1 + (1-t) C2``, with no 4x4
-    matrix built: bit-identical to its entries (a test pins it).  A row of
-    numbers gives floats, without NumPy; arrays give arrays.
+    A_11 and A_22 are entries (0, 0) and (1, 1) of _probe_cov_row, ``t C1 + (1-t) C2``, bit for bit
+    (a test pins it), with no 4x4 matrix built.  delta - 1 = det A - 1 is
+    ``4t(1-t) [cos^2 d sinh^2(r1 - r2) + sin^2 d sinh^2(r1 + r2)]`` with d = phi1 - phi2, a sum of
+    nonnegative terms: accurate to rounding for r <= 20, 0 at t in {0, 1}.  sin^2 d is ill-conditioned
+    near multiples of pi, so the rounding error e of d is kept (TwoSum).  A row of numbers gives
+    floats, without NumPy, and arrays give arrays, bit for bit the rows; an invalid one raises ValueError.
     """
     _check_config(r1, r2, phi1, phi2, t)
     if _is_row(r1, r2, phi1, phi2, t):
-        exp, cos, sin = math.exp, math.cos, math.sin
+        exp, sinh, cos, sin = math.exp, math.sinh, math.cos, math.sin
     else:
-        exp, cos, sin = functools.partial(_entrywise, math.exp), np.cos, np.sin
+        exp, sinh = functools.partial(_entrywise, math.exp), functools.partial(_entrywise, math.sinh)
+        cos, sin = np.cos, np.sin
         r1, r2, phi1, phi2, t = (np.asarray(x, dtype=float) for x in (r1, r2, phi1, phi2, t))
     xx1, _, yy1 = _squeezed_entries(r1, phi1, exp, cos, sin)
     xx2, _, yy2 = _squeezed_entries(r2, phi2, exp, cos, sin)
-    return t * xx1 + (1.0 - t) * xx2, t * yy1 + (1.0 - t) * yy2
-
-
-def probe_delta_minus_one(r1, r2, phi1, phi2, t):
-    """det A - 1 of the probe's mode-1 marginal, broadcast over the configuration.
-
-    ``4t(1-t) [cos^2 d sinh^2(r1 - r2) + sin^2 d sinh^2(r1 + r2)]`` with d = phi1 - phi2 sums
-    nonnegative terms: accurate to rounding for r <= 20, 0 at t in {0, 1}.  sin^2 d is
-    ill-conditioned near multiples of pi, so the rounding error e of d is kept (TwoSum).
-    A row of numbers is one float, without NumPy; arrays give an array, bit for bit the rows.
-    """
-    if _is_row(r1, r2, phi1, phi2, t):
-        sinh, cos, sin = math.sinh, math.cos, math.sin
-    else:
-        sinh, cos, sin = functools.partial(_entrywise, math.sinh), np.cos, np.sin
-        r1, r2, phi1, phi2, t = (np.asarray(x, dtype=float) for x in (r1, r2, phi1, phi2, t))
     d = phi1 - phi2
     b = d - phi1
     e = (phi1 - (d - b)) - (phi2 + b)  # phi1 - phi2 = d + e exactly
     x, y = (cos(d) - e * sin(d)) * sinh(r1 - r2), (sin(d) + e * cos(d)) * sinh(r1 + r2)
-    return 4.0 * (t * (1.0 - t) * (x * x + y * y))
+    return t * xx1 + (1.0 - t) * xx2, t * yy1 + (1.0 - t) * yy2, 4.0 * (t * (1.0 - t) * (x * x + y * y))
 
 
 def build_probe(config: ProbeConfig) -> GaussianState:

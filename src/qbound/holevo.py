@@ -23,10 +23,10 @@ A through A_11, A_22 and delta - 1 = det A - 1 >= 0:
 
 with a = w_x A_11 + w_y A_22.  Every term is nonnegative, so phi is as
 precise as A_11, A_22 (exact to rounding) and delta - 1.  batch_bound takes
-configurations alone (a ProbeConfig, or its five fields as arrays) and
-builds no covariance: A_11 and A_22 come from gaussian.probe_mode1_variances
-and delta - 1 from gaussian.probe_delta_minus_one, a sum of nonnegative
-terms, so its bound is accurate to ~1e-14 for all r <= 20.  One kernel
+configurations alone (a ProbeConfig, or its five fields as arrays), and it
+and solve read every configuration through gaussian.probe_mode1, which
+builds no covariance and writes delta - 1 as a sum of nonnegative terms, so
+the bound is accurate to ~1e-14 for all r <= 20.  One kernel
 (_kernel) evaluates phi at its one maximizer mu* in [0, 1], a quartic root
 found per row by a bracketed Newton search, and the tangency point, the
 weight gradient of phi.  It runs on NumPy arrays or, for solve() and
@@ -44,9 +44,8 @@ keeps the duality gap: the primal value h of the closed-form optimal duals,
 evaluated from the covariance, must match phi(mu*).  Its terms are ~e^{4r}
 times the answer, so it stops resolving rows from r ~ 4.5, and a scalar
 certificate would pass a wrong -det C.  Two-mode duals come from a
-covariance too, so solve() builds one for a two-mode configuration, a float
-row whose A_11 and A_22 are probe_mode1_variances' bit for bit (a test pins
-it); one mode pins the duals to mode 1, where the gap is phi(1) = a + 2 c.
+covariance too, so solve() builds one for a two-mode configuration, for
+its duals alone; one mode pins them to mode 1, where the gap is phi(1) = a + 2 c.
 BoundResult.duals_certified is the duals' gap, a diagnostic of the duals
 alone.  Only gaussian, which builds covariances, and this module read them:
 simulate certifies the optimal measurement by the variance it achieves.
@@ -59,7 +58,7 @@ import sys
 from dataclasses import dataclass
 
 from .closed_forms import _bracketed_newton, _bracketed_newton_row
-from .gaussian import ProbeConfig, _LazyNumPy, _probe_cov_row, probe_delta_minus_one, probe_mode1_variances
+from .gaussian import ProbeConfig, _LazyNumPy, _probe_cov_row, probe_mode1
 
 np = _LazyNumPy(globals())  # solve's float rows never read it
 
@@ -123,7 +122,7 @@ class DualCoefficients:
         return (0.0, 1.0, *self.free[2:])
 
     def commutator(self) -> float:
-        """beta = c_x' Omega c_y = 1 + a d - b c, formed as in _row_duality_gap; 0 iff the duals commute."""
+        """beta = c_x' Omega c_y = 1 + a d - b c, the beta of _row_duality_gap; 0 iff the duals commute."""
         if not self.free:
             return 1.0
         a, b, c, d = self.free
@@ -218,7 +217,7 @@ def _delta_minus_one(cov: list) -> float:
     so det A - 1 = -det C >= 0, exactly 0 for a product probe (t in {0, 1}).
     Its two products, of size ~e^{2(r1+r2)}, cancel unless both squeezing
     angles are multiples of pi/2, so its conditioning degrades like
-    e^{2(r1+r2)}; configurations take gaussian.probe_delta_minus_one instead.
+    e^{2(r1+r2)}; configurations take gaussian.probe_mode1's instead.
     """
     if len(cov) == 2:
         return 0.0
@@ -238,16 +237,6 @@ def _configuration(probe) -> tuple:
         raise ValueError("batch_bound takes a ProbeConfig or a tuple (r1, r2, phi1, phi2, t) of configuration "
                          f"arrays, got {type(probe).__name__}; solve takes one raw covariance")
     return probe
-
-
-def _config_rows(columns: tuple):
-    """(A_11, A_22, delta - 1) of configuration columns, numbers (floats, without NumPy) or arrays.
-
-    No covariance is built: A_11 and A_22 are the (0, 0) and (1, 1) entries
-    of its covariance, written with the same expressions, and delta - 1 is
-    gaussian.probe_delta_minus_one.
-    """
-    return (*probe_mode1_variances(*columns), probe_delta_minus_one(*columns))
 
 
 def _kink_f_df(mu, d1, k):
@@ -319,31 +308,32 @@ def _row_duality_gap(cov, a11, a22, d1, w_x, w_y, mu, f):
     """Relative gap (h - f) / f of the duals at mu against a claimed bound f, and the duals.
 
     h is the primal value of the duals (a, b, c, d), from their second
-    moments Z_ii = c_i' S c_i and beta = Im Z_12.  ``cov`` is the 4x4
-    covariance as nested lists, or None where the duals are pinned to mode 1
-    (a 2x2 covariance or a one-mode configuration): there Z_ii = A_ii and
-    beta = 1, so h is phi(1) = a + 2 c and free is empty.
+    moments Z_ii = c_i' S c_i and beta = Im Z_12 = DualCoefficients.commutator().
+    ``cov`` is the 4x4 covariance as nested lists, or None where the duals
+    are pinned to mode 1 (a 2x2 covariance or a one-mode configuration):
+    there Z_ii = A_ii and beta = 1, so h is phi(1) = a + 2 c.
     """
-    z_x, z_y, beta, free = a11, a22, 1.0, ()
+    z_x, z_y, free = a11, a22, ()
     if cov is not None:
         rho = math.sqrt(w_x) / math.sqrt(w_y if w_y > 0.0 else 1.0)
         s = d1 + (1.0 - mu) * (1.0 + mu)
         adj = ((cov[3][3], -cov[3][2]), (-cov[2][3], cov[2][2]))  # rows of adj B
-        duals = []  # (a, b) and (c, d): -(adj(B) g_i + coef_i J g_j) / s
+        rows = []  # (a, b) and (c, d): -(adj(B) g_i + coef_i J g_j) / s
         for g, coef, j_g in ((cov[0][2:], -mu / rho if mu > 0.0 else 0.0, (cov[1][3], -cov[1][2])),
                              (cov[1][2:], mu * rho, (cov[0][3], -cov[0][2]))):
-            duals.append([-((0.0 + g[0] * adj_k[0]) + g[1] * adj_k[1] + coef * j_k) / s if s > 0.0 else 0.0
-                          for adj_k, j_k in zip(adj, j_g)])
-        (a, b), (c, d) = duals
+            rows.append([-((0.0 + g[0] * adj_k[0]) + g[1] * adj_k[1] + coef * j_k) / s if s > 0.0 else 0.0
+                         for adj_k, j_k in zip(adj, j_g)])
+        (a, b), (c, d) = rows
         # Z_ii = (S c_i)_i + u_i (S c_i)_2 + v_i (S c_i)_3, with (S c_i)_k = (S_ki + u_i S_k2) + v_i S_k3
         z_x, z_y = (((cov[i][i] + u * cov[i][2]) + v * cov[i][3]
                      + u * ((cov[2][i] + u * cov[2][2]) + v * cov[2][3]))
                     + v * ((cov[3][i] + u * cov[3][2]) + v * cov[3][3])
                     for i, u, v in ((0, a, b), (1, c, d)))
-        beta, free = (1.0 + a * d) - b * c, (a, b, c, d)
-    h = w_x * z_x + w_y * z_y + 2.0 * math.sqrt(w_x * w_y) * abs(beta)
+        free = (a, b, c, d)
+    duals = DualCoefficients(free)
+    h = w_x * z_x + w_y * z_y + 2.0 * math.sqrt(w_x * w_y) * abs(duals.commutator())
     # f underflows to 0 only far outside r <= 20; a nan gap fails the certificate
-    return ((h - f) / f if f != 0.0 else math.nan), free
+    return ((h - f) / f if f != 0.0 else math.nan), duals
 
 
 def _certified(gap):
@@ -472,7 +462,7 @@ def _float_batch(columns: tuple, w_x, w_y, info: dict | None):
         if not (math.isfinite(given_x) and math.isfinite(given_y) and min(given_x, given_y) >= 0.0
                 and max(given_x, given_y) > 0.0):
             raise ValueError("weights must be finite, >= 0 and not both zero in every row")
-        rows.append(_bound_row(*_config_rows(config), given_x, given_y, info is not None))
+        rows.append(_bound_row(*probe_mode1(*config), given_x, given_y, info is not None))
     f, v_x, v_y, certified, _ = zip(*rows) if rows else ((),) * 5  # an empty batch has no row to check
     if info is not None:
         info.update(v_x=np.array(v_x), v_y=np.array(v_y), certified=np.array(certified, dtype=bool))
@@ -504,7 +494,7 @@ def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
         f = None  # the array path below raises the error
     if f is not None:
         return f
-    a11, a22, d1 = _config_rows(columns)
+    a11, a22, d1 = probe_mode1(*columns)
     one = np.ones(np.broadcast(d1, w_x, w_y).shape or (1,))  # x * one broadcasts x exactly
     a11, a22, d1, w_x, w_y = ((np.asarray(x, dtype=float) * one).ravel() for x in (a11, a22, d1, w_x, w_y))
     finite = np.isfinite(w_x) & np.isfinite(w_y)
@@ -524,24 +514,18 @@ def solve(probe, weights: Weights) -> BoundResult:
     """Weighted dual-variance bound of one ProbeConfig or one raw pure 2x2 or 4x4 covariance.
 
     solve runs batch_bound's _kernel on one float row, without NumPy's
-    per-call cost: a configuration's fields are its batch_bound row bit for
-    bit.  ``converged`` is the row's certificate:
-    the scalar dual for a configuration, the duality gap for a raw
-    covariance, which alone is checked for purity and reads delta - 1 as
-    -det C, both on float lists.  ``duals_certified`` is the duals' duality
-    gap; a two-mode configuration builds its covariance once for them, a
-    float row whose A_11 and A_22 are probe_mode1_variances' bit for bit (a
-    test pins it), and reads them off it; one mode pins them to mode 1.
-    ``iterations`` is always 0: Newton steps are not counted.
+    per-call cost, and reads a configuration through gaussian.probe_mode1,
+    as batch_bound does, so the two rows agree bit for bit.  ``converged``
+    is the scalar-dual certificate for a configuration and the duality gap
+    for a raw covariance, which alone is checked for purity and reads
+    delta - 1 as -det C, on float lists.  ``duals_certified`` is the duals'
+    gap: a two-mode configuration builds its covariance for them alone, and
+    one mode pins them to mode 1.  ``iterations`` is always 0.
     """
     config = isinstance(probe, ProbeConfig)
-    if config and probe.n_modes == 2:
-        columns = (probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t)
-        cov = _probe_cov_row(*columns)
-        a11, a22, d1 = cov[0][0], cov[1][1], float(probe_delta_minus_one(*columns))
-    elif config:
-        cov = None
-        a11, a22, d1 = (float(x) for x in _config_rows(_configuration(probe)))
+    if config:
+        a11, a22, d1 = map(float, probe_mode1(*_configuration(probe)))
+        cov = _probe_cov_row(probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t) if probe.n_modes == 2 else None
     else:
         shape = np.shape(probe)  # np.asarray(GaussianState, dtype=float) would raise TypeError
         if shape not in ((2, 2), (4, 4)):
@@ -552,7 +536,7 @@ def solve(probe, weights: Weights) -> BoundResult:
         if len(cov) == 2:
             cov = None  # one mode pins the duals to mode 1
     f, v_x, v_y, certified, duals_at = _bound_row(a11, a22, d1, float(weights.w_x), float(weights.w_y), config)
-    gap, free = _row_duality_gap(cov, a11, a22, d1, *duals_at)
+    gap, duals = _row_duality_gap(cov, a11, a22, d1, *duals_at)
     duals_certified = _certified(gap)
     converged = certified if config else duals_certified
-    return BoundResult(f, DualCoefficients(free), v_x, v_y, converged, duals_certified=duals_certified)
+    return BoundResult(f, duals, v_x, v_y, converged, duals_certified=duals_certified)

@@ -12,8 +12,8 @@ it); every tolerance is the same in both modes.
 The closed-form checks run over the whole contract, r in [0, 20] with weight
 ratios out to 1e+-3, and hold batch_bound to 1e-13 relative (Example 2's
 formula route stays at r <= 1.1).  structural-properties checks the mode-1
-reduction every bound row reads: A_11 and A_22 (probe_mode1_variances)
-against det A - 1 (probe_delta_minus_one).
+reduction every bound row reads, gaussian.probe_mode1: its A_11 and A_22
+against its det A - 1.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closed_forms, regions
-from .gaussian import ChannelParams, _squeezed_entries, probe_delta_minus_one, probe_mode1_variances
+from .gaussian import ChannelParams, _squeezed_entries, probe_mode1
 from .holevo import Weights, batch_bound
 from .simulate import _checked_run, build_scheme, compare_to_bound, run_scheme
 
@@ -323,14 +323,14 @@ def check_structural_properties(quick: bool = False) -> CheckResult:
     probes = (r1, r2, phi1, phi2, t)
 
     # The mode-1 reduction every bound row reads: the marginal [[A_11, A_12],
-    # [A_12, A_22]] of a pure probe has det A - 1 = probe_delta_minus_one
+    # [A_12, A_22]] of a pure probe has det A - 1 = probe_mode1's third output
     # (Weedbrook et al., RMP 84, 621 (2012)), here within 1e-13 of A_11 A_22,
     # with A_12 = t xy1 + (1 - t) xy2.  A_12 takes np.exp, within an ulp of the
-    # math.exp of probe_mode1_variances and a fifth of its cost.
-    a11, a22 = probe_mode1_variances(*probes)
+    # math.exp of probe_mode1 and a fifth of its cost.
+    a11, a22, delta_minus_one = probe_mode1(*probes)
     xy1, xy2 = _squeezed_entries(np.stack([r1, r2]), np.stack([phi1, phi2]), np.exp, np.cos, np.sin)[1]
     a12 = t * xy1 + (1.0 - t) * xy2
-    defect = (a11 * a22 - a12 * a12 - 1.0) - probe_delta_minus_one(*probes)
+    defect = (a11 * a22 - a12 * a12 - 1.0) - delta_minus_one
     worst = float(np.max(np.abs(defect) / (a11 * a22)))  # np.max keeps a NaN
     detail["mode1_determinant"] = worst
     ok_mode1 = worst <= 1e-13

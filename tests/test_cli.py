@@ -152,6 +152,24 @@ def test_numeric_region_stays_above_the_envelope_at_large_squeezing(capsys, r1, 
         assert row["v_y"] >= closed_forms.two_mode_envelope(row["v_x"], r1, r2).v_y * (1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("r1, r2", [(0.35, 0.69), (0.0, 0.0), (1.0, 2.0), (19.0, 20.0), (0.0, 3.0)])
+def test_region_names_its_uncertified_rows_on_stderr(capsys, monkeypatch, r1, r2):
+    # The default numeric grids are certified and write nothing to stderr.
+    # With a certificate that fails every row, stdout and the exit code are
+    # unchanged, and one stderr line counts the rows.
+    argv = ("region", "--r1", str(r1), "--r2", str(r2), "--numeric")
+    code, want, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    certified = holevo._scalar_certified
+    monkeypatch.setattr(holevo, "_scalar_certified", lambda *args: certified(*args) & False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+    n = sum(row["source"] == "numeric-solver" for row in csv.DictReader(io.StringIO(out)))
+    assert n > 0
+    assert err == f"{n} numeric rows not certified: their bound is not within 1e-09\n"
+    assert "numpy" not in err
+
+
 def test_bound_rejects_r_and_db_together(capsys):
     code, _, err = run_cli(capsys, "bound", "--modes", "1", "--r", "0.3", "--db", "3")
     assert code == 2

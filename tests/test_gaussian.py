@@ -10,8 +10,7 @@ from qbound.gaussian import (
     GaussianState,
     ProbeConfig,
     build_probe,
-    probe_delta_minus_one,
-    probe_mode1_variances,
+    probe_mode1,
     squeezing_db_to_r,
 )
 from qbound.holevo import Weights, batch_bound, solve
@@ -56,14 +55,14 @@ def test_make_squeezed_rejects_bad_r(bad):
         with pytest.raises(ValueError):
             cf.single_mode_line(1.0, 1.0, bad, 0.0)
     with pytest.raises(ValueError, match="r1 must be finite and within"):
-        probe_mode1_variances(bad, 20.0, 0.0, 0.0, 0.5)
+        probe_mode1(bad, 20.0, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError, match="r1 must be finite and within"):
         batch_bound((bad, 20.0, 0.0, 0.0, 0.5), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("r", [0.0, 20.0, 0, 20, np.float64(20.0), np.array(3.0), np.array([0.0, 20.0])])
 def test_squeezing_at_the_ends_of_the_range_is_accepted(r):
-    assert np.all(np.isfinite(probe_mode1_variances(r, 20.0, 0.0, 0.0, 0.5)))
+    assert np.all(np.isfinite(probe_mode1(r, 20.0, 0.0, 0.0, 0.5)))
     assert np.all(np.isfinite(batch_bound((r, 20.0, 0.0, 0.0, 0.5), 1.0, 1.0)))
 
 
@@ -114,7 +113,7 @@ def test_beam_splitter_range(bad):
         with pytest.raises(ValueError, match=r"transmissivity must lie in \[0, 1\]"):
             ProbeConfig(r1=0.1, r2=0.2, t=bad, n_modes=n_modes)
     with pytest.raises(ValueError, match="transmissivity"):
-        probe_mode1_variances(0.1, 0.2, 0.0, 0.0, bad)
+        probe_mode1(0.1, 0.2, 0.0, 0.0, bad)
     with pytest.raises(ValueError, match="transmissivity"):
         batch_bound((0.1, 0.2, 0.0, 0.0, bad), 1.0, 1.0)
 
@@ -298,7 +297,7 @@ def test_float_probe_rows_are_pure_and_pin_the_mode1_variances_bit_for_bit():
     # in [-2 pi, 2 pi], product probes and t within 1e-30 of 0 and 1, every
     # probe is exactly symmetric and passes the purity check, float and NumPy
     # scalar fields give the same bytes, and entries (0, 0) and (1, 1) are
-    # probe_mode1_variances' bit for bit: at t = 1 for one mode, which is mode 1.
+    # probe_mode1's A_11 and A_22 bit for bit: at t = 1 for one mode, which is mode 1.
     rng = np.random.default_rng(2026)
     n = 20_000
     r = np.sort(20.0 * rng.uniform(size=(n, 2)), axis=1)
@@ -308,8 +307,8 @@ def test_float_probe_rows_are_pure_and_pin_the_mode1_variances_bit_for_bit():
     t[2000:6000] = 10.0 ** rng.uniform(-30.0, -1.0, 4000)
     t[6000:10000] = 1.0 - t[2000:6000]
     cols = (r[:, 0], r[:, 1], phi1, phi2, t)
-    want_two = np.stack(probe_mode1_variances(*cols), axis=-1)
-    want_one = np.stack(probe_mode1_variances(r[:, 1], r[:, 1], phi2, phi2, 1.0), axis=-1)
+    want_two = np.stack(probe_mode1(*cols)[:2], axis=-1)
+    want_one = np.stack(probe_mode1(r[:, 1], r[:, 1], phi2, phi2, 1.0)[:2], axis=-1)
     for k, row in enumerate(zip(*cols)):
         covs = []
         for fields in (tuple(map(float, row)), row):  # Python floats, then NumPy scalars
@@ -365,14 +364,16 @@ def test_float_symmetry_check_gives_the_numpy_verdicts():
 def test_delta_minus_one_of_one_row_is_its_array_row():
     # Python floats (a ProbeConfig) and NumPy scalars give the bits of one
     # array call: a square taken with ** on a NumPy scalar calls pow, which
-    # rounds differently from the x * x of arrays on some rows.
+    # rounds differently from the x * x of arrays on some rows.  Each row
+    # sorts its two squeezings into the contract, r1 <= r2; det A - 1 is
+    # symmetric in them.
     rng = np.random.default_rng(2024)
     n = 20_000
-    cols = (rng.uniform(0.0, 20.0, n), rng.uniform(0.0, 20.0, n), rng.uniform(0.0, 2.0 * math.pi, n),
-            rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.0, 1.0, n))
-    want = probe_delta_minus_one(*cols)
+    cols = (*np.sort([rng.uniform(0.0, 20.0, n), rng.uniform(0.0, 20.0, n)], axis=0),
+            rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.0, 1.0, n))
+    want = probe_mode1(*cols)[2]
     rows = list(zip(*cols))
-    as_floats = np.array([probe_delta_minus_one(*map(float, row)) for row in rows])
-    as_scalars = np.array([probe_delta_minus_one(*row) for row in rows])
+    as_floats = np.array([probe_mode1(*map(float, row))[2] for row in rows])
+    as_scalars = np.array([probe_mode1(*row)[2] for row in rows])
     assert as_floats.tobytes() == want.tobytes()
     assert as_scalars.tobytes() == want.tobytes()

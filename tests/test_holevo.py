@@ -9,7 +9,7 @@ import pytest
 
 from qbound import closed_forms as cf
 from qbound import gaussian, holevo, verify
-from qbound.gaussian import ProbeConfig, build_probe, probe_delta_minus_one, probe_mode1_variances
+from qbound.gaussian import ProbeConfig, build_probe, probe_mode1
 from qbound.holevo import (
     CERTIFICATE_TOL,
     DualCoefficients,
@@ -426,6 +426,22 @@ def test_solve_reads_delta_minus_one_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("probe, covariances", [
+    (ProbeConfig(r1=0.8, phi1=0.3, n_modes=1), 0),
+    (ProbeConfig(r1=0.35, r2=0.69, phi1=0.2, phi2=1.3, t=0.4), 1),
+], ids=["one-mode", "two-mode"])
+def test_solve_reads_a_configuration_through_probe_mode1_once(probe, covariances, monkeypatch):
+    # Either mode count takes A_11, A_22 and delta - 1 from one probe_mode1
+    # call; only two-mode duals build a covariance, and the row is unchanged.
+    want = solve(probe, Weights(1.0, 2.0))
+    calls = []
+    for name in ("probe_mode1", "_probe_cov_row"):
+        original = getattr(holevo, name)
+        monkeypatch.setattr(holevo, name, lambda *args, name=name, f=original: calls.append(name) or f(*args))
+    assert solve(probe, Weights(1.0, 2.0)) == want
+    assert calls == ["probe_mode1"] + ["_probe_cov_row"] * covariances
+
+
 def test_configuration_rows_skip_the_purity_check_and_det_c(monkeypatch):
     # A configuration is pure by construction and takes delta - 1 in closed
     # form, so neither the purity check nor -det C runs for its rows.
@@ -619,8 +635,7 @@ def test_scalar_certificate_rejects_mutated_kernels():
     ratio = 10.0 ** rng.uniform(-4, 4, n)
     w_x, w_y = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
     w_x[350:400], w_y[400:450] = 0.0, 0.0
-    a11, a22 = probe_mode1_variances(r[:, 0], r[:, 1], phi1, phi2, t)
-    d1 = probe_delta_minus_one(r[:, 0], r[:, 1], phi1, phi2, t)
+    a11, a22, d1 = probe_mode1(r[:, 0], r[:, 1], phi1, phi2, t)
     a, c = w_x * a11 + w_y * a22, np.sqrt(w_x * w_y)
     mu = holevo._multiplier(d1, a, c)
     f = batch_bound((r[:, 0], r[:, 1], phi1, phi2, t), w_x, w_y)
@@ -655,8 +670,8 @@ def test_gap_is_the_primal_value_of_the_reported_duals():
         f = solve(cov, Weights(wx, wy)).f_hcr
         d1, a, c = holevo._delta_minus_one(cov.tolist()), wx * cov[0, 0] + wy * cov[1, 1], math.sqrt(wx * wy)
         mu = holevo._row_multiplier(d1, a, c)
-        gap, free = holevo._row_duality_gap(cov.tolist(), cov[0, 0], cov[1, 1], d1, wx, wy, mu, f)
-        want = (primal(cov, Weights(wx, wy), DualCoefficients(free)) - f) / f
+        gap, duals = holevo._row_duality_gap(cov.tolist(), cov[0, 0], cov[1, 1], d1, wx, wy, mu, f)
+        want = (primal(cov, Weights(wx, wy), duals) - f) / f
         assert abs(gap - want) <= 1e-12
 
 

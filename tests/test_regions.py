@@ -289,9 +289,17 @@ def _scaled(f, factor):
     return lambda *args: f(*args) * factor
 
 
+def _scaled_last(f, factor):
+    # f returns a tuple; its last entry is scaled.
+    def mutated(*args):
+        *head, last = f(*args)
+        return (*head, last * factor)
+    return mutated
+
+
 @pytest.mark.parametrize("module,name,mutate,key,tol", [
     (cf, "_envelope_rows", _nan_every_seventh_row, "envelope_continuity", 1e-9),
-    (verify, "probe_delta_minus_one", lambda delta: _scaled(delta, 1.0 + 1e-9), "mode1_determinant", 1e-13),
+    (verify, "probe_mode1", lambda mode1: _scaled_last(mode1, 1.0 + 1e-9), "mode1_determinant", 1e-13),
     (verify, "batch_bound", lambda bound: lambda *args: bound(*args) + 1e-9, "weight_scaling", 1e-12),
 ], ids=["nan-envelope-rows", "scaled-delta-minus-one", "inhomogeneous-bound"])
 def test_structural_properties_fails_on_mutants(module, name, mutate, key, tol, monkeypatch):
