@@ -12,18 +12,14 @@ _EXPORTS = {
     "gaussian": ("ChannelParams", "GaussianState", "ProbeConfig", "build_probe", "squeezing_db_to_r"),
     "holevo": ("BoundResult", "DualCoefficients", "SolverConvergenceError", "Weights", "batch_bound", "solve"),
     "closed_forms": (
-        "EnvelopePoint", "Example2Params", "OptimalConfig", "ScalarCorollaries", "example1_relations",
-        "example1_variances", "example2_parametric", "gamma_quartic_root", "optimal_config",
-        "projected_variances", "scalar_corollaries", "single_mode_line", "single_mode_tradeoff",
+        "EnvelopePoint", "Example2Params", "OptimalConfig", "example1_variances", "example2_parametric",
+        "gamma_quartic_root", "optimal_config", "projected_variances", "single_mode_line", "single_mode_tradeoff",
         "two_mode_envelope",
     ),
-    "regions": (
-        "RegionSample", "SqlFeasibility", "closed_form_boundary", "envelope", "single_mode_boundary",
-        "sql_feasible",
-    ),
+    "regions": ("RegionSample", "closed_form_boundary", "envelope", "single_mode_boundary"),
     "simulate": (
-        "BoundComparison", "MeasurementScheme", "SimulationReport", "build_scheme", "compare_to_bound",
-        "extract_measurement", "run_scheme", "scheme_from_duals",
+        "MeasurementScheme", "SimulationReport", "build_scheme", "extract_measurement", "run_scheme",
+        "scheme_from_duals",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

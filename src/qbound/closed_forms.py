@@ -346,36 +346,8 @@ def example2_lambda_endpoints(r: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Scalar corollaries and the one-squeezer example
+# The one-squeezer example
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalarCorollaries:
-    single_mode_product_floor: float
-    two_mode_product_floor: float
-    balanced_precision_sum: float | None
-    sql_feasible: bool
-
-
-def scalar_corollaries(r1: float, r2: float) -> ScalarCorollaries:
-    """Uncertainty-product floors and the squeezing threshold for beating the SQL.
-
-    ``balanced_precision_sum`` (1/v_x + 1/v_y at the balanced optimum, equal
-    to e^{2r}) only exists for r1 = r2 and is None otherwise.  The
-    ``sql_feasible`` field is the necessary condition
-    ``e^{-2 r1} e^{-2 r2} < 1/4``; see regions.sql_feasible for the geometric
-    (necessary and sufficient) test.
-    """
-    r1, r2, _ = _canonical_pair(r1, r2)
-    product_floor = 4.0 * math.exp(-2.0 * (r1 + r2))
-    balanced = math.exp(2.0 * r1) if r1 == r2 else None
-    return ScalarCorollaries(
-        single_mode_product_floor=4.0,
-        two_mode_product_floor=product_floor,
-        balanced_precision_sum=balanced,
-        sql_feasible=math.exp(-2.0 * (r1 + r2)) < 0.25,
-    )
 
 
 def example1_variances(t: float, r2: float, favour: str = "y") -> tuple[float, float]:
@@ -392,21 +364,3 @@ def example1_variances(t: float, r2: float, favour: str = "y") -> tuple[float, f
     if favour == "x":
         return math.exp(-2.0 * r2) / t, 1.0 / (1.0 - t)
     raise ValueError(f"favour must be 'x' or 'y', got {favour!r}")
-
-
-def example1_relations(v_x: float, v_y: float, r2: float, which: str = "y-favoured") -> float:
-    """Precision-sum relation for one squeezed state plus a vacuum ancilla.
-
-    'y-favoured' evaluates 1/v_x + e^{-2 r2}/v_y; 'x-favoured' the mirrored
-    e^{-2 r2}/v_x + 1/v_y.  Achievable pairs give a value <= 1, with equality
-    on the parametric family of example1_variances.
-    """
-    _check_r(r2)
-    if v_x <= 0.0 or v_y <= 0.0:
-        raise ValueError("variances must be positive")
-    f2 = math.exp(-2.0 * r2)
-    if which == "y-favoured":
-        return 1.0 / v_x + f2 / v_y
-    if which == "x-favoured":
-        return f2 / v_x + 1.0 / v_y
-    raise ValueError(f"which must be 'x-favoured' or 'y-favoured', got {which!r}")

@@ -42,13 +42,6 @@ class RegionSample:
 _Sweep = namedtuple("_Sweep", "t phi1 ratios f v_x v_y certified")
 
 
-@dataclass(frozen=True)
-class SqlFeasibility:
-    feasible: bool
-    witness_v_x: float | None = None
-    witness_v_y: float | None = None
-
-
 def _n_threads() -> int:
     # Sweeps run serially; perfbench/run.py reads this for its provenance line.
     return 1
@@ -195,18 +188,3 @@ def single_mode_boundary(r: float, phi: float, v_x_values) -> list[RegionSample]
                      phi1=phi, segment="single-mode")
         for v_x in sorted(_grid(v_x_values).tolist())
     ]
-
-
-def sql_feasible(r1: float, r2: float) -> SqlFeasibility:
-    """Whether both variances can be below 1 simultaneously, with a witness.
-
-    The envelope's symmetric point v_x = v_y = (e^{-r1} + e^{-r2})^2 / 2
-    minimizes max(v_x, v_y), so feasibility is exactly that value being below
-    one.  For equal squeezing this coincides with the product criterion
-    e^{-2 r1} e^{-2 r2} < 1/4.
-    """
-    r1, r2, _ = closed_forms._canonical_pair(r1, r2)
-    midpoint = 0.5 * (math.exp(-r1) + math.exp(-r2)) ** 2
-    if midpoint < 1.0:
-        return SqlFeasibility(True, midpoint, midpoint)
-    return SqlFeasibility(False)

@@ -154,16 +154,6 @@ class SimulationReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class BoundComparison:
-    weighted_sum: float
-    bound: float
-    standard_error: float
-    no_violation: bool
-    saturates: bool
-    ok: bool
-
-
 def scheme_from_duals(duals: DualCoefficients) -> MeasurementScheme:
     """Build the product homodyne that realizes commuting two-mode duals, in closed form.
 
@@ -349,24 +339,3 @@ def run_scheme(
         predicted_v_y=predicted_v_y,
         kind=scheme.kind,
     )
-
-
-def compare_to_bound(
-    report: SimulationReport,
-    bound: float,
-    weights: Weights,
-    expect_saturation: bool = False,
-) -> BoundComparison:
-    """Check the empirical weighted variance sum against a bound value.
-
-    The no-violation side must always hold: the weighted sum may not fall
-    more than 5 standard errors below the bound.  For a scheme
-    claimed optimal, ``expect_saturation`` additionally requires agreement
-    within the same band.
-    """
-    weighted = weights.w_x * report.var_x + weights.w_y * report.var_y
-    se = math.hypot(weights.w_x * report.se_var_x, weights.w_y * report.se_var_y)
-    no_violation = weighted >= bound - 5.0 * se
-    saturates = abs(weighted - bound) <= 5.0 * se
-    ok = no_violation and (saturates or not expect_saturation)
-    return BoundComparison(weighted, bound, se, no_violation, saturates, ok)

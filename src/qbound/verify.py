@@ -14,6 +14,13 @@ ratios out to 1e+-3, and hold batch_bound to 1e-13 relative (Example 2's
 formula route stays at r <= 1.1).  structural-properties checks the mode-1
 reduction every bound row reads, gaussian.probe_mode1: its A_11 and A_22
 against its det A - 1.
+
+The paper's corollaries are read through the code that commands run:
+sql-threshold through two_mode_envelope and the batch_bound value of the
+probe optimal_config picks, and the example-1 relation of
+reference-point-values through the batch_bound value of the probe
+build_scheme("example1") builds.  no-bound-violation holds each simulated
+weighted sum against its probe's batch_bound value within 5 standard errors.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 from . import closed_forms, regions
 from .gaussian import ChannelParams, _squeezed_entries, probe_mode1
 from .holevo import Weights, batch_bound
-from .simulate import _checked_run, build_scheme, compare_to_bound, run_scheme
+from .simulate import _checked_run, build_scheme, run_scheme
 
 
 # Monte-Carlo shot count and base seed of the two simulation checks.
@@ -188,7 +195,16 @@ def check_envelope_gap(quick: bool = False, perturb: float = 0.0) -> CheckResult
 
 
 def check_reference_point_values(quick: bool = False) -> CheckResult:
-    """Spot values: balanced point, single-mode equal-weight bound, one-squeezer point."""
+    """Spot values: balanced point, single-mode equal-weight bound, one-squeezer point.
+
+    The one-squeezer point is example 1 at r2 = ln 2, t = 1/2, on the probe
+    that build_scheme("example1") builds for `simulate --scheme example1`.
+    Its variances (1/2, 2) lie on e^{-2 r2}/v_x + 1/v_y = 1, so the bound at
+    the weights tangent to that curve there, (e^{-2 r2}/v_x^2, 1/v_y^2), must
+    equal w_x v_x + w_y v_y within 1e-13 relative: ``example1_relation`` is
+    their ratio, one batch_bound row, and ``example1_rel_err`` its distance
+    from 1.
+    """
     r6db = 0.5 * math.log(4.0)  # e^{-2r} = 1/4
     balanced = closed_forms.example2_parametric(-math.sqrt(2.0) * math.exp(-r6db), r6db, 0.5)
     ok_balanced = abs(balanced[0] - 0.5) < 1e-12 and abs(balanced[1] - 0.5) < 1e-12
@@ -197,14 +213,15 @@ def check_reference_point_values(quick: bool = False) -> CheckResult:
     line = closed_forms.single_mode_line(1.0, 1.0, r3db, math.pi / 6.0)
     ok_line = abs(line - 4.5) < 1e-12
 
-    f2 = 0.25
-    r2 = -0.5 * math.log(f2)
-    value = closed_forms.example1_relations(2.0 * f2, 2.0, r2, which="x-favoured")
-    ok_example1 = abs(value - 1.0) < 1e-12
-    passed = ok_balanced and ok_line and ok_example1
+    r2, v_x, v_y = math.log(2.0), 0.5, 2.0
+    w_x, w_y = math.exp(-2.0 * r2) / (v_x * v_x), 1.0 / (v_y * v_y)
+    probe = build_scheme("example1", r2=r2, t=0.5, phi2=0.0).probe
+    value = float(batch_bound(probe, w_x, w_y)[0]) / (w_x * v_x + w_y * v_y)
+    err = abs(value - 1.0)
+    passed = ok_balanced and ok_line and err <= 1e-13
     return CheckResult(
         "reference-point-values", passed,
-        {"balanced": balanced, "single_mode_line": line, "example1_relation": value},
+        {"balanced": balanced, "single_mode_line": line, "example1_relation": value, "example1_rel_err": err},
     )
 
 
@@ -266,7 +283,10 @@ def check_no_bound_violation(quick: bool = False, shots: int = MC_SHOTS,
                              seed: int = MC_SEED) -> CheckResult:
     """No simulated scheme beats the bound for its own probe (5 SE margin).
 
-    The bounds of the four schemes' probes are one batch_bound call.
+    The bounds of the four schemes' probes are one batch_bound call.  A
+    weighted sum w_x var_x + w_y var_y more than 5 standard errors (those of
+    the two variances, combined in quadrature) below its bound fails, and so
+    does one off its bound by more than that for a scheme claimed optimal.
     """
     detail = {}
     passed = True
@@ -274,39 +294,40 @@ def check_no_bound_violation(quick: bool = False, shots: int = MC_SHOTS,
     rows = np.array([(s.probe.r1, s.probe.r2, s.probe.phi1, s.probe.phi2, s.probe.t, w.w_x, w.w_y)
                      for _, s, _, w, _, _ in reports]).T
     bounds = batch_bound(tuple(rows[:5]), *rows[5:]).tolist()
-    for (label, scheme, report, weights, _, optimal), bound in zip(reports, bounds):
-        cmp = compare_to_bound(report, bound, weights, expect_saturation=optimal)
-        passed &= cmp.ok
-        detail[label] = {
-            "weighted_sum": cmp.weighted_sum,
-            "bound": cmp.bound,
-            "no_violation": cmp.no_violation,
-            "saturates": cmp.saturates,
-        }
+    for (label, _, report, w, _, optimal), bound in zip(reports, bounds):
+        weighted = w.w_x * report.var_x + w.w_y * report.var_y
+        se = math.hypot(w.w_x * report.se_var_x, w.w_y * report.se_var_y)
+        no_violation, saturates = weighted >= bound - 5.0 * se, abs(weighted - bound) <= 5.0 * se
+        passed &= no_violation and (saturates or not optimal)
+        detail[label] = {"weighted_sum": weighted, "bound": bound, "no_violation": no_violation,
+                         "saturates": saturates}
     return CheckResult("no-bound-violation", passed, detail)
 
 
 def check_sql_threshold(quick: bool = False) -> CheckResult:
-    """Feasibility of beating the SQL flips as the squeezed-variance product crosses 1/4."""
-    r_above = -0.5 * math.log(0.51)  # e^{-2r1} e^{-2r2} = 0.2601
-    r_below = -0.5 * math.log(0.49)  # e^{-2r1} e^{-2r2} = 0.2401
-    above = regions.sql_feasible(r_above, r_above)
-    below = regions.sql_feasible(r_below, r_below)
-    witness_ok = (
-        below.feasible
-        and below.witness_v_x < 1.0
-        and below.witness_v_y < 1.0
-        and abs(
-            closed_forms.two_mode_envelope(below.witness_v_x, r_below, r_below).v_y
-            - below.witness_v_y
-        ) <= 1e-12
-    )
-    corollary = closed_forms.scalar_corollaries(r_below, r_below).sql_feasible
-    corollary_above = closed_forms.scalar_corollaries(r_above, r_above).sql_feasible
-    passed = (not above.feasible) and witness_ok and corollary and not corollary_above
+    """Beating the SQL in both variances flips as e^{-2 r1} e^{-2 r2} crosses 1/4.
+
+    With r1 = r2 = r, the products 1/4 (1 +- 1e-4) straddle the threshold.
+    At each, the least v_x = v_y is m = (e^{-r1} + e^{-r2})^2 / 2, read two
+    ways that commands run: the envelope's v_y at v_x = m, through
+    two_mode_envelope (`region`), and the bound at weights (1/2, 1/2) of the
+    probe that optimal_config picks (`bound --auto-config`), both rows in one
+    batch_bound call.  Each read must lie within 1e-13 of m (``max_rel_err``),
+    not below 1 at the larger product and below 1 at the smaller; m is
+    1 +- 5e-5 there, so a read off by more than 5e-5 flips a side.
+    """
+    r = -0.25 * np.log(0.25 * np.array([1.0 + 1e-4, 1.0 - 1e-4]))
+    want = 0.5 * np.square(2.0 * np.exp(-r))
+    envelope = [closed_forms.two_mode_envelope(m, x, x).v_y for m, x in zip(want.tolist(), r.tolist())]
+    opts = [closed_forms.optimal_config(0.5, 0.5, x, x) for x in r.tolist()]
+    bound = batch_bound((r, r, *np.array([(o.phi1, o.phi2, o.probe_t) for o in opts]).T), 0.5, 0.5)
+    reads = np.stack([envelope, bound])  # a row per route; columns: above, below the threshold
+    worst = float(np.max(np.abs(reads - want) / want))  # np.max keeps a NaN
+    above, below = bool(np.any(reads[:, 0] < 1.0)), bool(np.all(reads[:, 1] < 1.0))
+    passed = worst <= 1e-13 and not above and below
     return CheckResult(
         "sql-threshold", passed,
-        {"above_feasible": above.feasible, "below_feasible": below.feasible},
+        {"above_feasible": above, "below_feasible": below, "max_rel_err": worst},
     )
 
 

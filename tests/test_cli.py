@@ -451,12 +451,19 @@ def test_simulate_statistical_failure_exit_code(capsys):
     assert not record["within_5_se"]
 
 
-def test_verify_only_quartic(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--only", "quartic", "--quick")
+@pytest.mark.parametrize("name", [
+    "single-mode-closed-form", "equal-squeezing-optimum", "weight-special-cases", "quartic-root", "envelope-gap",
+    "reference-point-values", "monte-carlo-achievability", "no-bound-violation", "sql-threshold",
+    "structural-properties",
+])
+def test_verify_only_runs_one_named_check(capsys, name):
+    # perfbench's verify-suite sends each of these ten names and reads one record, then the tally.
+    code, out, _ = run_cli(capsys, "verify", "--only", name, "--quick")
     assert code == 0
-    line = json.loads(out.splitlines()[0])
-    assert line["check"] == "quartic-root"
-    assert line["passed"]
+    record, tally = out.splitlines()
+    assert json.loads(record)["check"] == name
+    assert json.loads(record)["passed"]
+    assert tally == "1/1 checks passed"
 
 
 def test_verify_perturbation_hook_fails_named_check(capsys):

@@ -40,15 +40,13 @@ def test_public_names_are_pinned():
     star = {}
     exec("from qbound import *", star)
     assert names == set(star) - {"__builtins__"} == {
-        "BoundComparison", "BoundResult", "ChannelParams", "DualCoefficients", "EnvelopePoint",
-        "Example2Params", "GaussianState", "MeasurementScheme", "OptimalConfig", "ProbeConfig",
-        "RegionSample", "ScalarCorollaries", "SimulationReport", "SolverConvergenceError", "SqlFeasibility",
-        "Weights", "batch_bound", "build_probe", "build_scheme",
-        "closed_form_boundary", "compare_to_bound", "envelope", "example1_relations", "example1_variances",
-        "example2_parametric", "extract_measurement", "gamma_quartic_root", "optimal_config",
-        "projected_variances", "run_scheme", "scalar_corollaries", "scheme_from_duals",
-        "single_mode_boundary", "single_mode_line", "single_mode_tradeoff", "solve", "sql_feasible",
-        "squeezing_db_to_r", "two_mode_envelope",
+        "BoundResult", "ChannelParams", "DualCoefficients", "EnvelopePoint", "Example2Params",
+        "GaussianState", "MeasurementScheme", "OptimalConfig", "ProbeConfig", "RegionSample",
+        "SimulationReport", "SolverConvergenceError", "Weights", "batch_bound", "build_probe", "build_scheme",
+        "closed_form_boundary", "envelope", "example1_variances", "example2_parametric", "extract_measurement",
+        "gamma_quartic_root", "optimal_config", "projected_variances", "run_scheme", "scheme_from_duals",
+        "single_mode_boundary", "single_mode_line", "single_mode_tradeoff", "solve", "squeezing_db_to_r",
+        "two_mode_envelope",
     }
     for name in names:
         value = getattr(qbound, name)

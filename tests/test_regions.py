@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,7 +259,8 @@ def test_default_numeric_region_grid_is_certified_at_large_squeezing(r1, r2):
 
 
 @pytest.mark.parametrize("check", [verify.check_equal_squeezing_optimum, verify.check_weight_special_cases,
-                                   verify.check_no_bound_violation, verify.check_structural_properties])
+                                   verify.check_reference_point_values, verify.check_no_bound_violation,
+                                   verify.check_sql_threshold, verify.check_structural_properties])
 def test_fixed_row_checks_are_one_batch(check, monkeypatch):
     calls = []
 
@@ -314,7 +316,10 @@ def test_structural_properties_fails_on_mutants(module, name, mutate, key, tol, 
     (verify.check_single_mode_closed_form, "max_rel_err"),
     (verify.check_equal_squeezing_optimum, "max_rel_err"),
     (verify.check_weight_special_cases, "max_rel_err_solver"),
-], ids=["single-mode-closed-form", "equal-squeezing-optimum", "weight-special-cases"])
+    (verify.check_sql_threshold, "max_rel_err"),
+    (verify.check_reference_point_values, "example1_rel_err"),
+], ids=["single-mode-closed-form", "equal-squeezing-optimum", "weight-special-cases", "sql-threshold",
+        "reference-point-values"])
 def test_bound_checks_fail_on_a_bound_off_by_1e_10(check, key, monkeypatch):
     # Their tolerance, 1e-13 relative, is about a hundred times the worst error over r <= 20.
     monkeypatch.setattr(verify, "batch_bound", _scaled(batch_bound, 1.0 + 1e-10))
@@ -323,30 +328,82 @@ def test_bound_checks_fail_on_a_bound_off_by_1e_10(check, key, monkeypatch):
     assert result.detail[key] > 1e-13
 
 
-def test_sql_feasible_threshold():
-    r = R = 0.5 * math.log(4.0)
-    result = regions.sql_feasible(r, r)
-    assert result.feasible
-    assert result.witness_v_x == pytest.approx(0.5)
-    assert result.witness_v_y == pytest.approx(0.5)
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_sql_threshold_fails_on_an_envelope_off_by_1e_3(quick, monkeypatch):
+    def moved(*args):
+        point = two_mode_envelope(*args)
+        return replace(point, v_y=point.v_y * (1.0 + 1e-3))
 
-    assert not regions.sql_feasible(0.0, 0.0).feasible
+    two_mode_envelope = cf.two_mode_envelope
+    monkeypatch.setattr(cf, "two_mode_envelope", moved)
+    result = verify.check_sql_threshold(quick=quick)
+    assert not result.passed
+    assert not result.detail["below_feasible"]  # the move flips the side below 1/4
 
-    r51 = -0.5 * math.log(0.51)
-    assert not regions.sql_feasible(r51, r51).feasible
-    r49 = -0.5 * math.log(0.49)
-    assert regions.sql_feasible(r49, r49).feasible
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_reference_point_values_fails_on_an_example1_t_off_by_1e_3(quick, monkeypatch):
+    def moved(kind, **params):
+        scheme = build_scheme(kind, **params)
+        return replace(scheme, probe=replace(scheme.probe, t=scheme.probe.t + 1e-3))
+
+    build_scheme = verify.build_scheme
+    monkeypatch.setattr(verify, "build_scheme", moved)
+    result = verify.check_reference_point_values(quick=quick)
+    assert not result.passed
+    assert result.detail["example1_rel_err"] > 1e-13
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_no_bound_violation_fails_on_a_weighted_sum_6_se_below_its_bound(quick, monkeypatch):
+    def lowered(shots, seed):
+        # The suboptimal scheme's report, with var_x set so its weighted sum is 6 SE below its bound.
+        rows = list(mc_reports(shots, seed))
+        label, scheme, report, w, targets, optimal = rows[2]
+        se = math.hypot(w.w_x * report.se_var_x, w.w_y * report.se_var_y)
+        var_x = (solve(scheme.probe, w).f_hcr - 6.0 * se - w.w_y * report.var_y) / w.w_x
+        rows[2] = (label, scheme, replace(report, var_x=var_x), w, targets, optimal)
+        return tuple(rows)
+
+    mc_reports = verify._mc_reports
+    monkeypatch.setattr(verify, "_mc_reports", lowered)
+    result = verify.check_no_bound_violation(quick=quick)
+    assert not result.passed
+    assert not result.detail["balanced-suboptimal"]["no_violation"]
+
+
+def test_sql_threshold_on_the_envelope_and_the_bound():
+    # Both variances beat the SQL (v = 1) together iff the envelope's symmetric
+    # point m = (e^{-r1} + e^{-r2})^2 / 2 is below 1: for r1 = r2 = r, iff
+    # e^{-2 r1} e^{-2 r2} < 1/4.  The optimal equal-weight probe reaches (m, m),
+    # whose precision sum 1/v_x + 1/v_y is e^{2r}.
+    r = np.array([0.0, -0.25 * math.log(0.26), -0.25 * math.log(0.24), math.log(2.0), 3.0, 20.0])
+    m = 2.0 * np.exp(-2.0 * r)
+    assert [cf.two_mode_envelope(x, y, y).v_y for x, y in zip(m, r)] == pytest.approx(m, rel=1e-13)
+    opts = [cf.optimal_config(1.0, 1.0, x, x) for x in r]
+    info = {}
+    bound = batch_bound((r, r, *np.array([(o.phi1, o.phi2, o.probe_t) for o in opts]).T), 0.5, 0.5, info)
+    np.testing.assert_allclose(bound, m, rtol=1e-13)
+    np.testing.assert_allclose(info["v_x"], m, rtol=1e-12)
+    np.testing.assert_allclose(info["v_y"], m, rtol=1e-12)
+    np.testing.assert_allclose(1.0 / info["v_x"] + 1.0 / info["v_y"], np.exp(2.0 * r), rtol=1e-12)
+    assert (m < 1.0).tolist() == [False, False, True, True, True, True]
 
 
 @pytest.mark.parametrize("r1, r2", [(-5.0, 1.0), (math.nan, 1.0), (30.0, 40.0), (1.0, math.inf)])
-def test_sql_feasible_checks_squeezing_like_every_closed_form(r1, r2):
-    # These used to read infeasible, or (30, 40) feasible.
+def test_sql_point_checks_squeezing_like_every_closed_form(r1, r2):
+    # Both reads of the SQL threshold refuse squeezing outside [0, 20]; (30, 40) once read feasible.
     with pytest.raises(ValueError, match="must be finite and within"):
-        regions.sql_feasible(r1, r2)
+        cf.two_mode_envelope(1.0, r1, r2)
+    with pytest.raises(ValueError, match="must be finite and within"):
+        cf.optimal_config(1.0, 1.0, r1, r2)
 
 
-def test_sql_feasible_is_symmetric_in_the_squeezing():
-    assert regions.sql_feasible(0.9, 0.5) == regions.sql_feasible(0.5, 0.9)
+def test_sql_point_is_symmetric_in_the_squeezing():
+    m = 0.5 * (math.exp(-0.9) + math.exp(-0.5)) ** 2
+    v_y = cf.two_mode_envelope(m, 0.9, 0.5).v_y
+    assert v_y == cf.two_mode_envelope(m, 0.5, 0.9).v_y
+    assert v_y == pytest.approx(m, rel=1e-15)
 
 
 def test_closed_form_boundary_segments():
