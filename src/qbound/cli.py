@@ -4,8 +4,8 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 2 invalid configuration, 3 solver non-convergence, 4 statistical acceptance
 failure.  Numbers are serialized with shortest round-trip decimals and file
 output is written atomically (temp file + rename).  Each command imports the
-modules it needs when it runs: region, simulate and verify import NumPy,
-bound does not.
+modules it needs when it runs: region --numeric, simulate and verify import
+NumPy; bound and the closed-form region do not.
 """
 
 from __future__ import annotations
@@ -251,9 +251,18 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_region(args) -> int:
-    import numpy as np
+def _spaced(start: float, stop: float, n: int, log: bool = False) -> list[float]:
+    """np.linspace(start, stop, n), or np.geomspace if ``log``, as floats by NumPy's arithmetic without its SIMD code.
 
+    i * step + start (then 10.0 ** y, of log10 start and stop, if ``log``), with both end points exact.
+    """
+    a, b = (math.log10(start), math.log10(stop)) if log else (start, stop)
+    step = (b - a) / max(n - 1, 1)
+    inner = [i * step + a for i in range(1, n - 1)]
+    return [start, *((10.0 ** y for y in inner) if log else inner), stop][:n]
+
+
+def cmd_region(args) -> int:
     from . import regions
 
     for dest in ("vx_points", "t_points", "phi_points", "w_points"):
@@ -266,21 +275,19 @@ def cmd_region(args) -> int:
     if args.modes == 1:
         r, phi = _resolve_single_mode(args)
         v_a, _ = closed_forms.projected_variances(r, phi)
-        v_x_values = np.geomspace(v_a * 1.01, v_a * 1.01 + 20.0, args.vx_points)
-        samples += regions.single_mode_boundary(r, phi, v_x_values)
+        samples += regions.single_mode_boundary(r, phi, _spaced(v_a * 1.01, v_a * 1.01 + 20.0, args.vx_points, True))
     else:
         r1 = _resolve_r(args, "r1", "db1")
         r2 = _resolve_r(args, "r2", "db2")
         if r1 > r2:
             r1, r2 = r2, r1
         if args.closed_form or not args.numeric:
-            floor = math.exp(-2.0 * r2)
-            v_x_values = np.geomspace(floor * 1.01, 10.0 * math.exp(2.0 * r2), args.vx_points)
+            v_x_values = _spaced(math.exp(-2.0 * r2) * 1.01, 10.0 * math.exp(2.0 * r2), args.vx_points, True)
             samples += regions.closed_form_boundary(r1, r2, v_x_values)
         if args.numeric:
-            t_grid = np.linspace(0.02, 0.98, args.t_points)
-            phi_grid = np.linspace(0.0, math.pi / 2.0, args.phi_points)
-            w_grid = np.geomspace(1e-2, 1e2, args.w_points)
+            t_grid = _spaced(0.02, 0.98, args.t_points)
+            phi_grid = _spaced(0.0, math.pi / 2.0, args.phi_points)
+            w_grid = _spaced(1e-2, 1e2, args.w_points, True)
             samples += regions.envelope(r1, r2, t_grid, phi_grid, w_grid)
     samples.sort(key=lambda sample: sample.v_x)
     rows = [{field: getattr(s, field) for field in REGION_CSV_FIELDS} for s in samples]

@@ -7,10 +7,11 @@ possible to keep large squeezing parameters well conditioned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .gaussian import _LazyNumPy, _check_r
+from .gaussian import _Floats, _LazyNumPy, _check_r, _entrywise, _is_row
 
 np = _LazyNumPy(globals())  # the float closed forms never read it
 
@@ -84,35 +85,26 @@ class EnvelopePoint:
 _SEGMENTS = (SEGMENT_LOW, SEGMENT_MIDDLE, SEGMENT_HIGH)
 
 
-def _envelope_rows(v_x, r1, r2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _envelope_rows(v_x, r1, r2):
     """v_y, the knees v_c and v_d, and the segment index of the two-mode envelope, unvalidated.
 
-    Broadcast over v_x and canonical (r1 <= r2) arrays.  The segment index is
-    0, 1 or 2 for low, middle and high (a NaN v_x is high, as a comparison
-    with it is false), and v_y is that segment's branch.  two_mode_envelope
-    is one row of this.
+    One body for a row of numbers (xp = _Floats) and for arrays of v_x and canonical (r1 <= r2) squeezings
+    (xp = numpy), whose exponentials are math.exp's too (_entrywise), so a row is bit for bit its array row
+    on any CPU.  The segment index is 0, 1 or 2 for low, middle and high (a NaN v_x is high, as a comparison
+    with it is false), v_y is that segment's branch, and the branches a row skips divide by 1.
+    two_mode_envelope is one float row of this.
     """
-    v_x, r1, r2 = (np.asarray(a, dtype=float) for a in (v_x, r1, r2))
-    f1, f2, cross = np.exp(-2.0 * r1), np.exp(-2.0 * r2), np.exp(-(r1 + r2))
+    if _is_row(v_x, r1, r2):
+        xp, exp = _Floats, math.exp
+    else:
+        xp, v_x = np, np.asarray(v_x, dtype=float)
+        exp = math.exp if _is_row(r1, r2) else functools.partial(_entrywise, math.exp)
+    f1, f2, cross, root_sum = exp(-2.0 * r1), exp(-2.0 * r2), exp(-(r1 + r2)), exp(-r1) + exp(-r2)
     v_c, v_d = f2 + cross, f1 + cross
     below_c, upto_d = v_x < v_c, v_x <= v_d
-    with np.errstate(divide="ignore", invalid="ignore"):  # np.where evaluates every branch on every row
-        low, high = v_x * f1 / (v_x - f2), v_x * f2 / (v_x - f1)
-    v_y = np.where(below_c, low, np.where(upto_d, np.square(np.exp(-r1) + np.exp(-r2)) - v_x, high))
-    return v_y, v_c, v_d, 2 - (below_c.astype(np.intp) + upto_d)
-
-
-def _checked_envelope_rows(v_x, r1, r2) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(v_y, segment index, swapped) of _envelope_rows after canonicalizing r and checking v_x."""
-    r1, r2, swapped = _canonical_pair(r1, r2)
-    v_x, floor = np.asarray(v_x, dtype=float), np.exp(-2.0 * r2)
-    if not np.all(np.isfinite(v_x)):
-        raise ValueError(f"v_x must be finite, got {v_x[~np.isfinite(v_x)][0]}")
-    infeasible = v_x <= floor
-    if np.any(infeasible):
-        raise ValueError(f"v_x = {v_x[infeasible][0]} is infeasible; the envelope floor is e^(-2 r2) = {floor}")
-    v_y, _, _, segment = _envelope_rows(v_x, r1, r2)
-    return v_y, segment, swapped
+    low, high = v_x * f1 / xp.where(below_c, v_x - f2, 1.0), v_x * f2 / xp.where(upto_d, 1.0, v_x - f1)
+    v_y = xp.where(below_c, low, xp.where(upto_d, root_sum * root_sum - v_x, high))
+    return v_y, v_c, v_d, xp.where(below_c, 0, xp.where(upto_d, 1, 2))
 
 
 def two_mode_envelope(v_x: float, r1: float, r2: float) -> EnvelopePoint:
@@ -122,11 +114,16 @@ def two_mode_envelope(v_x: float, r1: float, r2: float) -> EnvelopePoint:
     ``v_x + v_y = (e^{-r1} + e^{-r2})^2`` between the knees v_c and v_d.  The
     knees are included in the middle segment label; the branch values agree
     there, so the label is a tie-break only.  Inputs with r1 > r2 are
-    canonicalized by swapping (flagged in the result).  This is one row of
-    the batched _envelope_rows.
+    canonicalized by swapping (flagged in the result).  A finite v_x above
+    the floor e^{-2 r2} is one float row of _envelope_rows, without NumPy.
     """
-    v_y, segment, swapped = _checked_envelope_rows(v_x, r1, r2)
-    return EnvelopePoint(v_x, float(v_y), _SEGMENTS[segment], swapped)
+    r1, r2, swapped = _canonical_pair(r1, r2)
+    if not math.isfinite(v_x):
+        raise ValueError(f"v_x must be finite, got {v_x}")
+    if v_x <= (floor := math.exp(-2.0 * r2)):
+        raise ValueError(f"v_x = {v_x} is infeasible; the envelope floor is e^(-2 r2) = {floor}")
+    v_y, _, _, segment = _envelope_rows(float(v_x), r1, r2)
+    return EnvelopePoint(v_x, v_y, _SEGMENTS[segment], swapped)
 
 
 @dataclass(frozen=True)

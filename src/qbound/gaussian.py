@@ -74,6 +74,16 @@ def _is_row(*values) -> bool:
     return True
 
 
+class _Floats:
+    """The ``xp`` namespace of a row of Python floats, as numpy is of arrays; ``where`` evaluates both branches."""
+
+    sqrt, maximum, minimum = math.sqrt, max, min
+
+    @staticmethod
+    def where(condition, x, y):
+        return x if condition else y
+
+
 def _extent(x) -> tuple:
     """(least, greatest) entry of a number or an array; NaN entries make a comparison with them false."""
     return (x, x) if isinstance(x, (int, float)) else (np.min(x), np.max(x))

@@ -58,7 +58,7 @@ import sys
 from dataclasses import dataclass
 
 from .closed_forms import _bracketed_newton, _bracketed_newton_row
-from .gaussian import ProbeConfig, _LazyNumPy, _probe_cov_row, probe_mode1
+from .gaussian import ProbeConfig, _Floats, _LazyNumPy, _probe_cov_row, probe_mode1
 
 np = _LazyNumPy(globals())  # solve's float rows never read it
 
@@ -243,16 +243,6 @@ def _kink_f_df(mu, d1, k):
     """P(mu) and P'(mu) of the kink quartic, P = (1 - mu^2)^2 - d1 (3 mu^2 + k mu - 1)."""
     s = (1.0 - mu) * (1.0 + mu)
     return s * s - d1 * ((3.0 * mu + k) * mu - 1.0), -(4.0 * mu * s + d1 * (6.0 * mu + k))
-
-
-class _Floats:
-    """_kernel's elementwise namespace on Python floats, as numpy is on arrays; ``where`` evaluates both branches."""
-
-    sqrt, maximum, minimum = math.sqrt, max, min
-
-    @staticmethod
-    def where(condition, x, y):
-        return x if condition else y
 
 
 def _newton_start(d1, k, xp):

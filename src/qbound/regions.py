@@ -5,7 +5,8 @@ tangency point with the accessible region is the gradient of the bound with
 respect to the weights, which one solver row returns with the bound (see
 holevo.batch_bound).  The lower-left boundary of a probe's region is the
 collection of tangency points over a weight grid, and the envelope over all
-probe configurations reconstructs the analytic sensitivity limit.
+probe configurations reconstructs the analytic sensitivity limit.  Only the
+sweep loads NumPy: the closed-form boundaries map closed_forms' float rows.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import closed_forms
+from .gaussian import _LazyNumPy
 from .holevo import batch_bound
+
+np = _LazyNumPy(globals())  # the closed-form boundaries never read it
 
 ENVELOPE_BINS = 400
 
@@ -169,22 +171,12 @@ def envelope_support_points(
 
 
 def closed_form_boundary(r1: float, r2: float, v_x_values) -> list[RegionSample]:
-    """Analytic two-mode envelope samples with segment labels, sorted by v_x: one batched row set."""
-    v_x = _grid(v_x_values)
-    v_y, segment, _ = closed_forms._checked_envelope_rows(v_x, r1, r2)
-    return [
-        RegionSample(
-            v_x=float(v_x[i]), v_y=float(v_y[i]),
-            source=SOURCE_CLOSED_FORM, segment=closed_forms._SEGMENTS[segment[i]],
-        )
-        for i in np.argsort(v_x, kind="stable")
-    ]
+    """Analytic two-mode envelope samples with segment labels, sorted by v_x: two_mode_envelope's float rows."""
+    points = [closed_forms.two_mode_envelope(v_x, r1, r2) for v_x in sorted(map(float, v_x_values))]
+    return [RegionSample(v_x=p.v_x, v_y=p.v_y, source=SOURCE_CLOSED_FORM, segment=p.segment) for p in points]
 
 
 def single_mode_boundary(r: float, phi: float, v_x_values) -> list[RegionSample]:
     """Analytic single-mode tradeoff curve samples at fixed squeezing angle, sorted by v_x."""
-    return [
-        RegionSample(v_x=v_x, v_y=float(closed_forms.single_mode_tradeoff(v_x, r, phi)), source=SOURCE_CLOSED_FORM,
-                     phi1=phi, segment="single-mode")
-        for v_x in sorted(_grid(v_x_values).tolist())
-    ]
+    return [RegionSample(v_x=v_x, v_y=closed_forms.single_mode_tradeoff(v_x, r, phi), source=SOURCE_CLOSED_FORM,
+                         phi1=phi, segment="single-mode") for v_x in sorted(map(float, v_x_values))]

@@ -356,16 +356,15 @@ def check_structural_properties(quick: bool = False) -> CheckResult:
     detail["mode1_determinant"] = worst
     ok_mode1 = worst <= 1e-13
 
-    # Envelope continuity at the knees and x<->y symmetry, each quantity one batched row set.
+    # Envelope continuity at the knees and x<->y symmetry: a batched row set at v_x, then one at the knees and v_y.
     r1, r2, log_excess = rng.uniform([0.01, 0.01, -2], [2, 2, 1], (n, 3)).T
     r1, r2 = np.minimum(r1, r2), np.maximum(r1, r2)
-    _, v_c, v_d, _ = closed_forms._envelope_rows(math.nan, r1, r2)
+    v_x = np.exp(-2.0 * r2) + 10.0 ** log_excess
+    v_y, v_c, v_d, _ = closed_forms._envelope_rows(v_x, r1, r2)
     low_at_c = v_c * np.exp(-2.0 * r1) / (v_c - np.exp(-2.0 * r2))
     high_at_d = v_d * np.exp(-2.0 * r2) / (v_d - np.exp(-2.0 * r1))
-    v_x = np.exp(-2.0 * r2) + 10.0 ** log_excess
-    mid_at_c, mid_at_d, v_y = closed_forms._envelope_rows(np.stack([v_c, v_d, v_x]), r1, r2)[0]
+    mid_at_c, mid_at_d, back = closed_forms._envelope_rows(np.stack([v_c, v_d, v_y]), r1, r2)[0]
     worst_cont = float(np.max(np.maximum(np.abs(low_at_c - mid_at_c), np.abs(high_at_d - mid_at_d))))
-    back = closed_forms._envelope_rows(v_y, r1, r2)[0]
     worst_sym = float(np.max(np.abs(back - v_x)))
     detail["envelope_continuity"] = worst_cont
     detail["envelope_symmetry"] = worst_sym

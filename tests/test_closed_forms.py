@@ -92,6 +92,15 @@ def test_two_mode_envelope_tail_and_errors():
     assert swapped.v_y == cf.two_mode_envelope(1.0, r1, r2).v_y
 
 
+def test_two_mode_envelope_is_the_array_row_for_scalar_squeezings():
+    # The float row and the array form with scalar squeezings (envelope-gap's) share math.exp's exponentials.
+    v_x = np.geomspace(0.26, 40.0, 101)
+    v_y, _, _, segment = cf._envelope_rows(v_x, 0.35, 0.69)
+    for x, y, index in zip(v_x.tolist(), v_y.tolist(), segment.tolist()):
+        point = cf.two_mode_envelope(x, 0.35, 0.69)
+        assert (point.v_y.hex(), point.segment) == (y.hex(), cf._SEGMENTS[index])
+
+
 @pytest.mark.parametrize("v_x", [math.nan, math.inf, -math.inf])
 def test_checked_closed_forms_refuse_a_non_finite_v_x(v_x):
     # A nan v_x used to come back as a nan v_y, and inf as inf / inf in the high branch.

@@ -1,4 +1,4 @@
-"""Fresh interpreters: `import qbound` and `bound` load no NumPy, and each command imports what it needs."""
+"""Fresh interpreters: `import qbound`, `bound` and closed-form `region` load no NumPy; commands import their needs."""
 
 import os
 import subprocess
@@ -41,6 +41,19 @@ def test_import_qbound_loads_no_numpy_and_no_submodule():
     "bound --r1 0.35 --r2 0.69 --t 1e-30 --format csv",
 ])
 def test_bound_loads_no_numpy(argv):
+    _assert_loads_no_numpy(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    "region --r1 0.35 --r2 0.69 --vx-points 5",
+    "region --modes 1 --r 0.69 --phi 0.3 --vx-points 5",
+])
+def test_closed_form_region_loads_no_numpy(argv):
+    # The closed-form rows and their v_x grids run on floats; only --numeric's sweep needs NumPy.
+    _assert_loads_no_numpy(argv)
+
+
+def _assert_loads_no_numpy(argv):
     proc = _run("-X", "importtime", "-m", "qbound.cli", *argv.split())
     assert proc.returncode == 0, proc.stderr
     imported = _imported(proc.stderr)
@@ -49,7 +62,8 @@ def test_bound_loads_no_numpy(argv):
 
 
 @pytest.mark.parametrize("argv, needs, skips", [
-    ("region --r1 0.35 --r2 0.69 --vx-points 5", {"numpy", "qbound.regions"}, {"qbound.simulate", "qbound.verify"}),
+    ("region --r1 0.35 --r2 0.69 --numeric --t-points 3 --phi-points 2 --w-points 3", {"numpy", "qbound.regions"},
+     {"qbound.simulate", "qbound.verify"}),
     ("simulate --scheme balanced --r 0.693 --shots 1000 --seed 1", {"numpy", "qbound.simulate"},
      {"qbound.regions", "qbound.verify"}),
     ("verify --quick", {"numpy", "qbound.regions", "qbound.simulate", "qbound.verify"}, set()),

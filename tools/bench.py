@@ -53,6 +53,8 @@ COMMANDS = {
     "bound --modes 1": ["-m", "qbound.cli", "bound", "--modes", "1", "--r", "0.69", "--phi", "0.3", "--wy", "3"],
     "bound": ["-m", "qbound.cli", "bound", "--r1", "0.35", "--r2", "0.69", "--phi2", "1.3", "--t", "0.4", "--wy", "2"],
     "bound --auto-config": ["-m", "qbound.cli", "bound", "--r1", "0.35", "--r2", "0.69", "--auto-config", "--wy", "2"],
+    "region": ["-m", "qbound.cli", "region", "--r1", "0.35", "--r2", "0.69"],
+    "region --modes 1": ["-m", "qbound.cli", "region", "--modes", "1", "--r", "0.69", "--phi", "0.3"],
     "region --numeric": ["-m", "qbound.cli", "region", "--r1", "0.35", "--r2", "0.69", "--numeric"],
     "simulate --shots 1e6": ["-m", "qbound.cli", "simulate", "--scheme", "balanced", "--r", "0.693",
                              "--shots", "1000000", "--seed", "42"],
