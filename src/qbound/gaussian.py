@@ -85,8 +85,8 @@ class _Floats:
 
 
 def _extent(x) -> tuple:
-    """(least, greatest) entry of a number or an array; NaN entries make a comparison with them false."""
-    return (x, x) if isinstance(x, (int, float)) else (np.min(x), np.max(x))
+    """(least, greatest) entry of a number or an array, (0.0, 0.0) if empty; NaN entries fail comparisons."""
+    return (x, x) if isinstance(x, (int, float)) else (np.min(x), np.max(x)) if np.size(x) else (0.0, 0.0)
 
 
 def _check_r(r, name: str = "r") -> None:

@@ -29,9 +29,9 @@ builds no covariance and writes delta - 1 as a sum of nonnegative terms, so
 the bound is accurate to ~1e-14 for all r <= 20.  One kernel
 (_kernel) evaluates phi at its one maximizer mu* in [0, 1], a quartic root
 found per row by a bracketed Newton search, and the tangency point, the
-weight gradient of phi.  It runs on NumPy arrays or, for solve() and
-batches of at most _FLOAT_BATCH rows, on Python floats, so a row is its
-array row bit for bit by construction.  solve() alone takes a raw pure
+weight gradient of phi.  It runs on NumPy arrays for batch_bound and on
+Python floats for solve() (_bound_row), so a row is its array row bit for
+bit by construction.  solve() alone takes a raw pure
 covariance, whose -det C degrades like e^{2(r1+r2)} (see _delta_minus_one).
 
 Two certificates back ``converged``.  A configuration row is certified on
@@ -414,49 +414,14 @@ def _kernel(a11, a22, d1, given_x, given_y, certify: bool, xp):
 
 
 def _bound_row(a11, a22, d1, given_x, given_y, certify: bool):
-    """_kernel on one row of floats; a bound too large for a float raises batch_bound's ValueError."""
+    """_kernel on one row of floats, the row of solve and of verify's fixed-row checks.
+
+    It equals its batch_bound row bit for bit; a bound too large for a float raises batch_bound's ValueError.
+    """
     row = _kernel(a11, a22, d1, given_x, given_y, certify, _Floats)
     if not math.isfinite(row[0]):
         raise ValueError(f"the bound at weights ({given_x}, {given_y}) overflows a float")
     return row
-
-
-# Batches of at most this many rows go through _bound_row one row at a time:
-# the kernel's NumPy calls on arrays cost ~0.3 ms even for one row, more than
-# the float rows below this size.  Measured as the median of 40 alternating
-# calls per path and size, each right after a loop of 300 4x4 eigvalsh calls
-# that leaves the caches cold, as a benchmark request meets them, on seeded
-# two-mode rows (r <= 2, weight ratios 1e-2..1e2) on a 2-core x86-64 VM: the
-# float rows were faster up to ~28 rows with info and ~35 without (4 rows:
-# 0.09 ms against 0.36 ms; 64 rows: 1.4 ms against 0.64 ms).
-_FLOAT_BATCH = 32
-
-
-def _float_batch(columns: tuple, w_x, w_y, info: dict | None):
-    """batch_bound through _bound_row for 0 to _FLOAT_BATCH rows, or None for more rows.
-
-    Each input is read once, as a list of its entries at the rows in C
-    order.  Any row it would refuse raises ValueError, whatever the message:
-    batch_bound then takes the array path, which raises its own.
-    """
-    shape = np.broadcast(*columns, w_x, w_y).shape
-    n = math.prod(shape)
-    if n > _FLOAT_BATCH:
-        return None
-    lists = []
-    for x in (np.asarray(x, dtype=float) for x in (*columns, w_x, w_y)):
-        lists.append(x.ravel().tolist() * n if x.size == 1
-                     else (x if x.shape == shape else np.broadcast_to(x, shape)).ravel().tolist())
-    rows = []
-    for *config, given_x, given_y in zip(*lists):
-        if not (math.isfinite(given_x) and math.isfinite(given_y) and min(given_x, given_y) >= 0.0
-                and max(given_x, given_y) > 0.0):
-            raise ValueError("weights must be finite, >= 0 and not both zero in every row")
-        rows.append(_bound_row(*probe_mode1(*config), given_x, given_y, info is not None))
-    f, v_x, v_y, certified, _ = zip(*rows) if rows else ((),) * 5  # an empty batch has no row to check
-    if info is not None:
-        info.update(v_x=np.array(v_x), v_y=np.array(v_y), certified=np.array(certified, dtype=bool))
-    return np.array(f)
 
 
 def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
@@ -472,19 +437,10 @@ def batch_bound(probe, w_x, w_y, info: dict | None = None) -> np.ndarray:
     configuration, shapes that do not broadcast or a bound too large for a
     float raise ValueError.  If ``info`` is a dict it receives per-row
     arrays: ``v_x`` and ``v_y`` (the tangency point) and ``certified``, the
-    scalar-dual certificate; no row builds a covariance.  Up to
-    _FLOAT_BATCH rows run _kernel on floats (_bound_row), more on arrays, so
-    both are the same rows bit for bit; a batch that the float rows refuse
-    is refused by the array path, with the same error.
+    scalar-dual certificate; no row builds a covariance.  Every batch runs
+    _kernel on arrays, whose rows are solve's float rows bit for bit.
     """
-    columns = _configuration(probe)
-    try:
-        f = _float_batch(columns, w_x, w_y, info)
-    except ValueError:
-        f = None  # the array path below raises the error
-    if f is not None:
-        return f
-    a11, a22, d1 = probe_mode1(*columns)
+    a11, a22, d1 = probe_mode1(*_configuration(probe))
     one = np.ones(np.broadcast(d1, w_x, w_y).shape or (1,))  # x * one broadcasts x exactly
     a11, a22, d1, w_x, w_y = ((np.asarray(x, dtype=float) * one).ravel() for x in (a11, a22, d1, w_x, w_y))
     finite = np.isfinite(w_x) & np.isfinite(w_y)

@@ -10,17 +10,19 @@ Monte-Carlo checks, whose cost does not depend on the shot count, ignore
 it); every tolerance is the same in both modes.
 
 The closed-form checks run over the whole contract, r in [0, 20] with weight
-ratios out to 1e+-3, and hold batch_bound to 1e-13 relative (Example 2's
+ratios out to 1e+-3, and hold the bound to 1e-13 relative (Example 2's
 formula route stays at r <= 1.1).  structural-properties checks the mode-1
 reduction every bound row reads, gaussian.probe_mode1: its A_11 and A_22
 against its det A - 1.
 
 The paper's corollaries are read through the code that commands run:
-sql-threshold through two_mode_envelope and the batch_bound value of the
-probe optimal_config picks, and the example-1 relation of
-reference-point-values through the batch_bound value of the probe
-build_scheme("example1") builds.  no-bound-violation holds each simulated
-weighted sum against its probe's batch_bound value within 5 standard errors.
+sql-threshold through two_mode_envelope and the bound of the probe
+optimal_config picks, and the example-1 relation of reference-point-values
+through the bound of the probe build_scheme("example1") builds.
+no-bound-violation holds each simulated weighted sum against its probe's
+bound within 5 standard errors.  Each fixed row is read as solve reads a
+ProbeConfig (holevo._bound_row) and must carry the certificate that `bound`
+needs (``uncertified_rows``); a sweep is one batch_bound call.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ import numpy as np
 
 from . import closed_forms, regions
 from .gaussian import ChannelParams, _squeezed_entries, probe_mode1
-from .holevo import Weights, batch_bound
+from .holevo import Weights, _bound_row, batch_bound
 from .simulate import _checked_run, build_scheme, run_scheme
 
 
-# Monte-Carlo shot count and base seed of the two simulation checks.
-MC_SHOTS = 1_000_000
+# Monte-Carlo shot count (run_scheme's maximum, which costs what 1e6 shots cost) and base seed of the two checks.
+MC_SHOTS = 2**53
 MC_SEED = 20240816
 # Seeds of the random rows of quartic-root and structural-properties.
 QUARTIC_SEED = 7
@@ -49,6 +51,12 @@ class CheckResult:
     name: str
     passed: bool
     detail: dict = field(default_factory=dict)
+
+
+def _bound_rows(rows) -> tuple[list, int]:
+    """Each (r1, r2, phi1, phi2, t, w_x, w_y) row's bound, read as solve reads it, and how many are uncertified."""
+    reads = [_bound_row(*probe_mode1(*config), w_x, w_y, True) for *config, w_x, w_y in rows]
+    return [f for f, *_ in reads], sum(not certified for _, _, _, certified, _ in reads)
 
 
 def _envelope_grids(r1: float, r2: float, n_w: int, n_phi: int):
@@ -93,25 +101,25 @@ def check_single_mode_closed_form(quick: bool = False) -> CheckResult:
 def check_equal_squeezing_optimum(quick: bool = False) -> CheckResult:
     """Solver at the optimal two-mode configuration hits (sqrt(wx)+sqrt(wy))^2 e^{-2r}.
 
-    The nine (weights, r) rows are one batch_bound call on their configurations;
+    The nine (weights, r) rows are read as solve reads their configurations;
     the equal-weight rows take a member of the optimal family off its ends (phi1 = 1).
     """
     cases = [(w_x, w_y, r) for w_x, w_y in ((1.0, 1.0), (1.0, 1e3), (1e3, 1.0)) for r in (0.2, 5.0, 20.0)]
     opts = [closed_forms.optimal_config(w_x, w_y, r, r, phi1=1.0) for w_x, w_y, r in cases]
-    w_x, w_y, r = np.array(cases).T
-    got = batch_bound((r, r, *np.array([(o.phi1, o.phi2, o.probe_t) for o in opts]).T), w_x, w_y)
-    want = np.array([(math.sqrt(w_x) + math.sqrt(w_y)) ** 2 * math.exp(-2.0 * r) for w_x, w_y, r in cases])
-    worst = float(np.max(np.abs(got - want) / want))
-    return CheckResult("equal-squeezing-optimum", worst <= 1e-13, {"max_rel_err": worst})
+    got, uncertified = _bound_rows((r, r, o.phi1, o.phi2, o.probe_t, w_x, w_y) for (w_x, w_y, r), o in zip(cases, opts))
+    want = [(math.sqrt(w_x) + math.sqrt(w_y)) ** 2 * math.exp(-2.0 * r) for w_x, w_y, r in cases]
+    worst = max(abs(f - f_want) / f_want for f, f_want in zip(got, want))  # _bound_row refuses a NaN
+    return CheckResult("equal-squeezing-optimum", worst <= 1e-13 and not uncertified,
+                       {"max_rel_err": worst, "uncertified_rows": uncertified})
 
 
 def check_weight_special_cases(quick: bool = False) -> CheckResult:
     """Degenerate weights at t = 0.5 give 1/cosh(2r) via both routes.
 
-    At 6 dB (r = ln 2) that value is exactly 8/17.  The solver route is one
-    batch_bound call over r <= 20: each r with weights (1, 0) and (0, 1).  The
-    formula route, Example 2's lambda endpoints, stays at r <= 1.1: it loses
-    accuracy beyond r ~ 8.
+    At 6 dB (r = ln 2) that value is exactly 8/17.  The solver route reads
+    rows over r <= 20 as solve does: each r with weights (1, 0) and (0, 1).
+    The formula route, Example 2's lambda endpoints, stays at r <= 1.1: it
+    loses accuracy beyond r ~ 8.
     """
     rs = (0.2, 0.3, 0.5, math.log(2.0), 1.1)
     wants = [1.0 / math.cosh(2.0 * r) for r in rs]
@@ -122,15 +130,15 @@ def check_weight_special_cases(quick: bool = False) -> CheckResult:
             f_val = closed_forms.example2_parametric(lam, r, 0.5)[row]
             worst_formula = max(worst_formula, abs(f_val - want) / want)
     solver_rs = (0.0, 0.5, math.log(2.0), 8.0, 20.0)
-    r, w_x = np.repeat(solver_rs, 2), np.tile([1.0, 0.0], len(solver_rs))
-    want = 1.0 / np.cosh(2.0 * r)
-    got = batch_bound((r, r, 0.0, math.pi / 2.0, 0.5), w_x, 1.0 - w_x)
-    worst_solver = float(np.max(np.abs(got - want) / want))
+    got, uncertified = _bound_rows((r, r, 0.0, math.pi / 2.0, 0.5, w_x, 1.0 - w_x)
+                                   for r in solver_rs for w_x in (1.0, 0.0))
+    want = [1.0 / math.cosh(2.0 * r) for r in solver_rs for _ in range(2)]
+    worst_solver = max(abs(f - f_want) / f_want for f, f_want in zip(got, want))
     exact_6db = abs(1.0 / math.cosh(2.0 * math.log(2.0)) - 8.0 / 17.0) <= 1e-15
-    passed = worst_formula <= 1e-12 and worst_solver <= 1e-13 and exact_6db
+    passed = worst_formula <= 1e-12 and worst_solver <= 1e-13 and exact_6db and not uncertified
     return CheckResult(
         "weight-special-cases", passed,
-        {"max_rel_err_formula": worst_formula, "max_rel_err_solver": worst_solver},
+        {"max_rel_err_formula": worst_formula, "max_rel_err_solver": worst_solver, "uncertified_rows": uncertified},
     )
 
 
@@ -202,8 +210,8 @@ def check_reference_point_values(quick: bool = False) -> CheckResult:
     Its variances (1/2, 2) lie on e^{-2 r2}/v_x + 1/v_y = 1, so the bound at
     the weights tangent to that curve there, (e^{-2 r2}/v_x^2, 1/v_y^2), must
     equal w_x v_x + w_y v_y within 1e-13 relative: ``example1_relation`` is
-    their ratio, one batch_bound row, and ``example1_rel_err`` its distance
-    from 1.
+    their ratio, one row read as solve reads the probe, and
+    ``example1_rel_err`` its distance from 1.
     """
     r6db = 0.5 * math.log(4.0)  # e^{-2r} = 1/4
     balanced = closed_forms.example2_parametric(-math.sqrt(2.0) * math.exp(-r6db), r6db, 0.5)
@@ -216,12 +224,14 @@ def check_reference_point_values(quick: bool = False) -> CheckResult:
     r2, v_x, v_y = math.log(2.0), 0.5, 2.0
     w_x, w_y = math.exp(-2.0 * r2) / (v_x * v_x), 1.0 / (v_y * v_y)
     probe = build_scheme("example1", r2=r2, t=0.5, phi2=0.0).probe
-    value = float(batch_bound(probe, w_x, w_y)[0]) / (w_x * v_x + w_y * v_y)
+    (bound,), uncertified = _bound_rows([(probe.r1, probe.r2, probe.phi1, probe.phi2, probe.t, w_x, w_y)])
+    value = bound / (w_x * v_x + w_y * v_y)
     err = abs(value - 1.0)
-    passed = ok_balanced and ok_line and err <= 1e-13
+    passed = ok_balanced and ok_line and err <= 1e-13 and not uncertified
     return CheckResult(
         "reference-point-values", passed,
-        {"balanced": balanced, "single_mode_line": line, "example1_relation": value, "example1_rel_err": err},
+        {"balanced": balanced, "single_mode_line": line, "example1_relation": value, "example1_rel_err": err,
+         "uncertified_rows": uncertified},
     )
 
 
@@ -283,17 +293,15 @@ def check_no_bound_violation(quick: bool = False, shots: int = MC_SHOTS,
                              seed: int = MC_SEED) -> CheckResult:
     """No simulated scheme beats the bound for its own probe (5 SE margin).
 
-    The bounds of the four schemes' probes are one batch_bound call.  A
+    The bounds of the four schemes' probes are read as solve reads them.  A
     weighted sum w_x var_x + w_y var_y more than 5 standard errors (those of
     the two variances, combined in quadrature) below its bound fails, and so
     does one off its bound by more than that for a scheme claimed optimal.
     """
-    detail = {}
-    passed = True
     reports = _mc_reports(shots, seed)
-    rows = np.array([(s.probe.r1, s.probe.r2, s.probe.phi1, s.probe.phi2, s.probe.t, w.w_x, w.w_y)
-                     for _, s, _, w, _, _ in reports]).T
-    bounds = batch_bound(tuple(rows[:5]), *rows[5:]).tolist()
+    bounds, uncertified = _bound_rows((s.probe.r1, s.probe.r2, s.probe.phi1, s.probe.phi2, s.probe.t, w.w_x, w.w_y)
+                                      for _, s, _, w, _, _ in reports)
+    detail, passed = {}, not uncertified
     for (label, _, report, w, _, optimal), bound in zip(reports, bounds):
         weighted = w.w_x * report.var_x + w.w_y * report.var_y
         se = math.hypot(w.w_x * report.se_var_x, w.w_y * report.se_var_y)
@@ -301,6 +309,7 @@ def check_no_bound_violation(quick: bool = False, shots: int = MC_SHOTS,
         passed &= no_violation and (saturates or not optimal)
         detail[label] = {"weighted_sum": weighted, "bound": bound, "no_violation": no_violation,
                          "saturates": saturates}
+    detail["uncertified_rows"] = uncertified
     return CheckResult("no-bound-violation", passed, detail)
 
 
@@ -311,8 +320,8 @@ def check_sql_threshold(quick: bool = False) -> CheckResult:
     At each, the least v_x = v_y is m = (e^{-r1} + e^{-r2})^2 / 2, read two
     ways that commands run: the envelope's v_y at v_x = m, through
     two_mode_envelope (`region`), and the bound at weights (1/2, 1/2) of the
-    probe that optimal_config picks (`bound --auto-config`), both rows in one
-    batch_bound call.  Each read must lie within 1e-13 of m (``max_rel_err``),
+    probe that optimal_config picks (`bound --auto-config`), each row read as
+    solve reads that probe.  Each read must lie within 1e-13 of m (``max_rel_err``),
     not below 1 at the larger product and below 1 at the smaller; m is
     1 +- 5e-5 there, so a read off by more than 5e-5 flips a side.
     """
@@ -320,14 +329,14 @@ def check_sql_threshold(quick: bool = False) -> CheckResult:
     want = 0.5 * np.square(2.0 * np.exp(-r))
     envelope = [closed_forms.two_mode_envelope(m, x, x).v_y for m, x in zip(want.tolist(), r.tolist())]
     opts = [closed_forms.optimal_config(0.5, 0.5, x, x) for x in r.tolist()]
-    bound = batch_bound((r, r, *np.array([(o.phi1, o.phi2, o.probe_t) for o in opts]).T), 0.5, 0.5)
+    bound, uncertified = _bound_rows((x, x, o.phi1, o.phi2, o.probe_t, 0.5, 0.5) for x, o in zip(r.tolist(), opts))
     reads = np.stack([envelope, bound])  # a row per route; columns: above, below the threshold
     worst = float(np.max(np.abs(reads - want) / want))  # np.max keeps a NaN
     above, below = bool(np.any(reads[:, 0] < 1.0)), bool(np.all(reads[:, 1] < 1.0))
-    passed = worst <= 1e-13 and not above and below
+    passed = worst <= 1e-13 and not above and below and not uncertified
     return CheckResult(
         "sql-threshold", passed,
-        {"above_feasible": above, "below_feasible": below, "max_rel_err": worst},
+        {"above_feasible": above, "below_feasible": below, "max_rel_err": worst, "uncertified_rows": uncertified},
     )
 
 

@@ -931,69 +931,61 @@ def _tiny_batches(n, rng):
     ]
 
 
-@pytest.mark.parametrize("n", [1, 4, holevo._FLOAT_BATCH, holevo._FLOAT_BATCH + 1])
-def test_tiny_batches_are_the_array_rows_bit_for_bit(n, monkeypatch):
-    # A batch of at most _FLOAT_BATCH rows runs in floats (_bound_row), and
-    # its values, tangency and certificate are the array kernel's bit for
-    # bit; one row more takes the array kernel itself.
+@pytest.mark.parametrize("n", [1, 4, 32, 33])
+def test_tiny_batches_are_the_array_rows_bit_for_bit(n):
+    # Every batch runs the array kernel, and each of its rows is solve's
+    # float row of the same configuration and weights bit for bit: the
+    # value, the tangency point and the certificate.
     rng = np.random.default_rng(3400 + n)
-    cases = _tiny_batches(n, rng)
-    got, kernel_calls = [], []
-    multiplier = holevo._multiplier
-    monkeypatch.setattr(holevo, "_multiplier", lambda *args: kernel_calls.append(1) or multiplier(*args))
-    for args in cases:
+    for probe, w_x, w_y in _tiny_batches(n, rng):
         info = {}
-        got.append((batch_bound(*args, info), info))
-    assert len(kernel_calls) == (0 if n <= holevo._FLOAT_BATCH else len(cases))
-    monkeypatch.setattr(holevo, "_FLOAT_BATCH", 0)  # every batch takes the array kernel
-    for args, (f, info) in zip(cases, got):
-        want_info = {}
-        want = batch_bound(*args, want_info)
-        assert f.shape == want.shape == (n,) and f.tobytes() == want.tobytes()
-        assert info.keys() == want_info.keys() == {"v_x", "v_y", "certified"}
-        for key, value in want_info.items():
-            assert info[key].dtype == value.dtype and info[key].tobytes() == value.tobytes(), key
-        assert batch_bound(*args).tobytes() == want.tobytes()  # and without info
+        f = batch_bound(probe, w_x, w_y, info)
+        assert f.shape == (n,) and info.keys() == {"v_x", "v_y", "certified"}
+        rows = zip(*(x.ravel().tolist() for x in np.broadcast_arrays(*holevo._configuration(probe), w_x, w_y)))
+        results = [solve(probe if isinstance(probe, ProbeConfig) else ProbeConfig(*config), Weights(a, b))
+                   for *config, a, b in rows]
+        assert [x.dtype for x in (f, info["v_x"], info["v_y"], info["certified"])] == [float, float, float, bool]
+        for key, got in (("f_hcr", f), ("v_x", info["v_x"]), ("v_y", info["v_y"]), ("converged", info["certified"])):
+            assert got.tobytes() == np.array([getattr(r, key) for r in results], dtype=got.dtype).tobytes(), key
+        assert batch_bound(probe, w_x, w_y).tobytes() == f.tobytes()  # and without info
 
 
-@pytest.mark.parametrize("probe, w_x, w_y", [
-    ((0.3, 0.5, [0.1, math.nan], 1.0, 0.5), [1.0, 1.0], [1.0, 1.0]),
-    ((0.3, 0.5, 0.1, 1.0, [0.5, 1.5]), 1.0, 1.0),
-    ((0.5, 0.3, 0.1, 1.0, 0.5), 1.0, 1.0),
-    ((0.3, 25.0, 0.1, 1.0, 0.5), [1.0, 2.0], 1.0),
-    ((0.3, 0.5, 0.1, 1.0, 0.5), [1.0, 0.0], [1.0, 0.0]),
-    ((0.3, 0.5, 0.1, 1.0, 0.5), [1.0, 1.0], [math.nan, 1.0]),
-    ((0.3, 0.5, 0.1, 1.0, 0.5), [-1.0], [2.0]),
-    ((0.0, 2.0, 0.0, 0.0, 0.0), [1.0, 1.0, 1.0], [1.0, 1e308, 1e308]),
-    ((0.3, 0.5, np.zeros(3), 1.0, 0.5), np.ones(4), 1.0),
-    ((0.3, 0.5, np.zeros(3), np.zeros(4), 0.5), 1.0, 1.0),
-    (np.eye(4), 1.0, 1.0),
-    ([0.3, 0.5, 0.1, 1.0, 0.5], 1.0, 1.0),
+@pytest.mark.parametrize("probe, w_x, w_y, message", [
+    ((0.3, 0.5, [0.1, math.nan], 1.0, 0.5), [1.0, 1.0], [1.0, 1.0], "phi1 and phi2 must be finite"),
+    ((0.3, 0.5, 0.1, 1.0, [0.5, 1.5]), 1.0, 1.0, "transmissivity must lie in [0, 1]"),
+    ((0.5, 0.3, 0.1, 1.0, 0.5), 1.0, 1.0, "canonical ordering requires r1 <= r2"),
+    ((0.3, 25.0, 0.1, 1.0, 0.5), [1.0, 2.0], 1.0, "r2 must be finite and within [0, 20.0], got 25.0"),
+    ((0.3, 0.5, 0.1, 1.0, 0.5), [1.0, 0.0], [1.0, 0.0], "weights must be finite, >= 0 and not both zero"),
+    ((0.3, 0.5, 0.1, 1.0, 0.5), [1.0, 1.0], [math.nan, 1.0], "weights must be finite, >= 0 and not both zero"),
+    ((0.3, 0.5, 0.1, 1.0, 0.5), [-1.0], [2.0], "weights must be finite, >= 0 and not both zero"),
+    ((0.0, 2.0, 0.0, 0.0, 0.0), [1.0, 1.0, 1.0], [1.0, 1e308, 1e308],
+     "the bound at weights (1.0, 1e+308) overflows a float"),
+    ((0.3, 0.5, np.zeros(3), 1.0, 0.5), np.ones(4), 1.0, "shape mismatch"),
+    ((0.3, 0.5, np.zeros(3), np.zeros(4), 0.5), 1.0, 1.0, "could not be broadcast"),
+    (np.eye(4), 1.0, 1.0, "got ndarray; solve takes one raw covariance"),
+    ([0.3, 0.5, 0.1, 1.0, 0.5], 1.0, 1.0, "got list; solve takes one raw covariance"),
 ], ids=["nan-angle", "t-above-1", "unordered", "r-above-20", "zero-weights", "nan-weight", "negative-weight",
         "overflow", "weights-do-not-broadcast", "columns-do-not-broadcast", "covariance", "list"])
-def test_tiny_batches_raise_the_array_errors(probe, w_x, w_y, monkeypatch):
-    # A tiny batch refuses what the array kernel refuses, with the same
-    # exception and message.
-    with pytest.raises(Exception) as tiny:
+def test_tiny_batches_raise_the_array_errors(probe, w_x, w_y, message):
+    # A batch of a few rows refuses what a large one refuses: a ValueError
+    # that names the fault.
+    with pytest.raises(Exception) as error:
         batch_bound(probe, w_x, w_y)
-    monkeypatch.setattr(holevo, "_FLOAT_BATCH", 0)
-    with pytest.raises(Exception) as array:
-        batch_bound(probe, w_x, w_y)
-    assert type(tiny.value) is type(array.value) is ValueError
-    assert str(tiny.value) == str(array.value)
+    assert type(error.value) is ValueError
+    assert message in str(error.value)
 
 
 def test_solve_and_every_batch_size_reach_the_one_kernel(monkeypatch):
-    # solve and a batch of _FLOAT_BATCH rows run _kernel once per row on the
-    # float namespace; one row more runs it once, on numpy's arrays.
+    # solve runs _kernel once, on the float namespace; a batch of any size
+    # runs it once, on numpy's arrays.
     calls, kernel = [], holevo._kernel
     monkeypatch.setattr(holevo, "_kernel", lambda *args: calls.append(args[-1]) or kernel(*args))
     solve(ProbeConfig(r1=0.35, r2=0.69, phi1=0.2, phi2=1.3, t=0.4), Weights(1.0, 2.0))
     assert calls == [holevo._Floats]
-    for n, want in ((holevo._FLOAT_BATCH, [holevo._Floats] * holevo._FLOAT_BATCH), (holevo._FLOAT_BATCH + 1, [np])):
+    for n in (0, 1, 32, 33):
         calls.clear()
         batch_bound((0.35, 0.69, np.linspace(0.0, 3.0, n), 1.3, 0.4), 1.0, 2.0, {})
-        assert calls == want
+        assert calls == [np]
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0)])

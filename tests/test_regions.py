@@ -8,6 +8,7 @@ from qbound import closed_forms as cf
 from qbound import gaussian, holevo, regions, verify
 from qbound.gaussian import ProbeConfig, build_probe
 from qbound.holevo import Weights, batch_bound, solve
+from qbound.simulate import MeasurementScheme
 
 
 def _tangency(probe, ratios):
@@ -258,24 +259,49 @@ def test_default_numeric_region_grid_is_certified_at_large_squeezing(r1, r2):
     assert sweep.certified.shape == (325, 25) and sweep.certified.all()
 
 
-@pytest.mark.parametrize("check", [verify.check_equal_squeezing_optimum, verify.check_weight_special_cases,
-                                   verify.check_reference_point_values, verify.check_no_bound_violation,
-                                   verify.check_sql_threshold, verify.check_structural_properties])
-def test_fixed_row_checks_are_one_batch(check, monkeypatch):
-    calls = []
+_FIXED_ROW_CHECKS = [(verify.check_equal_squeezing_optimum, 9), (verify.check_weight_special_cases, 10),
+                     (verify.check_reference_point_values, 1), (verify.check_no_bound_violation, 4),
+                     (verify.check_sql_threshold, 2)]
 
-    def counting(*args):
-        calls.append(args)
-        return batch_bound(*args)
+
+@pytest.mark.parametrize("check, rows", [*_FIXED_ROW_CHECKS, (verify.check_structural_properties, 0)],
+                         ids=[check.__name__ for check, _ in _FIXED_ROW_CHECKS] + ["check_structural_properties"])
+def test_fixed_row_checks_are_one_batch(check, rows, monkeypatch):
+    # A fixed-row check reads each row as solve reads a ProbeConfig: one
+    # probe_mode1 and one _bound_row per row, and no batch_bound call.
+    # structural-properties batches its random rows into one batch_bound
+    # call and reads no row on its own.  None calls solve itself.
+    calls = {"batch_bound": [], "probe_mode1": [], "_bound_row": []}
+
+    def counting(name):
+        f = getattr(verify, name)
+        return lambda *args: calls[name].append(args) or f(*args)
 
     def no_solve(*args):
         raise AssertionError("the check solved a row on its own")
 
-    monkeypatch.setattr(verify, "batch_bound", counting)
+    for name in calls:
+        monkeypatch.setattr(verify, name, counting(name))
     monkeypatch.setattr(verify, "solve", no_solve, raising=False)
     monkeypatch.setattr(holevo, "solve", no_solve)
     assert check(quick=True).passed
-    assert len(calls) == 1
+    if rows:
+        assert (len(calls["batch_bound"]), len(calls["probe_mode1"]), len(calls["_bound_row"])) == (0, rows, rows)
+        assert all(isinstance(x, float) for args in calls["probe_mode1"] for x in args)
+    else:
+        assert (len(calls["batch_bound"]), len(calls["_bound_row"])) == (1, 0)
+
+
+@pytest.mark.parametrize("check, rows", _FIXED_ROW_CHECKS, ids=[check.__name__ for check, _ in _FIXED_ROW_CHECKS])
+def test_fixed_row_checks_fail_on_a_certificate_that_refuses_every_row(check, rows, monkeypatch):
+    # `bound` exits 3 on every probe when the scalar certificate refuses it,
+    # so the checks that read its rows fail too, in either mode.
+    certified = holevo._scalar_certified
+    monkeypatch.setattr(holevo, "_scalar_certified", lambda *args: certified(*args) & False)
+    for quick in (True, False):
+        result = check(quick=quick)
+        assert not result.passed
+        assert result.detail["uncertified_rows"] == rows
 
 
 def _nan_every_seventh_row(rows):
@@ -287,8 +313,12 @@ def _nan_every_seventh_row(rows):
     return mutated
 
 
-def _scaled(f, factor):
-    return lambda *args: f(*args) * factor
+def _scaled_first(f, factor):
+    # f returns a tuple; its first entry is scaled.
+    def mutated(*args):
+        first, *tail = f(*args)
+        return (first * factor, *tail)
+    return mutated
 
 
 def _scaled_last(f, factor):
@@ -321,11 +351,14 @@ def test_structural_properties_fails_on_mutants(module, name, mutate, key, tol, 
 ], ids=["single-mode-closed-form", "equal-squeezing-optimum", "weight-special-cases", "sql-threshold",
         "reference-point-values"])
 def test_bound_checks_fail_on_a_bound_off_by_1e_10(check, key, monkeypatch):
-    # Their tolerance, 1e-13 relative, is about a hundred times the worst error over r <= 20.
-    monkeypatch.setattr(verify, "batch_bound", _scaled(batch_bound, 1.0 + 1e-10))
-    result = check(quick=True)
-    assert not result.passed
-    assert result.detail[key] > 1e-13
+    # Their tolerance, 1e-13 relative, is about a hundred times the worst
+    # error over r <= 20.  The mutant is in _kernel, which float rows and
+    # arrays share.
+    monkeypatch.setattr(holevo, "_kernel", _scaled_first(holevo._kernel, 1.0 + 1e-10))
+    for quick in (True, False):
+        result = check(quick=quick)
+        assert not result.passed
+        assert result.detail[key] > 1e-13
 
 
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
@@ -370,6 +403,22 @@ def test_no_bound_violation_fails_on_a_weighted_sum_6_se_below_its_bound(quick, 
     result = verify.check_no_bound_violation(quick=quick)
     assert not result.passed
     assert not result.detail["balanced-suboptimal"]["no_violation"]
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_monte_carlo_checks_fail_on_an_outcome_covariance_off_by_1e_5(quick, monkeypatch):
+    # At MC_SHOTS = 2**53 a 5-SE band is ~1e-8 of its variance, so every
+    # outcome covariance scaled by 1 + 1e-5 fails both checks; at 1e6 shots,
+    # whose bands are ~0.7 % wide, the same error passes them.
+    def scaled(self, probe, theta):
+        mean, cov = outcome_moments(self, probe, theta)
+        return mean, [[x * (1.0 + 1e-5) for x in row] for row in cov]
+
+    outcome_moments = MeasurementScheme.outcome_moments
+    monkeypatch.setattr(MeasurementScheme, "outcome_moments", scaled)
+    for check in (verify.check_monte_carlo_achievability, verify.check_no_bound_violation):
+        assert not check(quick=quick).passed
+        assert check(quick=quick, shots=10**6).passed
 
 
 def test_sql_threshold_on_the_envelope_and_the_bound():

@@ -94,7 +94,7 @@ LAYERS = {
     "solve two-mode ProbeConfig": "holevo.solve(probe2, weights)",
     "solve one-mode ProbeConfig": "holevo.solve(probe1, weights)",
     "solve raw covariance": "holevo.solve(cov2, weights)",
-    "batch_bound 4 rows": "holevo.batch_bound(*rows4, {})",
+    "batch_bound 4 rows": "holevo.batch_bound(*rows4, {})",  # on arrays, so mostly NumPy's fixed cost per call
     "batch_bound 3969 rows": "holevo.batch_bound(*rows3969, {})",
     "_gamma_rows 1040 rows": "closed_forms._gamma_rows(ratios, gamma_r)",
     "_binned_envelope quick": "regions._binned_envelope(sweeps['quick'], 0.69)",
