@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import closed_forms
-from .gaussian import ChannelParams, ProbeConfig, _check_r, squeezing_db_to_r
+from .gaussian import ChannelParams, ProbeConfig, _check_r, _spaced, squeezing_db_to_r
 from .holevo import CERTIFICATE_TOL, Weights, solve
 
 EXIT_OK = 0
@@ -251,25 +251,22 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _spaced(start: float, stop: float, n: int, log: bool = False) -> list[float]:
-    """np.linspace(start, stop, n), or np.geomspace if ``log``, as floats by NumPy's arithmetic without its SIMD code.
-
-    i * step + start (then 10.0 ** y, of log10 start and stop, if ``log``), with both end points exact.
-    """
-    a, b = (math.log10(start), math.log10(stop)) if log else (start, stop)
-    step = (b - a) / max(n - 1, 1)
-    inner = [i * step + a for i in range(1, n - 1)]
-    return [start, *((10.0 ** y for y in inner) if log else inner), stop][:n]
-
-
 def cmd_region(args) -> int:
     from . import regions
 
     for dest in ("vx_points", "t_points", "phi_points", "w_points"):
         count = getattr(args, dest)
-        if count < 1:
+        if count is not None and count < 1:
             raise ValueError(f"--{dest.replace('_', '-')} must be at least 1, got {count}")
     _resolve_mode_flags(args)
+    sweep_counts = ("t_points", "phi_points", "w_points")
+    if args.modes == 1:
+        refused = dict.fromkeys(("numeric", *sweep_counts), "is a two-mode flag: --modes 1 would ignore it")
+    elif not args.numeric:
+        refused = dict.fromkeys(sweep_counts, "is a --numeric flag: the closed form alone would ignore it")
+    else:
+        refused = {} if args.closed_form else {"vx_points": "is a closed-form flag: --numeric alone would ignore it"}
+    _refuse_then_default(args, refused, {"vx_points": 200, "t_points": 25, "phi_points": 13, "w_points": 25})
 
     samples = []
     if args.modes == 1:
@@ -435,10 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_floats(p, "r", "db", "phi", "r1", "r2", "db1", "db2")
     p.add_argument("--closed-form", action="store_true", help="emit analytic envelope rows")
     p.add_argument("--numeric", action="store_true", help="emit numeric envelope rows")
-    p.add_argument("--vx-points", type=int, default=200)
-    p.add_argument("--t-points", type=int, default=25)
-    p.add_argument("--phi-points", type=int, default=13)
-    p.add_argument("--w-points", type=int, default=25)
+    for name in ("vx-points", "t-points", "phi-points", "w-points"):  # None: 200, 25, 13 and 25
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
     p.set_defaults(func=cmd_region)

@@ -16,7 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from . import closed_forms
-from .gaussian import _LazyNumPy
+from .gaussian import _LazyNumPy, _spaced
 from .holevo import batch_bound
 
 np = _LazyNumPy(globals())  # the closed-form boundaries never read it
@@ -115,7 +115,7 @@ def _binned_envelope(sweep: _Sweep, r2: float) -> tuple[np.ndarray, np.ndarray]:
     hi = 10.0 * math.exp(2.0 * r2)
     v_x, v_y = sweep.v_x, sweep.v_y
     ic, j = np.nonzero(np.isfinite(v_x) & np.isfinite(v_y) & (v_x >= lo) & (v_x <= hi))
-    edges = np.geomspace(lo, hi, ENVELOPE_BINS + 1)
+    edges = _spaced(lo, hi, ENVELOPE_BINS + 1, True)
     bin_of = np.clip(np.searchsorted(edges, v_x[ic, j], side="right") - 1, 0, ENVELOPE_BINS - 1)
     lowest_v_y = np.full(ENVELOPE_BINS, np.inf)
     np.minimum.at(lowest_v_y, bin_of, v_y[ic, j])

@@ -27,13 +27,14 @@ needs (``uncertified_rows``); a sweep is one batch_bound call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import closed_forms, regions
-from .gaussian import ChannelParams, _squeezed_entries, probe_mode1
+from .gaussian import ChannelParams, _entrywise, _spaced, _squeezed_entries, probe_mode1
 from .holevo import Weights, _bound_row, batch_bound
 from .simulate import _checked_run, build_scheme, run_scheme
 
@@ -66,12 +67,10 @@ def _envelope_grids(r1: float, r2: float, n_w: int, n_phi: int):
     configuration sweep brackets the envelope tightly at every ratio.
     """
     half = (n_w + 2) // 2
-    exps = np.unique(np.concatenate([np.linspace(-2.5, 0.0, half), np.linspace(0.0, 2.5, half)]))
-    w_grid = 10.0 ** exps
+    w_grid = np.array([10.0 ** y for y in sorted({*_spaced(-2.5, 0.0, half), *_spaced(0.0, 2.5, half)})])
     amp = math.exp(-r1) * np.sqrt(w_grid)
     t_grid = np.unique(amp / (amp + math.exp(-r2)))
-    phi_grid = np.linspace(0.0, math.pi / 2.0, n_phi)
-    return w_grid, t_grid, phi_grid
+    return w_grid, t_grid, np.array(_spaced(0.0, math.pi / 2.0, n_phi))
 
 
 def check_single_mode_closed_form(quick: bool = False) -> CheckResult:
@@ -85,14 +84,14 @@ def check_single_mode_closed_form(quick: bool = False) -> CheckResult:
     with its projected variances v_a and v_b, is one array expression over
     the same grid.
     """
-    rs = np.linspace(0.0, 20.0, 6 if quick else 16)
-    phis = np.arange(0.0, math.pi / 2.0 + 1e-12, math.pi / 12.0)
+    rs, phis = _spaced(0.0, 20.0, 6 if quick else 16), _spaced(0.0, math.pi / 2.0, 7)
     weights = [(w_x, w_y) for ratio in (1e-3, 1.0, 1e3)
                for w_x, w_y in ((ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)), (ratio, 1.0))]
     r, phi = (grid.ravel()[:, None] for grid in np.meshgrid(rs, phis, indexing="ij"))
     w_x, w_y = np.array(weights).T
     got = batch_bound((0.0, r, 0.0, phi, 0.0), w_x, w_y)
-    e_m, e_p, c2, s2 = np.exp(-2.0 * r), np.exp(2.0 * r), np.cos(phi) ** 2, np.sin(phi) ** 2
+    e_m, e_p = _entrywise(math.exp, -2.0 * r), _entrywise(math.exp, 2.0 * r)
+    c2, s2 = np.square(np.cos(phi)), np.square(np.sin(phi))
     want = (w_x * (e_m * c2 + e_p * s2) + w_y * (e_m * s2 + e_p * c2) + 2.0 * np.sqrt(w_x * w_y)).ravel()
     worst = float(np.max(np.abs(got - want) / want))
     return CheckResult("single-mode-closed-form", worst <= 1e-13, {"max_rel_err": worst})
@@ -325,14 +324,14 @@ def check_sql_threshold(quick: bool = False) -> CheckResult:
     not below 1 at the larger product and below 1 at the smaller; m is
     1 +- 5e-5 there, so a read off by more than 5e-5 flips a side.
     """
-    r = -0.25 * np.log(0.25 * np.array([1.0 + 1e-4, 1.0 - 1e-4]))
-    want = 0.5 * np.square(2.0 * np.exp(-r))
-    envelope = [closed_forms.two_mode_envelope(m, x, x).v_y for m, x in zip(want.tolist(), r.tolist())]
-    opts = [closed_forms.optimal_config(0.5, 0.5, x, x) for x in r.tolist()]
-    bound, uncertified = _bound_rows((x, x, o.phi1, o.phi2, o.probe_t, 0.5, 0.5) for x, o in zip(r.tolist(), opts))
-    reads = np.stack([envelope, bound])  # a row per route; columns: above, below the threshold
-    worst = float(np.max(np.abs(reads - want) / want))  # np.max keeps a NaN
-    above, below = bool(np.any(reads[:, 0] < 1.0)), bool(np.all(reads[:, 1] < 1.0))
+    rs = [-0.25 * math.log(0.25 * product) for product in (1.0 + 1e-4, 1.0 - 1e-4)]
+    want = [0.5 * y * y for y in (2.0 * math.exp(-x) for x in rs)]
+    envelope = [closed_forms.two_mode_envelope(m, x, x).v_y for m, x in zip(want, rs)]
+    opts = [closed_forms.optimal_config(0.5, 0.5, x, x) for x in rs]
+    bound, uncertified = _bound_rows((x, x, o.phi1, o.phi2, o.probe_t, 0.5, 0.5) for x, o in zip(rs, opts))
+    errs = [abs(read - m) / m for reads in (envelope, bound) for read, m in zip(reads, want)]
+    worst = max(errs) if all(err == err for err in errs) else math.nan  # a NaN read fails
+    above, below = envelope[0] < 1.0 or bound[0] < 1.0, envelope[1] < 1.0 and bound[1] < 1.0  # read 0 is above, 1 below
     passed = worst <= 1e-13 and not above and below and not uncertified
     return CheckResult(
         "sql-threshold", passed,
@@ -352,27 +351,26 @@ def check_structural_properties(quick: bool = False) -> CheckResult:
     phi1, phi2, t = 2.0 * math.pi * u[:, 2], 2.0 * math.pi * u[:, 3], u[:, 4]
     probes = (r1, r2, phi1, phi2, t)
 
-    # The mode-1 reduction every bound row reads: the marginal [[A_11, A_12],
-    # [A_12, A_22]] of a pure probe has det A - 1 = probe_mode1's third output
-    # (Weedbrook et al., RMP 84, 621 (2012)), here within 1e-13 of A_11 A_22,
-    # with A_12 = t xy1 + (1 - t) xy2.  A_12 takes np.exp, within an ulp of the
-    # math.exp of probe_mode1 and a fifth of its cost.
+    # The mode-1 reduction every bound row reads: the marginal [[A_11, A_12], [A_12, A_22]] of a pure
+    # probe has det A - 1 = probe_mode1's third output (Weedbrook et al., RMP 84, 621 (2012)), here
+    # within 1e-13 of A_11 A_22, with A_12 = t xy1 + (1 - t) xy2, on probe_mode1's exponential.
     a11, a22, delta_minus_one = probe_mode1(*probes)
-    xy1, xy2 = _squeezed_entries(np.stack([r1, r2]), np.stack([phi1, phi2]), np.exp, np.cos, np.sin)[1]
+    exp, pow10 = (functools.partial(_entrywise, f) for f in (math.exp, functools.partial(math.pow, 10.0)))
+    xy1, xy2 = _squeezed_entries(np.stack([r1, r2]), np.stack([phi1, phi2]), exp, np.cos, np.sin)[1]
     a12 = t * xy1 + (1.0 - t) * xy2
     defect = (a11 * a22 - a12 * a12 - 1.0) - delta_minus_one
     worst = float(np.max(np.abs(defect) / (a11 * a22)))  # np.max keeps a NaN
     detail["mode1_determinant"] = worst
     ok_mode1 = worst <= 1e-13
 
-    # Envelope continuity at the knees and x<->y symmetry: a batched row set at v_x, then one at the knees and v_y.
+    # Envelope continuity at the knees, each branch read an ulp on its side, and x<->y symmetry: a batched
+    # row set at v_x, then one at the knees and v_y.
     r1, r2, log_excess = rng.uniform([0.01, 0.01, -2], [2, 2, 1], (n, 3)).T
     r1, r2 = np.minimum(r1, r2), np.maximum(r1, r2)
-    v_x = np.exp(-2.0 * r2) + 10.0 ** log_excess
+    v_x = exp(-2.0 * r2) + pow10(log_excess)
     v_y, v_c, v_d, _ = closed_forms._envelope_rows(v_x, r1, r2)
-    low_at_c = v_c * np.exp(-2.0 * r1) / (v_c - np.exp(-2.0 * r2))
-    high_at_d = v_d * np.exp(-2.0 * r2) / (v_d - np.exp(-2.0 * r1))
-    mid_at_c, mid_at_d, back = closed_forms._envelope_rows(np.stack([v_c, v_d, v_y]), r1, r2)[0]
+    knees = (np.nextafter(v_c, 0.0), v_c, v_d, np.nextafter(v_d, np.inf))
+    low_at_c, mid_at_c, mid_at_d, high_at_d, back = closed_forms._envelope_rows(np.stack([*knees, v_y]), r1, r2)[0]
     worst_cont = float(np.max(np.maximum(np.abs(low_at_c - mid_at_c), np.abs(high_at_d - mid_at_d))))
     worst_sym = float(np.max(np.abs(back - v_x)))
     detail["envelope_continuity"] = worst_cont
@@ -381,7 +379,7 @@ def check_structural_properties(quick: bool = False) -> CheckResult:
 
     # Weight-scaling linearity of the bound, as one batch_bound call: the
     # configurations against the weights and the scaled weights.
-    w_x, w_y, scale = 10.0 ** rng.uniform([-1, -1, -2], [1, 1, 2], (n, 3)).T
+    w_x, w_y, scale = pow10(rng.uniform([-1, -1, -2], [1, 1, 2], (n, 3))).T
     base, scaled = batch_bound(probes, np.stack([w_x, scale * w_x]), np.stack([w_y, scale * w_y])).reshape(2, n)
     worst_scale = float(np.max(np.abs(scaled - scale * base) / (scale * base)))
     detail["weight_scaling"] = worst_scale

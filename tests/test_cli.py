@@ -364,6 +364,17 @@ def test_non_finite_inputs_exit_2_naming_the_field(capsys, argv, field):
          "--db is a balanced flag: --scheme example1 would ignore it"),
         (("simulate", "--scheme", "balanced", "--r", "0.5", "--t", "0.3", "--config", {"wy": 2}),
          "--wy cannot be given with --t, which fixes t*"),
+        # a region grid that the rows asked for would not read; a --config key counts
+        (("region", "--modes", "1", "--r", "0.3", "--numeric"),
+         "--numeric is a two-mode flag: --modes 1 would ignore it"),
+        (("region", "--modes", "1", "--r", "0.3", "--phi-points", "3"),
+         "--phi-points is a two-mode flag: --modes 1 would ignore it"),
+        (("region", "--r1", "0.35", "--r2", "0.69", "--t-points", "3"),
+         "--t-points is a --numeric flag: the closed form alone would ignore it"),
+        (("region", "--r1", "0.35", "--r2", "0.69", "--closed-form", "--config", {"w-points": 3}),
+         "--w-points is a --numeric flag: the closed form alone would ignore it"),
+        (("region", "--r1", "0.35", "--r2", "0.69", "--numeric", "--vx-points", "5"),
+         "--vx-points is a closed-form flag: --numeric alone would ignore it"),
     ],
 )
 def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkeypatch, argv, message):
@@ -388,6 +399,15 @@ def test_library_errors_exit_2_with_the_library_message(capsys, tmp_path, monkey
     (("simulate", "--scheme", "balanced", "--r", "0.5", "--shots", "1000"), ("--wx", "1", "--wy", "1")),
 ])
 def test_unset_angles_and_transmissivity_take_their_defaults(capsys, argv, defaults):
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, *defaults)
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (("region", "--modes", "1", "--r", "0.3", "--closed-form"), ("--vx-points", "200")),  # one-mode rows: closed form
+    (("region", "--r1", "0.3", "--r2", "0.5", "--numeric", "--closed-form"),
+     ("--vx-points", "200", "--t-points", "25", "--phi-points", "13", "--w-points", "25")),
+])
+def test_unset_region_grid_counts_take_their_defaults(capsys, argv, defaults):
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv, *defaults)
 
 

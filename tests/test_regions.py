@@ -313,6 +313,13 @@ def _nan_every_seventh_row(rows):
     return mutated
 
 
+def _scaled_low_branch(rows):
+    def mutated(v_x, r1, r2):
+        v_y, v_c, v_d, segment = rows(v_x, r1, r2)
+        return v_y * np.where(segment == 0, 1.0 + 1e-9, 1.0), v_c, v_d, segment
+    return mutated
+
+
 def _scaled_first(f, factor):
     # f returns a tuple; its first entry is scaled.
     def mutated(*args):
@@ -333,9 +340,10 @@ def _scaled_last(f, factor):
     (cf, "_envelope_rows", _nan_every_seventh_row, "envelope_continuity", 1e-9),
     (verify, "probe_mode1", lambda mode1: _scaled_last(mode1, 1.0 + 1e-9), "mode1_determinant", 1e-13),
     (verify, "batch_bound", lambda bound: lambda *args: bound(*args) + 1e-9, "weight_scaling", 1e-12),
-], ids=["nan-envelope-rows", "scaled-delta-minus-one", "inhomogeneous-bound"])
+    (cf, "_envelope_rows", _scaled_low_branch, "envelope_continuity", 1e-9),
+], ids=["nan-envelope-rows", "scaled-delta-minus-one", "inhomogeneous-bound", "scaled-low-branch"])
 def test_structural_properties_fails_on_mutants(module, name, mutate, key, tol, monkeypatch):
-    # A NaN must fail the check, not drop out of a max.
+    # A NaN must fail the check, not drop out of a max, and the knees are read on the code's own branches.
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     result = verify.check_structural_properties(quick=True)
     assert not result.passed
@@ -361,17 +369,32 @@ def test_bound_checks_fail_on_a_bound_off_by_1e_10(check, key, monkeypatch):
         assert result.detail[key] > 1e-13
 
 
-@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
-def test_sql_threshold_fails_on_an_envelope_off_by_1e_3(quick, monkeypatch):
+def _off_by_1e_3(v_x, v_y):
+    return v_y * (1.0 + 1e-3)
+
+
+def _nan_above_the_threshold(v_x, v_y):
+    return math.nan if v_x > 1.0 else v_y
+
+
+@pytest.mark.parametrize("quick, move, seen", [
+    (True, _off_by_1e_3, lambda detail: not detail["below_feasible"]),
+    (False, _off_by_1e_3, lambda detail: not detail["below_feasible"]),
+    (True, _nan_above_the_threshold, lambda detail: math.isnan(detail["max_rel_err"])),
+], ids=["quick", "full", "nan-above-the-threshold"])
+def test_sql_threshold_fails_on_an_envelope_off_by_1e_3(quick, move, seen, monkeypatch):
+    # The move of 1e-3 flips the side below 1/4.  A NaN read above the
+    # threshold passes the side tests, as a comparison with it is false, so
+    # max_rel_err must keep it.
     def moved(*args):
         point = two_mode_envelope(*args)
-        return replace(point, v_y=point.v_y * (1.0 + 1e-3))
+        return replace(point, v_y=move(point.v_x, point.v_y))
 
     two_mode_envelope = cf.two_mode_envelope
     monkeypatch.setattr(cf, "two_mode_envelope", moved)
     result = verify.check_sql_threshold(quick=quick)
     assert not result.passed
-    assert not result.detail["below_feasible"]  # the move flips the side below 1/4
+    assert seen(result.detail)
 
 
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])

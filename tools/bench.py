@@ -2,8 +2,10 @@
 
 Each ``wall_s`` key is a command run in a new interpreter, with the tree's
 ``src`` on PYTHONPATH; its record holds the median, the quartiles and the
-raw seconds of 16 runs (REPS).  A bare ``python -c pass`` and
-``import numpy`` run next to the qbound commands, so that host drift shows.
+raw seconds of 16 runs (REPS).  A bare ``python -c pass``, the same
+without the site module (``-S``, so no site-packages start-up hook runs)
+and ``import numpy`` run next to the qbound commands, so that host drift
+shows.
 Each ``layer_s`` key is one call timed in process, warm: a fresh interpreter
 per layer and repetition (LAYER_REPS of them) times it LAYER_CALLS times and
 keeps the median, and the record holds those medians.  The file also records
@@ -45,6 +47,7 @@ REPS = 16  # fresh processes per command; --smoke runs one
 # key: interpreter arguments; each runs with the tree's src on PYTHONPATH.
 COMMANDS = {
     "python -c pass": ["-c", "pass"],
+    "python -S -c pass": ["-S", "-c", "pass"],
     "import numpy": ["-c", "import numpy"],
     "import qbound": ["-c", "import qbound"],
     "import qbound.cli": ["-c", "import qbound.cli"],

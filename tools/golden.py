@@ -8,7 +8,8 @@ detail values may round differently between hosts.  The argv come from
 .github/workflows/tests.yml, README.md's CLI block (with ``--out`` dropped)
 and tools/bench.py.
 
-    python tools/golden.py            # replay: name each entry that differs, exit 1 if any does
+    python tools/golden.py            # replay: name each differing entry and its first differing field;
+                                      # exit 1 if any differs
     python tools/golden.py --update   # rewrite tests/golden.json from this tree's src
 
 A change that moves an entry names it in CHANGES.md.  CI replays the corpus
@@ -50,7 +51,7 @@ ARGV = (
     "bound --modes 1 --r 0.69 --phi 0.3 --wy 3",
     "bound --r1 0.35 --r2 0.69 --auto-config --wy 2",
     "bound --modes 1 --db 3 --phi 0.5236 --wx 1 --wy 1",
-    # region: closed form (two modes and one), numeric, and a refused flag
+    # region: closed form (two modes and one), numeric, and refused flags
     "region --r1 0.35 --r2 0.69",
     "region --r1 0.35 --r2 0.69 --vx-points 400",
     "region --r1 0.35 --r2 0.69 --closed-form",
@@ -59,6 +60,9 @@ ARGV = (
     "region --r1 0.35 --r2 0.69 --numeric --t-points 25 --w-points 25",
     "region --r1 19 --r2 20 --numeric",
     "region --modes 1 --r 0.3 --r1 nan",
+    "region --modes 1 --r 0.3 --numeric",
+    "region --r1 0.35 --r2 0.69 --t-points 3",
+    "region --r1 0.35 --r2 0.69 --numeric --vx-points 5",
     # simulate: CI's seeded runs, its exit-2 runs, tools/bench.py and README
     "simulate --scheme balanced --r 0.693 --wx 1 --wy 1 --shots 2000000 --seed 42 --theta 0.3,-0.1",
     "simulate --scheme balanced --r 20 --wx 1 --wy 1 --shots 2000000 --seed 42 --theta 0.3,-0.1",
@@ -103,11 +107,33 @@ def run(argv: str) -> dict:
     return entry
 
 
+def _first_difference(recorded: dict, current: dict) -> str:
+    """The first field of two entries that differs: the exit code, or a check, stdout or stderr line."""
+    for key in ("exit", "checks", "stdout", "stderr"):
+        old, new = recorded.get(key), current.get(key)
+        if old != new and isinstance(old, list) and isinstance(new, list):
+            n = next((i for i, pair in enumerate(zip(old, new)) if pair[0] != pair[1]), min(len(old), len(new)))
+            key, old, new = f"{key} line {n + 1}", old[n] if n < len(old) else None, new[n] if n < len(new) else None
+        if old != new:
+            return f"  {key}, recorded: {old!r}\n  {key}, current:  {new!r}"
+    return "  no field differs"
+
+
+def _differences() -> dict[str, str]:
+    """Each argv whose entry in tests/golden.json differs from a run now, or is missing from either side,
+    with its first differing field."""
+    recorded = {entry["argv"]: entry for entry in json.loads(CORPUS.read_text())}
+    differ = {}
+    for argv in ARGV:
+        entry, current = recorded.pop(argv, None), run(argv)
+        if entry != current:
+            differ[argv] = "  not in tests/golden.json" if entry is None else _first_difference(entry, current)
+    return {**differ, **dict.fromkeys(recorded, "  in tests/golden.json, not in ARGV")}
+
+
 def mismatches() -> list[str]:
     """The argv whose entry in tests/golden.json differs from a run now, or is missing from either side."""
-    recorded = {entry["argv"]: entry for entry in json.loads(CORPUS.read_text())}
-    differ = [argv for argv in ARGV if recorded.pop(argv, None) != run(argv)]
-    return differ + list(recorded)
+    return list(_differences())
 
 
 def main(argv=None) -> int:
@@ -117,9 +143,9 @@ def main(argv=None) -> int:
     if args.update:
         CORPUS.write_text(json.dumps([run(argv) for argv in ARGV], indent=1) + "\n")
         return 0
-    differ = mismatches()
-    for argv in differ:
-        print(f"differs from tests/golden.json: {argv}")
+    differ = _differences()
+    for argv, field in differ.items():
+        print(f"differs from tests/golden.json: {argv}\n{field}")
     return 1 if differ else 0
 
 
